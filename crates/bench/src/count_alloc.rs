@@ -1,5 +1,5 @@
 //! A counting global allocator: wraps the system allocator and keeps a
-//! relaxed atomic tally of allocation calls, so benches and tests can
+//! per-thread tally of allocation calls, so benches and tests can
 //! *prove* a hot path is allocation-free rather than eyeball it.
 //!
 //! Install it in a binary or test with:
@@ -19,32 +19,43 @@
 //!
 //! `realloc` and `alloc_zeroed` count as allocations; `dealloc` does
 //! not (freeing is not the hot-path sin being hunted). The counter is
-//! process-global and monotone — always diff two readings, never read
-//! one absolutely, because the runtime and test harness allocate too.
+//! thread-local and monotone: a reading counts only what the *calling*
+//! thread allocated, so sibling tests, libtest's watchdog or any other
+//! runtime thread cannot leak into a measured window. Always diff two
+//! readings taken on the thread that runs the measured region.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator neither allocates nor can fail at thread
+    // teardown.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Number of allocation calls since process start (monotone; diff it).
+/// Allocation calls made by the calling thread so far (monotone; diff it).
 pub fn allocation_count() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
+}
+
+fn bump() {
+    ALLOCATIONS.with(|c| c.set(c.get() + 1));
 }
 
 /// The counting allocator. Zero-sized; see the module docs for usage.
 pub struct CountingAlloc;
 
 // SAFETY: defers entirely to `System`, which upholds the `GlobalAlloc`
-// contract; the only addition is a relaxed counter increment, which
-// cannot affect the returned memory. `unsafe_code` is denied
+// contract; the only addition is a thread-local counter increment,
+// which cannot affect the returned memory. `unsafe_code` is denied
 // workspace-wide; this module is the one sanctioned exception, allowed
 // explicitly here because a `GlobalAlloc` impl cannot be written
 // without it.
 #[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        bump();
         unsafe { System.alloc(layout) }
     }
 
@@ -53,12 +64,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        bump();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        bump();
         unsafe { System.alloc_zeroed(layout) }
     }
 }

@@ -16,14 +16,27 @@
 //! and follows `CtrlPartitionMap` re-broadcasts, so a retry after a
 //! chain failover lands on the repaired head.
 //!
-//! Timers are guarded by a per-worker generation counter: every state
-//! transition invalidates outstanding timers, so a stale retry timer can
-//! never fire into a later phase of the transaction.
+//! Timers cost what is due. A worker has at most one *live* retry timer
+//! in the simulator's queue, however many acquires it sends: each
+//! acquire only notes its retry deadline, and the timer — when it fires
+//! before that deadline because grants kept arriving — re-arms itself
+//! for exactly the remainder. Each acquire also takes a
+//! [`TimerTicket`] when it is sent and every arming of its timer spends
+//! it, so the timer fires not just at the same nanosecond but at the
+//! same place among that nanosecond's events as if every acquire had
+//! armed its own timer — retransmissions, and with them whole runs, are
+//! event-for-event what they were, while a fault-free run parks one
+//! timer per worker instead of one per acquire. Retry and think timers
+//! carry distinct tokens, so a retry timer can never fire into the
+//! think phase. (A crashed client stays down — chaos plans never revive
+//! one — so no timer chain has to survive a restart.)
 
 use netlock_proto::{
     ClientAddr, GrantMsg, Grantor, LockId, LockRequest, NetLockMsg, ReleaseRequest, TxnId,
 };
-use netlock_sim::{Context, Histogram, Node, NodeId, Packet, SimDuration, SimRng, SimTime};
+use netlock_sim::{
+    Context, Histogram, Node, NodeId, Packet, SimDuration, SimRng, SimTime, TimerTicket,
+};
 use netlock_switch::partition::PartitionMap;
 
 use crate::txn::{LockNeed, Transaction, TxnSource};
@@ -89,7 +102,14 @@ pub struct TxnClientStats {
 
 #[derive(Debug)]
 enum Phase {
-    Acquiring { next: usize, acquire_sent: SimTime },
+    Acquiring {
+        next: usize,
+        acquire_sent: SimTime,
+        /// When this acquire is re-sent unless its grant arrives first,
+        /// and the firing-order place taken for that timer at the send.
+        retry_at: SimTime,
+        retry_ticket: TimerTicket,
+    },
     Thinking,
 }
 
@@ -105,8 +125,11 @@ struct Worker {
     held: Vec<(LockNeed, u64)>,
     /// Per-worker transaction sequence (encoded into txn ids).
     seq: u64,
-    /// Timer-staleness guard; bumped on every state transition.
-    timer_gen: u64,
+    /// Fire time of this worker's live retry timer, if one is queued.
+    /// A retry timer firing at any other instant was superseded by an
+    /// earlier one (a post-backoff acquire is due sooner than the long
+    /// timer its predecessor left behind) and is ignored.
+    retry_timer_at: Option<SimTime>,
     /// Consecutive retransmissions of the current acquire (backoff
     /// exponent); reset whenever the worker advances to a new lock.
     attempts: u32,
@@ -136,7 +159,10 @@ pub struct TxnClient {
 
 const SEQ_BITS: u32 = 24;
 const WORKER_BITS: u32 = 16;
-const GEN_BITS: u32 = 32;
+
+/// Timer tokens: a think timer's token is the worker index; a retry
+/// timer's is the worker index with this flag set.
+const RETRY_TIMER: u64 = 1 << WORKER_BITS;
 
 impl TxnClient {
     /// A client with `cfg.workers` contexts fed by `source`.
@@ -238,11 +264,17 @@ impl TxnClient {
         ((txn.0 >> SEQ_BITS) as usize) & ((1 << WORKER_BITS) - 1)
     }
 
-    /// Schedule a worker timer valid only for the current generation.
-    fn arm_timer(&mut self, worker: usize, delay: SimDuration, ctx: &mut Context<'_, NetLockMsg>) {
-        let gen = self.workers[worker].timer_gen & ((1 << GEN_BITS) - 1);
-        let token = ((worker as u64) << GEN_BITS) | gen;
-        ctx.set_timer(delay, token);
+    /// Queue `worker`'s retry timer to fire at `at`, in the place taken
+    /// when the acquire it guards was sent.
+    fn arm_retry_timer(
+        &mut self,
+        worker: usize,
+        at: SimTime,
+        ticket: TimerTicket,
+        ctx: &mut Context<'_, NetLockMsg>,
+    ) {
+        self.workers[worker].retry_timer_at = Some(at);
+        ctx.set_timer_with_ticket(at - ctx.now(), RETRY_TIMER | worker as u64, ticket);
     }
 
     fn start_next_txn(&mut self, worker: usize, ctx: &mut Context<'_, NetLockMsg>) {
@@ -251,7 +283,6 @@ impl TxnClient {
             let me = ctx.self_id();
             let w = &mut self.workers[worker];
             w.seq += 1;
-            w.timer_gen += 1;
             w.held.clear();
             w.attempts = 0;
             w.txn_id = Self::make_txn_id(me, worker, w.seq);
@@ -263,44 +294,40 @@ impl TxnClient {
                 continue;
             }
             w.txn = txn;
-            w.phase = Phase::Acquiring {
-                next: 0,
-                acquire_sent: ctx.now(),
-            };
-            self.send_acquire(worker, ctx);
+            self.send_acquire(worker, 0, ctx);
             return;
         }
     }
 
-    fn send_acquire(&mut self, worker: usize, ctx: &mut Context<'_, NetLockMsg>) {
+    /// Send (or re-send) the acquire for lock `next` of the worker's
+    /// transaction and note when it is due for a retry.
+    fn send_acquire(&mut self, worker: usize, next: usize, ctx: &mut Context<'_, NetLockMsg>) {
         let now = ctx.now();
-        let me = ctx.self_id();
-        let (need, txn_id, tenant, priority) = {
-            let w = &mut self.workers[worker];
-            let Phase::Acquiring {
-                next,
-                ref mut acquire_sent,
-            } = w.phase
-            else {
-                return;
-            };
-            *acquire_sent = now;
-            w.timer_gen += 1;
-            (w.txn.locks[next], w.txn_id, w.txn.tenant, w.txn.priority)
+        let retry_at = now + self.retry_delay(worker);
+        let retry_ticket = ctx.timer_ticket();
+        let w = &mut self.workers[worker];
+        w.phase = Phase::Acquiring {
+            next,
+            acquire_sent: now,
+            retry_at,
+            retry_ticket,
         };
+        let need = w.txn.locks[next];
         let req = LockRequest {
             lock: need.lock,
             mode: need.mode,
-            txn: txn_id,
-            client: ClientAddr(me.0),
-            tenant,
-            priority,
+            txn: w.txn_id,
+            client: ClientAddr(ctx.self_id().0),
+            tenant: w.txn.tenant,
+            priority: w.txn.priority,
             issued_at_ns: now.as_nanos(),
         };
+        let timer_due_first = w.retry_timer_at.is_some_and(|at| at <= retry_at);
         let dst = self.switch_for(need.lock);
         ctx.send_after(dst, NetLockMsg::Acquire(req), self.cfg.tx_delay);
-        let delay = self.retry_delay(worker);
-        self.arm_timer(worker, delay, ctx);
+        if !timer_due_first {
+            self.arm_retry_timer(worker, retry_at, retry_ticket, ctx);
+        }
     }
 
     fn release_surplus(&mut self, grant: &GrantMsg, ctx: &mut Context<'_, NetLockMsg>) {
@@ -343,7 +370,9 @@ impl TxnClient {
             return;
         }
         let (next, acquire_sent) = match self.workers[worker].phase {
-            Phase::Acquiring { next, acquire_sent } => (next, acquire_sent),
+            Phase::Acquiring {
+                next, acquire_sent, ..
+            } => (next, acquire_sent),
             Phase::Thinking => {
                 // Retry duplicate for a lock of the current txn (shared
                 // grants can duplicate); shed the surplus queue entry.
@@ -370,20 +399,15 @@ impl TxnClient {
 
         let lock_count = self.workers[worker].txn.locks.len();
         if next + 1 < lock_count {
-            self.workers[worker].phase = Phase::Acquiring {
-                next: next + 1,
-                acquire_sent: ctx.now(),
-            };
             self.workers[worker].attempts = 0;
-            self.send_acquire(worker, ctx);
+            self.send_acquire(worker, next + 1, ctx);
         } else {
             let think = self.workers[worker].txn.think;
             self.workers[worker].phase = Phase::Thinking;
-            self.workers[worker].timer_gen += 1;
             if think.is_zero() {
                 self.complete_txn(worker, ctx);
             } else {
-                self.arm_timer(worker, self.cfg.rx_delay + think, ctx);
+                ctx.set_timer(self.cfg.rx_delay + think, worker as u64);
             }
         }
     }
@@ -392,9 +416,11 @@ impl TxnClient {
         let me = ctx.self_id();
         let (txn_id, priority, held) = {
             let w = &self.workers[worker];
-            (w.txn_id, w.txn.priority, w.held.clone())
+            (w.txn_id, w.txn.priority, w.held.len())
         };
-        for (need, _issued) in held {
+        // `start_next_txn` below empties `held`.
+        for i in 0..held {
+            let (need, _issued) = self.workers[worker].held[i];
             let rel = ReleaseRequest {
                 lock: need.lock,
                 txn: txn_id,
@@ -414,8 +440,8 @@ impl TxnClient {
     }
 }
 
-/// Timer token reserved for the delayed start (workers use tokens with
-/// a worker index < 2^16, so this cannot collide).
+/// Timer token reserved for the delayed start (worker tokens stay below
+/// 2^17, so this cannot collide).
 const START_TOKEN: u64 = u64::MAX;
 
 impl Node<NetLockMsg> for TxnClient {
@@ -429,7 +455,7 @@ impl Node<NetLockMsg> for TxnClient {
                 phase: Phase::Thinking,
                 held: Vec::new(),
                 seq: 0,
-                timer_gen: 0,
+                retry_timer_at: None,
                 attempts: 0,
             });
         }
@@ -462,23 +488,39 @@ impl Node<NetLockMsg> for TxnClient {
             }
             return;
         }
-        let worker = (token >> GEN_BITS) as usize;
-        let gen = token & ((1 << GEN_BITS) - 1);
-        if worker >= self.workers.len()
-            || (self.workers[worker].timer_gen & ((1 << GEN_BITS) - 1)) != gen
-        {
-            return; // invalidated by a state transition
+        let worker = (token & (RETRY_TIMER - 1)) as usize;
+        if token & RETRY_TIMER == 0 {
+            // The one think timer armed on entering the think phase.
+            debug_assert!(matches!(self.workers[worker].phase, Phase::Thinking));
+            self.complete_txn(worker, ctx);
+            return;
         }
-        match self.workers[worker].phase {
-            Phase::Acquiring { .. } => {
-                // Grant never arrived: retransmit the acquire with the
-                // next backoff step.
-                self.stats.retries += 1;
-                self.workers[worker].attempts = self.workers[worker].attempts.saturating_add(1);
-                self.send_acquire(worker, ctx);
-            }
-            Phase::Thinking => self.complete_txn(worker, ctx),
+        let now = ctx.now();
+        let w = &mut self.workers[worker];
+        if w.retry_timer_at != Some(now) {
+            return; // superseded by a timer armed for an earlier deadline
         }
+        w.retry_timer_at = None;
+        let Phase::Acquiring {
+            next,
+            retry_at,
+            retry_ticket,
+            ..
+        } = w.phase
+        else {
+            return; // nothing in flight; the next acquire arms afresh
+        };
+        if now < retry_at {
+            // Armed for an acquire that was granted since: wait out the
+            // remainder of the one now in flight.
+            self.arm_retry_timer(worker, retry_at, retry_ticket, ctx);
+            return;
+        }
+        // Grant never arrived: retransmit the acquire with the next
+        // backoff step.
+        self.stats.retries += 1;
+        w.attempts = w.attempts.saturating_add(1);
+        self.send_acquire(worker, next, ctx);
     }
 
     fn name(&self) -> &str {
@@ -656,6 +698,113 @@ mod tests {
         });
         assert!(sw > 0);
         assert_eq!(srv, 0, "all locks are switch-resident here");
+    }
+
+    #[test]
+    fn granted_acquires_leave_no_timers_behind() {
+        let workers = 8;
+        let (mut sim, _sw, client) = build(
+            workers,
+            (0..16).map(LockId).collect(),
+            LockMode::Exclusive,
+            SimDuration::ZERO,
+        );
+        sim.run_until(SimTime(SimDuration::from_millis(15).as_nanos()));
+        let grants = sim.read_node::<TxnClient, _>(client, |c| c.stats().grants);
+        assert!(grants >= 10_000, "only {grants} grants");
+        // Per worker: its one retry timer, one acquire or grant on the
+        // wire, one release on the wire. Plus the switch's control tick.
+        let bound = workers + 2 * workers + 1;
+        assert!(
+            sim.pending_events() <= bound,
+            "{} events pending after {grants} granted acquires (bound {bound})",
+            sim.pending_events()
+        );
+    }
+
+    /// Stand-in switch that grants every acquire except the ones whose
+    /// arrival index is in `lost` (as if their grants were dropped on
+    /// the way back), recording when each acquire arrived.
+    struct LossyGranter {
+        lost: &'static [usize],
+        arrivals: Vec<u64>,
+    }
+
+    impl Node<NetLockMsg> for LossyGranter {
+        fn on_packet(&mut self, pkt: Packet<NetLockMsg>, ctx: &mut Context<'_, NetLockMsg>) {
+            let NetLockMsg::Acquire(req) = pkt.payload else {
+                return;
+            };
+            let index = self.arrivals.len();
+            self.arrivals.push(ctx.now().as_nanos());
+            if self.lost.contains(&index) {
+                return;
+            }
+            let grant = GrantMsg {
+                lock: req.lock,
+                txn: req.txn,
+                mode: req.mode,
+                client: req.client,
+                priority: req.priority,
+                grantor: Grantor::Switch,
+                issued_at_ns: req.issued_at_ns,
+            };
+            ctx.send_after(pkt.src, NetLockMsg::Grant(grant), SimDuration::ZERO);
+        }
+
+        fn on_timer(&mut self, _token: u64, _ctx: &mut Context<'_, NetLockMsg>) {}
+    }
+
+    /// Retransmissions leave at the instants a timer armed per acquire
+    /// would fire. The first two grants are lost: the re-sends go out at
+    /// exactly `t_send + retry_timeout`, then after the pinned jittered
+    /// backoff. The fourth acquire — a fresh one, due 20 ms out while
+    /// its predecessor's backed-off timer is still parked far beyond
+    /// that — loses its grant too and must still be re-sent on time.
+    #[test]
+    fn lost_grants_are_retried_at_the_per_acquire_deadlines() {
+        const WIRE: u64 = 2_500 + 1_200; // tx_delay + link, client → switch
+        const TURNAROUND: u64 = 1_200 + WIRE; // grant back, next acquire out
+        const RETRY: u64 = 20_000_000;
+        // Attempt 1 waits 40 ms ± 25 %; this client's jitter stream draws:
+        const BACKOFF: u64 = 44_925_854;
+        let mut sim = Simulator::new(
+            Topology::new(LinkConfig::with_delay(SimDuration::from_nanos(1_200))),
+            9,
+        );
+        let granter = sim.add_node(Box::new(LossyGranter {
+            lost: &[0, 1, 3],
+            arrivals: vec![],
+        }));
+        let client = sim.add_node(Box::new(TxnClient::new(
+            TxnClientConfig {
+                workers: 1,
+                ..Default::default()
+            },
+            granter,
+            Box::new(SingleLockSource {
+                locks: vec![LockId(0)],
+                mode: LockMode::Exclusive,
+                think: SimDuration::ZERO,
+            }),
+            7,
+        )));
+        sim.run_until(SimTime(SimDuration::from_millis(100).as_nanos()));
+        let arrivals = sim.read_node::<LossyGranter, _>(granter, |g| g.arrivals[..6].to_vec());
+        let second_retry = RETRY + BACKOFF;
+        assert_eq!(
+            arrivals,
+            vec![
+                WIRE,
+                RETRY + WIRE,
+                second_retry + WIRE,
+                second_retry + WIRE + TURNAROUND,
+                second_retry + WIRE + TURNAROUND + RETRY,
+                second_retry + WIRE + TURNAROUND + RETRY + TURNAROUND,
+            ]
+        );
+        let retries = sim.read_node::<TxnClient, _>(client, |c| c.stats().retries);
+        assert_eq!(retries, 3);
     }
 
     /// Black hole standing in for a dead switch: records when each

@@ -7,10 +7,15 @@
 //! This table is also the *reference model* the property tests compare
 //! the switch data-plane engine against: it is written for clarity, with
 //! explicit holder tracking, no register-array constraints.
+//!
+//! Only a lock with a holder can have a lease expire, so the table keeps
+//! a dense index of exactly those locks ([`LockTable::held_locks`]) and
+//! the lease sweep walks that instead of every lock ever touched.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use netlock_proto::{LockId, LockMode, LockRequest, TxnId};
+use netlock_sim::FastHashMap;
 
 /// A current holder of a lock.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -28,10 +33,8 @@ pub struct Holder {
 pub struct LockState {
     holders: Vec<Holder>,
     waiters: VecDeque<LockRequest>,
-    /// Arrivals since the last stats harvest (`r_i`).
-    pub req_count: u64,
-    /// High-water mark of outstanding requests (`c_i`).
-    pub max_outstanding: u32,
+    /// This lock's position in `LockTable::held` while it has a holder.
+    held_slot: Option<u32>,
 }
 
 impl LockState {
@@ -53,6 +56,17 @@ impl LockState {
     /// True when nothing holds or waits.
     pub fn is_idle(&self) -> bool {
         self.holders.is_empty() && self.waiters.is_empty()
+    }
+
+    /// After a holder left (and `promote` refilled from the wait queue):
+    /// if nobody holds the lock any more, clear and return its index slot
+    /// for [`LockTable::unindex`].
+    fn take_slot_if_unheld(&mut self) -> Option<u32> {
+        if self.holders.is_empty() {
+            self.held_slot.take()
+        } else {
+            None
+        }
     }
 
     fn can_grant(&self, mode: LockMode) -> bool {
@@ -79,7 +93,11 @@ pub enum TableAcquire {
 /// The lock table.
 #[derive(Clone, Debug, Default)]
 pub struct LockTable {
-    locks: HashMap<LockId, LockState>,
+    locks: FastHashMap<LockId, LockState>,
+    /// Dense index of the locks that currently have at least one holder,
+    /// in no particular order. Invariant: `locks[l].held_slot == Some(i)`
+    /// iff `held[i] == l` iff `locks[l].holders` is non-empty.
+    held: Vec<LockId>,
 }
 
 impl LockTable {
@@ -107,20 +125,20 @@ impl LockTable {
     /// holders *and* no one is already waiting.
     pub fn acquire(&mut self, req: LockRequest) -> TableAcquire {
         let st = self.locks.entry(req.lock).or_default();
-        st.req_count += 1;
-        let out = if st.can_grant(req.mode) {
-            st.holders.push(Holder {
-                txn: req.txn,
-                mode: req.mode,
-                req,
-            });
-            TableAcquire::Granted
-        } else {
+        if !st.can_grant(req.mode) {
             st.waiters.push_back(req);
-            TableAcquire::Queued
-        };
-        st.max_outstanding = st.max_outstanding.max(st.outstanding() as u32);
-        out
+            return TableAcquire::Queued;
+        }
+        st.holders.push(Holder {
+            txn: req.txn,
+            mode: req.mode,
+            req,
+        });
+        if st.held_slot.is_none() {
+            st.held_slot = Some(self.held.len() as u32);
+            self.held.push(req.lock);
+        }
+        TableAcquire::Granted
     }
 
     /// Process a release; appends the requests granted as a result, in
@@ -136,6 +154,9 @@ impl LockTable {
         };
         st.holders.swap_remove(pos);
         Self::promote(st, granted);
+        if let Some(slot) = st.take_slot_if_unheld() {
+            self.unindex(slot);
+        }
     }
 
     /// Force-release every holder of `lock` whose request is older than
@@ -158,16 +179,40 @@ impl LockTable {
             return;
         }
         Self::promote(st, granted);
+        if let Some(slot) = st.take_slot_if_unheld() {
+            self.unindex(slot);
+        }
     }
 
-    /// Locks with any state, for sweep iteration. Appends the ids in
-    /// sorted order to `out` (which is NOT cleared — the caller owns and
-    /// reuses the buffer, matching the `ActionBuf` zero-alloc
-    /// convention used throughout the hot paths).
+    /// Locks with any state. Appends the ids in sorted order to `out`
+    /// (which is NOT cleared — the caller owns and reuses the buffer,
+    /// matching the `ActionBuf` zero-alloc convention used throughout
+    /// the hot paths). This is the full scan: end-state comparison and
+    /// the reference the held-lock sweep is tested against.
     pub fn touched_locks(&self, out: &mut Vec<LockId>) {
         let start = out.len();
         out.extend(self.locks.keys().copied());
         out[start..].sort();
+    }
+
+    /// Locks that currently have at least one holder — the only locks
+    /// a lease sweep can expire anything on. Appends the ids in sorted
+    /// order to `out` (not cleared, as [`LockTable::touched_locks`]).
+    pub fn held_locks(&self, out: &mut Vec<LockId>) {
+        let start = out.len();
+        out.extend_from_slice(&self.held);
+        out[start..].sort_unstable();
+    }
+
+    /// Remove index entry `slot`, re-pointing the lock swapped into it.
+    fn unindex(&mut self, slot: u32) {
+        self.held.swap_remove(slot as usize);
+        if let Some(moved) = self.held.get(slot as usize) {
+            self.locks
+                .get_mut(moved)
+                .expect("indexed lock has state")
+                .held_slot = Some(slot);
+        }
     }
 
     /// Grant from the wait queue whatever is now compatible, appending
@@ -191,26 +236,14 @@ impl LockTable {
         }
     }
 
-    /// Harvest and reset `(r_i, c_i)` for every touched lock.
-    pub fn take_stats(&mut self) -> Vec<(LockId, u64, u32)> {
-        let mut out: Vec<(LockId, u64, u32)> = self
-            .locks
-            .iter_mut()
-            .map(|(&lock, st)| {
-                let s = (lock, st.req_count, st.max_outstanding.max(1));
-                st.req_count = 0;
-                st.max_outstanding = st.outstanding() as u32;
-                s
-            })
-            .collect();
-        out.sort_by_key(|&(lock, _, _)| lock);
-        out
-    }
-
     /// Remove a lock's state entirely, returning any holders + waiters
     /// (used when transferring a lock to the switch).
     pub fn evict(&mut self, lock: LockId) -> Option<LockState> {
-        self.locks.remove(&lock)
+        let mut st = self.locks.remove(&lock)?;
+        if let Some(slot) = st.held_slot.take() {
+            self.unindex(slot);
+        }
+        Some(st)
     }
 }
 
@@ -330,19 +363,6 @@ mod tests {
         let g = expire(&mut t, LockId(1), 5_000, 1_000);
         assert_eq!(g.len(), 1);
         assert_eq!(g[0].txn, TxnId(1000));
-    }
-
-    #[test]
-    fn stats_harvest_resets() {
-        let mut t = LockTable::new();
-        t.acquire(req(1, LockMode::Exclusive, 1));
-        t.acquire(req(1, LockMode::Exclusive, 2));
-        t.acquire(req(2, LockMode::Shared, 3));
-        let stats = t.take_stats();
-        assert_eq!(stats, vec![(LockId(1), 2, 2), (LockId(2), 1, 1)]);
-        let stats = t.take_stats();
-        // Counts reset; contention floor = current outstanding.
-        assert_eq!(stats[0], (LockId(1), 0, 2));
     }
 
     #[test]

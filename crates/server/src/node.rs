@@ -6,10 +6,10 @@
 //! CtrlPromoteReady). All request processing is charged to the RSS
 //! multi-core model.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use netlock_proto::{GrantMsg, Grantor, LockId, LockRequest, NetLockMsg, ReleaseRequest};
-use netlock_sim::{Context, Node, NodeId, Packet, SimDuration};
+use netlock_sim::{Context, FastHashMap, Node, NodeId, Packet, SimDuration};
 
 use crate::cores::CoreModel;
 use crate::lock_table::{LockTable, TableAcquire};
@@ -81,9 +81,9 @@ pub struct ServerStats {
 /// The lock server.
 pub struct ServerNode {
     table: LockTable,
-    q2: HashMap<LockId, VecDeque<LockRequest>>,
-    ownership: HashMap<LockId, Ownership>,
-    promote_buf: HashMap<LockId, Vec<LockRequest>>,
+    q2: FastHashMap<LockId, VecDeque<LockRequest>>,
+    ownership: FastHashMap<LockId, Ownership>,
+    promote_buf: FastHashMap<LockId, Vec<LockRequest>>,
     cores: CoreModel,
     cfg: ServerConfig,
     /// The ToR switch (destination for Push / CtrlPromoteReady).
@@ -97,7 +97,7 @@ pub struct ServerNode {
     /// Reusable grant out-buffer for `LockTable::release` /
     /// `expire_leases`: one allocation per node, not per release.
     grant_buf: Vec<LockRequest>,
-    /// Reusable lock-id out-buffer for `LockTable::touched_locks`: one
+    /// Reusable lock-id out-buffer for `LockTable::held_locks`: one
     /// allocation per node, not per sweep tick.
     sweep_buf: Vec<LockId>,
     stats: ServerStats,
@@ -108,9 +108,9 @@ impl ServerNode {
     pub fn new(cfg: ServerConfig, switch: NodeId) -> ServerNode {
         ServerNode {
             table: LockTable::new(),
-            q2: HashMap::new(),
-            ownership: HashMap::new(),
-            promote_buf: HashMap::new(),
+            q2: FastHashMap::default(),
+            ownership: FastHashMap::default(),
+            promote_buf: FastHashMap::default(),
             cores: CoreModel::new(cfg.cores, cfg.service.as_nanos()),
             cfg,
             switch,
@@ -182,11 +182,6 @@ impl ServerNode {
     /// The core model (utilization reporting).
     pub fn cores(&self) -> &CoreModel {
         &self.cores
-    }
-
-    /// Harvest per-lock `(r_i, c_i)` stats for owned locks.
-    pub fn take_lock_stats(&mut self) -> Vec<(LockId, u64, u32)> {
-        self.table.take_stats()
     }
 
     /// Current q2 depth for a lock.
@@ -373,7 +368,8 @@ impl ServerNode {
         let now = ctx.now().as_nanos();
         let mut sweep = std::mem::take(&mut self.sweep_buf);
         sweep.clear();
-        self.table.touched_locks(&mut sweep);
+        // Only a lock with a holder can have a lease expire.
+        self.table.held_locks(&mut sweep);
         for &lock in &sweep {
             let mut granted = std::mem::take(&mut self.grant_buf);
             granted.clear();

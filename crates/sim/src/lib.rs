@@ -56,7 +56,7 @@ pub use fasthash::{FastBuildHasher, FastHashMap, FastHashSet, FastHasher};
 pub use fault::{FaultAction, FaultEvent, FaultPlan, RunOutcome};
 pub use link::{GeParams, LinkConfig, LinkFaults, Topology};
 pub use metrics::{Histogram, IntervalCounter, LatencySummary, TimeSeries};
-pub use node::{AsAny, Context, Node, NodeId, Packet};
+pub use node::{AsAny, Context, Node, NodeId, Packet, TimerTicket};
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use sim::{LinkCounters, SimStats, Simulator, Tap, TapEvent, MAX_NODES};

@@ -99,8 +99,25 @@ pub(crate) enum Effect<M> {
     Timer {
         delay: SimDuration,
         token: u64,
+        /// Queue position taken earlier; `None` takes the next one.
+        ticket: Option<TimerTicket>,
     },
 }
+
+/// A place in the simulator's same-instant firing order, taken with
+/// [`Context::timer_ticket`] and spent by
+/// [`Context::set_timer_with_ticket`].
+///
+/// Events due at the same nanosecond fire in the order they were
+/// scheduled. A node that defers arming a timer (because an earlier one
+/// of its timers will fire first and can arm it then) would thereby
+/// move that timer *behind* everything scheduled in between. Taking a
+/// ticket at the moment the timer would have been armed and spending it
+/// at the deferred arming keeps the timer exactly where it would have
+/// fired — so dropping timers that can never matter leaves every
+/// same-instant tie, and with it the whole run, unchanged.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TimerTicket(pub(crate) u64);
 
 /// The execution context handed to a node callback.
 ///
@@ -111,6 +128,8 @@ pub struct Context<'a, M> {
     pub(crate) self_id: NodeId,
     pub(crate) effects: &'a mut Vec<Effect<M>>,
     pub(crate) rng: &'a mut SimRng,
+    /// The simulator's schedule counter (tickets draw from it).
+    pub(crate) seq: &'a mut u64,
 }
 
 impl<'a, M> Context<'a, M> {
@@ -158,7 +177,33 @@ impl<'a, M> Context<'a, M> {
     /// timers should be recognized and ignored by the node.
     #[inline]
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        self.effects.push(Effect::Timer { delay, token });
+        self.effects.push(Effect::Timer {
+            delay,
+            token,
+            ticket: None,
+        });
+    }
+
+    /// Take the firing-order position a timer armed right now would get
+    /// (just ahead of this callback's own effects), to arm the timer
+    /// later with [`Context::set_timer_with_ticket`]. A ticket arms at
+    /// most one timer.
+    #[inline]
+    pub fn timer_ticket(&mut self) -> TimerTicket {
+        let ticket = TimerTicket(*self.seq);
+        *self.seq += 1;
+        ticket
+    }
+
+    /// [`Context::set_timer`], firing among same-instant events where a
+    /// timer armed when `ticket` was taken would have.
+    #[inline]
+    pub fn set_timer_with_ticket(&mut self, delay: SimDuration, token: u64, ticket: TimerTicket) {
+        self.effects.push(Effect::Timer {
+            delay,
+            token,
+            ticket: Some(ticket),
+        });
     }
 }
 
@@ -170,18 +215,23 @@ mod tests {
     fn context_collects_effects() {
         let mut effects: Vec<Effect<u32>> = Vec::new();
         let mut rng = SimRng::new(1);
+        let mut seq = 40;
         let mut ctx = Context {
             now: SimTime(5),
             self_id: NodeId(0),
             effects: &mut effects,
             rng: &mut rng,
+            seq: &mut seq,
         };
         ctx.send(NodeId(1), 10);
         ctx.send_after(NodeId(2), 11, SimDuration(7));
         ctx.set_timer(SimDuration(3), 99);
+        let ticket = ctx.timer_ticket();
+        ctx.set_timer_with_ticket(SimDuration(4), 98, ticket);
         assert_eq!(ctx.now(), SimTime(5));
         assert_eq!(ctx.self_id(), NodeId(0));
-        assert_eq!(effects.len(), 3);
+        assert_eq!(seq, 41, "a ticket takes one schedule position");
+        assert_eq!(effects.len(), 4);
         match &effects[1] {
             Effect::Send {
                 dst, extra_delay, ..
@@ -192,12 +242,23 @@ mod tests {
             other => panic!("unexpected effect {other:?}"),
         }
         match &effects[2] {
-            Effect::Timer { delay, token } => {
+            Effect::Timer {
+                delay,
+                token,
+                ticket: None,
+            } => {
                 assert_eq!(*delay, SimDuration(3));
                 assert_eq!(*token, 99);
             }
             other => panic!("unexpected effect {other:?}"),
         }
+        assert!(matches!(
+            effects[3],
+            Effect::Timer {
+                ticket: Some(TimerTicket(40)),
+                ..
+            }
+        ));
     }
 
     #[test]

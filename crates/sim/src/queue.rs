@@ -43,10 +43,13 @@
 //!   `push`); almost always empty on the hot path.
 //! - `ring`: `N_BUCKETS` unsorted `Vec`s, each covering `2^shift` ns;
 //!   an event within the wheel horizon is appended to its bucket.
-//! - `overflow`: a heap for events beyond the horizon (client retry
-//!   timeouts, lease expiries — rare relative to per-packet traffic).
-//!   Events migrate from `overflow` into the wheel as the cursor
-//!   advances.
+//! - `overflow`: a heap for events beyond the horizon (lease-sweep and
+//!   control ticks, one retry timer per transaction-client worker).
+//!   It stays cheap only while it stays small: a node that parks one
+//!   far-future timer per *request* turns every push and migration
+//!   into an `O(log n)` sift over that whole backlog, so nodes keep
+//!   such timers per actor, not per request. Events migrate from
+//!   `overflow` into the wheel as the cursor advances.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

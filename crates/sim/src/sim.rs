@@ -425,6 +425,7 @@ impl<M: Clone + Send + 'static> Simulator<M> {
                 self_id: id,
                 effects: &mut effects,
                 rng: &mut self.rng,
+                seq: &mut self.seq,
             };
             node.on_start(&mut ctx);
         }
@@ -582,6 +583,11 @@ impl<M: Clone + Send + 'static> Simulator<M> {
     pub(crate) fn push(&mut self, at: SimTime, kind: EventKind<M>) {
         let seq = self.seq;
         self.seq += 1;
+        self.push_at_seq(at, seq, kind);
+    }
+
+    /// Queue an event under a schedule position taken earlier.
+    fn push_at_seq(&mut self, at: SimTime, seq: u64, kind: EventKind<M>) {
         self.queue.push(at, seq, kind);
         self.stats.events_scheduled += 1;
         let depth = self.queue.len() as u64 + self.burst_pending;
@@ -639,9 +645,17 @@ impl<M: Clone + Send + 'static> Simulator<M> {
                 } => {
                     self.transmit(tap, from, dst, payload, extra_delay);
                 }
-                Effect::Timer { delay, token } => {
+                Effect::Timer {
+                    delay,
+                    token,
+                    ticket,
+                } => {
                     let at = self.now + delay;
-                    self.push(at, EventKind::Timer { node: from, token });
+                    let kind = EventKind::Timer { node: from, token };
+                    match ticket {
+                        Some(ticket) => self.push_at_seq(at, ticket.0, kind),
+                        None => self.push(at, kind),
+                    }
                 }
             }
         }
@@ -836,6 +850,7 @@ impl<M: Clone + Send + 'static> Simulator<M> {
                 self_id: node_id,
                 effects: &mut effects,
                 rng: &mut self.rng,
+                seq: &mut self.seq,
             };
             match kind {
                 EventKind::Deliver(pkt) => {
@@ -1221,6 +1236,46 @@ mod more_tests {
         s.inject_timer(n, SimDuration(12_345), 7);
         s.run_until(SimTime(100_000));
         s.read_node::<Once, _>(n, |o| assert_eq!(o.0, Some(SimTime(12_345))));
+    }
+
+    /// A timer armed late under a ticket fires where a timer armed when
+    /// the ticket was taken would have: ahead of a same-instant timer
+    /// scheduled in between.
+    #[test]
+    fn ticketed_timer_keeps_its_place_among_same_instant_events() {
+        struct Deferred {
+            ticket: Option<crate::TimerTicket>,
+            fired: Vec<u64>,
+        }
+        impl Node<u32> for Deferred {
+            fn on_packet(&mut self, _p: Packet<u32>, _c: &mut Context<'_, u32>) {}
+            fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, u32>) {
+                match token {
+                    // t=10: would arm A for t=100 here; take its place only.
+                    0 => self.ticket = Some(ctx.timer_ticket()),
+                    // t=20: B, also due at t=100, is scheduled in between.
+                    1 => ctx.set_timer(SimDuration(80), 11),
+                    // t=30: A is armed at last, under the ticket from t=10.
+                    2 => ctx.set_timer_with_ticket(
+                        SimDuration(70),
+                        10,
+                        self.ticket.take().expect("taken at t=10"),
+                    ),
+                    fired => self.fired.push(fired),
+                }
+            }
+        }
+        let mut s: Simulator<u32> = Simulator::with_seed(2);
+        let n = s.add_node(Box::new(Deferred {
+            ticket: None,
+            fired: vec![],
+        }));
+        for (at, token) in [(10, 0), (20, 1), (30, 2)] {
+            s.inject_timer(n, SimDuration(at), token);
+        }
+        s.run_until(SimTime(1_000));
+        assert_eq!(s.now(), SimTime(1_000));
+        s.read_node::<Deferred, _>(n, |d| assert_eq!(d.fired, vec![10, 11]));
     }
 
     #[test]

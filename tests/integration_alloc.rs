@@ -10,26 +10,6 @@
 //! smoke step.
 
 use netlock_bench::{allocation_count, CountingAlloc};
-
-/// Smallest allocation delta across up to 5 runs of `pass`. The
-/// counting allocator is process-global, so a libtest watchdog thread
-/// (or any other runtime thread) occasionally drops an allocation or
-/// two inside the measured window — observed as a rare 2-alloc flake
-/// on loaded hosts. A genuine per-packet allocation fires on *every*
-/// pass (thousands of packets each), so `min == 0` keeps the
-/// assertion's teeth while transient off-thread noise cannot fail it.
-fn min_allocs_over_passes(mut pass: impl FnMut()) -> u64 {
-    let mut min = u64::MAX;
-    for _ in 0..5 {
-        let before = allocation_count();
-        pass();
-        min = min.min(allocation_count() - before);
-        if min == 0 {
-            break;
-        }
-    }
-    min
-}
 use netlock_proto::{
     ClientAddr, LockId, LockMode, LockRequest, NetLockMsg, Priority, ReleaseRequest, TenantId,
     TxnId,
@@ -104,23 +84,23 @@ fn dataplane_steady_state_is_allocation_free() {
             txn += 6;
         }
     }
-    let allocs = min_allocs_over_passes(|| {
-        for _ in 0..100 {
-            for lock in 0..16u32 {
-                dp.process(acquire(lock, txn, LockMode::Exclusive), 0, &mut out);
-                dp.process(acquire(lock, txn + 1, LockMode::Exclusive), 0, &mut out);
-                dp.process(release(lock, txn, LockMode::Exclusive), 0, &mut out);
-                for k in 0..4 {
-                    dp.process(acquire(lock, txn + 2 + k, LockMode::Shared), 0, &mut out);
-                }
-                dp.process(release(lock, txn + 1, LockMode::Exclusive), 0, &mut out);
-                for k in 0..4 {
-                    dp.process(release(lock, txn + 2 + k, LockMode::Shared), 0, &mut out);
-                }
-                txn += 6;
+    let before = allocation_count();
+    for _ in 0..100 {
+        for lock in 0..16u32 {
+            dp.process(acquire(lock, txn, LockMode::Exclusive), 0, &mut out);
+            dp.process(acquire(lock, txn + 1, LockMode::Exclusive), 0, &mut out);
+            dp.process(release(lock, txn, LockMode::Exclusive), 0, &mut out);
+            for k in 0..4 {
+                dp.process(acquire(lock, txn + 2 + k, LockMode::Shared), 0, &mut out);
             }
+            dp.process(release(lock, txn + 1, LockMode::Exclusive), 0, &mut out);
+            for k in 0..4 {
+                dp.process(release(lock, txn + 2 + k, LockMode::Shared), 0, &mut out);
+            }
+            txn += 6;
         }
-    });
+    }
+    let allocs = allocation_count() - before;
     assert_eq!(
         allocs, 0,
         "steady-state packet path allocated {allocs} times over 17600 packets"
@@ -156,21 +136,21 @@ fn lock_table_steady_state_is_allocation_free() {
         table.release(LockId(lock), TxnId(txn + 2), &mut grants);
         txn += 3;
     }
-    let allocs = min_allocs_over_passes(|| {
-        for _ in 0..1_000 {
-            for lock in 0..16u32 {
-                table.acquire(req(lock, txn));
-                table.acquire(req(lock, txn + 1));
-                grants.clear();
-                table.release(LockId(lock), TxnId(txn), &mut grants);
-                assert_eq!(grants.len(), 1);
-                grants.clear();
-                table.release(LockId(lock), TxnId(txn + 1), &mut grants);
-                assert!(grants.is_empty());
-                txn += 2;
-            }
+    let before = allocation_count();
+    for _ in 0..1_000 {
+        for lock in 0..16u32 {
+            table.acquire(req(lock, txn));
+            table.acquire(req(lock, txn + 1));
+            grants.clear();
+            table.release(LockId(lock), TxnId(txn), &mut grants);
+            assert_eq!(grants.len(), 1);
+            grants.clear();
+            table.release(LockId(lock), TxnId(txn + 1), &mut grants);
+            assert!(grants.is_empty());
+            txn += 2;
         }
-    });
+    }
+    let allocs = allocation_count() - before;
     assert_eq!(
         allocs, 0,
         "steady-state lock table allocated {allocs} times over 32000 ops"

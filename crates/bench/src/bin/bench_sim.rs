@@ -23,6 +23,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
+use netlock_bench::dlock::seq_lock_table_ns_per_pair;
 use netlock_bench::report::Json;
 use netlock_bench::{
     allocation_count, fig08, fig09, flash_crowd, CountingAlloc, Runner, TimeScale,
@@ -31,7 +32,6 @@ use netlock_proto::{
     ClientAddr, LockId, LockMode, LockRequest, NetLockMsg, Priority, ReleaseRequest, TenantId,
     TxnId,
 };
-use netlock_server::LockTable;
 use netlock_sim::{
     Context, EventQueue, LinkConfig, Node, NodeId, Packet, SimDuration, SimTime, Simulator,
     Topology,
@@ -396,42 +396,6 @@ fn dataplane_point(rounds: usize) -> (f64, f64) {
     (elapsed / packets, allocs as f64 / packets)
 }
 
-/// Steady-state churn through the server lock table with the reusable
-/// grant out-buffer. Returns ns per acquire+release pair.
-fn lock_table_point(rounds: usize) -> f64 {
-    let mut table = LockTable::new();
-    let mut grants: Vec<LockRequest> = Vec::new();
-    let mut txn = 0u64;
-    let req = |lock: u32, txn: u64| LockRequest {
-        lock: LockId(lock),
-        mode: LockMode::Exclusive,
-        txn: TxnId(txn),
-        client: ClientAddr(1),
-        tenant: TenantId(0),
-        priority: Priority(0),
-        issued_at_ns: txn,
-    };
-    for lock in 0..64u32 {
-        table.acquire(req(lock, txn));
-        grants.clear();
-        table.release(LockId(lock), TxnId(txn), &mut grants);
-        txn += 1;
-    }
-    let t = Instant::now();
-    let mut acc = 0usize;
-    for i in 0..rounds {
-        let lock = (i % 64) as u32;
-        table.acquire(req(lock, txn));
-        grants.clear();
-        table.release(LockId(lock), TxnId(txn), &mut grants);
-        acc += grants.len();
-        txn += 1;
-    }
-    let elapsed = t.elapsed().as_nanos() as f64;
-    std::hint::black_box(acc);
-    elapsed / rounds as f64
-}
-
 /// Steady-state churn through the lowered grant-path transaction
 /// (`switch::txn`): the declarative FCFS admission program, statically
 /// verified and compiled onto pipeline stages, replacing the
@@ -556,7 +520,15 @@ fn main() {
     let (dp_b, allocs_b) = dataplane_point(hot_rounds);
     let dataplane_ns = dp_a.min(dp_b);
     let allocs_per_packet = allocs_a.max(allocs_b);
-    let lock_table_ns = lock_table_point(hot_rounds).min(lock_table_point(hot_rounds));
+    // Acquire+release pairs through the server lock table: the same 64
+    // locks over and over, and a cold stream where every id is new (the
+    // shape TPC-C gives a lock server; `hot_rounds` >= 200K distinct ids).
+    let lock_table_point = |cold| {
+        seq_lock_table_ns_per_pair(hot_rounds, cold)
+            .min(seq_lock_table_ns_per_pair(hot_rounds, cold))
+    };
+    let lock_table_ns = lock_table_point(false);
+    let lock_table_cold_ns = lock_table_point(true);
 
     eprintln!("# lowered transaction hot path ...");
     let (txn_a, txn_allocs_a) = txn_point(hot_rounds);
@@ -577,7 +549,7 @@ fn main() {
     };
 
     let mut fields = vec![
-        ("schema", Json::str("netlock-bench-sim/7")),
+        ("schema", Json::str("netlock-bench-sim/8")),
         ("quick", Json::Bool(quick)),
         ("queue_churn", queue),
         ("sim_events_per_sec", Json::Num(sim_events_per_sec)),
@@ -599,6 +571,7 @@ fn main() {
         ),
         ("dataplane_ns_per_op", Json::Num(dataplane_ns)),
         ("lock_table_ns_per_op", Json::Num(lock_table_ns)),
+        ("lock_table_cold_ns_per_op", Json::Num(lock_table_cold_ns)),
         ("allocs_per_packet", Json::Num(allocs_per_packet)),
         ("txn_lowered_ns_per_op", Json::Num(txn_lowered_ns)),
         ("txn_allocs_per_packet", Json::Num(txn_allocs_per_packet)),

@@ -25,7 +25,8 @@ pub struct AllocResult {
     pub stats: RunStats,
 }
 
-fn spec(random: bool) -> TpccRackSpec {
+/// The figure's rack: knapsack or the random strawman.
+pub fn spec(random: bool) -> TpccRackSpec {
     TpccRackSpec {
         clients: 10,
         lock_servers: 2,

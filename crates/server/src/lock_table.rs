@@ -8,10 +8,14 @@
 //! the switch data-plane engine against: it is written for clarity, with
 //! explicit holder tracking, no register-array constraints.
 //!
-//! Only a lock with a holder can have a lease expire, so the table keeps
-//! a dense index of exactly those locks ([`LockTable::held_locks`]) and
-//! the lease sweep walks that instead of every lock ever touched.
+//! Lifecycle: an entry exists exactly while its lock has a holder. FCFS
+//! promotion never leaves a waiter behind an empty holder set, so a lock
+//! that loses its last holder has nothing left to remember and its entry
+//! is dropped on the spot. The table's key set therefore *is* the held
+//! set — what the lease sweep walks — and its size follows the locks in
+//! flight, not the locks ever seen.
 
+use std::collections::hash_map::{Entry, OccupiedEntry};
 use std::collections::VecDeque;
 
 use netlock_proto::{LockId, LockMode, LockRequest, TxnId};
@@ -33,8 +37,6 @@ pub struct Holder {
 pub struct LockState {
     holders: Vec<Holder>,
     waiters: VecDeque<LockRequest>,
-    /// This lock's position in `LockTable::held` while it has a holder.
-    held_slot: Option<u32>,
 }
 
 impl LockState {
@@ -51,22 +53,6 @@ impl LockState {
     /// Holders + waiters.
     pub fn outstanding(&self) -> usize {
         self.holders.len() + self.waiters.len()
-    }
-
-    /// True when nothing holds or waits.
-    pub fn is_idle(&self) -> bool {
-        self.holders.is_empty() && self.waiters.is_empty()
-    }
-
-    /// After a holder left (and `promote` refilled from the wait queue):
-    /// if nobody holds the lock any more, clear and return its index slot
-    /// for [`LockTable::unindex`].
-    fn take_slot_if_unheld(&mut self) -> Option<u32> {
-        if self.holders.is_empty() {
-            self.held_slot.take()
-        } else {
-            None
-        }
     }
 
     fn can_grant(&self, mode: LockMode) -> bool {
@@ -93,11 +79,13 @@ pub enum TableAcquire {
 /// The lock table.
 #[derive(Clone, Debug, Default)]
 pub struct LockTable {
+    /// Invariant: every entry has at least one holder.
     locks: FastHashMap<LockId, LockState>,
-    /// Dense index of the locks that currently have at least one holder,
-    /// in no particular order. Invariant: `locks[l].held_slot == Some(i)`
-    /// iff `held[i] == l` iff `locks[l].holders` is non-empty.
-    held: Vec<LockId>,
+    /// Emptied states of reclaimed entries, reused by the next
+    /// first-touch `acquire` so a cold lock's acquire/release cycle
+    /// allocates nothing. Never longer than the peak number of locks
+    /// held at once.
+    spare: Vec<LockState>,
 }
 
 impl LockTable {
@@ -106,12 +94,12 @@ impl LockTable {
         LockTable::default()
     }
 
-    /// State for one lock, if it has ever been touched.
+    /// State for one lock, if it currently has a holder.
     pub fn get(&self, lock: LockId) -> Option<&LockState> {
         self.locks.get(&lock)
     }
 
-    /// Number of locks with state.
+    /// Number of locks with state, i.e. with a holder.
     pub fn len(&self) -> usize {
         self.locks.len()
     }
@@ -124,7 +112,10 @@ impl LockTable {
     /// Process an acquire. FCFS: granted only if compatible with the
     /// holders *and* no one is already waiting.
     pub fn acquire(&mut self, req: LockRequest) -> TableAcquire {
-        let st = self.locks.entry(req.lock).or_default();
+        let st = match self.locks.entry(req.lock) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => e.insert(self.spare.pop().unwrap_or_default()),
+        };
         if !st.can_grant(req.mode) {
             st.waiters.push_back(req);
             return TableAcquire::Queued;
@@ -134,10 +125,6 @@ impl LockTable {
             mode: req.mode,
             req,
         });
-        if st.held_slot.is_none() {
-            st.held_slot = Some(self.held.len() as u32);
-            self.held.push(req.lock);
-        }
         TableAcquire::Granted
     }
 
@@ -146,17 +133,15 @@ impl LockTable {
     /// owns and reuses the buffer). Unknown `(lock, txn)` pairs are
     /// ignored (stale or duplicate releases), appending nothing.
     pub fn release(&mut self, lock: LockId, txn: TxnId, granted: &mut Vec<LockRequest>) {
-        let Some(st) = self.locks.get_mut(&lock) else {
+        let Entry::Occupied(mut entry) = self.locks.entry(lock) else {
             return;
         };
+        let st = entry.get_mut();
         let Some(pos) = st.holders.iter().position(|h| h.txn == txn) else {
             return;
         };
         st.holders.swap_remove(pos);
-        Self::promote(st, granted);
-        if let Some(slot) = st.take_slot_if_unheld() {
-            self.unindex(slot);
-        }
+        Self::settle(entry, &mut self.spare, granted);
     }
 
     /// Force-release every holder of `lock` whose request is older than
@@ -169,49 +154,48 @@ impl LockTable {
         lease_ns: u64,
         granted: &mut Vec<LockRequest>,
     ) {
-        let Some(st) = self.locks.get_mut(&lock) else {
+        let Entry::Occupied(mut entry) = self.locks.entry(lock) else {
             return;
         };
+        let st = entry.get_mut();
         let before = st.holders.len();
         st.holders
             .retain(|h| now_ns.saturating_sub(h.req.issued_at_ns) <= lease_ns);
         if st.holders.len() == before {
             return;
         }
-        Self::promote(st, granted);
-        if let Some(slot) = st.take_slot_if_unheld() {
-            self.unindex(slot);
-        }
+        Self::settle(entry, &mut self.spare, granted);
     }
 
-    /// Locks with any state. Appends the ids in sorted order to `out`
-    /// (which is NOT cleared — the caller owns and reuses the buffer,
-    /// matching the `ActionBuf` zero-alloc convention used throughout
-    /// the hot paths). This is the full scan: end-state comparison and
-    /// the reference the held-lock sweep is tested against.
-    pub fn touched_locks(&self, out: &mut Vec<LockId>) {
-        let start = out.len();
-        out.extend(self.locks.keys().copied());
-        out[start..].sort();
-    }
-
-    /// Locks that currently have at least one holder — the only locks
-    /// a lease sweep can expire anything on. Appends the ids in sorted
-    /// order to `out` (not cleared, as [`LockTable::touched_locks`]).
+    /// Locks that currently have at least one holder — every lock with
+    /// state, and the only locks a lease sweep can expire anything on.
+    /// Appends the ids in sorted order to `out` (which is NOT cleared —
+    /// the caller owns and reuses the buffer, matching the `ActionBuf`
+    /// zero-alloc convention used throughout the hot paths).
     pub fn held_locks(&self, out: &mut Vec<LockId>) {
         let start = out.len();
-        out.extend_from_slice(&self.held);
+        out.extend(self.locks.keys().copied());
         out[start..].sort_unstable();
     }
 
-    /// Remove index entry `slot`, re-pointing the lock swapped into it.
-    fn unindex(&mut self, slot: u32) {
-        self.held.swap_remove(slot as usize);
-        if let Some(moved) = self.held.get(slot as usize) {
-            self.locks
-                .get_mut(moved)
-                .expect("indexed lock has state")
-                .held_slot = Some(slot);
+    /// Locks with any state: the same set as [`LockTable::held_locks`],
+    /// under the name end-state comparisons use.
+    pub fn touched_locks(&self, out: &mut Vec<LockId>) {
+        self.held_locks(out);
+    }
+
+    /// After holders of `entry` left: grant from its wait queue, and if
+    /// nobody holds the lock any more reclaim the entry.
+    fn settle(
+        mut entry: OccupiedEntry<'_, LockId, LockState>,
+        spare: &mut Vec<LockState>,
+        granted: &mut Vec<LockRequest>,
+    ) {
+        let st = entry.get_mut();
+        Self::promote(st, granted);
+        if st.holders.is_empty() {
+            debug_assert!(st.waiters.is_empty(), "FCFS: a waiter implies a holder");
+            spare.push(entry.remove());
         }
     }
 
@@ -236,14 +220,10 @@ impl LockTable {
         }
     }
 
-    /// Remove a lock's state entirely, returning any holders + waiters
-    /// (used when transferring a lock to the switch).
+    /// Remove a held lock's state entirely, returning its holders and
+    /// waiters; `None` if nobody holds the lock.
     pub fn evict(&mut self, lock: LockId) -> Option<LockState> {
-        let mut st = self.locks.remove(&lock)?;
-        if let Some(slot) = st.held_slot.take() {
-            self.unindex(slot);
-        }
-        Some(st)
+        self.locks.remove(&lock)
     }
 }
 
@@ -377,11 +357,19 @@ mod tests {
     }
 
     #[test]
-    fn idle_detection() {
+    fn entry_lives_exactly_while_the_lock_is_held() {
         let mut t = LockTable::new();
         t.acquire(req(1, LockMode::Exclusive, 1));
-        assert!(!t.get(LockId(1)).unwrap().is_idle());
+        t.acquire(req(1, LockMode::Exclusive, 2));
+        assert_eq!(t.len(), 1);
+        // Handing off to a waiter keeps the entry ...
         release(&mut t, LockId(1), TxnId(1));
-        assert!(t.get(LockId(1)).unwrap().is_idle());
+        assert_eq!(t.get(LockId(1)).unwrap().holders()[0].txn, TxnId(2));
+        // ... the last holder leaving drops it, by release or by lease.
+        release(&mut t, LockId(1), TxnId(2));
+        assert!(t.get(LockId(1)).is_none());
+        t.acquire(req(2, LockMode::Shared, 3));
+        expire(&mut t, LockId(2), 5_000, 1_000);
+        assert!(t.is_empty());
     }
 }

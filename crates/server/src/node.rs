@@ -6,6 +6,7 @@
 //! CtrlPromoteReady). All request processing is charged to the RSS
 //! multi-core model.
 
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 use netlock_proto::{GrantMsg, Grantor, LockId, LockRequest, NetLockMsg, ReleaseRequest};
@@ -298,9 +299,20 @@ impl ServerNode {
 
     fn on_queue_space(&mut self, lock: LockId, space: u32, ctx: &mut Context<'_, NetLockMsg>) {
         let delay = self.charge(lock, ctx.now().as_nanos());
-        let q = self.q2.entry(lock).or_default();
-        let n = (space as usize).min(q.len());
-        let reqs: Box<[LockRequest]> = q.drain(..n).collect();
+        // An absent q2 still answers, with the empty `Push` the switch's
+        // overflow exit waits for; a drained one is dropped, like an idle
+        // table entry.
+        let reqs: Box<[LockRequest]> = match self.q2.entry(lock) {
+            Entry::Occupied(mut e) => {
+                let n = (space as usize).min(e.get().len());
+                let reqs = e.get_mut().drain(..n).collect();
+                if e.get().is_empty() {
+                    e.remove();
+                }
+                reqs
+            }
+            Entry::Vacant(_) => Box::default(),
+        };
         self.stats.q2_pushed += reqs.len() as u64;
         ctx.send_after(self.switch, NetLockMsg::Push { lock, reqs }, delay);
     }
@@ -320,7 +332,6 @@ impl ServerNode {
 
     fn on_promote(&mut self, lock: LockId, ctx: &mut Context<'_, NetLockMsg>) {
         self.ownership.insert(lock, Ownership::Promoting);
-        self.promote_buf.entry(lock).or_default();
         let delay = self.charge(lock, ctx.now().as_nanos());
         self.maybe_finish_promote(lock, delay, ctx);
     }
@@ -334,11 +345,10 @@ impl ServerNode {
         if self.ownership_of(lock) != Ownership::Promoting {
             return;
         }
-        let idle = self.table.get(lock).is_none_or(|st| st.is_idle());
-        if !idle {
+        // Still held: the table drops a lock's entry when it goes idle.
+        if self.table.get(lock).is_some() {
             return;
         }
-        self.table.evict(lock);
         self.ownership.insert(lock, Ownership::SwitchOwned);
         let reqs: Box<[LockRequest]> = self.promote_buf.remove(&lock).unwrap_or_default().into();
         ctx.send_after(
@@ -368,7 +378,8 @@ impl ServerNode {
         let now = ctx.now().as_nanos();
         let mut sweep = std::mem::take(&mut self.sweep_buf);
         sweep.clear();
-        // Only a lock with a holder can have a lease expire.
+        // Only a lock with a holder can have a lease expire, and those
+        // are the table's entries.
         self.table.held_locks(&mut sweep);
         for &lock in &sweep {
             let mut granted = std::mem::take(&mut self.grant_buf);

@@ -1,14 +1,16 @@
-//! The lease sweep walks only the locks that have a holder
-//! (`LockTable::held_locks`). This property drives random acquire /
-//! release / evict / clock-advance schedules through two tables — one
-//! swept through the held-lock index, one through the reference full
-//! scan (`LockTable::touched_locks`) — and requires the same grants in
-//! the same order from every step, the same end state, and after every
-//! step the index invariant: `held_locks` is exactly the sorted set of
-//! locks whose holder list is non-empty.
+//! `LockTable` keeps a lock's entry only while the lock has a holder.
+//! This property drives random acquire / release / evict /
+//! clock-advance / sweep schedules through the table and through a
+//! reference model kept in this file that never forgets a lock it has
+//! seen, and requires after every step: the same grants in the same
+//! order, the same holders and waiters on every lock the model still
+//! has a holder for, and `len()` equal to the number of such locks —
+//! reclaiming an idle entry must be invisible except in memory.
+
+use std::collections::{BTreeMap, VecDeque};
 
 use netlock_proto::{ClientAddr, LockId, LockMode, LockRequest, Priority, TenantId, TxnId};
-use netlock_server::LockTable;
+use netlock_server::{LockTable, TableAcquire};
 use proptest::{any, prop, prop_oneof, proptest, Just, ProptestConfig, Strategy};
 
 const LEASE_NS: u64 = 1_000;
@@ -39,6 +41,7 @@ fn steps() -> impl Strategy<Value = Vec<Step>> {
         (0u32..6, any::<bool>()).prop_map(|(lock, exclusive)| Step::Acquire { lock, exclusive }),
         (0u32..6, any::<bool>()).prop_map(|(lock, exclusive)| Step::Acquire { lock, exclusive }),
         (1usize..10).prop_map(|back| Step::Release { back }),
+        (1usize..10).prop_map(|back| Step::Release { back }),
         (0u32..6).prop_map(|lock| Step::Evict { lock }),
         (0u64..700).prop_map(|ns| Step::Advance { ns }),
         Just(Step::Sweep),
@@ -46,29 +49,140 @@ fn steps() -> impl Strategy<Value = Vec<Step>> {
     prop::collection::vec(step, 1..120)
 }
 
-/// One sweep tick over `locks`, as `ServerNode::lease_sweep` runs it.
-fn sweep(table: &mut LockTable, locks: &[LockId], now_ns: u64, grants: &mut Vec<LockRequest>) {
-    for &lock in locks {
-        table.expire_leases(lock, now_ns, LEASE_NS, grants);
+/// One lock of the reference model: FCFS shared/exclusive, holders in
+/// grant order.
+#[derive(Default)]
+struct ModelLock {
+    holders: Vec<LockRequest>,
+    waiters: VecDeque<LockRequest>,
+}
+
+impl ModelLock {
+    fn compatible(&self, mode: LockMode) -> bool {
+        match mode {
+            LockMode::Shared => self.holders.iter().all(|h| h.mode == LockMode::Shared),
+            LockMode::Exclusive => self.holders.is_empty(),
+        }
+    }
+
+    fn promote(&mut self, granted: &mut Vec<LockRequest>) {
+        while self
+            .waiters
+            .front()
+            .is_some_and(|w| self.compatible(w.mode))
+        {
+            let req = self.waiters.pop_front().expect("front exists");
+            self.holders.push(req);
+            granted.push(req);
+        }
     }
 }
 
-fn assert_index_invariant(table: &LockTable) {
-    let mut touched = Vec::new();
-    table.touched_locks(&mut touched);
-    touched.retain(|&l| !table.get(l).expect("touched").holders().is_empty());
-    let mut held = Vec::new();
-    table.held_locks(&mut held);
-    assert_eq!(held, touched, "held-lock index out of step with holders");
+/// The never-forgetting reference: a lock, once seen, keeps its (maybe
+/// empty) state until evicted.
+#[derive(Default)]
+struct Model {
+    locks: BTreeMap<LockId, ModelLock>,
+}
+
+impl Model {
+    fn acquire(&mut self, req: LockRequest) -> TableAcquire {
+        let st = self.locks.entry(req.lock).or_default();
+        if st.waiters.is_empty() && st.compatible(req.mode) {
+            st.holders.push(req);
+            TableAcquire::Granted
+        } else {
+            st.waiters.push_back(req);
+            TableAcquire::Queued
+        }
+    }
+
+    fn release(&mut self, lock: LockId, txn: TxnId, granted: &mut Vec<LockRequest>) {
+        let Some(st) = self.locks.get_mut(&lock) else {
+            return;
+        };
+        let Some(pos) = st.holders.iter().position(|h| h.txn == txn) else {
+            return;
+        };
+        st.holders.remove(pos);
+        st.promote(granted);
+    }
+
+    /// One sweep tick over every lock ever seen, in lock order.
+    fn sweep(&mut self, now_ns: u64, granted: &mut Vec<LockRequest>) {
+        for st in self.locks.values_mut() {
+            let before = st.holders.len();
+            st.holders
+                .retain(|h| now_ns.saturating_sub(h.issued_at_ns) <= LEASE_NS);
+            if st.holders.len() != before {
+                st.promote(granted);
+            }
+        }
+    }
+
+    /// Holders + waiters dropped with the lock's state.
+    fn evict(&mut self, lock: LockId) -> usize {
+        self.locks
+            .remove(&lock)
+            .map_or(0, |st| st.holders.len() + st.waiters.len())
+    }
+
+    fn live(&self) -> impl Iterator<Item = (LockId, &ModelLock)> {
+        self.locks
+            .iter()
+            .filter(|(_, st)| !st.holders.is_empty())
+            .map(|(&lock, st)| (lock, st))
+    }
+}
+
+fn by_txn(mut reqs: Vec<LockRequest>) -> Vec<LockRequest> {
+    reqs.sort_by_key(|r| r.txn);
+    reqs
+}
+
+fn assert_same_live_state(table: &LockTable, model: &Model, at: (usize, &Step)) {
+    let mut live = Vec::new();
+    table.held_locks(&mut live);
+    let want: Vec<LockId> = model.live().map(|(lock, _)| lock).collect();
+    assert_eq!(live, want, "live locks diverged after step {at:?}");
+    assert_eq!(
+        table.len(),
+        want.len(),
+        "len() is not the held count after step {at:?}"
+    );
+    for (lock, m) in model.live() {
+        let st = table.get(lock).expect("live lock has state");
+        // The table does not promise an order among co-holders.
+        let got = by_txn(st.holders().iter().map(|h| h.req).collect());
+        assert_eq!(
+            got,
+            by_txn(m.holders.clone()),
+            "holders of {lock:?} after step {at:?}"
+        );
+        assert!(
+            st.waiters().eq(m.waiters.iter()),
+            "waiters of {lock:?} after step {at:?}"
+        );
+    }
+    // What the model remembers beyond the table is exactly the idle.
+    for (lock, m) in &model.locks {
+        if m.holders.is_empty() {
+            assert!(m.waiters.is_empty(), "FCFS left waiters on unheld {lock:?}");
+            assert!(
+                table.get(*lock).is_none(),
+                "idle {lock:?} kept its entry after step {at:?}"
+            );
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn held_lock_sweep_matches_full_scan(schedule in steps()) {
-        let mut indexed = LockTable::new();
-        let mut reference = LockTable::new();
+    fn reclaiming_table_matches_never_forgetting_model(schedule in steps()) {
+        let mut table = LockTable::new();
+        let mut model = Model::default();
         let mut now_ns = 0u64;
         let mut issued: Vec<LockRequest> = Vec::new();
         let (mut got, mut want, mut locks) = (Vec::new(), Vec::new(), Vec::new());
@@ -87,42 +201,31 @@ proptest! {
                         issued_at_ns: now_ns,
                     };
                     issued.push(req);
-                    assert_eq!(indexed.acquire(req), reference.acquire(req));
+                    assert_eq!(table.acquire(req), model.acquire(req), "step {i}: {step:?}");
                 }
                 Step::Release { back } => {
                     if let Some(req) = issued.len().checked_sub(back).map(|at| issued[at]) {
-                        indexed.release(req.lock, req.txn, &mut got);
-                        reference.release(req.lock, req.txn, &mut want);
+                        table.release(req.lock, req.txn, &mut got);
+                        model.release(req.lock, req.txn, &mut want);
                     }
                 }
                 Step::Evict { lock } => {
-                    let a = indexed.evict(LockId(lock)).map(|st| st.outstanding());
-                    let b = reference.evict(LockId(lock)).map(|st| st.outstanding());
-                    assert_eq!(a, b);
+                    let dropped = table.evict(LockId(lock)).map_or(0, |st| st.outstanding());
+                    assert_eq!(dropped, model.evict(LockId(lock)), "step {i}: {step:?}");
                 }
                 Step::Advance { ns } => now_ns += ns,
                 Step::Sweep => {
+                    // As `ServerNode::lease_sweep` runs it.
                     locks.clear();
-                    indexed.held_locks(&mut locks);
-                    sweep(&mut indexed, &locks, now_ns, &mut got);
-                    locks.clear();
-                    reference.touched_locks(&mut locks);
-                    sweep(&mut reference, &locks, now_ns, &mut want);
+                    table.held_locks(&mut locks);
+                    for &lock in &locks {
+                        table.expire_leases(lock, now_ns, LEASE_NS, &mut got);
+                    }
+                    model.sweep(now_ns, &mut want);
                 }
             }
             assert_eq!(got, want, "grants diverged at step {i}: {step:?}");
-            assert_index_invariant(&indexed);
-            assert_index_invariant(&reference);
-        }
-        // End state: same locks, same holders, same waiters.
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        indexed.touched_locks(&mut a);
-        reference.touched_locks(&mut b);
-        assert_eq!(a, b);
-        for lock in a {
-            let (x, y) = (indexed.get(lock).unwrap(), reference.get(lock).unwrap());
-            assert_eq!(x.holders(), y.holders(), "holders diverged on {lock:?}");
-            assert!(x.waiters().eq(y.waiters()), "waiters diverged on {lock:?}");
+            assert_same_live_state(&table, &model, (i, step));
         }
     }
 }

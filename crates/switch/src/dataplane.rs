@@ -18,7 +18,8 @@
 //! in a dense array indexed by `TenantId`, and per-lock forward counts
 //! live in a dense array indexed by the directory's interned lock
 //! index — mirroring the ASIC, whose tables and counters are all fixed
-//! at compile time.
+//! at compile time. The forward counts are kept only while a control
+//! plane harvests them ([`DataPlane::set_forward_counting`]).
 
 use netlock_proto::{
     GrantMsg, Grantor, LockId, LockRequest, NetLockMsg, ReleaseRequest, TenantId, TxnId,
@@ -173,8 +174,13 @@ pub struct DataPlane {
     /// rate measurement for promotion decisions), dense by the
     /// directory's interned lock index. On hardware this is a
     /// count-min sketch or sampled mirror; exact counting is harmless
-    /// in the model because only the heavy hitters matter.
+    /// in the model because only the heavy hitters matter. Filled only
+    /// while `count_forwards` is set.
     forward_counts: Vec<u64>,
+    /// Whether a control plane harvests `forward_counts`
+    /// ([`DataPlane::set_forward_counting`]); off, a forward keeps no
+    /// per-lock state, here or in the directory's interning.
+    count_forwards: bool,
 }
 
 impl DataPlane {
@@ -195,6 +201,7 @@ impl DataPlane {
             grant_scratch: Vec::new(),
             default_servers: 0,
             forward_counts: Vec::new(),
+            count_forwards: false,
         }
     }
 
@@ -215,6 +222,7 @@ impl DataPlane {
             grant_scratch: Vec::new(),
             default_servers: 0,
             forward_counts: Vec::new(),
+            count_forwards: false,
         }
     }
 
@@ -223,6 +231,15 @@ impl DataPlane {
     /// have addressed).
     pub fn set_default_servers(&mut self, n: usize) {
         self.default_servers = n;
+    }
+
+    /// Turn the per-lock forward-rate measurement on or off. It is the
+    /// input of [`DataPlane::cp_take_forward_counts`] and nothing else,
+    /// so it runs only for a control plane that harvests it: the switch
+    /// node enables it exactly when dynamic reallocation is configured.
+    /// Off (the default), forwarding a lock remembers nothing about it.
+    pub fn set_forward_counting(&mut self, on: bool) {
+        self.count_forwards = on;
     }
 
     /// Default home server of a lock with no directory entry.
@@ -380,7 +397,12 @@ impl DataPlane {
 
     /// Bump the forward counter of a server-resident (or default-routed)
     /// lock, growing the dense array if the lock is new to the intern.
+    /// A no-op unless the measurement is on.
+    #[inline]
     fn bump_forward_count(&mut self, lock: LockId) {
+        if !self.count_forwards {
+            return;
+        }
         let idx = self.directory.lock_index(lock);
         if idx >= self.forward_counts.len() {
             self.forward_counts.resize(idx + 1, 0);
@@ -878,8 +900,10 @@ impl DataPlane {
     }
 
     /// Take and reset the per-lock forward counts (one measurement
-    /// epoch of server-resident lock rates). Output is sorted by lock
-    /// id — the control-plane sweep must never depend on table order.
+    /// epoch of server-resident lock rates; empty unless
+    /// [`DataPlane::set_forward_counting`] turned the measurement on).
+    /// Output is sorted by lock id — the control-plane sweep must never
+    /// depend on table order.
     pub fn cp_take_forward_counts(&mut self) -> Vec<(LockId, u64)> {
         let mut v: Vec<(LockId, u64)> = Vec::new();
         for (idx, count) in self.forward_counts.iter_mut().enumerate() {
@@ -1156,6 +1180,11 @@ mod tests {
         for lock in [9u32, 3, 7] {
             dp.directory_mut().set_server_resident(LockId(lock), 0);
         }
+        // Nobody harvesting: a forward leaves nothing behind.
+        dp.process_collect(NetLockMsg::Acquire(req(9, LockMode::Shared, 99)), 0);
+        assert!(dp.cp_take_forward_counts().is_empty());
+        assert_eq!(dp.directory().interned_len(), 0);
+        dp.set_forward_counting(true);
         // Touch locks in decidedly unsorted order, with distinct counts.
         for (lock, hits) in [(9u32, 3u64), (3, 1), (7, 2)] {
             for i in 0..hits {

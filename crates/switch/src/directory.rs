@@ -40,7 +40,8 @@ pub struct LockDirectory {
     /// qid → lock reverse map, for control-plane sweeps.
     by_qid: FastHashMap<usize, LockId>,
     /// Dense interning of every lock the data plane has ever counted
-    /// (directory entries and default-routed locks alike): stable
+    /// (directory entries and default-routed locks alike; none unless
+    /// its forward-rate measurement is on): stable
     /// index per lock, survives residence flips. Backs the data
     /// plane's dense per-lock counter arrays the way a compiled
     /// Tofino table backs its counters — the slot is assigned once.

@@ -48,6 +48,7 @@ pub mod partition;
 pub mod pipes;
 pub mod priority;
 pub mod register;
+mod release_guard;
 pub mod replication;
 pub mod shared_queue;
 pub mod slot;

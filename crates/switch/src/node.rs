@@ -8,12 +8,13 @@
 
 use std::collections::{HashMap, HashSet};
 
-use netlock_proto::{GrantMsg, LockId, NetLockMsg, TxnId};
-use netlock_sim::{Context, FastHashMap, Node, NodeId, Packet, SimDuration};
+use netlock_proto::{GrantMsg, LockId, NetLockMsg};
+use netlock_sim::{Context, Node, NodeId, Packet, SimDuration};
 
 use crate::action_buf::ActionBuf;
 use crate::control::{self, MigrationOp};
 use crate::dataplane::{DataPlane, DpAction};
+use crate::release_guard::GrantLedger;
 
 /// Timer token for the control-plane tick.
 const TIMER_CONTROL_TICK: u64 = 1;
@@ -109,15 +110,11 @@ pub struct SwitchNode {
     /// only when the server's CtrlPromoteReady arrives (§4.3: the
     /// queue must drain before the move).
     promote_reservations: HashMap<LockId, (usize, u32, u32, usize)>,
-    /// Release guard: outstanding grants per `(lock, txn)` for
-    /// switch-resident locks. The data plane dequeues blindly on
-    /// release (the paper's §4.2 queue is not content-addressable), so
-    /// the control plane keeps this shadow ledger and drops releases
-    /// that no outstanding grant authorizes — making releases
-    /// idempotent under duplication, retries and lease expiry. Hit
-    /// twice per request (grant and release) — keyed through the
-    /// deterministic fast hasher, not SipHash.
-    granted_outstanding: FastHashMap<(LockId, TxnId), u32>,
+    /// Release guard: outstanding grants for switch-resident locks.
+    /// Only consulted for those; server-resident releases are forwarded
+    /// (the server's lock table matches holders by txn and is naturally
+    /// idempotent).
+    granted_outstanding: GrantLedger,
     /// Test hook: when set, the release guard admits every release
     /// (restores the unguarded blind-dequeue behaviour).
     release_guard_disabled: bool,
@@ -130,7 +127,9 @@ pub struct SwitchNode {
 
 impl SwitchNode {
     /// Build a switch around a programmed data plane.
-    pub fn new(dp: DataPlane, cfg: SwitchConfig, servers: Vec<NodeId>) -> SwitchNode {
+    pub fn new(mut dp: DataPlane, cfg: SwitchConfig, servers: Vec<NodeId>) -> SwitchNode {
+        // Forward rates feed `realloc_tick` and nothing else.
+        dp.set_forward_counting(cfg.auto_realloc.is_some());
         SwitchNode {
             dp,
             cfg,
@@ -139,7 +138,7 @@ impl SwitchNode {
             pending_demotes: HashSet::new(),
             pending_promotes: Vec::new(),
             promote_reservations: HashMap::new(),
-            granted_outstanding: FastHashMap::default(),
+            granted_outstanding: GrantLedger::default(),
             release_guard_disabled: false,
             actions: ActionBuf::new(),
             stats: SwitchNodeStats::default(),
@@ -151,27 +150,6 @@ impl SwitchNode {
     #[doc(hidden)]
     pub fn sabotage_disable_release_guard(&mut self) {
         self.release_guard_disabled = true;
-    }
-
-    /// Whether a release for `(lock, txn)` is authorized by an
-    /// outstanding grant. Only consulted for switch-resident locks;
-    /// server-resident releases are forwarded (the server's lock table
-    /// matches holders by txn and is naturally idempotent).
-    fn ledger_admit(
-        ledger: &mut FastHashMap<(LockId, TxnId), u32>,
-        lock: LockId,
-        txn: TxnId,
-    ) -> bool {
-        match ledger.get_mut(&(lock, txn)) {
-            Some(n) if *n > 0 => {
-                *n -= 1;
-                if *n == 0 {
-                    ledger.remove(&(lock, txn));
-                }
-                true
-            }
-            _ => false,
-        }
     }
 
     /// Enable one-RTT mode with the given database servers.
@@ -360,10 +338,7 @@ impl SwitchNode {
         ctx: &mut Context<'_, NetLockMsg>,
     ) {
         // Every grant the switch emits authorizes exactly one release.
-        *self
-            .granted_outstanding
-            .entry((grant.lock, grant.txn))
-            .or_insert(0) += 1;
+        self.granted_outstanding.credit(grant.lock, grant.txn);
         if self.cfg.one_rtt && !self.db_servers.is_empty() {
             // One-RTT transactions: forward the granted request to the
             // database server that owns the item; the client gets data
@@ -421,7 +396,7 @@ impl SwitchNode {
             let admitted = self
                 .dp
                 .process_release_guarded(*rel, now, &mut self.actions, |l, t| {
-                    guard_disabled || Self::ledger_admit(ledger, l, t)
+                    guard_disabled || ledger.consume(l, t)
                 });
             if !admitted {
                 self.stats.stale_releases_filtered += 1;
@@ -460,7 +435,7 @@ impl SwitchNode {
         let mut groups: Vec<(u32, Vec<GrantMsg>)> = Vec::with_capacity(1);
         let burst = grants.len();
         for g in grants {
-            *self.granted_outstanding.entry((g.lock, g.txn)).or_insert(0) += 1;
+            self.granted_outstanding.credit(g.lock, g.txn);
             self.stats.grants_sent += 1;
             match groups.iter_mut().find(|(c, _)| *c == g.client.0) {
                 Some((_, group)) => group.push(g),
@@ -580,7 +555,7 @@ impl SwitchNode {
                 // the holder's own (late) release will then be filtered
                 // instead of dequeuing whoever was granted next.
                 if !self.release_guard_disabled {
-                    let _ = Self::ledger_admit(&mut self.granted_outstanding, rel.lock, rel.txn);
+                    self.granted_outstanding.consume(rel.lock, rel.txn);
                 }
                 let before = self.dp.passes();
                 self.dp.process(
@@ -647,7 +622,7 @@ impl Node<NetLockMsg> for SwitchNode {
                 rel,
                 ctx.now().as_nanos(),
                 &mut self.actions,
-                |l, t| guard_disabled || Self::ledger_admit(ledger, l, t),
+                |l, t| guard_disabled || ledger.consume(l, t),
             );
             if !admitted {
                 self.stats.stale_releases_filtered += 1;

@@ -30,9 +30,9 @@
 //! lease of grace before granting again (§4.5), because real switch
 //! registers do not survive a crash.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
-use netlock_proto::{LockId, NetLockMsg, TxnId};
+use netlock_proto::NetLockMsg;
 use netlock_sim::{Context, Node, NodeId, Packet, SimDuration};
 
 use crate::action_buf::ActionBuf;
@@ -40,6 +40,7 @@ use crate::analysis::layout::ProgramLayout;
 use crate::control::{self, Allocation};
 use crate::dataplane::{DataPlane, DpAction};
 use crate::partition::replicated_layout;
+use crate::release_guard::GrantLedger;
 
 /// Timer token of a chain member's control tick (ping + lease sweep).
 const TIMER_CHAIN_TICK: u64 = 1;
@@ -153,7 +154,7 @@ pub struct ReplSwitch {
     /// Maintained identically on every member (incremented when an
     /// applied op emits a grant, decremented by applied releases), so
     /// a freshly promoted head filters stale releases correctly.
-    granted_outstanding: HashMap<(LockId, TxnId), u32>,
+    granted_outstanding: GrantLedger,
     /// Refuse acquires until this stamp (post-reset §4.5 grace).
     grace_until_ns: u64,
     /// Sabotage hook: drop the log-replay / re-emit duty on splice.
@@ -186,7 +187,7 @@ impl ReplSwitch {
             acked: 0,
             pending: BTreeMap::new(),
             log: VecDeque::new(),
-            granted_outstanding: HashMap::new(),
+            granted_outstanding: GrantLedger::default(),
             grace_until_ns: 0,
             replay_disabled: false,
             actions: ActionBuf::new(),
@@ -260,24 +261,6 @@ impl ReplSwitch {
         }
     }
 
-    /// Whether an outstanding grant authorizes releasing `(lock, txn)`.
-    /// Read-only: the credit is consumed when the release op is
-    /// *applied*, so every member's ledger stays identical.
-    fn release_authorized(&self, lock: LockId, txn: TxnId) -> bool {
-        self.granted_outstanding
-            .get(&(lock, txn))
-            .is_some_and(|n| *n > 0)
-    }
-
-    fn consume_credit(&mut self, lock: LockId, txn: TxnId) {
-        if let Some(n) = self.granted_outstanding.get_mut(&(lock, txn)) {
-            *n -= 1;
-            if *n == 0 {
-                self.granted_outstanding.remove(&(lock, txn));
-            }
-        }
-    }
-
     /// Head only: admit one client operation into the chain.
     fn admit(&mut self, op: NetLockMsg, ctx: &mut Context<'_, NetLockMsg>) {
         let now = ctx.now().as_nanos();
@@ -292,7 +275,9 @@ impl ReplSwitch {
             }
         }
         if let NetLockMsg::Release(rel) = &op {
-            if !self.release_authorized(rel.lock, rel.txn) {
+            // Read-only: the credit is consumed when the release op is
+            // *applied*, so every member's ledger stays identical.
+            if !self.granted_outstanding.authorizes(rel.lock, rel.txn) {
                 self.stats.stale_releases_filtered += 1;
                 return;
             }
@@ -349,12 +334,12 @@ impl ReplSwitch {
         // Ledger, replicated: the release consumes its credit; every
         // grant the op produced opens one.
         if let NetLockMsg::Release(rel) = &op {
-            self.consume_credit(rel.lock, rel.txn);
+            self.granted_outstanding.consume(rel.lock, rel.txn);
         }
         let outputs: Vec<DpAction> = (0..self.actions.len()).map(|i| self.actions[i]).collect();
         for act in &outputs {
             if let DpAction::SendGrant(g) = act {
-                *self.granted_outstanding.entry((g.lock, g.txn)).or_insert(0) += 1;
+                self.granted_outstanding.credit(g.lock, g.txn);
             }
         }
         self.last_applied = seq;
@@ -534,7 +519,7 @@ impl ReplSwitch {
                     self.cfg.lease.as_nanos(),
                 );
                 for rel in expired {
-                    if !self.release_authorized(rel.lock, rel.txn) {
+                    if !self.granted_outstanding.authorizes(rel.lock, rel.txn) {
                         continue;
                     }
                     self.stats.lease_expirations += 1;
@@ -873,7 +858,9 @@ mod tests {
     use super::*;
     use crate::control::{apply_allocation, knapsack_allocate, LockStats};
     use crate::shared_queue::SharedQueueLayout;
-    use netlock_proto::{ClientAddr, LockMode, LockRequest, Priority, ReleaseRequest, TenantId};
+    use netlock_proto::{
+        ClientAddr, LockId, LockMode, LockRequest, Priority, ReleaseRequest, TenantId, TxnId,
+    };
     use netlock_sim::{SimTime, Simulator};
 
     struct Sink(Vec<NetLockMsg>);

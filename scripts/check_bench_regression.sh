@@ -8,6 +8,13 @@
 #     started allocating; fresh run only, so older baselines without
 #     the field stay valid)
 #   - dataplane_ns_per_op        regressed > 25% vs the baseline
+#   - lock_table_ns_per_op / lock_table_cold_ns_per_op missing or
+#     absurd (<= 0 or > 100 µs per acquire+release pair), or the cold
+#     stream (every lock id new) costs > 3x the hot 64-lock loop: the
+#     table reclaims a lock's entry when its last holder leaves, so the
+#     two run the same code and land within noise of each other; a
+#     table that keeps idle entries grows a map per cold lock and lands
+#     at 10-20x
 #   - the committed baseline's old_over_new < 1.0 at depths
 #     64/1024/8192 (the calendar queue fell behind the inline heap —
 #     the full-scale committed artifact is the acceptance gate)
@@ -244,6 +251,17 @@ if dp_new > dp_base * 1.25:
         f"{dp_base:.1f} (> 25%)"
     )
 
+lt_hot = new.get("lock_table_ns_per_op", 0.0)
+lt_cold = new.get("lock_table_cold_ns_per_op", 0.0)
+for name, ns in (("lock_table_ns_per_op", lt_hot), ("lock_table_cold_ns_per_op", lt_cold)):
+    if not 0.0 < ns < 100_000.0:
+        fail.append(f"{name} = {ns} (missing or absurd)")
+if lt_hot > 0 and lt_cold > lt_hot * 3.0:
+    fail.append(
+        f"lock_table_cold_ns_per_op = {lt_cold:.1f} vs hot {lt_hot:.1f} "
+        f"(> 3x: idle lock-table entries are being kept)"
+    )
+
 for point in base["queue_churn"]:
     if point["depth"] in (64, 1024, 8192) and point["old_over_new"] < 1.0:
         fail.append(
@@ -269,7 +287,8 @@ print(
     f"parallel ref {serial_ref/1e6:.1f}M w1 {w1/1e6:.1f}M "
     f"(paired {ratio:.2f}) wmax {wmax/1e6:.1f}M ({cores} cores)  "
     f"dataplane {dp_new:.1f}ns/op "
-    f"(baseline {dp_base:.1f})  queue ratios "
+    f"(baseline {dp_base:.1f})  lock table {lt_hot:.1f}ns/pair "
+    f"(cold {lt_cold:.1f})  queue ratios "
     + " ".join(f"{p['old_over_new']:.2f}" for p in new["queue_churn"])
     + f"  dlock seq {seq_ns:.1f}ns/msg, {dlock_gate}"
 )

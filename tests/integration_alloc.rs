@@ -108,7 +108,10 @@ fn dataplane_steady_state_is_allocation_free() {
 }
 
 /// Steady-state `LockTable::release` into the reusable out-buffer is
-/// allocation-free once holders/waiters reach steady capacity.
+/// allocation-free once holders/waiters reach steady capacity — and so
+/// is a cold lock's whole acquire→release cycle: its entry is created
+/// from a reclaimed state and reclaimed again, so a stream of locks
+/// never seen before (the TPC-C long tail) costs no allocation either.
 #[test]
 fn lock_table_steady_state_is_allocation_free() {
     let mut table = LockTable::new();
@@ -155,6 +158,27 @@ fn lock_table_steady_state_is_allocation_free() {
         allocs, 0,
         "steady-state lock table allocated {allocs} times over 32000 ops"
     );
+
+    // Cold stream: every id is new, eight locks in flight at a time.
+    const IN_FLIGHT: u32 = 8;
+    let mut cold_cycle = |lock: u32| {
+        table.acquire(req(lock, u64::from(lock)));
+        if let Some(old) = lock.checked_sub(IN_FLIGHT) {
+            grants.clear();
+            table.release(LockId(old), TxnId(u64::from(old)), &mut grants);
+        }
+    };
+    let first_cold = 1_000u32;
+    let warm = first_cold + 8 * IN_FLIGHT;
+    (first_cold..warm).for_each(&mut cold_cycle);
+    let before = allocation_count();
+    (warm..warm + 50_000).for_each(&mut cold_cycle);
+    let allocs = allocation_count() - before;
+    assert_eq!(
+        allocs, 0,
+        "cold-lock acquire/release cycles allocated {allocs} times over 50000 locks"
+    );
+    assert!(table.len() <= IN_FLIGHT as usize + 1, "idle entries kept");
 }
 
 /// The aggregate population path is allocation-*light*, not

@@ -328,6 +328,43 @@ fn auto_reallocation_follows_the_workload() {
     let _ = migrations; // demotions may be zero here; promotions suffice
 }
 
+/// Host memory follows the locks in flight, not the locks ever seen:
+/// on the Fig. 13 knapsack rack (TPC-C, where most server-side locks are
+/// touched once and never again) the servers' lock tables and the
+/// switch's per-forward state are no larger after 3T of simulated time
+/// than after T.
+#[test]
+fn steady_state_memory_is_flat() {
+    use netlock_bench::{common::build_netlock_tpcc, fig13, TimeScale};
+
+    let quick = TimeScale::quick();
+    let t = quick.warmup + quick.measure;
+    let mut rack = build_netlock_tpcc(&fig13::spec(false));
+    let mut footprint_after = |span: SimDuration| {
+        rack.sim.run_for(span);
+        let table_entries: usize = rack
+            .lock_servers
+            .iter()
+            .map(|&s| rack.sim.read_node::<ServerNode, _>(s, |n| n.table().len()))
+            .sum();
+        let interned = rack
+            .sim
+            .read_node::<SwitchNode, _>(rack.switch, |s| s.dataplane().directory().interned_len());
+        (table_entries, interned)
+    };
+    let (table_t, interned_t) = footprint_after(t);
+    let (table_3t, interned_3t) = footprint_after(t + t);
+    assert!(table_t > 0, "the servers hold locks at T");
+    assert!(
+        table_3t <= 2 * table_t,
+        "lock-table entries grew from {table_t} at T to {table_3t} at 3T"
+    );
+    assert!(
+        interned_3t <= 2 * interned_t,
+        "switch interned locks grew from {interned_t} at T to {interned_3t} at 3T"
+    );
+}
+
 /// The paper's memory arithmetic (§5): 100K slots at 20 B ≈ 2 MB, "a
 /// small portion of the tens of MB on-chip memory".
 #[test]

@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the hot data structures: the shared-queue
 //! register operations (every lock request runs 1+ of these), the
-//! latency histogram, and the server lock table.
+//! latency histogram, the server lock table, and the switch's release
+//! guard (one credit + one consume per switch-granted request).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use netlock_proto::{ClientAddr, LockMode, Priority, TenantId, TxnId};
@@ -112,10 +113,45 @@ fn bench_lock_table(c: &mut Criterion) {
     g.finish();
 }
 
+/// One grant credited and one spent on a region that keeps `holders`
+/// grants outstanding: releases in grant order hit the front of the
+/// region's FIFO; releases in reverse order — the worst case — walk all
+/// of it.
+fn bench_release_guard(c: &mut Criterion) {
+    use netlock_switch::GrantLedger;
+    let mut g = c.benchmark_group("release_guard");
+    for holders in [1u64, 64, 4_096] {
+        g.bench_function(&format!("in_order/{holders}_holders"), |b| {
+            let mut ledger = GrantLedger::default();
+            (0..holders).for_each(|t| ledger.credit(0, TxnId(t)));
+            let mut oldest = 0u64;
+            b.iter(|| {
+                let hit = ledger.consume(0, TxnId(oldest));
+                ledger.credit(0, TxnId(oldest + holders));
+                oldest += 1;
+                black_box(hit)
+            });
+        });
+        g.bench_function(&format!("reversed/{holders}_holders"), |b| {
+            let mut ledger = GrantLedger::default();
+            (1..holders).for_each(|t| ledger.credit(0, TxnId(t)));
+            let mut youngest = holders;
+            b.iter(|| {
+                ledger.credit(0, TxnId(youngest));
+                let hit = ledger.consume(0, TxnId(youngest));
+                youngest += 1;
+                black_box(hit)
+            });
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_shared_queue,
     bench_histogram,
-    bench_lock_table
+    bench_lock_table,
+    bench_release_guard
 );
 criterion_main!(benches);

@@ -85,6 +85,11 @@ pub struct ChaosRun {
     pub dup_grants_ignored: u64,
     /// Releases the switch's release guard filtered as stale.
     pub stale_releases_filtered: u64,
+    /// Queue regions whose release-guard FIFO ended the run longer than
+    /// the region has slots, as `(lock, outstanding, capacity)`. An
+    /// outstanding grant holds a slot, so this is empty unless forced
+    /// lease expiries orphaned more grants than the region has room.
+    pub guard_over_capacity: Vec<(LockId, usize, u32)>,
     /// Packets the links dropped.
     pub net_lost: u64,
     /// Extra packet copies the links created.
@@ -347,6 +352,18 @@ pub fn run_chaos_seed_with(workload: ChaosWorkload, seed: u64, sabotage: Sabotag
     let stale_releases_filtered = rack
         .sim
         .read_node::<SwitchNode, _>(rack.switch, |s| s.stats().stale_releases_filtered);
+    let guard_over_capacity = rack.sim.read_node::<SwitchNode, _>(rack.switch, |s| {
+        let dp = s.dataplane();
+        let netlock_switch::Engine::Fcfs(q) = dp.engine() else {
+            return Vec::new();
+        };
+        dp.directory()
+            .switch_resident()
+            .into_iter()
+            .map(|(lock, qid, _)| (lock, dp.guard_outstanding(qid), q.cp_region(qid).capacity()))
+            .filter(|&(_, outstanding, capacity)| outstanding > capacity as usize)
+            .collect()
+    });
     let micro_grants = stats.issued.min(stats.grants);
     let oracle = oracle.lock().unwrap();
     ChaosRun {
@@ -366,6 +383,7 @@ pub fn run_chaos_seed_with(workload: ChaosWorkload, seed: u64, sabotage: Sabotag
         surplus_released: stats.surplus_released,
         dup_grants_ignored: stats.dup_grants_ignored,
         stale_releases_filtered,
+        guard_over_capacity,
         net_lost: stats.net_lost,
         net_duplicated: stats.net_duplicated,
         net_reordered: stats.net_reordered,

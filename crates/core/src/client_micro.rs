@@ -6,7 +6,7 @@
 //! processing — which dominates the paper's measured latency — is
 //! modeled as fixed TX/RX delays.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 use netlock_proto::{
     ClientAddr, GrantMsg, LockId, LockMode, LockRequest, NetLockMsg, Priority, ReleaseRequest,
@@ -17,6 +17,25 @@ use netlock_sim::{Context, Histogram, LatencySummary, Node, NodeId, Packet, SimD
 const TIMER_GENERATE: u64 = 0;
 /// Release timers carry `RELEASE_BASE + key`.
 const RELEASE_BASE: u64 = 1 << 32;
+
+/// Take the held release whose timer (`key`) just fired. Timers fire in
+/// key order, so it is at the front; an entry ahead of it lost its
+/// timer while the node was down (the simulator drops a dead node's
+/// timers) and is dropped here, where the map this replaces kept it
+/// forever.
+pub(crate) fn take_due<T>(pending: &mut VecDeque<(u64, T)>, key: u64) -> Option<T> {
+    while let Some(&(k, _)) = pending.front() {
+        if k > key {
+            break;
+        }
+        let (_, held) = pending.pop_front()?;
+        if k == key {
+            return Some(held);
+        }
+    }
+    debug_assert!(false, "release timer {key} fired with nothing held");
+    None
+}
 
 /// Microbenchmark client configuration.
 #[derive(Clone, Debug)]
@@ -88,7 +107,10 @@ pub struct MicroClient {
     next_seq: u64,
     outstanding: usize,
     release_key: u64,
-    pending_releases: HashMap<u64, ReleaseRequest>,
+    /// Held releases waiting for their timer, keyed in arming order.
+    /// Every timer carries the same delay, so they fire in key order
+    /// and the due entry is at the front.
+    pending_releases: VecDeque<(u64, ReleaseRequest)>,
     stopped: bool,
     stats: MicroClientStats,
 }
@@ -104,7 +126,7 @@ impl MicroClient {
             next_seq: 0,
             outstanding: 0,
             release_key: 0,
-            pending_releases: HashMap::new(),
+            pending_releases: VecDeque::new(),
             stopped: false,
             stats: MicroClientStats::default(),
         }
@@ -192,7 +214,7 @@ impl MicroClient {
             // client's clock, not the grant path.
             let key = self.release_key;
             self.release_key += 1;
-            self.pending_releases.insert(key, rel);
+            self.pending_releases.push_back((key, rel));
             ctx.set_timer(delay, RELEASE_BASE + key);
         }
     }
@@ -217,7 +239,7 @@ impl Node<NetLockMsg> for MicroClient {
         if token == TIMER_GENERATE {
             self.generate(ctx);
         } else if token >= RELEASE_BASE {
-            if let Some(rel) = self.pending_releases.remove(&(token - RELEASE_BASE)) {
+            if let Some(rel) = take_due(&mut self.pending_releases, token - RELEASE_BASE) {
                 ctx.send(self.switch, NetLockMsg::Release(rel));
             }
         }
@@ -235,6 +257,15 @@ mod tests {
     use netlock_switch::control::{apply_allocation, knapsack_allocate, LockStats};
     use netlock_switch::shared_queue::SharedQueueLayout;
     use netlock_switch::{DataPlane, SwitchConfig, SwitchNode};
+
+    #[test]
+    fn due_release_is_at_the_front_and_orphans_go_with_it() {
+        let mut pending: VecDeque<(u64, &str)> = (0..5).zip(["a", "b", "c", "d", "e"]).collect();
+        assert_eq!(take_due(&mut pending, 0), Some("a"));
+        // Timers 1 and 2 died with the node; 3 fires after the revive.
+        assert_eq!(take_due(&mut pending, 3), Some("d"));
+        assert_eq!(pending.front(), Some(&(4, "e")));
+    }
 
     fn build(
         mode: LockMode,

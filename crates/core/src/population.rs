@@ -30,13 +30,15 @@
 //! The chaos oracle uses the same encoding to scope lease-amnesia
 //! checks per tenant (`Oracle::note_amnesia_scoped`).
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 use netlock_proto::{
     ClientAddr, GrantMsg, LockId, LockMode, LockRequest, NetLockMsg, Priority, ReleaseRequest,
     TenantId, TxnId,
 };
 use netlock_sim::{Context, Histogram, LatencySummary, Node, NodeId, Packet, SimDuration};
+
+use crate::client_micro::take_due;
 
 const TIMER_TICK: u64 = 0;
 /// Release timers carry `RELEASE_BASE + key`.
@@ -263,7 +265,10 @@ pub struct PopulationClient {
     switch: NodeId,
     rows: Vec<TenantRow>,
     release_key: u64,
-    pending_releases: HashMap<u64, Vec<ReleaseRequest>>,
+    /// Held releases waiting for their timer, keyed in arming order.
+    /// Every timer carries the same delay, so they fire in key order
+    /// and the due entry is at the front.
+    pending_releases: VecDeque<(u64, Vec<ReleaseRequest>)>,
     stopped: bool,
     batches_sent: u64,
     grant_events: u64,
@@ -291,7 +296,7 @@ impl PopulationClient {
             switch,
             rows,
             release_key: 0,
-            pending_releases: HashMap::new(),
+            pending_releases: VecDeque::new(),
             stopped: false,
             batches_sent: 0,
             grant_events: 0,
@@ -474,7 +479,7 @@ impl PopulationClient {
             // client's clock, not the grant path.
             let key = self.release_key;
             self.release_key += 1;
-            self.pending_releases.insert(key, releases);
+            self.pending_releases.push_back((key, releases));
             ctx.set_timer(delay, RELEASE_BASE + key);
         }
     }
@@ -516,7 +521,7 @@ impl Node<NetLockMsg> for PopulationClient {
         if token == TIMER_TICK {
             self.tick(ctx);
         } else if token >= RELEASE_BASE {
-            if let Some(rels) = self.pending_releases.remove(&(token - RELEASE_BASE)) {
+            if let Some(rels) = take_due(&mut self.pending_releases, token - RELEASE_BASE) {
                 self.send_releases(rels, SimDuration::ZERO, ctx);
             }
         }

@@ -4,8 +4,9 @@
 //! itself from the OS (different table layout every process — harmless
 //! for value lookups but a needless source of nondeterminism) and runs
 //! SipHash-1-3, which costs tens of nanoseconds per small key. Maps on
-//! the per-request fast path — the switch's release guard is hit twice
-//! per lock request — want a fixed, cheap mix instead. [`FastHasher`]
+//! the per-request fast path — the switch's lock directory and the
+//! server's lock table are hit on every lock request — want a fixed,
+//! cheap mix instead. [`FastHasher`]
 //! is the Fx-style multiply-xor hash: word-at-a-time, one multiply per
 //! word, fully deterministic. It is *not* DoS-resistant, which is fine
 //! for keys the simulation itself generates.

@@ -32,6 +32,7 @@ use crate::directory::{DirEntry, LockDirectory, Residence};
 use crate::engine::{AcquireOutcome, FcfsEngine, PassAllocator};
 use crate::meter::TokenBucket;
 use crate::priority::{PriorityEngine, PriorityLayout};
+use crate::release_guard::GrantLedger;
 use crate::shared_queue::{SharedQueue, SharedQueueLayout};
 use crate::slot::Slot;
 
@@ -181,6 +182,10 @@ pub struct DataPlane {
     /// ([`DataPlane::set_forward_counting`]); off, a forward keeps no
     /// per-lock state, here or in the directory's interning.
     count_forwards: bool,
+    /// The release guard ([`DataPlane::set_release_guard`]): outstanding
+    /// switch grants per queue region. `None` (the default) is the
+    /// paper's unguarded blind dequeue.
+    guard: Option<GrantLedger>,
 }
 
 impl DataPlane {
@@ -202,6 +207,7 @@ impl DataPlane {
             default_servers: 0,
             forward_counts: Vec::new(),
             count_forwards: false,
+            guard: None,
         }
     }
 
@@ -223,6 +229,7 @@ impl DataPlane {
             default_servers: 0,
             forward_counts: Vec::new(),
             count_forwards: false,
+            guard: None,
         }
     }
 
@@ -240,6 +247,34 @@ impl DataPlane {
     /// Off (the default), forwarding a lock remembers nothing about it.
     pub fn set_forward_counting(&mut self, on: bool) {
         self.count_forwards = on;
+    }
+
+    /// Turn the release guard on or off. On, every grant the data plane
+    /// emits is recorded against its queue region and a release of a
+    /// switch-resident lock is processed only if an outstanding grant
+    /// authorizes it ([`DataPlane::process_release`]). Off (the
+    /// default), releases dequeue blindly, as in the paper. Both switch
+    /// nodes turn it on; turning it off forgets the ledger.
+    pub fn set_release_guard(&mut self, on: bool) {
+        self.guard = on.then(GrantLedger::default);
+    }
+
+    /// Whether the guard holds an outstanding switch grant that
+    /// authorizes releasing `(lock, txn)`. Read-only: the chain head
+    /// asks before sequencing a release, the apply spends the grant.
+    pub fn guard_authorizes(&self, lock: LockId, txn: TxnId) -> bool {
+        match (&self.guard, self.directory.get(lock).map(|e| e.residence)) {
+            (Some(g), Some(Residence::Switch { qid })) => g.authorizes(qid, txn),
+            _ => false,
+        }
+    }
+
+    /// Outstanding grants the guard holds for region `qid` (0 with the
+    /// guard off). Each holds a queue slot, so this stays within the
+    /// region's capacity — but for grants orphaned by
+    /// [`DataPlane::force_release`] until their owners release.
+    pub fn guard_outstanding(&self, qid: usize) -> usize {
+        self.guard.as_ref().map_or(0, |g| g.outstanding(qid))
     }
 
     /// Default home server of a lock with no directory entry.
@@ -363,6 +398,11 @@ impl DataPlane {
         self.meters.clear();
         self.stats = DpStats::default();
         self.forward_counts.clear();
+        // The ledger dies with the registers: releases for pre-reboot
+        // grants must not dequeue entries of the rebuilt queues.
+        if let Some(g) = &mut self.guard {
+            g.clear();
+        }
     }
 
     /// Process one NetLock message; `now_ns` is the switch clock.
@@ -374,7 +414,9 @@ impl DataPlane {
         out.clear();
         match msg {
             NetLockMsg::Acquire(req) => self.on_acquire(req, now_ns, out),
-            NetLockMsg::Release(rel) => self.on_release(rel, now_ns, out),
+            NetLockMsg::Release(rel) => {
+                self.process_release(rel, now_ns, out);
+            }
             NetLockMsg::Push { lock, reqs } => self.on_push(lock, reqs, out),
             NetLockMsg::CtrlPromoteReady { lock, reqs } => self.on_promote_ready(lock, reqs, out),
             NetLockMsg::CtrlHandback { lock } => self.on_handback(lock, out),
@@ -410,20 +452,21 @@ impl DataPlane {
         self.forward_counts[idx] += 1;
     }
 
-    fn grant_of(req: &LockRequest, grantor: Grantor) -> GrantMsg {
-        GrantMsg {
-            lock: req.lock,
-            txn: req.txn,
-            mode: req.mode,
-            client: req.client,
-            priority: req.priority,
-            grantor,
-            issued_at_ns: req.issued_at_ns,
+    /// The one place a switch grant leaves the data plane: record it
+    /// with the release guard (if on), then mirror it out. Takes the
+    /// fields apart so callers can hold `grant_scratch` borrowed.
+    #[inline]
+    fn push_grant(
+        guard: &mut Option<GrantLedger>,
+        out: &mut ActionBuf,
+        qid: usize,
+        lock: LockId,
+        slot: &Slot,
+    ) {
+        if let Some(g) = guard {
+            g.credit(qid, slot.txn);
         }
-    }
-
-    fn grant_of_slot(lock: LockId, slot: &Slot) -> GrantMsg {
-        GrantMsg {
+        out.push(DpAction::SendGrant(GrantMsg {
             lock,
             txn: slot.txn,
             mode: slot.mode,
@@ -431,7 +474,7 @@ impl DataPlane {
             priority: slot.priority,
             grantor: Grantor::Switch,
             issued_at_ns: slot.issued_at_ns,
-        }
+        }));
     }
 
     fn on_acquire(&mut self, req: LockRequest, now_ns: u64, out: &mut ActionBuf) {
@@ -529,7 +572,7 @@ impl DataPlane {
                 match outcome {
                     AcquireOutcome::Granted => {
                         self.stats.grants_immediate += 1;
-                        out.push(DpAction::SendGrant(Self::grant_of(&req, Grantor::Switch)));
+                        Self::push_grant(&mut self.guard, out, qid, req.lock, &slot);
                     }
                     AcquireOutcome::Queued => {
                         self.stats.queued += 1;
@@ -554,31 +597,50 @@ impl DataPlane {
         }
     }
 
-    fn on_release(&mut self, rel: ReleaseRequest, now_ns: u64, out: &mut ActionBuf) {
-        self.process_release_guarded(rel, now_ns, out, |_, _| true);
-    }
-
-    /// [`process`] a release with the control plane's release guard
-    /// consulted in-line: `admit(lock, txn)` runs only for
-    /// switch-resident locks, after the single directory lookup both
-    /// decisions share (the guard used to cost a second lookup per
-    /// release on the batch path). Returns `false` — with no counters
-    /// touched and no actions emitted — when the guard rejects the
-    /// release; server-resident and unknown locks are forwarded
-    /// untouched, exactly as before.
+    /// [`process`] a release without the message-enum round trip, and
+    /// report what the release guard decided. With the guard on
+    /// ([`DataPlane::set_release_guard`]) a release of a switch-resident
+    /// lock must spend an outstanding grant of its queue region — the
+    /// guard rides on the directory lookup the release pays anyway.
+    /// Returns `false` — with no counters touched and no actions
+    /// emitted — when the guard filters the release; server-resident
+    /// and unknown locks are forwarded untouched (the server's lock
+    /// table matches holders by txn itself).
     ///
     /// [`process`]: DataPlane::process
-    pub fn process_release_guarded(
+    pub fn process_release(
         &mut self,
         rel: ReleaseRequest,
         now_ns: u64,
         out: &mut ActionBuf,
-        admit: impl FnOnce(LockId, TxnId) -> bool,
+    ) -> bool {
+        self.release(rel, now_ns, out, false)
+    }
+
+    /// The lease sweeper's release of a holder it read out of the queue
+    /// itself ([`crate::control::expired_leases`]): spends the holder's
+    /// outstanding grant if it still has one — its own late release is
+    /// then filtered instead of dequeuing whoever was granted next — and
+    /// dequeues either way, because the slot is there. (Releases out of
+    /// grant order leave slots whose own grant a blind dequeue already
+    /// spent; refusing to expire those would wedge the lock for good.)
+    pub fn force_release(&mut self, rel: ReleaseRequest, now_ns: u64, out: &mut ActionBuf) {
+        self.release(rel, now_ns, out, true);
+    }
+
+    fn release(
+        &mut self,
+        rel: ReleaseRequest,
+        now_ns: u64,
+        out: &mut ActionBuf,
+        forced: bool,
     ) -> bool {
         out.clear();
         if let Some(entry) = self.directory.get(rel.lock) {
-            if matches!(entry.residence, Residence::Switch { .. }) && !admit(rel.lock, rel.txn) {
-                return false;
+            if let (Some(g), Residence::Switch { qid }) = (&mut self.guard, entry.residence) {
+                if !g.consume(qid, rel.txn) && !forced {
+                    return false;
+                }
             }
             self.stats.passes += 1;
             self.stats.releases += 1;
@@ -637,7 +699,7 @@ impl DataPlane {
                 }
                 self.stats.grants_on_release += self.grant_scratch.len() as u64;
                 for s in &self.grant_scratch {
-                    out.push(DpAction::SendGrant(Self::grant_of_slot(rel.lock, s)));
+                    Self::push_grant(&mut self.guard, out, qid, rel.lock, s);
                 }
                 // q1 drained while in overflow mode → ask the server to
                 // push from q2 (suppressed while draining for demotion).
@@ -714,7 +776,7 @@ impl DataPlane {
             match outcome {
                 AcquireOutcome::Granted => {
                     self.stats.grants_immediate += 1;
-                    out.push(DpAction::SendGrant(Self::grant_of(&req, Grantor::Switch)));
+                    Self::push_grant(&mut self.guard, out, qid, req.lock, &slot);
                 }
                 AcquireOutcome::Queued => {
                     self.stats.queued += 1;
@@ -865,7 +927,7 @@ impl DataPlane {
         self.stats.passes += (out_k.passes as u64).saturating_sub(1);
         self.stats.grants_on_release += self.grant_scratch.len() as u64;
         for s in &self.grant_scratch {
-            out.push(DpAction::SendGrant(Self::grant_of_slot(lock, s)));
+            Self::push_grant(&mut self.guard, out, qid, lock, s);
         }
     }
 

@@ -27,6 +27,8 @@
 //!   including the q1/q2 overflow protocol (§4.3)
 //! - [`control`] — Algorithm 3 knapsack allocation, measurement
 //!   harvesting, migration planning, lease expiry (§4.3, §4.5)
+//! - [`release_guard`] — the per-region ledger of outstanding grants
+//!   that makes releases idempotent (not in the paper; see DESIGN.md)
 //! - [`node`] — the simulation node gluing it to `netlock-sim`
 //! - [`analysis`] — static feasibility checking: access-trace recording,
 //!   the Tofino resource model, and the exhaustive path explorer
@@ -48,7 +50,7 @@ pub mod partition;
 pub mod pipes;
 pub mod priority;
 pub mod register;
-mod release_guard;
+pub mod release_guard;
 pub mod replication;
 pub mod shared_queue;
 pub mod slot;
@@ -58,6 +60,7 @@ pub use action_buf::{ActionBuf, ACTION_BUF_CAP};
 pub use dataplane::{DataPlane, DpAction, DpStats, DropReason, Engine};
 pub use node::{AutoRealloc, SwitchConfig, SwitchNode, SwitchNodeStats};
 pub use partition::PartitionMap;
+pub use release_guard::GrantLedger;
 pub use replication::{
     ChainController, ControllerConfig, ControllerStats, ReplConfig, ReplStats, ReplSwitch,
 };

@@ -8,13 +8,12 @@
 
 use std::collections::{HashMap, HashSet};
 
-use netlock_proto::{GrantMsg, LockId, NetLockMsg};
+use netlock_proto::{GrantMsg, LockId, NetLockMsg, ReleaseRequest};
 use netlock_sim::{Context, Node, NodeId, Packet, SimDuration};
 
 use crate::action_buf::ActionBuf;
 use crate::control::{self, MigrationOp};
 use crate::dataplane::{DataPlane, DpAction};
-use crate::release_guard::GrantLedger;
 
 /// Timer token for the control-plane tick.
 const TIMER_CONTROL_TICK: u64 = 1;
@@ -110,18 +109,14 @@ pub struct SwitchNode {
     /// only when the server's CtrlPromoteReady arrives (§4.3: the
     /// queue must drain before the move).
     promote_reservations: HashMap<LockId, (usize, u32, u32, usize)>,
-    /// Release guard: outstanding grants for switch-resident locks.
-    /// Only consulted for those; server-resident releases are forwarded
-    /// (the server's lock table matches holders by txn and is naturally
-    /// idempotent).
-    granted_outstanding: GrantLedger,
-    /// Test hook: when set, the release guard admits every release
-    /// (restores the unguarded blind-dequeue behaviour).
-    release_guard_disabled: bool,
     /// Reusable per-packet action buffer: allocated once here, filled
     /// by `DataPlane::process`, drained by `emit`. Zero steady-state
     /// heap traffic on the packet path.
     actions: ActionBuf,
+    /// Batch-path scratch, reused across batches: the grants a batch
+    /// produced, and the ones of them bound for one client.
+    batch_grants: Vec<GrantMsg>,
+    batch_group: Vec<GrantMsg>,
     stats: SwitchNodeStats,
 }
 
@@ -130,6 +125,11 @@ impl SwitchNode {
     pub fn new(mut dp: DataPlane, cfg: SwitchConfig, servers: Vec<NodeId>) -> SwitchNode {
         // Forward rates feed `realloc_tick` and nothing else.
         dp.set_forward_counting(cfg.auto_realloc.is_some());
+        // Release guard: a release of a switch-resident lock is admitted
+        // only if an outstanding grant authorizes it. Server-resident
+        // releases are forwarded (the server's lock table matches
+        // holders by txn and is naturally idempotent).
+        dp.set_release_guard(true);
         SwitchNode {
             dp,
             cfg,
@@ -138,9 +138,9 @@ impl SwitchNode {
             pending_demotes: HashSet::new(),
             pending_promotes: Vec::new(),
             promote_reservations: HashMap::new(),
-            granted_outstanding: GrantLedger::default(),
-            release_guard_disabled: false,
             actions: ActionBuf::new(),
+            batch_grants: Vec::new(),
+            batch_group: Vec::new(),
             stats: SwitchNodeStats::default(),
         }
     }
@@ -149,7 +149,7 @@ impl SwitchNode {
     /// safety oracle detects the resulting double-dequeues).
     #[doc(hidden)]
     pub fn sabotage_disable_release_guard(&mut self) {
-        self.release_guard_disabled = true;
+        self.dp.set_release_guard(false);
     }
 
     /// Enable one-RTT mode with the given database servers.
@@ -201,9 +201,6 @@ impl SwitchNode {
         self.pending_demotes.clear();
         self.pending_promotes.clear();
         self.promote_reservations.clear();
-        // The ledger dies with the registers: releases for pre-reboot
-        // grants must not dequeue entries of the rebuilt queues.
-        self.granted_outstanding.clear();
     }
 
     /// Start executing a migration plan (control-plane operation).
@@ -264,33 +261,23 @@ impl SwitchNode {
     /// Drain `self.actions` (filled by the preceding `process` call)
     /// into the network. Actions are `Copy`, so reading them out by
     /// index keeps the buffer borrow disjoint from the sends below.
-    fn emit(&mut self, extra_passes: u64, ctx: &mut Context<'_, NetLockMsg>) {
-        self.emit_with_sink(extra_passes, ctx, None);
-    }
-
-    /// `emit`, but with an optional grant sink: while unpacking a batch
-    /// the per-element `SendGrant` actions are collected instead of
+    ///
+    /// `batched` is set while unpacking a batch: the per-element
+    /// `SendGrant` actions are collected in `batch_grants` instead of
     /// sent, so the whole burst's grants can be coalesced into one
     /// [`NetLockMsg::GrantBatch`] per destination client (one simulator
     /// event instead of one per virtual request). One-RTT grants still
     /// go through the database server individually — the fetch is
     /// per-item. Non-grant actions are sent exactly as on the
     /// individual path.
-    fn emit_with_sink(
-        &mut self,
-        extra_passes: u64,
-        ctx: &mut Context<'_, NetLockMsg>,
-        mut grant_sink: Option<&mut Vec<GrantMsg>>,
-    ) {
+    fn emit(&mut self, extra_passes: u64, ctx: &mut Context<'_, NetLockMsg>, batched: bool) {
         let delay =
             self.cfg.traversal + SimDuration(self.cfg.pass_latency.as_nanos() * extra_passes);
-        let coalesce = grant_sink.is_some() && (!self.cfg.one_rtt || self.db_servers.is_empty());
+        let coalesce = batched && (!self.cfg.one_rtt || self.db_servers.is_empty());
         for i in 0..self.actions.len() {
             let act = self.actions[i];
             match act {
-                DpAction::SendGrant(grant) if coalesce => {
-                    grant_sink.as_deref_mut().expect("coalesce").push(grant);
-                }
+                DpAction::SendGrant(grant) if coalesce => self.batch_grants.push(grant),
                 DpAction::SendGrant(grant) => self.send_grant(grant, delay, ctx),
                 DpAction::ForwardAcquire {
                     server,
@@ -337,8 +324,6 @@ impl SwitchNode {
         delay: SimDuration,
         ctx: &mut Context<'_, NetLockMsg>,
     ) {
-        // Every grant the switch emits authorizes exactly one release.
-        self.granted_outstanding.credit(grant.lock, grant.txn);
         if self.cfg.one_rtt && !self.db_servers.is_empty() {
             // One-RTT transactions: forward the granted request to the
             // database server that owns the item; the client gets data
@@ -354,6 +339,44 @@ impl SwitchNode {
         }
     }
 
+    /// One client release (alone or out of a batch) through the guarded
+    /// data plane. A release the guard filters is counted and goes no
+    /// further; returns the extra passes an admitted one cost.
+    fn release(
+        &mut self,
+        rel: ReleaseRequest,
+        ctx: &mut Context<'_, NetLockMsg>,
+        batched: bool,
+    ) -> Option<u64> {
+        let before = self.dp.passes();
+        if !self
+            .dp
+            .process_release(rel, ctx.now().as_nanos(), &mut self.actions)
+        {
+            self.stats.stale_releases_filtered += 1;
+            return None;
+        }
+        Some(self.after_release(rel.lock, before, ctx, batched))
+    }
+
+    /// Emit what a processed release left in `self.actions`; returns
+    /// its extra passes.
+    fn after_release(
+        &mut self,
+        lock: LockId,
+        passes_before: u64,
+        ctx: &mut Context<'_, NetLockMsg>,
+        batched: bool,
+    ) -> u64 {
+        let extra = (self.dp.passes() - passes_before).saturating_sub(1);
+        self.emit(extra, ctx, batched);
+        // The release may have completed a drain for a demoting lock.
+        if self.pending_demotes.contains(&lock) {
+            self.try_complete_demote(lock, ctx);
+        }
+        extra
+    }
+
     /// Unpack an [`NetLockMsg::AcquireBatch`]: admit every element
     /// through the data plane in slice order (identical per-request
     /// semantics to individual acquires arriving back-to-back at one
@@ -364,97 +387,66 @@ impl SwitchNode {
         ctx: &mut Context<'_, NetLockMsg>,
     ) {
         let now = ctx.now().as_nanos();
-        let mut grants: Vec<GrantMsg> = Vec::with_capacity(reqs.len());
         let mut max_extra = 0u64;
         for req in reqs.iter() {
             let before = self.dp.passes();
             self.dp.process_acquire(*req, now, &mut self.actions);
             let extra = (self.dp.passes() - before).saturating_sub(1);
             max_extra = max_extra.max(extra);
-            self.emit_with_sink(extra, ctx, Some(&mut grants));
+            self.emit(extra, ctx, true);
         }
-        self.flush_grant_batches(grants, max_extra, ctx);
+        self.flush_grant_batches(max_extra, ctx);
     }
 
-    /// Unpack an [`NetLockMsg::ReleaseBatch`]: per element the release
-    /// guard is consulted exactly as for an individual release, then
-    /// the data plane processes it; grants popped for waiting requests
-    /// are coalesced per destination client.
+    /// Unpack an [`NetLockMsg::ReleaseBatch`]: every element is an
+    /// individual release (guard included); grants popped for waiting
+    /// requests are coalesced per destination client.
     fn process_release_batch(
         &mut self,
-        rels: &[netlock_proto::ReleaseRequest],
+        rels: &[ReleaseRequest],
         ctx: &mut Context<'_, NetLockMsg>,
     ) {
-        let now = ctx.now().as_nanos();
-        // Shared-mode releases can cascade one grant each; size for it.
-        let mut grants: Vec<GrantMsg> = Vec::with_capacity(rels.len());
         let mut max_extra = 0u64;
         for rel in rels.iter() {
-            let before = self.dp.passes();
-            let guard_disabled = self.release_guard_disabled;
-            let ledger = &mut self.granted_outstanding;
-            let admitted = self
-                .dp
-                .process_release_guarded(*rel, now, &mut self.actions, |l, t| {
-                    guard_disabled || ledger.consume(l, t)
-                });
-            if !admitted {
-                self.stats.stale_releases_filtered += 1;
-                continue;
-            }
-            let extra = (self.dp.passes() - before).saturating_sub(1);
-            max_extra = max_extra.max(extra);
-            self.emit_with_sink(extra, ctx, Some(&mut grants));
-            if self.pending_demotes.contains(&rel.lock) {
-                self.try_complete_demote(rel.lock, ctx);
+            if let Some(extra) = self.release(*rel, ctx, true) {
+                max_extra = max_extra.max(extra);
             }
         }
-        self.flush_grant_batches(grants, max_extra, ctx);
+        self.flush_grant_batches(max_extra, ctx);
     }
 
-    /// Send the grants a batch produced, one event per destination
-    /// client: a lone grant goes out as a plain [`NetLockMsg::Grant`]
-    /// (individual clients queued behind an aggregate burst keep their
-    /// wire format), two or more to the same client fold into one
-    /// [`NetLockMsg::GrantBatch`]. All grants of the burst leave the
-    /// egress together, so the whole flush is charged the batch's
-    /// worst-case resubmit count.
-    fn flush_grant_batches(
-        &mut self,
-        grants: Vec<GrantMsg>,
-        max_extra: u64,
-        ctx: &mut Context<'_, NetLockMsg>,
-    ) {
-        if grants.is_empty() {
-            return;
-        }
+    /// Send the grants a batch left in `batch_grants`, one event per
+    /// destination client: a lone grant goes out as a plain
+    /// [`NetLockMsg::Grant`] (individual clients queued behind an
+    /// aggregate burst keep their wire format), two or more to the same
+    /// client fold into one [`NetLockMsg::GrantBatch`]. All grants of
+    /// the burst leave the egress together, so the whole flush is
+    /// charged the batch's worst-case resubmit count.
+    fn flush_grant_batches(&mut self, max_extra: u64, ctx: &mut Context<'_, NetLockMsg>) {
         let delay = self.cfg.traversal + SimDuration(self.cfg.pass_latency.as_nanos() * max_extra);
-        // Group per destination, preserving grant order within each
-        // client. Bursts almost always target one aggregate node, so a
-        // linear scan over a tiny group list beats a hash map here.
-        let mut groups: Vec<(u32, Vec<GrantMsg>)> = Vec::with_capacity(1);
-        let burst = grants.len();
-        for g in grants {
-            self.granted_outstanding.credit(g.lock, g.txn);
-            self.stats.grants_sent += 1;
-            match groups.iter_mut().find(|(c, _)| *c == g.client.0) {
-                Some((_, group)) => group.push(g),
-                None => {
-                    // Size for the whole burst up front: it almost
-                    // always lands on one aggregate client, and growing
-                    // a multi-thousand-grant vec by doubling shows up
-                    // on the batch hot path.
-                    let mut group = Vec::with_capacity(burst);
-                    group.push(g);
-                    groups.push((g.client.0, group));
-                }
-            }
-        }
-        for (client, mut group) in groups {
-            let msg = if group.len() == 1 {
-                NetLockMsg::Grant(group.pop().expect("len 1"))
+        self.stats.grants_sent += self.batch_grants.len() as u64;
+        // Peel off one destination at a time, in order of first
+        // appearance, preserving grant order within each client.
+        while let Some(first) = self.batch_grants.first() {
+            let client = first.client.0;
+            self.batch_group.clear();
+            if self.batch_grants.iter().all(|g| g.client.0 == client) {
+                // One destination left — for an aggregate's burst, the
+                // only one: what remains is the group, uncopied.
+                std::mem::swap(&mut self.batch_grants, &mut self.batch_group);
             } else {
-                NetLockMsg::GrantBatch(group.into())
+                let group = &mut self.batch_group;
+                self.batch_grants.retain(|g| {
+                    let mine = g.client.0 == client;
+                    if mine {
+                        group.push(*g);
+                    }
+                    !mine
+                });
+            }
+            let msg = match self.batch_group[..] {
+                [grant] => NetLockMsg::Grant(grant),
+                _ => NetLockMsg::GrantBatch(self.batch_group.as_slice().into()),
             };
             ctx.send_after(NodeId(client), msg, delay);
         }
@@ -551,24 +543,10 @@ impl SwitchNode {
                 control::expired_leases(&self.dp, ctx.now().as_nanos(), self.cfg.lease.as_nanos());
             for rel in expired {
                 self.stats.lease_expirations += 1;
-                // The expiry consumes the holder's outstanding grant;
-                // the holder's own (late) release will then be filtered
-                // instead of dequeuing whoever was granted next.
-                if !self.release_guard_disabled {
-                    self.granted_outstanding.consume(rel.lock, rel.txn);
-                }
                 let before = self.dp.passes();
-                self.dp.process(
-                    NetLockMsg::Release(rel),
-                    ctx.now().as_nanos(),
-                    &mut self.actions,
-                );
-                let extra = self.dp.passes() - before - 1;
-                let lock = rel.lock;
-                self.emit(extra, ctx);
-                if self.pending_demotes.contains(&lock) {
-                    self.try_complete_demote(lock, ctx);
-                }
+                self.dp
+                    .force_release(rel, ctx.now().as_nanos(), &mut self.actions);
+                self.after_release(rel.lock, before, ctx, false);
             }
         }
         // Drain checks for pending demotions.
@@ -604,56 +582,14 @@ impl Node<NetLockMsg> for SwitchNode {
             }
             payload => Packet { payload, ..pkt },
         };
-        let released_lock = match &pkt.payload {
-            NetLockMsg::Release(rel) => Some(rel.lock),
-            _ => None,
-        };
-        // Release guard: a release for a switch-resident lock is only
-        // admitted if an outstanding grant authorizes it (the guard and
-        // the data plane share one directory lookup). Server-resident
-        // (and unknown) locks are forwarded untouched — the server's
-        // lock table matches releases by txn itself.
-        if let NetLockMsg::Release(rel) = &pkt.payload {
-            let rel = *rel;
-            let before = self.dp.passes();
-            let guard_disabled = self.release_guard_disabled;
-            let ledger = &mut self.granted_outstanding;
-            let admitted = self.dp.process_release_guarded(
-                rel,
-                ctx.now().as_nanos(),
-                &mut self.actions,
-                |l, t| guard_disabled || ledger.consume(l, t),
-            );
-            if !admitted {
-                self.stats.stale_releases_filtered += 1;
+        if let NetLockMsg::Release(rel) = pkt.payload {
+            if self.release(rel, ctx, false).is_none() {
                 return;
-            }
-            let extra = (self.dp.passes() - before).saturating_sub(1);
-            self.emit(extra, ctx);
-        } else {
-            // Complete a reserved promotion: install the region +
-            // directory entry just before the buffered requests are
-            // enqueued.
-            if let NetLockMsg::CtrlPromoteReady { lock, .. } = &pkt.payload {
-                if let Some((qid, left, right, home)) = self.promote_reservations.remove(lock) {
-                    self.dp.prepare_promote(*lock, qid, left, right, home);
-                    self.stats.migrations_done += 1;
-                }
-            }
-            let before = self.dp.passes();
-            self.dp
-                .process(pkt.payload, ctx.now().as_nanos(), &mut self.actions);
-            let extra = (self.dp.passes() - before).saturating_sub(1);
-            self.emit(extra, ctx);
-        }
-        // A release may have completed a drain for a demoting lock.
-        if let Some(lock) = released_lock {
-            if self.pending_demotes.contains(&lock) {
-                self.try_complete_demote(lock, ctx);
             }
             // Backup-handback mode: report drained queues to the
             // restarted original switch.
             if let Some(original) = self.cfg.backup_handback_to {
+                let lock = rel.lock;
                 let drained = match self.dp.directory().get(lock).map(|e| e.residence) {
                     Some(crate::directory::Residence::Switch { qid }) => match self.dp.engine() {
                         crate::dataplane::Engine::Fcfs(q) => q.cp_region(qid).count == 0,
@@ -669,7 +605,21 @@ impl Node<NetLockMsg> for SwitchNode {
                     );
                 }
             }
+            return;
         }
+        // Complete a reserved promotion: install the region + directory
+        // entry just before the buffered requests are enqueued.
+        if let NetLockMsg::CtrlPromoteReady { lock, .. } = &pkt.payload {
+            if let Some((qid, left, right, home)) = self.promote_reservations.remove(lock) {
+                self.dp.prepare_promote(*lock, qid, left, right, home);
+                self.stats.migrations_done += 1;
+            }
+        }
+        let before = self.dp.passes();
+        self.dp
+            .process(pkt.payload, ctx.now().as_nanos(), &mut self.actions);
+        let extra = (self.dp.passes() - before).saturating_sub(1);
+        self.emit(extra, ctx, false);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, NetLockMsg>) {
@@ -801,6 +751,120 @@ mod tests {
         sim.read_node::<SwitchNode, _>(switch, |s| {
             assert!(s.stats().lease_expirations >= 1);
         });
+    }
+
+    /// Two shared holders, released out of order: the blind dequeue
+    /// takes the older slot and the younger holder's grant, so the slot
+    /// left behind names a transaction whose grant is already spent.
+    /// When its lease runs out the sweeper must still free it (nobody
+    /// else will — the chaos suite wedges if it does not), and a guard
+    /// that finds nothing to spend must not upset the pass arithmetic.
+    #[test]
+    fn sweep_frees_a_holder_whose_grant_is_already_spent() {
+        let mut sim: Simulator<NetLockMsg> = Simulator::with_seed(5);
+        let client = sim.add_node(Box::new(Sink(Vec::new())));
+        let switch = sim.add_node(Box::new(SwitchNode::new(
+            dp(4),
+            SwitchConfig {
+                lease: SimDuration::from_millis(2),
+                control_tick: SimDuration::from_millis(3),
+                ..Default::default()
+            },
+            vec![],
+        )));
+        let request = |txn: u64, mode: LockMode| {
+            let NetLockMsg::Acquire(req) = acquire(1, txn, client.0, 0) else {
+                unreachable!()
+            };
+            LockRequest { mode, ..req }
+        };
+        for txn in [1, 2] {
+            let req = request(txn, LockMode::Shared);
+            sim.inject(client, switch, NetLockMsg::Acquire(req));
+        }
+        let waiter = request(3, LockMode::Exclusive);
+        sim.inject(client, switch, NetLockMsg::Acquire(waiter));
+        sim.inject(
+            client,
+            switch,
+            NetLockMsg::Release(netlock_proto::ReleaseRequest {
+                lock: waiter.lock,
+                txn: TxnId(2),
+                mode: LockMode::Shared,
+                client: waiter.client,
+                priority: waiter.priority,
+            }),
+        );
+        // One control tick at 3 ms: the slot of txn 2 is past its lease.
+        sim.run_until(SimTime(SimDuration::from_millis(4).as_nanos()));
+        sim.read_node::<SwitchNode, _>(switch, |s| {
+            assert_eq!(s.stats().lease_expirations, 1);
+            assert_eq!(s.stats().stale_releases_filtered, 0);
+            assert_eq!(s.stats().grants_sent, 3, "the waiter got the lock");
+        });
+        // Txn 2 released once already: a second release is stale.
+        sim.inject(
+            client,
+            switch,
+            NetLockMsg::Release(netlock_proto::ReleaseRequest {
+                lock: waiter.lock,
+                txn: TxnId(2),
+                mode: LockMode::Shared,
+                client: waiter.client,
+                priority: waiter.priority,
+            }),
+        );
+        sim.run_until(SimTime(SimDuration::from_millis(5).as_nanos()));
+        sim.read_node::<SwitchNode, _>(switch, |s| {
+            assert_eq!(s.stats().stale_releases_filtered, 1);
+        });
+    }
+
+    /// A batch's grants fan back one event per destination, destinations
+    /// in order of first appearance, each client's grants in grant
+    /// order; a lone grant keeps the individual wire format.
+    #[test]
+    fn batch_grants_group_per_destination_in_order() {
+        let mut sim: Simulator<NetLockMsg> = Simulator::with_seed(6);
+        let clients: Vec<NodeId> = (0..3)
+            .map(|_| sim.add_node(Box::new(Sink(Vec::new()))))
+            .collect();
+        let switch = sim.add_node(Box::new(SwitchNode::new(
+            dp(4),
+            SwitchConfig::default(),
+            vec![],
+        )));
+        // Shared acquires of one lock, all granted at once: clients
+        // 0, 1, 0, 2, 1 → [t0, t2] to 0, [t1, t4] to 1, t3 alone to 2.
+        let reqs: Box<[LockRequest]> = [0usize, 1, 0, 2, 1]
+            .iter()
+            .enumerate()
+            .map(|(txn, &c)| {
+                let NetLockMsg::Acquire(req) = acquire(1, txn as u64, clients[c].0, 0) else {
+                    unreachable!()
+                };
+                LockRequest {
+                    mode: LockMode::Shared,
+                    ..req
+                }
+            })
+            .collect();
+        sim.inject(clients[0], switch, NetLockMsg::AcquireBatch(reqs));
+        sim.run_until(SimTime(1_000_000));
+        let txns_at = |sim: &mut Simulator<NetLockMsg>, c: usize| {
+            sim.read_node::<Sink, _>(clients[c], |s| {
+                assert_eq!(s.0.len(), 1, "one event per destination");
+                match &s.0[0] {
+                    NetLockMsg::Grant(g) => (false, vec![g.txn.0]),
+                    NetLockMsg::GrantBatch(gs) => (true, gs.iter().map(|g| g.txn.0).collect()),
+                    other => panic!("unexpected {other:?}"),
+                }
+            })
+        };
+        assert_eq!(txns_at(&mut sim, 0), (true, vec![0, 2]));
+        assert_eq!(txns_at(&mut sim, 1), (true, vec![1, 4]));
+        assert_eq!(txns_at(&mut sim, 2), (false, vec![3]));
+        sim.read_node::<SwitchNode, _>(switch, |s| assert_eq!(s.stats().grants_sent, 5));
     }
 
     #[test]

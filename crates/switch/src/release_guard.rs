@@ -1,54 +1,82 @@
 //! The release guard's ledger, shared by both switch nodes.
 //!
 //! The data plane dequeues blindly on release (the paper's §4.2 queue
-//! is not content-addressable), so the node around it keeps a shadow
-//! ledger of outstanding grants per `(lock, txn)` and drops releases
-//! that no outstanding grant authorizes — making releases idempotent
-//! under duplication, retries and lease expiry. An entry lives from the
-//! grant to its release. Hit twice per request, so it is keyed through
-//! the deterministic fast hasher, not SipHash.
+//! is not content-addressable), so a shadow ledger of outstanding
+//! switch grants rides beside it and releases that no outstanding grant
+//! authorizes are dropped — making releases idempotent under
+//! duplication, retries and lease expiry.
+//!
+//! The ledger is addressed the way the queues are: by queue region
+//! (`qid`, which the directory lookup every release already pays for
+//! has in hand). Each region keeps a FIFO of the `TxnId`s of its
+//! outstanding grants: a grant pushes at the back, a release removes
+//! the oldest matching entry, duplicates are simply two entries. A
+//! holder keeps its queue slot until an admitted release dequeues one,
+//! and every admitted release removes exactly one entry here, so a
+//! region's FIFO is no longer than the region's capacity (the lease
+//! sweeper's forced release of a slot whose own grant is already spent
+//! is the one dequeue that removes nothing here; the grant it orphans
+//! stays until its owner releases). Releases arrive in grant order on
+//! every fault-free path, so the hit is at the front and both
+//! operations are O(1); the worst case (holders releasing in reverse)
+//! is O(holders of that lock). A region is only handed to another lock
+//! once it has drained, so keying by region is keying by lock.
 
-use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 
-use netlock_proto::{LockId, TxnId};
-use netlock_sim::FastHashMap;
+use netlock_proto::TxnId;
 
-/// Outstanding grants per `(lock, txn)`.
+/// Outstanding switch grants, one FIFO per queue region.
 #[derive(Default)]
-pub(crate) struct GrantLedger {
-    outstanding: FastHashMap<(LockId, TxnId), u32>,
+pub struct GrantLedger {
+    /// Indexed by `qid`; grown (and a region's buffer allocated) on the
+    /// region's first grant, so unused regions cost nothing.
+    regions: Vec<VecDeque<TxnId>>,
 }
 
 impl GrantLedger {
-    /// A grant went out: it authorizes exactly one release.
-    pub(crate) fn credit(&mut self, lock: LockId, txn: TxnId) {
-        *self.outstanding.entry((lock, txn)).or_insert(0) += 1;
+    /// A grant went out of region `qid`: it authorizes exactly one
+    /// release.
+    #[inline]
+    pub fn credit(&mut self, qid: usize, txn: TxnId) {
+        if qid >= self.regions.len() {
+            self.regions.resize_with(qid + 1, VecDeque::new);
+        }
+        self.regions[qid].push_back(txn);
     }
 
-    /// Whether an outstanding grant authorizes releasing `(lock, txn)`.
-    pub(crate) fn authorizes(&self, lock: LockId, txn: TxnId) -> bool {
-        self.outstanding.contains_key(&(lock, txn))
+    /// Whether an outstanding grant of region `qid` authorizes
+    /// releasing `txn`.
+    pub fn authorizes(&self, qid: usize, txn: TxnId) -> bool {
+        self.regions.get(qid).is_some_and(|q| q.contains(&txn))
     }
 
-    /// Spend one outstanding grant of `(lock, txn)`; false (and no
-    /// change) if there is none.
-    pub(crate) fn consume(&mut self, lock: LockId, txn: TxnId) -> bool {
-        match self.outstanding.entry((lock, txn)) {
-            Entry::Occupied(mut e) => {
-                if *e.get() > 1 {
-                    *e.get_mut() -= 1;
-                } else {
-                    e.remove();
-                }
-                true
-            }
-            Entry::Vacant(_) => false,
+    /// Spend the oldest outstanding grant of `txn` in region `qid`;
+    /// false (and no change) if there is none.
+    #[inline]
+    pub fn consume(&mut self, qid: usize, txn: TxnId) -> bool {
+        let Some(q) = self.regions.get_mut(qid) else {
+            return false;
+        };
+        // In grant order — every fault-free path — the hit is in front.
+        if q.front() == Some(&txn) {
+            q.pop_front();
+            return true;
+        }
+        match q.iter().position(|&t| t == txn) {
+            Some(i) => q.remove(i).is_some(),
+            None => false,
         }
     }
 
+    /// Outstanding grants of region `qid`.
+    pub fn outstanding(&self, qid: usize) -> usize {
+        self.regions.get(qid).map_or(0, VecDeque::len)
+    }
+
     /// Forget every grant (the ledger dies with the registers).
-    pub(crate) fn clear(&mut self) {
-        self.outstanding.clear();
+    pub fn clear(&mut self) {
+        self.regions.clear();
     }
 }
 
@@ -59,17 +87,34 @@ mod tests {
     #[test]
     fn each_grant_authorizes_one_release() {
         let mut l = GrantLedger::default();
-        let (lock, txn) = (LockId(1), TxnId(7));
-        assert!(!l.consume(lock, txn), "no grant, no release");
-        l.credit(lock, txn);
-        l.credit(lock, txn);
-        assert!(l.authorizes(lock, txn));
-        assert!(l.consume(lock, txn));
-        assert!(l.consume(lock, txn));
-        assert!(!l.authorizes(lock, txn));
-        assert!(!l.consume(lock, txn), "duplicate release filtered");
-        l.credit(lock, txn);
+        let (qid, txn) = (1, TxnId(7));
+        assert!(!l.consume(qid, txn), "no grant, no release");
+        l.credit(qid, txn);
+        l.credit(qid, txn);
+        assert!(l.authorizes(qid, txn));
+        assert!(!l.authorizes(0, txn), "regions are separate");
+        assert!(l.consume(qid, txn));
+        assert!(l.consume(qid, txn));
+        assert!(!l.authorizes(qid, txn));
+        assert!(!l.consume(qid, txn), "duplicate release filtered");
+        l.credit(qid, txn);
         l.clear();
-        assert!(!l.authorizes(lock, txn));
+        assert!(!l.authorizes(qid, txn));
+        assert_eq!(l.outstanding(qid), 0);
+    }
+
+    #[test]
+    fn out_of_order_release_removes_only_its_own_grant() {
+        let mut l = GrantLedger::default();
+        for t in 0..4 {
+            l.credit(0, TxnId(t));
+        }
+        assert!(l.consume(0, TxnId(2)));
+        assert!(!l.consume(0, TxnId(2)));
+        assert_eq!(l.outstanding(0), 3);
+        for t in [0, 1, 3] {
+            assert!(l.consume(0, TxnId(t)));
+        }
+        assert_eq!(l.outstanding(0), 0);
     }
 }

@@ -40,7 +40,6 @@ use crate::analysis::layout::ProgramLayout;
 use crate::control::{self, Allocation};
 use crate::dataplane::{DataPlane, DpAction};
 use crate::partition::replicated_layout;
-use crate::release_guard::GrantLedger;
 
 /// Timer token of a chain member's control tick (ping + lease sweep).
 const TIMER_CHAIN_TICK: u64 = 1;
@@ -148,13 +147,10 @@ pub struct ReplSwitch {
     /// Ops received out of order (cross-link races during a splice),
     /// held until the gap closes.
     pending: BTreeMap<u64, (u64, NetLockMsg)>,
-    /// Applied-but-unacknowledged ops, ascending seq.
+    /// Applied-but-unacknowledged ops, ascending seq. Kept by every
+    /// member that has (or had) a successor; the tail is its own ack
+    /// and logs nothing.
     log: VecDeque<LogEntry>,
-    /// Replicated release guard: outstanding grants per `(lock, txn)`.
-    /// Maintained identically on every member (incremented when an
-    /// applied op emits a grant, decremented by applied releases), so
-    /// a freshly promoted head filters stale releases correctly.
-    granted_outstanding: GrantLedger,
     /// Refuse acquires until this stamp (post-reset §4.5 grace).
     grace_until_ns: u64,
     /// Sabotage hook: drop the log-replay / re-emit duty on splice.
@@ -169,7 +165,13 @@ impl ReplSwitch {
     /// `program` is the allocation the data plane was programmed with;
     /// the member keeps it to reprogram itself after a
     /// `CtrlChainReset` (the control plane's copy of the directory).
-    pub fn new(dp: DataPlane, program: Allocation, cfg: ReplConfig) -> ReplSwitch {
+    pub fn new(mut dp: DataPlane, program: Allocation, cfg: ReplConfig) -> ReplSwitch {
+        // Replicated release guard: the data plane's ledger of
+        // outstanding grants is a function of the applied ops (a grant
+        // opens a credit, an applied release spends it), so it is
+        // identical on every member and a freshly promoted head filters
+        // stale releases correctly.
+        dp.set_release_guard(true);
         assert!(
             (cfg.member as usize) < cfg.chain.len(),
             "member index outside chain"
@@ -187,7 +189,6 @@ impl ReplSwitch {
             acked: 0,
             pending: BTreeMap::new(),
             log: VecDeque::new(),
-            granted_outstanding: GrantLedger::default(),
             grace_until_ns: 0,
             replay_disabled: false,
             actions: ActionBuf::new(),
@@ -277,7 +278,7 @@ impl ReplSwitch {
         if let NetLockMsg::Release(rel) = &op {
             // Read-only: the credit is consumed when the release op is
             // *applied*, so every member's ledger stays identical.
-            if !self.granted_outstanding.authorizes(rel.lock, rel.txn) {
+            if !self.dp.guard_authorizes(rel.lock, rel.txn) {
                 self.stats.stale_releases_filtered += 1;
                 return;
             }
@@ -328,47 +329,47 @@ impl ReplSwitch {
         op: NetLockMsg,
         ctx: &mut Context<'_, NetLockMsg>,
     ) {
-        let before = self.dp.stats().passes;
-        self.dp.process(op.clone(), stamp_ns, &mut self.actions);
-        let extra_passes = (self.dp.stats().passes - before).saturating_sub(1);
-        // Ledger, replicated: the release consumes its credit; every
-        // grant the op produced opens one.
-        if let NetLockMsg::Release(rel) = &op {
-            self.granted_outstanding.consume(rel.lock, rel.txn);
-        }
-        let outputs: Vec<DpAction> = (0..self.actions.len()).map(|i| self.actions[i]).collect();
-        for act in &outputs {
-            if let DpAction::SendGrant(g) = act {
-                self.granted_outstanding.credit(g.lock, g.txn);
-            }
-        }
         self.last_applied = seq;
         self.stats.ops_applied += 1;
-        if let Some(succ) = self.successor() {
-            self.stats.ops_forwarded += 1;
-            ctx.send_after(
-                succ,
-                NetLockMsg::ChainOp {
-                    partition: self.cfg.partition,
-                    seq,
-                    stamp_ns,
-                    op: Box::new(op.clone()),
-                },
-                self.cfg.traversal,
-            );
-        }
-        let entry = LogEntry {
+        // The successor and the log each keep the op; the tail has
+        // neither, and hands its only copy to the data plane.
+        let Some(succ) = self.successor() else {
+            let extra_passes = self.process(op, stamp_ns);
+            let delay = self.emit_delay(extra_passes);
+            for i in 0..self.actions.len() {
+                let act = self.actions[i];
+                self.emit(act, delay, ctx);
+            }
+            self.send_acks(ctx);
+            return;
+        };
+        self.stats.ops_forwarded += 1;
+        ctx.send_after(
+            succ,
+            NetLockMsg::ChainOp {
+                partition: self.cfg.partition,
+                seq,
+                stamp_ns,
+                op: Box::new(op.clone()),
+            },
+            self.cfg.traversal,
+        );
+        let extra_passes = self.process(op.clone(), stamp_ns);
+        self.log.push_back(LogEntry {
             seq,
             stamp_ns,
             op,
-            outputs,
+            outputs: self.actions.to_vec(),
             extra_passes,
-        };
-        if self.is_tail() {
-            self.emit(&entry, ctx);
-            self.send_acks(ctx);
-        }
-        self.log.push_back(entry);
+        });
+    }
+
+    /// Run one op through the (guarded) data plane into `self.actions`;
+    /// returns the extra pipeline passes it cost.
+    fn process(&mut self, op: NetLockMsg, stamp_ns: u64) -> u64 {
+        let before = self.dp.passes();
+        self.dp.process(op, stamp_ns, &mut self.actions);
+        (self.dp.passes() - before).saturating_sub(1)
     }
 
     /// Tail: cumulative apply-ack to every upstream member.
@@ -382,27 +383,27 @@ impl ReplSwitch {
         }
     }
 
-    /// Emit one applied op's outputs into the network (tail duty).
-    fn emit(&mut self, entry: &LogEntry, ctx: &mut Context<'_, NetLockMsg>) {
-        let delay =
-            self.cfg.traversal + SimDuration(self.cfg.pass_latency.as_nanos() * entry.extra_passes);
-        for act in &entry.outputs {
-            match *act {
-                DpAction::SendGrant(grant) => {
-                    self.stats.grants_sent += 1;
-                    // Convention: ClientAddr(n) is node n.
-                    ctx.send_after(NodeId(grant.client.0), NetLockMsg::Grant(grant), delay);
-                }
-                // A partitioned chain deploy has no lock servers: the
-                // whole partition is switch-resident. Anything the
-                // data plane wanted to forward is dropped, like any
-                // unknown-lock traffic; client retries cover it.
-                DpAction::ForwardAcquire { .. }
-                | DpAction::ForwardRelease { .. }
-                | DpAction::SendQueueSpace { .. }
-                | DpAction::Drop { .. } => {
-                    self.stats.drops += 1;
-                }
+    fn emit_delay(&self, extra_passes: u64) -> SimDuration {
+        self.cfg.traversal + SimDuration(self.cfg.pass_latency.as_nanos() * extra_passes)
+    }
+
+    /// Emit one output of an applied op into the network (tail duty).
+    fn emit(&mut self, act: DpAction, delay: SimDuration, ctx: &mut Context<'_, NetLockMsg>) {
+        match act {
+            DpAction::SendGrant(grant) => {
+                self.stats.grants_sent += 1;
+                // Convention: ClientAddr(n) is node n.
+                ctx.send_after(NodeId(grant.client.0), NetLockMsg::Grant(grant), delay);
+            }
+            // A partitioned chain deploy has no lock servers: the
+            // whole partition is switch-resident. Anything the
+            // data plane wanted to forward is dropped, like any
+            // unknown-lock traffic; client retries cover it.
+            DpAction::ForwardAcquire { .. }
+            | DpAction::ForwardRelease { .. }
+            | DpAction::SendQueueSpace { .. }
+            | DpAction::Drop { .. } => {
+                self.stats.drops += 1;
             }
         }
     }
@@ -467,11 +468,15 @@ impl ReplSwitch {
             // unacknowledged — exact duplicates are deduped by the
             // client (issue-stamp match), lost ones become visible for
             // the first time. This is the tail-ack guarantee.
-            let entries: Vec<LogEntry> = self.log.iter().cloned().collect();
-            for entry in &entries {
-                self.emit(entry, ctx);
+            let log = std::mem::take(&mut self.log);
+            for entry in &log {
+                let delay = self.emit_delay(entry.extra_passes);
+                for &act in &entry.outputs {
+                    self.emit(act, delay, ctx);
+                }
                 self.stats.reemitted += 1;
             }
+            self.log = log;
             self.send_acks(ctx);
         }
     }
@@ -489,7 +494,6 @@ impl ReplSwitch {
         self.acked = 0;
         self.pending.clear();
         self.log.clear();
-        self.granted_outstanding.clear();
         // One lease of grace (plus a tick of slack): pre-crash holders
         // may still be inside their leases.
         self.grace_until_ns =
@@ -519,7 +523,7 @@ impl ReplSwitch {
                     self.cfg.lease.as_nanos(),
                 );
                 for rel in expired {
-                    if !self.granted_outstanding.authorizes(rel.lock, rel.txn) {
+                    if !self.dp.guard_authorizes(rel.lock, rel.txn) {
                         continue;
                     }
                     self.stats.lease_expirations += 1;
@@ -968,10 +972,13 @@ mod tests {
                 assert_eq!(r.stats().grants_sent, expect, "member {i}");
             });
         }
-        // Tail acks propagated: upstream logs truncated.
-        sim.read_node::<ReplSwitch, _>(members[0], |r| {
-            assert!(r.log.is_empty(), "head log should be acked away");
-        });
+        // Tail acks propagated: upstream logs truncated. The tail is
+        // its own ack and never logged.
+        for &m in &members {
+            sim.read_node::<ReplSwitch, _>(m, |r| {
+                assert!(r.log.is_empty(), "log should be acked away");
+            });
+        }
     }
 
     #[test]

@@ -107,6 +107,83 @@ fn dataplane_steady_state_is_allocation_free() {
     );
 }
 
+/// The same claim one layer up, with the release guard on the path:
+/// `SwitchNode::on_packet` taking acquires and releases off the
+/// simulator (grant, guard credit, guard spend, dequeue, handoff grant)
+/// allocates nothing once each region's guard FIFO has grown to the
+/// lock's holders — the guard is a push and a pop on retained buffers.
+/// Counted inside `on_packet`: the event spine around it recycles its
+/// wheel buckets and is measured by `bench_sim`, not here.
+#[test]
+fn switch_node_steady_state_is_allocation_free() {
+    use netlock_sim::{Context, Node, Packet, SimDuration, Simulator};
+    use netlock_switch::{SwitchConfig, SwitchNode};
+
+    struct Discard;
+    impl Node<NetLockMsg> for Discard {
+        fn on_packet(&mut self, _pkt: Packet<NetLockMsg>, _ctx: &mut Context<'_, NetLockMsg>) {}
+        fn on_timer(&mut self, _token: u64, _ctx: &mut Context<'_, NetLockMsg>) {}
+    }
+    /// The switch, with the allocations of its packet handler counted.
+    struct Metered {
+        switch: SwitchNode,
+        allocs: u64,
+    }
+    impl Node<NetLockMsg> for Metered {
+        fn on_packet(&mut self, pkt: Packet<NetLockMsg>, ctx: &mut Context<'_, NetLockMsg>) {
+            let before = allocation_count();
+            self.switch.on_packet(pkt, ctx);
+            self.allocs += allocation_count() - before;
+        }
+        fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, NetLockMsg>) {
+            self.switch.on_timer(token, ctx);
+        }
+    }
+
+    let mut sim: Simulator<NetLockMsg> = Simulator::with_seed(9);
+    let switch = sim.add_node(Box::new(Metered {
+        switch: SwitchNode::new(contended_dp(), SwitchConfig::default(), vec![]),
+        allocs: 0,
+    }));
+    let client = sim.add_node(Box::new(Discard));
+    assert_eq!(client.0, 1, "requests name ClientAddr(1) as their client");
+    let mut txn = 0u64;
+    let mut round = |sim: &mut Simulator<NetLockMsg>| {
+        for lock in 0..16u32 {
+            // Holder, waiter behind it, handoff, then four shared
+            // holders released youngest first (the guard's slow path).
+            sim.inject(client, switch, acquire(lock, txn, LockMode::Exclusive));
+            sim.inject(client, switch, acquire(lock, txn + 1, LockMode::Exclusive));
+            sim.inject(client, switch, release(lock, txn, LockMode::Exclusive));
+            sim.inject(client, switch, release(lock, txn + 1, LockMode::Exclusive));
+            for k in 0..4 {
+                sim.inject(client, switch, acquire(lock, txn + 2 + k, LockMode::Shared));
+            }
+            for k in (0..4).rev() {
+                sim.inject(client, switch, release(lock, txn + 2 + k, LockMode::Shared));
+            }
+            txn += 6;
+        }
+        sim.run_for(SimDuration::from_micros(100));
+    };
+    for _ in 0..3 {
+        round(&mut sim);
+    }
+    let warm = sim.read_node::<Metered, _>(switch, |m| m.allocs);
+    assert!(warm > 0, "the meter saw the guard FIFOs grow");
+    for _ in 0..100 {
+        round(&mut sim);
+    }
+    let (allocs, stats) = sim.read_node::<Metered, _>(switch, |m| (m.allocs, m.switch.stats()));
+    assert_eq!(stats.grants_sent, 103 * 16 * 6, "every acquire was granted");
+    assert_eq!(stats.stale_releases_filtered, 0, "every release counted");
+    assert_eq!(
+        allocs - warm,
+        0,
+        "steady-state switch node allocated over 19200 packets"
+    );
+}
+
 /// Steady-state `LockTable::release` into the reusable out-buffer is
 /// allocation-free once holders/waiters reach steady capacity — and so
 /// is a cold lock's whole acquire→release cycle: its entry is created
@@ -182,9 +259,10 @@ fn lock_table_steady_state_is_allocation_free() {
 }
 
 /// The aggregate population path is allocation-*light*, not
-/// allocation-free: each quantum allocates the boxed request batch and
-/// the grant-coalescing buffers, amortized over the hundreds of
-/// requests the batch carries. Steady state must stay well under one
+/// allocation-free: each quantum allocates the boxed request, grant and
+/// release batches the messages own (the switch's coalescing buffers
+/// are node-owned scratch), amortized over the hundreds of requests
+/// the batch carries. Steady state must stay well under one
 /// allocation per request — the per-packet paths inside (data plane,
 /// release guard, action buffer) remain alloc-free as proven above.
 #[test]
@@ -233,8 +311,10 @@ fn population_steady_state_allocates_sublinearly_in_requests() {
         - issued_before;
     assert!(issued > 10_000, "scenario too small: {issued} requests");
     let per_request = allocs as f64 / issued as f64;
+    // Measured 0.068 (1 365 allocations over 20 000 requests; 0.098
+    // while the switch allocated its grant and group buffers per batch).
     assert!(
-        per_request < 0.25,
+        per_request < 0.08,
         "{allocs} allocations over {issued} requests = {per_request:.3}/request"
     );
 }

@@ -32,6 +32,15 @@ fn thirty_two_seeded_schedules_stay_clean() {
             r.workload.label(),
             r.seed
         );
+        // The release guard's working set is bounded by the queues it
+        // guards: no region ends with more outstanding grants than slots.
+        assert!(
+            r.guard_over_capacity.is_empty(),
+            "{}/{} guard outgrew its regions: {:?}",
+            r.workload.label(),
+            r.seed,
+            r.guard_over_capacity
+        );
     }
     // The suite as a whole must actually have exercised the fault
     // machinery, not dodged it.

@@ -21,7 +21,7 @@
 //! the NIC atomics bottleneck and poll traffic amplification under
 //! contention — both emerge from the [`crate::rdma`] model.
 
-use netlock_core::harness::RunStats;
+use netlock_core::harness::{measure_uniform, ClientReport, RunStats};
 use netlock_core::txn::{LockNeed, Transaction, TxnSource};
 use netlock_proto::LockMode;
 use netlock_sim::{
@@ -351,6 +351,25 @@ impl DslrClient {
     }
 }
 
+impl ClientReport for DslrClient {
+    fn reset(&mut self) {
+        self.reset_stats();
+    }
+
+    fn fold_into(&self, out: &mut RunStats) {
+        let s = &self.stats;
+        out.txns += s.txns;
+        out.grants += s.grants;
+        out.grants_server += s.grants;
+        out.lock_latency.merge(&s.wait_latency);
+        out.txn_latency.merge(&s.txn_latency);
+    }
+
+    fn completed(&self) -> u64 {
+        self.stats.txns
+    }
+}
+
 impl Node<RdmaMsg> for DslrClient {
     fn on_start(&mut self, ctx: &mut Context<'_, RdmaMsg>) {
         for _ in 0..self.cfg.workers {
@@ -440,26 +459,7 @@ where
 
 /// Warmup, reset, measure, and aggregate into the shared result type.
 pub fn measure_dslr(rack: &mut DslrRack, warmup: SimDuration, measure: SimDuration) -> RunStats {
-    rack.sim.run_for(warmup);
-    for &c in &rack.clients {
-        rack.sim.with_node::<DslrClient, _>(c, |c| c.reset_stats());
-    }
-    rack.sim.run_for(measure);
-    let mut out = RunStats {
-        measured: measure,
-        ..Default::default()
-    };
-    for &c in &rack.clients {
-        rack.sim.read_node::<DslrClient, _>(c, |c| {
-            let s = c.stats();
-            out.txns += s.txns;
-            out.grants += s.grants;
-            out.grants_server += s.grants;
-            out.lock_latency.merge(&s.wait_latency);
-            out.txn_latency.merge(&s.txn_latency);
-        });
-    }
-    out
+    measure_uniform::<_, DslrClient>(&mut rack.sim, &rack.clients, warmup, measure)
 }
 
 #[cfg(test)]

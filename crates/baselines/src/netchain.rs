@@ -13,7 +13,7 @@
 //! to the client, which retries after a backoff. There are no queues,
 //! no FCFS, no policies — that is the point of the comparison.
 
-use netlock_core::harness::RunStats;
+use netlock_core::harness::{measure_uniform, ClientReport, RunStats};
 use netlock_core::txn::{LockNeed, Transaction, TxnSource};
 use netlock_sim::{
     Context, Histogram, LinkConfig, Node, NodeId, Packet, SimDuration, SimRng, SimTime, Simulator,
@@ -322,6 +322,26 @@ impl NcClient {
     }
 }
 
+impl ClientReport for NcClient {
+    fn reset(&mut self) {
+        self.reset_stats();
+    }
+
+    fn fold_into(&self, out: &mut RunStats) {
+        let s = &self.stats;
+        out.txns += s.txns;
+        out.grants += s.grants;
+        out.grants_switch += s.grants;
+        out.retries += s.denials;
+        out.lock_latency.merge(&s.wait_latency);
+        out.txn_latency.merge(&s.txn_latency);
+    }
+
+    fn completed(&self) -> u64 {
+        self.stats.txns
+    }
+}
+
 impl Node<NcMsg> for NcClient {
     fn on_start(&mut self, ctx: &mut Context<'_, NcMsg>) {
         for _ in 0..self.cfg.workers {
@@ -474,27 +494,7 @@ where
 
 /// Warmup, reset, measure, and aggregate into the shared result type.
 pub fn measure_netchain(rack: &mut NcRack, warmup: SimDuration, measure: SimDuration) -> RunStats {
-    rack.sim.run_for(warmup);
-    for &c in &rack.clients {
-        rack.sim.with_node::<NcClient, _>(c, |c| c.reset_stats());
-    }
-    rack.sim.run_for(measure);
-    let mut out = RunStats {
-        measured: measure,
-        ..Default::default()
-    };
-    for &c in &rack.clients {
-        rack.sim.read_node::<NcClient, _>(c, |c| {
-            let s = c.stats();
-            out.txns += s.txns;
-            out.grants += s.grants;
-            out.grants_switch += s.grants;
-            out.retries += s.denials;
-            out.lock_latency.merge(&s.wait_latency);
-            out.txn_latency.merge(&s.txn_latency);
-        });
-    }
-    out
+    measure_uniform::<_, NcClient>(&mut rack.sim, &rack.clients, warmup, measure)
 }
 
 #[cfg(test)]

@@ -121,15 +121,7 @@ fn run_one_rtt(one_rtt: bool, scale: TimeScale) -> f64 {
         ..Default::default()
     });
     let locks: Vec<LockId> = (0..256).map(LockId).collect();
-    let stats: Vec<LockStats> = locks
-        .iter()
-        .map(|&lock| LockStats {
-            lock,
-            rate: 1.0,
-            contention: 64,
-            home_server: 0,
-        })
-        .collect();
+    let stats = LockStats::uniform(locks.iter().copied(), 64, 1);
     rack.program(&knapsack_allocate(&stats, 100_000));
     for _ in 0..4 {
         rack.add_micro_client(MicroClientConfig {

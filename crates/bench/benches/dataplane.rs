@@ -45,14 +45,7 @@ fn release(lock: u32, txn: u64, mode: LockMode) -> NetLockMsg {
 
 fn fcfs_dp(locks: u32) -> DataPlane {
     let mut dp = DataPlane::new_fcfs(&SharedQueueLayout::small(8, 16_384, locks as usize));
-    let stats: Vec<LockStats> = (0..locks)
-        .map(|l| LockStats {
-            lock: LockId(l),
-            rate: 1.0,
-            contention: 64,
-            home_server: 0,
-        })
-        .collect();
+    let stats = LockStats::uniform((0..locks).map(LockId), 64, 1);
     apply_allocation(&mut dp, &knapsack_allocate(&stats, 16_384 * 8));
     dp
 }

@@ -26,7 +26,7 @@ use std::time::Instant;
 use netlock_bench::dlock::seq_lock_table_ns_per_pair;
 use netlock_bench::report::Json;
 use netlock_bench::{
-    allocation_count, fig08, fig09, flash_crowd, CountingAlloc, Runner, TimeScale,
+    allocation_count, fig08, fig09, flash_crowd, BinArgs, CountingAlloc, Runner, TimeScale,
 };
 use netlock_proto::{
     ClientAddr, LockId, LockMode, LockRequest, NetLockMsg, Priority, ReleaseRequest, TenantId,
@@ -350,14 +350,7 @@ fn release(lock: u32, txn: u64, mode: LockMode) -> NetLockMsg {
 /// the latter must be exactly 0 — the tentpole claim of this harness.
 fn dataplane_point(rounds: usize) -> (f64, f64) {
     let mut dp = DataPlane::new_fcfs(&SharedQueueLayout::small(8, 16_384, 64));
-    let stats: Vec<LockStats> = (0..64)
-        .map(|l| LockStats {
-            lock: LockId(l),
-            rate: 1.0,
-            contention: 64,
-            home_server: 0,
-        })
-        .collect();
+    let stats = LockStats::uniform((0..64).map(LockId), 64, 1);
     apply_allocation(&mut dp, &knapsack_allocate(&stats, 16_384 * 8));
     let mut out = ActionBuf::new();
     // Warm up: touch every lock in every mode so interning, buffers and
@@ -441,15 +434,9 @@ fn timed_ms(f: impl FnOnce()) -> f64 {
 }
 
 fn main() {
-    let mut quick = false;
-    let mut path = "BENCH_sim.json".to_string();
-    for arg in std::env::args().skip(1) {
-        if arg == "--quick" {
-            quick = true;
-        } else {
-            path = arg;
-        }
-    }
+    let (args, rest) = BinArgs::parse_env("[OUT.json]");
+    let quick = args.quick;
+    let path = rest.last().map_or("BENCH_sim.json", |p| p.as_str());
     // Queue churn is cheap (a few ms per point) and shallow depths are
     // noise-prone, so --quick keeps the full round count there; the
     // savings come from the hot-path loops and skipped end-to-end runs.
@@ -632,6 +619,6 @@ fn main() {
     fields.push(("threads_available", Json::Int(threads_available)));
 
     let report = Json::obj(fields);
-    std::fs::write(&path, report.render()).expect("write report");
+    std::fs::write(path, report.render()).expect("write report");
     eprintln!("# wrote {path}");
 }

@@ -25,33 +25,16 @@ use netlock_bench::dlock::{
     PointSpec, HOT_LOCKS, HOT_THETA, UNIFORM_LOCKS,
 };
 use netlock_bench::report::Json;
+use netlock_bench::BinArgs;
 
 /// Total measured ops per point, split across the point's threads.
 const FULL_OPS: usize = 120_000;
 const QUICK_OPS: usize = 24_000;
 
 fn main() {
-    let mut quick = false;
-    let mut cap: Option<usize> = None;
-    let mut path = "BENCH_dlock.json".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--full" => quick = false,
-            "--threads" => {
-                let v = args.next().unwrap_or_default();
-                match v.parse::<usize>() {
-                    Ok(n) if n > 0 => cap = Some(n),
-                    _ => {
-                        eprintln!("error: --threads needs a positive integer, got {v:?}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            other => path = other.to_string(),
-        }
-    }
+    let (args, rest) = BinArgs::parse_env("[OUT.json]");
+    let (quick, cap) = (args.quick, args.threads);
+    let path = rest.last().map_or("BENCH_dlock.json", |p| p.as_str());
 
     let threads_available = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -173,6 +156,6 @@ fn main() {
             ]),
         ),
     ]);
-    std::fs::write(&path, report.render()).expect("write report");
+    std::fs::write(path, report.render()).expect("write report");
     eprintln!("# wrote {path}");
 }

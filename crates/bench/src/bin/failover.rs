@@ -6,35 +6,26 @@
 //! `--check-workers` replays the sweep with 1 and 2 in-simulation
 //! workers and byte-compares the audit digests — the CI smoke mode.
 use netlock_bench::failover::{check_workers, render, run_sweep, Scale};
-use netlock_bench::CountingAlloc;
+use netlock_bench::{BinArgs, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+const OWN: &str = "[--check-workers]";
+
 fn main() {
-    let mut scale = Scale::Full;
-    let mut check = false;
-    let mut sim_workers = 1usize;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--quick" => scale = Scale::Quick,
-            "--full" => scale = Scale::Full,
-            "--check-workers" => check = true,
-            other => {
-                if let Some(v) = other.strip_prefix("--sim-workers=") {
-                    match v.parse::<usize>() {
-                        Ok(n) if n > 0 => sim_workers = n,
-                        _ => die(&format!(
-                            "--sim-workers needs a positive integer, got {v:?}"
-                        )),
-                    }
-                } else {
-                    die(&format!("unknown flag {other:?}"));
-                }
-            }
-        }
+    let (args, rest) = BinArgs::parse_env(OWN);
+    if let Some(other) = rest.iter().find(|a| *a != "--check-workers") {
+        BinArgs::usage(OWN, &format!("unknown argument {other:?}"));
     }
-    let runs = if check {
+    let scale = if args.quick {
+        Scale::Quick
+    } else {
+        Scale::Full
+    };
+    let runs = if rest.is_empty() {
+        run_sweep(scale, args.sim_workers.unwrap_or(1))
+    } else {
         match check_workers(scale, 1, 2) {
             Ok(runs) => {
                 println!("# check-workers: digests byte-identical at 1 and 2 workers");
@@ -45,17 +36,9 @@ fn main() {
                 std::process::exit(1);
             }
         }
-    } else {
-        run_sweep(scale, sim_workers)
     };
     print!("{}", render(scale, &runs));
     if runs.iter().any(|r| r.violations != 0) {
         std::process::exit(1);
     }
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("failover: {msg}");
-    eprintln!("usage: failover [--quick|--full] [--check-workers] [--sim-workers=N]");
-    std::process::exit(2);
 }

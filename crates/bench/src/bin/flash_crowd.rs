@@ -1,6 +1,7 @@
 //! Emits the flash-crowd scenario TSV (see `netlock_bench::flash_crowd`):
 //! a diurnal flash crowd from up to a million virtual clients driven
-//! through aggregate population nodes.
+//! through aggregate population nodes — the same output as
+//! `figs flash_crowd`.
 //!
 //! `--full` (default) reproduces the committed `results/flash_crowd.tsv`
 //! (1M virtual clients, 8 racks); `--quick` runs the 100K-client smoke
@@ -10,47 +11,40 @@
 //! the aggregate build and the equivalent individual-client build.
 
 use netlock_bench::flash_crowd::{self, FlashCrowdSpec};
+use netlock_bench::BinArgs;
 use netlock_sim::SimDuration;
 
+const OWN: &str = "[--speedup [--rate R] [--nodes N]]";
+
 fn main() {
-    let mut quick = false;
-    let mut workers = 1usize;
+    let (args, rest) = BinArgs::parse_env(OWN);
     let mut speedup = false;
     let mut rate = 10.0f64;
     let mut nodes = 400usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    let mut rest = rest.into_iter();
+    while let Some(arg) = rest.next() {
         match arg.as_str() {
-            "--quick" => quick = true,
-            "--full" => quick = false,
             "--speedup" => speedup = true,
             "--rate" => {
-                rate = args
+                rate = rest
                     .next()
                     .and_then(|v| v.parse().ok())
                     .filter(|&r: &f64| r > 0.0)
-                    .unwrap_or_else(|| usage("--rate needs a positive number"));
+                    .unwrap_or_else(|| BinArgs::usage(OWN, "--rate needs a positive number"));
             }
             "--nodes" => {
-                nodes = args
+                nodes = rest
                     .next()
                     .and_then(|v| v.parse().ok())
                     .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage("--nodes needs a positive integer"));
+                    .unwrap_or_else(|| BinArgs::usage(OWN, "--nodes needs a positive integer"));
             }
-            "--sim-workers" => {
-                workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage("--sim-workers needs a positive integer"));
-            }
-            other => usage(&format!("unknown argument {other:?}")),
+            other => BinArgs::usage(OWN, &format!("unknown argument {other:?}")),
         }
     }
     if speedup {
         let vclients = 100_000u64;
-        let measure = SimDuration::from_millis(if quick { 100 } else { 400 });
+        let measure = SimDuration::from_millis(if args.quick { 100 } else { 400 });
         let (agg, ind, requests) = flash_crowd::speedup_point(vclients, rate, nodes, measure, 90);
         println!("# {vclients} virtual clients x {rate} rps, {measure} simulated, shared queue");
         println!("aggregate_s\tindividual_s\tspeedup\trequests");
@@ -60,19 +54,13 @@ fn main() {
         );
         return;
     }
-    let spec = if quick {
+    let spec = if args.quick {
         FlashCrowdSpec::quick()
     } else {
         FlashCrowdSpec::full()
     };
-    flash_crowd::run_and_print(&spec, workers);
-}
-
-fn usage(err: &str) -> ! {
-    eprintln!("error: {err}");
-    eprintln!(
-        "usage: flash_crowd [--quick | --full] [--sim-workers N] \
-         [--speedup [--rate R] [--nodes N]]"
+    print!(
+        "{}",
+        flash_crowd::render(&spec, args.sim_workers.unwrap_or(1))
     );
-    std::process::exit(2);
 }

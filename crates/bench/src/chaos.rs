@@ -125,13 +125,13 @@ fn chaos_plan_config(workload: ChaosWorkload) -> ChaosPlanConfig {
     }
 }
 
-/// The population chaos rack: the micro rack's switch/server shape, but
-/// all traffic from one aggregate node — two shared tenants plus one
-/// exclusive tenant hammering a hot lock, 20K virtual clients total.
-/// The window-reclaim timeout stands in for retries: batches the
-/// network eats must not pin the tenant windows past the oracle's
-/// wedge horizon.
-pub fn build_population_chaos_rack(seed: u64) -> (Rack, Allocation) {
+/// The switch/server shape the micro and population chaos racks share:
+/// 2 lock servers with compressed lease and sweep timescales, 8 locks
+/// homed round-robin, and half the demanded queue slots — so some locks
+/// stay server-resident and the run crosses the forwarding path too.
+/// Returns the programmed, client-less rack with its allocation and
+/// lock set.
+fn small_chaos_rack(seed: u64) -> (Rack, Allocation, Vec<LockId>) {
     let mut rack = Rack::build(RackConfig {
         seed,
         lock_servers: 2,
@@ -149,19 +149,19 @@ pub fn build_population_chaos_rack(seed: u64) -> (Rack, Allocation) {
         ..Default::default()
     });
     let locks: Vec<LockId> = (0..8).map(LockId).collect();
-    let stats: Vec<LockStats> = locks
-        .iter()
-        .map(|&lock| LockStats {
-            lock,
-            rate: 1.0,
-            contention: 16,
-            home_server: (lock.0 as usize) % 2,
-        })
-        .collect();
-    // Half the demanded slots, as in the micro rack: some locks stay
-    // server-resident so batches cross the forwarding path too.
-    let alloc = knapsack_allocate(&stats, 64);
+    let alloc = knapsack_allocate(&LockStats::uniform(locks.iter().copied(), 16, 2), 64);
     rack.program(&alloc);
+    (rack, alloc, locks)
+}
+
+/// The population chaos rack: the micro rack's switch/server shape, but
+/// all traffic from one aggregate node — two shared tenants plus one
+/// exclusive tenant hammering a hot lock, 20K virtual clients total.
+/// The window-reclaim timeout stands in for retries: batches the
+/// network eats must not pin the tenant windows past the oracle's
+/// wedge horizon.
+pub fn build_population_chaos_rack(seed: u64) -> (Rack, Allocation) {
+    let (mut rack, alloc, locks) = small_chaos_rack(seed);
     let tenant = |t: u16, mode, locks: Vec<LockId>| TenantSpec {
         tenant: TenantId(t),
         virtual_clients: if mode == LockMode::Exclusive {
@@ -205,36 +205,7 @@ fn oracle_config() -> OracleConfig {
 /// two shared — with a generous in-flight window since lost requests
 /// are never retried.
 pub fn build_micro_chaos_rack(seed: u64) -> (Rack, Allocation) {
-    let mut rack = Rack::build(RackConfig {
-        seed,
-        lock_servers: 2,
-        server: ServerConfig {
-            lease: CHAOS_LEASE,
-            sweep_tick: CHAOS_TICK,
-            ..Default::default()
-        },
-        switch: SwitchConfig {
-            lease: CHAOS_LEASE,
-            control_tick: CHAOS_TICK,
-            ..Default::default()
-        },
-        engine: EngineSpec::Fcfs(SharedQueueLayout::small(2, 256, 16)),
-        ..Default::default()
-    });
-    let locks: Vec<LockId> = (0..8).map(LockId).collect();
-    let stats: Vec<LockStats> = locks
-        .iter()
-        .map(|&lock| LockStats {
-            lock,
-            rate: 1.0,
-            contention: 16,
-            home_server: (lock.0 as usize) % 2,
-        })
-        .collect();
-    // Half the demanded slots: some locks stay server-resident so the
-    // chaos run exercises the forwarding path too.
-    let alloc = knapsack_allocate(&stats, 64);
-    rack.program(&alloc);
+    let (mut rack, alloc, locks) = small_chaos_rack(seed);
     for i in 0..4 {
         rack.add_micro_client(MicroClientConfig {
             rate_rps: 50_000.0,
@@ -339,8 +310,7 @@ pub fn run_chaos_seed_with(workload: ChaosWorkload, seed: u64, sabotage: Sabotag
             }
         }
     }
-    let roles = RackRoles::of(&rack);
-    let plan = generate_plan(seed, &roles, &chaos_plan_config(workload));
+    let plan = generate_plan(seed, &rack.roles(), &chaos_plan_config(workload));
     let plan_events = plan.len();
     rack.sim.install_plan(&plan);
     let oracle = attach_oracle(&mut rack, oracle_config());

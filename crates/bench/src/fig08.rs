@@ -51,14 +51,7 @@ fn build_rack(locks_total: u32, per_lock_slots: u32) -> Rack {
         lock_servers: 1,
         ..Default::default()
     });
-    let stats: Vec<LockStats> = (0..locks_total)
-        .map(|l| LockStats {
-            lock: LockId(l),
-            rate: 1.0,
-            contention: per_lock_slots,
-            home_server: 0,
-        })
-        .collect();
+    let stats = LockStats::uniform((0..locks_total).map(LockId), per_lock_slots, 1);
     rack.program(&knapsack_allocate(&stats, SWITCH_SLOTS));
     rack
 }
@@ -214,11 +207,6 @@ pub fn render(runner: &Runner, scale: TimeScale) -> String {
         );
     }
     out
-}
-
-/// Print all four panels as TSV.
-pub fn run_and_print(runner: &Runner, scale: TimeScale) {
-    print!("{}", render(runner, scale));
 }
 
 #[cfg(test)]

@@ -11,7 +11,8 @@ use std::fmt::Write;
 
 use netlock_baselines::server_only::build_server_only;
 use netlock_core::prelude::*;
-use netlock_proto::{LockId, LockMode};
+use netlock_proto::{LockId, LockMode, NetLockMsg};
+use netlock_sim::Simulator;
 
 use crate::common::{mrps, TimeScale};
 use crate::runner::{Job, Runner};
@@ -52,29 +53,54 @@ impl Workload {
     }
 }
 
-fn add_clients(rack: &mut Rack, workload: Workload, total_locks: u32) {
-    let per_client = total_locks / CLIENTS as u32;
-    for c in 0..CLIENTS {
-        let (locks, mode): (Vec<LockId>, LockMode) = match workload {
-            Workload::Shared => ((0..total_locks).map(LockId).collect(), LockMode::Shared),
-            Workload::ExclusiveNoContention => (
-                (c as u32 * per_client..(c as u32 + 1) * per_client)
-                    .map(LockId)
-                    .collect(),
-                LockMode::Exclusive,
-            ),
-            Workload::ExclusiveContention => (
-                (0..CONTENDED_LOCKS).map(LockId).collect(),
-                LockMode::Exclusive,
-            ),
-        };
-        rack.add_micro_client(MicroClientConfig {
-            rate_rps: 18e6,
-            locks,
-            mode,
-            ..Default::default()
-        });
+/// Locks in the shared and uncontended workloads.
+const TOTAL_LOCKS: u32 = 6_000;
+
+fn lock_count(workload: Workload) -> u32 {
+    match workload {
+        Workload::ExclusiveContention => CONTENDED_LOCKS,
+        _ => TOTAL_LOCKS,
     }
+}
+
+fn rack_config() -> RackConfig {
+    RackConfig {
+        seed: 9,
+        lock_servers: 1,
+        ..Default::default()
+    }
+}
+
+fn add_clients(sim: &mut Simulator<NetLockMsg>, rack: &mut RackNodes, workload: Workload) {
+    let per_client = TOTAL_LOCKS / CLIENTS as u32;
+    for c in 0..CLIENTS as u32 {
+        let (locks, mode) = match workload {
+            Workload::Shared => (0..TOTAL_LOCKS, LockMode::Shared),
+            Workload::ExclusiveNoContention => {
+                (c * per_client..(c + 1) * per_client, LockMode::Exclusive)
+            }
+            Workload::ExclusiveContention => (0..CONTENDED_LOCKS, LockMode::Exclusive),
+        };
+        rack.add_micro_client(
+            sim,
+            MicroClientConfig {
+                rate_rps: 18e6,
+                locks: locks.map(LockId).collect(),
+                mode,
+                ..Default::default()
+            },
+        );
+    }
+}
+
+/// Program one lock-switch rack (every lock switch-resident) and attach
+/// its ten clients: the standalone figure point and each rack of the
+/// cluster variant.
+fn populate_switch_rack(sim: &mut Simulator<NetLockMsg>, rack: &mut RackNodes, workload: Workload) {
+    let n = lock_count(workload);
+    let stats = LockStats::uniform((0..n).map(LockId), (100_000 / n).min(4_096), 1);
+    rack.program(sim, &knapsack_allocate(&stats, 100_000));
+    add_clients(sim, rack, workload);
 }
 
 /// Throughput (MRPS) of the lock switch for one workload.
@@ -87,39 +113,16 @@ pub fn run_switch(workload: Workload, scale: TimeScale) -> f64 {
 /// wall-clock of a figure point with its simulator event count
 /// (`RunStats::events_fired`) for an end-to-end events/sec rate.
 pub fn run_switch_stats(workload: Workload, scale: TimeScale) -> RunStats {
-    let total_locks = 6_000u32;
-    let mut rack = Rack::build(RackConfig {
-        seed: 9,
-        lock_servers: 1,
-        ..Default::default()
-    });
-    let lock_count = match workload {
-        Workload::ExclusiveContention => CONTENDED_LOCKS,
-        _ => total_locks,
-    };
-    let stats: Vec<LockStats> = (0..lock_count)
-        .map(|l| LockStats {
-            lock: LockId(l),
-            rate: 1.0,
-            contention: (100_000 / lock_count).min(4_096),
-            home_server: 0,
-        })
-        .collect();
-    rack.program(&knapsack_allocate(&stats, 100_000));
-    add_clients(&mut rack, workload, total_locks);
+    let mut rack = Rack::build(rack_config());
+    populate_switch_rack(&mut rack.sim, &mut rack.nodes, workload);
     warmup_and_measure(&mut rack, scale.warmup, scale.measure)
 }
 
 /// Throughput (MRPS) of a lock server with `cores` cores.
 pub fn run_server(workload: Workload, cores: usize, scale: TimeScale) -> f64 {
-    let total_locks = 6_000u32;
-    let lock_count = match workload {
-        Workload::ExclusiveContention => CONTENDED_LOCKS,
-        _ => total_locks,
-    };
-    let locks: Vec<LockId> = (0..lock_count).map(LockId).collect();
+    let locks: Vec<LockId> = (0..lock_count(workload)).map(LockId).collect();
     let mut rack = build_server_only(9, 1, cores, &locks);
-    add_clients(&mut rack, workload, total_locks);
+    add_clients(&mut rack.sim, &mut rack.nodes, workload);
     let stats = warmup_and_measure(&mut rack, scale.warmup, scale.measure);
     mrps(stats.lock_rps())
 }
@@ -136,56 +139,12 @@ pub fn run_cluster_stats(
     racks: usize,
     workers: usize,
 ) -> Vec<RunStats> {
-    let total_locks = 6_000u32;
-    let cfg = RackConfig {
-        seed: 9,
-        lock_servers: 1,
-        ..Default::default()
-    };
     // Inter-rack RTTs dwarf in-rack ones; 10 µs one-way is the
     // lookahead the partition synchronizes on.
     let cross = netlock_sim::LinkConfig::with_delay(SimDuration::from_micros(10));
-    let mut cluster = RackCluster::build(&cfg, racks, cross);
-    let lock_count = match workload {
-        Workload::ExclusiveContention => CONTENDED_LOCKS,
-        _ => total_locks,
-    };
-    let stats: Vec<LockStats> = (0..lock_count)
-        .map(|l| LockStats {
-            lock: LockId(l),
-            rate: 1.0,
-            contention: (100_000 / lock_count).min(4_096),
-            home_server: 0,
-        })
-        .collect();
-    let alloc = knapsack_allocate(&stats, 100_000);
-    let per_client = total_locks / CLIENTS as u32;
-    for r in 0..racks {
-        cluster.program(r, &alloc);
-        for c in 0..CLIENTS {
-            let (locks, mode): (Vec<LockId>, LockMode) = match workload {
-                Workload::Shared => ((0..total_locks).map(LockId).collect(), LockMode::Shared),
-                Workload::ExclusiveNoContention => (
-                    (c as u32 * per_client..(c as u32 + 1) * per_client)
-                        .map(LockId)
-                        .collect(),
-                    LockMode::Exclusive,
-                ),
-                Workload::ExclusiveContention => (
-                    (0..CONTENDED_LOCKS).map(LockId).collect(),
-                    LockMode::Exclusive,
-                ),
-            };
-            cluster.add_micro_client(
-                r,
-                MicroClientConfig {
-                    rate_rps: 18e6,
-                    locks,
-                    mode,
-                    ..Default::default()
-                },
-            );
-        }
+    let mut cluster = RackCluster::build(&rack_config(), racks, cross);
+    for rack in &mut cluster.racks {
+        populate_switch_rack(&mut cluster.sim, rack, workload);
     }
     cluster.partition(workers);
     cluster.warmup_and_measure(scale.warmup, scale.measure)
@@ -208,11 +167,6 @@ pub fn render_cluster(scale: TimeScale, racks: usize, workers: usize) -> String 
         }
     }
     out
-}
-
-/// Print the cluster variant as TSV.
-pub fn run_and_print_cluster(scale: TimeScale, racks: usize, workers: usize) {
-    print!("{}", render_cluster(scale, racks, workers));
 }
 
 /// The figure as TSV: 3 switch rows then 24 server rows, computed as
@@ -246,11 +200,6 @@ pub fn render(runner: &Runner, scale: TimeScale) -> String {
         }
     }
     out
-}
-
-/// Print the figure as TSV.
-pub fn run_and_print(runner: &Runner, scale: TimeScale) {
-    print!("{}", render(runner, scale));
 }
 
 #[cfg(test)]

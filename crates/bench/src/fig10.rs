@@ -153,11 +153,6 @@ pub fn render(runner: &Runner, clients: usize, lock_servers: usize, scale: TimeS
     out
 }
 
-/// Print one deployment (both contention settings) as TSV.
-pub fn run_and_print(runner: &Runner, clients: usize, lock_servers: usize, scale: TimeScale) {
-    print!("{}", render(runner, clients, lock_servers, scale));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -288,11 +288,6 @@ pub fn render(runner: &crate::runner::Runner, quick: bool) -> String {
     out
 }
 
-/// Print both panels as TSV.
-pub fn run_and_print(runner: &crate::runner::Runner, quick: bool) {
-    print!("{}", render(runner, quick));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -87,11 +87,6 @@ pub fn render(runner: &crate::runner::Runner, scale: TimeScale) -> String {
     out
 }
 
-/// Print panel (a) breakdown and panel (b) CDF as TSV.
-pub fn run_and_print(runner: &crate::runner::Runner, scale: TimeScale) {
-    print!("{}", render(runner, scale));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -126,11 +126,6 @@ pub fn render(runner: &Runner, scale: TimeScale) -> String {
     out
 }
 
-/// Print both panels as TSV.
-pub fn run_and_print(runner: &Runner, scale: TimeScale) {
-    print!("{}", render(runner, scale));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

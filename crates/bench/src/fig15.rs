@@ -139,11 +139,6 @@ pub fn render(quick: bool) -> String {
     out
 }
 
-/// Print the throughput time series as TSV.
-pub fn run_and_print(quick: bool) {
-    print!("{}", render(quick));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

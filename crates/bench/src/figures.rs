@@ -1,0 +1,112 @@
+//! The figure table: every committed `results/<name>.tsv` and the one
+//! function that renders it.
+//!
+//! The `figs` binary prints these (`figs fig09 --quick`, `figs all`) and
+//! checks them (`figs all --check`): at the default flags a figure's
+//! render is its committed file, byte for byte.
+
+use crate::common::{BinArgs, Fig, TimeScale};
+use crate::failover::Scale;
+use crate::flash_crowd::FlashCrowdSpec;
+use crate::runner::Runner;
+use crate::tenant_churn::TenantChurnSpec;
+use crate::{failover, fig08, fig09, fig10, fig12, fig13, fig14, fig15, flash_crowd, tenant_churn};
+
+/// Renders one result file from the shared flags.
+pub type RenderFn = fn(&BinArgs, &Runner) -> String;
+
+fn scaled(scale: TimeScale, unit: &str, body: String) -> String {
+    format!(
+        "# scaling: {} warmup, {} measure{unit} (simulated time)\n{body}",
+        scale.warmup, scale.measure
+    )
+}
+
+/// `(name, render)` for every result file, in `figs all` order.
+pub const FIGURES: [(&str, RenderFn); 11] = [
+    ("fig08", |args, runner| {
+        let scale = args.scale(Fig::F08);
+        scaled(scale, " per point", fig08::render(runner, scale))
+    }),
+    // With `--sim-workers N`: the cluster variant, two fig09 lock-switch
+    // racks in one partitioned simulator advanced by `N` threads.
+    ("fig09", |args, runner| {
+        let scale = args.scale(Fig::F09);
+        let body = match args.sim_workers {
+            Some(workers) => fig09::render_cluster(scale, 2, workers),
+            None => fig09::render(runner, scale),
+        };
+        scaled(scale, " per point", body)
+    }),
+    ("fig10", |args, runner| {
+        let scale = args.scale(Fig::F10);
+        scaled(scale, "", fig10::render(runner, 10, 2, scale))
+    }),
+    ("fig11", |args, runner| {
+        let scale = args.scale(Fig::F11);
+        scaled(scale, "", fig10::render(runner, 6, 6, scale))
+    }),
+    ("fig12", |args, runner| {
+        let scaling = if args.quick {
+            "# scaling: 0.4 s simulated series, 20 ms sampling; think time 500 us\n"
+        } else {
+            "# scaling: 2 s simulated series, 100 ms sampling; think time 500 us\n"
+        };
+        scaling.to_string() + &fig12::render(runner, args.quick)
+    }),
+    ("fig13", |args, runner| {
+        let scale = args.scale(Fig::F13);
+        scaled(scale, "", fig13::render(runner, scale))
+    }),
+    ("fig14", |args, runner| {
+        let scale = args.scale(Fig::F14);
+        scaled(scale, " per point", fig14::render(runner, scale))
+    }),
+    ("fig15", |args, _| {
+        let scaling = if args.quick {
+            "# scaling: 1.5 s simulated timeline (paper: 20 s), 50 ms sampling\n"
+        } else {
+            "# scaling: 6 s simulated timeline (paper: 20 s), 200 ms sampling\n"
+        };
+        scaling.to_string() + &fig15::render(args.quick)
+    }),
+    ("flash_crowd", |args, _| {
+        let spec = if args.quick {
+            FlashCrowdSpec::quick()
+        } else {
+            FlashCrowdSpec::full()
+        };
+        flash_crowd::render(&spec, args.sim_workers.unwrap_or(1))
+    }),
+    ("tenant_churn", |args, _| {
+        let spec = if args.quick {
+            TenantChurnSpec::quick()
+        } else {
+            TenantChurnSpec::full()
+        };
+        tenant_churn::render(&spec)
+    }),
+    ("failover", |args, _| {
+        let scale = if args.quick {
+            Scale::Quick
+        } else {
+            Scale::Full
+        };
+        let runs = failover::run_sweep(scale, args.sim_workers.unwrap_or(1));
+        failover::render(scale, &runs)
+    }),
+];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_figure_has_a_committed_result_file() {
+        let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        for (name, _) in FIGURES {
+            let path = results.join(format!("{name}.tsv"));
+            assert!(path.is_file(), "{} is missing", path.display());
+        }
+    }
+}

@@ -20,8 +20,8 @@ use std::fmt::Write;
 use std::time::Instant;
 
 use netlock_core::prelude::*;
-use netlock_proto::{LockId, LockMode, TenantId};
-use netlock_sim::LinkConfig;
+use netlock_proto::{LockId, LockMode, NetLockMsg, TenantId};
+use netlock_sim::{LinkConfig, Simulator};
 
 /// Locks per rack; the flash crowd piles onto the last one.
 pub const LOCKS_PER_RACK: u32 = 64;
@@ -121,16 +121,11 @@ impl FlashCrowdSpec {
     }
 }
 
-fn rack_alloc() -> Allocation {
-    let stats: Vec<LockStats> = (0..LOCKS_PER_RACK)
-        .map(|l| LockStats {
-            lock: LockId(l),
-            rate: 1.0,
-            contention: 500,
-            home_server: 0,
-        })
-        .collect();
-    knapsack_allocate(&stats, 32_000)
+/// Program `rack` for the 64-lock scenario, every lock switch-resident
+/// in a region `contention` slots deep.
+fn program_rack(sim: &mut Simulator<NetLockMsg>, rack: &RackNodes, contention: u32) {
+    let stats = LockStats::uniform((0..LOCKS_PER_RACK).map(LockId), contention, 1);
+    rack.program(sim, &knapsack_allocate(&stats, 32_000));
 }
 
 fn rack_config(seed: u64) -> RackConfig {
@@ -149,9 +144,9 @@ fn rack_config(seed: u64) -> RackConfig {
 pub fn build_cluster(spec: &FlashCrowdSpec) -> RackCluster {
     let cross = LinkConfig::with_delay(SimDuration::from_micros(10));
     let mut cluster = RackCluster::build(&rack_config(spec.seed), spec.racks, cross);
-    let alloc = rack_alloc();
     for r in 0..spec.racks {
-        cluster.program(r, &alloc);
+        // Regions deep enough for the flash crowd's worst case.
+        program_rack(&mut cluster.sim, &cluster.racks[r], 500);
         cluster.add_population_client(
             r,
             PopulationConfig {
@@ -263,36 +258,16 @@ pub fn render(spec: &FlashCrowdSpec, workers: usize) -> String {
     out
 }
 
-/// Print the scenario as TSV.
-pub fn run_and_print(spec: &FlashCrowdSpec, workers: usize) {
-    print!("{}", render(spec, workers));
-}
+/// Region depth of both `speedup_point` builds, sized the way the
+/// paper's allocator would for this workload: shared-mode queues stay a
+/// handful of entries deep (rate × hold ≪ region), so it reflects the
+/// measured depth, not the flash-crowd worst case.
+const SPEEDUP_CONTENTION: u32 = 64;
 
-/// The shared-queue scenario both `speedup_point` builds run: the
-/// allocator-sized region layout, the 64-lock target set, and the
-/// per-request hold (the paper's clients hold each lock for the
-/// transaction span; both builds get the same hold so the comparison
-/// stays apples-to-apples).
-fn speedup_scenario() -> (Allocation, Vec<LockId>, SimDuration) {
-    let locks: Vec<LockId> = (0..LOCKS_PER_RACK).map(LockId).collect();
-    // Size regions the way the paper's allocator would for this
-    // workload: shared-mode queues stay a handful of entries deep
-    // (rate × hold ≪ region), so `contention` reflects the measured
-    // depth, not the flash-crowd worst case.
-    let stats: Vec<LockStats> = (0..LOCKS_PER_RACK)
-        .map(|l| LockStats {
-            lock: LockId(l),
-            rate: 1.0,
-            contention: 64,
-            home_server: 0,
-        })
-        .collect();
-    (
-        knapsack_allocate(&stats, 32_000),
-        locks,
-        SimDuration::from_micros(10),
-    )
-}
+/// Per-request hold of both `speedup_point` builds (the paper's clients
+/// hold each lock for the transaction span; both builds get the same
+/// hold so the comparison stays apples-to-apples).
+const SPEEDUP_HOLD: SimDuration = SimDuration::from_micros(10);
 
 /// Wall-clock of the aggregate build alone: `virtual_clients` on one
 /// population node, `measure` of simulated time after an untimed
@@ -305,19 +280,18 @@ pub fn aggregate_point(
     measure: SimDuration,
     seed: u64,
 ) -> (f64, u64) {
-    let (alloc, locks, hold) = speedup_scenario();
     let mut agg = Rack::build(rack_config(seed));
-    agg.program(&alloc);
+    program_rack(&mut agg.sim, &agg.nodes, SPEEDUP_CONTENTION);
     let pop = agg.add_population_client(PopulationConfig {
         tenants: vec![TenantSpec {
             virtual_clients,
             rate_rps_per_client,
-            locks,
+            locks: (0..LOCKS_PER_RACK).map(LockId).collect(),
             mode: LockMode::Shared,
             max_outstanding: 1 << 20,
             ..Default::default()
         }],
-        hold,
+        hold: SPEEDUP_HOLD,
         ..Default::default()
     });
     // Untimed warmup: first-touch page faults and allocator growth
@@ -355,19 +329,18 @@ pub fn speedup_point(
     seed: u64,
 ) -> (f64, f64, u64) {
     let total_rate = virtual_clients as f64 * rate_rps_per_client;
-    let (alloc, locks, hold) = speedup_scenario();
     let (agg_secs, agg_requests) =
         aggregate_point(virtual_clients, rate_rps_per_client, measure, seed);
 
     let mut ind = Rack::build(rack_config(seed));
-    ind.program(&alloc);
+    program_rack(&mut ind.sim, &ind.nodes, SPEEDUP_CONTENTION);
     for _ in 0..nodes {
         ind.add_micro_client(MicroClientConfig {
             rate_rps: total_rate / nodes as f64,
-            locks: locks.clone(),
+            locks: (0..LOCKS_PER_RACK).map(LockId).collect(),
             mode: LockMode::Shared,
             max_outstanding: 1 << 20,
-            hold,
+            hold: SPEEDUP_HOLD,
             ..Default::default()
         });
     }

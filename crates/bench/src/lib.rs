@@ -3,9 +3,10 @@
 //! Experiment harnesses that regenerate every figure of the paper's
 //! evaluation (§6). Each `figXX` module provides typed `run_*`
 //! functions (used by the Criterion benches and integration tests) and
-//! a `run_and_print` that emits the figure's rows as TSV (used by the
-//! `figXX` binaries). See DESIGN.md for the per-experiment index and
-//! EXPERIMENTS.md for paper-vs-measured results.
+//! a `render` that returns the figure's rows as TSV; [`figures::FIGURES`]
+//! lists them for the one `figs` binary, which prints them or checks
+//! them against `results/`. See DESIGN.md for the per-experiment index
+//! and EXPERIMENTS.md for paper-vs-measured results.
 
 #![warn(missing_docs)]
 
@@ -21,6 +22,7 @@ pub mod fig12;
 pub mod fig13;
 pub mod fig14;
 pub mod fig15;
+pub mod figures;
 pub mod flash_crowd;
 pub mod report;
 pub mod runner;

@@ -115,14 +115,7 @@ pub fn build_rack(spec: &TenantChurnSpec) -> (Rack, netlock_sim::NodeId) {
         )),
         ..Default::default()
     });
-    let stats: Vec<LockStats> = (0..LOCKS)
-        .map(|l| LockStats {
-            lock: LockId(l),
-            rate: 1.0,
-            contention: 500,
-            home_server: 0,
-        })
-        .collect();
+    let stats = LockStats::uniform((0..LOCKS).map(LockId), 500, 1);
     rack.program(&knapsack_allocate(&stats, 32_000));
     let pop = rack.add_population_client(PopulationConfig {
         poisson: true,
@@ -213,11 +206,6 @@ pub fn render(spec: &TenantChurnSpec) -> String {
         );
     }
     out
-}
-
-/// Print the scenario as TSV.
-pub fn run_and_print(spec: &TenantChurnSpec) {
-    print!("{}", render(spec));
 }
 
 #[cfg(test)]

@@ -24,16 +24,17 @@
 
 use std::sync::{Arc, Mutex};
 
+use netlock_proto::NetLockMsg;
 use netlock_server::ServerNode;
 use netlock_sim::{
     FaultAction, FaultPlan, GeParams, LinkConfig, LinkFaults, NodeId, RunOutcome, SimDuration,
-    SimRng, SimTime,
+    SimRng, SimTime, Simulator,
 };
 use netlock_switch::control::{apply_allocation, Allocation};
 use netlock_switch::SwitchNode;
 
-use crate::oracle::{Oracle, OracleConfig};
-use crate::rack::{ClientKind, Rack};
+use crate::oracle::{oracle_tap, Oracle, OracleConfig};
+use crate::rack::{ClientKind, Rack, RackNodes};
 
 /// `Custom` token: the switch was revived; wipe and reprogram it.
 pub const CUSTOM_SWITCH_REBOOT: u64 = 1;
@@ -100,20 +101,21 @@ pub struct RackRoles {
     pub aggregates: Vec<NodeId>,
 }
 
-impl RackRoles {
-    /// Roles of an assembled rack, split by client kind.
-    pub fn of(rack: &Rack) -> RackRoles {
+impl RackNodes {
+    /// This rack's fault-targeting roles, split by client kind
+    /// (aggregate population nodes get link faults but never crash).
+    pub fn roles(&self) -> RackRoles {
         let mut clients = Vec::new();
         let mut aggregates = Vec::new();
-        for &(id, kind) in &rack.clients {
+        for &(id, kind) in &self.clients {
             match kind {
                 ClientKind::Population => aggregates.push(id),
                 ClientKind::Micro | ClientKind::Txn => clients.push(id),
             }
         }
         RackRoles {
-            switch: rack.switch,
-            servers: rack.lock_servers.clone(),
+            switch: self.switch,
+            servers: self.lock_servers.clone(),
             clients,
             aggregates,
         }
@@ -319,14 +321,8 @@ pub fn generate_plan(seed: u64, roles: &RackRoles, cfg: &ChaosPlanConfig) -> Fau
 /// Attach a fresh oracle to the rack's packet tap. Every client already
 /// added to the rack is registered; add clients *before* calling this.
 pub fn attach_oracle(rack: &mut Rack, cfg: OracleConfig) -> Arc<Mutex<Oracle>> {
-    let mut oracle = Oracle::new(cfg);
-    for &(id, _) in &rack.clients {
-        oracle.register_client(id);
-    }
-    let oracle = Arc::new(Mutex::new(oracle));
-    let tap = Arc::clone(&oracle);
-    rack.sim
-        .set_tap(Box::new(move |ev| tap.lock().unwrap().observe(&ev)));
+    let (oracle, tap) = oracle_tap(cfg, rack.client_ids());
+    rack.sim.set_tap(tap);
     oracle
 }
 
@@ -334,66 +330,76 @@ pub fn attach_oracle(rack: &mut Rack, cfg: OracleConfig) -> Arc<Mutex<Oracle>> {
 /// run. [`standard_recovery`] covers the tokens [`generate_plan`] emits.
 pub type CustomFaultHandler<'a> = dyn FnMut(&mut Rack, SimTime, u64) + 'a;
 
-/// Apply the standard recovery for [`generate_plan`]'s custom tokens:
-///
-/// - [`CUSTOM_SWITCH_REBOOT`]: wipe the (already revived) switch and
-///   reprogram directory + allocation, exactly like Fig. 15's §6.5
-///   timeline. Clients re-drive their in-flight state via retries.
-/// - [`CUSTOM_SERVER_RESTART_BASE`]` + i`: restart server `i` with total
-///   state loss, re-declare its owned locks, re-arm its lease sweeper
-///   and hold a grace window of one lease so stranded pre-crash holders
-///   expire before the server hands out fresh conflicting grants.
-pub fn standard_recovery(rack: &mut Rack, at: SimTime, token: u64, alloc: &Allocation) {
-    if token == CUSTOM_SWITCH_REBOOT {
-        let n_servers = rack.lock_servers.len();
-        let switch = rack.switch;
-        let tick = rack.sim.with_node::<SwitchNode, _>(switch, |s| {
-            s.reboot();
-            s.dataplane_mut().set_default_servers(n_servers);
-            apply_allocation(s.dataplane_mut(), alloc);
-            s.config().control_tick
-        });
-        // The control tick re-arms itself, so the chain died with the
-        // node; without a restart the lease sweeper never runs again
-        // and any holder whose grant the network ate wedges its queue
-        // forever.
-        if !tick.is_zero() {
-            rack.sim
-                .inject_timer(switch, tick, SwitchNode::CONTROL_TIMER_TOKEN);
-        }
-    } else if token >= CUSTOM_SERVER_RESTART_BASE {
-        let idx = (token - CUSTOM_SERVER_RESTART_BASE) as usize;
-        let server = rack.lock_servers[idx];
-        let owned: Vec<_> = alloc
-            .in_server
-            .iter()
-            .filter(|&&(_, home)| home == idx)
-            .map(|&(lock, _)| lock)
-            .collect();
-        let (grace, sweep) = rack
-            .sim
-            .read_node::<ServerNode, _>(server, |s| (s.config().lease, s.config().sweep_tick));
-        rack.sim.with_node::<ServerNode, _>(server, |s| {
-            s.restart();
-            for lock in owned {
-                s.own_lock(lock);
+impl RackNodes {
+    /// Apply the standard recovery for [`generate_plan`]'s custom tokens:
+    ///
+    /// - [`CUSTOM_SWITCH_REBOOT`]: wipe the (already revived) switch and
+    ///   reprogram directory + allocation, exactly like Fig. 15's §6.5
+    ///   timeline. Clients re-drive their in-flight state via retries.
+    /// - [`CUSTOM_SERVER_RESTART_BASE`]` + i`: restart server `i` with total
+    ///   state loss, re-declare its owned locks, re-arm its lease sweeper
+    ///   and hold a grace window of one lease so stranded pre-crash holders
+    ///   expire before the server hands out fresh conflicting grants.
+    pub fn standard_recovery(
+        &self,
+        sim: &mut Simulator<NetLockMsg>,
+        at: SimTime,
+        token: u64,
+        alloc: &Allocation,
+    ) {
+        if token == CUSTOM_SWITCH_REBOOT {
+            let n_servers = self.lock_servers.len();
+            let tick = sim.with_node::<SwitchNode, _>(self.switch, |s| {
+                s.reboot();
+                s.dataplane_mut().set_default_servers(n_servers);
+                apply_allocation(s.dataplane_mut(), alloc);
+                s.config().control_tick
+            });
+            // The control tick re-arms itself, so the chain died with the
+            // node; without a restart the lease sweeper never runs again
+            // and any holder whose grant the network ate wedges its queue
+            // forever.
+            if !tick.is_zero() {
+                sim.inject_timer(self.switch, tick, SwitchNode::CONTROL_TIMER_TOKEN);
             }
-            s.set_grace_until(at.as_nanos() + grace.as_nanos());
-        });
-        // The restart wiped the server's q2 buffers, so any of its
-        // switch-resident locks caught mid-overflow would wait forever
-        // for pushes that can no longer come: reset their overflow
-        // bookkeeping (part of the same runbook step as re-declaring
-        // lock ownership above).
-        let switch = rack.switch;
-        rack.sim.with_node::<SwitchNode, _>(switch, |s| {
-            s.dataplane_mut().cp_reset_overflow_for_server(idx);
-        });
-        if !sweep.is_zero() {
-            rack.sim
-                .inject_timer(server, sweep, ServerNode::SWEEP_TIMER_TOKEN);
+        } else if token >= CUSTOM_SERVER_RESTART_BASE {
+            let idx = (token - CUSTOM_SERVER_RESTART_BASE) as usize;
+            let server = self.lock_servers[idx];
+            let owned: Vec<_> = alloc
+                .in_server
+                .iter()
+                .filter(|&&(_, home)| home == idx)
+                .map(|&(lock, _)| lock)
+                .collect();
+            let (grace, sweep) = sim
+                .read_node::<ServerNode, _>(server, |s| (s.config().lease, s.config().sweep_tick));
+            sim.with_node::<ServerNode, _>(server, |s| {
+                s.restart();
+                for lock in owned {
+                    s.own_lock(lock);
+                }
+                s.set_grace_until(at.as_nanos() + grace.as_nanos());
+            });
+            // The restart wiped the server's q2 buffers, so any of its
+            // switch-resident locks caught mid-overflow would wait forever
+            // for pushes that can no longer come: reset their overflow
+            // bookkeeping (part of the same runbook step as re-declaring
+            // lock ownership above).
+            sim.with_node::<SwitchNode, _>(self.switch, |s| {
+                s.dataplane_mut().cp_reset_overflow_for_server(idx);
+            });
+            if !sweep.is_zero() {
+                sim.inject_timer(server, sweep, ServerNode::SWEEP_TIMER_TOKEN);
+            }
         }
     }
+}
+
+/// [`RackNodes::standard_recovery`] on a standalone rack (the form
+/// [`run_chaos`]'s handler receives).
+pub fn standard_recovery(rack: &mut Rack, at: SimTime, token: u64, alloc: &Allocation) {
+    rack.nodes
+        .standard_recovery(&mut rack.sim, at, token, alloc);
 }
 
 /// Drive the rack to `until`, pausing at every `Custom` fault to apply

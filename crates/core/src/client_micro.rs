@@ -14,6 +14,8 @@ use netlock_proto::{
 };
 use netlock_sim::{Context, Histogram, LatencySummary, Node, NodeId, Packet, SimDuration};
 
+use crate::harness::{ClientReport, RunStats};
+
 const TIMER_GENERATE: u64 = 0;
 /// Release timers carry `RELEASE_BASE + key`.
 const RELEASE_BASE: u64 = 1 << 32;
@@ -220,6 +222,23 @@ impl MicroClient {
     }
 }
 
+impl ClientReport for MicroClient {
+    fn reset(&mut self) {
+        self.reset_stats();
+    }
+
+    fn fold_into(&self, out: &mut RunStats) {
+        out.issued += self.stats.issued;
+        out.grants += self.stats.grants;
+        out.grants_switch += self.stats.grants; // switch-only path
+        out.lock_latency.merge(&self.stats.latency);
+    }
+
+    fn completed(&self) -> u64 {
+        self.stats.grants
+    }
+}
+
 impl Node<NetLockMsg> for MicroClient {
     fn on_start(&mut self, ctx: &mut Context<'_, NetLockMsg>) {
         // Stagger the first generation tick to avoid fleet lockstep.
@@ -277,15 +296,7 @@ mod tests {
             7,
         );
         let mut dp = DataPlane::new_fcfs(&SharedQueueLayout::small(2, 1024, 16));
-        let stats: Vec<LockStats> = locks
-            .iter()
-            .map(|&l| LockStats {
-                lock: l,
-                rate: 1.0,
-                contention: 600,
-                home_server: 0,
-            })
-            .collect();
+        let stats = LockStats::uniform(locks.iter().copied(), 600, 1);
         apply_allocation(&mut dp, &knapsack_allocate(&stats, 2048));
         let switch = sim.add_node(Box::new(SwitchNode::new(
             dp,

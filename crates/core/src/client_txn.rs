@@ -39,6 +39,7 @@ use netlock_sim::{
 };
 use netlock_switch::partition::PartitionMap;
 
+use crate::harness::{ClientReport, RunStats};
 use crate::txn::{LockNeed, Transaction, TxnSource};
 
 /// Transaction client configuration.
@@ -444,6 +445,29 @@ impl TxnClient {
 /// 2^17, so this cannot collide).
 const START_TOKEN: u64 = u64::MAX;
 
+impl ClientReport for TxnClient {
+    fn reset(&mut self) {
+        self.reset_stats();
+    }
+
+    fn fold_into(&self, out: &mut RunStats) {
+        let s = &self.stats;
+        out.grants += s.grants;
+        out.grants_switch += s.grants_switch;
+        out.grants_server += s.grants_server;
+        out.txns += s.txns;
+        out.retries += s.retries;
+        out.surplus_released += s.stale_grants;
+        out.dup_grants_ignored += s.dup_grants_ignored;
+        out.lock_latency.merge(&s.wait_latency);
+        out.txn_latency.merge(&s.txn_latency);
+    }
+
+    fn completed(&self) -> u64 {
+        self.stats.txns
+    }
+}
+
 impl Node<NetLockMsg> for TxnClient {
     fn on_start(&mut self, ctx: &mut Context<'_, NetLockMsg>) {
         let me = ctx.self_id();
@@ -549,15 +573,7 @@ mod tests {
             11,
         );
         let mut dp = DataPlane::new_fcfs(&SharedQueueLayout::small(4, 256, 64));
-        let stats: Vec<LockStats> = locks
-            .iter()
-            .map(|&l| LockStats {
-                lock: l,
-                rate: 1.0,
-                contention: 16,
-                home_server: 0,
-            })
-            .collect();
+        let stats = LockStats::uniform(locks.iter().copied(), 16, 1);
         apply_allocation(&mut dp, &knapsack_allocate(&stats, 1024));
         let switch = sim.add_node(Box::new(SwitchNode::new(
             dp,
@@ -643,14 +659,7 @@ mod tests {
                 5,
             );
             let mut dp = DataPlane::new_fcfs(&SharedQueueLayout::small(4, 256, 64));
-            let stats: Vec<LockStats> = (0..8)
-                .map(|l| LockStats {
-                    lock: LockId(l),
-                    rate: 1.0,
-                    contention: 16,
-                    home_server: 0,
-                })
-                .collect();
+            let stats = LockStats::uniform((0..8).map(LockId), 16, 1);
             apply_allocation(&mut dp, &knapsack_allocate(&stats, 1024));
             let switch = sim.add_node(Box::new(SwitchNode::new(
                 dp,

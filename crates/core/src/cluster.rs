@@ -2,21 +2,19 @@
 //!
 //! A [`RackCluster`] places `N` complete NetLock racks — each with its
 //! own lock switch, lock servers, database servers and clients — inside
-//! one [`Simulator`], recording which rack every node belongs to. That
-//! rack assignment becomes the logical-process map handed to
-//! [`Simulator::partition`], so the cluster can be advanced by parallel
-//! worker threads under the conservative-window protocol while staying
-//! byte-identical to the serial run (see `netlock-sim`'s `par` module
-//! and DESIGN.md §15).
+//! one [`Simulator`]. Each rack is a [`RackNodes`] handle: the same
+//! builder and per-rack operations a standalone [`crate::rack::Rack`]
+//! uses, at the simulator's next node ids (clients may be added later,
+//! interleaved across racks). Which handle owns a node is the
+//! logical-process map handed to [`Simulator::partition`], so the
+//! cluster can be advanced by parallel worker threads under the
+//! conservative-window protocol while staying byte-identical to the
+//! serial run (see `netlock-sim`'s `par` module and DESIGN.md §15).
 //!
-//! Each rack replicates [`crate::rack::Rack::build`]'s node layout at an
-//! id offset: lock servers first, then the switch, then database
-//! servers; clients are appended later (possibly interleaved across
-//! racks — the per-node rack map keeps track). Racks are self-contained
-//! — the paper's workloads never send lock traffic across ToR switches,
-//! so cross-rack links exist only as the topology entries that define
-//! the partition lookahead (their delay bounds how far apart two racks'
-//! clocks may drift inside one window).
+//! Racks are self-contained — the paper's workloads never send lock
+//! traffic across ToR switches, so cross-rack links exist only as the
+//! topology entries that define the partition lookahead (their delay
+//! bounds how far apart two racks' clocks may drift inside one window).
 //!
 //! Per-rack invariant-checking works under any worker count: a
 //! partitioned simulator refuses a global tap but accepts one tap per
@@ -26,52 +24,31 @@
 
 use std::sync::{Arc, Mutex};
 
-use netlock_proto::LockId;
-use netlock_server::ServerNode;
-use netlock_sim::{
-    FaultPlan, LinkConfig, NodeId, SimDuration, SimRng, SimTime, Simulator, Topology,
-};
-use netlock_switch::control::{apply_allocation, Allocation};
-use netlock_switch::{DataPlane, SwitchNode};
+use netlock_proto::{LockId, NetLockMsg};
+use netlock_sim::{FaultPlan, LinkConfig, NodeId, SimDuration, SimTime, Simulator, Topology};
+use netlock_switch::control::Allocation;
 
-use crate::chaos::{ChaosPlanConfig, RackRoles};
-use crate::client_micro::{MicroClient, MicroClientConfig};
-use crate::client_txn::{TxnClient, TxnClientConfig};
-use crate::db_server::{DbServer, DbServerConfig};
-use crate::harness::RunStats;
-use crate::oracle::{Oracle, OracleConfig};
-use crate::population::{PopulationClient, PopulationConfig};
-use crate::rack::{ClientKind, EngineSpec, RackConfig};
+use crate::chaos::ChaosPlanConfig;
+use crate::client_micro::MicroClientConfig;
+use crate::client_txn::TxnClientConfig;
+use crate::harness::{run_window, RunStats};
+use crate::oracle::{oracle_tap, Oracle, OracleConfig};
+use crate::population::PopulationConfig;
+use crate::rack::{RackConfig, RackNodes};
 use crate::txn::TxnSource;
-use netlock_proto::NetLockMsg;
-
-/// One rack's node ids inside a [`RackCluster`].
-pub struct ClusterRack {
-    /// The rack's ToR lock switch.
-    pub switch: NodeId,
-    /// Lock servers, by directory server index.
-    pub lock_servers: Vec<NodeId>,
-    /// Database servers (one-RTT mode).
-    pub db_servers: Vec<NodeId>,
-    /// Clients with their kinds, in creation order.
-    pub clients: Vec<(NodeId, ClientKind)>,
-    /// Per-rack client-seed stream (mirrors `Rack`'s).
-    rng: SimRng,
-}
 
 /// `N` NetLock racks in one simulator, partitionable one rack per
 /// logical process.
 pub struct RackCluster {
     /// The shared simulator; all racks' nodes live here.
     pub sim: Simulator<NetLockMsg>,
-    /// Per-rack node handles, by rack index.
-    pub racks: Vec<ClusterRack>,
-    /// `node id -> rack index`, maintained on every node add.
-    rack_of: Vec<u32>,
+    /// Per-rack node handles, by rack index. Clients may be added
+    /// through a handle directly (`racks[r].add_*_client(&mut sim, ..)`)
+    /// or through the shells below.
+    pub racks: Vec<RackNodes>,
     /// Link installed between every cross-rack node pair at partition
     /// time; its delay is the partition lookahead.
     cross_link: LinkConfig,
-    partitioned: bool,
 }
 
 impl RackCluster {
@@ -89,59 +66,14 @@ impl RackCluster {
             !cross_link.delay.is_zero(),
             "cross-rack link delay must be positive: it is the partition lookahead"
         );
-        let mut sim: Simulator<NetLockMsg> = Simulator::new(Topology::new(cfg.link), cfg.seed);
-        let mut rack_of = Vec::new();
-        let mut racks = Vec::with_capacity(n_racks);
-        for r in 0..n_racks {
-            let base = rack_of.len() as u32;
-            let predicted_switch = NodeId(base + cfg.lock_servers as u32);
-            let mut lock_servers = Vec::with_capacity(cfg.lock_servers);
-            for _ in 0..cfg.lock_servers {
-                let id = sim.add_node(Box::new(ServerNode::new(
-                    cfg.server.clone(),
-                    predicted_switch,
-                )));
-                rack_of.push(r as u32);
-                lock_servers.push(id);
-            }
-            let dp = match &cfg.engine {
-                EngineSpec::Fcfs(layout) => DataPlane::new_fcfs(layout),
-                EngineSpec::Priority(layout) => DataPlane::new_priority(layout),
-            };
-            let mut db_ids = Vec::with_capacity(cfg.db_servers);
-            for i in 0..cfg.db_servers {
-                db_ids.push(NodeId(predicted_switch.0 + 1 + i as u32));
-            }
-            let switch_node = SwitchNode::new(dp, cfg.switch.clone(), lock_servers.clone())
-                .with_db_servers(db_ids);
-            let switch = sim.add_node(Box::new(switch_node));
-            rack_of.push(r as u32);
-            assert_eq!(switch, predicted_switch, "node ordering invariant broken");
-            let mut db_servers = Vec::with_capacity(cfg.db_servers);
-            for _ in 0..cfg.db_servers {
-                let id = sim.add_node(Box::new(DbServer::new(DbServerConfig::default())));
-                rack_of.push(r as u32);
-                db_servers.push(id);
-            }
-            // Rack 0 reproduces `Rack::build`'s client-seed stream
-            // exactly; later racks mix in the rack index.
-            let rack_seed = cfg.seed ^ (r as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let mut rng = SimRng::new(rack_seed ^ 0xC11E_57A7);
-            let _ = rng.next_u64();
-            racks.push(ClusterRack {
-                switch,
-                lock_servers,
-                db_servers,
-                clients: Vec::new(),
-                rng,
-            });
-        }
+        let mut sim = Simulator::new(Topology::new(cfg.link), cfg.seed);
+        let racks = (0..n_racks)
+            .map(|r| RackNodes::build(&mut sim, cfg, r))
+            .collect();
         RackCluster {
             sim,
             racks,
-            rack_of,
             cross_link,
-            partitioned: false,
         }
     }
 
@@ -151,36 +83,29 @@ impl RackCluster {
     }
 
     /// `node id -> rack index` map (the logical-process assignment).
-    pub fn rack_assignment(&self) -> &[u32] {
-        &self.rack_of
+    pub fn rack_assignment(&self) -> Vec<u32> {
+        let mut rack_of = vec![0; self.sim.node_count()];
+        for (r, rack) in self.racks.iter().enumerate() {
+            for id in rack.node_ids() {
+                rack_of[id.index()] = r as u32;
+            }
+        }
+        rack_of
     }
 
     /// True once [`Self::partition`] ran with more than one rack.
     pub fn is_partitioned(&self) -> bool {
-        self.partitioned
+        self.sim.partitions() > 1
     }
 
     /// Add an open-loop microbenchmark client to `rack`.
     pub fn add_micro_client(&mut self, rack: usize, cfg: MicroClientConfig) -> NodeId {
-        assert!(!self.partitioned, "add clients before partition()");
-        let switch = self.racks[rack].switch;
-        let id = self.sim.add_node(Box::new(MicroClient::new(cfg, switch)));
-        self.rack_of.push(rack as u32);
-        self.racks[rack].clients.push((id, ClientKind::Micro));
-        id
+        self.racks[rack].add_micro_client(&mut self.sim, cfg)
     }
 
-    /// Add an aggregate client-population node to `rack` (see
-    /// [`crate::population`]): many virtual clients, batched traffic.
+    /// Add an aggregate client-population node to `rack`.
     pub fn add_population_client(&mut self, rack: usize, cfg: PopulationConfig) -> NodeId {
-        assert!(!self.partitioned, "add clients before partition()");
-        let switch = self.racks[rack].switch;
-        let id = self
-            .sim
-            .add_node(Box::new(PopulationClient::new(cfg, switch)));
-        self.rack_of.push(rack as u32);
-        self.racks[rack].clients.push((id, ClientKind::Population));
-        id
+        self.racks[rack].add_population_client(&mut self.sim, cfg)
     }
 
     /// Add a closed-loop transaction client to `rack`.
@@ -190,62 +115,17 @@ impl RackCluster {
         cfg: TxnClientConfig,
         source: Box<dyn TxnSource>,
     ) -> NodeId {
-        assert!(!self.partitioned, "add clients before partition()");
-        let switch = self.racks[rack].switch;
-        let seed = self.racks[rack].rng.next_u64();
-        let id = self
-            .sim
-            .add_node(Box::new(TxnClient::new(cfg, switch, source, seed)));
-        self.rack_of.push(rack as u32);
-        self.racks[rack].clients.push((id, ClientKind::Txn));
-        id
+        self.racks[rack].add_txn_client(&mut self.sim, cfg, source)
     }
 
-    /// Program `rack`'s FCFS allocation (see [`crate::rack::Rack::program`]).
+    /// Program `rack`'s FCFS allocation (see [`RackNodes::program`]).
     pub fn program(&mut self, rack: usize, alloc: &Allocation) {
-        let switch = self.racks[rack].switch;
-        let n_servers = self.racks[rack].lock_servers.len();
-        self.sim.with_node::<SwitchNode, _>(switch, |s| {
-            s.dataplane_mut().set_default_servers(n_servers);
-            apply_allocation(s.dataplane_mut(), alloc);
-        });
-        for &(lock, home) in &alloc.in_server {
-            let server = self.racks[rack].lock_servers[home];
-            self.sim
-                .with_node::<ServerNode, _>(server, |s| s.own_lock(lock));
-        }
+        self.racks[rack].program(&mut self.sim, alloc);
     }
 
     /// Program `rack`'s priority directory: lock → sequential qid.
     pub fn program_priority(&mut self, rack: usize, locks: &[LockId]) {
-        let switch = self.racks[rack].switch;
-        self.sim.with_node::<SwitchNode, _>(switch, |s| {
-            for (qid, &lock) in locks.iter().enumerate() {
-                s.dataplane_mut()
-                    .directory_mut()
-                    .set_switch_resident(lock, qid, 0);
-            }
-        });
-    }
-
-    /// Fault-targeting roles of one rack, split by client kind
-    /// (aggregate population nodes get link faults but never crash).
-    pub fn roles(&self, rack: usize) -> RackRoles {
-        let r = &self.racks[rack];
-        let mut clients = Vec::new();
-        let mut aggregates = Vec::new();
-        for &(id, kind) in &r.clients {
-            match kind {
-                ClientKind::Population => aggregates.push(id),
-                ClientKind::Micro | ClientKind::Txn => clients.push(id),
-            }
-        }
-        RackRoles {
-            switch: r.switch,
-            servers: r.lock_servers.clone(),
-            clients,
-            aggregates,
-        }
+        self.racks[rack].program_priority(&mut self.sim, locks);
     }
 
     /// Partition the cluster one rack per logical process and allow up
@@ -256,11 +136,10 @@ impl RackCluster {
     /// racks are programmed; a single-rack cluster stays unpartitioned
     /// (the fused serial spine is faster than a one-LP window loop).
     pub fn partition(&mut self, workers: usize) {
-        assert!(!self.partitioned, "partition called twice");
-        let n = self.rack_of.len();
-        for a in 0..n {
-            for b in 0..n {
-                if self.rack_of[a] != self.rack_of[b] {
+        let rack_of = self.rack_assignment();
+        for (a, ra) in rack_of.iter().enumerate() {
+            for (b, rb) in rack_of.iter().enumerate() {
+                if ra != rb {
                     self.sim.topology_mut().set_link(
                         NodeId(a as u32),
                         NodeId(b as u32),
@@ -269,8 +148,7 @@ impl RackCluster {
                 }
             }
         }
-        self.sim.partition(self.rack_of.clone(), workers);
-        self.partitioned = self.racks.len() > 1;
+        self.sim.partition(rack_of, workers);
     }
 
     /// Install one fault plan per rack (index-aligned with `racks`).
@@ -286,69 +164,16 @@ impl RackCluster {
 
     /// Zero every client's counters across all racks.
     pub fn reset_clients(&mut self) {
-        for r in 0..self.racks.len() {
-            for &(id, kind) in &self.racks[r].clients.clone() {
-                match kind {
-                    ClientKind::Micro => self
-                        .sim
-                        .with_node::<MicroClient, _>(id, |c| c.reset_stats()),
-                    ClientKind::Txn => self.sim.with_node::<TxnClient, _>(id, |c| c.reset_stats()),
-                    ClientKind::Population => self
-                        .sim
-                        .with_node::<PopulationClient, _>(id, |c| c.reset_stats()),
-                }
-            }
+        for rack in &self.racks {
+            rack.reset_clients(&mut self.sim);
         }
     }
 
-    /// Aggregate one rack's client counters since the last reset.
-    ///
-    /// Client-side counters (grants, txns, latencies) are strictly
-    /// per-rack. The `net_*` and `events_fired` fields come from the
-    /// shared simulator and therefore cover the whole cluster — they are
-    /// repeated identically in every rack's stats.
+    /// Aggregate one rack's client counters since the last reset (see
+    /// [`RackNodes::collect`]: the `net_*` and `events_fired` fields
+    /// cover the whole cluster and repeat in every rack's stats).
     pub fn collect_rack(&self, rack: usize, measured: SimDuration) -> RunStats {
-        let mut out = RunStats {
-            measured,
-            ..Default::default()
-        };
-        for &(id, kind) in &self.racks[rack].clients {
-            match kind {
-                ClientKind::Micro => self.sim.read_node::<MicroClient, _>(id, |c| {
-                    let s = c.stats();
-                    out.issued += s.issued;
-                    out.grants += s.grants;
-                    out.grants_switch += s.grants; // switch-only path
-                    out.lock_latency.merge(&s.latency);
-                }),
-                ClientKind::Txn => self.sim.read_node::<TxnClient, _>(id, |c| {
-                    let s = c.stats();
-                    out.grants += s.grants;
-                    out.grants_switch += s.grants_switch;
-                    out.grants_server += s.grants_server;
-                    out.txns += s.txns;
-                    out.retries += s.retries;
-                    out.surplus_released += s.stale_grants;
-                    out.dup_grants_ignored += s.dup_grants_ignored;
-                    out.lock_latency.merge(&s.wait_latency);
-                    out.txn_latency.merge(&s.txn_latency);
-                }),
-                ClientKind::Population => self.sim.read_node::<PopulationClient, _>(id, |c| {
-                    let s = c.stats();
-                    out.issued += s.issued;
-                    out.grants += s.grants;
-                    out.grants_switch += s.grants; // switch-only path
-                    out.retries += s.reclaimed;
-                    out.lock_latency.merge(&s.latency);
-                }),
-            }
-        }
-        let net = self.sim.stats();
-        out.net_lost = net.packets_lost;
-        out.net_duplicated = net.packets_duplicated;
-        out.net_reordered = net.packets_reordered;
-        out.events_fired = net.events_fired;
-        out
+        self.racks[rack].collect(&self.sim, measured)
     }
 
     /// Run `warmup`, zero all counters, run `measure`, and collect one
@@ -358,11 +183,10 @@ impl RackCluster {
         warmup: SimDuration,
         measure: SimDuration,
     ) -> Vec<RunStats> {
-        self.sim.run_for(warmup);
-        self.reset_clients();
-        self.sim.run_for(measure);
-        (0..self.racks.len())
-            .map(|r| self.collect_rack(r, measure))
+        let clients = self.racks.iter().flat_map(RackNodes::client_ops);
+        run_window(&mut self.sim, clients, warmup, measure);
+        (self.racks.iter())
+            .map(|rack| rack.collect(&self.sim, measure))
             .collect()
     }
 }
@@ -384,29 +208,22 @@ pub fn cluster_plan_config() -> ChaosPlanConfig {
 
 /// Attach one fresh [`Oracle`] per rack via per-LP taps. Call after
 /// [`RackCluster::partition`] (LP taps need the logical processes to
-/// exist; an unpartitioned single-rack cluster falls back to the global
-/// tap). Each oracle observes exactly its rack's packet deliveries and
-/// timers, in an order independent of the worker count, so audit
-/// digests are reproducible under any parallelism.
+/// exist; an unpartitioned single-rack cluster is one LP). Each oracle
+/// observes exactly its rack's packet deliveries and timers, in an
+/// order independent of the worker count, so audit digests are
+/// reproducible under any parallelism.
 pub fn attach_rack_oracles(
     cluster: &mut RackCluster,
     cfg: &OracleConfig,
 ) -> Vec<Arc<Mutex<Oracle>>> {
     assert!(
-        cluster.partitioned || cluster.racks.len() == 1,
+        cluster.is_partitioned() || cluster.racks.len() == 1,
         "attach oracles after partition(): LP taps need the partitions to exist"
     );
     let mut handles = Vec::with_capacity(cluster.racks.len());
-    for r in 0..cluster.racks.len() {
-        let mut oracle = Oracle::new(*cfg);
-        for &(id, _) in &cluster.racks[r].clients {
-            oracle.register_client(id);
-        }
-        let oracle = Arc::new(Mutex::new(oracle));
-        let tap = Arc::clone(&oracle);
-        cluster
-            .sim
-            .set_lp_tap(r, Box::new(move |ev| tap.lock().unwrap().observe(&ev)));
+    for (r, rack) in cluster.racks.iter().enumerate() {
+        let (oracle, tap) = oracle_tap(*cfg, rack.client_ids());
+        cluster.sim.set_lp_tap(r, tap);
         handles.push(oracle);
     }
     handles
@@ -431,6 +248,7 @@ pub fn run_cluster_chaos(
 mod tests {
     use super::*;
     use crate::chaos::generate_plan;
+    use crate::rack::EngineSpec;
     use netlock_proto::LockMode;
     use netlock_switch::control::{knapsack_allocate, LockStats};
     use netlock_switch::shared_queue::SharedQueueLayout;
@@ -454,15 +272,7 @@ mod tests {
 
     fn programmed_cluster(seed: u64, n_racks: usize, clients: usize) -> RackCluster {
         let mut cluster = RackCluster::build(&small_cfg(seed), n_racks, cross_link());
-        let stats: Vec<LockStats> = locks()
-            .iter()
-            .map(|&lock| LockStats {
-                lock,
-                rate: 1.0,
-                contention: 8,
-                home_server: 0,
-            })
-            .collect();
+        let stats = LockStats::uniform(locks().iter().copied(), 8, 1);
         let alloc = knapsack_allocate(&stats, 64);
         for r in 0..n_racks {
             cluster.program(r, &alloc);
@@ -563,7 +373,13 @@ mod tests {
         for workers in [1, 2, 8] {
             let mut cluster = programmed_cluster(11, 2, 3);
             let plans: Vec<FaultPlan> = (0..2)
-                .map(|r| generate_plan(40 + r as u64, &cluster.roles(r), &cluster_plan_config()))
+                .map(|r| {
+                    generate_plan(
+                        40 + r as u64,
+                        &cluster.racks[r].roles(),
+                        &cluster_plan_config(),
+                    )
+                })
                 .collect();
             cluster.partition(workers);
             cluster.install_plans(&plans);

@@ -40,8 +40,9 @@ use netlock_switch::partition::{partition_locks, PartitionMap};
 use netlock_switch::shared_queue::SharedQueueLayout;
 use netlock_switch::{ChainController, ControllerConfig, DataPlane, ReplConfig, ReplSwitch};
 
-use crate::client_txn::{TxnClient, TxnClientConfig, TxnClientStats};
-use crate::oracle::{Oracle, OracleConfig};
+use crate::client_txn::{TxnClient, TxnClientConfig};
+use crate::harness::{fold_all, ClientOps, RunStats};
+use crate::oracle::{oracle_tap, Oracle, OracleConfig};
 use crate::txn::SingleLockSource;
 
 /// Shape and timescales of a failover cluster. Defaults are the chaos
@@ -111,7 +112,6 @@ pub struct FailoverCluster {
     pub chains: Vec<Vec<NodeId>>,
     cfg: FailoverConfig,
     lp_of: Vec<u32>,
-    partitioned: bool,
 }
 
 impl FailoverCluster {
@@ -208,7 +208,6 @@ impl FailoverCluster {
             chains,
             cfg: cfg.clone(),
             lp_of,
-            partitioned: false,
         }
     }
 
@@ -221,9 +220,7 @@ impl FailoverCluster {
     /// Split one LP per partition chain (plus LP 0) and allow `workers`
     /// threads. The uniform link delay is the lookahead.
     pub fn partition(&mut self, workers: usize) {
-        assert!(!self.partitioned, "partition called twice");
         self.sim.partition(self.lp_of.clone(), workers);
-        self.partitioned = self.sim.partitions() > 1;
     }
 
     /// Disable chain-replication replay on every member (sabotage: the
@@ -238,38 +235,20 @@ impl FailoverCluster {
         }
     }
 
-    /// Sum of all clients' counters.
-    pub fn client_totals(&self) -> TxnClientStats {
-        let mut out = TxnClientStats::default();
-        for &c in &self.clients {
-            self.sim.read_node::<TxnClient, _>(c, |cl| {
-                let s = cl.stats();
-                out.txns += s.txns;
-                out.grants += s.grants;
-                out.grants_switch += s.grants_switch;
-                out.grants_server += s.grants_server;
-                out.retries += s.retries;
-                out.stale_grants += s.stale_grants;
-                out.dup_grants_ignored += s.dup_grants_ignored;
-                out.txn_latency.merge(&s.txn_latency);
-                out.wait_latency.merge(&s.wait_latency);
-            });
-        }
-        out
+    /// All clients' counters since the start of the run, in the shared
+    /// result type.
+    pub fn client_totals(&self, elapsed: SimDuration) -> RunStats {
+        let clients = self
+            .clients
+            .iter()
+            .map(|&c| (c, ClientOps::of::<TxnClient>()));
+        fold_all(&self.sim, clients, elapsed)
     }
 }
 
 /// The allocation one partition's chain members are programmed with.
 pub fn partition_allocation(cfg: &FailoverConfig, p: u16) -> Allocation {
-    let stats: Vec<LockStats> = partition_locks(cfg.locks, p, cfg.partitions)
-        .into_iter()
-        .map(|lock| LockStats {
-            lock,
-            rate: 1.0,
-            contention: 16,
-            home_server: 0,
-        })
-        .collect();
+    let stats = LockStats::uniform(partition_locks(cfg.locks, p, cfg.partitions), 16, 1);
     knapsack_allocate(&stats, cfg.queue_capacity)
 }
 
@@ -333,6 +312,7 @@ pub fn crash_plan(cluster: &FailoverCluster, scenario: &CrashScenario) -> FaultP
 
 /// Grant deliveries per time bucket — the availability timeline the
 /// failover figure plots.
+#[derive(Clone)]
 pub struct GrantTimeline {
     bucket_ns: u64,
     buckets: Vec<u64>,
@@ -373,8 +353,8 @@ impl GrantTimeline {
 }
 
 /// Attach the oracle and the grant timeline to LP 0's tap (the clients'
-/// LP). Call after [`FailoverCluster::partition`]; an unpartitioned
-/// cluster gets the global tap instead. Client-side events are enough
+/// LP; the whole simulation when unpartitioned). Call after
+/// [`FailoverCluster::partition`]. Client-side events are enough
 /// for every oracle invariant: acquires and releases are observed as
 /// they leave the clients, grants as they arrive.
 pub fn attach_failover_probe(
@@ -382,30 +362,22 @@ pub fn attach_failover_probe(
     cfg: &OracleConfig,
     bucket: SimDuration,
 ) -> (Arc<Mutex<Oracle>>, Arc<Mutex<GrantTimeline>>) {
-    let mut oracle = Oracle::new(*cfg);
-    for &c in &cluster.clients {
-        oracle.register_client(c);
-    }
+    let (oracle, mut observe) = oracle_tap(*cfg, cluster.clients.iter().copied());
     let clients: std::collections::HashSet<NodeId> = cluster.clients.iter().copied().collect();
-    let oracle = Arc::new(Mutex::new(oracle));
     let timeline = Arc::new(Mutex::new(GrantTimeline {
         bucket_ns: bucket.as_nanos().max(1),
         buckets: Vec::new(),
     }));
-    let (o, t) = (Arc::clone(&oracle), Arc::clone(&timeline));
+    let t = Arc::clone(&timeline);
     let tap = Box::new(move |ev: TapEvent<'_, NetLockMsg>| {
         if let TapEvent::Delivered { at, pkt } = &ev {
             if clients.contains(&pkt.dst) && matches!(pkt.payload, NetLockMsg::Grant(_)) {
                 t.lock().unwrap().record(at.as_nanos());
             }
         }
-        o.lock().unwrap().observe(&ev);
+        observe(ev);
     });
-    if cluster.partitioned {
-        cluster.sim.set_lp_tap(0, tap);
-    } else {
-        cluster.sim.set_tap(tap);
-    }
+    cluster.sim.set_lp_tap(0, tap);
     (oracle, timeline)
 }
 
@@ -422,7 +394,7 @@ pub struct FailoverRun {
     /// Violations (empty = oracle-clean failover).
     pub violations: usize,
     /// Client counter totals.
-    pub totals: TxnClientStats,
+    pub totals: RunStats,
     /// Grant availability timeline.
     pub timeline: GrantTimeline,
     /// The scenario's crash window, for availability queries.
@@ -471,17 +443,9 @@ pub fn run_failover(
     );
     cluster.sim.run_until(SimTime(total.as_nanos()));
     oracle.lock().unwrap().finish(total.as_nanos());
-    let totals = cluster.client_totals();
+    let totals = cluster.client_totals(total);
     let o = oracle.lock().unwrap();
-    let timeline = Arc::try_unwrap(timeline)
-        .map(|m| m.into_inner().unwrap())
-        .unwrap_or_else(|arc| {
-            let t = arc.lock().unwrap();
-            GrantTimeline {
-                bucket_ns: t.bucket_ns,
-                buckets: t.buckets.clone(),
-            }
-        });
+    let timeline = timeline.lock().unwrap().clone();
     FailoverRun {
         replication: cfg.replication,
         workers,
@@ -508,7 +472,7 @@ mod tests {
         cluster
             .sim
             .run_until(SimTime(SimDuration::from_millis(8).as_nanos()));
-        let totals = cluster.client_totals();
+        let totals = cluster.client_totals(SimDuration::from_millis(8));
         assert!(totals.txns > 500, "healthy throughput: {}", totals.txns);
         // Both partitions' chains applied traffic.
         for chain in &cluster.chains {

@@ -6,16 +6,17 @@
 //! and aggregate. All durations are simulated time; wall-clock cost is
 //! proportional to event count, not to the simulated rates.
 
-use netlock_sim::{Histogram, LatencySummary, SimDuration, TimeSeries};
+use netlock_proto::NetLockMsg;
+use netlock_sim::{Histogram, LatencySummary, NodeId, SimDuration, Simulator, TimeSeries};
 use netlock_switch::SwitchNode;
 
 use crate::client_micro::MicroClient;
 use crate::client_txn::TxnClient;
 use crate::population::PopulationClient;
-use crate::rack::{ClientKind, Rack};
+use crate::rack::{ClientKind, Rack, RackNodes};
 
 /// Aggregated results of one measurement window.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunStats {
     /// Measurement window length.
     pub measured: SimDuration,
@@ -85,59 +86,71 @@ impl RunStats {
     }
 }
 
-/// Zero every client's counters (start of a measurement window).
-pub fn reset_clients(rack: &mut Rack) {
-    for &(id, kind) in &rack.clients.clone() {
-        match kind {
-            ClientKind::Micro => rack
-                .sim
-                .with_node::<MicroClient, _>(id, |c| c.reset_stats()),
-            ClientKind::Txn => rack.sim.with_node::<TxnClient, _>(id, |c| c.reset_stats()),
-            ClientKind::Population => rack
-                .sim
-                .with_node::<PopulationClient, _>(id, |c| c.reset_stats()),
+/// A client node the measurement loop can zero and read. Implemented by
+/// every client of every system the figures compare, so one routine
+/// measures them all.
+pub trait ClientReport: 'static {
+    /// Zero the counters (start of a measurement window).
+    fn reset(&mut self);
+    /// Add the counters accumulated since the last reset into `out`.
+    fn fold_into(&self, out: &mut RunStats);
+    /// Work units finished since the last reset: transactions for
+    /// closed-loop clients, grants for open-loop ones (the per-client
+    /// series of the policy and failure figures).
+    fn completed(&self) -> u64;
+}
+
+/// The [`ClientReport`] entry points of one concrete client type inside
+/// a `Simulator<M>`, so a list of clients can mix types.
+pub struct ClientOps<M> {
+    reset: fn(&mut Simulator<M>, NodeId),
+    fold: fn(&Simulator<M>, NodeId, &mut RunStats),
+    completed: fn(&Simulator<M>, NodeId) -> u64,
+}
+
+impl<M: Clone + Send + 'static> ClientOps<M> {
+    /// The entry points for nodes of type `C`.
+    pub fn of<C: ClientReport>() -> ClientOps<M> {
+        ClientOps {
+            reset: |sim, id| sim.with_node::<C, _>(id, C::reset),
+            fold: |sim, id, out| sim.read_node::<C, _>(id, |c| c.fold_into(out)),
+            completed: |sim, id| sim.read_node::<C, _>(id, C::completed),
         }
     }
 }
 
-/// Aggregate client counters accumulated since the last reset.
-pub fn collect(rack: &Rack, measured: SimDuration) -> RunStats {
+impl ClientKind {
+    /// The one place a kind turns back into a concrete node type.
+    pub(crate) fn ops(self) -> ClientOps<NetLockMsg> {
+        match self {
+            ClientKind::Micro => ClientOps::of::<MicroClient>(),
+            ClientKind::Txn => ClientOps::of::<TxnClient>(),
+            ClientKind::Population => ClientOps::of::<PopulationClient>(),
+        }
+    }
+}
+
+fn reset_all<M>(sim: &mut Simulator<M>, clients: impl IntoIterator<Item = (NodeId, ClientOps<M>)>) {
+    for (id, ops) in clients {
+        (ops.reset)(sim, id);
+    }
+}
+
+/// Fold the counters `clients` accumulated since the last reset, plus
+/// the simulator's whole-run network counters, into one [`RunStats`].
+pub fn fold_all<M: Clone + Send + 'static>(
+    sim: &Simulator<M>,
+    clients: impl IntoIterator<Item = (NodeId, ClientOps<M>)>,
+    measured: SimDuration,
+) -> RunStats {
     let mut out = RunStats {
         measured,
         ..Default::default()
     };
-    for &(id, kind) in &rack.clients {
-        match kind {
-            ClientKind::Micro => rack.sim.read_node::<MicroClient, _>(id, |c| {
-                let s = c.stats();
-                out.issued += s.issued;
-                out.grants += s.grants;
-                out.grants_switch += s.grants; // switch-only path
-                out.lock_latency.merge(&s.latency);
-            }),
-            ClientKind::Txn => rack.sim.read_node::<TxnClient, _>(id, |c| {
-                let s = c.stats();
-                out.grants += s.grants;
-                out.grants_switch += s.grants_switch;
-                out.grants_server += s.grants_server;
-                out.txns += s.txns;
-                out.retries += s.retries;
-                out.surplus_released += s.stale_grants;
-                out.dup_grants_ignored += s.dup_grants_ignored;
-                out.lock_latency.merge(&s.wait_latency);
-                out.txn_latency.merge(&s.txn_latency);
-            }),
-            ClientKind::Population => rack.sim.read_node::<PopulationClient, _>(id, |c| {
-                let s = c.stats();
-                out.issued += s.issued;
-                out.grants += s.grants;
-                out.grants_switch += s.grants; // switch-only path
-                out.retries += s.reclaimed;
-                out.lock_latency.merge(&s.latency);
-            }),
-        }
+    for (id, ops) in clients {
+        (ops.fold)(sim, id, &mut out);
     }
-    let net = rack.sim.stats();
+    let net = sim.stats();
     out.net_lost = net.packets_lost;
     out.net_duplicated = net.packets_duplicated;
     out.net_reordered = net.packets_reordered;
@@ -145,60 +158,139 @@ pub fn collect(rack: &Rack, measured: SimDuration) -> RunStats {
     out
 }
 
+/// The window every experiment shares (the paper's §6 method): run
+/// `warmup`, zero the counters of `clients`, run `measure`.
+pub fn run_window<M: Clone + Send + 'static>(
+    sim: &mut Simulator<M>,
+    clients: impl IntoIterator<Item = (NodeId, ClientOps<M>)>,
+    warmup: SimDuration,
+    measure: SimDuration,
+) {
+    sim.run_for(warmup);
+    reset_all(sim, clients);
+    sim.run_for(measure);
+}
+
+/// [`run_window`], then [`fold_all`] over the same clients.
+pub fn measure_clients<M, I>(
+    sim: &mut Simulator<M>,
+    clients: I,
+    warmup: SimDuration,
+    measure: SimDuration,
+) -> RunStats
+where
+    M: Clone + Send + 'static,
+    I: IntoIterator<Item = (NodeId, ClientOps<M>)> + Clone,
+{
+    run_window(sim, clients.clone(), warmup, measure);
+    fold_all(sim, clients, measure)
+}
+
+/// [`measure_clients`] over clients that are all of type `C` (the
+/// baseline deployments).
+pub fn measure_uniform<M: Clone + Send + 'static, C: ClientReport>(
+    sim: &mut Simulator<M>,
+    clients: &[NodeId],
+    warmup: SimDuration,
+    measure: SimDuration,
+) -> RunStats {
+    let clients = clients.iter().map(|&id| (id, ClientOps::of::<C>()));
+    measure_clients(sim, clients, warmup, measure)
+}
+
+impl RackNodes {
+    pub(crate) fn client_ops(
+        &self,
+    ) -> impl Iterator<Item = (NodeId, ClientOps<NetLockMsg>)> + Clone + '_ {
+        self.clients.iter().map(|&(id, kind)| (id, kind.ops()))
+    }
+
+    /// Zero every client's counters (start of a measurement window).
+    pub fn reset_clients(&self, sim: &mut Simulator<NetLockMsg>) {
+        reset_all(sim, self.client_ops());
+    }
+
+    /// Aggregate this rack's client counters since the last reset.
+    ///
+    /// Client-side counters (grants, txns, latencies) are strictly
+    /// per-rack. The `net_*` and `events_fired` fields come from the
+    /// simulator and therefore cover every rack that shares it.
+    pub fn collect(&self, sim: &Simulator<NetLockMsg>, measured: SimDuration) -> RunStats {
+        fold_all(sim, self.client_ops(), measured)
+    }
+
+    /// Per-client completed-work totals (for per-tenant series).
+    pub fn txns_by_client(&self, sim: &Simulator<NetLockMsg>) -> Vec<u64> {
+        self.client_ops()
+            .map(|(id, ops)| (ops.completed)(sim, id))
+            .collect()
+    }
+
+    /// Sample transaction throughput over time: run `intervals` windows
+    /// of `interval` each, recording completed-transactions-per-second
+    /// per window. Used by the policy (Fig. 12) and failure (Fig. 15)
+    /// plots.
+    pub fn tps_series(
+        &self,
+        sim: &mut Simulator<NetLockMsg>,
+        interval: SimDuration,
+        intervals: usize,
+    ) -> TimeSeries {
+        let total = |sim: &Simulator<NetLockMsg>| self.txns_by_client(sim).iter().sum::<u64>();
+        let mut series = TimeSeries::new();
+        let mut last = total(sim);
+        for _ in 0..intervals {
+            sim.run_for(interval);
+            let now_total = total(sim);
+            let rate = (now_total - last) as f64 / interval.as_secs_f64();
+            series.push(sim.now(), rate);
+            last = now_total;
+        }
+        series
+    }
+
+    /// Grants processed by the switch vs forwarded to servers, from the
+    /// switch's own counters (Fig. 13a's breakdown).
+    pub fn switch_breakdown(&self, sim: &Simulator<NetLockMsg>) -> (u64, u64) {
+        sim.read_node::<SwitchNode, _>(self.switch, |s| {
+            let d = s.dataplane().stats();
+            (
+                d.grants_immediate + d.grants_on_release,
+                d.forwarded_server_locks + d.forwarded_overflow,
+            )
+        })
+    }
+}
+
+/// Zero every client's counters (start of a measurement window).
+pub fn reset_clients(rack: &mut Rack) {
+    rack.nodes.reset_clients(&mut rack.sim);
+}
+
+/// Aggregate client counters accumulated since the last reset.
+pub fn collect(rack: &Rack, measured: SimDuration) -> RunStats {
+    rack.nodes.collect(&rack.sim, measured)
+}
+
 /// Run `warmup`, zero the counters, run `measure`, and aggregate.
 pub fn warmup_and_measure(rack: &mut Rack, warmup: SimDuration, measure: SimDuration) -> RunStats {
-    rack.sim.run_for(warmup);
-    reset_clients(rack);
-    rack.sim.run_for(measure);
-    collect(rack, measure)
+    measure_clients(&mut rack.sim, rack.nodes.client_ops(), warmup, measure)
 }
 
-/// Sample transaction throughput over time: run `intervals` windows of
-/// `interval` each, recording completed-transactions-per-second per
-/// window. Used by the policy (Fig. 12) and failure (Fig. 15) plots.
+/// [`RackNodes::tps_series`] on a standalone rack.
 pub fn tps_series(rack: &mut Rack, interval: SimDuration, intervals: usize) -> TimeSeries {
-    let mut series = TimeSeries::new();
-    let mut last = total_txns(rack);
-    for _ in 0..intervals {
-        rack.sim.run_for(interval);
-        let now_total = total_txns(rack);
-        let rate = (now_total - last) as f64 / interval.as_secs_f64();
-        series.push(rack.sim.now(), rate);
-        last = now_total;
-    }
-    series
+    rack.nodes.tps_series(&mut rack.sim, interval, intervals)
 }
 
-/// Per-client transaction totals (for per-tenant series).
+/// Per-client completed-work totals (for per-tenant series).
 pub fn txns_by_client(rack: &Rack) -> Vec<u64> {
-    rack.clients
-        .iter()
-        .map(|&(id, kind)| match kind {
-            ClientKind::Micro => rack
-                .sim
-                .read_node::<MicroClient, _>(id, |c| c.stats().grants),
-            ClientKind::Txn => rack.sim.read_node::<TxnClient, _>(id, |c| c.stats().txns),
-            ClientKind::Population => rack
-                .sim
-                .read_node::<PopulationClient, _>(id, |c| c.stats().grants),
-        })
-        .collect()
-}
-
-fn total_txns(rack: &Rack) -> u64 {
-    txns_by_client(rack).iter().sum()
+    rack.nodes.txns_by_client(&rack.sim)
 }
 
 /// Grants processed by the switch vs forwarded to servers, from the
 /// switch's own counters (Fig. 13a's breakdown).
 pub fn switch_breakdown(rack: &Rack) -> (u64, u64) {
-    rack.sim.read_node::<SwitchNode, _>(rack.switch, |s| {
-        let d = s.dataplane().stats();
-        (
-            d.grants_immediate + d.grants_on_release,
-            d.forwarded_server_locks + d.forwarded_overflow,
-        )
-    })
+    rack.nodes.switch_breakdown(&rack.sim)
 }
 
 #[cfg(test)]
@@ -217,15 +309,7 @@ mod tests {
             ..Default::default()
         });
         let locks: Vec<LockId> = (0..8).map(LockId).collect();
-        let stats: Vec<LockStats> = locks
-            .iter()
-            .map(|&lock| LockStats {
-                lock,
-                rate: 1.0,
-                contention: 8,
-                home_server: 0,
-            })
-            .collect();
+        let stats = LockStats::uniform(locks.iter().copied(), 8, 1);
         let alloc = knapsack_allocate(&stats, 64);
         rack.program(&alloc);
         for _ in 0..nclients {

@@ -23,9 +23,7 @@
 //! // One switch, two lock servers, all locks in switch memory.
 //! let mut rack = Rack::build(RackConfig::default());
 //! let locks: Vec<LockId> = (0..64).map(LockId).collect();
-//! let stats: Vec<LockStats> = locks.iter().map(|&lock| LockStats {
-//!     lock, rate: 1.0, contention: 16, home_server: 0,
-//! }).collect();
+//! let stats = LockStats::uniform(locks.iter().copied(), 16, 1);
 //! rack.program(&knapsack_allocate(&stats, 10_000));
 //!
 //! // Four closed-loop clients issuing single-lock transactions.
@@ -72,7 +70,7 @@ pub mod prelude {
     pub use crate::client_micro::{MicroClient, MicroClientConfig, MicroClientStats};
     pub use crate::client_txn::{TxnClient, TxnClientConfig, TxnClientStats};
     pub use crate::cluster::{
-        attach_rack_oracles, cluster_plan_config, run_cluster_chaos, ClusterRack, RackCluster,
+        attach_rack_oracles, cluster_plan_config, run_cluster_chaos, RackCluster,
     };
     pub use crate::db_server::{DbServer, DbServerConfig};
     pub use crate::failover::{
@@ -81,14 +79,16 @@ pub mod prelude {
     };
     pub use crate::harness::{
         collect, reset_clients, switch_breakdown, tps_series, txns_by_client, warmup_and_measure,
-        RunStats,
+        ClientReport, RunStats,
     };
-    pub use crate::oracle::{Oracle, OracleConfig, OracleCounts, Violation, ViolationKind};
+    pub use crate::oracle::{
+        oracle_tap, Oracle, OracleConfig, OracleCounts, Violation, ViolationKind,
+    };
     pub use crate::population::{
         tenant_index_of, BurstEpisode, Diurnal, PopulationClient, PopulationConfig,
         PopulationStats, TenantSpec, TenantStats, MAX_TENANTS,
     };
-    pub use crate::rack::{ClientKind, EngineSpec, Rack, RackConfig};
+    pub use crate::rack::{ClientKind, EngineSpec, Rack, RackConfig, RackNodes};
     pub use crate::txn::{LockNeed, SingleLockSource, Transaction, TxnSource};
     pub use netlock_sim::{LatencySummary, SimDuration, SimTime};
     pub use netlock_switch::control::{

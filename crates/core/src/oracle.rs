@@ -33,9 +33,10 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
+use std::sync::{Arc, Mutex};
 
 use netlock_proto::{GrantMsg, LockId, LockMode, NetLockMsg, TxnId};
-use netlock_sim::{FaultAction, NodeId, SimTime, TapEvent};
+use netlock_sim::{FaultAction, NodeId, SimTime, Tap, TapEvent};
 
 /// Oracle tuning. All windows are in simulated nanoseconds.
 #[derive(Clone, Copy, Debug)]
@@ -726,6 +727,26 @@ impl Oracle {
         }
         out
     }
+}
+
+/// A fresh oracle with `clients` registered, and the simulator tap that
+/// feeds it every event. Install the tap on the simulator (or on the
+/// clients' logical process) the oracle should watch; every attach
+/// helper in this crate is this plus one `set_tap` / `set_lp_tap`.
+pub fn oracle_tap(
+    cfg: OracleConfig,
+    clients: impl IntoIterator<Item = NodeId>,
+) -> (Arc<Mutex<Oracle>>, Tap<NetLockMsg>) {
+    let mut oracle = Oracle::new(cfg);
+    for id in clients {
+        oracle.register_client(id);
+    }
+    let oracle = Arc::new(Mutex::new(oracle));
+    let fed = Arc::clone(&oracle);
+    let tap = Box::new(move |ev: TapEvent<'_, NetLockMsg>| {
+        fed.lock().expect("oracle lock poisoned").observe(&ev)
+    });
+    (oracle, tap)
 }
 
 #[cfg(test)]

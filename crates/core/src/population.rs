@@ -39,6 +39,7 @@ use netlock_proto::{
 use netlock_sim::{Context, Histogram, LatencySummary, Node, NodeId, Packet, SimDuration};
 
 use crate::client_micro::take_due;
+use crate::harness::{ClientReport, RunStats};
 
 const TIMER_TICK: u64 = 0;
 /// Release timers carry `RELEASE_BASE + key`.
@@ -500,6 +501,25 @@ impl PopulationClient {
     }
 }
 
+impl ClientReport for PopulationClient {
+    fn reset(&mut self) {
+        self.reset_stats();
+    }
+
+    fn fold_into(&self, out: &mut RunStats) {
+        let s = self.stats();
+        out.issued += s.issued;
+        out.grants += s.grants;
+        out.grants_switch += s.grants; // switch-only path
+        out.retries += s.reclaimed;
+        out.lock_latency.merge(&s.latency);
+    }
+
+    fn completed(&self) -> u64 {
+        self.rows.iter().map(|row| row.grants).sum()
+    }
+}
+
 impl Node<NetLockMsg> for PopulationClient {
     fn on_start(&mut self, ctx: &mut Context<'_, NetLockMsg>) {
         // First tick at t=0, unjittered: the aggregate already smears
@@ -542,15 +562,7 @@ mod tests {
 
     fn build_switch(sim: &mut Simulator<NetLockMsg>, locks: &[LockId]) -> NodeId {
         let mut dp = DataPlane::new_fcfs(&SharedQueueLayout::small(2, 16_384, 64));
-        let stats: Vec<LockStats> = locks
-            .iter()
-            .map(|&l| LockStats {
-                lock: l,
-                rate: 1.0,
-                contention: 2_000,
-                home_server: 0,
-            })
-            .collect();
+        let stats = LockStats::uniform(locks.iter().copied(), 2_000, 1);
         apply_allocation(&mut dp, &knapsack_allocate(&stats, 32_768));
         sim.add_node(Box::new(SwitchNode::new(
             dp,

@@ -8,7 +8,7 @@
 
 use netlock_proto::{LockId, NetLockMsg};
 use netlock_server::{ServerConfig, ServerNode};
-use netlock_sim::{LinkConfig, NodeId, SimRng, Simulator, Topology};
+use netlock_sim::{LinkConfig, Node, NodeId, SimRng, Simulator, Topology};
 use netlock_switch::control::{apply_allocation, Allocation};
 use netlock_switch::priority::PriorityLayout;
 use netlock_switch::shared_queue::SharedQueueLayout;
@@ -74,10 +74,11 @@ pub enum ClientKind {
     Population,
 }
 
-/// An assembled rack.
-pub struct Rack {
-    /// The simulator; run it via [`netlock_sim::Simulator::run_for`].
-    pub sim: Simulator<NetLockMsg>,
+/// One rack's nodes inside a simulator: the handle every per-rack
+/// operation hangs off. A [`Rack`] is one simulator plus one handle; a
+/// [`crate::cluster::RackCluster`] is one simulator plus a handle per
+/// rack. Every method takes the simulator the rack lives in.
+pub struct RackNodes {
     /// The ToR lock switch.
     pub switch: NodeId,
     /// Lock servers, by directory server index.
@@ -86,46 +87,46 @@ pub struct Rack {
     pub db_servers: Vec<NodeId>,
     /// Clients with their kinds, in creation order.
     pub clients: Vec<(NodeId, ClientKind)>,
+    /// Client-seed stream.
     rng: SimRng,
 }
 
-impl Rack {
-    /// Build the rack (without clients; add them afterwards).
-    pub fn build(cfg: RackConfig) -> Rack {
-        let mut sim: Simulator<NetLockMsg> = Simulator::new(Topology::new(cfg.link), cfg.seed);
+impl RackNodes {
+    /// Add rack number `rack`'s servers and switch (no clients yet) at
+    /// the simulator's next node ids. Rack 0 draws client seeds from
+    /// `cfg.seed` alone; later racks mix in the rack index, so racks
+    /// behave independently but stay a pure function of `(cfg, rack)`.
+    pub fn build(sim: &mut Simulator<NetLockMsg>, cfg: &RackConfig, rack: usize) -> RackNodes {
         // Lock servers first; they need the switch id, which will be the
         // next node after them.
-        let predicted_switch = NodeId(cfg.lock_servers as u32);
-        let mut lock_servers = Vec::with_capacity(cfg.lock_servers);
-        for _ in 0..cfg.lock_servers {
-            let id = sim.add_node(Box::new(ServerNode::new(
-                cfg.server.clone(),
-                predicted_switch,
-            )));
-            lock_servers.push(id);
-        }
+        let predicted_switch = NodeId((sim.node_count() + cfg.lock_servers) as u32);
+        let lock_servers: Vec<NodeId> = (0..cfg.lock_servers)
+            .map(|_| {
+                sim.add_node(Box::new(ServerNode::new(
+                    cfg.server.clone(),
+                    predicted_switch,
+                )))
+            })
+            .collect();
         let dp = match &cfg.engine {
             EngineSpec::Fcfs(layout) => DataPlane::new_fcfs(layout),
             EngineSpec::Priority(layout) => DataPlane::new_priority(layout),
         };
-        let mut db_ids = Vec::with_capacity(cfg.db_servers);
         // Database server ids follow the switch.
-        for i in 0..cfg.db_servers {
-            db_ids.push(NodeId(predicted_switch.0 + 1 + i as u32));
-        }
+        let db_ids = (0..cfg.db_servers)
+            .map(|i| NodeId(predicted_switch.0 + 1 + i as u32))
+            .collect();
         let switch_node =
             SwitchNode::new(dp, cfg.switch.clone(), lock_servers.clone()).with_db_servers(db_ids);
         let switch = sim.add_node(Box::new(switch_node));
         assert_eq!(switch, predicted_switch, "node ordering invariant broken");
-        let mut db_servers = Vec::with_capacity(cfg.db_servers);
-        for _ in 0..cfg.db_servers {
-            let id = sim.add_node(Box::new(DbServer::new(DbServerConfig::default())));
-            db_servers.push(id);
-        }
-        let mut rng = SimRng::new(cfg.seed ^ 0xC11E_57A7);
+        let db_servers = (0..cfg.db_servers)
+            .map(|_| sim.add_node(Box::new(DbServer::new(DbServerConfig::default()))))
+            .collect();
+        let rack_seed = cfg.seed ^ (rack as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut rng = SimRng::new(rack_seed ^ 0xC11E_57A7);
         let _ = rng.next_u64();
-        Rack {
-            sim,
+        RackNodes {
             switch,
             lock_servers,
             db_servers,
@@ -134,60 +135,137 @@ impl Rack {
         }
     }
 
-    /// Add an open-loop microbenchmark client.
-    pub fn add_micro_client(&mut self, cfg: MicroClientConfig) -> NodeId {
-        let id = self
-            .sim
-            .add_node(Box::new(MicroClient::new(cfg, self.switch)));
-        self.clients.push((id, ClientKind::Micro));
+    /// The rack's clients, in creation order.
+    pub fn client_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.clients.iter().map(|&(id, _)| id)
+    }
+
+    /// Every node of this rack: servers, switch, database servers, clients.
+    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+        (self.lock_servers.iter().copied())
+            .chain([self.switch])
+            .chain(self.db_servers.iter().copied())
+            .chain(self.client_ids())
+    }
+
+    fn add_client(
+        &mut self,
+        sim: &mut Simulator<NetLockMsg>,
+        kind: ClientKind,
+        node: Box<dyn Node<NetLockMsg>>,
+    ) -> NodeId {
+        let id = sim.add_node(node);
+        self.clients.push((id, kind));
         id
+    }
+
+    /// Add an open-loop microbenchmark client.
+    pub fn add_micro_client(
+        &mut self,
+        sim: &mut Simulator<NetLockMsg>,
+        cfg: MicroClientConfig,
+    ) -> NodeId {
+        let node = Box::new(MicroClient::new(cfg, self.switch));
+        self.add_client(sim, ClientKind::Micro, node)
     }
 
     /// Add an aggregate client-population node (see
     /// [`crate::population`]): many virtual clients, batched traffic.
-    pub fn add_population_client(&mut self, cfg: PopulationConfig) -> NodeId {
-        let id = self
-            .sim
-            .add_node(Box::new(PopulationClient::new(cfg, self.switch)));
-        self.clients.push((id, ClientKind::Population));
-        id
+    pub fn add_population_client(
+        &mut self,
+        sim: &mut Simulator<NetLockMsg>,
+        cfg: PopulationConfig,
+    ) -> NodeId {
+        let node = Box::new(PopulationClient::new(cfg, self.switch));
+        self.add_client(sim, ClientKind::Population, node)
     }
 
     /// Add a closed-loop transaction client.
-    pub fn add_txn_client(&mut self, cfg: TxnClientConfig, source: Box<dyn TxnSource>) -> NodeId {
+    pub fn add_txn_client(
+        &mut self,
+        sim: &mut Simulator<NetLockMsg>,
+        cfg: TxnClientConfig,
+        source: Box<dyn TxnSource>,
+    ) -> NodeId {
         let seed = self.rng.next_u64();
-        let id = self
-            .sim
-            .add_node(Box::new(TxnClient::new(cfg, self.switch, source, seed)));
-        self.clients.push((id, ClientKind::Txn));
-        id
+        let node = Box::new(TxnClient::new(cfg, self.switch, source, seed));
+        self.add_client(sim, ClientKind::Txn, node)
     }
 
     /// Program an FCFS allocation: switch regions + directory, and mark
     /// server-resident locks as owned on their home servers. Locks with
     /// no directory entry default-route to `hash(lock) % servers`.
-    pub fn program(&mut self, alloc: &Allocation) {
+    pub fn program(&self, sim: &mut Simulator<NetLockMsg>, alloc: &Allocation) {
         let n_servers = self.lock_servers.len();
-        self.sim.with_node::<SwitchNode, _>(self.switch, |s| {
+        sim.with_node::<SwitchNode, _>(self.switch, |s| {
             s.dataplane_mut().set_default_servers(n_servers);
             apply_allocation(s.dataplane_mut(), alloc);
         });
         for &(lock, home) in &alloc.in_server {
-            let server = self.lock_servers[home];
-            self.sim
-                .with_node::<ServerNode, _>(server, |s| s.own_lock(lock));
+            sim.with_node::<ServerNode, _>(self.lock_servers[home], |s| s.own_lock(lock));
         }
     }
 
     /// Program the priority engine's directory: lock → sequential qid.
-    pub fn program_priority(&mut self, locks: &[LockId]) {
-        self.sim.with_node::<SwitchNode, _>(self.switch, |s| {
+    pub fn program_priority(&self, sim: &mut Simulator<NetLockMsg>, locks: &[LockId]) {
+        sim.with_node::<SwitchNode, _>(self.switch, |s| {
             for (qid, &lock) in locks.iter().enumerate() {
                 s.dataplane_mut()
                     .directory_mut()
                     .set_switch_resident(lock, qid, 0);
             }
         });
+    }
+}
+
+/// An assembled rack: one simulator and the one rack in it. Derefs to
+/// its [`RackNodes`], so `rack.switch`, `rack.clients`, … read through.
+pub struct Rack {
+    /// The simulator; run it via [`netlock_sim::Simulator::run_for`].
+    pub sim: Simulator<NetLockMsg>,
+    /// The rack's nodes (borrowable beside `sim` for code written
+    /// against a handle and a simulator).
+    pub nodes: RackNodes,
+}
+
+impl std::ops::Deref for Rack {
+    type Target = RackNodes;
+    fn deref(&self) -> &RackNodes {
+        &self.nodes
+    }
+}
+
+impl Rack {
+    /// Build the rack (without clients; add them afterwards).
+    pub fn build(cfg: RackConfig) -> Rack {
+        let mut sim = Simulator::new(Topology::new(cfg.link), cfg.seed);
+        let nodes = RackNodes::build(&mut sim, &cfg, 0);
+        Rack { sim, nodes }
+    }
+
+    /// Add an open-loop microbenchmark client.
+    pub fn add_micro_client(&mut self, cfg: MicroClientConfig) -> NodeId {
+        self.nodes.add_micro_client(&mut self.sim, cfg)
+    }
+
+    /// Add an aggregate client-population node.
+    pub fn add_population_client(&mut self, cfg: PopulationConfig) -> NodeId {
+        self.nodes.add_population_client(&mut self.sim, cfg)
+    }
+
+    /// Add a closed-loop transaction client.
+    pub fn add_txn_client(&mut self, cfg: TxnClientConfig, source: Box<dyn TxnSource>) -> NodeId {
+        self.nodes.add_txn_client(&mut self.sim, cfg, source)
+    }
+
+    /// Program an FCFS allocation (see [`RackNodes::program`]).
+    pub fn program(&mut self, alloc: &Allocation) {
+        self.nodes.program(&mut self.sim, alloc);
+    }
+
+    /// Program the priority engine's directory: lock → sequential qid.
+    pub fn program_priority(&mut self, locks: &[LockId]) {
+        self.nodes.program_priority(&mut self.sim, locks);
     }
 }
 
@@ -258,14 +336,7 @@ mod more_tests {
             engine: EngineSpec::Fcfs(SharedQueueLayout::small(2, 64, 8)),
             ..Default::default()
         });
-        let stats: Vec<LockStats> = (0..4)
-            .map(|l| LockStats {
-                lock: LockId(l),
-                rate: 1.0,
-                contention: 16,
-                home_server: 0,
-            })
-            .collect();
+        let stats = LockStats::uniform((0..4).map(LockId), 16, 1);
         rack.program(&knapsack_allocate(&stats, 64));
         rack
     }

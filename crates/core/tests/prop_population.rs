@@ -57,14 +57,7 @@ fn build_rack(sc: &Scenario) -> Rack {
         engine: EngineSpec::Fcfs(SharedQueueLayout::small(2, 1024, 16)),
         ..Default::default()
     });
-    let stats: Vec<LockStats> = (0..2 * sc.tenants.len() as u32)
-        .map(|l| LockStats {
-            lock: LockId(l),
-            rate: 1.0,
-            contention: 600,
-            home_server: 0,
-        })
-        .collect();
+    let stats = LockStats::uniform((0..2 * sc.tenants.len() as u32).map(LockId), 600, 1);
     rack.program(&knapsack_allocate(&stats, 2_048));
     rack
 }

@@ -13,7 +13,7 @@ const SUB_COUNT: usize = 1 << SUB_BITS;
 const TIERS: usize = 41;
 
 /// A fixed-size log-bucketed histogram of `u64` values.
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 pub struct Histogram {
     counts: Vec<u64>,
     total: u64,

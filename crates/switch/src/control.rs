@@ -30,6 +30,27 @@ pub struct LockStats {
     pub home_server: usize,
 }
 
+impl LockStats {
+    /// Stats for a uniform workload over `locks`: unit rate, the same
+    /// `contention` everywhere, homes round-robin by lock id over
+    /// `servers` lock servers.
+    pub fn uniform(
+        locks: impl IntoIterator<Item = LockId>,
+        contention: u32,
+        servers: usize,
+    ) -> Vec<LockStats> {
+        locks
+            .into_iter()
+            .map(|lock| LockStats {
+                lock,
+                rate: 1.0,
+                contention,
+                home_server: lock.0 as usize % servers,
+            })
+            .collect()
+    }
+}
+
 /// Result of the memory allocation.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct Allocation {

@@ -665,14 +665,7 @@ mod tests {
 
     fn dp(locks: u32) -> DataPlane {
         let mut dp = DataPlane::new_fcfs(&SharedQueueLayout::small(2, 64, 16));
-        let stats: Vec<LockStats> = (0..locks)
-            .map(|l| LockStats {
-                lock: netlock_proto::LockId(l),
-                rate: 1.0,
-                contention: 8,
-                home_server: 0,
-            })
-            .collect();
+        let stats = LockStats::uniform((0..locks).map(LockId), 8, 1);
         apply_allocation(&mut dp, &knapsack_allocate(&stats, 128));
         dp
     }

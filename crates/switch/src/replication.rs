@@ -899,14 +899,7 @@ mod tests {
 
     fn program() -> (DataPlane, Allocation) {
         let mut dp = DataPlane::new_fcfs(&SharedQueueLayout::small(2, 64, 16));
-        let stats: Vec<LockStats> = (0..4)
-            .map(|l| LockStats {
-                lock: LockId(l),
-                rate: 1.0,
-                contention: 8,
-                home_server: 0,
-            })
-            .collect();
+        let stats = LockStats::uniform((0..4).map(LockId), 8, 1);
         let alloc = knapsack_allocate(&stats, 64);
         apply_allocation(&mut dp, &alloc);
         (dp, alloc)

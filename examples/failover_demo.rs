@@ -18,15 +18,7 @@ fn main() {
         ..Default::default()
     });
     let locks: Vec<LockId> = (0..256).map(LockId).collect();
-    let stats: Vec<LockStats> = locks
-        .iter()
-        .map(|&lock| LockStats {
-            lock,
-            rate: 1.0,
-            contention: 32,
-            home_server: (lock.0 as usize) % 2,
-        })
-        .collect();
+    let stats = LockStats::uniform(locks.iter().copied(), 32, 2);
     let allocation = knapsack_allocate(&stats, 100_000);
     rack.program(&allocation);
     for _ in 0..4 {

@@ -90,15 +90,7 @@ fn isolation(isolate: bool) -> (f64, f64) {
         lock_servers: 1,
         ..Default::default()
     });
-    let stats: Vec<LockStats> = lock_set()
-        .iter()
-        .map(|&lock| LockStats {
-            lock,
-            rate: 1.0,
-            contention: 48,
-            home_server: 0,
-        })
-        .collect();
+    let stats = LockStats::uniform(lock_set().iter().copied(), 48, 1);
     rack.program(&knapsack_allocate(&stats, 100_000));
     if isolate {
         // Each tenant gets half of roughly the unisolated lock rate.

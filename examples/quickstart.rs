@@ -22,15 +22,7 @@ fn main() {
     // decides which locks live in switch memory and how many queue
     // slots each gets. Here everything fits.
     let locks: Vec<LockId> = (0..1024).map(LockId).collect();
-    let stats: Vec<LockStats> = locks
-        .iter()
-        .map(|&lock| LockStats {
-            lock,
-            rate: 1.0,
-            contention: 32,
-            home_server: (lock.0 as usize) % 2,
-        })
-        .collect();
+    let stats = LockStats::uniform(locks.iter().copied(), 32, 2);
     let allocation = knapsack_allocate(&stats, 100_000);
     println!(
         "allocation: {} locks in switch ({} slots), {} on servers",

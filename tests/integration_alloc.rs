@@ -46,14 +46,7 @@ fn release(lock: u32, txn: u64, mode: LockMode) -> NetLockMsg {
 
 fn contended_dp() -> DataPlane {
     let mut dp = DataPlane::new_fcfs(&SharedQueueLayout::small(4, 4_096, 16));
-    let stats: Vec<LockStats> = (0..16)
-        .map(|l| LockStats {
-            lock: LockId(l),
-            rate: 1.0,
-            contention: 64,
-            home_server: 0,
-        })
-        .collect();
+    let stats = LockStats::uniform((0..16).map(LockId), 64, 1);
     apply_allocation(&mut dp, &knapsack_allocate(&stats, 4_096 * 4));
     dp
 }
@@ -277,14 +270,7 @@ fn population_steady_state_allocates_sublinearly_in_requests() {
         )),
         ..Default::default()
     });
-    let stats: Vec<LockStats> = (0..64)
-        .map(|l| LockStats {
-            lock: LockId(l),
-            rate: 1.0,
-            contention: 64,
-            home_server: 0,
-        })
-        .collect();
+    let stats = LockStats::uniform((0..64).map(LockId), 64, 1);
     rack.program(&knapsack_allocate(&stats, 32_000));
     rack.add_population_client(PopulationConfig {
         tenants: vec![TenantSpec {

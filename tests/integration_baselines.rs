@@ -116,14 +116,7 @@ fn netchain_penalizes_shared_workloads() {
             lock_servers: 1,
             ..Default::default()
         });
-        let stats: Vec<LockStats> = (0..4)
-            .map(|l| LockStats {
-                lock: LockId(l),
-                rate: 1.0,
-                contention: 128,
-                home_server: 0,
-            })
-            .collect();
+        let stats = LockStats::uniform((0..4).map(LockId), 128, 1);
         rack.program(&knapsack_allocate(&stats, 1_000));
         for src in micro_sources(4, 4, LockMode::Shared) {
             rack.add_txn_client(

@@ -134,14 +134,7 @@ fn contended_rack() -> (Rack, Allocation) {
         lock_servers: 2,
         ..Default::default()
     });
-    let stats: Vec<LockStats> = (0..8)
-        .map(|l| LockStats {
-            lock: LockId(l),
-            rate: 1.0,
-            contention: 16,
-            home_server: (l as usize) % 2,
-        })
-        .collect();
+    let stats = LockStats::uniform((0..8).map(LockId), 16, 2);
     let alloc = knapsack_allocate(&stats, 100_000);
     rack.program(&alloc);
     (rack, alloc)

@@ -16,14 +16,7 @@ fn one_lock_rack() -> (Rack, Allocation) {
         lock_servers: 2,
         ..Default::default()
     });
-    let stats: Vec<LockStats> = (0..64)
-        .map(|l| LockStats {
-            lock: LockId(l),
-            rate: 1.0,
-            contention: 32,
-            home_server: (l as usize) % 2,
-        })
-        .collect();
+    let stats = LockStats::uniform((0..64).map(LockId), 32, 2);
     let alloc = knapsack_allocate(&stats, 100_000);
     rack.program(&alloc);
     (rack, alloc)

@@ -113,14 +113,7 @@ fn audit_rack(locks: u32, capacity: u32) -> Rack {
         lock_servers: 1,
         ..Default::default()
     });
-    let stats: Vec<LockStats> = (0..locks)
-        .map(|l| LockStats {
-            lock: LockId(l),
-            rate: 1.0,
-            contention: 64,
-            home_server: 0,
-        })
-        .collect();
+    let stats = LockStats::uniform((0..locks).map(LockId), 64, 1);
     rack.program(&knapsack_allocate(&stats, capacity));
     rack
 }

@@ -50,15 +50,7 @@ fn chaos_digests(workers: usize) -> Vec<(u64, u64)> {
     let cross = LinkConfig::with_delay(SimDuration::from_micros(10));
     let mut cluster = RackCluster::build(&cfg, 2, cross);
     let locks: Vec<LockId> = (0..16).map(LockId).collect();
-    let stats: Vec<LockStats> = locks
-        .iter()
-        .map(|&lock| LockStats {
-            lock,
-            rate: 1.0,
-            contention: 16,
-            home_server: 0,
-        })
-        .collect();
+    let stats = LockStats::uniform(locks.iter().copied(), 16, 1);
     let alloc = knapsack_allocate(&stats, 10_000);
     for r in 0..2 {
         cluster.program(r, &alloc);
@@ -75,7 +67,13 @@ fn chaos_digests(workers: usize) -> Vec<(u64, u64)> {
         }
     }
     let plans: Vec<_> = (0..2)
-        .map(|r| generate_plan(90 + r as u64, &cluster.roles(r), &cluster_plan_config()))
+        .map(|r| {
+            generate_plan(
+                90 + r as u64,
+                &cluster.racks[r].roles(),
+                &cluster_plan_config(),
+            )
+        })
         .collect();
     cluster.partition(workers);
     cluster.install_plans(&plans);

@@ -121,14 +121,7 @@ fn quotas_enforce_isolation() {
             lock_servers: 1,
             ..Default::default()
         });
-        let stats: Vec<LockStats> = (0..locks)
-            .map(|l| LockStats {
-                lock: LockId(l),
-                rate: 1.0,
-                contention: 64,
-                home_server: 0,
-            })
-            .collect();
+        let stats = LockStats::uniform((0..locks).map(LockId), 64, 1);
         rack.program(&knapsack_allocate(&stats, 2_000));
         if isolate {
             let switch = rack.switch;

@@ -110,7 +110,7 @@ fn release_guard_sabotage_is_caught_under_population_traffic() {
 #[test]
 fn fault_plans_never_crash_aggregate_nodes() {
     let (rack, _alloc) = build_population_chaos_rack(1);
-    let roles = RackRoles::of(&rack);
+    let roles = rack.roles();
     assert!(!roles.aggregates.is_empty(), "rack has no aggregate node");
     let cfg = ChaosPlanConfig {
         start: SimDuration::from_millis(1),

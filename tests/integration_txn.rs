@@ -121,14 +121,7 @@ fn txn_program_matches_shared_queue_admission() {
 #[test]
 fn hook_points_expose_the_grant_path_program() {
     let mut dp = netlock_switch::DataPlane::new_fcfs(&SharedQueueLayout::small(2, 8, 4));
-    let stats: Vec<LockStats> = (0..4)
-        .map(|l| LockStats {
-            lock: netlock_proto::LockId(l),
-            rate: 1.0,
-            contention: 4,
-            home_server: 0,
-        })
-        .collect();
+    let stats = LockStats::uniform((0..4).map(netlock_proto::LockId), 4, 1);
     apply_allocation(&mut dp, &knapsack_allocate(&stats, 16));
     let cap = match dp.engine() {
         netlock_switch::Engine::Fcfs(q) => q.cp_region(0).capacity(),

@@ -9,12 +9,26 @@
 //! is the queue structure vs. the allocation-free payload.
 //! Depth/delay regimes mirror the rack workloads (RPC round-trips of
 //! a few microseconds plus sparse long timers).
+//!
+//! Those rows time the queue alone in a quiet cache with an 8-byte
+//! payload, which is not where it runs. The `in_situ` group churns the
+//! simulator's real slot (a 48-byte `Packet<NetLockMsg>`) at the depths
+//! the racks sustain (400 on the TPC-C rack, 2 300 on the Fig. 9 rack),
+//! in one long-lived queue, between dependent reads of unrelated
+//! memory — the nodes' state — of three sizes: none, 1 MiB and 2 MiB.
+//! What separates queue layouts is not their own instruction count but
+//! whether queue plus node state still fit the core's L2 (1.25 MB where
+//! these were recorded): the 1 MiB rows are the case where a 145 KB
+//! pending set fits beside it and a 1 MB wheel does not.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use netlock_sim::{EventQueue, SimDuration, SimTime};
+use netlock_proto::{
+    ClientAddr, LockId, LockMode, LockRequest, NetLockMsg, Priority, TenantId, TxnId,
+};
+use netlock_sim::{EventQueue, NodeId, Packet, SimDuration, SimTime};
 
 /// Deterministic xorshift so both queues see the same schedule.
 fn xorshift(state: &mut u64) -> u64 {
@@ -128,6 +142,99 @@ fn churn_heap_boxed(depth: usize, rounds: usize, max_delay: u64) -> u64 {
     acc
 }
 
+/// One long-lived queue of real event payloads at a steady depth, and
+/// the memory of the nodes it shares a cache with.
+struct InSitu {
+    q: EventQueue<Packet<NetLockMsg>>,
+    rng: u64,
+    seq: u64,
+    now: SimTime,
+    /// Stand-in for node state (directory, register arrays, client
+    /// tables): `FOREIGN_LINES` random cache lines of it are read
+    /// between queue operations, each address depending on the value
+    /// read before, as a hash lookup's does. Empty for the quiet rows.
+    foreign: Vec<u64>,
+    chase: u64,
+}
+
+/// Cache lines of foreign memory read per event.
+const FOREIGN_LINES: usize = 8;
+/// Delays are uniform in `[0, 8 us)`: a rack round trip.
+const IN_SITU_MAX_DELAY: u64 = 8_192;
+
+impl InSitu {
+    fn new(depth: usize, foreign_bytes: usize) -> InSitu {
+        let mut s = InSitu {
+            q: EventQueue::new(),
+            rng: 0x9e37_79b9_7f4a_7c15,
+            seq: 0,
+            now: SimTime::ZERO,
+            foreign: vec![1; foreign_bytes / 8],
+            chase: 0x1234_5678_9abc_def1,
+        };
+        for _ in 0..depth {
+            s.push();
+        }
+        // Past two retune periods: the width has settled.
+        s.churn(10_000);
+        s
+    }
+
+    fn push(&mut self) {
+        let at = self.now + SimDuration(xorshift(&mut self.rng) % IN_SITU_MAX_DELAY);
+        let payload = NetLockMsg::Acquire(LockRequest {
+            lock: LockId(self.seq as u32),
+            mode: LockMode::Shared,
+            txn: TxnId(self.seq),
+            client: ClientAddr(1),
+            tenant: TenantId(0),
+            priority: Priority(0),
+            issued_at_ns: at.0,
+        });
+        let pkt = Packet {
+            src: NodeId(1),
+            dst: NodeId(0),
+            payload,
+        };
+        self.q.push(at, self.seq, pkt);
+        self.seq += 1;
+    }
+
+    fn churn(&mut self, rounds: usize) -> u64 {
+        let mut acc = 0u64;
+        for _ in 0..rounds {
+            let (at, _, pkt) = self.q.pop().expect("queue kept at steady depth");
+            self.now = at;
+            if let NetLockMsg::Acquire(req) = pkt.payload {
+                acc = acc.wrapping_add(req.txn.0);
+            }
+            if !self.foreign.is_empty() {
+                for _ in 0..FOREIGN_LINES {
+                    let line = xorshift(&mut self.chase) as usize % (self.foreign.len() / 8);
+                    let v = self.foreign[line * 8];
+                    self.chase = self.chase.wrapping_add(v);
+                    acc = acc.wrapping_add(v);
+                }
+            }
+            self.push();
+        }
+        acc
+    }
+}
+
+fn bench_in_situ(c: &mut Criterion) {
+    let mut g = c.benchmark_group("in_situ");
+    for &depth in &[400usize, 2_300] {
+        for (label, foreign_bytes) in [("quiet", 0), ("1MiB", 1 << 20), ("2MiB", 2 << 20)] {
+            let mut s = InSitu::new(depth, foreign_bytes);
+            g.bench_function(&format!("depth_{depth}_{label}"), |b| {
+                b.iter(|| black_box(s.churn(10_000)));
+            });
+        }
+    }
+    g.finish();
+}
+
 fn bench_event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue");
     // Depths bracket what the figure harnesses sustain (hundreds to a
@@ -157,5 +264,5 @@ fn bench_event_queue(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_event_queue);
+criterion_group!(benches, bench_event_queue, bench_in_situ);
 criterion_main!(benches);

@@ -10,29 +10,10 @@
 use std::path::Path;
 use std::time::Instant;
 
-use netlock_bench::figures::FIGURES;
+use netlock_bench::figures::{first_difference, FIGURES};
 use netlock_bench::BinArgs;
 
 const OWN: &str = "<fig08..fig15 | flash_crowd | tenant_churn | failover | all> [--check]";
-
-/// Where the committed file and the regenerated output first part ways.
-fn first_difference(committed: &str, regenerated: &str) -> String {
-    let (mut old, mut new) = (committed.lines(), regenerated.lines());
-    let mut line = 1;
-    loop {
-        let (o, n) = (old.next(), new.next());
-        if o != n || o.is_none() {
-            let show =
-                |l: Option<&str>| l.map_or("<end of file>".to_string(), |l| format!("{l:?}"));
-            return format!(
-                "line {line}: committed {}, regenerated {}",
-                show(o),
-                show(n)
-            );
-        }
-        line += 1;
-    }
-}
 
 fn main() {
     let (args, rest) = BinArgs::parse_env(OWN);

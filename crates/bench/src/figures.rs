@@ -97,6 +97,25 @@ pub const FIGURES: [(&str, RenderFn); 11] = [
     }),
 ];
 
+/// Where the committed file and the regenerated output first part ways.
+pub fn first_difference(committed: &str, regenerated: &str) -> String {
+    let (mut old, mut new) = (committed.lines(), regenerated.lines());
+    let mut line = 1;
+    loop {
+        let (o, n) = (old.next(), new.next());
+        if o != n || o.is_none() {
+            let show =
+                |l: Option<&str>| l.map_or("<end of file>".to_string(), |l| format!("{l:?}"));
+            return format!(
+                "line {line}: committed {}, regenerated {}",
+                show(o),
+                show(n)
+            );
+        }
+        line += 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

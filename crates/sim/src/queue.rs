@@ -41,8 +41,18 @@
 //!   that arrive *after* it was drained (late pushes at the current
 //!   instant land here even if the cursor has run ahead — see
 //!   `push`); almost always empty on the hot path.
-//! - `ring`: `N_BUCKETS` unsorted `Vec`s, each covering `2^shift` ns;
-//!   an event within the wheel horizon is appended to its bucket.
+//! - `ring`: `N_BUCKETS` bucket heads (`u32` slot indices, 16 KB), each
+//!   covering `2^shift` ns; an event within the wheel horizon is
+//!   chained onto its bucket's unsorted list.
+//! - `slab` + `next` + `free`: the one store behind every bucket. An
+//!   entry occupies a slab slot; `next` (parallel to `slab`) links a
+//!   bucket's slots, or the free slots into a LIFO list, so a push
+//!   writes the slot freed last (still in cache) and a drain walks one
+//!   short chain into `due`. The slab grows only when every slot is
+//!   occupied and never shrinks: the queue's footprint is the peak of
+//!   ring-resident events (64 B each for the simulator's event type),
+//!   not the wheel, whose per-bucket `Vec`s cost the *nodes* their
+//!   cache lines (DESIGN.md §10).
 //! - `overflow`: a heap for events beyond the horizon (lease-sweep and
 //!   control ticks, one retry timer per transaction-client worker).
 //!   It stays cheap only while it stays small: a node that parks one
@@ -75,6 +85,8 @@ const RETUNE_PERIOD: u32 = 4_096;
 /// event per occupied bucket, so a drain is an append of one or two
 /// entries and the sort is a no-op.
 const WIDTH_NUMERATOR: u64 = 2;
+/// End of a slot chain: an empty bucket or free list, or a last slot.
+const NIL: u32 = u32::MAX;
 
 struct Entry<T> {
     at: SimTime,
@@ -117,9 +129,16 @@ pub struct EventQueue<T> {
     /// Events at `abs <= cur_abs` that arrived after the cursor's
     /// bucket was drained. Usually empty.
     late: BinaryHeap<Reverse<Entry<T>>>,
-    /// The wheel: bucket `abs & (N_BUCKETS-1)` holds events for the
-    /// unique `abs` in `(cur_abs, cur_abs + N_BUCKETS)` mapping to it.
-    ring: Box<[Vec<Entry<T>>]>,
+    /// The wheel: bucket `abs & (N_BUCKETS-1)` heads the chain of slab
+    /// slots holding events for the unique `abs` in
+    /// `(cur_abs, cur_abs + N_BUCKETS)` mapping to it.
+    ring: Box<[u32]>,
+    /// Every ring-resident event; `None` slots are on the free list.
+    slab: Vec<Option<Entry<T>>>,
+    /// Per slot: the next slot of its bucket's chain or the free list.
+    next: Vec<u32>,
+    /// Head of the LIFO free list.
+    free: u32,
     /// One bit per ring bucket: set iff the bucket is non-empty. Lets
     /// `seek` jump over runs of empty buckets in O(words scanned).
     occupied: [u64; N_WORDS],
@@ -145,14 +164,15 @@ impl<T> Default for EventQueue<T> {
 impl<T> EventQueue<T> {
     /// An empty queue with the cursor at time zero.
     pub fn new() -> EventQueue<T> {
-        let mut ring = Vec::with_capacity(N_BUCKETS);
-        ring.resize_with(N_BUCKETS, Vec::new);
         EventQueue {
             shift: INITIAL_SHIFT,
             cur_abs: 0,
             due: Vec::new(),
             late: BinaryHeap::new(),
-            ring: ring.into_boxed_slice(),
+            ring: vec![NIL; N_BUCKETS].into_boxed_slice(),
+            slab: Vec::new(),
+            next: Vec::new(),
+            free: NIL,
             occupied: [0; N_WORDS],
             ring_len: 0,
             overflow: BinaryHeap::new(),
@@ -307,13 +327,40 @@ impl<T> EventQueue<T> {
         if abs <= self.cur_abs {
             self.late.push(Reverse(entry));
         } else if abs - self.cur_abs < N_BUCKETS as u64 {
-            let bucket = (abs & (N_BUCKETS as u64 - 1)) as usize;
-            self.occupied[bucket >> 6] |= 1 << (bucket & 63);
-            self.ring[bucket].push(entry);
-            self.ring_len += 1;
+            let slot = if self.free == NIL {
+                self.slab.push(Some(entry));
+                self.next.push(NIL);
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
+            } else {
+                let slot = self.free;
+                self.free = self.next[slot as usize];
+                self.slab[slot as usize] = Some(entry);
+                slot
+            };
+            self.chain(abs, slot);
         } else {
             self.overflow.push(Reverse(entry));
         }
+    }
+
+    /// Put an occupied slot at the head of the chain of `abs`'s bucket.
+    fn chain(&mut self, abs: u64, slot: u32) {
+        let bucket = (abs & (N_BUCKETS as u64 - 1)) as usize;
+        self.occupied[bucket >> 6] |= 1 << (bucket & 63);
+        self.next[slot as usize] = self.ring[bucket];
+        self.ring[bucket] = slot;
+        self.ring_len += 1;
+    }
+
+    /// Take the entry out of an occupied slot and put the slot at the
+    /// head of the free list; returns the entry and the slot's old link.
+    fn unchain(&mut self, slot: u32) -> (Entry<T>, u32) {
+        let entry = self.slab[slot as usize]
+            .take()
+            .expect("chained slots are occupied");
+        let link = std::mem::replace(&mut self.next[slot as usize], self.free);
+        self.free = slot;
+        (entry, link)
     }
 
     /// Advance the cursor until the due/late tier holds the earliest
@@ -340,11 +387,16 @@ impl<T> EventQueue<T> {
                 self.cur_abs += self.next_occupied_delta();
                 let bucket = (self.cur_abs & (N_BUCKETS as u64 - 1)) as usize;
                 self.occupied[bucket >> 6] &= !(1 << (bucket & 63));
-                self.ring_len -= self.ring[bucket].len();
+                let mut slot = std::mem::replace(&mut self.ring[bucket], NIL);
+                while slot != NIL {
+                    let (entry, link) = self.unchain(slot);
+                    self.due.push(entry);
+                    self.ring_len -= 1;
+                    slot = link;
+                }
                 // One small sort per bucket beats a heap sift per
                 // event: `due` is empty here, so this is the whole
                 // bucket, typically a handful of events.
-                self.due.append(&mut self.ring[bucket]);
                 self.due.sort_unstable_by(|a, b| b.cmp(a));
                 self.admit_overflow();
             }
@@ -377,7 +429,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Move overflow events that now fall within the wheel horizon
-    /// into the wheel (or `current` if they are due already).
+    /// into the wheel (or `late` if they are due already).
     fn admit_overflow(&mut self) {
         while let Some(Reverse(head)) = self.overflow.peek() {
             let abs = head.at.0 >> self.shift;
@@ -385,14 +437,7 @@ impl<T> EventQueue<T> {
                 break;
             }
             let Reverse(e) = self.overflow.pop().expect("peeked");
-            if abs <= self.cur_abs {
-                self.late.push(Reverse(e));
-            } else {
-                let bucket = (abs & (N_BUCKETS as u64 - 1)) as usize;
-                self.occupied[bucket >> 6] |= 1 << (bucket & 63);
-                self.ring[bucket].push(e);
-                self.ring_len += 1;
-            }
+            self.place(e);
         }
     }
 
@@ -419,21 +464,52 @@ impl<T> EventQueue<T> {
     /// Re-key every pending event at a new bucket width, anchoring the
     /// cursor at the last popped timestamp. Order is unaffected: the
     /// pop order is derived from `(at, seq)` keys, not tier placement.
+    ///
+    /// The occupied slab slots *are* the ring-resident events, so each
+    /// is re-chained where it sits (or leaves for `late`/`overflow` and
+    /// frees its slot); only the other three tiers pass through a stash.
     fn rebuild(&mut self, shift: u32) {
-        let mut stash: Vec<Entry<T>> = Vec::with_capacity(self.len());
+        let mut stash: Vec<Entry<T>> = Vec::with_capacity(self.len() - self.ring_len);
         stash.append(&mut self.due);
         stash.extend(self.late.drain().map(|Reverse(e)| e));
-        for bucket in self.ring.iter_mut() {
-            stash.append(bucket);
-        }
         stash.extend(self.overflow.drain().map(|Reverse(e)| e));
+        self.ring.fill(NIL);
         self.ring_len = 0;
         self.occupied = [0; N_WORDS];
         self.shift = shift;
         self.cur_abs = self.last_pop_at >> shift;
+        for slot in 0..self.slab.len() as u32 {
+            let Some(entry) = &self.slab[slot as usize] else {
+                continue;
+            };
+            let abs = entry.at.0 >> shift;
+            if abs > self.cur_abs && abs - self.cur_abs < N_BUCKETS as u64 {
+                self.chain(abs, slot);
+            } else {
+                let (entry, _) = self.unchain(slot);
+                self.place(entry);
+            }
+        }
         for entry in stash {
             self.place(entry);
         }
+    }
+
+    /// Bytes per slab slot (`core/tests/packet_size.rs` pins the simulator's).
+    #[doc(hidden)]
+    pub const SLOT_BYTES: usize = std::mem::size_of::<Option<Entry<T>>>();
+
+    /// Slab slots ever allocated (occupied + free).
+    #[doc(hidden)]
+    pub fn slab_slots(&self) -> usize {
+        self.slab.len()
+    }
+
+    /// Slab slots on the free list, counted by walking it.
+    #[doc(hidden)]
+    pub fn free_slots(&self) -> usize {
+        let live = |slot: u32| (slot != NIL).then_some(slot);
+        std::iter::successors(live(self.free), |&slot| live(self.next[slot as usize])).count()
     }
 }
 
@@ -593,6 +669,43 @@ mod tests {
                 }
             }
         }
+        drain_equal(q, r);
+    }
+
+    #[test]
+    fn rebuild_mid_stream_recycles_slots() {
+        // 300 events inside the wheel, a third of them drained (their
+        // slots free), then retunes both ways: narrower pushes the far
+        // events out to `overflow` (slots freed), wider re-chains every
+        // survivor where it sits. The slab never grows, never loses a
+        // slot, and the drain order is the reference heap's.
+        let mut q = EventQueue::new();
+        let mut r = RefQueue::new();
+        for seq in 0..300u64 {
+            let at = SimTime((seq + 1) * 9_000);
+            q.push(at, seq, seq);
+            r.push(at, seq);
+        }
+        assert_eq!((q.slab_slots(), q.free_slots()), (300, 0));
+        for _ in 0..100 {
+            assert_eq!(q.pop().map(|(at, s, _)| (at, s)), r.pop());
+        }
+        let resident = |q: &EventQueue<u64>| q.slab_slots() - q.free_slots();
+        assert_eq!((q.slab_slots(), resident(&q), q.ring_len), (300, 200, 200));
+        q.rebuild(6);
+        assert!(!q.overflow.is_empty(), "a 262 us horizon sheds the tail");
+        assert_eq!((q.slab_slots(), resident(&q)), (300, q.ring_len));
+        assert_eq!(q.len(), 200);
+        q.rebuild(16);
+        assert_eq!((q.slab_slots(), resident(&q)), (300, q.ring_len));
+        assert_eq!(q.len(), 200);
+        // Refill: the freed slots are reused before the slab grows.
+        for seq in 300..400u64 {
+            let at = SimTime(q.last_pop_at + (seq - 299) * 70_000);
+            q.push(at, seq, seq);
+            r.push(at, seq);
+        }
+        assert_eq!(q.slab_slots(), 300);
         drain_equal(q, r);
     }
 

@@ -28,6 +28,21 @@ fn ops() -> impl Strategy<Value = Vec<(bool, u64)>> {
     )
 }
 
+/// Slab accounting, checked after every operation: the slots not on the
+/// free list are the ring-resident events, and the slab has never grown
+/// past their high-water mark `peak` — a slot is only ever added when
+/// every existing one is occupied.
+fn check_slab(q: &EventQueue<u64>, peak: &mut usize) {
+    let (slots, resident) = (q.slab_slots(), q.slab_slots() - q.free_slots());
+    assert!(
+        resident <= q.len(),
+        "{resident} slots for {} events",
+        q.len()
+    );
+    *peak = (*peak).max(resident);
+    assert!(slots <= *peak, "{slots} slots, resident peak {peak}");
+}
+
 proptest! {
     /// Interleaved pushes and pops drain in exactly the reference
     /// heap's `(at, seq)` order.
@@ -37,6 +52,7 @@ proptest! {
         let mut r: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut now = 0u64;
+        let mut peak = 0usize;
         for (push, delay) in script {
             if push {
                 let at = SimTime(now + delay);
@@ -51,12 +67,14 @@ proptest! {
                     now = at.0;
                 }
             }
+            check_slab(&q, &mut peak);
         }
         while let Some(Reverse((at, s))) = r.pop() {
             prop_assert_eq!(q.pop(), Some((at, s, s)));
         }
         prop_assert!(q.is_empty());
         prop_assert_eq!(q.pop(), None);
+        prop_assert_eq!(q.free_slots(), q.slab_slots(), "a drained queue leaks no slot");
     }
 
     /// `peek_at` never changes what pops next, even when it advances
@@ -82,5 +100,55 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The same accounting across retunes: the script is replayed, every
+    /// other pass as pops only, with its delays scaled by a different
+    /// power of two in each of four phases, so the width formula swings
+    /// and the wheel is rebuilt with events resident in every tier.
+    #[test]
+    fn slab_is_bounded_by_resident_peak_across_retunes(script in ops()) {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut r: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut now = 0u64;
+        let mut peak = 0usize;
+        let pushes = script.iter().filter(|(push, _)| *push).count() as u64;
+        prop_assume!(pushes > 0);
+        // Four phases of ~6 000 pushes, each longer than a retune period.
+        let passes = 2 * (24_000 / pushes + 1);
+        for pass in 0..passes {
+            let scale = |d: u64| match pass * 4 / passes {
+                0 => d,
+                1 => d >> 8,
+                2 => d << 6,
+                _ => d >> 4,
+            };
+            for &(push, delay) in &script {
+                if push && pass % 2 == 0 {
+                    let at = SimTime(now + scale(delay));
+                    q.push(at, seq, seq);
+                    r.push(Reverse((at, seq)));
+                    seq += 1;
+                } else {
+                    let got = q.pop().map(|(at, s, _)| (at, s));
+                    prop_assert_eq!(got, r.pop().map(|Reverse(k)| k));
+                    if let Some((at, _)) = got {
+                        now = at.0;
+                    }
+                }
+                check_slab(&q, &mut peak);
+            }
+        }
+        while let Some(Reverse((at, s))) = r.pop() {
+            prop_assert_eq!(q.pop(), Some((at, s, s)));
+            check_slab(&q, &mut peak);
+        }
+        prop_assert_eq!(q.len(), 0);
+        prop_assert_eq!(q.free_slots(), q.slab_slots(), "a drained queue leaks no slot");
     }
 }

@@ -1,0 +1,48 @@
+//! Committed results are what the code produces: the four fastest
+//! figures, rendered through the same table `figs` prints from, equal
+//! their `results/<name>.tsv` byte for byte.
+//!
+//! `figs all --check` (CI's `figure-smoke`) covers all eleven files;
+//! these four keep the identity check inside `cargo test`, and between
+//! them run the knapsack rack, the partitioned failover chains, the
+//! eight-rack population cluster and tenant churn.
+
+use netlock_bench::figures::{first_difference, FIGURES};
+use netlock_bench::BinArgs;
+
+fn assert_committed(name: &str) {
+    let (_, render) = FIGURES
+        .iter()
+        .find(|(fig, _)| *fig == name)
+        .unwrap_or_else(|| panic!("no figure named {name}"));
+    let args = BinArgs::default();
+    let rendered = render(&args, &args.runner());
+    let path = format!("{}/../../results/{name}.tsv", env!("CARGO_MANIFEST_DIR"));
+    let committed =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+    assert!(
+        committed == rendered,
+        "{name}.tsv {}",
+        first_difference(&committed, &rendered)
+    );
+}
+
+#[test]
+fn fig13_is_its_committed_file() {
+    assert_committed("fig13");
+}
+
+#[test]
+fn failover_is_its_committed_file() {
+    assert_committed("failover");
+}
+
+#[test]
+fn flash_crowd_is_its_committed_file() {
+    assert_committed("flash_crowd");
+}
+
+#[test]
+fn tenant_churn_is_its_committed_file() {
+    assert_committed("tenant_churn");
+}

@@ -3,8 +3,8 @@
 //! scenario report as TSV and exits nonzero if any schedule produced
 //! an oracle violation.
 //!
-//! Runs under the counting global allocator, like `bench_sim` and the
-//! alloc-tracking integration test, so chaos runs exercise the exact
+//! Runs under the counting global allocator, like the alloc-tracking
+//! integration tests, so chaos runs exercise the exact
 //! allocator configuration the zero-allocation claims are made under.
 use netlock_bench::{BinArgs, CountingAlloc};
 

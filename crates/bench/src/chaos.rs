@@ -236,40 +236,29 @@ pub fn build_tpcc_chaos_rack(seed: u64) -> (Rack, Allocation) {
         retry_timeout: SimDuration::from_millis(1),
         ..Default::default()
     };
-    let mut rack = Rack::build(RackConfig {
-        seed: spec.seed,
-        lock_servers: spec.lock_servers,
-        server: ServerConfig {
-            service: spec.server_service,
-            lease: CHAOS_LEASE,
-            sweep_tick: CHAOS_TICK,
-            ..Default::default()
-        },
-        switch: SwitchConfig {
-            lease: CHAOS_LEASE,
-            control_tick: CHAOS_TICK,
-            ..Default::default()
-        },
-        ..Default::default()
-    });
-    let alloc = crate::common::tpcc_allocation(&spec);
-    rack.program(&alloc);
-    let cfg = spec.tpcc_config();
-    for _ in 0..spec.clients {
-        rack.add_txn_client(
-            TxnClientConfig {
-                workers: spec.workers_per_client,
-                retry_timeout: spec.retry_timeout,
-                // Cap backoff at one lease: the oracle's wedge horizon is a
-                // few leases, so retries must keep touching activity faster
-                // than that even after repeated losses.
-                retry_backoff_cap: CHAOS_LEASE,
+    crate::common::build_netlock_tpcc_on(
+        &spec,
+        RackConfig {
+            server: ServerConfig {
+                lease: CHAOS_LEASE,
+                sweep_tick: CHAOS_TICK,
                 ..Default::default()
             },
-            Box::new(netlock_workloads::TpccSource::new(cfg.clone())),
-        );
-    }
-    (rack, alloc)
+            switch: SwitchConfig {
+                lease: CHAOS_LEASE,
+                control_tick: CHAOS_TICK,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+        TxnClientConfig {
+            // Cap backoff at one lease: the oracle's wedge horizon is a
+            // few leases, so retries must keep touching activity faster
+            // than that even after repeated losses.
+            retry_backoff_cap: CHAOS_LEASE,
+            ..Default::default()
+        },
+    )
 }
 
 /// Sabotage switches for [`run_chaos_seed_with`]: disable one defense

@@ -81,8 +81,8 @@ mod tests {
     // Note: this test does NOT install the allocator (a test binary
     // can't, portably, without affecting every other test); it only
     // checks the counter plumbing. The real end-to-end proof lives in
-    // `bench_sim` and the alloc-tracking integration test, which do
-    // install it.
+    // the alloc-tracking integration tests (`tests/integration_alloc.rs`,
+    // `tests/integration_txn.rs`), which do install it.
     #[test]
     fn counter_is_monotone() {
         let a = allocation_count();

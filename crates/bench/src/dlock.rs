@@ -307,14 +307,12 @@ fn drive<T: ConcurrentLockTable>(backend: &T, spec: PointSpec) -> PointResult {
     }
 }
 
-/// Sequential `LockTable` cost in ns per acquire+release *pair* — the
-/// one definition both `bench_sim` (`lock_table_ns_per_op`,
-/// `lock_table_cold_ns_per_op`) and `dlock_bench` report from. `cold`
-/// picks the lock stream: false cycles the same 64 locks (the entry is
-/// re-created in a warm map slot from a warm spare state every round);
-/// true gives every round a lock never seen before, as the TPC-C long
-/// tail does to a lock server.
-pub fn seq_lock_table_ns_per_pair(rounds: usize, cold: bool) -> f64 {
+/// Sequential `LockTable` cost in ns per *message* (an acquire or a
+/// release), cycling acquire+release pairs over the same 64 locks: the
+/// entry is re-created in a warm map slot from a warm spare state every
+/// round. This is the number `--calibrated` feeds into the simulation's
+/// server model in place of the paper's 222 ns.
+pub fn seq_lock_table_ns_per_message(rounds: usize) -> f64 {
     let mut table = LockTable::new();
     let mut grants: Vec<LockRequest> = Vec::new();
     let req = |lock: u32, txn: u64| LockRequest {
@@ -338,20 +336,11 @@ pub fn seq_lock_table_ns_per_pair(rounds: usize, cold: bool) -> f64 {
     let t = Instant::now();
     let mut acc = 0usize;
     for i in 64..64 + rounds {
-        let lock = if cold { i } else { i % 64 };
-        acc += cycle(lock as u32, i as u64);
+        acc += cycle((i % 64) as u32, i as u64);
     }
     let elapsed = t.elapsed().as_nanos() as f64;
     std::hint::black_box(acc);
-    elapsed / rounds as f64
-}
-
-/// Sequential `LockTable` cost in ns per *message* (an acquire or a
-/// release: half a hot [`seq_lock_table_ns_per_pair`]). This is the
-/// number `--calibrated` feeds into the simulation's server model in
-/// place of the paper's 222 ns.
-pub fn seq_lock_table_ns_per_message(rounds: usize) -> f64 {
-    seq_lock_table_ns_per_pair(rounds, false) / 2.0
+    elapsed / (2 * rounds) as f64
 }
 
 /// The thread counts a sweep uses: doubling from 1 up to `max`.

@@ -105,17 +105,10 @@ fn populate_switch_rack(sim: &mut Simulator<NetLockMsg>, rack: &mut RackNodes, w
 
 /// Throughput (MRPS) of the lock switch for one workload.
 pub fn run_switch(workload: Workload, scale: TimeScale) -> f64 {
-    mrps(run_switch_stats(workload, scale).lock_rps())
-}
-
-/// Full measurement stats for the lock-switch run — same rack, seed,
-/// and windows as [`run_switch`]. Used by `bench_sim` to pair the
-/// wall-clock of a figure point with its simulator event count
-/// (`RunStats::events_fired`) for an end-to-end events/sec rate.
-pub fn run_switch_stats(workload: Workload, scale: TimeScale) -> RunStats {
     let mut rack = Rack::build(rack_config());
     populate_switch_rack(&mut rack.sim, &mut rack.nodes, workload);
-    warmup_and_measure(&mut rack, scale.warmup, scale.measure)
+    let stats = warmup_and_measure(&mut rack, scale.warmup, scale.measure);
+    mrps(stats.lock_rps())
 }
 
 /// Throughput (MRPS) of a lock server with `cores` cores.

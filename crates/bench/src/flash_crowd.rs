@@ -271,10 +271,8 @@ const SPEEDUP_HOLD: SimDuration = SimDuration::from_micros(10);
 
 /// Wall-clock of the aggregate build alone: `virtual_clients` on one
 /// population node, `measure` of simulated time after an untimed
-/// warmup. Returns `(seconds, requests_issued)` — the
-/// requests-per-wall-second rate `bench_sim` snapshots as
-/// `agg_requests_per_sec`.
-pub fn aggregate_point(
+/// warmup. Returns `(seconds, requests_issued)`.
+fn aggregate_point(
     virtual_clients: u64,
     rate_rps_per_client: f64,
     measure: SimDuration,

@@ -2,7 +2,7 @@
 //!
 //! Experiment harnesses that regenerate every figure of the paper's
 //! evaluation (§6). Each `figXX` module provides typed `run_*`
-//! functions (used by the Criterion benches and integration tests) and
+//! functions (used by the integration tests) and
 //! a `render` that returns the figure's rows as TSV; [`figures::FIGURES`]
 //! lists them for the one `figs` binary, which prints them or checks
 //! them against `results/`. See DESIGN.md for the per-experiment index

@@ -4,10 +4,9 @@
 //! grant/release case into a reusable `ActionBuf`, and the server lock
 //! table granting into its reusable out-buffer.
 //!
-//! These are the same claims `bench_sim` measures into
-//! `BENCH_sim.json` (`allocs_per_packet`); here they are hard test
-//! assertions, so a regression fails `cargo test`, not just CI's bench
-//! smoke step.
+//! This file is the gate for those claims: a regression fails
+//! `cargo test`. The repo benchmark reports the same count under load
+//! as `switch.dataplane.allocs_per_pkt`.
 
 use netlock_bench::{allocation_count, CountingAlloc};
 use netlock_proto::{

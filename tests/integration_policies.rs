@@ -210,3 +210,138 @@ fn quota_drops_are_counted() {
         .read_node::<SwitchNode, _>(switch, |s| s.dataplane().stats().quota_drops);
     assert!(drops > 5_000, "1 MRPS against a 10 KRPS quota: {drops}");
 }
+
+// Ablations of NetLock's design choices (DESIGN.md §6), at the smallest
+// scale where the effect is unambiguous (≈ 4 ms of wall-clock per run).
+
+const ABLATION_WARMUP: SimDuration = SimDuration::from_millis(2);
+const ABLATION_MEASURE: SimDuration = SimDuration::from_millis(8);
+
+/// The skewed workload that motivates runtime-adjustable regions
+/// (Figure 5): 4 heavily contended locks (16 workers each) and 252
+/// near-idle locks. Contention-sized regions need 33 slots on the hot
+/// locks and 1 elsewhere; a static equal split cannot express that.
+const HOT: u32 = 4;
+const COLD: u32 = 252;
+const CAPACITY: u32 = 4 * 33 + 252; // exactly the sized footprint
+
+fn skew_stats() -> Vec<LockStats> {
+    let stat = |lock, rate, contention| LockStats {
+        lock: LockId(lock),
+        rate,
+        contention,
+        home_server: 0,
+    };
+    (0..HOT)
+        .map(|l| stat(l, 1_000.0, 33))
+        .chain((HOT..HOT + COLD).map(|l| stat(l, 1.0, 1)))
+        .collect()
+}
+
+/// Lock throughput (requests/s) of the skewed workload over `alloc`.
+fn run_skew(alloc: &Allocation) -> f64 {
+    let mut rack = Rack::build(RackConfig {
+        seed: 71,
+        lock_servers: 1,
+        ..Default::default()
+    });
+    rack.program(alloc);
+    // Two clients of 16 workers hammer the hot locks; one client roams
+    // the cold ones.
+    for _ in 0..2 {
+        rack.add_txn_client(
+            TxnClientConfig {
+                workers: 16,
+                ..Default::default()
+            },
+            // Zero think: the grant-handoff path dominates, which is
+            // exactly where a starved q1 pays the q2 round trips.
+            Box::new(exclusive_source(HOT, 0)),
+        );
+    }
+    rack.add_txn_client(
+        TxnClientConfig {
+            workers: 8,
+            ..Default::default()
+        },
+        Box::new(SingleLockSource {
+            locks: (HOT..HOT + COLD).map(LockId).collect(),
+            mode: LockMode::Exclusive,
+            think: SimDuration::from_micros(20),
+        }),
+    );
+    warmup_and_measure(&mut rack, ABLATION_WARMUP, ABLATION_MEASURE).lock_rps()
+}
+
+/// Pooled shared queue vs static equal partitions: the shared queue
+/// exists so per-lock regions can be sized to measured contention; the
+/// ablation splits the same memory equally (1 slot per lock) and loses
+/// throughput to fragmentation.
+#[test]
+fn pooled_regions_beat_equal_partitions_on_skew() {
+    let stats = skew_stats();
+    let pooled = run_skew(&knapsack_allocate(&stats, CAPACITY));
+    let equal = run_skew(&Allocation {
+        in_switch: stats
+            .iter()
+            .map(|s| (s.lock, CAPACITY / (HOT + COLD), s.home_server))
+            .collect(),
+        in_server: vec![],
+    });
+    assert!(
+        pooled > equal * 1.2,
+        "contention-sized regions must beat equal partitions on skew: \
+         {:.2} vs {:.2} MRPS",
+        pooled / 1e6,
+        equal / 1e6
+    );
+}
+
+/// Mean acquire→data latency (ns) of micro clients with and without
+/// §4.1's one-RTT grant forwarding.
+fn run_one_rtt(one_rtt: bool) -> f64 {
+    let mut rack = Rack::build(RackConfig {
+        seed: 77,
+        lock_servers: 1,
+        db_servers: 2,
+        switch: netlock_switch::SwitchConfig {
+            one_rtt,
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    let locks: Vec<LockId> = (0..256).map(LockId).collect();
+    let stats = LockStats::uniform(locks.iter().copied(), 64, 1);
+    rack.program(&knapsack_allocate(&stats, 100_000));
+    for _ in 0..4 {
+        rack.add_micro_client(MicroClientConfig {
+            rate_rps: 100_000.0,
+            locks: locks.clone(),
+            mode: LockMode::Exclusive,
+            ..Default::default()
+        });
+    }
+    let stats = warmup_and_measure(&mut rack, ABLATION_WARMUP, ABLATION_MEASURE);
+    // With one-RTT on, the client's "grant" latency already includes
+    // the data fetch; without it, add the separate fetch round trip the
+    // client would need (client→db→client plus db service).
+    let base = stats.lock_latency_summary().avg_ns;
+    if one_rtt {
+        base
+    } else {
+        base + 2.0 * 1_200.0 + 800.0 + 5_000.0 // extra RTT + fetch + client processing
+    }
+}
+
+/// One-RTT transactions vs two-step acquire-then-fetch, measured as
+/// lock-to-data latency.
+#[test]
+fn one_rtt_forwarding_cuts_lock_to_data_latency() {
+    let (one, two) = (run_one_rtt(true), run_one_rtt(false));
+    assert!(
+        one < two,
+        "one-RTT must reduce lock+data latency: {:.1} vs {:.1} us",
+        one / 1e3,
+        two / 1e3
+    );
+}

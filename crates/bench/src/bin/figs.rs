@@ -13,7 +13,7 @@ use std::time::Instant;
 use netlock_bench::figures::{first_difference, FIGURES};
 use netlock_bench::BinArgs;
 
-const OWN: &str = "<fig08..fig15 | flash_crowd | tenant_churn | failover | all> [--check]";
+const OWN: &str = "<fig08..fig15 | flash_crowd | tenant_churn | failover | chaos | all> [--check]";
 
 fn main() {
     let (args, rest) = BinArgs::parse_env(OWN);

@@ -359,7 +359,26 @@ pub fn run_suite(seeds_per_workload: u64) -> Vec<ChaosRun> {
     runs
 }
 
-/// The TSV scenario report the `chaos` binary prints.
+/// Schedules per rack flavor: 16, or 4 at `--quick` scale.
+pub fn seeds_per_workload(quick: bool) -> u64 {
+    if quick {
+        4
+    } else {
+        16
+    }
+}
+
+/// What the `chaos` binary prints and `results/chaos.tsv` holds: the
+/// scaling line, then [`render`] of `runs`.
+pub fn report(seeds_per_workload: u64, runs: &[ChaosRun]) -> String {
+    format!(
+        "# scaling: {seeds_per_workload} seeds per workload ({} schedules total)\n{}",
+        seeds_per_workload * 2,
+        render(runs)
+    )
+}
+
+/// The TSV scenario report.
 pub fn render(runs: &[ChaosRun]) -> String {
     use std::fmt::Write;
     let mut out = String::new();

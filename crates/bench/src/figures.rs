@@ -10,7 +10,9 @@ use crate::failover::Scale;
 use crate::flash_crowd::FlashCrowdSpec;
 use crate::runner::Runner;
 use crate::tenant_churn::TenantChurnSpec;
-use crate::{failover, fig08, fig09, fig10, fig12, fig13, fig14, fig15, flash_crowd, tenant_churn};
+use crate::{
+    chaos, failover, fig08, fig09, fig10, fig12, fig13, fig14, fig15, flash_crowd, tenant_churn,
+};
 
 /// Renders one result file from the shared flags.
 pub type RenderFn = fn(&BinArgs, &Runner) -> String;
@@ -23,7 +25,7 @@ fn scaled(scale: TimeScale, unit: &str, body: String) -> String {
 }
 
 /// `(name, render)` for every result file, in `figs all` order.
-pub const FIGURES: [(&str, RenderFn); 11] = [
+pub const FIGURES: [(&str, RenderFn); 12] = [
     ("fig08", |args, runner| {
         let scale = args.scale(Fig::F08);
         scaled(scale, " per point", fig08::render(runner, scale))
@@ -94,6 +96,12 @@ pub const FIGURES: [(&str, RenderFn); 11] = [
         };
         let runs = failover::run_sweep(scale, args.sim_workers.unwrap_or(1));
         failover::render(scale, &runs)
+    }),
+    // The `chaos` binary's report: every schedule's oracle audit digest,
+    // so a moved grant anywhere in the 32 schedules shows up here.
+    ("chaos", |args, _| {
+        let seeds = chaos::seeds_per_workload(args.quick);
+        chaos::report(seeds, &chaos::run_suite(seeds))
     }),
 ];
 

@@ -382,7 +382,16 @@ pub fn decode_msg(buf: &mut impl Buf) -> Result<NetLockMsg, DecodeError> {
             let partition = buf.get_u16();
             let seq = buf.get_u64();
             let stamp_ns = buf.get_u64();
-            let op = Box::new(decode_msg(buf)?);
+            // A chain replicates only client acquires and releases, so the
+            // inner op is decoded as one of those, never as another chain
+            // op: hostile nesting is an error, not unbounded recursion.
+            need(buf, 1)?;
+            let inner = buf.get_u8();
+            let op = Box::new(match Tag::from_u8(inner) {
+                Some(Tag::Acquire) => NetLockMsg::Acquire(get_request(buf)?.0),
+                Some(Tag::Release) => NetLockMsg::Release(get_release(buf)?),
+                _ => return Err(DecodeError::BadOp(inner)),
+            });
             NetLockMsg::ChainOp {
                 partition,
                 seq,
@@ -625,6 +634,36 @@ mod tests {
     fn decode_rejects_unknown_tag() {
         let mut b = Bytes::from(vec![200u8, 0, 0]);
         assert!(matches!(decode_msg(&mut b), Err(DecodeError::BadOp(200))));
+    }
+
+    #[test]
+    fn nested_chain_ops_are_rejected_not_recursed() {
+        // 20,000 chain headers around one acquire (≈ 380 KB): one
+        // recursion per header used to overflow the stack.
+        let mut wire = BytesMut::with_capacity(20_000 * 19 + 64);
+        for _ in 0..20_000 {
+            wire.put_u8(Tag::ChainOp as u8);
+            wire.put_u16(0);
+            wire.put_u64(1);
+            wire.put_u64(2);
+        }
+        encode_into(&NetLockMsg::Acquire(req(1)), &mut wire);
+        let mut b = wire.freeze();
+        assert_eq!(
+            decode_msg(&mut b),
+            Err(DecodeError::BadOp(Tag::ChainOp as u8))
+        );
+        // Any inner op other than Acquire / Release is refused too.
+        let demote = NetLockMsg::ChainOp {
+            partition: 0,
+            seq: 1,
+            stamp_ns: 2,
+            op: Box::new(NetLockMsg::CtrlDemote { lock: LockId(3) }),
+        };
+        assert_eq!(
+            decode_msg(&mut encode_msg(&demote)),
+            Err(DecodeError::BadOp(Tag::CtrlDemote as u8))
+        );
     }
 
     #[test]

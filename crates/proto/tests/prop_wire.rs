@@ -175,5 +175,28 @@ mod msg_codec {
             let mut b = Bytes::from(bytes);
             let _ = decode_msg(&mut b);
         }
+
+        /// A chain op survives the wire exactly when it wraps one client
+        /// acquire or release; any other inner message, and any chain op
+        /// nested inside another, decodes to an error.
+        #[test]
+        fn chain_op_carries_only_client_ops(
+            inner in arb_msg(),
+            depth in 1usize..40,
+            (partition, seq, stamp_ns) in (any::<u16>(), any::<u64>(), any::<u64>()),
+        ) {
+            let client_op = matches!(inner, NetLockMsg::Acquire(_) | NetLockMsg::Release(_));
+            let mut msg = inner;
+            for _ in 0..depth {
+                msg = NetLockMsg::ChainOp { partition, seq, stamp_ns, op: Box::new(msg) };
+            }
+            let mut wire = encode_msg(&msg);
+            let out = decode_msg(&mut wire);
+            if depth == 1 && client_op {
+                prop_assert_eq!(out, Ok(msg));
+            } else {
+                prop_assert!(out.is_err(), "decoded {:?}", out);
+            }
+        }
     }
 }

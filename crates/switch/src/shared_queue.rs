@@ -21,6 +21,19 @@
 //! once per pass, in ascending stage order, as the hardware requires;
 //! reading a queue entry after a dequeue needs a *resubmit* (a new pass),
 //! exactly like the P4 program.
+//!
+//! An empty region restarts at its first slot: the release that drains
+//! a region sets its head to 0, and an enqueue into an empty region
+//! writes offset 0 whatever its tail says. Both are predicates on the
+//! `count` value the pass has already read, folded into the head or
+//! tail read-modify-write it already does, so the modelled program —
+//! arrays, stages, accesses per pass — is unchanged. Queue order is
+//! unchanged too; what changes is which slots a lightly used lock
+//! touches. A lock that holds one request at a time rewrites one slot
+//! instead of walking its whole ring, so the host-memory working set of
+//! the slot arrays follows the live requests, not the pool size.
+//! Invariant: **empty ⇒ head == 0**; a tail value means something only
+//! while `count > 0`.
 
 use netlock_proto::LockMode;
 
@@ -113,7 +126,8 @@ pub enum DequeueOutcome {
     Dequeued {
         /// Entries remaining after the dequeue.
         remaining: u32,
-        /// Offset (within the region) of the new head.
+        /// Offset (within the region) of the new head; 0 when the
+        /// dequeue drained the region.
         new_head: u32,
     },
 }
@@ -127,9 +141,11 @@ pub struct RegionView {
     pub right: u32,
     /// Occupied slots.
     pub count: u32,
-    /// Circular head offset.
+    /// Circular head offset; always 0 while the region is empty.
     pub head: u32,
-    /// Circular tail offset.
+    /// Circular tail offset (where the next enqueue writes). Meaningful
+    /// only while `count > 0`: an enqueue into an empty region writes
+    /// offset 0 regardless.
     pub tail: u32,
     /// Exclusive entries in the queue.
     pub excl: u32,
@@ -270,8 +286,9 @@ impl SharedQueue {
         let count_new = count_old + 1;
         self.max_count
             .access(pass, qid, |m| *m = (*m).max(count_new));
+        // An empty region restarts at offset 0, where its head points.
         let tail_old = self.tail.access(pass, qid, |t| {
-            let old = *t;
+            let old = if count_old == 0 { 0 } else { *t };
             *t = if old + 1 == cap { 0 } else { old + 1 };
             old
         });
@@ -332,17 +349,21 @@ impl SharedQueue {
         if count_old == 0 {
             return DequeueOutcome::Spurious;
         }
-        let head_old = self.head.access(pass, qid, |h| {
-            let old = *h;
-            *h = if old + 1 == cap { 0 } else { old + 1 };
-            old
+        // Draining the region parks its head at offset 0, where the next
+        // enqueue restarts (empty ⇒ head == 0).
+        let new_head = self.head.access(pass, qid, |h| {
+            *h = if count_old == 1 || *h + 1 == cap {
+                0
+            } else {
+                *h + 1
+            };
+            *h
         });
         self.excl.access(pass, qid, |e| {
             if released_mode == LockMode::Exclusive && *e > 0 {
                 *e -= 1;
             }
         });
-        let new_head = if head_old + 1 == cap { 0 } else { head_old + 1 };
         DequeueOutcome::Dequeued {
             remaining: count_old - 1,
             new_head,
@@ -714,6 +735,72 @@ mod tests {
         assert_eq!(v.count, 0);
         assert_eq!(v.capacity(), 0);
         assert_eq!(q.cp_take_req_count(0), 0);
+    }
+
+    #[test]
+    fn drained_region_restarts_at_its_first_slot() {
+        let mut pg = PassGen(0);
+        // Offsets of a 16-slot region that a slot read finds non-empty.
+        let written = |q: &mut SharedQueue, pg: &mut PassGen| -> Vec<u32> {
+            (0..16)
+                .filter(|&off| q.read_at(&mut pg.next(), 0, off) != Slot::EMPTY)
+                .collect()
+        };
+        for occupancy in [1u32, 2] {
+            let mut q = SharedQueue::new(&SharedQueueLayout::small(1, 16, 4));
+            q.cp_set_region(0, 0, 16);
+            for cycle in 0..100u64 {
+                let first = cycle * 10;
+                for i in 0..occupancy {
+                    q.enqueue(&mut pg.next(), 0, slot(LockMode::Shared, first + i as u64));
+                }
+                let txns: Vec<u64> = q.cp_entries(0).iter().map(|s| s.txn.0).collect();
+                let want: Vec<u64> = (0..occupancy as u64).map(|i| first + i).collect();
+                assert_eq!(txns, want, "occupancy {occupancy}, cycle {cycle}");
+                for left in (0..occupancy).rev() {
+                    let out = q.release_dequeue(&mut pg.next(), 0, LockMode::Shared);
+                    let DequeueOutcome::Dequeued {
+                        remaining,
+                        new_head,
+                    } = out
+                    else {
+                        panic!("expected dequeue");
+                    };
+                    assert_eq!(remaining, left);
+                    if left == 0 {
+                        assert_eq!(new_head, 0, "the draining dequeue reports head 0");
+                    }
+                }
+                assert_eq!(q.cp_region(0).head, 0, "empty ⇒ head == 0");
+            }
+            let want: Vec<u32> = (0..occupancy).collect();
+            assert_eq!(written(&mut q, &mut pg), want, "occupancy {occupancy}");
+        }
+    }
+
+    #[test]
+    fn order_across_wrap_and_drain_matches_a_fifo() {
+        use std::collections::VecDeque;
+        let mut q = queue_with_region(3);
+        let mut pg = PassGen(0);
+        let mut model = VecDeque::new();
+        // A fixed walk that fills, wraps, drains to empty mid-ring and
+        // refills: enqueue on 'e', release on 'r'.
+        let script = "eer eer rr eee r e rrr e r ee rr eee rrr";
+        for (txn, op) in script.chars().filter(|c| *c != ' ').enumerate() {
+            if op == 'e' {
+                let out = q.enqueue(&mut pg.next(), 0, slot(LockMode::Exclusive, txn as u64));
+                assert_ne!(out, EnqueueOutcome::Full, "script never overfills");
+                model.push_back(txn as u64);
+            } else {
+                q.release_dequeue(&mut pg.next(), 0, LockMode::Exclusive);
+                model.pop_front();
+            }
+            let txns: Vec<u64> = q.cp_entries(0).iter().map(|s| s.txn.0).collect();
+            assert_eq!(txns, Vec::from(model.clone()), "after step {txn}");
+            let v = q.cp_region(0);
+            assert!(v.count > 0 || v.head == 0, "empty ⇒ head == 0");
+        }
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //!   wrap-to-zero is not a single-ALU operation, a modulo of a
 //!   metadata value is.) Compare `tail mod cap` against the real
 //!   queue's wrapped tail.
+//! - That comparison holds only until the region first drains: the
+//!   hand-written enqueue restarts an empty region at offset 0, and the
+//!   monotone tail does not. The program models the enqueue-only
+//!   domain — no release ever runs against it — which is exactly what
+//!   the differential in `tests/integration_txn.rs` drives.
 //! - A slot stores `mode + 1` (1 = shared, 2 = exclusive, 0 = empty)
 //!   rather than a 20-byte struct; the declared cell width still
 //!   charges [`crate::shared_queue::SLOT_BYTES`] so feasibility

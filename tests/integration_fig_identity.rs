@@ -2,7 +2,7 @@
 //! figures, rendered through the same table `figs` prints from, equal
 //! their `results/<name>.tsv` byte for byte.
 //!
-//! `figs all --check` (CI's `figure-smoke`) covers all eleven files;
+//! `figs all --check` (CI's `figure-smoke`) covers all twelve files;
 //! these four keep the identity check inside `cargo test`, and between
 //! them run the knapsack rack, the partitioned failover chains, the
 //! eight-rack population cluster and tenant churn.

@@ -88,6 +88,9 @@ fn txn_program_matches_shared_queue_admission() {
             // Final-state comparison. No releases were issued, so the
             // real head is still 0 and `cp_entries` (head-first order)
             // lines up with slot offsets.
+            // Nor did the region ever drain, which keeps the program's
+            // monotone tail comparable: the real queue restarts an
+            // empty region at offset 0, the program's tail never resets.
             let state = lowered.dump();
             let region = queue.cp_region(0);
             assert_eq!(state[ARR_COUNT][0] as u32, region.count, "cap {cap}");

@@ -18,15 +18,13 @@
 //! fairness, which is the mechanism behind the paper's up-to-653×
 //! 99th-percentile tail gap.
 
-use netlock_core::harness::{measure_uniform, ClientReport, RunStats};
-use netlock_core::txn::{LockNeed, Transaction, TxnSource};
+use netlock_core::harness::RunStats;
+use netlock_core::txn::LockNeed;
 use netlock_proto::LockMode;
-use netlock_sim::{
-    Context, Histogram, LinkConfig, Node, NodeId, Packet, SimDuration, SimRng, SimTime, Simulator,
-    Topology,
-};
+use netlock_sim::{Context, SimDuration, SimRng};
 
-use crate::rdma::{RdmaMsg, RdmaNicConfig, RdmaServer};
+use crate::closed_loop::{Client, ClientStats, Protocol, Timing, RELEASE_TOKEN};
+use crate::rdma::RdmaMsg;
 
 /// DrTM client configuration.
 #[derive(Clone, Debug)]
@@ -56,486 +54,170 @@ impl Default for DrtmClientConfig {
     }
 }
 
-/// DrTM client counters.
-#[derive(Clone, Debug, Default)]
-pub struct DrtmClientStats {
-    /// Transactions committed.
-    pub txns: u64,
-    /// Locks/reads acquired (validated reads count once).
-    pub grants: u64,
-    /// Failed lock/read attempts (CAS lost or read saw a writer).
-    pub conflicts: u64,
-    /// Whole-transaction aborts (read validation failed).
-    pub aborts: u64,
-    /// Transaction latency (ns), committed transactions only, measured
-    /// from first attempt (includes aborted tries — the paper's tail).
-    pub txn_latency: Histogram,
-    /// Per-lock wait latency (ns).
-    pub wait_latency: Histogram,
-}
-
+/// Where a DrTM worker is in its transaction.
 #[derive(Clone, Copy, Debug)]
-enum Phase {
-    /// CAS (exclusive) or READ (shared) in flight for lock `next`.
+pub enum Phase {
+    /// CAS (exclusive) or READ (shared) in flight for the current lock.
     Attempting {
-        next: usize,
-        sent: SimTime,
+        /// Failed tries of this lock so far.
         attempts: u32,
     },
-    /// Backing off before retrying lock `next`.
+    /// Backing off before retrying the current lock.
     BackingOff {
-        next: usize,
-        sent: SimTime,
+        /// Failed tries of this lock so far.
         attempts: u32,
     },
     /// Executing (think time) with all locks/reads in hand.
     Thinking,
-    /// Re-reading the read set; `next` indexes the shared subset.
-    Validating { next: usize },
+    /// Re-reading the read set; `at` indexes the held read in flight.
+    Validating {
+        /// Position in the held locks.
+        at: usize,
+    },
     /// Backing off before retrying the whole transaction after an abort.
     AbortBackoff,
 }
 
-#[derive(Debug)]
-struct Worker {
-    txn: Transaction,
-    txn_tag: u64,
-    /// First attempt of the current transaction (latency anchor).
-    started: SimTime,
-    phase: Phase,
-    /// Exclusive locks currently held (to release on commit/abort).
-    write_locks: Vec<LockNeed>,
-    /// Shared reads performed (to validate at commit).
-    read_set: Vec<LockNeed>,
-    gen: u64,
-    /// Consecutive aborts of the current transaction.
-    abort_attempts: u32,
-}
-
 /// The DrTM client node.
-pub struct DrtmClient {
-    cfg: DrtmClientConfig,
-    servers: Vec<NodeId>,
-    source: Box<dyn TxnSource>,
-    workers: Vec<Worker>,
-    rng: SimRng,
-    next_tag: u64,
-    stats: DrtmClientStats,
-}
+pub type DrtmClient = Client<DrtmClientConfig>;
 
-const GEN_BITS: u32 = 40;
+impl Protocol for DrtmClientConfig {
+    type Msg = RdmaMsg;
+    type Phase = Phase;
+    const THINKING: Phase = Phase::Thinking;
+    const NAME: &'static str = "drtm-client";
+    const SEED_SALT: u64 = 0xD737;
 
-impl DrtmClient {
-    /// A client that spreads lock words over `servers` by lock hash.
-    pub fn new(
-        cfg: DrtmClientConfig,
-        servers: Vec<NodeId>,
-        source: Box<dyn TxnSource>,
-        seed: u64,
-    ) -> DrtmClient {
-        assert!(!servers.is_empty());
-        assert!(cfg.workers > 0);
-        DrtmClient {
-            cfg,
-            servers,
-            source,
-            workers: Vec::new(),
-            rng: SimRng::new(seed),
-            next_tag: 1,
-            stats: DrtmClientStats::default(),
+    fn timing(&self) -> Timing {
+        Timing {
+            workers: self.workers,
+            tx_delay: self.tx_delay,
+            rx_delay: self.rx_delay,
         }
     }
 
-    /// Counters.
-    pub fn stats(&self) -> &DrtmClientStats {
-        &self.stats
+    fn token(msg: &RdmaMsg) -> Option<u64> {
+        msg.reply_token()
     }
 
-    /// Clear measurement state.
-    pub fn reset_stats(&mut self) {
-        self.stats = DrtmClientStats::default();
+    fn request(c: &mut DrtmClient, w: usize, ctx: &mut Context<'_, RdmaMsg>) {
+        attempt(c, w, 0, ctx);
     }
 
-    fn server_of(&self, addr: u64) -> NodeId {
-        let i = (addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % self.servers.len();
-        self.servers[i]
+    fn on_reply(c: &mut DrtmClient, w: usize, msg: RdmaMsg, ctx: &mut Context<'_, RdmaMsg>) {
+        let writer_free = match msg {
+            RdmaMsg::CompareSwapReply { old, .. } => old == 0,
+            RdmaMsg::ReadReply { value, .. } => value == 0,
+            _ => return,
+        };
+        match c.workers[w].phase {
+            Phase::Attempting { .. } if writer_free => c.acquired(w, ctx),
+            Phase::Attempting { attempts } => {
+                c.stats.waits += 1;
+                c.workers[w].phase = Phase::BackingOff {
+                    attempts: attempts + 1,
+                };
+                c.back_off(w, attempts + 1, c.cfg.backoff_base, c.cfg.backoff_cap, ctx);
+            }
+            Phase::Validating { at } if writer_free => validate(c, w, at + 1, ctx),
+            // A writer took a word we read: the transaction aborts.
+            Phase::Validating { .. } => {
+                c.stats.aborts += 1;
+                c.release_held(w, ctx);
+                c.workers[w].aborts += 1;
+                c.workers[w].phase = Phase::AbortBackoff;
+                let aborts = c.workers[w].aborts;
+                c.back_off(w, aborts, c.cfg.backoff_base, c.cfg.backoff_cap, ctx);
+            }
+            _ => {}
+        }
     }
 
-    fn token(&self, worker: usize) -> u64 {
-        ((worker as u64) << GEN_BITS) | (self.workers[worker].gen & ((1 << GEN_BITS) - 1))
+    fn on_timer(c: &mut DrtmClient, w: usize, ctx: &mut Context<'_, RdmaMsg>) {
+        match c.workers[w].phase {
+            Phase::BackingOff { attempts } => {
+                c.bump(w);
+                attempt(c, w, attempts, ctx);
+            }
+            Phase::Thinking => validate(c, w, 0, ctx),
+            // Retry from the first lock; the start time stays, so the
+            // committed latency includes the aborted tries.
+            Phase::AbortBackoff => c.request(w, 0, ctx),
+            Phase::Attempting { .. } | Phase::Validating { .. } => {}
+        }
+    }
+
+    /// Writes are released by a WRITE 0; reads leave nothing behind.
+    fn release(need: LockNeed, _tag: u64) -> Option<RdmaMsg> {
+        (need.mode == LockMode::Exclusive).then_some(RdmaMsg::Write {
+            addr: need.lock.0 as u64,
+            value: 0,
+            token: RELEASE_TOKEN,
+        })
     }
 
     /// Per-verb client-side jitter (CPU scheduling, doorbell timing).
     /// Without it the deterministic simulator lets a releasing worker
     /// re-CAS in the same instant as its release WRITE, which would give
     /// it an artificial permanent monopoly.
-    fn verb_jitter(&mut self) -> SimDuration {
-        SimDuration::from_nanos(self.rng.next_below(400))
+    fn jitter(rng: &mut SimRng) -> SimDuration {
+        SimDuration::from_nanos(rng.next_below(400))
     }
 
-    fn backoff(&mut self, attempts: u32) -> SimDuration {
-        let factor = 1u64 << attempts.min(8);
-        let raw = self.cfg.backoff_base.as_nanos().saturating_mul(factor);
-        let capped = raw.min(self.cfg.backoff_cap.as_nanos());
-        // Jitter ±25% to break synchronized retries.
-        let jitter = capped / 4;
-        let lo = capped - jitter;
-        SimDuration::from_nanos(lo + self.rng.next_below(jitter.max(1) * 2))
+    fn granted_by(out: &mut RunStats) -> &mut u64 {
+        &mut out.grants_server
     }
 
-    fn start_next_txn(&mut self, worker: usize, ctx: &mut Context<'_, RdmaMsg>) {
-        loop {
-            let txn = self.source.next_txn(&mut self.rng);
-            let tag = self.next_tag;
-            self.next_tag += 1;
-            let me = ctx.self_id();
-            let w = &mut self.workers[worker];
-            w.write_locks.clear();
-            w.read_set.clear();
-            w.started = ctx.now();
-            w.abort_attempts = 0;
-            w.txn_tag = (u64::from(me.0) << 40) | tag;
-            if txn.locks.is_empty() {
-                self.stats.txns += 1;
-                self.stats.txn_latency.record(0);
-                continue;
-            }
-            w.txn = txn;
-            w.phase = Phase::Attempting {
-                next: 0,
-                sent: ctx.now(),
-                attempts: 0,
-            };
-            w.gen += 1;
-            self.issue_attempt(worker, ctx);
-            return;
-        }
-    }
-
-    /// Retry the same transaction after an abort (keeps `started` so the
-    /// committed latency includes the aborted tries).
-    fn restart_txn(&mut self, worker: usize, ctx: &mut Context<'_, RdmaMsg>) {
-        let w = &mut self.workers[worker];
-        w.write_locks.clear();
-        w.read_set.clear();
-        w.phase = Phase::Attempting {
-            next: 0,
-            sent: ctx.now(),
-            attempts: 0,
-        };
-        w.gen += 1;
-        self.issue_attempt(worker, ctx);
-    }
-
-    fn issue_attempt(&mut self, worker: usize, ctx: &mut Context<'_, RdmaMsg>) {
-        let Phase::Attempting { next, .. } = self.workers[worker].phase else {
-            return;
-        };
-        let need = self.workers[worker].txn.locks[next];
-        let addr = need.lock.0 as u64;
-        let token = self.token(worker);
-        let tag = self.workers[worker].txn_tag;
-        let msg = match need.mode {
-            // Exclusive: blind CAS 0 → tag.
-            LockMode::Exclusive => RdmaMsg::CompareSwap {
-                addr,
-                expect: 0,
-                new: tag,
-                token,
-            },
-            // Shared: optimistic lease read — proceed if writer-free.
-            LockMode::Shared => RdmaMsg::Read { addr, token },
-        };
-        let delay = self.cfg.tx_delay + self.verb_jitter();
-        ctx.send_after(self.server_of(addr), msg, delay);
-    }
-
-    fn issue_validation(&mut self, worker: usize, ctx: &mut Context<'_, RdmaMsg>) {
-        let Phase::Validating { next } = self.workers[worker].phase else {
-            return;
-        };
-        let need = self.workers[worker].read_set[next];
-        let addr = need.lock.0 as u64;
-        let token = self.token(worker);
-        let delay = self.cfg.tx_delay + self.verb_jitter();
-        ctx.send_after(self.server_of(addr), RdmaMsg::Read { addr, token }, delay);
-    }
-
-    fn release_write_locks(&mut self, worker: usize, ctx: &mut Context<'_, RdmaMsg>) {
-        let held = self.workers[worker].write_locks.clone();
-        for need in held {
-            let addr = need.lock.0 as u64;
-            let delay = self.cfg.tx_delay + self.verb_jitter();
-            ctx.send_after(
-                self.server_of(addr),
-                RdmaMsg::Write {
-                    addr,
-                    value: 0,
-                    token: u64::MAX,
-                },
-                delay,
-            );
-        }
-        self.workers[worker].write_locks.clear();
-    }
-
-    fn begin_execution(&mut self, worker: usize, ctx: &mut Context<'_, RdmaMsg>) {
-        let think = self.workers[worker].txn.think;
-        self.workers[worker].phase = Phase::Thinking;
-        self.workers[worker].gen += 1;
-        if think.is_zero() {
-            self.begin_validation(worker, ctx);
-        } else {
-            let token = self.token(worker);
-            ctx.set_timer(self.cfg.rx_delay + think, token);
-        }
-    }
-
-    fn begin_validation(&mut self, worker: usize, ctx: &mut Context<'_, RdmaMsg>) {
-        if self.workers[worker].read_set.is_empty() {
-            self.commit(worker, ctx);
-            return;
-        }
-        self.workers[worker].phase = Phase::Validating { next: 0 };
-        self.workers[worker].gen += 1;
-        self.issue_validation(worker, ctx);
-    }
-
-    fn commit(&mut self, worker: usize, ctx: &mut Context<'_, RdmaMsg>) {
-        self.release_write_locks(worker, ctx);
-        let started = self.workers[worker].started;
-        self.stats.txns += 1;
-        self.stats
-            .txn_latency
-            .record(ctx.now().as_nanos() - started.as_nanos());
-        self.start_next_txn(worker, ctx);
-    }
-
-    fn abort(&mut self, worker: usize, ctx: &mut Context<'_, RdmaMsg>) {
-        self.stats.aborts += 1;
-        self.release_write_locks(worker, ctx);
-        let attempts = self.workers[worker].abort_attempts + 1;
-        self.workers[worker].abort_attempts = attempts;
-        self.workers[worker].phase = Phase::AbortBackoff;
-        self.workers[worker].gen += 1;
-        let delay = self.backoff(attempts);
-        let token = self.token(worker);
-        ctx.set_timer(delay, token);
-    }
-
-    fn attempt_result(&mut self, worker: usize, success: bool, ctx: &mut Context<'_, RdmaMsg>) {
-        let Phase::Attempting {
-            next,
-            sent,
-            attempts,
-        } = self.workers[worker].phase
-        else {
-            return;
-        };
-        if success {
-            self.stats.grants += 1;
-            self.stats
-                .wait_latency
-                .record(ctx.now().as_nanos() - sent.as_nanos() + self.cfg.rx_delay.as_nanos());
-            let need = self.workers[worker].txn.locks[next];
-            match need.mode {
-                LockMode::Exclusive => self.workers[worker].write_locks.push(need),
-                LockMode::Shared => self.workers[worker].read_set.push(need),
-            }
-            let lock_count = self.workers[worker].txn.locks.len();
-            if next + 1 < lock_count {
-                self.workers[worker].phase = Phase::Attempting {
-                    next: next + 1,
-                    sent: ctx.now(),
-                    attempts: 0,
-                };
-                self.workers[worker].gen += 1;
-                self.issue_attempt(worker, ctx);
-            } else {
-                self.begin_execution(worker, ctx);
-            }
-        } else {
-            self.stats.conflicts += 1;
-            self.workers[worker].phase = Phase::BackingOff {
-                next,
-                sent,
-                attempts: attempts + 1,
-            };
-            self.workers[worker].gen += 1;
-            let delay = self.backoff(attempts + 1);
-            let token = self.token(worker);
-            ctx.set_timer(delay, token);
-        }
-    }
-
-    fn validation_result(&mut self, worker: usize, clean: bool, ctx: &mut Context<'_, RdmaMsg>) {
-        let Phase::Validating { next } = self.workers[worker].phase else {
-            return;
-        };
-        if !clean {
-            // A writer took a word we read: the transaction aborts.
-            self.abort(worker, ctx);
-            return;
-        }
-        if next + 1 < self.workers[worker].read_set.len() {
-            self.workers[worker].phase = Phase::Validating { next: next + 1 };
-            self.workers[worker].gen += 1;
-            self.issue_validation(worker, ctx);
-        } else {
-            self.commit(worker, ctx);
-        }
+    fn retries(stats: &ClientStats) -> u64 {
+        stats.waits + stats.aborts
     }
 }
 
-impl ClientReport for DrtmClient {
-    fn reset(&mut self) {
-        self.reset_stats();
-    }
-
-    fn fold_into(&self, out: &mut RunStats) {
-        let s = &self.stats;
-        out.txns += s.txns;
-        out.grants += s.grants;
-        out.grants_server += s.grants;
-        out.retries += s.conflicts + s.aborts;
-        out.lock_latency.merge(&s.wait_latency);
-        out.txn_latency.merge(&s.txn_latency);
-    }
-
-    fn completed(&self) -> u64 {
-        self.stats.txns
-    }
+/// Try worker `w`'s current lock: blind CAS 0 → tag for a write, an
+/// optimistic lease read (proceed if writer-free) for a read.
+fn attempt(c: &mut DrtmClient, w: usize, attempts: u32, ctx: &mut Context<'_, RdmaMsg>) {
+    c.workers[w].phase = Phase::Attempting { attempts };
+    let need = c.need(w);
+    let addr = need.lock.0 as u64;
+    let token = c.token(w);
+    let msg = match need.mode {
+        LockMode::Exclusive => RdmaMsg::CompareSwap {
+            addr,
+            expect: 0,
+            new: c.workers[w].tag,
+            token,
+        },
+        LockMode::Shared => RdmaMsg::Read { addr, token },
+    };
+    c.send(need.lock, msg, ctx);
 }
 
-impl Node<RdmaMsg> for DrtmClient {
-    fn on_start(&mut self, ctx: &mut Context<'_, RdmaMsg>) {
-        for _ in 0..self.cfg.workers {
-            self.workers.push(Worker {
-                txn: Transaction::new(vec![], SimDuration::ZERO),
-                txn_tag: 0,
-                started: ctx.now(),
-                phase: Phase::Thinking,
-                write_locks: Vec::new(),
-                read_set: Vec::new(),
-                gen: 0,
-                abort_attempts: 0,
-            });
-        }
-        for w in 0..self.cfg.workers {
-            self.start_next_txn(w, ctx);
-        }
-    }
-
-    fn on_packet(&mut self, pkt: Packet<RdmaMsg>, ctx: &mut Context<'_, RdmaMsg>) {
-        let (token, writer_free) = match pkt.payload {
-            RdmaMsg::CompareSwapReply { old, token, .. } => (token, old == 0),
-            RdmaMsg::ReadReply { value, token, .. } => (token, value == 0),
-            RdmaMsg::WriteReply { token } => (token, true),
-            _ => return,
-        };
-        if token == u64::MAX {
-            return; // release completion
-        }
-        let worker = (token >> GEN_BITS) as usize;
-        if worker >= self.workers.len()
-            || (self.workers[worker].gen & ((1 << GEN_BITS) - 1)) != (token & ((1 << GEN_BITS) - 1))
-        {
-            return;
-        }
-        match self.workers[worker].phase {
-            Phase::Attempting { .. } => self.attempt_result(worker, writer_free, ctx),
-            Phase::Validating { .. } => self.validation_result(worker, writer_free, ctx),
-            _ => {}
-        }
-    }
-
-    fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, RdmaMsg>) {
-        let worker = (token >> GEN_BITS) as usize;
-        if worker >= self.workers.len()
-            || (self.workers[worker].gen & ((1 << GEN_BITS) - 1)) != (token & ((1 << GEN_BITS) - 1))
-        {
-            return;
-        }
-        match self.workers[worker].phase {
-            Phase::BackingOff {
-                next,
-                sent,
-                attempts,
-            } => {
-                self.workers[worker].phase = Phase::Attempting {
-                    next,
-                    sent,
-                    attempts,
-                };
-                self.workers[worker].gen += 1;
-                self.issue_attempt(worker, ctx);
-            }
-            Phase::Thinking => self.begin_validation(worker, ctx),
-            Phase::AbortBackoff => self.restart_txn(worker, ctx),
-            Phase::Attempting { .. } | Phase::Validating { .. } => {}
-        }
-    }
-
-    fn name(&self) -> &str {
-        "drtm-client"
-    }
-}
-
-/// An assembled DrTM deployment.
-pub struct DrtmRack {
-    /// The simulator.
-    pub sim: Simulator<RdmaMsg>,
-    /// RDMA lock servers.
-    pub servers: Vec<NodeId>,
-    /// Clients.
-    pub clients: Vec<NodeId>,
-}
-
-/// Build a DrTM deployment.
-pub fn build_drtm<F>(
-    seed: u64,
-    n_servers: usize,
-    client_cfg: DrtmClientConfig,
-    nic: RdmaNicConfig,
-    sources: Vec<F>,
-) -> DrtmRack
-where
-    F: TxnSource + 'static,
-{
-    let mut sim: Simulator<RdmaMsg> = Simulator::new(
-        Topology::new(LinkConfig::with_delay(SimDuration::from_nanos(1_200))),
-        seed,
+/// Re-read the first read held at or after position `from`; once none
+/// is left, commit.
+fn validate(c: &mut DrtmClient, w: usize, from: usize, ctx: &mut Context<'_, RdmaMsg>) {
+    let held = &c.workers[w].held;
+    let Some(at) = (from..held.len()).find(|&i| held[i].mode == LockMode::Shared) else {
+        return c.commit(w, ctx);
+    };
+    let lock = held[at].lock;
+    c.workers[w].phase = Phase::Validating { at };
+    c.bump(w);
+    let token = c.token(w);
+    c.send(
+        lock,
+        RdmaMsg::Read {
+            addr: lock.0 as u64,
+            token,
+        },
+        ctx,
     );
-    let mut servers = Vec::new();
-    for _ in 0..n_servers {
-        servers.push(sim.add_node(Box::new(RdmaServer::new(nic.clone()))));
-    }
-    let mut clients = Vec::new();
-    let mut seeder = SimRng::new(seed ^ 0xD7_37);
-    for src in sources {
-        let s = seeder.next_u64();
-        clients.push(sim.add_node(Box::new(DrtmClient::new(
-            client_cfg.clone(),
-            servers.clone(),
-            Box::new(src),
-            s,
-        ))));
-    }
-    DrtmRack {
-        sim,
-        servers,
-        clients,
-    }
-}
-
-/// Warmup, reset, measure, and aggregate into the shared result type.
-pub fn measure_drtm(rack: &mut DrtmRack, warmup: SimDuration, measure: SimDuration) -> RunStats {
-    measure_uniform::<_, DrtmClient>(&mut rack.sim, &rack.clients, warmup, measure)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::closed_loop::Deployment;
+    use crate::rdma::{RdmaNicConfig, RdmaServer};
     use netlock_core::txn::SingleLockSource;
     use netlock_proto::LockId;
 
@@ -556,14 +238,13 @@ mod tests {
 
     #[test]
     fn uncontended_cas_succeeds_first_try() {
-        let mut rack = build_drtm(
-            1,
+        let mut rack = Deployment::build(
             1,
             DrtmClientConfig {
                 workers: 2,
                 ..Default::default()
             },
-            RdmaNicConfig::default(),
+            vec![RdmaServer::new(RdmaNicConfig::default()); 1],
             sources(
                 1,
                 (0..64).map(LockId).collect(),
@@ -571,11 +252,7 @@ mod tests {
                 SimDuration::ZERO,
             ),
         );
-        let stats = measure_drtm(
-            &mut rack,
-            SimDuration::from_millis(2),
-            SimDuration::from_millis(10),
-        );
+        let stats = rack.measure(SimDuration::from_millis(2), SimDuration::from_millis(10));
         assert!(stats.txns > 500);
         assert!(
             (stats.retries as f64) < 0.05 * stats.grants as f64,
@@ -587,14 +264,13 @@ mod tests {
 
     #[test]
     fn contention_causes_conflicts_and_tail() {
-        let mut rack = build_drtm(
+        let mut rack = Deployment::build(
             2,
-            1,
             DrtmClientConfig {
                 workers: 16,
                 ..Default::default()
             },
-            RdmaNicConfig::default(),
+            vec![RdmaServer::new(RdmaNicConfig::default()); 1],
             sources(
                 4,
                 vec![LockId(0)],
@@ -602,11 +278,7 @@ mod tests {
                 SimDuration::from_micros(20),
             ),
         );
-        let stats = measure_drtm(
-            &mut rack,
-            SimDuration::from_millis(5),
-            SimDuration::from_millis(40),
-        );
+        let stats = rack.measure(SimDuration::from_millis(5), SimDuration::from_millis(40));
         assert!(
             stats.retries > stats.grants,
             "blind retry should thrash: {} retries vs {} grants",
@@ -639,14 +311,13 @@ mod tests {
             LockMode::Exclusive,
             SimDuration::from_micros(5),
         ));
-        let mut rack = build_drtm(
+        let mut rack = Deployment::build(
             3,
-            1,
             DrtmClientConfig {
                 workers: 8,
                 ..Default::default()
             },
-            RdmaNicConfig::default(),
+            vec![RdmaServer::new(RdmaNicConfig::default()); 1],
             all,
         );
         rack.sim.run_for(SimDuration::from_millis(20));
@@ -660,21 +331,16 @@ mod tests {
 
     #[test]
     fn pure_readers_never_conflict() {
-        let mut rack = build_drtm(
+        let mut rack = Deployment::build(
             4,
-            1,
             DrtmClientConfig {
                 workers: 8,
                 ..Default::default()
             },
-            RdmaNicConfig::default(),
+            vec![RdmaServer::new(RdmaNicConfig::default()); 1],
             sources(2, vec![LockId(0)], LockMode::Shared, SimDuration::ZERO),
         );
-        let stats = measure_drtm(
-            &mut rack,
-            SimDuration::from_millis(2),
-            SimDuration::from_millis(10),
-        );
+        let stats = rack.measure(SimDuration::from_millis(2), SimDuration::from_millis(10));
         assert!(stats.txns > 1_000, "txns = {}", stats.txns);
         assert_eq!(stats.retries, 0, "readers never conflict with readers");
     }
@@ -684,21 +350,16 @@ mod tests {
         // With one lock and think time, the word must serialize holders:
         // throughput ≈ 1 / (think + protocol overhead).
         let think = SimDuration::from_micros(50);
-        let mut rack = build_drtm(
+        let mut rack = Deployment::build(
             5,
-            1,
             DrtmClientConfig {
                 workers: 8,
                 ..Default::default()
             },
-            RdmaNicConfig::default(),
+            vec![RdmaServer::new(RdmaNicConfig::default()); 1],
             sources(2, vec![LockId(0)], LockMode::Exclusive, think),
         );
-        let stats = measure_drtm(
-            &mut rack,
-            SimDuration::from_millis(5),
-            SimDuration::from_millis(50),
-        );
+        let stats = rack.measure(SimDuration::from_millis(5), SimDuration::from_millis(50));
         let tps = stats.tps();
         assert!(tps < 21_000.0, "50 µs hold time caps at 20 KTPS, got {tps}");
     }

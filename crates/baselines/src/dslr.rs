@@ -21,15 +21,13 @@
 //! the NIC atomics bottleneck and poll traffic amplification under
 //! contention — both emerge from the [`crate::rdma`] model.
 
-use netlock_core::harness::{measure_uniform, ClientReport, RunStats};
-use netlock_core::txn::{LockNeed, Transaction, TxnSource};
+use netlock_core::harness::RunStats;
+use netlock_core::txn::LockNeed;
 use netlock_proto::LockMode;
-use netlock_sim::{
-    Context, Histogram, LinkConfig, Node, NodeId, Packet, SimDuration, SimRng, SimTime, Simulator,
-    Topology,
-};
+use netlock_sim::{Context, SimDuration};
 
-use crate::rdma::{RdmaMsg, RdmaNicConfig, RdmaServer};
+use crate::closed_loop::{Client, ClientStats, Protocol, Timing, RELEASE_TOKEN};
+use crate::rdma::RdmaMsg;
 
 const LANE_MAX_X: u32 = 48;
 const LANE_MAX_S: u32 = 32;
@@ -77,394 +75,123 @@ impl Default for DslrClientConfig {
     }
 }
 
-/// DSLR client counters.
-#[derive(Clone, Debug, Default)]
-pub struct DslrClientStats {
-    /// Transactions completed.
-    pub txns: u64,
-    /// Locks acquired.
-    pub grants: u64,
-    /// Poll READs issued.
-    pub polls: u64,
-    /// Transaction latency (ns).
-    pub txn_latency: Histogram,
-    /// Per-lock wait latency (ns).
-    pub wait_latency: Histogram,
-}
-
+/// Where a DSLR worker is in acquiring its current lock.
 #[derive(Debug)]
-enum Phase {
+pub enum Phase {
     /// FA issued, waiting for the reply.
-    TakingTicket {
-        next: usize,
-        sent: SimTime,
-    },
+    TakingTicket,
     /// Ticket held but lock busy; polling.
     Waiting {
-        next: usize,
-        sent: SimTime,
+        /// Exclusive-lane ticket.
         ticket_x: u16,
+        /// Shared-lane ticket.
         ticket_s: u16,
     },
+    /// Every lock held.
     Thinking,
 }
 
-#[derive(Debug)]
-struct Worker {
-    txn: Transaction,
-    started: SimTime,
-    phase: Phase,
-    held: Vec<LockNeed>,
-    gen: u64,
-}
-
 /// The DSLR client node.
-pub struct DslrClient {
-    cfg: DslrClientConfig,
-    servers: Vec<NodeId>,
-    source: Box<dyn TxnSource>,
-    workers: Vec<Worker>,
-    rng: SimRng,
-    stats: DslrClientStats,
-}
+pub type DslrClient = Client<DslrClientConfig>;
 
-const GEN_BITS: u32 = 40;
+impl Protocol for DslrClientConfig {
+    type Msg = RdmaMsg;
+    type Phase = Phase;
+    const THINKING: Phase = Phase::Thinking;
+    const NAME: &'static str = "dslr-client";
+    const SEED_SALT: u64 = 0xD51A;
 
-impl DslrClient {
-    /// A client that spreads lock words over `servers` by lock hash.
-    pub fn new(
-        cfg: DslrClientConfig,
-        servers: Vec<NodeId>,
-        source: Box<dyn TxnSource>,
-        seed: u64,
-    ) -> DslrClient {
-        assert!(!servers.is_empty(), "need at least one RDMA server");
-        assert!(cfg.workers > 0);
-        DslrClient {
-            cfg,
-            servers,
-            source,
-            workers: Vec::new(),
-            rng: SimRng::new(seed),
-            stats: DslrClientStats::default(),
+    fn timing(&self) -> Timing {
+        Timing {
+            workers: self.workers,
+            tx_delay: self.tx_delay,
+            rx_delay: self.rx_delay,
         }
     }
 
-    /// Counters.
-    pub fn stats(&self) -> &DslrClientStats {
-        &self.stats
+    fn token(msg: &RdmaMsg) -> Option<u64> {
+        msg.reply_token()
     }
 
-    /// Clear measurement state.
-    pub fn reset_stats(&mut self) {
-        self.stats = DslrClientStats::default();
-    }
-
-    fn server_of(&self, addr: u64) -> NodeId {
-        let i = (addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % self.servers.len();
-        self.servers[i]
-    }
-
-    fn token(&self, worker: usize) -> u64 {
-        ((worker as u64) << GEN_BITS) | (self.workers[worker].gen & ((1 << GEN_BITS) - 1))
-    }
-
-    fn bump(&mut self, worker: usize) {
-        self.workers[worker].gen += 1;
-    }
-
-    fn start_next_txn(&mut self, worker: usize, ctx: &mut Context<'_, RdmaMsg>) {
-        loop {
-            let txn = self.source.next_txn(&mut self.rng);
-            let w = &mut self.workers[worker];
-            w.held.clear();
-            w.started = ctx.now();
-            if txn.locks.is_empty() {
-                self.stats.txns += 1;
-                self.stats.txn_latency.record(0);
-                continue;
-            }
-            w.txn = txn;
-            w.phase = Phase::TakingTicket {
-                next: 0,
-                sent: ctx.now(),
-            };
-            self.bump(worker);
-            self.issue_fa(worker, ctx);
-            return;
-        }
-    }
-
-    fn issue_fa(&mut self, worker: usize, ctx: &mut Context<'_, RdmaMsg>) {
-        let (next, _) = match self.workers[worker].phase {
-            Phase::TakingTicket { next, sent } => (next, sent),
-            _ => return,
-        };
-        let need = self.workers[worker].txn.locks[next];
-        let addr = need.lock.0 as u64;
+    fn request(c: &mut DslrClient, w: usize, ctx: &mut Context<'_, RdmaMsg>) {
+        c.workers[w].phase = Phase::TakingTicket;
+        let need = c.need(w);
         let add = match need.mode {
             LockMode::Exclusive => 1u64 << LANE_MAX_X,
             LockMode::Shared => 1u64 << LANE_MAX_S,
         };
-        let token = self.token(worker);
-        let dst = self.server_of(addr);
-        ctx.send_after(
-            dst,
-            RdmaMsg::FetchAdd { addr, add, token },
-            self.cfg.tx_delay,
-        );
-    }
-
-    fn issue_poll(&mut self, worker: usize, ctx: &mut Context<'_, RdmaMsg>) {
-        let Phase::Waiting { next, .. } = self.workers[worker].phase else {
-            return;
-        };
-        let need = self.workers[worker].txn.locks[next];
         let addr = need.lock.0 as u64;
-        let token = self.token(worker);
-        self.stats.polls += 1;
-        ctx.send_after(
-            self.server_of(addr),
-            RdmaMsg::Read { addr, token },
-            self.cfg.tx_delay,
-        );
+        let token = c.token(w);
+        c.send(need.lock, RdmaMsg::FetchAdd { addr, add, token }, ctx);
     }
 
-    fn lock_acquired(&mut self, worker: usize, ctx: &mut Context<'_, RdmaMsg>) {
-        let (next, sent) = match self.workers[worker].phase {
-            Phase::TakingTicket { next, sent } | Phase::Waiting { next, sent, .. } => (next, sent),
-            Phase::Thinking => return,
-        };
-        self.stats.grants += 1;
-        self.stats
-            .wait_latency
-            .record(ctx.now().as_nanos() - sent.as_nanos() + self.cfg.rx_delay.as_nanos());
-        let need = self.workers[worker].txn.locks[next];
-        self.workers[worker].held.push(need);
-        let lock_count = self.workers[worker].txn.locks.len();
-        if next + 1 < lock_count {
-            self.workers[worker].phase = Phase::TakingTicket {
-                next: next + 1,
-                sent: ctx.now(),
-            };
-            self.bump(worker);
-            self.issue_fa(worker, ctx);
-        } else {
-            let think = self.workers[worker].txn.think;
-            self.workers[worker].phase = Phase::Thinking;
-            self.bump(worker);
-            if think.is_zero() {
-                self.complete_txn(worker, ctx);
-            } else {
-                let token = self.token(worker);
-                ctx.set_timer(self.cfg.rx_delay + think, token);
-            }
-        }
-    }
-
-    fn complete_txn(&mut self, worker: usize, ctx: &mut Context<'_, RdmaMsg>) {
-        let held = self.workers[worker].held.clone();
-        for need in held {
-            let addr = need.lock.0 as u64;
-            let add = match need.mode {
-                LockMode::Exclusive => 1u64 << LANE_NOW_X,
-                LockMode::Shared => 1u64 << LANE_NOW_S,
-            };
-            // Release replies are ignored; use a sentinel token.
-            ctx.send_after(
-                self.server_of(addr),
-                RdmaMsg::FetchAdd {
-                    addr,
-                    add,
-                    token: u64::MAX,
-                },
-                self.cfg.tx_delay,
-            );
-        }
-        self.workers[worker].held.clear();
-        let started = self.workers[worker].started;
-        self.stats.txns += 1;
-        self.stats
-            .txn_latency
-            .record(ctx.now().as_nanos() - started.as_nanos());
-        self.start_next_txn(worker, ctx);
-    }
-
-    fn on_reply(&mut self, msg: RdmaMsg, ctx: &mut Context<'_, RdmaMsg>) {
-        let token = match msg {
-            RdmaMsg::FetchAddReply { token, .. }
-            | RdmaMsg::ReadReply { token, .. }
-            | RdmaMsg::CompareSwapReply { token, .. }
-            | RdmaMsg::WriteReply { token } => token,
-            _ => return,
-        };
-        if token == u64::MAX {
-            return; // release completion
-        }
-        let worker = (token >> GEN_BITS) as usize;
-        if worker >= self.workers.len() {
-            return;
-        }
-        if (self.workers[worker].gen & ((1 << GEN_BITS) - 1)) != (token & ((1 << GEN_BITS) - 1)) {
-            return; // stale completion
-        }
-        match (msg, &self.workers[worker].phase) {
-            (RdmaMsg::FetchAddReply { old, .. }, Phase::TakingTicket { next, sent }) => {
-                let (next, sent) = (*next, *sent);
-                let need = self.workers[worker].txn.locks[next];
+    fn on_reply(c: &mut DslrClient, w: usize, msg: RdmaMsg, ctx: &mut Context<'_, RdmaMsg>) {
+        let mode = c.need(w).mode;
+        match (msg, &c.workers[w].phase) {
+            (RdmaMsg::FetchAddReply { old, .. }, Phase::TakingTicket) => {
                 let ticket_x = lane(old, LANE_MAX_X);
                 let ticket_s = lane(old, LANE_MAX_S);
-                if bakery_ready(old, need.mode, ticket_x, ticket_s) {
-                    self.lock_acquired(worker, ctx);
+                if bakery_ready(old, mode, ticket_x, ticket_s) {
+                    c.acquired(w, ctx);
                 } else {
-                    self.workers[worker].phase = Phase::Waiting {
-                        next,
-                        sent,
-                        ticket_x,
-                        ticket_s,
-                    };
-                    self.bump(worker);
-                    let token = self.token(worker);
-                    ctx.set_timer(self.cfg.poll_interval, token);
+                    c.workers[w].phase = Phase::Waiting { ticket_x, ticket_s };
+                    c.bump(w);
+                    c.timer(w, c.cfg.poll_interval, ctx);
                 }
             }
-            (
-                RdmaMsg::ReadReply { value, .. },
-                Phase::Waiting {
-                    ticket_x,
-                    ticket_s,
-                    next,
-                    ..
-                },
-            ) => {
-                let (tx, ts, next) = (*ticket_x, *ticket_s, *next);
-                let need = self.workers[worker].txn.locks[next];
-                if bakery_ready(value, need.mode, tx, ts) {
-                    self.lock_acquired(worker, ctx);
+            (RdmaMsg::ReadReply { value, .. }, &Phase::Waiting { ticket_x, ticket_s }) => {
+                if bakery_ready(value, mode, ticket_x, ticket_s) {
+                    c.acquired(w, ctx);
                 } else {
-                    let token = self.token(worker);
-                    ctx.set_timer(self.cfg.poll_interval, token);
+                    c.timer(w, c.cfg.poll_interval, ctx);
                 }
             }
             _ => {}
         }
     }
-}
 
-impl ClientReport for DslrClient {
-    fn reset(&mut self) {
-        self.reset_stats();
-    }
-
-    fn fold_into(&self, out: &mut RunStats) {
-        let s = &self.stats;
-        out.txns += s.txns;
-        out.grants += s.grants;
-        out.grants_server += s.grants;
-        out.lock_latency.merge(&s.wait_latency);
-        out.txn_latency.merge(&s.txn_latency);
-    }
-
-    fn completed(&self) -> u64 {
-        self.stats.txns
-    }
-}
-
-impl Node<RdmaMsg> for DslrClient {
-    fn on_start(&mut self, ctx: &mut Context<'_, RdmaMsg>) {
-        for _ in 0..self.cfg.workers {
-            self.workers.push(Worker {
-                txn: Transaction::new(vec![], SimDuration::ZERO),
-                started: ctx.now(),
-                phase: Phase::Thinking,
-                held: Vec::new(),
-                gen: 0,
-            });
-        }
-        for w in 0..self.cfg.workers {
-            self.start_next_txn(w, ctx);
+    fn on_timer(c: &mut DslrClient, w: usize, ctx: &mut Context<'_, RdmaMsg>) {
+        match c.workers[w].phase {
+            Phase::Waiting { .. } => {
+                let lock = c.need(w).lock;
+                let token = c.token(w);
+                c.stats.waits += 1;
+                let addr = lock.0 as u64;
+                c.send(lock, RdmaMsg::Read { addr, token }, ctx);
+            }
+            Phase::Thinking => c.commit(w, ctx),
+            Phase::TakingTicket => {}
         }
     }
 
-    fn on_packet(&mut self, pkt: Packet<RdmaMsg>, ctx: &mut Context<'_, RdmaMsg>) {
-        self.on_reply(pkt.payload, ctx);
+    fn release(need: LockNeed, _tag: u64) -> Option<RdmaMsg> {
+        let add = match need.mode {
+            LockMode::Exclusive => 1u64 << LANE_NOW_X,
+            LockMode::Shared => 1u64 << LANE_NOW_S,
+        };
+        let addr = need.lock.0 as u64;
+        Some(RdmaMsg::FetchAdd {
+            addr,
+            add,
+            token: RELEASE_TOKEN,
+        })
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, RdmaMsg>) {
-        let worker = (token >> GEN_BITS) as usize;
-        if worker >= self.workers.len()
-            || (self.workers[worker].gen & ((1 << GEN_BITS) - 1)) != (token & ((1 << GEN_BITS) - 1))
-        {
-            return;
-        }
-        match self.workers[worker].phase {
-            Phase::Waiting { .. } => self.issue_poll(worker, ctx),
-            Phase::Thinking => self.complete_txn(worker, ctx),
-            Phase::TakingTicket { .. } => {}
-        }
+    fn granted_by(out: &mut RunStats) -> &mut u64 {
+        &mut out.grants_server
     }
 
-    fn name(&self) -> &str {
-        "dslr-client"
+    /// Polling waits in the bakery's FCFS order; nothing is retried.
+    fn retries(_: &ClientStats) -> u64 {
+        0
     }
-}
-
-/// An assembled DSLR deployment.
-pub struct DslrRack {
-    /// The simulator.
-    pub sim: Simulator<RdmaMsg>,
-    /// RDMA lock servers.
-    pub servers: Vec<NodeId>,
-    /// Clients.
-    pub clients: Vec<NodeId>,
-}
-
-/// Build a DSLR deployment: `n_servers` RDMA lock servers and one
-/// client per element of `sources`.
-pub fn build_dslr<F>(
-    seed: u64,
-    n_servers: usize,
-    client_cfg: DslrClientConfig,
-    nic: RdmaNicConfig,
-    sources: Vec<F>,
-) -> DslrRack
-where
-    F: TxnSource + 'static,
-{
-    let mut sim: Simulator<RdmaMsg> = Simulator::new(
-        Topology::new(LinkConfig::with_delay(SimDuration::from_nanos(1_200))),
-        seed,
-    );
-    let mut servers = Vec::new();
-    for _ in 0..n_servers {
-        servers.push(sim.add_node(Box::new(RdmaServer::new(nic.clone()))));
-    }
-    let mut clients = Vec::new();
-    let mut seeder = SimRng::new(seed ^ 0xD51A);
-    for src in sources {
-        let s = seeder.next_u64();
-        clients.push(sim.add_node(Box::new(DslrClient::new(
-            client_cfg.clone(),
-            servers.clone(),
-            Box::new(src),
-            s,
-        ))));
-    }
-    DslrRack {
-        sim,
-        servers,
-        clients,
-    }
-}
-
-/// Warmup, reset, measure, and aggregate into the shared result type.
-pub fn measure_dslr(rack: &mut DslrRack, warmup: SimDuration, measure: SimDuration) -> RunStats {
-    measure_uniform::<_, DslrClient>(&mut rack.sim, &rack.clients, warmup, measure)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::closed_loop::Deployment;
+    use crate::rdma::{RdmaNicConfig, RdmaServer};
     use netlock_core::txn::SingleLockSource;
     use netlock_proto::LockId;
 
@@ -485,14 +212,13 @@ mod tests {
 
     #[test]
     fn uncontended_locks_flow() {
-        let mut rack = build_dslr(
-            1,
+        let mut rack = Deployment::build(
             1,
             DslrClientConfig {
                 workers: 4,
                 ..Default::default()
             },
-            RdmaNicConfig::default(),
+            vec![RdmaServer::new(RdmaNicConfig::default()); 1],
             sources(
                 2,
                 (0..64).map(LockId).collect(),
@@ -500,64 +226,50 @@ mod tests {
                 SimDuration::ZERO,
             ),
         );
-        let stats = measure_dslr(
-            &mut rack,
-            SimDuration::from_millis(2),
-            SimDuration::from_millis(10),
-        );
+        let stats = rack.measure(SimDuration::from_millis(2), SimDuration::from_millis(10));
         assert!(stats.txns > 500, "txns = {}", stats.txns);
         assert_eq!(stats.grants, stats.txns, "one lock per txn");
     }
 
     #[test]
     fn fcfs_under_contention_still_progresses() {
-        let mut rack = build_dslr(
+        let mut rack = Deployment::build(
             2,
-            1,
             DslrClientConfig {
                 workers: 8,
                 ..Default::default()
             },
-            RdmaNicConfig::default(),
+            vec![RdmaServer::new(RdmaNicConfig::default()); 1],
             sources(2, vec![LockId(0)], LockMode::Exclusive, SimDuration::ZERO),
         );
-        let stats = measure_dslr(
-            &mut rack,
-            SimDuration::from_millis(5),
-            SimDuration::from_millis(20),
-        );
+        let stats = rack.measure(SimDuration::from_millis(5), SimDuration::from_millis(20));
         assert!(stats.txns > 100, "contended txns = {}", stats.txns);
         // Waiting shows up as polls and higher wait latency.
         let polls: u64 = rack
             .clients
             .iter()
-            .map(|&c| rack.sim.read_node::<DslrClient, _>(c, |c| c.stats().polls))
+            .map(|&c| rack.sim.read_node::<DslrClient, _>(c, |c| c.stats().waits))
             .sum();
         assert!(polls > 0, "contention must trigger polling");
     }
 
     #[test]
     fn shared_locks_coexist() {
-        let mut rack = build_dslr(
+        let mut rack = Deployment::build(
             3,
-            1,
             DslrClientConfig {
                 workers: 8,
                 ..Default::default()
             },
-            RdmaNicConfig::default(),
+            vec![RdmaServer::new(RdmaNicConfig::default()); 1],
             sources(2, vec![LockId(0)], LockMode::Shared, SimDuration::ZERO),
         );
-        let stats = measure_dslr(
-            &mut rack,
-            SimDuration::from_millis(2),
-            SimDuration::from_millis(10),
-        );
+        let stats = rack.measure(SimDuration::from_millis(2), SimDuration::from_millis(10));
         // Shared same-lock workload: no bakery waits, high throughput.
         let polls: u64 = rack
             .clients
             .iter()
-            .map(|&c| rack.sim.read_node::<DslrClient, _>(c, |c| c.stats().polls))
+            .map(|&c| rack.sim.read_node::<DslrClient, _>(c, |c| c.stats().waits))
             .sum();
         assert!(stats.txns > 1_000, "txns = {}", stats.txns);
         assert_eq!(polls, 0, "pure shared traffic never waits");
@@ -571,14 +283,13 @@ mod tests {
             atomic_service: SimDuration::from_micros(10), // 100 Kops
             rw_service: SimDuration::from_micros(10),
         };
-        let mut rack = build_dslr(
+        let mut rack = Deployment::build(
             4,
-            1,
             DslrClientConfig {
                 workers: 16,
                 ..Default::default()
             },
-            nic,
+            vec![RdmaServer::new(nic); 1],
             sources(
                 4,
                 (0..1024).map(LockId).collect(),
@@ -586,11 +297,7 @@ mod tests {
                 SimDuration::ZERO,
             ),
         );
-        let stats = measure_dslr(
-            &mut rack,
-            SimDuration::from_millis(5),
-            SimDuration::from_millis(20),
-        );
+        let stats = rack.measure(SimDuration::from_millis(5), SimDuration::from_millis(20));
         let tps = stats.tps();
         assert!(
             tps < 60_000.0,

@@ -4,26 +4,33 @@
 //! scratch on the same simulation substrate:
 //!
 //! - [`rdma`] — one-sided-verb NIC model (ConnectX-3-like atomics bound)
+//! - [`closed_loop`] — the closed-loop client and the deployment the
+//!   three lock-manager baselines share
 //! - [`dslr`] — DSLR: RDMA Lamport-bakery, FCFS, decentralized
 //! - [`drtm`] — DrTM: CAS fail-and-retry exclusive locks, lease reads
 //! - [`netchain`] — NetChain: switch-only exclusive locks, client retry
 //! - [`server_only`] — traditional centralized server lock manager
 //!   (the NetLock rack with zero switch-resident locks)
 //!
-//! Every baseline exposes `build_*` + `measure_*` returning the shared
+//! DSLR, DrTM and NetChain differ only in their [`Protocol`]: each is a
+//! [`Deployment`] of its lock service's nodes and [`closed_loop::Client`]s,
+//! built by [`Deployment::build`] and measured by
+//! [`Deployment::measure`] into the shared
 //! [`netlock_core::harness::RunStats`], so the figure harnesses compare
 //! like with like.
 
 #![warn(missing_docs)]
 
+pub mod closed_loop;
 pub mod drtm;
 pub mod dslr;
 pub mod netchain;
 pub mod rdma;
 pub mod server_only;
 
-pub use drtm::{build_drtm, measure_drtm, DrtmClient, DrtmClientConfig, DrtmRack};
-pub use dslr::{build_dslr, measure_dslr, DslrClient, DslrClientConfig, DslrRack};
-pub use netchain::{build_netchain, measure_netchain, NcClient, NcClientConfig, NcRack, NcSwitch};
+pub use closed_loop::{ClientStats, Deployment, Protocol};
+pub use drtm::{DrtmClient, DrtmClientConfig};
+pub use dslr::{DslrClient, DslrClientConfig};
+pub use netchain::{NcClient, NcClientConfig, NcSwitch};
 pub use rdma::{RdmaMsg, RdmaNicConfig, RdmaServer};
 pub use server_only::build_server_only;

@@ -13,12 +13,11 @@
 //! to the client, which retries after a backoff. There are no queues,
 //! no FCFS, no policies — that is the point of the comparison.
 
-use netlock_core::harness::{measure_uniform, ClientReport, RunStats};
-use netlock_core::txn::{LockNeed, Transaction, TxnSource};
-use netlock_sim::{
-    Context, Histogram, LinkConfig, Node, NodeId, Packet, SimDuration, SimRng, SimTime, Simulator,
-    Topology,
-};
+use netlock_core::harness::RunStats;
+use netlock_core::txn::LockNeed;
+use netlock_sim::{Context, Node, Packet, SimDuration};
+
+use crate::closed_loop::{Client, ClientStats, Protocol, Timing};
 
 /// NetChain messages.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -62,7 +61,6 @@ pub enum NcMsg {
 /// The NetChain switch: exclusive-only owner words at line rate.
 pub struct NcSwitch {
     slots: Vec<u64>,
-    traversal: SimDuration,
     /// Grants issued.
     pub grants: u64,
     /// Denials issued.
@@ -70,12 +68,14 @@ pub struct NcSwitch {
 }
 
 impl NcSwitch {
+    /// Pipeline traversal time of one acquire.
+    const TRAVERSAL: SimDuration = SimDuration::from_nanos(500);
+
     /// A switch with `slots` owner words.
-    pub fn new(slots: usize, traversal: SimDuration) -> NcSwitch {
+    pub fn new(slots: usize) -> NcSwitch {
         assert!(slots > 0);
         NcSwitch {
             slots: vec![0; slots],
-            traversal,
             grants: 0,
             denials: 0,
         }
@@ -112,7 +112,7 @@ impl Node<NcMsg> for NcSwitch {
                         granted,
                         token,
                     },
-                    self.traversal,
+                    NcSwitch::TRAVERSAL,
                 );
             }
             NcMsg::Release { lock, txn } => {
@@ -159,347 +159,111 @@ impl Default for NcClientConfig {
     }
 }
 
-/// NetChain client counters.
-#[derive(Clone, Debug, Default)]
-pub struct NcClientStats {
-    /// Transactions completed.
-    pub txns: u64,
-    /// Locks acquired.
-    pub grants: u64,
-    /// Denied attempts (retries).
-    pub denials: u64,
-    /// Transaction latency (ns).
-    pub txn_latency: Histogram,
-    /// Per-lock wait latency (ns).
-    pub wait_latency: Histogram,
-}
-
+/// Where a NetChain worker is in acquiring its current lock.
 #[derive(Debug)]
-enum Phase {
+pub enum Phase {
+    /// Acquire in flight.
     Attempting {
-        next: usize,
-        sent: SimTime,
+        /// Denials of this lock so far.
         attempts: u32,
     },
+    /// Denied; backing off before asking again.
     BackingOff {
-        next: usize,
-        sent: SimTime,
+        /// Denials of this lock so far.
         attempts: u32,
     },
+    /// Every lock held.
     Thinking,
 }
 
-#[derive(Debug)]
-struct Worker {
-    txn: Transaction,
-    txn_tag: u64,
-    started: SimTime,
-    phase: Phase,
-    held: Vec<LockNeed>,
-    gen: u64,
-}
-
 /// The NetChain client node.
-pub struct NcClient {
-    cfg: NcClientConfig,
-    switch: NodeId,
-    source: Box<dyn TxnSource>,
-    workers: Vec<Worker>,
-    rng: SimRng,
-    next_tag: u64,
-    stats: NcClientStats,
-}
+pub type NcClient = Client<NcClientConfig>;
 
-const GEN_BITS: u32 = 40;
+impl Protocol for NcClientConfig {
+    type Msg = NcMsg;
+    type Phase = Phase;
+    const THINKING: Phase = Phase::Thinking;
+    const NAME: &'static str = "netchain-client";
+    const SEED_SALT: u64 = 0x5EC7;
 
-impl NcClient {
-    /// A client targeting the NetChain switch.
-    pub fn new(
-        cfg: NcClientConfig,
-        switch: NodeId,
-        source: Box<dyn TxnSource>,
-        seed: u64,
-    ) -> NcClient {
-        assert!(cfg.workers > 0);
-        NcClient {
-            cfg,
-            switch,
-            source,
-            workers: Vec::new(),
-            rng: SimRng::new(seed),
-            next_tag: 1,
-            stats: NcClientStats::default(),
+    fn timing(&self) -> Timing {
+        Timing {
+            workers: self.workers,
+            tx_delay: self.tx_delay,
+            rx_delay: self.rx_delay,
         }
     }
 
-    /// Counters.
-    pub fn stats(&self) -> &NcClientStats {
-        &self.stats
-    }
-
-    /// Clear measurement state.
-    pub fn reset_stats(&mut self) {
-        self.stats = NcClientStats::default();
-    }
-
-    fn token(&self, worker: usize) -> u64 {
-        ((worker as u64) << GEN_BITS) | (self.workers[worker].gen & ((1 << GEN_BITS) - 1))
-    }
-
-    fn backoff(&mut self, attempts: u32) -> SimDuration {
-        let factor = 1u64 << attempts.min(8);
-        let raw = self.cfg.backoff_base.as_nanos().saturating_mul(factor);
-        let capped = raw.min(self.cfg.backoff_cap.as_nanos());
-        let jitter = capped / 4;
-        SimDuration::from_nanos(capped - jitter + self.rng.next_below(jitter.max(1) * 2))
-    }
-
-    fn start_next_txn(&mut self, worker: usize, ctx: &mut Context<'_, NcMsg>) {
-        loop {
-            let txn = self.source.next_txn(&mut self.rng);
-            let tag = self.next_tag;
-            self.next_tag += 1;
-            let w = &mut self.workers[worker];
-            w.held.clear();
-            w.started = ctx.now();
-            // Tag must be unique across clients: mix in the node id.
-            w.txn_tag = (u64::from(ctx.self_id().0) << 40) | tag;
-            if txn.locks.is_empty() {
-                self.stats.txns += 1;
-                self.stats.txn_latency.record(0);
-                continue;
-            }
-            w.txn = txn;
-            w.phase = Phase::Attempting {
-                next: 0,
-                sent: ctx.now(),
-                attempts: 0,
-            };
-            w.gen += 1;
-            self.issue(worker, ctx);
-            return;
+    fn token(msg: &NcMsg) -> Option<u64> {
+        match *msg {
+            NcMsg::Reply { token, .. } => Some(token),
+            _ => None,
         }
     }
 
-    fn issue(&mut self, worker: usize, ctx: &mut Context<'_, NcMsg>) {
-        let Phase::Attempting { next, .. } = self.workers[worker].phase else {
-            return;
-        };
-        let need = self.workers[worker].txn.locks[next];
-        let token = self.token(worker);
-        let tag = self.workers[worker].txn_tag;
-        ctx.send_after(
-            self.switch,
-            NcMsg::AcquireTok {
-                lock: need.lock.0,
-                txn: tag,
-                token,
-            },
-            self.cfg.tx_delay,
-        );
+    fn request(c: &mut NcClient, w: usize, ctx: &mut Context<'_, NcMsg>) {
+        attempt(c, w, 0, ctx);
     }
 
-    fn complete_txn(&mut self, worker: usize, ctx: &mut Context<'_, NcMsg>) {
-        let held = self.workers[worker].held.clone();
-        let tag = self.workers[worker].txn_tag;
-        for need in held {
-            ctx.send_after(
-                self.switch,
-                NcMsg::Release {
-                    lock: need.lock.0,
-                    txn: tag,
-                },
-                self.cfg.tx_delay,
-            );
-        }
-        self.workers[worker].held.clear();
-        let started = self.workers[worker].started;
-        self.stats.txns += 1;
-        self.stats
-            .txn_latency
-            .record(ctx.now().as_nanos() - started.as_nanos());
-        self.start_next_txn(worker, ctx);
-    }
-}
-
-impl ClientReport for NcClient {
-    fn reset(&mut self) {
-        self.reset_stats();
-    }
-
-    fn fold_into(&self, out: &mut RunStats) {
-        let s = &self.stats;
-        out.txns += s.txns;
-        out.grants += s.grants;
-        out.grants_switch += s.grants;
-        out.retries += s.denials;
-        out.lock_latency.merge(&s.wait_latency);
-        out.txn_latency.merge(&s.txn_latency);
-    }
-
-    fn completed(&self) -> u64 {
-        self.stats.txns
-    }
-}
-
-impl Node<NcMsg> for NcClient {
-    fn on_start(&mut self, ctx: &mut Context<'_, NcMsg>) {
-        for _ in 0..self.cfg.workers {
-            self.workers.push(Worker {
-                txn: Transaction::new(vec![], SimDuration::ZERO),
-                txn_tag: 0,
-                started: ctx.now(),
-                phase: Phase::Thinking,
-                held: Vec::new(),
-                gen: 0,
-            });
-        }
-        for w in 0..self.cfg.workers {
-            self.start_next_txn(w, ctx);
-        }
-    }
-
-    fn on_packet(&mut self, pkt: Packet<NcMsg>, ctx: &mut Context<'_, NcMsg>) {
-        let NcMsg::Reply { granted, token, .. } = pkt.payload else {
-            return;
-        };
-        let worker = (token >> GEN_BITS) as usize;
-        if worker >= self.workers.len()
-            || (self.workers[worker].gen & ((1 << GEN_BITS) - 1)) != (token & ((1 << GEN_BITS) - 1))
-        {
-            return;
-        }
-        let Phase::Attempting {
-            next,
-            sent,
-            attempts,
-        } = self.workers[worker].phase
+    fn on_reply(c: &mut NcClient, w: usize, msg: NcMsg, ctx: &mut Context<'_, NcMsg>) {
+        let (NcMsg::Reply { granted, .. }, Phase::Attempting { attempts }) =
+            (msg, &c.workers[w].phase)
         else {
             return;
         };
+        let attempts = *attempts + 1;
         if granted {
-            self.stats.grants += 1;
-            self.stats
-                .wait_latency
-                .record(ctx.now().as_nanos() - sent.as_nanos() + self.cfg.rx_delay.as_nanos());
-            let need = self.workers[worker].txn.locks[next];
-            self.workers[worker].held.push(need);
-            let lock_count = self.workers[worker].txn.locks.len();
-            if next + 1 < lock_count {
-                self.workers[worker].phase = Phase::Attempting {
-                    next: next + 1,
-                    sent: ctx.now(),
-                    attempts: 0,
-                };
-                self.workers[worker].gen += 1;
-                self.issue(worker, ctx);
-            } else {
-                let think = self.workers[worker].txn.think;
-                self.workers[worker].phase = Phase::Thinking;
-                self.workers[worker].gen += 1;
-                if think.is_zero() {
-                    self.complete_txn(worker, ctx);
-                } else {
-                    let token = self.token(worker);
-                    ctx.set_timer(self.cfg.rx_delay + think, token);
-                }
-            }
+            c.acquired(w, ctx);
         } else {
-            self.stats.denials += 1;
-            self.workers[worker].phase = Phase::BackingOff {
-                next,
-                sent,
-                attempts: attempts + 1,
-            };
-            self.workers[worker].gen += 1;
-            let delay = self.backoff(attempts + 1);
-            let token = self.token(worker);
-            ctx.set_timer(delay, token);
+            c.stats.waits += 1;
+            c.workers[w].phase = Phase::BackingOff { attempts };
+            c.back_off(w, attempts, c.cfg.backoff_base, c.cfg.backoff_cap, ctx);
         }
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, NcMsg>) {
-        let worker = (token >> GEN_BITS) as usize;
-        if worker >= self.workers.len()
-            || (self.workers[worker].gen & ((1 << GEN_BITS) - 1)) != (token & ((1 << GEN_BITS) - 1))
-        {
-            return;
-        }
-        match self.workers[worker].phase {
-            Phase::BackingOff {
-                next,
-                sent,
-                attempts,
-            } => {
-                self.workers[worker].phase = Phase::Attempting {
-                    next,
-                    sent,
-                    attempts,
-                };
-                self.workers[worker].gen += 1;
-                self.issue(worker, ctx);
+    fn on_timer(c: &mut NcClient, w: usize, ctx: &mut Context<'_, NcMsg>) {
+        match c.workers[w].phase {
+            Phase::BackingOff { attempts } => {
+                c.bump(w);
+                attempt(c, w, attempts, ctx);
             }
-            Phase::Thinking => self.complete_txn(worker, ctx),
+            Phase::Thinking => c.commit(w, ctx),
             Phase::Attempting { .. } => {}
         }
     }
 
-    fn name(&self) -> &str {
-        "netchain-client"
+    fn release(need: LockNeed, tag: u64) -> Option<NcMsg> {
+        Some(NcMsg::Release {
+            lock: need.lock.0,
+            txn: tag,
+        })
+    }
+
+    fn granted_by(out: &mut RunStats) -> &mut u64 {
+        &mut out.grants_switch
+    }
+
+    fn retries(stats: &ClientStats) -> u64 {
+        stats.waits
     }
 }
 
-/// An assembled NetChain deployment.
-pub struct NcRack {
-    /// The simulator.
-    pub sim: Simulator<NcMsg>,
-    /// The NetChain switch.
-    pub switch: NodeId,
-    /// Clients.
-    pub clients: Vec<NodeId>,
-}
-
-/// Build a NetChain deployment with `slots` switch memory slots.
-pub fn build_netchain<F>(
-    seed: u64,
-    slots: usize,
-    client_cfg: NcClientConfig,
-    sources: Vec<F>,
-) -> NcRack
-where
-    F: TxnSource + 'static,
-{
-    let mut sim: Simulator<NcMsg> = Simulator::new(
-        Topology::new(LinkConfig::with_delay(SimDuration::from_nanos(1_200))),
-        seed,
-    );
-    let switch = sim.add_node(Box::new(NcSwitch::new(slots, SimDuration::from_nanos(500))));
-    let mut clients = Vec::new();
-    let mut seeder = SimRng::new(seed ^ 0x5EC7);
-    for src in sources {
-        let s = seeder.next_u64();
-        clients.push(sim.add_node(Box::new(NcClient::new(
-            client_cfg.clone(),
-            switch,
-            Box::new(src),
-            s,
-        ))));
-    }
-    NcRack {
-        sim,
-        switch,
-        clients,
-    }
-}
-
-/// Warmup, reset, measure, and aggregate into the shared result type.
-pub fn measure_netchain(rack: &mut NcRack, warmup: SimDuration, measure: SimDuration) -> RunStats {
-    measure_uniform::<_, NcClient>(&mut rack.sim, &rack.clients, warmup, measure)
+/// Ask the switch for worker `w`'s current lock, owner word = the
+/// transaction's tag.
+fn attempt(c: &mut NcClient, w: usize, attempts: u32, ctx: &mut Context<'_, NcMsg>) {
+    c.workers[w].phase = Phase::Attempting { attempts };
+    let msg = NcMsg::AcquireTok {
+        lock: c.need(w).lock.0,
+        txn: c.workers[w].tag,
+        token: c.token(w),
+    };
+    c.send(c.need(w).lock, msg, ctx);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::closed_loop::Deployment;
     use netlock_core::txn::SingleLockSource;
     use netlock_proto::{LockId, LockMode};
 
@@ -520,13 +284,13 @@ mod tests {
 
     #[test]
     fn uncontended_grants_flow() {
-        let mut rack = build_netchain(
+        let mut rack = Deployment::build(
             1,
-            100_000,
             NcClientConfig {
                 workers: 4,
                 ..Default::default()
             },
+            [NcSwitch::new(100_000)],
             sources(
                 2,
                 (0..256).map(LockId).collect(),
@@ -534,11 +298,7 @@ mod tests {
                 SimDuration::ZERO,
             ),
         );
-        let stats = measure_netchain(
-            &mut rack,
-            SimDuration::from_millis(2),
-            SimDuration::from_millis(10),
-        );
+        let stats = rack.measure(SimDuration::from_millis(2), SimDuration::from_millis(10));
         assert!(stats.txns > 1_000, "txns = {}", stats.txns);
     }
 
@@ -546,33 +306,29 @@ mod tests {
     fn shared_treated_as_exclusive_causes_denials() {
         // All-shared traffic on one lock: a real lock manager would
         // grant everything concurrently; NetChain serializes it.
-        let mut rack = build_netchain(
+        let mut rack = Deployment::build(
             2,
-            100_000,
             NcClientConfig {
                 workers: 8,
                 ..Default::default()
             },
+            [NcSwitch::new(100_000)],
             sources(2, vec![LockId(0)], LockMode::Shared, SimDuration::ZERO),
         );
-        let stats = measure_netchain(
-            &mut rack,
-            SimDuration::from_millis(2),
-            SimDuration::from_millis(20),
-        );
+        let stats = rack.measure(SimDuration::from_millis(2), SimDuration::from_millis(20));
         assert!(stats.retries > 0, "shared-as-exclusive must cause denials");
     }
 
     #[test]
     fn coarse_granularity_causes_false_contention() {
         // Distinct locks but only 4 switch slots: collisions deny.
-        let mut rack = build_netchain(
+        let mut rack = Deployment::build(
             3,
-            4,
             NcClientConfig {
                 workers: 8,
                 ..Default::default()
             },
+            [NcSwitch::new(4)],
             sources(
                 2,
                 (0..1024).map(LockId).collect(),
@@ -580,23 +336,19 @@ mod tests {
                 SimDuration::ZERO,
             ),
         );
-        let stats = measure_netchain(
-            &mut rack,
-            SimDuration::from_millis(2),
-            SimDuration::from_millis(20),
-        );
+        let stats = rack.measure(SimDuration::from_millis(2), SimDuration::from_millis(20));
         assert!(stats.retries > 0, "hash collisions must cause denials");
     }
 
     #[test]
     fn release_frees_slot() {
-        let mut rack = build_netchain(
+        let mut rack = Deployment::build(
             4,
-            16,
             NcClientConfig {
                 workers: 1,
                 ..Default::default()
             },
+            [NcSwitch::new(16)],
             sources(1, vec![LockId(7)], LockMode::Exclusive, SimDuration::ZERO),
         );
         rack.sim.run_for(SimDuration::from_millis(5));

@@ -91,6 +91,19 @@ pub enum RdmaMsg {
     },
 }
 
+impl RdmaMsg {
+    /// The correlation id of a reply; `None` for a request.
+    pub(crate) fn reply_token(&self) -> Option<u64> {
+        match *self {
+            RdmaMsg::FetchAddReply { token, .. }
+            | RdmaMsg::CompareSwapReply { token, .. }
+            | RdmaMsg::ReadReply { token, .. }
+            | RdmaMsg::WriteReply { token } => Some(token),
+            _ => None,
+        }
+    }
+}
+
 /// RDMA NIC configuration.
 #[derive(Clone, Debug)]
 pub struct RdmaNicConfig {
@@ -122,6 +135,7 @@ pub struct RdmaNicStats {
 }
 
 /// The lock server's NIC + memory: executes verbs against lock words.
+#[derive(Clone)]
 pub struct RdmaServer {
     cfg: RdmaNicConfig,
     memory: HashMap<u64, u64>,

@@ -11,10 +11,11 @@
 use std::fmt::Write;
 
 use netlock_baselines::{
-    build_drtm, build_dslr, build_netchain, measure_drtm, measure_dslr, measure_netchain,
-    DrtmClientConfig, DslrClientConfig, NcClientConfig, RdmaNicConfig,
+    Deployment, DrtmClientConfig, DslrClientConfig, NcClientConfig, NcSwitch, Protocol,
+    RdmaNicConfig, RdmaServer,
 };
 use netlock_core::prelude::*;
+use netlock_sim::Node;
 
 use crate::common::{build_netlock_tpcc, tpcc_sources, SystemResult, TimeScale, TpccRackSpec};
 use crate::runner::Runner;
@@ -40,48 +41,38 @@ pub fn run_system(
         ..Default::default()
     };
     let workers = spec.workers_per_client;
+    let nic = RdmaNicConfig::default();
     let stats = match system {
         // DSLR: RDMA bakery on `lock_servers` RDMA nodes.
-        "DSLR" => {
-            let mut rack = build_dslr(
-                spec.seed,
-                lock_servers,
-                DslrClientConfig {
-                    workers,
-                    ..Default::default()
-                },
-                RdmaNicConfig::default(),
-                tpcc_sources(&spec),
-            );
-            measure_dslr(&mut rack, scale.warmup, scale.measure)
-        }
+        "DSLR" => measure(
+            &spec,
+            DslrClientConfig {
+                workers,
+                ..Default::default()
+            },
+            vec![RdmaServer::new(nic); lock_servers],
+            scale,
+        ),
         // DrTM: CAS fail-and-retry on the same RDMA substrate.
-        "DrTM" => {
-            let mut rack = build_drtm(
-                spec.seed,
-                lock_servers,
-                DrtmClientConfig {
-                    workers,
-                    ..Default::default()
-                },
-                RdmaNicConfig::default(),
-                tpcc_sources(&spec),
-            );
-            measure_drtm(&mut rack, scale.warmup, scale.measure)
-        }
+        "DrTM" => measure(
+            &spec,
+            DrtmClientConfig {
+                workers,
+                ..Default::default()
+            },
+            vec![RdmaServer::new(nic); lock_servers],
+            scale,
+        ),
         // NetChain: switch-only exclusive locks, no lock servers.
-        "NetChain" => {
-            let mut rack = build_netchain(
-                spec.seed,
-                100_000,
-                NcClientConfig {
-                    workers,
-                    ..Default::default()
-                },
-                tpcc_sources(&spec),
-            );
-            measure_netchain(&mut rack, scale.warmup, scale.measure)
-        }
+        "NetChain" => measure(
+            &spec,
+            NcClientConfig {
+                workers,
+                ..Default::default()
+            },
+            [NcSwitch::new(100_000)],
+            scale,
+        ),
         "NetLock" => {
             let mut rack = build_netlock_tpcc(&spec);
             warmup_and_measure(&mut rack, scale.warmup, scale.measure)
@@ -93,6 +84,17 @@ pub fn run_system(
         contention,
         stats,
     }
+}
+
+/// One baseline deployment of the spec's TPC-C clients over `service`.
+fn measure<P: Protocol, N: Node<P::Msg> + 'static>(
+    spec: &TpccRackSpec,
+    cfg: P,
+    service: impl IntoIterator<Item = N>,
+    scale: TimeScale,
+) -> RunStats {
+    Deployment::build(spec.seed, cfg, service, tpcc_sources(spec))
+        .measure(scale.warmup, scale.measure)
 }
 
 /// Run the four systems for one deployment + contention setting.

@@ -9,7 +9,6 @@
 
 use netlock_core::prelude::*;
 use netlock_sim::{SimDuration, TimeSeries};
-use netlock_switch::SwitchNode;
 
 use crate::common::{build_netlock_tpcc, tpcc_allocation, TpccRackSpec};
 
@@ -72,19 +71,8 @@ pub fn run_failure(
             rack.sim.revive_node(switch);
             // "The switch retains none of its former state or register
             // values": wipe and reprogram, as the control plane would.
-            let n_servers = rack.lock_servers.len();
-            let tick = rack.sim.with_node::<SwitchNode, _>(switch, |s| {
-                s.reboot();
-                s.dataplane_mut().set_default_servers(n_servers);
-                netlock_switch::control::apply_allocation(s.dataplane_mut(), &alloc);
-                s.config().control_tick
-            });
-            // The control tick (lease sweeper) died with the node;
-            // restart it or stranded holders are never reclaimed.
-            if !tick.is_zero() {
-                rack.sim
-                    .inject_timer(switch, tick, SwitchNode::CONTROL_TIMER_TOKEN);
-            }
+            let at = rack.sim.now();
+            standard_recovery(&mut rack, at, CUSTOM_SWITCH_REBOOT, &alloc);
             revived = true;
         }
         rack.sim.run_until(netlock_sim::SimTime(next.as_nanos()));

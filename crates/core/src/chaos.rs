@@ -30,7 +30,7 @@ use netlock_sim::{
     FaultAction, FaultPlan, GeParams, LinkConfig, LinkFaults, NodeId, RunOutcome, SimDuration,
     SimRng, SimTime, Simulator,
 };
-use netlock_switch::control::{apply_allocation, Allocation};
+use netlock_switch::control::Allocation;
 use netlock_switch::SwitchNode;
 
 use crate::oracle::{oracle_tap, Oracle, OracleConfig};
@@ -348,11 +348,9 @@ impl RackNodes {
         alloc: &Allocation,
     ) {
         if token == CUSTOM_SWITCH_REBOOT {
-            let n_servers = self.lock_servers.len();
             let tick = sim.with_node::<SwitchNode, _>(self.switch, |s| {
                 s.reboot();
-                s.dataplane_mut().set_default_servers(n_servers);
-                apply_allocation(s.dataplane_mut(), alloc);
+                self.program_switch(s, alloc);
                 s.config().control_tick
             });
             // The control tick re-arms itself, so the chain died with the

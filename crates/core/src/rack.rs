@@ -196,14 +196,19 @@ impl RackNodes {
     /// server-resident locks as owned on their home servers. Locks with
     /// no directory entry default-route to `hash(lock) % servers`.
     pub fn program(&self, sim: &mut Simulator<NetLockMsg>, alloc: &Allocation) {
-        let n_servers = self.lock_servers.len();
-        sim.with_node::<SwitchNode, _>(self.switch, |s| {
-            s.dataplane_mut().set_default_servers(n_servers);
-            apply_allocation(s.dataplane_mut(), alloc);
-        });
+        sim.with_node::<SwitchNode, _>(self.switch, |s| self.program_switch(s, alloc));
         for &(lock, home) in &alloc.in_server {
             sim.with_node::<ServerNode, _>(self.lock_servers[home], |s| s.own_lock(lock));
         }
+    }
+
+    /// Load `alloc` into this rack's switch `s`, default-routing unlisted
+    /// locks over the rack's lock servers (programming and reboot
+    /// recovery alike).
+    pub(crate) fn program_switch(&self, s: &mut SwitchNode, alloc: &Allocation) {
+        s.dataplane_mut()
+            .set_default_servers(self.lock_servers.len());
+        apply_allocation(s.dataplane_mut(), alloc);
     }
 
     /// Program the priority engine's directory: lock → sequential qid.

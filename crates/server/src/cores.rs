@@ -50,12 +50,9 @@ impl ServiceModel {
     }
 
     /// The model selected by the environment (cached after first call):
-    ///
-    /// - `NETLOCK_CALIBRATED_NS=<ns>` — use that cost directly;
-    /// - `NETLOCK_CALIBRATED=<path>` — read `calibrated_service_ns`
-    ///   from that report (`=1` / `=true` reads `BENCH_dlock.json` in
-    ///   the current directory);
-    /// - neither (or an unreadable/unparseable report) — [`Paper`].
+    /// [`calibrated_ns`] of `NETLOCK_CALIBRATED_NS` and
+    /// `NETLOCK_CALIBRATED`, or [`Paper`] where that finds nothing
+    /// usable.
     ///
     /// The `--calibrated` flag of the figure binaries sets the
     /// environment before any server is built.
@@ -64,28 +61,45 @@ impl ServiceModel {
     pub fn from_env() -> ServiceModel {
         static CACHE: OnceLock<ServiceModel> = OnceLock::new();
         *CACHE.get_or_init(|| {
-            if let Ok(v) = std::env::var("NETLOCK_CALIBRATED_NS") {
-                if let Ok(ns) = v.trim().parse::<u64>() {
-                    if ns > 0 {
-                        return ServiceModel::CalibratedNs(ns);
-                    }
-                }
-            }
-            if let Ok(v) = std::env::var("NETLOCK_CALIBRATED") {
-                let path = match v.trim() {
-                    "" | "0" | "false" => return ServiceModel::Paper,
-                    "1" | "true" => "BENCH_dlock.json",
-                    p => p,
-                };
-                if let Ok(text) = std::fs::read_to_string(path) {
-                    if let Some(ns) = parse_calibrated_ns(&text) {
-                        return ServiceModel::CalibratedNs(ns);
-                    }
-                }
-            }
-            ServiceModel::Paper
+            let env = |name| std::env::var(name).ok();
+            let direct = env("NETLOCK_CALIBRATED_NS");
+            let report = env("NETLOCK_CALIBRATED");
+            calibrated_ns(direct.as_deref(), report.as_deref())
+                .map_or(ServiceModel::Paper, ServiceModel::CalibratedNs)
         })
     }
+}
+
+/// The measured per-message cost two environment values select:
+///
+/// - `direct` (`NETLOCK_CALIBRATED_NS`), if it is a positive integer;
+/// - else the `calibrated_service_ns` of the report `report`
+///   (`NETLOCK_CALIBRATED`) names — `1` / `true` name
+///   `BENCH_dlock.json` in the current directory, while unset, empty,
+///   `0` and `false` select no calibration.
+///
+/// `Err` says why there is no cost: nothing selected, or the report
+/// that could not be used.
+pub fn calibrated_ns(direct: Option<&str>, report: Option<&str>) -> Result<u64, String> {
+    if let Some(ns) = direct.and_then(|v| v.trim().parse::<u64>().ok()) {
+        if ns > 0 {
+            return Ok(ns);
+        }
+    }
+    let path = match report.map(str::trim) {
+        None | Some("" | "0" | "false") => {
+            let value = report.unwrap_or_default();
+            return Err(format!("NETLOCK_CALIBRATED={value:?} selects no report"));
+        }
+        Some("1" | "true") => "BENCH_dlock.json",
+        Some(path) => path,
+    };
+    std::fs::read_to_string(path)
+        .ok()
+        .and_then(|text| parse_calibrated_ns(&text))
+        .ok_or_else(|| {
+            format!("no usable calibrated_service_ns in {path:?} (run dlock_bench to write one)")
+        })
 }
 
 /// Extract `"calibrated_service_ns": <number>` from a `BENCH_dlock.json`
@@ -259,6 +273,33 @@ mod tests {
             parse_calibrated_ns("{\"calibrated_service_ns\":  1500}"),
             Some(1500)
         );
+    }
+
+    #[test]
+    fn calibrated_without_a_usable_report_is_an_error_naming_the_path() {
+        let dir = std::env::temp_dir().join(format!("netlock-calibrated-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let at = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let (missing, fieldless, good) =
+            (at("missing.json"), at("fieldless.json"), at("good.json"));
+        std::fs::write(&fieldless, "{\"seq_lock_table_ns_per_op\": 14.5}").unwrap();
+        std::fs::write(&good, "{\"calibrated_service_ns\": 81.3}").unwrap();
+        for bad in [&missing, &fieldless] {
+            let err = calibrated_ns(None, Some(bad)).unwrap_err();
+            assert!(err.contains(bad.as_str()), "{err}");
+            // A malformed direct value does not rescue it either.
+            assert!(calibrated_ns(Some("0"), Some(bad)).is_err());
+        }
+        assert_eq!(calibrated_ns(None, Some(&good)), Ok(81));
+        assert_eq!(calibrated_ns(Some("x"), Some(&good)), Ok(81));
+        assert_eq!(calibrated_ns(Some(" 40 "), Some(&missing)), Ok(40));
+        // Unset, empty, `0` and `false` switch calibration off rather
+        // than name a report file.
+        for off in [None, Some(""), Some("0"), Some(" false ")] {
+            let err = calibrated_ns(None, off).unwrap_err();
+            assert!(err.contains("selects no report"), "{off:?}: {err}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

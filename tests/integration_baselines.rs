@@ -3,8 +3,8 @@
 //! common workload.
 
 use netlock_baselines::{
-    build_drtm, build_dslr, build_netchain, build_server_only, measure_drtm, measure_dslr,
-    measure_netchain, DrtmClientConfig, DslrClientConfig, NcClientConfig, RdmaNicConfig,
+    build_server_only, Deployment, DrtmClientConfig, DslrClientConfig, NcClientConfig, NcSwitch,
+    RdmaNicConfig, RdmaServer,
 };
 use netlock_core::prelude::*;
 use netlock_core::txn::SingleLockSource;
@@ -31,17 +31,16 @@ const MEAS: SimDuration = SimDuration(15_000_000);
 
 #[test]
 fn dslr_respects_fcfs_and_nic_bound() {
-    let mut rack = build_dslr(
+    let mut rack = Deployment::build(
         1,
-        2,
         DslrClientConfig {
             workers: 16,
             ..Default::default()
         },
-        RdmaNicConfig::default(),
+        vec![RdmaServer::new(RdmaNicConfig::default()); 2],
         micro_sources(4, 512, LockMode::Exclusive),
     );
-    let stats = measure_dslr(&mut rack, WARM, MEAS);
+    let stats = rack.measure(WARM, MEAS);
     assert!(stats.txns > 1_000, "txns = {}", stats.txns);
     // 2 NICs at 2.5 Mops, ≥2 atomics per lock: hard ceiling.
     assert!(
@@ -55,30 +54,28 @@ fn dslr_respects_fcfs_and_nic_bound() {
 fn drtm_throughput_collapses_under_contention_vs_dslr() {
     // Single hot lock: DSLR queues fairly (bakery), DrTM burns retries.
     let dslr = {
-        let mut rack = build_dslr(
+        let mut rack = Deployment::build(
             2,
-            1,
             DslrClientConfig {
                 workers: 16,
                 ..Default::default()
             },
-            RdmaNicConfig::default(),
+            vec![RdmaServer::new(RdmaNicConfig::default()); 1],
             micro_sources(4, 1, LockMode::Exclusive),
         );
-        measure_dslr(&mut rack, WARM, MEAS)
+        rack.measure(WARM, MEAS)
     };
     let drtm = {
-        let mut rack = build_drtm(
+        let mut rack = Deployment::build(
             2,
-            1,
             DrtmClientConfig {
                 workers: 16,
                 ..Default::default()
             },
-            RdmaNicConfig::default(),
+            vec![RdmaServer::new(RdmaNicConfig::default()); 1],
             micro_sources(4, 1, LockMode::Exclusive),
         );
-        measure_drtm(&mut rack, WARM, MEAS)
+        rack.measure(WARM, MEAS)
     };
     // Blind retry wastes verbs and is deeply unfair; the bakery's FCFS
     // keeps the extreme tail bounded near the queue depth.
@@ -98,16 +95,16 @@ fn netchain_penalizes_shared_workloads() {
     // All-shared traffic on few locks: NetChain (exclusive-only)
     // serializes what a real lock manager would run concurrently.
     let netchain = {
-        let mut rack = build_netchain(
+        let mut rack = Deployment::build(
             3,
-            100_000,
             NcClientConfig {
                 workers: 16,
                 ..Default::default()
             },
+            [NcSwitch::new(100_000)],
             micro_sources(4, 4, LockMode::Shared),
         );
-        measure_netchain(&mut rack, WARM, MEAS)
+        rack.measure(WARM, MEAS)
     };
     // NetLock grants all shared requests immediately.
     let netlock = {
@@ -154,30 +151,28 @@ fn tpcc_system_ordering_matches_paper() {
         warmup_and_measure(&mut rack, WARM, MEAS)
     };
     let dslr = {
-        let mut rack = build_dslr(
+        let mut rack = Deployment::build(
             4,
-            2,
             DslrClientConfig {
                 workers,
                 ..Default::default()
             },
-            RdmaNicConfig::default(),
+            vec![RdmaServer::new(RdmaNicConfig::default()); 2],
             tpcc_sources(clients),
         );
-        measure_dslr(&mut rack, WARM, MEAS)
+        rack.measure(WARM, MEAS)
     };
     let drtm = {
-        let mut rack = build_drtm(
+        let mut rack = Deployment::build(
             4,
-            2,
             DrtmClientConfig {
                 workers,
                 ..Default::default()
             },
-            RdmaNicConfig::default(),
+            vec![RdmaServer::new(RdmaNicConfig::default()); 2],
             tpcc_sources(clients),
         );
-        measure_drtm(&mut rack, WARM, MEAS)
+        rack.measure(WARM, MEAS)
     };
     assert!(
         netlock.tps() > 2.0 * dslr.tps(),
@@ -224,17 +219,16 @@ fn high_contention_crushes_drtm() {
     };
     let drtm = {
         let sources: Vec<TpccSource> = (0..clients).map(|_| TpccSource::new(cfg.clone())).collect();
-        let mut rack = build_drtm(
+        let mut rack = Deployment::build(
             4,
-            2,
             DrtmClientConfig {
                 workers,
                 ..Default::default()
             },
-            RdmaNicConfig::default(),
+            vec![RdmaServer::new(RdmaNicConfig::default()); 2],
             sources,
         );
-        measure_drtm(&mut rack, WARM, MEAS)
+        rack.measure(WARM, MEAS)
     };
     assert!(
         netlock.tps() > 2.5 * drtm.tps(),

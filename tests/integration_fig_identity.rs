@@ -1,10 +1,11 @@
-//! Committed results are what the code produces: the four fastest
+//! Committed results are what the code produces: six of the quicker
 //! figures, rendered through the same table `figs` prints from, equal
 //! their `results/<name>.tsv` byte for byte.
 //!
 //! `figs all --check` (CI's `figure-smoke`) covers all twelve files;
-//! these four keep the identity check inside `cargo test`, and between
-//! them run the knapsack rack, the partitioned failover chains, the
+//! these six keep the identity check inside `cargo test`, and between
+//! them run the DSLR, DrTM and NetChain clients against NetLock under
+//! TPC-C, the knapsack rack, the partitioned failover chains, the
 //! eight-rack population cluster and tenant churn.
 
 use netlock_bench::figures::{first_difference, FIGURES};
@@ -25,6 +26,16 @@ fn assert_committed(name: &str) {
         "{name}.tsv {}",
         first_difference(&committed, &rendered)
     );
+}
+
+#[test]
+fn fig10_is_its_committed_file() {
+    assert_committed("fig10");
+}
+
+#[test]
+fn fig11_is_its_committed_file() {
+    assert_committed("fig11");
 }
 
 #[test]

@@ -20,8 +20,7 @@ use netlock_core::harness::{measure_uniform, ClientReport, RunStats};
 use netlock_core::txn::{LockNeed, Transaction, TxnSource};
 use netlock_proto::LockId;
 use netlock_sim::{
-    Context, Histogram, LinkConfig, Node, NodeId, Packet, SimDuration, SimRng, SimTime, Simulator,
-    Topology,
+    Context, Histogram, Node, NodeId, Packet, SimDuration, SimRng, SimTime, Simulator,
 };
 
 /// Low token bits that carry the generation; the worker index sits above.
@@ -51,17 +50,6 @@ pub struct ClientStats {
     pub wait_latency: Histogram,
 }
 
-/// The client shape every baseline configuration names.
-#[derive(Clone, Copy, Debug)]
-pub struct Timing {
-    /// Concurrent transaction contexts.
-    pub workers: usize,
-    /// Client-side processing per request sent.
-    pub tx_delay: SimDuration,
-    /// Client-side processing per completion.
-    pub rx_delay: SimDuration,
-}
-
 /// How one baseline acquires and releases a lock. Implemented by each
 /// baseline's client configuration; the handlers run only for replies
 /// and timers whose token is still live.
@@ -77,9 +65,12 @@ pub trait Protocol: Clone + Send + 'static {
     const NAME: &'static str;
     /// Mixed into the deployment seed to seed the clients.
     const SEED_SALT: u64;
+    /// Client-side processing, charged once per request sent and once
+    /// per completion received.
+    const STACK_DELAY: SimDuration;
 
-    /// Workers and per-message costs.
-    fn timing(&self) -> Timing;
+    /// Concurrent transaction contexts.
+    fn workers(&self) -> usize;
     /// The token `msg` carries, if it is a reply.
     fn token(msg: &Self::Msg) -> Option<u64>;
     /// Ask for the lock worker `w` needs next, for the first time (its
@@ -124,8 +115,7 @@ pub(crate) struct Worker<Phase> {
 
 /// The closed-loop client node of protocol `P`.
 pub struct Client<P: Protocol> {
-    pub(crate) cfg: P,
-    timing: Timing,
+    cfg: P,
     servers: Vec<NodeId>,
     source: Box<dyn TxnSource>,
     pub(crate) workers: Vec<Worker<P::Phase>>,
@@ -142,12 +132,10 @@ impl<P: Protocol> Client<P> {
         source: Box<dyn TxnSource>,
         seed: u64,
     ) -> Client<P> {
-        let timing = cfg.timing();
         assert!(!servers.is_empty(), "need a lock service node");
-        assert!(timing.workers > 0 && timing.workers < (RELEASE_TOKEN >> GEN_BITS) as usize);
+        assert!(cfg.workers() > 0 && cfg.workers() < (RELEASE_TOKEN >> GEN_BITS) as usize);
         Client {
             cfg,
-            timing,
             servers,
             source,
             workers: Vec::new(),
@@ -191,25 +179,20 @@ impl<P: Protocol> Client<P> {
 
     /// Send `msg` about `lock` to the node serving it.
     pub(crate) fn send(&mut self, lock: LockId, msg: P::Msg, ctx: &mut Context<'_, P::Msg>) {
-        let delay = self.timing.tx_delay + P::jitter(&mut self.rng);
+        let delay = P::STACK_DELAY + P::jitter(&mut self.rng);
         let i = ((lock.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize
             % self.servers.len();
         ctx.send_after(self.servers[i], msg, delay);
     }
 
     /// Bump worker `w`'s generation and wake it after the backoff of try
-    /// `attempts`: `base · 2^min(attempts, 8)` capped at `cap`, ±25 %
+    /// `attempts`: `5 µs · 2^min(attempts, 8)` capped at 320 µs, ±25 %
     /// jitter to break synchronized retries.
-    pub(crate) fn back_off(
-        &mut self,
-        w: usize,
-        attempts: u32,
-        base: SimDuration,
-        cap: SimDuration,
-        ctx: &mut Context<'_, P::Msg>,
-    ) {
+    pub(crate) fn back_off(&mut self, w: usize, attempts: u32, ctx: &mut Context<'_, P::Msg>) {
+        const BASE: SimDuration = SimDuration::from_micros(5);
+        const CAP: SimDuration = SimDuration::from_micros(320);
         self.bump(w);
-        let capped = (base.as_nanos().saturating_mul(1 << attempts.min(8))).min(cap.as_nanos());
+        let capped = (BASE.as_nanos().saturating_mul(1 << attempts.min(8))).min(CAP.as_nanos());
         let jitter = capped / 4;
         let delay = capped - jitter + self.rng.next_below(jitter.max(1) * 2);
         self.timer(w, SimDuration::from_nanos(delay), ctx);
@@ -249,9 +232,9 @@ impl<P: Protocol> Client<P> {
     pub(crate) fn acquired(&mut self, w: usize, ctx: &mut Context<'_, P::Msg>) {
         let worker = &mut self.workers[w];
         self.stats.grants += 1;
-        self.stats.wait_latency.record(
-            ctx.now().as_nanos() - worker.sent.as_nanos() + self.timing.rx_delay.as_nanos(),
-        );
+        self.stats
+            .wait_latency
+            .record(ctx.now().as_nanos() - worker.sent.as_nanos() + P::STACK_DELAY.as_nanos());
         worker.held.push(worker.txn.locks[worker.next]);
         if worker.next + 1 < worker.txn.locks.len() {
             let next = worker.next + 1;
@@ -263,7 +246,7 @@ impl<P: Protocol> Client<P> {
         if think.is_zero() {
             P::on_timer(self, w, ctx);
         } else {
-            self.timer(w, self.timing.rx_delay + think, ctx);
+            self.timer(w, P::STACK_DELAY + think, ctx);
         }
     }
 
@@ -313,7 +296,7 @@ impl<P: Protocol> ClientReport for Client<P> {
 
 impl<P: Protocol> Node<P::Msg> for Client<P> {
     fn on_start(&mut self, ctx: &mut Context<'_, P::Msg>) {
-        for _ in 0..self.timing.workers {
+        for _ in 0..self.cfg.workers() {
             self.workers.push(Worker {
                 txn: Transaction::new(vec![], SimDuration::ZERO),
                 tag: 0,
@@ -326,7 +309,7 @@ impl<P: Protocol> Node<P::Msg> for Client<P> {
                 gen: 0,
             });
         }
-        for w in 0..self.timing.workers {
+        for w in 0..self.cfg.workers() {
             self.start_next_txn(w, ctx);
         }
     }
@@ -372,10 +355,7 @@ impl<P: Protocol> Deployment<P> {
         N: Node<P::Msg> + 'static,
         F: TxnSource + 'static,
     {
-        let mut sim = Simulator::new(
-            Topology::new(LinkConfig::with_delay(SimDuration::from_nanos(1_200))),
-            seed,
-        );
+        let mut sim = Simulator::with_seed(seed);
         let servers: Vec<NodeId> = service
             .into_iter()
             .map(|node| sim.add_node(Box::new(node)))
@@ -425,13 +405,10 @@ mod tests {
         const THINKING: () = ();
         const NAME: &'static str = "credulous";
         const SEED_SALT: u64 = 0;
+        const STACK_DELAY: SimDuration = SimDuration::ZERO;
 
-        fn timing(&self) -> Timing {
-            Timing {
-                workers: 1,
-                tx_delay: SimDuration::ZERO,
-                rx_delay: SimDuration::ZERO,
-            }
+        fn workers(&self) -> usize {
+            1
         }
 
         fn token(msg: &u64) -> Option<u64> {

@@ -23,7 +23,7 @@ use netlock_core::txn::LockNeed;
 use netlock_proto::LockMode;
 use netlock_sim::{Context, SimDuration, SimRng};
 
-use crate::closed_loop::{Client, ClientStats, Protocol, Timing, RELEASE_TOKEN};
+use crate::closed_loop::{Client, ClientStats, Protocol, RELEASE_TOKEN};
 use crate::rdma::RdmaMsg;
 
 /// DrTM client configuration.
@@ -31,27 +31,6 @@ use crate::rdma::RdmaMsg;
 pub struct DrtmClientConfig {
     /// Concurrent transaction contexts.
     pub workers: usize,
-    /// Client-side processing per verb issue.
-    pub tx_delay: SimDuration,
-    /// Client-side processing per completion.
-    pub rx_delay: SimDuration,
-    /// Base retry backoff; doubles per consecutive failure up to
-    /// `backoff_cap`.
-    pub backoff_base: SimDuration,
-    /// Maximum backoff.
-    pub backoff_cap: SimDuration,
-}
-
-impl Default for DrtmClientConfig {
-    fn default() -> Self {
-        DrtmClientConfig {
-            workers: 16,
-            tx_delay: SimDuration::from_nanos(900),
-            rx_delay: SimDuration::from_nanos(900),
-            backoff_base: SimDuration::from_micros(5),
-            backoff_cap: SimDuration::from_micros(320),
-        }
-    }
 }
 
 /// Where a DrTM worker is in its transaction.
@@ -87,13 +66,11 @@ impl Protocol for DrtmClientConfig {
     const THINKING: Phase = Phase::Thinking;
     const NAME: &'static str = "drtm-client";
     const SEED_SALT: u64 = 0xD737;
+    /// Per verb issue and per completion.
+    const STACK_DELAY: SimDuration = SimDuration::from_nanos(900);
 
-    fn timing(&self) -> Timing {
-        Timing {
-            workers: self.workers,
-            tx_delay: self.tx_delay,
-            rx_delay: self.rx_delay,
-        }
+    fn workers(&self) -> usize {
+        self.workers
     }
 
     fn token(msg: &RdmaMsg) -> Option<u64> {
@@ -117,7 +94,7 @@ impl Protocol for DrtmClientConfig {
                 c.workers[w].phase = Phase::BackingOff {
                     attempts: attempts + 1,
                 };
-                c.back_off(w, attempts + 1, c.cfg.backoff_base, c.cfg.backoff_cap, ctx);
+                c.back_off(w, attempts + 1, ctx);
             }
             Phase::Validating { at } if writer_free => validate(c, w, at + 1, ctx),
             // A writer took a word we read: the transaction aborts.
@@ -127,7 +104,7 @@ impl Protocol for DrtmClientConfig {
                 c.workers[w].aborts += 1;
                 c.workers[w].phase = Phase::AbortBackoff;
                 let aborts = c.workers[w].aborts;
-                c.back_off(w, aborts, c.cfg.backoff_base, c.cfg.backoff_cap, ctx);
+                c.back_off(w, aborts, ctx);
             }
             _ => {}
         }
@@ -240,10 +217,7 @@ mod tests {
     fn uncontended_cas_succeeds_first_try() {
         let mut rack = Deployment::build(
             1,
-            DrtmClientConfig {
-                workers: 2,
-                ..Default::default()
-            },
+            DrtmClientConfig { workers: 2 },
             vec![RdmaServer::new(RdmaNicConfig::default()); 1],
             sources(
                 1,
@@ -266,10 +240,7 @@ mod tests {
     fn contention_causes_conflicts_and_tail() {
         let mut rack = Deployment::build(
             2,
-            DrtmClientConfig {
-                workers: 16,
-                ..Default::default()
-            },
+            DrtmClientConfig { workers: 16 },
             vec![RdmaServer::new(RdmaNicConfig::default()); 1],
             sources(
                 4,
@@ -313,10 +284,7 @@ mod tests {
         ));
         let mut rack = Deployment::build(
             3,
-            DrtmClientConfig {
-                workers: 8,
-                ..Default::default()
-            },
+            DrtmClientConfig { workers: 8 },
             vec![RdmaServer::new(RdmaNicConfig::default()); 1],
             all,
         );
@@ -333,10 +301,7 @@ mod tests {
     fn pure_readers_never_conflict() {
         let mut rack = Deployment::build(
             4,
-            DrtmClientConfig {
-                workers: 8,
-                ..Default::default()
-            },
+            DrtmClientConfig { workers: 8 },
             vec![RdmaServer::new(RdmaNicConfig::default()); 1],
             sources(2, vec![LockId(0)], LockMode::Shared, SimDuration::ZERO),
         );
@@ -352,10 +317,7 @@ mod tests {
         let think = SimDuration::from_micros(50);
         let mut rack = Deployment::build(
             5,
-            DrtmClientConfig {
-                workers: 8,
-                ..Default::default()
-            },
+            DrtmClientConfig { workers: 8 },
             vec![RdmaServer::new(RdmaNicConfig::default()); 1],
             sources(2, vec![LockId(0)], LockMode::Exclusive, think),
         );

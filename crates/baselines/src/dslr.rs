@@ -17,7 +17,7 @@
 //! - Exclusive release: FA(1 << 16). Shared release: FA(1).
 //!
 //! A worker whose FA reply says the lock is taken polls the word with
-//! one-sided READs every `poll_interval`. The two costs that cap DSLR —
+//! one-sided READs every 5 µs. The two costs that cap DSLR —
 //! the NIC atomics bottleneck and poll traffic amplification under
 //! contention — both emerge from the [`crate::rdma`] model.
 
@@ -26,7 +26,7 @@ use netlock_core::txn::LockNeed;
 use netlock_proto::LockMode;
 use netlock_sim::{Context, SimDuration};
 
-use crate::closed_loop::{Client, ClientStats, Protocol, Timing, RELEASE_TOKEN};
+use crate::closed_loop::{Client, ClientStats, Protocol, RELEASE_TOKEN};
 use crate::rdma::RdmaMsg;
 
 const LANE_MAX_X: u32 = 48;
@@ -51,28 +51,14 @@ fn bakery_ready(word: u64, mode: LockMode, ticket_x: u16, ticket_s: u16) -> bool
     }
 }
 
+/// Poll interval while waiting on a ticket.
+const POLL_INTERVAL: SimDuration = SimDuration::from_micros(5);
+
 /// DSLR client configuration.
 #[derive(Clone, Debug)]
 pub struct DslrClientConfig {
     /// Concurrent transaction contexts.
     pub workers: usize,
-    /// Client-side processing per verb issue (RDMA bypasses the kernel).
-    pub tx_delay: SimDuration,
-    /// Client-side processing per completion.
-    pub rx_delay: SimDuration,
-    /// Poll interval while waiting on a ticket.
-    pub poll_interval: SimDuration,
-}
-
-impl Default for DslrClientConfig {
-    fn default() -> Self {
-        DslrClientConfig {
-            workers: 16,
-            tx_delay: SimDuration::from_nanos(900),
-            rx_delay: SimDuration::from_nanos(900),
-            poll_interval: SimDuration::from_micros(5),
-        }
-    }
 }
 
 /// Where a DSLR worker is in acquiring its current lock.
@@ -100,13 +86,11 @@ impl Protocol for DslrClientConfig {
     const THINKING: Phase = Phase::Thinking;
     const NAME: &'static str = "dslr-client";
     const SEED_SALT: u64 = 0xD51A;
+    /// Per verb issue and per completion (RDMA bypasses the kernel).
+    const STACK_DELAY: SimDuration = SimDuration::from_nanos(900);
 
-    fn timing(&self) -> Timing {
-        Timing {
-            workers: self.workers,
-            tx_delay: self.tx_delay,
-            rx_delay: self.rx_delay,
-        }
+    fn workers(&self) -> usize {
+        self.workers
     }
 
     fn token(msg: &RdmaMsg) -> Option<u64> {
@@ -136,14 +120,14 @@ impl Protocol for DslrClientConfig {
                 } else {
                     c.workers[w].phase = Phase::Waiting { ticket_x, ticket_s };
                     c.bump(w);
-                    c.timer(w, c.cfg.poll_interval, ctx);
+                    c.timer(w, POLL_INTERVAL, ctx);
                 }
             }
             (RdmaMsg::ReadReply { value, .. }, &Phase::Waiting { ticket_x, ticket_s }) => {
                 if bakery_ready(value, mode, ticket_x, ticket_s) {
                     c.acquired(w, ctx);
                 } else {
-                    c.timer(w, c.cfg.poll_interval, ctx);
+                    c.timer(w, POLL_INTERVAL, ctx);
                 }
             }
             _ => {}
@@ -214,10 +198,7 @@ mod tests {
     fn uncontended_locks_flow() {
         let mut rack = Deployment::build(
             1,
-            DslrClientConfig {
-                workers: 4,
-                ..Default::default()
-            },
+            DslrClientConfig { workers: 4 },
             vec![RdmaServer::new(RdmaNicConfig::default()); 1],
             sources(
                 2,
@@ -235,10 +216,7 @@ mod tests {
     fn fcfs_under_contention_still_progresses() {
         let mut rack = Deployment::build(
             2,
-            DslrClientConfig {
-                workers: 8,
-                ..Default::default()
-            },
+            DslrClientConfig { workers: 8 },
             vec![RdmaServer::new(RdmaNicConfig::default()); 1],
             sources(2, vec![LockId(0)], LockMode::Exclusive, SimDuration::ZERO),
         );
@@ -257,10 +235,7 @@ mod tests {
     fn shared_locks_coexist() {
         let mut rack = Deployment::build(
             3,
-            DslrClientConfig {
-                workers: 8,
-                ..Default::default()
-            },
+            DslrClientConfig { workers: 8 },
             vec![RdmaServer::new(RdmaNicConfig::default()); 1],
             sources(2, vec![LockId(0)], LockMode::Shared, SimDuration::ZERO),
         );
@@ -285,10 +260,7 @@ mod tests {
         };
         let mut rack = Deployment::build(
             4,
-            DslrClientConfig {
-                workers: 16,
-                ..Default::default()
-            },
+            DslrClientConfig { workers: 16 },
             vec![RdmaServer::new(nic); 1],
             sources(
                 4,

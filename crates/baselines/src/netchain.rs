@@ -15,9 +15,11 @@
 
 use netlock_core::harness::RunStats;
 use netlock_core::txn::LockNeed;
+use netlock_core::CLIENT_STACK_DELAY;
 use netlock_sim::{Context, Node, Packet, SimDuration};
+use netlock_switch::TRAVERSAL;
 
-use crate::closed_loop::{Client, ClientStats, Protocol, Timing};
+use crate::closed_loop::{Client, ClientStats, Protocol};
 
 /// NetChain messages.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -68,9 +70,6 @@ pub struct NcSwitch {
 }
 
 impl NcSwitch {
-    /// Pipeline traversal time of one acquire.
-    const TRAVERSAL: SimDuration = SimDuration::from_nanos(500);
-
     /// A switch with `slots` owner words.
     pub fn new(slots: usize) -> NcSwitch {
         assert!(slots > 0);
@@ -112,7 +111,7 @@ impl Node<NcMsg> for NcSwitch {
                         granted,
                         token,
                     },
-                    NcSwitch::TRAVERSAL,
+                    TRAVERSAL,
                 );
             }
             NcMsg::Release { lock, txn } => {
@@ -137,26 +136,6 @@ impl Node<NcMsg> for NcSwitch {
 pub struct NcClientConfig {
     /// Concurrent transaction contexts.
     pub workers: usize,
-    /// Client software + NIC delay on transmit.
-    pub tx_delay: SimDuration,
-    /// Client software + NIC delay on receive.
-    pub rx_delay: SimDuration,
-    /// Base retry backoff (doubles up to `backoff_cap`).
-    pub backoff_base: SimDuration,
-    /// Maximum backoff.
-    pub backoff_cap: SimDuration,
-}
-
-impl Default for NcClientConfig {
-    fn default() -> Self {
-        NcClientConfig {
-            workers: 16,
-            tx_delay: SimDuration::from_nanos(2_500),
-            rx_delay: SimDuration::from_nanos(2_500),
-            backoff_base: SimDuration::from_micros(5),
-            backoff_cap: SimDuration::from_micros(320),
-        }
-    }
 }
 
 /// Where a NetChain worker is in acquiring its current lock.
@@ -185,13 +164,11 @@ impl Protocol for NcClientConfig {
     const THINKING: Phase = Phase::Thinking;
     const NAME: &'static str = "netchain-client";
     const SEED_SALT: u64 = 0x5EC7;
+    /// The same client stack as NetLock's clients.
+    const STACK_DELAY: SimDuration = CLIENT_STACK_DELAY;
 
-    fn timing(&self) -> Timing {
-        Timing {
-            workers: self.workers,
-            tx_delay: self.tx_delay,
-            rx_delay: self.rx_delay,
-        }
+    fn workers(&self) -> usize {
+        self.workers
     }
 
     fn token(msg: &NcMsg) -> Option<u64> {
@@ -217,7 +194,7 @@ impl Protocol for NcClientConfig {
         } else {
             c.stats.waits += 1;
             c.workers[w].phase = Phase::BackingOff { attempts };
-            c.back_off(w, attempts, c.cfg.backoff_base, c.cfg.backoff_cap, ctx);
+            c.back_off(w, attempts, ctx);
         }
     }
 
@@ -286,10 +263,7 @@ mod tests {
     fn uncontended_grants_flow() {
         let mut rack = Deployment::build(
             1,
-            NcClientConfig {
-                workers: 4,
-                ..Default::default()
-            },
+            NcClientConfig { workers: 4 },
             [NcSwitch::new(100_000)],
             sources(
                 2,
@@ -308,10 +282,7 @@ mod tests {
         // grant everything concurrently; NetChain serializes it.
         let mut rack = Deployment::build(
             2,
-            NcClientConfig {
-                workers: 8,
-                ..Default::default()
-            },
+            NcClientConfig { workers: 8 },
             [NcSwitch::new(100_000)],
             sources(2, vec![LockId(0)], LockMode::Shared, SimDuration::ZERO),
         );
@@ -324,10 +295,7 @@ mod tests {
         // Distinct locks but only 4 switch slots: collisions deny.
         let mut rack = Deployment::build(
             3,
-            NcClientConfig {
-                workers: 8,
-                ..Default::default()
-            },
+            NcClientConfig { workers: 8 },
             [NcSwitch::new(4)],
             sources(
                 2,
@@ -344,10 +312,7 @@ mod tests {
     fn release_frees_slot() {
         let mut rack = Deployment::build(
             4,
-            NcClientConfig {
-                workers: 1,
-                ..Default::default()
-            },
+            NcClientConfig { workers: 1 },
             [NcSwitch::new(16)],
             sources(1, vec![LockId(7)], LockMode::Exclusive, SimDuration::ZERO),
         );

@@ -195,8 +195,7 @@ fn oracle_config() -> OracleConfig {
     OracleConfig {
         lease_ns: CHAOS_LEASE.as_nanos(),
         // Several leases and retry timeouts: anything older is wedged.
-        leak_after_ns: 6_000_000,
-        wedge_after_ns: 6_000_000,
+        stall_after_ns: 6_000_000,
     }
 }
 

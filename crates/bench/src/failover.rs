@@ -87,13 +87,12 @@ pub fn run_sweep(scale: Scale, workers: usize) -> Vec<FailoverRun> {
 /// Render the two-section TSV report (summary rows + timeline block).
 pub fn render(scale: Scale, runs: &[FailoverRun]) -> String {
     use std::fmt::Write;
-    let partitions = FailoverConfig::default().partitions;
     let scenario = scale.scenario();
     let mut out = String::new();
     let _ = writeln!(
         out,
         "# NetLock multi-switch failover: {} partitions, crash at {} ms, outage {} ms, total {} ms",
-        partitions,
+        PARTITIONS,
         scenario.crash_at.as_nanos() as f64 / 1e6,
         scenario.outage.as_nanos() as f64 / 1e6,
         scale.total().as_nanos() as f64 / 1e6,
@@ -112,7 +111,7 @@ pub fn render(scale: Scale, runs: &[FailoverRun]) -> String {
             r.workers,
             r.totals.txns,
             r.totals.grants,
-            r.crash_window_grants(partitions),
+            r.crash_window_grants(),
             r.totals.retries,
             lat.p50_us(),
             lat.p99_us(),
@@ -194,9 +193,8 @@ mod tests {
         for r in &runs {
             assert_eq!(r.violations, 0, "factor {}: {}", r.replication, r.audit);
         }
-        let partitions = FailoverConfig::default().partitions;
-        let solo = runs[0].crash_window_grants(partitions);
-        let pair = runs[1].crash_window_grants(partitions);
+        let solo = runs[0].crash_window_grants();
+        let pair = runs[1].crash_window_grants();
         assert!(
             pair > solo * 4,
             "replication must sustain the crash window: factor2={pair} factor1={solo}"

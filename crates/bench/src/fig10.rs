@@ -46,30 +46,21 @@ pub fn run_system(
         // DSLR: RDMA bakery on `lock_servers` RDMA nodes.
         "DSLR" => measure(
             &spec,
-            DslrClientConfig {
-                workers,
-                ..Default::default()
-            },
+            DslrClientConfig { workers },
             vec![RdmaServer::new(nic); lock_servers],
             scale,
         ),
         // DrTM: CAS fail-and-retry on the same RDMA substrate.
         "DrTM" => measure(
             &spec,
-            DrtmClientConfig {
-                workers,
-                ..Default::default()
-            },
+            DrtmClientConfig { workers },
             vec![RdmaServer::new(nic); lock_servers],
             scale,
         ),
         // NetChain: switch-only exclusive locks, no lock servers.
         "NetChain" => measure(
             &spec,
-            NcClientConfig {
-                workers,
-                ..Default::default()
-            },
+            NcClientConfig { workers },
             [NcSwitch::new(100_000)],
             scale,
         ),

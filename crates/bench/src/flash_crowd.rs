@@ -116,7 +116,6 @@ impl FlashCrowdSpec {
             max_outstanding: 1 << 20,
             diurnal: Some(self.diurnal()),
             bursts: if t == 0 { vec![self.burst()] } else { vec![] },
-            ..Default::default()
         }
     }
 }

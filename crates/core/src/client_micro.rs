@@ -4,7 +4,7 @@
 //! releases each lock as soon as it is granted (plus an optional hold
 //! time), and records acquire→grant latency. Client software + NIC
 //! processing — which dominates the paper's measured latency — is
-//! modeled as fixed TX/RX delays.
+//! modeled as [`CLIENT_STACK_DELAY`] on each of transmit and receive.
 
 use std::collections::VecDeque;
 
@@ -15,6 +15,7 @@ use netlock_proto::{
 use netlock_sim::{Context, Histogram, LatencySummary, Node, NodeId, Packet, SimDuration};
 
 use crate::harness::{ClientReport, RunStats};
+use crate::CLIENT_STACK_DELAY;
 
 const TIMER_GENERATE: u64 = 0;
 /// Release timers carry `RELEASE_BASE + key`.
@@ -51,18 +52,12 @@ pub struct MicroClientConfig {
     /// Time between receiving a grant and issuing the release (beyond
     /// client RX/TX processing).
     pub hold: SimDuration,
-    /// Client software + NIC delay on transmit.
-    pub tx_delay: SimDuration,
-    /// Client software + NIC delay on receive.
-    pub rx_delay: SimDuration,
     /// Max in-flight (un-granted) requests — the generator's window.
     pub max_outstanding: usize,
     /// Poisson arrivals (true) or uniform spacing (false).
     pub poisson: bool,
     /// Tenant carried in requests.
     pub tenant: TenantId,
-    /// Priority carried in requests.
-    pub priority: Priority,
 }
 
 impl Default for MicroClientConfig {
@@ -72,12 +67,9 @@ impl Default for MicroClientConfig {
             locks: vec![LockId(0)],
             mode: LockMode::Shared,
             hold: SimDuration::ZERO,
-            tx_delay: SimDuration::from_nanos(2_500),
-            rx_delay: SimDuration::from_nanos(2_500),
             max_outstanding: 256,
             poisson: false,
             tenant: TenantId(0),
-            priority: Priority(0),
         }
     }
 }
@@ -185,12 +177,12 @@ impl MicroClient {
                 txn,
                 client: ClientAddr(me.0),
                 tenant: self.cfg.tenant,
-                priority: self.cfg.priority,
+                priority: Priority(0),
                 issued_at_ns: ctx.now().as_nanos(),
             };
             self.outstanding += 1;
             self.stats.issued += 1;
-            ctx.send_after(self.switch, NetLockMsg::Acquire(req), self.cfg.tx_delay);
+            ctx.send_after(self.switch, NetLockMsg::Acquire(req), CLIENT_STACK_DELAY);
         }
         let next = self.interval(ctx);
         ctx.set_timer(next, TIMER_GENERATE);
@@ -199,7 +191,7 @@ impl MicroClient {
     fn on_grant(&mut self, grant: GrantMsg, ctx: &mut Context<'_, NetLockMsg>) {
         self.outstanding = self.outstanding.saturating_sub(1);
         self.stats.grants += 1;
-        let latency = ctx.now().as_nanos() - grant.issued_at_ns + self.cfg.rx_delay.as_nanos();
+        let latency = ctx.now().as_nanos() - grant.issued_at_ns + CLIENT_STACK_DELAY.as_nanos();
         self.stats.latency.record(latency);
         let rel = ReleaseRequest {
             lock: grant.lock,
@@ -208,7 +200,7 @@ impl MicroClient {
             client: grant.client,
             priority: grant.priority,
         };
-        let delay = self.cfg.rx_delay + self.cfg.hold + self.cfg.tx_delay;
+        let delay = CLIENT_STACK_DELAY + self.cfg.hold + CLIENT_STACK_DELAY;
         if self.cfg.hold.is_zero() {
             ctx.send_after(self.switch, NetLockMsg::Release(rel), delay);
         } else {
@@ -275,7 +267,7 @@ mod tests {
     use netlock_sim::{LinkConfig, SimTime, Simulator, Topology};
     use netlock_switch::control::{apply_allocation, knapsack_allocate, LockStats};
     use netlock_switch::shared_queue::SharedQueueLayout;
-    use netlock_switch::{DataPlane, SwitchConfig, SwitchNode};
+    use netlock_switch::{DataPlane, SwitchConfig, SwitchNode, TRAVERSAL};
 
     #[test]
     fn due_release_is_at_the_front_and_orphans_go_with_it() {
@@ -286,15 +278,14 @@ mod tests {
         assert_eq!(pending.front(), Some(&(4, "e")));
     }
 
+    const LINK: SimDuration = SimDuration::from_nanos(1_200);
+
     fn build(
         mode: LockMode,
         locks: Vec<LockId>,
         rate: f64,
     ) -> (Simulator<NetLockMsg>, NodeId, NodeId) {
-        let mut sim = Simulator::new(
-            Topology::new(LinkConfig::with_delay(SimDuration::from_nanos(1_200))),
-            7,
-        );
+        let mut sim = Simulator::new(Topology::new(LinkConfig::with_delay(LINK)), 7);
         let mut dp = DataPlane::new_fcfs(&SharedQueueLayout::small(2, 1024, 16));
         let stats = LockStats::uniform(locks.iter().copied(), 600, 1);
         apply_allocation(&mut dp, &knapsack_allocate(&stats, 2048));
@@ -331,13 +322,18 @@ mod tests {
     fn latency_is_microsecond_scale() {
         let (mut sim, _switch, client) = build(LockMode::Shared, vec![LockId(0)], 50_000.0);
         sim.run_until(SimTime(SimDuration::from_millis(20).as_nanos()));
-        let summary = sim.read_node::<MicroClient, _>(client, |c| c.stats().latency_summary());
-        // ~ tx 2.5 + link 1.2 + switch 0.5 + link 1.2 + rx 2.5 ≈ 7.9 µs.
-        assert!(
-            (6_000..12_000).contains(&(summary.avg_ns as u64)),
-            "avg = {} ns",
-            summary.avg_ns
-        );
+        let (grants, min, max) = sim.read_node::<MicroClient, _>(client, |c| {
+            let s = c.stats();
+            (s.grants, s.latency.min(), s.latency.max())
+        });
+        // Deterministic arrivals on one uncontended shared lock: every
+        // grant is the bare Fig. 8 path, tx 2.5 + link 1.2 + switch 0.5 +
+        // link 1.2 + rx 2.5 = 7.9 µs, with no queueing and no resubmit.
+        let link = LINK.as_nanos();
+        let path = 2 * CLIENT_STACK_DELAY.as_nanos() + 2 * link + TRAVERSAL.as_nanos();
+        assert_eq!(path, 7_900);
+        assert!(grants > 900, "grants = {grants}");
+        assert_eq!((min, max), (path, path));
     }
 
     #[test]

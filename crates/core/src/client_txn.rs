@@ -41,16 +41,13 @@ use netlock_switch::partition::PartitionMap;
 
 use crate::harness::{ClientReport, RunStats};
 use crate::txn::{LockNeed, Transaction, TxnSource};
+use crate::CLIENT_STACK_DELAY;
 
 /// Transaction client configuration.
 #[derive(Clone, Debug)]
 pub struct TxnClientConfig {
     /// Concurrent transaction contexts.
     pub workers: usize,
-    /// Client software + NIC delay on transmit.
-    pub tx_delay: SimDuration,
-    /// Client software + NIC delay on receive.
-    pub rx_delay: SimDuration,
     /// Re-send an acquire if no grant arrives within this window (the
     /// backoff base; attempt `n` waits `min(2^n × retry_timeout,
     /// retry_backoff_cap)` ± 25% jitter).
@@ -66,8 +63,6 @@ impl Default for TxnClientConfig {
     fn default() -> Self {
         TxnClientConfig {
             workers: 16,
-            tx_delay: SimDuration::from_nanos(2_500),
-            rx_delay: SimDuration::from_nanos(2_500),
             retry_timeout: SimDuration::from_millis(20),
             retry_backoff_cap: SimDuration::from_millis(160),
             start_delay: SimDuration::ZERO,
@@ -325,7 +320,7 @@ impl TxnClient {
         };
         let timer_due_first = w.retry_timer_at.is_some_and(|at| at <= retry_at);
         let dst = self.switch_for(need.lock);
-        ctx.send_after(dst, NetLockMsg::Acquire(req), self.cfg.tx_delay);
+        ctx.send_after(dst, NetLockMsg::Acquire(req), CLIENT_STACK_DELAY);
         if !timer_due_first {
             self.arm_retry_timer(worker, retry_at, retry_ticket, ctx);
         }
@@ -345,7 +340,7 @@ impl TxnClient {
             priority: grant.priority,
         };
         let dst = self.switch_for(grant.lock);
-        ctx.send_after(dst, NetLockMsg::Release(rel), self.cfg.tx_delay);
+        ctx.send_after(dst, NetLockMsg::Release(rel), CLIENT_STACK_DELAY);
     }
 
     fn on_grant(&mut self, grant: GrantMsg, ctx: &mut Context<'_, NetLockMsg>) {
@@ -392,7 +387,7 @@ impl TxnClient {
             Grantor::Switch => self.stats.grants_switch += 1,
             Grantor::Server => self.stats.grants_server += 1,
         }
-        let wait = ctx.now().as_nanos() - acquire_sent.as_nanos() + self.cfg.rx_delay.as_nanos();
+        let wait = ctx.now().as_nanos() - acquire_sent.as_nanos() + CLIENT_STACK_DELAY.as_nanos();
         self.stats.wait_latency.record(wait);
         self.workers[worker]
             .held
@@ -408,7 +403,7 @@ impl TxnClient {
             if think.is_zero() {
                 self.complete_txn(worker, ctx);
             } else {
-                ctx.set_timer(self.cfg.rx_delay + think, worker as u64);
+                ctx.set_timer(CLIENT_STACK_DELAY + think, worker as u64);
             }
         }
     }
@@ -430,7 +425,7 @@ impl TxnClient {
                 priority,
             };
             let dst = self.switch_for(need.lock);
-            ctx.send_after(dst, NetLockMsg::Release(rel), self.cfg.tx_delay);
+            ctx.send_after(dst, NetLockMsg::Release(rel), CLIENT_STACK_DELAY);
         }
         let started = self.workers[worker].started;
         self.stats.txns += 1;
@@ -772,7 +767,8 @@ mod tests {
     /// that — loses its grant too and must still be re-sent on time.
     #[test]
     fn lost_grants_are_retried_at_the_per_acquire_deadlines() {
-        const WIRE: u64 = 2_500 + 1_200; // tx_delay + link, client → switch
+        // Client stack + link, client → switch.
+        const WIRE: u64 = CLIENT_STACK_DELAY.0 + 1_200;
         const TURNAROUND: u64 = 1_200 + WIRE; // grant back, next acquire out
         const RETRY: u64 = 20_000_000;
         // Attempt 1 waits 40 ms ± 25 %; this client's jitter stream draws:

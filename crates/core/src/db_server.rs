@@ -9,33 +9,16 @@
 use netlock_proto::NetLockMsg;
 use netlock_sim::{Context, Node, NodeId, Packet, SimDuration};
 
-/// Database server configuration.
-#[derive(Clone, Debug)]
-pub struct DbServerConfig {
-    /// In-memory fetch cost per request.
-    pub fetch_cost: SimDuration,
-}
-
-impl Default for DbServerConfig {
-    fn default() -> Self {
-        DbServerConfig {
-            fetch_cost: SimDuration::from_nanos(800),
-        }
-    }
-}
+/// In-memory fetch cost per request.
+const FETCH_COST: SimDuration = SimDuration::from_nanos(800);
 
 /// The database server node.
+#[derive(Default)]
 pub struct DbServer {
-    cfg: DbServerConfig,
     fetches: u64,
 }
 
 impl DbServer {
-    /// A database server.
-    pub fn new(cfg: DbServerConfig) -> DbServer {
-        DbServer { cfg, fetches: 0 }
-    }
-
     /// Fetches served.
     pub fn fetches(&self) -> u64 {
         self.fetches
@@ -49,7 +32,7 @@ impl Node<NetLockMsg> for DbServer {
             ctx.send_after(
                 NodeId(grant.client.0),
                 NetLockMsg::DbReply { grant },
-                self.cfg.fetch_cost,
+                FETCH_COST,
             );
         }
     }
@@ -79,7 +62,7 @@ mod tests {
     fn fetch_replies_to_client() {
         let mut sim: Simulator<NetLockMsg> = Simulator::with_seed(1);
         let client = sim.add_node(Box::new(Sink(Vec::new())));
-        let db = sim.add_node(Box::new(DbServer::new(DbServerConfig::default())));
+        let db = sim.add_node(Box::new(DbServer::default()));
         let grant = GrantMsg {
             lock: LockId(1),
             txn: TxnId(2),

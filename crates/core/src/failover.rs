@@ -32,8 +32,7 @@ use std::sync::{Arc, Mutex};
 
 use netlock_proto::{LockId, LockMode, NetLockMsg};
 use netlock_sim::{
-    FaultAction, FaultPlan, LinkConfig, NodeId, SimDuration, SimRng, SimTime, Simulator, TapEvent,
-    Topology,
+    FaultAction, FaultPlan, NodeId, SimDuration, SimRng, SimTime, Simulator, TapEvent,
 };
 use netlock_switch::control::{apply_allocation, knapsack_allocate, Allocation, LockStats};
 use netlock_switch::partition::{partition_locks, PartitionMap};
@@ -45,57 +44,45 @@ use crate::harness::{fold_all, ClientOps, RunStats};
 use crate::oracle::{oracle_tap, Oracle, OracleConfig};
 use crate::txn::SingleLockSource;
 
-/// Shape and timescales of a failover cluster. Defaults are the chaos
-/// suite's compressed timescales: a 2 ms lease and sub-millisecond
-/// failure detection, so a 40 ms run crosses crash, repair, and many
+/// Seeds clients and the crash-plan victim draw.
+const SEED: u64 = 11;
+/// Lock-space partitions (one replication chain each).
+pub const PARTITIONS: usize = 2;
+/// Closed-loop transaction clients.
+const CLIENTS: usize = 2;
+/// Workers per client.
+const WORKERS_PER_CLIENT: usize = 4;
+/// Lock-space size; lock `l` lives in partition `l % PARTITIONS`.
+const LOCKS: u32 = 8;
+/// Queue-slot budget per partition's allocation.
+const QUEUE_CAPACITY: u32 = 128;
+/// Lease (chain heads sweep expired holders): the chaos suite's
+/// compressed timescale, so a 40 ms run crosses crash, repair, and many
 /// healthy lease generations.
+const LEASE: SimDuration = SimDuration::from_millis(2);
+/// Member ping cadence and lease-sweep granularity; sub-millisecond
+/// failure detection.
+const CONTROL_TICK: SimDuration = SimDuration::from_micros(200);
+
+/// What a failover cluster varies: the chain length and the clients'
+/// retransmission timescale. Everything else — [`PARTITIONS`] chains,
+/// two four-worker clients over eight locks, a 2 ms lease — is fixed.
 #[derive(Clone, Debug)]
 pub struct FailoverConfig {
-    /// Seeds clients and the crash-plan victim draw.
-    pub seed: u64,
-    /// Lock-space partitions (one replication chain each).
-    pub partitions: usize,
     /// Chain length per partition (1 = unreplicated).
     pub replication: usize,
-    /// Closed-loop transaction clients.
-    pub clients: usize,
-    /// Workers per client.
-    pub workers_per_client: usize,
-    /// Lock-space size; lock `l` lives in partition `l % partitions`.
-    pub locks: u32,
-    /// Queue-slot budget per partition's allocation.
-    pub queue_capacity: u32,
-    /// Register layout of each chain member's data plane.
-    pub layout: SharedQueueLayout,
-    /// Lease (chain heads sweep expired holders).
-    pub lease: SimDuration,
-    /// Member ping cadence and lease-sweep granularity.
-    pub control_tick: SimDuration,
     /// Client retransmission base (see [`TxnClientConfig`]).
     pub retry_timeout: SimDuration,
     /// Client backoff ceiling.
     pub retry_backoff_cap: SimDuration,
-    /// Uniform link delay; this is the partition lookahead, so it must
-    /// be positive.
-    pub link_delay: SimDuration,
 }
 
 impl Default for FailoverConfig {
     fn default() -> Self {
         FailoverConfig {
-            seed: 11,
-            partitions: 2,
             replication: 2,
-            clients: 2,
-            workers_per_client: 4,
-            locks: 8,
-            queue_capacity: 128,
-            layout: SharedQueueLayout::small(2, 64, 16),
-            lease: SimDuration::from_millis(2),
-            control_tick: SimDuration::from_micros(200),
             retry_timeout: SimDuration::from_millis(1),
             retry_backoff_cap: SimDuration::from_millis(4),
-            link_delay: SimDuration::from_nanos(1_200),
         }
     }
 }
@@ -110,7 +97,6 @@ pub struct FailoverCluster {
     pub clients: Vec<NodeId>,
     /// `chains[p]` = partition `p`'s members, head first (LP `p + 1`).
     pub chains: Vec<Vec<NodeId>>,
-    cfg: FailoverConfig,
     lp_of: Vec<u32>,
 }
 
@@ -120,21 +106,15 @@ impl FailoverCluster {
     /// is programmed with its partition's locks before the first event
     /// fires, and every client starts with the version-0 partition map.
     pub fn build(cfg: &FailoverConfig) -> FailoverCluster {
-        assert!(cfg.partitions >= 1 && cfg.replication >= 1);
-        assert!(
-            !cfg.link_delay.is_zero(),
-            "link delay is the partition lookahead; it must be positive"
-        );
-        let mut sim: Simulator<NetLockMsg> = Simulator::new(
-            Topology::new(LinkConfig::with_delay(cfg.link_delay)),
-            cfg.seed,
-        );
+        assert!(cfg.replication >= 1);
+        // The uniform default link delay is the partition lookahead.
+        let mut sim: Simulator<NetLockMsg> = Simulator::with_seed(SEED);
         // Predict the node layout so every component can name its peers
         // before they exist (ids are handed out sequentially).
         let controller = NodeId(0);
-        let clients: Vec<NodeId> = (0..cfg.clients).map(|i| NodeId(1 + i as u32)).collect();
-        let chain_base = 1 + cfg.clients as u32;
-        let chains: Vec<Vec<NodeId>> = (0..cfg.partitions)
+        let clients: Vec<NodeId> = (0..CLIENTS).map(|i| NodeId(1 + i as u32)).collect();
+        let chain_base = 1 + CLIENTS as u32;
+        let chains: Vec<Vec<NodeId>> = (0..PARTITIONS)
             .map(|p| {
                 (0..cfg.replication)
                     .map(|m| NodeId(chain_base + (p * cfg.replication + m) as u32))
@@ -142,24 +122,23 @@ impl FailoverCluster {
             })
             .collect();
         let heads: Vec<NodeId> = chains.iter().map(|c| c[0]).collect();
-        let mut lp_of = vec![0u32; 1 + cfg.clients];
+        let mut lp_of = vec![0u32; 1 + CLIENTS];
 
         let id = sim.add_node(Box::new(ChainController::new(
             ControllerConfig {
-                tick: cfg.control_tick,
-                dead_after: SimDuration::from_nanos(cfg.control_tick.as_nanos() * 3),
-                ..Default::default()
+                tick: CONTROL_TICK,
+                dead_after: SimDuration::from_nanos(CONTROL_TICK.as_nanos() * 3),
             },
             chains.clone(),
             clients.clone(),
         )));
         assert_eq!(id, controller);
 
-        let all_locks: Vec<LockId> = (0..cfg.locks).map(LockId).collect();
+        let all_locks: Vec<LockId> = (0..LOCKS).map(LockId).collect();
         for (i, &want) in clients.iter().enumerate() {
             let id = sim.add_node(Box::new(TxnClient::new(
                 TxnClientConfig {
-                    workers: cfg.workers_per_client,
+                    workers: WORKERS_PER_CLIENT,
                     retry_timeout: cfg.retry_timeout,
                     retry_backoff_cap: cfg.retry_backoff_cap,
                     ..Default::default()
@@ -170,7 +149,7 @@ impl FailoverCluster {
                     mode: LockMode::Exclusive,
                     think: SimDuration::ZERO,
                 }),
-                cfg.seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                SEED ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             )));
             assert_eq!(id, want);
             sim.with_node::<TxnClient, _>(id, |c| {
@@ -179,9 +158,9 @@ impl FailoverCluster {
         }
 
         for (p, chain) in chains.iter().enumerate() {
-            let alloc = partition_allocation(cfg, p as u16);
+            let alloc = partition_allocation(p as u16);
             for (m, &want) in chain.iter().enumerate() {
-                let mut dp = DataPlane::new_fcfs(&cfg.layout);
+                let mut dp = DataPlane::new_fcfs(&SharedQueueLayout::small(2, 64, 16));
                 apply_allocation(&mut dp, &alloc);
                 let id = sim.add_node(Box::new(ReplSwitch::new(
                     dp,
@@ -191,9 +170,8 @@ impl FailoverCluster {
                         member: m as u16,
                         chain: chain.clone(),
                         controller,
-                        lease: cfg.lease,
-                        control_tick: cfg.control_tick,
-                        ..Default::default()
+                        lease: LEASE,
+                        control_tick: CONTROL_TICK,
                     },
                 )));
                 assert_eq!(id, want);
@@ -206,15 +184,8 @@ impl FailoverCluster {
             controller,
             clients,
             chains,
-            cfg: cfg.clone(),
             lp_of,
         }
-    }
-
-    /// The logical-process map: controller + clients in LP 0, each
-    /// partition's chain in its own LP.
-    pub fn lp_assignment(&self) -> &[u32] {
-        &self.lp_of
     }
 
     /// Split one LP per partition chain (plus LP 0) and allow `workers`
@@ -247,9 +218,9 @@ impl FailoverCluster {
 }
 
 /// The allocation one partition's chain members are programmed with.
-pub fn partition_allocation(cfg: &FailoverConfig, p: u16) -> Allocation {
-    let stats = LockStats::uniform(partition_locks(cfg.locks, p, cfg.partitions), 16, 1);
-    knapsack_allocate(&stats, cfg.queue_capacity)
+pub fn partition_allocation(p: u16) -> Allocation {
+    let stats = LockStats::uniform(partition_locks(LOCKS, p, PARTITIONS), 16, 1);
+    knapsack_allocate(&stats, QUEUE_CAPACITY)
 }
 
 /// Which chain member a crash episode kills.
@@ -265,6 +236,9 @@ pub enum VictimPick {
     Tail,
 }
 
+/// Offset between consecutive partitions' crashes.
+const STAGGER: SimDuration = SimDuration::from_millis(1);
+
 /// The canonical failover chaos schedule.
 #[derive(Clone, Copy, Debug)]
 pub struct CrashScenario {
@@ -272,8 +246,6 @@ pub struct CrashScenario {
     pub crash_at: SimDuration,
     /// Crash-to-revive outage per victim.
     pub outage: SimDuration,
-    /// Offset between consecutive partitions' crashes.
-    pub stagger: SimDuration,
     /// Victim selection.
     pub victim: VictimPick,
 }
@@ -283,7 +255,6 @@ impl Default for CrashScenario {
         CrashScenario {
             crash_at: SimDuration::from_millis(10),
             outage: SimDuration::from_millis(6),
-            stagger: SimDuration::from_millis(1),
             victim: VictimPick::Seeded,
         }
     }
@@ -294,7 +265,7 @@ impl Default for CrashScenario {
 /// seed)` function; contains only `FailNode`/`ReviveNode`, so it
 /// installs on a partitioned simulator.
 pub fn crash_plan(cluster: &FailoverCluster, scenario: &CrashScenario) -> FaultPlan {
-    let mut rng = SimRng::new(cluster.cfg.seed ^ 0xFA11_0B5E);
+    let mut rng = SimRng::new(SEED ^ 0xFA11_0B5E);
     let mut plan = FaultPlan::new();
     for (p, chain) in cluster.chains.iter().enumerate() {
         let victim = match scenario.victim {
@@ -302,7 +273,7 @@ pub fn crash_plan(cluster: &FailoverCluster, scenario: &CrashScenario) -> FaultP
             VictimPick::Head => chain[0],
             VictimPick::Tail => *chain.last().unwrap(),
         };
-        let at = SimTime(scenario.crash_at.as_nanos() + scenario.stagger.as_nanos() * p as u64);
+        let at = SimTime(scenario.crash_at.as_nanos() + STAGGER.as_nanos() * p as u64);
         let back = SimTime(at.as_nanos() + scenario.outage.as_nanos());
         plan.push(at, FaultAction::FailNode(victim));
         plan.push(back, FaultAction::ReviveNode(victim));
@@ -404,12 +375,12 @@ pub struct FailoverRun {
 impl FailoverRun {
     /// Grants delivered inside the crash window (first crash to last
     /// revive) — the availability-under-failure number.
-    pub fn crash_window_grants(&self, partitions: usize) -> u64 {
+    pub fn crash_window_grants(&self) -> u64 {
         let from = self.scenario.crash_at;
         let to = SimDuration::from_nanos(
             self.scenario.crash_at.as_nanos()
                 + self.scenario.outage.as_nanos()
-                + self.scenario.stagger.as_nanos() * partitions.saturating_sub(1) as u64,
+                + STAGGER.as_nanos() * (PARTITIONS as u64 - 1),
         );
         self.timeline.grants_between(from, to)
     }
@@ -435,9 +406,8 @@ pub fn run_failover(
     let (oracle, timeline) = attach_failover_probe(
         &mut cluster,
         &OracleConfig {
-            lease_ns: cfg.lease.as_nanos(),
-            leak_after_ns: 10_000_000,
-            wedge_after_ns: 10_000_000,
+            lease_ns: LEASE.as_nanos(),
+            stall_after_ns: 10_000_000,
         },
         SimDuration::from_millis(1),
     );
@@ -515,8 +485,8 @@ mod tests {
         let pair = run(2);
         assert_eq!(solo.violations, 0, "factor 1 stays safe:\n{}", solo.audit);
         assert_eq!(pair.violations, 0, "factor 2 stays safe:\n{}", pair.audit);
-        let solo_window = solo.crash_window_grants(2);
-        let pair_window = pair.crash_window_grants(2);
+        let solo_window = solo.crash_window_grants();
+        let pair_window = pair.crash_window_grants();
         // Factor 1 loses both partitions for the whole outage; factor 2
         // splices around the victims within a few control ticks.
         assert!(

@@ -61,6 +61,13 @@ pub mod population;
 pub mod rack;
 pub mod txn;
 
+use netlock_sim::SimDuration;
+
+/// Client software + NIC delay, charged once on transmit and once on
+/// receive by every NetLock client (and the NetChain baseline's): the
+/// largest term of the paper's Fig. 8 latency (DESIGN.md §1).
+pub const CLIENT_STACK_DELAY: SimDuration = SimDuration::from_nanos(2_500);
+
 /// Convenient single import for building experiments.
 pub mod prelude {
     pub use crate::chaos::{
@@ -72,10 +79,10 @@ pub mod prelude {
     pub use crate::cluster::{
         attach_rack_oracles, cluster_plan_config, run_cluster_chaos, RackCluster,
     };
-    pub use crate::db_server::{DbServer, DbServerConfig};
+    pub use crate::db_server::DbServer;
     pub use crate::failover::{
         attach_failover_probe, crash_plan, run_failover, CrashScenario, FailoverCluster,
-        FailoverConfig, FailoverRun, GrantTimeline, VictimPick,
+        FailoverConfig, FailoverRun, GrantTimeline, VictimPick, PARTITIONS,
     };
     pub use crate::harness::{
         collect, reset_clients, switch_breakdown, tps_series, txns_by_client, warmup_and_measure,

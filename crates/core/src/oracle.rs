@@ -45,21 +45,18 @@ pub struct OracleConfig {
     /// considered expired — and thus non-conflicting — once
     /// `issued_at_ns + lease_ns` passes.
     pub lease_ns: u64,
-    /// A held lock whose transaction showed no traffic for this long by
-    /// the end of the run is reported as leaked (C2). Must comfortably
-    /// exceed the client retry timeout and think times.
-    pub leak_after_ns: u64,
-    /// An unanswered acquire whose transaction showed no traffic for
-    /// this long by the end of the run is reported as wedged (liveness).
-    pub wedge_after_ns: u64,
+    /// A held lock (C2: leaked) or an unanswered acquire (liveness:
+    /// wedged) whose transaction showed no traffic for this long by the
+    /// end of the run is reported. Must comfortably exceed the client
+    /// retry timeout and think times.
+    pub stall_after_ns: u64,
 }
 
 impl Default for OracleConfig {
     fn default() -> Self {
         OracleConfig {
-            lease_ns: 10_000_000,      // ServerConfig/SwitchConfig default
-            leak_after_ns: 60_000_000, // 3x the default retry timeout
-            wedge_after_ns: 60_000_000,
+            lease_ns: 10_000_000,       // ServerConfig/SwitchConfig default
+            stall_after_ns: 60_000_000, // 3x the default retry timeout
         }
     }
 }
@@ -267,34 +264,19 @@ impl Oracle {
     }
 
     fn touch_msg(&mut self, msg: &NetLockMsg, at: u64) {
-        match msg {
-            NetLockMsg::Acquire(r) => self.touch(r.txn, at),
-            NetLockMsg::Release(r) => self.touch(r.txn, at),
-            NetLockMsg::Grant(g) => self.touch(g.txn, at),
-            NetLockMsg::Forwarded { req, .. } => self.touch(req.txn, at),
-            NetLockMsg::Push { reqs, .. } => {
-                for req in reqs {
-                    self.touch(req.txn, at);
-                }
-            }
-            NetLockMsg::DbFetch { grant, .. } => self.touch(grant.txn, at),
-            NetLockMsg::DbReply { grant } => self.touch(grant.txn, at),
-            NetLockMsg::AcquireBatch(reqs) => {
-                for req in reqs {
-                    self.touch(req.txn, at);
-                }
-            }
-            NetLockMsg::ReleaseBatch(rels) => {
-                for rel in rels {
-                    self.touch(rel.txn, at);
-                }
-            }
-            NetLockMsg::GrantBatch(grants) => {
-                for g in grants {
-                    self.touch(g.txn, at);
-                }
-            }
-            _ => {}
+        let reqs = match msg {
+            NetLockMsg::Forwarded { req, .. } => std::slice::from_ref(req),
+            NetLockMsg::Push { reqs, .. } => reqs,
+            _ => msg.acquires(),
+        };
+        let grants = match msg {
+            NetLockMsg::DbFetch { grant } => std::slice::from_ref(grant),
+            _ => msg.grants(),
+        };
+        let txns = reqs.iter().map(|r| r.txn);
+        let txns = txns.chain(msg.releases().iter().map(|r| r.txn));
+        for txn in txns.chain(grants.iter().map(|g| g.txn)) {
+            self.touch(txn, at);
         }
     }
 
@@ -417,38 +399,19 @@ impl Oracle {
                 let now = at.as_nanos();
                 self.touch_msg(payload, now);
                 if self.clients.contains(&src) {
-                    match payload {
-                        NetLockMsg::Acquire(req) => {
-                            self.open.insert(
-                                (src.0, req.lock.0, req.txn.0),
-                                OpenReq {
-                                    issued_at_ns: req.issued_at_ns,
-                                    sent_at_ns: now,
-                                },
-                            );
-                        }
-                        NetLockMsg::AcquireBatch(reqs) => {
-                            // One wire event, many logical acquires: each
-                            // element is tracked exactly as if sent alone.
-                            for req in reqs {
-                                self.open.insert(
-                                    (src.0, req.lock.0, req.txn.0),
-                                    OpenReq {
-                                        issued_at_ns: req.issued_at_ns,
-                                        sent_at_ns: now,
-                                    },
-                                );
-                            }
-                        }
-                        NetLockMsg::Release(rel) => {
-                            self.on_release_sent(now, src, rel.lock, rel.txn);
-                        }
-                        NetLockMsg::ReleaseBatch(rels) => {
-                            for rel in rels {
-                                self.on_release_sent(now, src, rel.lock, rel.txn);
-                            }
-                        }
-                        _ => {}
+                    // A batch is many logical acquires or releases: each
+                    // element is tracked exactly as if sent alone.
+                    for req in payload.acquires() {
+                        self.open.insert(
+                            (src.0, req.lock.0, req.txn.0),
+                            OpenReq {
+                                issued_at_ns: req.issued_at_ns,
+                                sent_at_ns: now,
+                            },
+                        );
+                    }
+                    for rel in payload.releases() {
+                        self.on_release_sent(now, src, rel.lock, rel.txn);
                     }
                 }
             }
@@ -465,8 +428,9 @@ impl Oracle {
                 // The network ate this copy; whatever it would have told
                 // the receiver is excused for liveness purposes. Clients
                 // with retry logic re-open the request on the next send.
-                match payload {
-                    NetLockMsg::Acquire(req) if self.clients.contains(&src) => {
+                // Losing a batch loses every acquire in it.
+                if self.clients.contains(&src) {
+                    for req in payload.acquires() {
                         let key = (src.0, req.lock.0, req.txn.0);
                         if let Some(open) = self.open.get(&key) {
                             if open.issued_at_ns == req.issued_at_ns {
@@ -474,29 +438,12 @@ impl Oracle {
                             }
                         }
                     }
-                    NetLockMsg::AcquireBatch(reqs) if self.clients.contains(&src) => {
-                        // Losing the batch loses every acquire in it.
-                        for req in reqs {
-                            let key = (src.0, req.lock.0, req.txn.0);
-                            if let Some(open) = self.open.get(&key) {
-                                if open.issued_at_ns == req.issued_at_ns {
-                                    self.open.remove(&key);
-                                }
-                            }
-                        }
-                    }
-                    NetLockMsg::Forwarded { req, .. } => {
-                        self.open.remove(&(req.client.0, req.lock.0, req.txn.0));
-                    }
-                    NetLockMsg::Grant(g) | NetLockMsg::DbReply { grant: g } => {
-                        self.open.remove(&(g.client.0, g.lock.0, g.txn.0));
-                    }
-                    NetLockMsg::GrantBatch(grants) => {
-                        for g in grants {
-                            self.open.remove(&(g.client.0, g.lock.0, g.txn.0));
-                        }
-                    }
-                    _ => {}
+                }
+                if let NetLockMsg::Forwarded { req, .. } = payload {
+                    self.open.remove(&(req.client.0, req.lock.0, req.txn.0));
+                }
+                for g in payload.grants() {
+                    self.open.remove(&(g.client.0, g.lock.0, g.txn.0));
                 }
             }
             TapEvent::Duplicated {
@@ -514,23 +461,10 @@ impl Oracle {
                 let now = at.as_nanos();
                 self.touch_msg(&pkt.payload, now);
                 if self.clients.contains(&pkt.dst) {
-                    match &pkt.payload {
-                        NetLockMsg::Grant(g) => {
-                            let g = *g;
-                            self.on_grant_delivered(now, pkt.dst, &g);
-                        }
-                        NetLockMsg::GrantBatch(grants) => {
-                            // Coalesced grants confer one hold each, in
-                            // slice order — identical to arriving singly.
-                            for g in grants.iter() {
-                                self.on_grant_delivered(now, pkt.dst, g);
-                            }
-                        }
-                        NetLockMsg::DbReply { grant } => {
-                            let g = *grant;
-                            self.on_grant_delivered(now, pkt.dst, &g);
-                        }
-                        _ => {}
+                    // Coalesced grants confer one hold each, in slice
+                    // order — identical to arriving singly.
+                    for g in pkt.payload.grants() {
+                        self.on_grant_delivered(now, pkt.dst, g);
                     }
                 }
             }
@@ -542,27 +476,15 @@ impl Oracle {
                 // The receiver is gone; nothing further can come of this
                 // packet, so close any request it would have answered or
                 // carried.
-                match &pkt.payload {
-                    NetLockMsg::Acquire(req) => {
-                        self.open.remove(&(req.client.0, req.lock.0, req.txn.0));
-                    }
-                    NetLockMsg::AcquireBatch(reqs) => {
-                        for req in reqs.iter() {
-                            self.open.remove(&(req.client.0, req.lock.0, req.txn.0));
-                        }
-                    }
-                    NetLockMsg::Forwarded { req, .. } => {
-                        self.open.remove(&(req.client.0, req.lock.0, req.txn.0));
-                    }
-                    NetLockMsg::Grant(g) | NetLockMsg::DbReply { grant: g } => {
-                        self.open.remove(&(g.client.0, g.lock.0, g.txn.0));
-                    }
-                    NetLockMsg::GrantBatch(grants) => {
-                        for g in grants.iter() {
-                            self.open.remove(&(g.client.0, g.lock.0, g.txn.0));
-                        }
-                    }
-                    _ => {}
+                let reqs = match &pkt.payload {
+                    NetLockMsg::Forwarded { req, .. } => std::slice::from_ref(req),
+                    payload => payload.acquires(),
+                };
+                for req in reqs {
+                    self.open.remove(&(req.client.0, req.lock.0, req.txn.0));
+                }
+                for g in pkt.payload.grants() {
+                    self.open.remove(&(g.client.0, g.lock.0, g.txn.0));
                 }
             }
             TapEvent::Fault { at, action } => {
@@ -638,7 +560,7 @@ impl Oracle {
         }
         self.finished = true;
         // C2: leaked holds. A hold by a live client whose transaction
-        // has been silent for `leak_after_ns` was consumed and never
+        // has been silent for `stall_after_ns` was consumed and never
         // released — even if the lease already reclaimed it switch-side,
         // the client-side leak is a protocol bug.
         let mut leaks: Vec<Violation> = Vec::new();
@@ -652,7 +574,7 @@ impl Oracle {
                     .get(&txn)
                     .copied()
                     .unwrap_or(hold.delivered_at_ns);
-                if last.saturating_add(self.cfg.leak_after_ns) < now_ns {
+                if last.saturating_add(self.cfg.stall_after_ns) < now_ns {
                     leaks.push(Violation {
                         at_ns: now_ns,
                         kind: ViolationKind::LeakedHold,
@@ -676,7 +598,7 @@ impl Oracle {
                 .get(&TxnId(txn))
                 .copied()
                 .unwrap_or(req.sent_at_ns);
-            if last.saturating_add(self.cfg.wedge_after_ns) < now_ns {
+            if last.saturating_add(self.cfg.stall_after_ns) < now_ns {
                 wedges.push(Violation {
                     at_ns: now_ns,
                     kind: ViolationKind::WedgedRequest,
@@ -799,8 +721,7 @@ mod tests {
     fn oracle_with_clients(ids: &[u32]) -> Oracle {
         let mut o = Oracle::new(OracleConfig {
             lease_ns: 10_000_000,
-            leak_after_ns: 1_000_000,
-            wedge_after_ns: 1_000_000,
+            stall_after_ns: 1_000_000,
         });
         for &id in ids {
             o.register_client(NodeId(id));

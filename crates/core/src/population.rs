@@ -40,6 +40,7 @@ use netlock_sim::{Context, Histogram, LatencySummary, Node, NodeId, Packet, SimD
 
 use crate::client_micro::take_due;
 use crate::harness::{ClientReport, RunStats};
+use crate::CLIENT_STACK_DELAY;
 
 const TIMER_TICK: u64 = 0;
 /// Release timers carry `RELEASE_BASE + key`.
@@ -114,8 +115,6 @@ pub struct TenantSpec {
     pub locks: Vec<LockId>,
     /// Mode of every request.
     pub mode: LockMode,
-    /// Priority class of every request.
-    pub priority: Priority,
     /// Max in-flight (un-granted) requests across the tenant's whole
     /// population — the aggregate generator window.
     pub max_outstanding: u64,
@@ -134,7 +133,6 @@ impl Default for TenantSpec {
             rate_rps_per_client: 100.0,
             locks: vec![LockId(0)],
             mode: LockMode::Shared,
-            priority: Priority(0),
             max_outstanding: 4_000,
             diurnal: None,
             bursts: Vec::new(),
@@ -163,12 +161,8 @@ pub struct PopulationConfig {
     /// accumulation at the exact mean rate (false).
     pub poisson: bool,
     /// Time between receiving a grant and issuing the release (beyond
-    /// client RX/TX processing).
+    /// client RX/TX processing, [`CLIENT_STACK_DELAY`] per whole batch).
     pub hold: SimDuration,
-    /// Client software + NIC delay on transmit (whole batch).
-    pub tx_delay: SimDuration,
-    /// Client software + NIC delay on receive (whole batch).
-    pub rx_delay: SimDuration,
     /// Reclaim a tenant's whole window if no grant arrived for this
     /// long: lost batches under chaos faults would otherwise pin
     /// window slots forever. Zero disables reclaim.
@@ -182,8 +176,6 @@ impl Default for PopulationConfig {
             quantum: SimDuration::from_micros(100),
             poisson: false,
             hold: SimDuration::ZERO,
-            tx_delay: SimDuration::from_nanos(2_500),
-            rx_delay: SimDuration::from_nanos(2_500),
             retry_timeout: SimDuration::from_millis(30),
         }
     }
@@ -429,7 +421,7 @@ impl PopulationClient {
                     txn,
                     client: ClientAddr(me.0),
                     tenant: spec.tenant,
-                    priority: spec.priority,
+                    priority: Priority(0),
                     issued_at_ns: now_ns,
                 });
             }
@@ -445,7 +437,7 @@ impl PopulationClient {
             } else {
                 NetLockMsg::AcquireBatch(batch.as_slice().into())
             };
-            ctx.send_after(self.switch, msg, self.cfg.tx_delay);
+            ctx.send_after(self.switch, msg, CLIENT_STACK_DELAY);
         }
         self.scratch = batch;
         ctx.set_timer(self.cfg.quantum, TIMER_TICK);
@@ -454,7 +446,7 @@ impl PopulationClient {
     fn on_grants(&mut self, grants: &[GrantMsg], ctx: &mut Context<'_, NetLockMsg>) {
         self.grant_events += 1;
         let now_ns = ctx.now().as_nanos();
-        let rx_ns = self.cfg.rx_delay.as_nanos();
+        let rx_ns = CLIENT_STACK_DELAY.as_nanos();
         let mut releases = Vec::with_capacity(grants.len());
         for g in grants {
             if let Some(row) = self.rows.get_mut(tenant_index_of(g.txn)) {
@@ -472,7 +464,7 @@ impl PopulationClient {
                 priority: g.priority,
             });
         }
-        let delay = self.cfg.rx_delay + self.cfg.hold + self.cfg.tx_delay;
+        let delay = CLIENT_STACK_DELAY + self.cfg.hold + CLIENT_STACK_DELAY;
         if self.cfg.hold.is_zero() {
             self.send_releases(releases, delay, ctx);
         } else {

@@ -16,7 +16,7 @@ use netlock_switch::{DataPlane, SwitchConfig, SwitchNode};
 
 use crate::client_micro::{MicroClient, MicroClientConfig};
 use crate::client_txn::{TxnClient, TxnClientConfig};
-use crate::db_server::{DbServer, DbServerConfig};
+use crate::db_server::DbServer;
 use crate::population::{PopulationClient, PopulationConfig};
 use crate::txn::TxnSource;
 
@@ -121,7 +121,7 @@ impl RackNodes {
         let switch = sim.add_node(Box::new(switch_node));
         assert_eq!(switch, predicted_switch, "node ordering invariant broken");
         let db_servers = (0..cfg.db_servers)
-            .map(|_| sim.add_node(Box::new(DbServer::new(DbServerConfig::default()))))
+            .map(|_| sim.add_node(Box::new(DbServer::default())))
             .collect();
         let rack_seed = cfg.seed ^ (rack as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut rng = SimRng::new(rack_seed ^ 0xC11E_57A7);

@@ -167,8 +167,7 @@ fn assert_replay_matches(merged: &[OpLog]) -> LockTable {
 fn assert_oracle_clean(merged: &[OpLog]) {
     let mut oracle = Oracle::new(OracleConfig {
         lease_ns: u64::MAX / 4,
-        leak_after_ns: u64::MAX / 4,
-        wedge_after_ns: u64::MAX / 4,
+        stall_after_ns: u64::MAX / 4,
     });
     let manager = NodeId(0);
     // Client node ids mirror ClientAddr (tid + 1); register every one

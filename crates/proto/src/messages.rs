@@ -332,6 +332,37 @@ impl NetLockMsg {
             | NetLockMsg::CtrlPartitionMap { .. } => None,
         }
     }
+
+    /// The client acquires this message carries: one for an `Acquire`,
+    /// every element of an `AcquireBatch`, none for anything else.
+    pub fn acquires(&self) -> &[LockRequest] {
+        match self {
+            NetLockMsg::Acquire(r) => std::slice::from_ref(r),
+            NetLockMsg::AcquireBatch(rs) => rs,
+            _ => &[],
+        }
+    }
+
+    /// The client releases this message carries: one for a `Release`,
+    /// every element of a `ReleaseBatch`, none for anything else.
+    pub fn releases(&self) -> &[ReleaseRequest] {
+        match self {
+            NetLockMsg::Release(r) => std::slice::from_ref(r),
+            NetLockMsg::ReleaseBatch(rs) => rs,
+            _ => &[],
+        }
+    }
+
+    /// The grants this message delivers to a client: one for a `Grant`
+    /// or a one-RTT `DbReply`, every element of a `GrantBatch`, none for
+    /// anything else.
+    pub fn grants(&self) -> &[GrantMsg] {
+        match self {
+            NetLockMsg::Grant(g) | NetLockMsg::DbReply { grant: g } => std::slice::from_ref(g),
+            NetLockMsg::GrantBatch(gs) => gs,
+            _ => &[],
+        }
+    }
 }
 
 #[cfg(test)]
@@ -417,5 +448,46 @@ mod tests {
         );
         // Batches span many locks: no single lock to report.
         assert_eq!(NetLockMsg::AcquireBatch(vec![req()].into()).lock(), None);
+    }
+
+    #[test]
+    fn single_and_batch_forms_share_one_view() {
+        let r = req();
+        let rel = ReleaseRequest {
+            lock: r.lock,
+            txn: r.txn,
+            mode: r.mode,
+            client: r.client,
+            priority: r.priority,
+        };
+        let g = GrantMsg {
+            lock: r.lock,
+            txn: r.txn,
+            mode: r.mode,
+            client: r.client,
+            priority: r.priority,
+            grantor: Grantor::Switch,
+            issued_at_ns: r.issued_at_ns,
+        };
+        assert_eq!(NetLockMsg::Acquire(r).acquires(), &[r]);
+        assert_eq!(
+            NetLockMsg::AcquireBatch(vec![r, r].into()).acquires(),
+            &[r, r]
+        );
+        assert_eq!(NetLockMsg::Release(rel).releases(), &[rel]);
+        assert_eq!(
+            NetLockMsg::ReleaseBatch(vec![rel].into()).releases(),
+            &[rel]
+        );
+        assert_eq!(NetLockMsg::Grant(g).grants(), &[g]);
+        assert_eq!(NetLockMsg::DbReply { grant: g }.grants(), &[g]);
+        assert_eq!(NetLockMsg::GrantBatch(vec![g, g].into()).grants(), &[g, g]);
+        // A forwarded acquire and a database fetch are not client traffic.
+        let fwd = NetLockMsg::Forwarded {
+            req: r,
+            buffer_only: false,
+        };
+        assert!(fwd.acquires().is_empty() && fwd.releases().is_empty());
+        assert!(NetLockMsg::DbFetch { grant: g }.grants().is_empty());
     }
 }

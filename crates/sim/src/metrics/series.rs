@@ -91,11 +91,6 @@ impl IntervalCounter {
     pub fn series(&self) -> &TimeSeries {
         &self.series
     }
-
-    /// Consume and return the series.
-    pub fn into_series(self) -> TimeSeries {
-        self.series
-    }
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //! until everything lands in the overflow heap. Both failure modes
 //! showed up in the PR 2 microbench, so the width is no longer a
 //! compile-time constant. The queue samples the push-time delay
-//! distribution (`at - last_pop`) and every [`RETUNE_PERIOD`] pushes
+//! distribution (`at - last_pop`) and every `RETUNE_PERIOD` pushes
 //! recomputes the bucket-width exponent so that the pending set
 //! spreads at a few events per bucket; when the exponent moves by two
 //! or more (hysteresis against thrash) the wheel is rebuilt at the new

@@ -350,11 +350,6 @@ impl<M: Clone + Send + 'static> Simulator<M> {
         }
     }
 
-    /// Remove the packet-level observer.
-    pub fn clear_tap(&mut self) {
-        self.tap = None;
-    }
-
     /// Schedule one fault action as a first-class simulator event.
     /// (The one allocation per fault event keeps the boxed action out
     /// of the hot packet slots; fault events are rare by construction.)
@@ -537,25 +532,6 @@ impl<M: Clone + Send + 'static> Simulator<M> {
             return par.lps[0].nodes.len();
         }
         self.nodes.len()
-    }
-
-    /// Timestamp of the earliest pending event without dispatching it,
-    /// via the calendar queue's [`EventQueue::peek_at`]. The conservative
-    /// window loop uses this to compute the global lower bound on
-    /// next-event time.
-    pub fn next_event_at(&mut self) -> Option<SimTime> {
-        if let Some(par) = &mut self.par {
-            let mut min: Option<SimTime> = None;
-            for lp in &mut par.lps {
-                let t = lp.queue.peek_at();
-                min = match (min, t) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-            }
-            return min;
-        }
-        self.queue.peek_at()
     }
 
     /// Resolve the link config for one directed hop via the dense

@@ -29,12 +29,6 @@ impl SimTime {
         self.0
     }
 
-    /// Whole microseconds since the epoch (truncating).
-    #[inline]
-    pub fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Seconds since the epoch as a float (for reporting only).
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
@@ -99,12 +93,6 @@ impl SimDuration {
     #[inline]
     pub fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Length in whole microseconds (truncating).
-    #[inline]
-    pub fn as_micros(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// Length in seconds as a float (for reporting only).

@@ -23,7 +23,7 @@
 //!   asserts every resulting trace satisfies the discipline.
 
 //!
-//! The packet-transaction verifier ([`crate::txn::verify`]) reuses
+//! The packet-transaction verifier ([`crate::txn::verify()`]) reuses
 //! [`layout`] and [`trace::check_discipline`] as its ground truth, so
 //! the declarative IR and the hand-written engines are held to the same
 //! hardware model.

@@ -379,11 +379,6 @@ impl DataPlane {
         self.meters[idx] = Some(TokenBucket::new(rate_per_sec, burst, now_ns));
     }
 
-    /// Remove all meters.
-    pub fn clear_meters(&mut self) {
-        self.meters.clear();
-    }
-
     /// Wipe data-plane state (switch reboot, §6.5: "the switch retains
     /// none of its former state or register values").
     pub fn reset(&mut self) {

@@ -58,7 +58,7 @@ pub mod txn;
 
 pub use action_buf::{ActionBuf, ACTION_BUF_CAP};
 pub use dataplane::{DataPlane, DpAction, DpStats, DropReason, Engine};
-pub use node::{AutoRealloc, SwitchConfig, SwitchNode, SwitchNodeStats};
+pub use node::{AutoRealloc, SwitchConfig, SwitchNode, SwitchNodeStats, PASS_LATENCY, TRAVERSAL};
 pub use partition::PartitionMap;
 pub use release_guard::GrantLedger;
 pub use replication::{

@@ -35,13 +35,19 @@ pub struct AutoRealloc {
     pub server_contention: u32,
 }
 
+/// Ingress-to-egress traversal latency (the paper: well under 1 µs).
+pub const TRAVERSAL: SimDuration = SimDuration::from_nanos(500);
+/// Added latency per extra pipeline pass (resubmit).
+pub const PASS_LATENCY: SimDuration = SimDuration::from_nanos(100);
+
+/// Egress delay of a packet that took `extra_passes` resubmits.
+pub(crate) fn egress_delay(extra_passes: u64) -> SimDuration {
+    TRAVERSAL + SimDuration(PASS_LATENCY.as_nanos() * extra_passes)
+}
+
 /// Switch node configuration.
 #[derive(Clone, Debug)]
 pub struct SwitchConfig {
-    /// Ingress-to-egress traversal latency (the paper: well under 1 µs).
-    pub traversal: SimDuration,
-    /// Added latency per extra pipeline pass (resubmit).
-    pub pass_latency: SimDuration,
     /// Lease duration; expired holders are force-released by the control
     /// plane (§4.5). Zero disables lease sweeping.
     pub lease: SimDuration,
@@ -62,8 +68,6 @@ pub struct SwitchConfig {
 impl Default for SwitchConfig {
     fn default() -> Self {
         SwitchConfig {
-            traversal: SimDuration::from_nanos(500),
-            pass_latency: SimDuration::from_nanos(100),
             lease: SimDuration::from_millis(10),
             control_tick: SimDuration::from_millis(1),
             one_rtt: false,
@@ -229,7 +233,7 @@ impl SwitchNode {
             self.pending_demotes.remove(&lock);
             self.stats.migrations_done += 1;
             let dst = self.servers[server_idx];
-            ctx.send_after(dst, NetLockMsg::CtrlDemote { lock }, self.cfg.traversal);
+            ctx.send_after(dst, NetLockMsg::CtrlDemote { lock }, TRAVERSAL);
             self.flush_promotes(ctx);
         }
     }
@@ -254,7 +258,7 @@ impl SwitchNode {
             self.promote_reservations
                 .insert(lock, (qid, left, right, home_server));
             let dst = self.servers[home_server];
-            ctx.send_after(dst, NetLockMsg::CtrlPromote { lock }, self.cfg.traversal);
+            ctx.send_after(dst, NetLockMsg::CtrlPromote { lock }, TRAVERSAL);
         }
     }
 
@@ -271,8 +275,7 @@ impl SwitchNode {
     /// per-item. Non-grant actions are sent exactly as on the
     /// individual path.
     fn emit(&mut self, extra_passes: u64, ctx: &mut Context<'_, NetLockMsg>, batched: bool) {
-        let delay =
-            self.cfg.traversal + SimDuration(self.cfg.pass_latency.as_nanos() * extra_passes);
+        let delay = egress_delay(extra_passes);
         let coalesce = batched && (!self.cfg.one_rtt || self.db_servers.is_empty());
         for i in 0..self.actions.len() {
             let act = self.actions[i];
@@ -423,7 +426,7 @@ impl SwitchNode {
     /// the burst leave the egress together, so the whole flush is
     /// charged the batch's worst-case resubmit count.
     fn flush_grant_batches(&mut self, max_extra: u64, ctx: &mut Context<'_, NetLockMsg>) {
-        let delay = self.cfg.traversal + SimDuration(self.cfg.pass_latency.as_nanos() * max_extra);
+        let delay = egress_delay(max_extra);
         self.stats.grants_sent += self.batch_grants.len() as u64;
         // Peel off one destination at a time, in order of first
         // appearance, preserving grant order within each client.
@@ -598,11 +601,7 @@ impl Node<NetLockMsg> for SwitchNode {
                     _ => false,
                 };
                 if drained {
-                    ctx.send_after(
-                        original,
-                        NetLockMsg::CtrlHandback { lock },
-                        self.cfg.traversal,
-                    );
+                    ctx.send_after(original, NetLockMsg::CtrlHandback { lock }, TRAVERSAL);
                 }
             }
             return;

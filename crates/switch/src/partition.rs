@@ -104,10 +104,9 @@ pub const REPL_LOG_ENTRY_BYTES: usize = HEADER_LEN + 16;
 /// the head's sequence counter, the cumulative tail ack, the chain
 /// epoch, and the bounded in-flight log (`log_window` slots). These
 /// land in the first stages past the queue program, and the combined
-/// layout must still clear [`TofinoBudget::check`]: replication is
-/// only honest if it fits next to the queues it protects.
-///
-/// [`TofinoBudget::check`]: crate::analysis::layout::TofinoBudget::check
+/// layout must still pass [`ProgramLayout::check`] against the Tofino
+/// budget: replication is only honest if it fits next to the queues it
+/// protects.
 pub fn replicated_layout(dp: &DataPlane, log_window: usize) -> ProgramLayout {
     let mut layout = dp.layout().clone();
     let meta_stage = layout.stage_usage().keys().next_back().map_or(0, |s| s + 1);

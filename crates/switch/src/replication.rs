@@ -39,6 +39,7 @@ use crate::action_buf::ActionBuf;
 use crate::analysis::layout::ProgramLayout;
 use crate::control::{self, Allocation};
 use crate::dataplane::{DataPlane, DpAction};
+use crate::node::{egress_delay, TRAVERSAL};
 use crate::partition::replicated_layout;
 
 /// Timer token of a chain member's control tick (ping + lease sweep).
@@ -71,10 +72,6 @@ pub struct ReplConfig {
     pub chain: Vec<NodeId>,
     /// The chain controller node.
     pub controller: NodeId,
-    /// Ingress-to-egress traversal latency per emission.
-    pub traversal: SimDuration,
-    /// Added latency per extra pipeline pass.
-    pub pass_latency: SimDuration,
     /// Lease duration (head force-releases expired holders). Zero
     /// disables sweeping.
     pub lease: SimDuration,
@@ -89,8 +86,6 @@ impl Default for ReplConfig {
             member: 0,
             chain: Vec::new(),
             controller: NodeId(0),
-            traversal: SimDuration::from_nanos(500),
-            pass_latency: SimDuration::from_nanos(100),
             lease: SimDuration::from_millis(10),
             control_tick: SimDuration::from_millis(1),
         }
@@ -335,7 +330,7 @@ impl ReplSwitch {
         // neither, and hands its only copy to the data plane.
         let Some(succ) = self.successor() else {
             let extra_passes = self.process(op, stamp_ns);
-            let delay = self.emit_delay(extra_passes);
+            let delay = egress_delay(extra_passes);
             for i in 0..self.actions.len() {
                 let act = self.actions[i];
                 self.emit(act, delay, ctx);
@@ -352,7 +347,7 @@ impl ReplSwitch {
                 stamp_ns,
                 op: Box::new(op.clone()),
             },
-            self.cfg.traversal,
+            TRAVERSAL,
         );
         let extra_passes = self.process(op.clone(), stamp_ns);
         self.log.push_back(LogEntry {
@@ -379,12 +374,8 @@ impl ReplSwitch {
             seq: self.last_applied,
         };
         for up in self.upstream() {
-            ctx.send_after(up, ack.clone(), self.cfg.traversal);
+            ctx.send_after(up, ack.clone(), TRAVERSAL);
         }
-    }
-
-    fn emit_delay(&self, extra_passes: u64) -> SimDuration {
-        self.cfg.traversal + SimDuration(self.cfg.pass_latency.as_nanos() * extra_passes)
     }
 
     /// Emit one output of an applied op into the network (tail duty).
@@ -456,7 +447,7 @@ impl ReplSwitch {
                             stamp_ns: entry.stamp_ns,
                             op: Box::new(entry.op.clone()),
                         },
-                        self.cfg.traversal,
+                        TRAVERSAL,
                     );
                     self.stats.replayed += 1;
                 }
@@ -470,7 +461,7 @@ impl ReplSwitch {
             // the first time. This is the tail-ack guarantee.
             let log = std::mem::take(&mut self.log);
             for entry in &log {
-                let delay = self.emit_delay(entry.extra_passes);
+                let delay = egress_delay(entry.extra_passes);
                 for &act in &entry.outputs {
                     self.emit(act, delay, ctx);
                 }
@@ -512,7 +503,7 @@ impl ReplSwitch {
                     member: self.cfg.member,
                     epoch: self.epoch,
                 },
-                self.cfg.traversal,
+                TRAVERSAL,
             );
             // Lease sweep is a head duty: expiries become ordinary
             // replicated ops, so every member's queues agree.
@@ -572,7 +563,7 @@ impl Node<NetLockMsg> for ReplSwitch {
                         member: self.cfg.member,
                         epoch: self.epoch,
                     },
-                    self.cfg.traversal,
+                    TRAVERSAL,
                 );
             }
             NetLockMsg::CtrlChainConfig {
@@ -648,8 +639,6 @@ pub struct ControllerConfig {
     /// exceed the member tick plus network latency; three member ticks
     /// is the deployed default.
     pub dead_after: SimDuration,
-    /// Send latency of control messages.
-    pub traversal: SimDuration,
 }
 
 impl Default for ControllerConfig {
@@ -657,7 +646,6 @@ impl Default for ControllerConfig {
         ControllerConfig {
             tick: SimDuration::from_millis(1),
             dead_after: SimDuration::from_millis(3),
-            traversal: SimDuration::from_nanos(500),
         }
     }
 }
@@ -726,7 +714,7 @@ impl ChainController {
         };
         for &c in &self.clients {
             self.stats.map_broadcasts += 1;
-            ctx.send_after(c, msg.clone(), self.cfg.traversal);
+            ctx.send_after(c, msg.clone(), TRAVERSAL);
         }
     }
 
@@ -760,7 +748,7 @@ impl ChainController {
         ctx.send_after(
             node,
             NetLockMsg::CtrlChainReset { partition, epoch },
-            self.cfg.traversal,
+            TRAVERSAL,
         );
         self.heads[partition as usize] = node;
         self.broadcast_map(ctx);
@@ -795,7 +783,7 @@ impl ChainController {
                                 epoch,
                                 members: wire.clone(),
                             },
-                            self.cfg.traversal,
+                            TRAVERSAL,
                         );
                     }
                     if self.heads[pi] != live[0] {
@@ -818,7 +806,7 @@ impl ChainController {
                             member: m as u16,
                             epoch: p.epoch,
                         },
-                        self.cfg.traversal,
+                        TRAVERSAL,
                     );
                 }
             }

@@ -477,14 +477,6 @@ impl SharedQueue {
         v
     }
 
-    /// Overwrite the slot at region offset `offset` (lease sweeper uses
-    /// this to tombstone expired holders before force-releasing).
-    pub fn cp_write_slot(&mut self, qid: usize, offset: u32, slot: Slot) {
-        let v = self.cp_region(qid);
-        let (arr, idx) = self.locate(v.left + offset);
-        self.slots[arr].cp_write(idx, slot);
-    }
-
     /// On-chip memory consumed by this queue, in bytes, using the
     /// paper's accounting (20 B per slot — §5's "100K slots with 20B
     /// slot size only consume 2 MB" — plus the per-region metadata

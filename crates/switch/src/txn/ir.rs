@@ -7,7 +7,7 @@
 //! pipeline recirculation ([`StepOp::Recirculate`]). The program is
 //! *declarative*: it names arrays and data flow but assigns no pipeline
 //! stages — stage assignment is the job of the static verifier in
-//! [`super::verify`], and the same program can be executed either by the
+//! [`mod@super::verify`], and the same program can be executed either by the
 //! one-shot interpreter ([`super::interp`]) or by the lowered
 //! stage-by-stage executor ([`super::exec`]). The two must agree; the
 //! differential fuzzer in `switch/tests/fuzz_txn_differential.rs` checks

@@ -11,7 +11,7 @@
 //!
 //! * [`ir`] — the transaction IR and its value semantics
 //! * [`interp`] — the one-shot reference interpreter (the spec)
-//! * [`verify`] — def-use analysis, stage assignment, and feasibility
+//! * [`mod@verify`] — def-use analysis, stage assignment, and feasibility
 //!   checking against [`crate::analysis::layout::TofinoBudget`], with
 //!   [`crate::analysis::trace::check_discipline`] as ground truth;
 //!   emits the human-readable stage-map report

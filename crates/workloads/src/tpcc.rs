@@ -57,6 +57,16 @@ pub mod ids {
     }
 }
 
+/// Items in the catalog (stock rows per warehouse).
+const ITEMS: u32 = 100_000;
+/// Stock-lock coarsening: items per stock lock. §4.5's remedy for
+/// uniform distributions — "we combine multiple locks into one
+/// coarse-grained lock to increase the memory utilization". 10 000
+/// turns each warehouse's 100K stock rows into 10 lock buckets the
+/// switch can host with a few thousand slots (the paper's Fig. 14
+/// saturation point).
+const STOCK_GRANULARITY: u32 = 10_000;
+
 /// TPC-C generator configuration.
 #[derive(Clone, Debug)]
 pub struct TpccConfig {
@@ -68,19 +78,8 @@ pub struct TpccConfig {
     /// disjoint `[warehouse_base, warehouse_base + warehouses)` range —
     /// tenants share the lock manager, not rows.
     pub warehouse_base: u32,
-    /// Items in the catalog (stock rows per warehouse).
-    pub items: u32,
-    /// Stock-lock coarsening: items per stock lock. §4.5's remedy for
-    /// uniform distributions — "we combine multiple locks into one
-    /// coarse-grained lock to increase the memory utilization". 10 000
-    /// turns each warehouse's 100K stock rows into 10 lock buckets the
-    /// switch can host with a few thousand slots (the paper's Fig. 14
-    /// saturation point); 1 disables coarsening.
-    pub stock_granularity: u32,
-    /// Scale factor applied to all think times (1.0 = defaults).
-    pub think_scale: f64,
     /// If set, every transaction thinks exactly this long, ignoring the
-    /// per-type defaults and `think_scale` (the Fig. 14 sweep).
+    /// per-type defaults (the Fig. 14 sweep).
     pub think_override: Option<SimDuration>,
     /// Tenant stamped on every transaction.
     pub tenant: TenantId,
@@ -111,9 +110,6 @@ impl Default for TpccConfig {
         TpccConfig {
             warehouses: 10,
             warehouse_base: 0,
-            items: 100_000,
-            stock_granularity: 10_000,
-            think_scale: 1.0,
             think_override: None,
             tenant: TenantId(0),
             priority: Priority(0),
@@ -149,8 +145,6 @@ impl TpccSource {
     /// A generator over `cfg`.
     pub fn new(cfg: TpccConfig) -> TpccSource {
         assert!(cfg.warehouses > 0, "need at least one warehouse");
-        assert!(cfg.items > 0, "need at least one item");
-        assert!(cfg.stock_granularity > 0, "granularity must be positive");
         TpccSource {
             cfg,
             order_seq: 0,
@@ -172,7 +166,7 @@ impl TpccSource {
         if let Some(t) = self.cfg.think_override {
             return t;
         }
-        SimDuration::from_nanos((base_us as f64 * 1_000.0 * self.cfg.think_scale) as u64)
+        SimDuration::from_micros(base_us)
     }
 
     fn gen_new_order(&mut self, rng: &mut SimRng, w: u32) -> Transaction {
@@ -194,7 +188,7 @@ impl TpccSource {
         ];
         let ol_cnt = 5 + rng.next_below(11); // 5..=15
         for _ in 0..ol_cnt {
-            let item = rng.next_below(self.cfg.items as u64) as u32;
+            let item = rng.next_below(ITEMS as u64) as u32;
             // 1% of order lines hit a remote warehouse's stock.
             let supply_w = if self.cfg.warehouses > 1 && rng.chance(0.01) {
                 let base = self.cfg.warehouse_base;
@@ -207,7 +201,7 @@ impl TpccSource {
                 w
             };
             locks.push(LockNeed {
-                lock: ids::stock(supply_w, item / self.cfg.stock_granularity),
+                lock: ids::stock(supply_w, item / STOCK_GRANULARITY),
                 mode: LockMode::Exclusive,
             });
         }
@@ -309,9 +303,9 @@ impl TpccSource {
             mode: LockMode::Shared,
         }];
         for _ in 0..20 {
-            let item = rng.next_below(self.cfg.items as u64) as u32;
+            let item = rng.next_below(ITEMS as u64) as u32;
             locks.push(LockNeed {
-                lock: ids::stock(w, item / self.cfg.stock_granularity),
+                lock: ids::stock(w, item / STOCK_GRANULARITY),
                 mode: LockMode::Shared,
             });
         }
@@ -394,7 +388,7 @@ pub fn hot_lock_stats(cfg: &TpccConfig, total_workers: u32, home_servers: usize)
     }
     // Stock buckets: ~5.3 stock requests per transaction (4.5 NewOrder-X
     // + 0.8 StockLevel-S), spread uniformly over all buckets.
-    let buckets_per_w = cfg.items.div_ceil(cfg.stock_granularity);
+    let buckets_per_w = ITEMS.div_ceil(STOCK_GRANULARITY);
     let s_rate = 5.3 / (cfg.warehouses as f64 * buckets_per_w as f64);
     let s_c = c(
         workers * 5.3 / (cfg.warehouses as f64 * buckets_per_w as f64),

@@ -33,10 +33,7 @@ const MEAS: SimDuration = SimDuration(15_000_000);
 fn dslr_respects_fcfs_and_nic_bound() {
     let mut rack = Deployment::build(
         1,
-        DslrClientConfig {
-            workers: 16,
-            ..Default::default()
-        },
+        DslrClientConfig { workers: 16 },
         vec![RdmaServer::new(RdmaNicConfig::default()); 2],
         micro_sources(4, 512, LockMode::Exclusive),
     );
@@ -56,10 +53,7 @@ fn drtm_throughput_collapses_under_contention_vs_dslr() {
     let dslr = {
         let mut rack = Deployment::build(
             2,
-            DslrClientConfig {
-                workers: 16,
-                ..Default::default()
-            },
+            DslrClientConfig { workers: 16 },
             vec![RdmaServer::new(RdmaNicConfig::default()); 1],
             micro_sources(4, 1, LockMode::Exclusive),
         );
@@ -68,10 +62,7 @@ fn drtm_throughput_collapses_under_contention_vs_dslr() {
     let drtm = {
         let mut rack = Deployment::build(
             2,
-            DrtmClientConfig {
-                workers: 16,
-                ..Default::default()
-            },
+            DrtmClientConfig { workers: 16 },
             vec![RdmaServer::new(RdmaNicConfig::default()); 1],
             micro_sources(4, 1, LockMode::Exclusive),
         );
@@ -97,10 +88,7 @@ fn netchain_penalizes_shared_workloads() {
     let netchain = {
         let mut rack = Deployment::build(
             3,
-            NcClientConfig {
-                workers: 16,
-                ..Default::default()
-            },
+            NcClientConfig { workers: 16 },
             [NcSwitch::new(100_000)],
             micro_sources(4, 4, LockMode::Shared),
         );
@@ -153,10 +141,7 @@ fn tpcc_system_ordering_matches_paper() {
     let dslr = {
         let mut rack = Deployment::build(
             4,
-            DslrClientConfig {
-                workers,
-                ..Default::default()
-            },
+            DslrClientConfig { workers },
             vec![RdmaServer::new(RdmaNicConfig::default()); 2],
             tpcc_sources(clients),
         );
@@ -165,10 +150,7 @@ fn tpcc_system_ordering_matches_paper() {
     let drtm = {
         let mut rack = Deployment::build(
             4,
-            DrtmClientConfig {
-                workers,
-                ..Default::default()
-            },
+            DrtmClientConfig { workers },
             vec![RdmaServer::new(RdmaNicConfig::default()); 2],
             tpcc_sources(clients),
         );
@@ -221,10 +203,7 @@ fn high_contention_crushes_drtm() {
         let sources: Vec<TpccSource> = (0..clients).map(|_| TpccSource::new(cfg.clone())).collect();
         let mut rack = Deployment::build(
             4,
-            DrtmClientConfig {
-                workers,
-                ..Default::default()
-            },
+            DrtmClientConfig { workers },
             vec![RdmaServer::new(RdmaNicConfig::default()); 2],
             sources,
         );

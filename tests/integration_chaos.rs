@@ -227,7 +227,7 @@ fn stale_retry_timer_never_double_issues() {
     let src = move |_rng: &mut netlock_sim::SimRng| {
         netlock_core::txn::Transaction::new_ordered(vec![a, b], think)
     };
-    // Round trip ≈ tx_delay + 2 × link + traversal ≈ 5 µs; every
+    // Round trip ≈ client stack + 2 × link + traversal ≈ 5 µs; every
     // transition happens with ~3 µs left on the armed retry timer.
     let client = rack.add_txn_client(
         TxnClientConfig {

@@ -4,7 +4,6 @@
 //! the figure exists to plot.
 
 use netlock_bench::failover::{render, run_sweep, Scale, FACTORS};
-use netlock_core::prelude::*;
 
 #[test]
 fn failover_sweep_clean_and_byte_identical_at_1_2_8_workers() {
@@ -38,11 +37,7 @@ fn failover_report_shows_availability_gap() {
         .filter(|l| FACTORS.iter().any(|f| l.starts_with(&format!("{f}\t2\t"))))
         .count();
     assert_eq!(rows, FACTORS.len(), "{report}");
-    let partitions = FailoverConfig::default().partitions;
-    let by_factor: Vec<u64> = runs
-        .iter()
-        .map(|r| r.crash_window_grants(partitions))
-        .collect();
+    let by_factor: Vec<u64> = runs.iter().map(|r| r.crash_window_grants()).collect();
     assert!(
         by_factor[1] > by_factor[0] * 4 && by_factor[2] > by_factor[0] * 4,
         "replication must sustain the crash window: {by_factor:?}"

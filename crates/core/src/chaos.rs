@@ -322,7 +322,7 @@ pub fn generate_plan(seed: u64, roles: &RackRoles, cfg: &ChaosPlanConfig) -> Fau
 /// added to the rack is registered; add clients *before* calling this.
 pub fn attach_oracle(rack: &mut Rack, cfg: OracleConfig) -> Arc<Mutex<Oracle>> {
     let (oracle, tap) = oracle_tap(cfg, rack.client_ids());
-    rack.sim.set_tap(tap);
+    rack.sim.set_lp_tap(0, tap);
     oracle
 }
 

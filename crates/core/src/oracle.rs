@@ -3,7 +3,7 @@
 //! correctness, §4.4 lease reclamation, §4.5 failure handling).
 //!
 //! The oracle attaches to the simulator's packet tap
-//! ([`netlock_sim::Simulator::set_tap`]) and watches every Acquire,
+//! ([`netlock_sim::Simulator::set_lp_tap`]) and watches every Acquire,
 //! Grant and Release on the wire, plus loss/duplication/fault events.
 //! It never touches node state — it sees exactly what the network sees —
 //! so a violation is a property of the protocol, not of instrumentation.
@@ -654,7 +654,7 @@ impl Oracle {
 /// A fresh oracle with `clients` registered, and the simulator tap that
 /// feeds it every event. Install the tap on the simulator (or on the
 /// clients' logical process) the oracle should watch; every attach
-/// helper in this crate is this plus one `set_tap` / `set_lp_tap`.
+/// helper in this crate is this plus one `set_lp_tap`.
 pub fn oracle_tap(
     cfg: OracleConfig,
     clients: impl IntoIterator<Item = NodeId>,

@@ -19,8 +19,6 @@ use crate::time::SimTime;
 /// One fault to apply at a scheduled instant.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultAction {
-    /// Replace the global default link (e.g. rack-wide loss burst).
-    SetDefaultLink(LinkConfig),
     /// Override one directed link (e.g. flap or degrade a single cable).
     SetLink {
         /// Source node of the directed link.

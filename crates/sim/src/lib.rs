@@ -15,9 +15,8 @@
 //!   [`SimRng`]. A run is a pure function of `(topology, nodes, seed)`.
 //! - **Explicit hops.** The ToR switch is a node; there is no hidden
 //!   routing. Links add a fixed one-way delay and optional loss.
-//! - **Measurement built in.** Log-bucketed latency [`Histogram`]s,
-//!   rate [`IntervalCounter`]s and [`TimeSeries`] cover everything the
-//!   paper's figures report.
+//! - **Measurement built in.** Log-bucketed latency [`Histogram`]s and
+//!   [`TimeSeries`] cover everything the paper's figures report.
 //!
 //! ```
 //! use netlock_sim::{Simulator, Node, Packet, Context, SimTime, SimDuration};
@@ -55,7 +54,7 @@ mod time;
 pub use fasthash::{FastBuildHasher, FastHashMap, FastHashSet, FastHasher};
 pub use fault::{FaultAction, FaultEvent, FaultPlan, RunOutcome};
 pub use link::{GeParams, LinkConfig, LinkFaults, Topology};
-pub use metrics::{Histogram, IntervalCounter, LatencySummary, TimeSeries};
+pub use metrics::{Histogram, LatencySummary, TimeSeries};
 pub use node::{AsAny, Context, Node, NodeId, Packet, TimerTicket};
 pub use queue::EventQueue;
 pub use rng::SimRng;

@@ -114,17 +114,16 @@ impl Default for LinkConfig {
     }
 }
 
-/// The set of links. Lookups fall back to per-node defaults, then the
-/// global default, so dense racks don't need O(n^2) configuration.
+/// The set of links. Lookups fall back to the global default, so dense
+/// racks don't need O(n^2) configuration.
 ///
 /// Every mutator bumps a version counter; the simulator uses it to
 /// invalidate its dense resolved `(src, dst)` table (see
-/// [`Topology::resolve_dense`]) so the fallback chain is walked once
-/// per mutation, not once per transmitted packet.
+/// [`Topology::resolve_dense`]) so overrides are looked up once per
+/// mutation, not once per transmitted packet.
 #[derive(Clone, Debug, Default)]
 pub struct Topology {
     default: LinkConfig,
-    per_node: HashMap<NodeId, LinkConfig>,
     per_pair: HashMap<(NodeId, NodeId), LinkConfig>,
     version: u64,
 }
@@ -134,16 +133,9 @@ impl Topology {
     pub fn new(default: LinkConfig) -> Topology {
         Topology {
             default,
-            per_node: HashMap::new(),
             per_pair: HashMap::new(),
             version: 0,
         }
-    }
-
-    /// Override the link used for packets leaving `src` (any destination).
-    pub fn set_node_egress(&mut self, src: NodeId, cfg: LinkConfig) {
-        self.per_node.insert(src, cfg);
-        self.version += 1;
     }
 
     /// Override a specific directed link.
@@ -152,8 +144,8 @@ impl Topology {
         self.version += 1;
     }
 
-    /// Remove a directed-link override, restoring the per-node or
-    /// global default. Used by fault plans to end a link fault episode.
+    /// Remove a directed-link override, restoring the global default.
+    /// Used by fault plans to end a link fault episode.
     pub fn clear_link(&mut self, src: NodeId, dst: NodeId) {
         self.per_pair.remove(&(src, dst));
         self.version += 1;
@@ -161,18 +153,10 @@ impl Topology {
 
     /// The configuration used for a packet from `src` to `dst`.
     pub fn link(&self, src: NodeId, dst: NodeId) -> LinkConfig {
-        if let Some(cfg) = self.per_pair.get(&(src, dst)) {
-            return *cfg;
-        }
-        if let Some(cfg) = self.per_node.get(&src) {
-            return *cfg;
-        }
-        self.default
-    }
-
-    /// The global default link.
-    pub fn default_link(&self) -> LinkConfig {
-        self.default
+        self.per_pair
+            .get(&(src, dst))
+            .copied()
+            .unwrap_or(self.default)
     }
 
     /// Replace the global default link.
@@ -188,23 +172,12 @@ impl Topology {
         self.version
     }
 
-    /// Resolve the full fallback chain for an `n`-node rack into a
-    /// row-major `n * n` table (`table[src * n + dst]`), reusing the
-    /// caller's buffer. One indexed load then answers any `link()`
-    /// query for in-range ids.
+    /// Resolve every link of an `n`-node rack into a row-major `n * n`
+    /// table (`table[src * n + dst]`), reusing the caller's buffer. One
+    /// indexed load then answers any `link()` query for in-range ids.
     pub fn resolve_dense(&self, n: usize, table: &mut Vec<LinkConfig>) {
         table.clear();
-        table.reserve(n * n);
-        for src in 0..n {
-            let row = self
-                .per_node
-                .get(&NodeId(src as u32))
-                .copied()
-                .unwrap_or(self.default);
-            for _ in 0..n {
-                table.push(row);
-            }
-        }
+        table.resize(n * n, self.default);
         for (&(src, dst), cfg) in &self.per_pair {
             let (s, d) = (src.index(), dst.index());
             if s < n && d < n {
@@ -221,25 +194,24 @@ mod tests {
     #[test]
     fn lookup_precedence() {
         let mut t = Topology::new(LinkConfig::with_delay(SimDuration(100)));
-        t.set_node_egress(NodeId(1), LinkConfig::with_delay(SimDuration(200)));
         t.set_link(
             NodeId(1),
             NodeId(2),
             LinkConfig::with_delay(SimDuration(300)),
         );
 
-        // pair overrides node overrides default
+        // pair overrides default, for that direction only
         assert_eq!(t.link(NodeId(1), NodeId(2)).delay, SimDuration(300));
-        assert_eq!(t.link(NodeId(1), NodeId(3)).delay, SimDuration(200));
-        assert_eq!(t.link(NodeId(0), NodeId(2)).delay, SimDuration(100));
+        assert_eq!(t.link(NodeId(2), NodeId(1)).delay, SimDuration(100));
+        assert_eq!(t.link(NodeId(1), NodeId(3)).delay, SimDuration(100));
     }
 
     #[test]
     fn default_is_intra_rack_scale() {
         let t = Topology::default();
-        let d = t.default_link().delay;
-        assert!(d.as_nanos() > 0 && d.as_nanos() < 10_000);
-        assert_eq!(t.default_link().loss, 0.0);
+        let link = t.link(NodeId(0), NodeId(1));
+        assert!(link.delay.as_nanos() > 0 && link.delay.as_nanos() < 10_000);
+        assert_eq!(link.loss, 0.0);
     }
 
     #[test]
@@ -266,7 +238,6 @@ mod tests {
     #[test]
     fn dense_resolution_matches_fallback_chain() {
         let mut t = Topology::new(LinkConfig::with_delay(SimDuration(100)));
-        t.set_node_egress(NodeId(1), LinkConfig::with_delay(SimDuration(200)));
         t.set_link(
             NodeId(1),
             NodeId(2),
@@ -299,13 +270,12 @@ mod tests {
         let mut t = Topology::default();
         let v0 = t.version();
         t.set_default(LinkConfig::default());
-        t.set_node_egress(NodeId(0), LinkConfig::default());
         t.set_link(NodeId(0), NodeId(1), LinkConfig::default());
         t.clear_link(NodeId(0), NodeId(1));
-        assert_eq!(t.version(), v0 + 4);
+        assert_eq!(t.version(), v0 + 3);
         // Reads don't bump.
         let _ = t.link(NodeId(0), NodeId(1));
-        assert_eq!(t.version(), v0 + 4);
+        assert_eq!(t.version(), v0 + 3);
     }
 
     #[test]

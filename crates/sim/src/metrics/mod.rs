@@ -1,10 +1,10 @@
-//! Measurement utilities: latency histograms, counters, time series.
+//! Measurement utilities: latency histograms, time series.
 
 mod histogram;
 mod series;
 
 pub use histogram::Histogram;
-pub use series::{IntervalCounter, TimeSeries};
+pub use series::TimeSeries;
 
 /// A summary of one latency distribution, in nanoseconds, as the paper
 /// reports it (average / median / 99% / 99.9%).

@@ -1,10 +1,10 @@
 //! Conservative parallel execution of a partitioned simulation.
 //!
-//! [`Simulator::partition`] splits a fully-built simulator into
-//! per-partition **logical processes** (LPs): each LP is itself a
-//! `Simulator` owning its partition's nodes, its own calendar queue and
-//! a forked RNG stream. The LPs are synchronized by conservative time
-//! windows in the classic null-message-free CMB style:
+//! A [`Simulator`] is a list of **logical processes** (LPs) — one until
+//! [`Simulator::partition`] splits it into one per partition, each
+//! owning its partition's nodes, its own calendar queue and a forked RNG
+//! stream. The LPs are synchronized by conservative time windows in the
+//! classic null-message-free CMB style:
 //!
 //! 1. compute the global lower bound `B` on next-event time across all
 //!    LP queues (after merging staged cross-LP packets),
@@ -41,86 +41,40 @@ use std::sync::{Arc, Barrier, Mutex};
 
 use crate::fault::FaultAction;
 use crate::node::{NodeId, Packet};
-use crate::sim::{EventKind, Simulator};
+use crate::sim::{EventKind, Lp, Simulator};
 use crate::time::SimTime;
 
 /// A cross-LP packet staged for delivery:
 /// `(arrival time, sender send-seq, source LP, packet)`.
-type Staged<M> = (SimTime, u64, u32, Packet<M>);
+pub(crate) type Staged<M> = (SimTime, u64, u32, Packet<M>);
 
-/// The partitioned-run state hung off a [`Simulator`] after
-/// [`Simulator::partition`]. The outer simulator keeps its
-/// pre-partition stats as a frozen baseline and delegates everything
-/// else to the LPs in here.
-pub(crate) struct ParState<M> {
-    /// The logical processes, indexed by LP id.
-    pub(crate) lps: Vec<Simulator<M>>,
-    /// `node index -> owning LP` (shared with every LP).
-    pub(crate) map: Arc<[u32]>,
-    /// Worker threads to advance LPs with (1 = serial window loop).
-    pub(crate) workers: usize,
-    /// Minimum cross-LP link delay in nanoseconds (`u64::MAX` when no
-    /// cross-LP node pair exists, which makes every window unbounded).
-    pub(crate) lookahead: u64,
-    /// Per-destination-LP staging area for cross-LP packets emitted in
-    /// the previous window; flushed into the owner's queue (sorted by
-    /// `(at, seq, src_lp)`) at the start of the next window.
-    pub(crate) staged: Vec<Vec<Staged<M>>>,
-    /// Faults validated since partitioning; gives rejection diagnostics
-    /// a stable index ("fault #3 is Custom(7)") to point at.
-    pub(crate) faults_validated: u64,
-}
-
-impl<M> ParState<M> {
-    /// Owning LP of a node id; ids outside the partition map fall back
-    /// to LP 0 (they address no real node and drop as dead there).
-    pub(crate) fn owner_of(&self, id: NodeId) -> usize {
-        self.map.get(id.index()).copied().unwrap_or(0) as usize
-    }
-
-    /// Events pending across all LP queues, outboxes and mailboxes.
-    pub(crate) fn pending_events(&self) -> usize {
-        let mut n = 0;
-        for lp in &self.lps {
-            n += lp.queue.len();
-            for ob in &lp.outboxes {
-                n += ob.len();
-            }
-        }
-        for s in &self.staged {
-            n += s.len();
-        }
-        n
-    }
+/// Owning LP of a node id under `map`. Ids outside the map fall back to
+/// LP 0: under the empty map of an unpartitioned simulator that is every
+/// id, and past the end of a partition map they address no real node and
+/// drop as dead there.
+pub(crate) fn owner(map: &[u32], id: NodeId) -> usize {
+    map.get(id.index()).copied().unwrap_or(0) as usize
 }
 
 /// Validate a fault action against the partition: link reconfigurations
 /// must never shrink a cross-LP delay below the lookahead (the safety
 /// argument of the window loop depends on it), and `Custom` faults —
 /// which pause the run for harness intervention — are not supported on
-/// a partitioned simulator.
-fn validate_fault(lookahead: u64, map: &[u32], action: &FaultAction, idx: u64) {
+/// a partitioned simulator. Under the empty map of an unpartitioned
+/// simulator every action is valid.
+pub(crate) fn validate_fault(lookahead: u64, map: &[u32], action: &FaultAction, idx: u64) {
     match action {
-        FaultAction::SetDefaultLink(cfg) => {
-            assert!(
-                lookahead == u64::MAX || cfg.delay.as_nanos() >= lookahead,
-                "fault #{idx}: SetDefaultLink delay {} ns below partition lookahead {} ns",
-                cfg.delay.as_nanos(),
-                lookahead
-            );
-        }
         FaultAction::SetLink { src, dst, cfg } => {
-            let slp = map.get(src.index()).copied().unwrap_or(0);
-            let dlp = map.get(dst.index()).copied().unwrap_or(0);
             assert!(
-                slp == dlp || cfg.delay.as_nanos() >= lookahead,
+                owner(map, *src) == owner(map, *dst) || cfg.delay.as_nanos() >= lookahead,
                 "fault #{idx}: SetLink {src}->{dst} delay {} ns below partition lookahead {} ns",
                 cfg.delay.as_nanos(),
                 lookahead
             );
         }
         FaultAction::Custom(token) => {
-            panic!(
+            assert!(
+                map.is_empty(),
                 "partitioned simulator does not support Custom faults: \
                  fault #{idx} is Custom({token}); Custom faults pause the run \
                  for single-LP harness recovery — use in-protocol recovery \
@@ -128,33 +82,6 @@ fn validate_fault(lookahead: u64, map: &[u32], action: &FaultAction, idx: u64) {
             )
         }
         FaultAction::ClearLink { .. } | FaultAction::FailNode(_) | FaultAction::ReviveNode(_) => {}
-    }
-}
-
-/// Route one fault onto a partitioned simulator's LPs. Link-config
-/// actions replicate to every LP (each applies the change to its own
-/// topology clone at the same instant, keeping all sender-side link
-/// views identical — `faults_applied` therefore counts each such action
-/// once per LP); node fail/revive goes only to the node's owner.
-pub(crate) fn schedule_fault_partitioned<M: Clone + Send + 'static>(
-    sim: &mut Simulator<M>,
-    at: SimTime,
-    action: FaultAction,
-) {
-    let par = sim.par.as_mut().expect("caller checked partitioned");
-    let idx = par.faults_validated;
-    par.faults_validated += 1;
-    validate_fault(par.lookahead, &par.map, &action, idx);
-    match action {
-        FaultAction::FailNode(id) | FaultAction::ReviveNode(id) => {
-            let lp = par.owner_of(id);
-            par.lps[lp].push(at, EventKind::Fault(Box::new(action)));
-        }
-        _ => {
-            for lp in &mut par.lps {
-                lp.push(at, EventKind::Fault(Box::new(action)));
-            }
-        }
     }
 }
 
@@ -179,7 +106,7 @@ impl<M: Clone + Send + 'static> Simulator<M> {
     /// (asserted), and `Custom` faults are rejected.
     ///
     /// Call after the simulation is fully built: `add_node`,
-    /// `topology_mut` and `set_tap` panic once partitioned (use
+    /// `topology_mut` and `step` panic once partitioned (use
     /// [`Simulator::set_lp_tap`] for per-LP observers). Pre-scheduled
     /// events, link fault state and node liveness migrate to their
     /// owning LPs; each LP's RNG is forked from the parent seed by LP
@@ -187,36 +114,37 @@ impl<M: Clone + Send + 'static> Simulator<M> {
     /// the pre-partition draw position of other LPs' nodes.
     ///
     /// # Panics
-    /// If already partitioned, a global tap is installed, a `Custom`
-    /// fault is pending or queued, `lp_of` does not cover every node,
-    /// or a cross-LP link has zero delay.
+    /// If already partitioned, a tap is installed, a `Custom` fault is
+    /// pending or queued, `lp_of` does not cover every node, or a
+    /// cross-LP link has zero delay.
     pub fn partition(&mut self, lp_of: Vec<u32>, workers: usize) {
-        assert!(self.par.is_none(), "partition called twice");
+        assert!(self.lps.len() == 1, "partition called twice");
+        let one = &self.lps[0];
         assert!(
-            self.tap.is_none(),
+            one.tap.is_none(),
             "partition with a global tap installed: partition first, then set_lp_tap"
         );
         assert!(
-            self.pending_custom.is_none(),
+            one.pending_custom.is_none(),
             "partition with a pending Custom fault"
         );
         assert_eq!(
             lp_of.len(),
-            self.nodes.len(),
+            one.nodes.len(),
             "lp_of must assign every node to an LP"
         );
         let k = lp_of.iter().copied().max().map_or(0, |m| m as usize + 1);
         if k <= 1 {
             return; // one LP: the serial fast path IS the execution
         }
-        let n = self.nodes.len();
+        let n = one.nodes.len();
 
         // Lookahead: min link delay over all cross-LP node pairs.
         let mut lookahead = u64::MAX;
         for (si, &slp) in lp_of.iter().enumerate() {
             for (di, &dlp) in lp_of.iter().enumerate() {
                 if slp != dlp {
-                    let d = self
+                    let d = one
                         .topology
                         .link(NodeId(si as u32), NodeId(di as u32))
                         .delay
@@ -231,14 +159,13 @@ impl<M: Clone + Send + 'static> Simulator<M> {
         );
 
         let map: Arc<[u32]> = lp_of.into();
-        let mut lps: Vec<Simulator<M>> = (0..k)
+        let mut one = self.lps.pop().expect("one LP");
+        let mut lps: Vec<Lp<M>> = (0..k)
             .map(|i| {
-                let mut lp = Simulator::new(self.topology.clone(), 0);
-                lp.rng = self.rng.fork(i as u64);
-                lp.now = self.now;
-                lp.seq = self.seq; // migrated events keep seqs < this
-                lp.lp = i as u32;
-                lp.lp_of = Some(map.clone());
+                let mut lp = Lp::new(one.topology.clone(), one.rng.fork(i as u64), map.clone());
+                lp.now = one.now;
+                lp.seq = one.seq; // migrated events keep seqs < this
+                lp.id = i as u32;
                 lp.outboxes = (0..k).map(|_| Vec::new()).collect();
                 lp.nodes = Vec::with_capacity(n);
                 lp.alive = vec![false; n];
@@ -248,41 +175,38 @@ impl<M: Clone + Send + 'static> Simulator<M> {
 
         // Node table: full length in every LP (so NodeId indexing works
         // unchanged), with only the owner holding the node itself.
-        let nodes = std::mem::take(&mut self.nodes);
-        let alive = std::mem::take(&mut self.alive);
-        for (i, node) in nodes.into_iter().enumerate() {
+        for (i, node) in one.nodes.into_iter().enumerate() {
             let owner = map[i] as usize;
             for (j, lp) in lps.iter_mut().enumerate() {
                 if j != owner {
                     lp.nodes.push(None);
                 }
             }
-            lps[owner].alive[i] = alive[i];
+            lps[owner].alive[i] = one.alive[i];
             lps[owner].nodes.push(node);
         }
 
         // Per-link fault state lives where the sends happen: the
         // sender's LP.
-        for ((src, dst), st) in std::mem::take(&mut self.link_states) {
-            let owner = map.get(src.index()).copied().unwrap_or(0) as usize;
-            lps[owner].link_states.insert((src, dst), st);
+        for ((src, dst), st) in one.link_states {
+            lps[owner(&map, src)].link_states.insert((src, dst), st);
         }
 
         // Migrate pending events to their owners, preserving the
         // original seqs (all below the LP's starting seq, so relative
         // order with future pushes is unchanged). These were already
-        // counted in the outer baseline stats, so they go through the
-        // raw queue, not `push`.
+        // counted in the baseline stats, so they go through the raw
+        // queue, not `push`.
         let mut fault_idx = 0u64;
-        while let Some((at, seq, kind)) = self.queue.pop() {
+        while let Some((at, seq, kind)) = one.queue.pop() {
             match kind {
                 EventKind::Deliver(pkt) => {
-                    let owner = map.get(pkt.dst.index()).copied().unwrap_or(0) as usize;
-                    lps[owner].queue.push(at, seq, EventKind::Deliver(pkt));
+                    lps[owner(&map, pkt.dst)]
+                        .queue
+                        .push(at, seq, EventKind::Deliver(pkt));
                 }
                 EventKind::Timer { node, token } => {
-                    let owner = map.get(node.index()).copied().unwrap_or(0) as usize;
-                    lps[owner]
+                    lps[owner(&map, node)]
                         .queue
                         .push(at, seq, EventKind::Timer { node, token });
                 }
@@ -291,8 +215,9 @@ impl<M: Clone + Send + 'static> Simulator<M> {
                     fault_idx += 1;
                     match *action {
                         FaultAction::FailNode(id) | FaultAction::ReviveNode(id) => {
-                            let owner = map.get(id.index()).copied().unwrap_or(0) as usize;
-                            lps[owner].queue.push(at, seq, EventKind::Fault(action));
+                            lps[owner(&map, id)]
+                                .queue
+                                .push(at, seq, EventKind::Fault(action));
                         }
                         other => {
                             for lp in lps.iter_mut() {
@@ -307,183 +232,175 @@ impl<M: Clone + Send + 'static> Simulator<M> {
             lp.stats.max_queue_depth = lp.queue.len() as u64;
         }
 
-        self.par = Some(Box::new(ParState {
-            lps,
-            map,
-            workers: workers.max(1),
-            lookahead,
-            staged: (0..k).map(|_| Vec::new()).collect(),
-            faults_validated: fault_idx,
-        }));
+        self.base_stats = one.stats;
+        self.lps = lps;
+        self.map = map;
+        self.workers = workers.max(1);
+        self.lookahead = lookahead;
+        self.staged = (0..k).map(|_| Vec::new()).collect();
+        self.faults_validated = fault_idx;
     }
 
     /// Number of logical processes this simulator runs as (1 when
     /// unpartitioned or partitioned onto a single LP).
     pub fn partitions(&self) -> usize {
-        self.par.as_ref().map_or(1, |p| p.lps.len())
+        self.lps.len()
     }
-}
 
-/// Advance a partitioned simulation to `deadline` (inclusive) through
-/// conservative windows.
-pub(crate) fn run_windows<M: Clone + Send + 'static>(par: &mut ParState<M>, deadline: SimTime) {
-    if par.workers <= 1 || par.lps.len() == 1 {
-        run_windows_serial(par, deadline);
-    } else {
-        run_windows_parallel(par, deadline);
-    }
-}
-
-/// The reference window loop: same schedule as the parallel one, no
-/// threads. This is what `workers == 1` runs, and what the parallel
-/// loop must match byte-for-byte.
-fn run_windows_serial<M: Clone + Send + 'static>(par: &mut ParState<M>, deadline: SimTime) {
-    let k = par.lps.len();
-    loop {
-        // Merge last window's cross-LP packets, then find the global
-        // lower bound on next-event time.
-        let mut bound = u64::MAX;
-        for i in 0..k {
-            if !par.staged[i].is_empty() {
-                let mut inbox = std::mem::take(&mut par.staged[i]);
-                par.lps[i].flush_remote(&mut inbox);
-                par.staged[i] = inbox;
-            }
-            if let Some(t) = par.lps[i].queue.peek_at() {
-                bound = bound.min(t.as_nanos());
-            }
-        }
-        let stop = bound > deadline.as_nanos();
-        let target = if stop {
-            deadline
-        } else {
-            SimTime(
-                bound
-                    .saturating_add(par.lookahead - 1)
-                    .min(deadline.as_nanos()),
-            )
-        };
-        for lp in par.lps.iter_mut() {
-            lp.run_until(target);
-        }
-        for src in 0..k {
-            let src_lp = par.lps[src].lp;
-            for dst in 0..k {
-                if par.lps[src].outboxes[dst].is_empty() {
-                    continue;
+    /// The reference window loop: advances every LP to `deadline`
+    /// (inclusive) through conservative windows, no threads. This is
+    /// what `workers == 1` runs, and what the parallel loop must match
+    /// byte-for-byte.
+    pub(crate) fn run_windows_serial(&mut self, deadline: SimTime) {
+        let k = self.lps.len();
+        loop {
+            // Merge last window's cross-LP packets, then find the global
+            // lower bound on next-event time.
+            let mut bound = u64::MAX;
+            for i in 0..k {
+                if !self.staged[i].is_empty() {
+                    let mut inbox = std::mem::take(&mut self.staged[i]);
+                    self.lps[i].flush_remote(&mut inbox);
+                    self.staged[i] = inbox;
                 }
-                let mut out = std::mem::take(&mut par.lps[src].outboxes[dst]);
-                par.staged[dst].extend(out.drain(..).map(|(at, seq, pkt)| (at, seq, src_lp, pkt)));
-                par.lps[src].outboxes[dst] = out;
+                if let Some(t) = self.lps[i].queue.peek_at() {
+                    bound = bound.min(t.as_nanos());
+                }
+            }
+            let stop = bound > deadline.as_nanos();
+            let target = if stop {
+                deadline
+            } else {
+                SimTime(
+                    bound
+                        .saturating_add(self.lookahead - 1)
+                        .min(deadline.as_nanos()),
+                )
+            };
+            for lp in self.lps.iter_mut() {
+                lp.run_until(target);
+            }
+            for src in 0..k {
+                let src_lp = self.lps[src].id;
+                for dst in 0..k {
+                    if self.lps[src].outboxes[dst].is_empty() {
+                        continue;
+                    }
+                    let mut out = std::mem::take(&mut self.lps[src].outboxes[dst]);
+                    self.staged[dst]
+                        .extend(out.drain(..).map(|(at, seq, pkt)| (at, seq, src_lp, pkt)));
+                    self.lps[src].outboxes[dst] = out;
+                }
+            }
+            if stop {
+                break;
             }
         }
-        if stop {
-            break;
+    }
+
+    /// The threaded window loop: persistent scoped workers own contiguous
+    /// chunks of LPs and synchronize per window with three barriers —
+    /// (A) flush mailboxes + contribute to the shared bound, (B) one worker
+    /// turns the bound into the window target, (C) advance + stage
+    /// outboxes. Executes the exact schedule of
+    /// [`Simulator::run_windows_serial`]: which thread advances an LP is
+    /// invisible to the result.
+    pub(crate) fn run_windows_parallel(&mut self, deadline: SimTime) {
+        /// `target` sentinel: past the deadline, this is the last window.
+        const STOP: u64 = u64::MAX;
+        let k = self.lps.len();
+        let w = self.workers.min(k);
+        let lookahead = self.lookahead;
+
+        let staged: Vec<Mutex<Vec<Staged<M>>>> = self
+            .staged
+            .iter_mut()
+            .map(|v| Mutex::new(std::mem::take(v)))
+            .collect();
+        let bound = AtomicU64::new(u64::MAX);
+        let target = AtomicU64::new(0);
+
+        let chunk_size = k.div_ceil(w);
+        let mut chunks: Vec<(usize, &mut [Lp<M>])> = Vec::with_capacity(w);
+        let mut rest: &mut [Lp<M>] = &mut self.lps;
+        let mut base = 0;
+        while !rest.is_empty() {
+            let take = chunk_size.min(rest.len());
+            let (head, tail) = rest.split_at_mut(take);
+            chunks.push((base, head));
+            base += take;
+            rest = tail;
         }
-    }
-}
+        let barrier = Barrier::new(chunks.len());
 
-/// The threaded window loop: persistent scoped workers own contiguous
-/// chunks of LPs and synchronize per window with three barriers —
-/// (A) flush mailboxes + contribute to the shared bound, (B) one worker
-/// turns the bound into the window target, (C) advance + stage
-/// outboxes. Executes the exact schedule of [`run_windows_serial`]:
-/// which thread advances an LP is invisible to the result.
-fn run_windows_parallel<M: Clone + Send + 'static>(par: &mut ParState<M>, deadline: SimTime) {
-    /// `target` sentinel: past the deadline, this is the last window.
-    const STOP: u64 = u64::MAX;
-    let k = par.lps.len();
-    let w = par.workers.min(k);
-    let lookahead = par.lookahead;
-
-    let staged: Vec<Mutex<Vec<Staged<M>>>> = par
-        .staged
-        .iter_mut()
-        .map(|v| Mutex::new(std::mem::take(v)))
-        .collect();
-    let bound = AtomicU64::new(u64::MAX);
-    let target = AtomicU64::new(0);
-
-    let chunk_size = k.div_ceil(w);
-    let mut chunks: Vec<(usize, &mut [Simulator<M>])> = Vec::with_capacity(w);
-    let mut rest: &mut [Simulator<M>] = &mut par.lps;
-    let mut base = 0;
-    while !rest.is_empty() {
-        let take = chunk_size.min(rest.len());
-        let (head, tail) = rest.split_at_mut(take);
-        chunks.push((base, head));
-        base += take;
-        rest = tail;
-    }
-    let barrier = Barrier::new(chunks.len());
-
-    std::thread::scope(|scope| {
-        for (base, chunk) in chunks {
-            let staged = &staged;
-            let bound = &bound;
-            let target = &target;
-            let barrier = &barrier;
-            scope.spawn(move || {
-                let mut inbox: Vec<Staged<M>> = Vec::new();
-                loop {
-                    // Phase A: merge mailboxes, contribute to the bound.
-                    let mut local_min = u64::MAX;
-                    for (off, lp) in chunk.iter_mut().enumerate() {
-                        {
-                            let mut g = staged[base + off].lock().unwrap();
-                            if !g.is_empty() {
-                                std::mem::swap(&mut *g, &mut inbox);
+        std::thread::scope(|scope| {
+            for (base, chunk) in chunks {
+                let staged = &staged;
+                let bound = &bound;
+                let target = &target;
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    let mut inbox: Vec<Staged<M>> = Vec::new();
+                    loop {
+                        // Phase A: merge mailboxes, contribute to the bound.
+                        let mut local_min = u64::MAX;
+                        for (off, lp) in chunk.iter_mut().enumerate() {
+                            {
+                                let mut g = staged[base + off].lock().unwrap();
+                                if !g.is_empty() {
+                                    std::mem::swap(&mut *g, &mut inbox);
+                                }
+                            }
+                            if !inbox.is_empty() {
+                                lp.flush_remote(&mut inbox);
+                            }
+                            if let Some(t) = lp.queue.peek_at() {
+                                local_min = local_min.min(t.as_nanos());
                             }
                         }
-                        if !inbox.is_empty() {
-                            lp.flush_remote(&mut inbox);
+                        bound.fetch_min(local_min, Ordering::SeqCst);
+                        barrier.wait();
+                        // Phase B: one worker computes the window target and
+                        // resets the bound for the next window.
+                        if base == 0 {
+                            let b = bound.swap(u64::MAX, Ordering::SeqCst);
+                            let t = if b > deadline.as_nanos() {
+                                STOP
+                            } else {
+                                b.saturating_add(lookahead - 1).min(deadline.as_nanos())
+                            };
+                            target.store(t, Ordering::SeqCst);
                         }
-                        if let Some(t) = lp.queue.peek_at() {
-                            local_min = local_min.min(t.as_nanos());
-                        }
-                    }
-                    bound.fetch_min(local_min, Ordering::SeqCst);
-                    barrier.wait();
-                    // Phase B: one worker computes the window target and
-                    // resets the bound for the next window.
-                    if base == 0 {
-                        let b = bound.swap(u64::MAX, Ordering::SeqCst);
-                        let t = if b > deadline.as_nanos() {
-                            STOP
-                        } else {
-                            b.saturating_add(lookahead - 1).min(deadline.as_nanos())
-                        };
-                        target.store(t, Ordering::SeqCst);
-                    }
-                    barrier.wait();
-                    // Phase C: advance, then stage cross-LP sends. The
-                    // per-mailbox append order across workers is
-                    // arbitrary; the receiver's sort by (at, seq,
-                    // src_lp) erases it.
-                    let t = target.load(Ordering::SeqCst);
-                    let adv = if t == STOP { deadline } else { SimTime(t) };
-                    for lp in chunk.iter_mut() {
-                        lp.run_until(adv);
-                        let src_lp = lp.lp;
-                        for (dst, ob) in lp.outboxes.iter_mut().enumerate() {
-                            if ob.is_empty() {
-                                continue;
+                        barrier.wait();
+                        // Phase C: advance, then stage cross-LP sends. The
+                        // per-mailbox append order across workers is
+                        // arbitrary; the receiver's sort by (at, seq,
+                        // src_lp) erases it.
+                        let t = target.load(Ordering::SeqCst);
+                        let adv = if t == STOP { deadline } else { SimTime(t) };
+                        for lp in chunk.iter_mut() {
+                            lp.run_until(adv);
+                            let src_lp = lp.id;
+                            for (dst, ob) in lp.outboxes.iter_mut().enumerate() {
+                                if ob.is_empty() {
+                                    continue;
+                                }
+                                let mut g = staged[dst].lock().unwrap();
+                                g.extend(ob.drain(..).map(|(at, seq, pkt)| (at, seq, src_lp, pkt)));
                             }
-                            let mut g = staged[dst].lock().unwrap();
-                            g.extend(ob.drain(..).map(|(at, seq, pkt)| (at, seq, src_lp, pkt)));
                         }
+                        if t == STOP {
+                            break;
+                        }
+                        barrier.wait();
                     }
-                    if t == STOP {
-                        break;
-                    }
-                    barrier.wait();
-                }
-            });
-        }
-    });
+                });
+            }
+        });
 
-    for (slot, m) in par.staged.iter_mut().zip(staged) {
-        *slot = m.into_inner().unwrap();
+        for (slot, m) in self.staged.iter_mut().zip(staged) {
+            *slot = m.into_inner().unwrap();
+        }
     }
 }
 
@@ -758,11 +675,35 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "set_tap on a partitioned simulator")]
+    #[should_panic(expected = "partition with a global tap installed")]
     fn global_tap_rejected_when_partitioned() {
+        // A tap on the unpartitioned simulator's one LP sees every event;
+        // after a split no LP could, so partition refuses it.
         let mut s = ring_sim(2, 1);
+        s.set_lp_tap(0, Box::new(|_| {}));
         s.partition(vec![0, 1], 1);
-        s.set_tap(Box::new(|_| {}));
+    }
+
+    #[test]
+    fn topology_reads_link_faults_applied_after_partition() {
+        let run = |part: bool| {
+            let mut s = ring_sim(2, 1);
+            if part {
+                s.partition(vec![0, 1], 1);
+            }
+            s.schedule_fault(
+                SimTime(10),
+                FaultAction::SetLink {
+                    src: NodeId(0),
+                    dst: NodeId(1),
+                    cfg: LinkConfig::with_delay(SimDuration(5_000)),
+                },
+            );
+            s.run_until(SimTime(100));
+            s.topology().link(NodeId(0), NodeId(1)).delay
+        };
+        assert_eq!(run(false), SimDuration(5_000));
+        assert_eq!(run(true), SimDuration(5_000));
     }
 
     #[test]

@@ -1,19 +1,26 @@
 //! The event loop.
 //!
-//! [`Simulator`] owns the nodes, the topology, the clock and the pending
-//! event queue. Events at equal timestamps are dispatched in insertion
-//! order (FIFO), which — together with integer time and seeded RNG — makes
-//! every run bit-for-bit reproducible.
+//! A [`Simulator`] is a list of logical processes (LPs). An LP is the
+//! engine: it owns nodes, a slice of the topology's traffic, the clock
+//! and the pending event queue, and dispatches events at equal
+//! timestamps in insertion order (FIFO), which — together with integer
+//! time and seeded RNG — makes every run bit-for-bit reproducible. An
+//! unpartitioned simulator is one LP and every public method goes to it;
+//! [`Simulator::partition`] (`crate::par`) splits that LP into one per
+//! partition, after which each method goes to the LP owning the node it
+//! names.
 //!
 //! The queue is the calendar queue of [`crate::queue::EventQueue`]:
 //! `O(1)` scheduling for near-future events instead of a global binary
 //! heap's `O(log n)`, with identical `(time, seq)` pop order.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::fault::{FaultAction, FaultPlan, RunOutcome};
 use crate::link::{LinkConfig, Topology};
 use crate::node::{Context, Effect, Node, NodeId, Packet};
+use crate::par::{owner, validate_fault, Staged};
 use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -98,7 +105,7 @@ pub(crate) struct LinkState {
 }
 
 /// Observer hook: receives a [`TapEvent`] for every packet-level event.
-/// Installed with [`Simulator::set_tap`]; used by safety oracles and
+/// Installed with [`Simulator::set_lp_tap`]; used by safety oracles and
 /// chaos harnesses to audit the run without perturbing it. `Send` so a
 /// tap installed on a logical process of a partitioned simulator can run
 /// on a worker thread (each LP's tap sees only that LP's events, in that
@@ -210,8 +217,35 @@ pub enum TapEvent<'a, M> {
     },
 }
 
-/// A deterministic discrete-event simulator over message type `M`.
+/// A deterministic discrete-event simulator over message type `M`: a
+/// list of logical processes, one until [`Simulator::partition`].
 pub struct Simulator<M> {
+    /// The logical processes, indexed by LP id.
+    pub(crate) lps: Vec<Lp<M>>,
+    /// `node index -> owning LP`, shared with every LP. Empty while
+    /// there is one LP, which then owns every id.
+    pub(crate) map: Arc<[u32]>,
+    /// Worker threads to advance LPs with (1 = serial window loop).
+    pub(crate) workers: usize,
+    /// Minimum cross-LP link delay in nanoseconds (`u64::MAX` when no
+    /// cross-LP node pair exists, which makes every window unbounded).
+    pub(crate) lookahead: u64,
+    /// Per-destination-LP staging area for cross-LP packets emitted in
+    /// the previous window; flushed into the owner's queue (sorted by
+    /// `(at, seq, src_lp)`) at the start of the next window.
+    pub(crate) staged: Vec<Vec<Staged<M>>>,
+    /// Faults validated since the last partition; gives rejection
+    /// diagnostics a stable index ("fault #3 is Custom(7)") to point at.
+    pub(crate) faults_validated: u64,
+    /// What the one LP had counted when `partition` split it.
+    pub(crate) base_stats: SimStats,
+}
+
+/// One logical process: a clock, a calendar queue, the nodes it owns
+/// (its node table is full-length, with `None` for other LPs' nodes, so
+/// `NodeId` indexing is the same everywhere) and a topology copy that
+/// resolves every hop its nodes send.
+pub(crate) struct Lp<M> {
     pub(crate) now: SimTime,
     pub(crate) seq: u64,
     pub(crate) queue: EventQueue<EventKind<M>>,
@@ -236,48 +270,30 @@ pub struct Simulator<M> {
     /// added to `queue.len()` so `max_queue_depth` accounting matches
     /// the one-pop-per-step reference exactly.
     burst_pending: u64,
-    /// Which logical process this simulator is, when it acts as one
-    /// partition of a larger simulation (0 for a standalone simulator).
-    pub(crate) lp: u32,
-    /// `node index -> owning LP`, shared by every LP of one partitioned
-    /// simulation. `None` for a standalone (unpartitioned) simulator,
-    /// which is the only per-send cost the serial fast path pays.
-    pub(crate) lp_of: Option<std::sync::Arc<[u32]>>,
+    /// This LP's index in the simulator's list.
+    pub(crate) id: u32,
+    /// The simulator's `node index -> owning LP` map. Empty for a lone
+    /// LP, so a send never diverts — the only per-send cost the serial
+    /// fast path pays is that one length check.
+    lp_of: Arc<[u32]>,
     /// Per-destination-LP mailboxes: packets bound for a remote LP are
     /// diverted here (tagged with this LP's send `seq`) instead of the
     /// local queue, and exchanged at conservative window boundaries.
     pub(crate) outboxes: Vec<Vec<(SimTime, u64, Packet<M>)>>,
-    /// Present when this simulator has been split into logical
-    /// processes via [`Simulator::partition`]; the public API then
-    /// delegates to the LPs it owns.
-    pub(crate) par: Option<Box<crate::par::ParState<M>>>,
 }
 
 impl<M: Clone + Send + 'static> Simulator<M> {
     /// A simulator with the given topology and RNG seed.
     pub fn new(topology: Topology, seed: u64) -> Simulator<M> {
+        let map: Arc<[u32]> = Vec::new().into();
         Simulator {
-            now: SimTime::ZERO,
-            seq: 0,
-            queue: EventQueue::new(),
-            nodes: Vec::new(),
-            alive: Vec::new(),
-            topology,
-            rng: SimRng::new(seed),
-            effects: Vec::new(),
-            stats: SimStats::default(),
-            link_states: HashMap::new(),
-            tap: None,
-            pending_custom: None,
-            links: Vec::new(),
-            links_version: u64::MAX,
-            links_n: usize::MAX,
-            burst: Vec::new(),
-            burst_pending: 0,
-            lp: 0,
-            lp_of: None,
-            outboxes: Vec::new(),
-            par: None,
+            lps: vec![Lp::new(topology, SimRng::new(seed), map.clone())],
+            map,
+            workers: 1,
+            lookahead: u64::MAX,
+            staged: Vec::new(),
+            faults_validated: 0,
+            base_stats: SimStats::default(),
         }
     }
 
@@ -286,86 +302,74 @@ impl<M: Clone + Send + 'static> Simulator<M> {
         Simulator::new(Topology::new(LinkConfig::default()), seed)
     }
 
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
+    /// The LP that owns node `id`.
+    fn lp(&mut self, id: NodeId) -> &mut Lp<M> {
+        &mut self.lps[owner(&self.map, id)]
     }
 
-    /// Simulator-level statistics. For a partitioned simulator this is
-    /// the pre-partition baseline merged with every LP's stats: counters
-    /// sum, `max_queue_depth` takes the max across LPs.
+    /// Current simulated time (every LP's clock agrees between runs).
+    pub fn now(&self) -> SimTime {
+        self.lps[0].now
+    }
+
+    /// Simulator-level statistics: the pre-partition baseline merged
+    /// with every LP's stats (counters sum, `max_queue_depth` takes the
+    /// max across LPs).
     pub fn stats(&self) -> SimStats {
-        let mut out = self.stats;
-        if let Some(par) = &self.par {
-            for lp in &par.lps {
-                out.merge(&lp.stats);
-            }
+        let mut out = self.base_stats;
+        for lp in &self.lps {
+            out.merge(&lp.stats);
         }
         out
     }
 
     /// Per-directed-link fault counters, sorted by `(src, dst)` so the
     /// output is deterministic. Only links that saw at least one loss,
-    /// duplication or reorder (or carry fault state) appear. Partitioned:
-    /// each directed link's state lives in the sender's LP, so merging
-    /// the LPs never double-counts a link.
+    /// duplication or reorder (or carry fault state) appear. Each
+    /// directed link's state lives in the sender's LP, so merging the
+    /// LPs never double-counts a link.
     pub fn link_counters(&self) -> Vec<((NodeId, NodeId), LinkCounters)> {
         let mut out: Vec<_> = self
-            .link_states
+            .lps
             .iter()
-            .map(|(k, v)| (*k, v.counters))
+            .flat_map(|lp| lp.link_states.iter().map(|(k, v)| (*k, v.counters)))
             .collect();
-        if let Some(par) = &self.par {
-            for lp in &par.lps {
-                out.extend(lp.link_states.iter().map(|(k, v)| (*k, v.counters)));
-            }
-        }
         out.sort_by_key(|&((s, d), _)| (s.0, d.0));
         out
     }
 
-    /// Install a packet-level observer. Replaces any previous tap.
-    /// Panics on a partitioned simulator — use
-    /// [`Simulator::set_lp_tap`] to observe one logical process.
-    pub fn set_tap(&mut self, tap: Tap<M>) {
-        assert!(
-            self.par.is_none(),
-            "set_tap on a partitioned simulator: install per-LP taps via set_lp_tap"
-        );
-        self.tap = Some(tap);
-    }
-
-    /// Install a packet-level observer on one logical process of a
-    /// partitioned simulator. The tap sees only that LP's events, in
-    /// that LP's deterministic order, regardless of worker count. On an
-    /// unpartitioned simulator `lp` must be 0 and this is
-    /// [`Simulator::set_tap`] (the whole simulation is one LP).
+    /// Install a packet-level observer on one logical process, replacing
+    /// any previous tap there. The tap sees only that LP's events, in
+    /// that LP's deterministic order, regardless of worker count. An
+    /// unpartitioned simulator is LP 0, so there it sees everything.
     pub fn set_lp_tap(&mut self, lp: usize, tap: Tap<M>) {
-        match &mut self.par {
-            Some(par) => par.lps[lp].tap = Some(tap),
-            None => {
-                assert_eq!(lp, 0, "unpartitioned simulator has only LP 0");
-                self.tap = Some(tap);
-            }
-        }
+        self.lps[lp].tap = Some(tap);
     }
 
     /// Schedule one fault action as a first-class simulator event.
     /// (The one allocation per fault event keeps the boxed action out
     /// of the hot packet slots; fault events are rare by construction.)
     ///
-    /// Partitioned routing: link-config actions replicate to every LP
-    /// (each applies the change to its own topology clone at the same
-    /// instant, keeping all sender-side link views identical), node
-    /// actions go to the node's owner LP, and `Custom` panics — chaos
-    /// recovery drives a single-LP simulation.
+    /// Routing: link-config actions go to every LP (each applies the
+    /// change to its own topology copy at the same instant, keeping all
+    /// sender-side link views identical), node actions go to the node's
+    /// owner LP. A partitioned simulator rejects `Custom` faults — chaos
+    /// recovery drives a single-LP simulation — and link delays below
+    /// its lookahead.
     pub fn schedule_fault(&mut self, at: SimTime, action: FaultAction) {
-        assert!(at >= self.now, "fault scheduled in the past");
-        if self.par.is_some() {
-            crate::par::schedule_fault_partitioned(self, at, action);
-            return;
+        assert!(at >= self.now(), "fault scheduled in the past");
+        validate_fault(self.lookahead, &self.map, &action, self.faults_validated);
+        self.faults_validated += 1;
+        match action {
+            FaultAction::FailNode(id) | FaultAction::ReviveNode(id) => {
+                self.lp(id).push(at, EventKind::Fault(Box::new(action)));
+            }
+            _ => {
+                for lp in &mut self.lps {
+                    lp.push(at, EventKind::Fault(Box::new(action)));
+                }
+            }
         }
-        self.push(at, EventKind::Fault(Box::new(action)));
     }
 
     /// Install every event of a [`FaultPlan`]. Events are sorted by
@@ -377,29 +381,207 @@ impl<M: Clone + Send + 'static> Simulator<M> {
     }
 
     /// Mutable access to the topology (reconfigurable mid-run).
-    /// Panics once partitioned: the LPs hold topology clones, so direct
+    /// Panics once partitioned: the LPs hold topology copies, so direct
     /// mutation would desynchronize them — reconfigure before
     /// [`Simulator::partition`] or via a fault plan.
     pub fn topology_mut(&mut self) -> &mut Topology {
         assert!(
-            self.par.is_none(),
+            self.lps.len() == 1,
             "topology_mut on a partitioned simulator: mutate before partition() or via fault plan"
         );
-        &mut self.topology
+        &mut self.lps[0].topology
     }
 
-    /// The topology.
+    /// The topology. Every LP applies every link fault, so LP 0's copy
+    /// is current whether or not the simulator is partitioned.
     pub fn topology(&self) -> &Topology {
-        &self.topology
+        &self.lps[0].topology
     }
 
     /// Install a node; returns its id. The node's
     /// [`Node::on_start`] runs immediately at the current time.
+    /// Panics once partitioned: add every node before `partition()`.
     pub fn add_node(&mut self, node: Box<dyn Node<M>>) -> NodeId {
         assert!(
-            self.par.is_none(),
+            self.lps.len() == 1,
             "add_node on a partitioned simulator: add every node before partition()"
         );
+        self.lps[0].add_node(node)
+    }
+
+    /// Mark a node as failed: pending and future packets/timers for it are
+    /// silently dropped. The node object is retained for inspection.
+    pub fn fail_node(&mut self, id: NodeId) {
+        self.lp(id).alive[id.index()] = false;
+    }
+
+    /// Revive a failed node. Events scheduled while it was down stay lost;
+    /// new traffic flows again. (The node keeps whatever state it had —
+    /// callers that model state loss must reset the node themselves.)
+    pub fn revive_node(&mut self, id: NodeId) {
+        self.lp(id).alive[id.index()] = true;
+    }
+
+    /// Whether a node is currently alive.
+    pub fn is_alive(&self, id: NodeId) -> bool {
+        self.lps[owner(&self.map, id)].alive[id.index()]
+    }
+
+    /// Inspect or mutate a concrete node (panics if the type is wrong).
+    pub fn with_node<T: 'static, R>(&mut self, id: NodeId, f: impl FnOnce(&mut T) -> R) -> R {
+        let node = self.lp(id).nodes[id.index()]
+            .as_mut()
+            .expect("node is being dispatched");
+        let t = node
+            .as_any_mut()
+            .downcast_mut::<T>()
+            .expect("with_node called with wrong concrete type");
+        f(t)
+    }
+
+    /// Read-only variant of [`Simulator::with_node`].
+    pub fn read_node<T: 'static, R>(&self, id: NodeId, f: impl FnOnce(&T) -> R) -> R {
+        let node = self.lps[owner(&self.map, id)].nodes[id.index()]
+            .as_ref()
+            .expect("node is being dispatched");
+        let t = node
+            .as_any()
+            .downcast_ref::<T>()
+            .expect("read_node called with wrong concrete type");
+        f(t)
+    }
+
+    /// Inject a packet from outside the simulation (e.g. a harness kicking
+    /// off a run). Delivered after the link delay from `src` to `dst`,
+    /// scheduled directly in the destination's owner LP (all LP clocks
+    /// agree between runs, and every LP's topology copy resolves the same
+    /// link).
+    pub fn inject(&mut self, src: NodeId, dst: NodeId, payload: M) {
+        let lp = self.lp(dst);
+        let at = lp.now + lp.link_for(src, dst).delay;
+        lp.push_deliver(at, Packet { src, dst, payload });
+    }
+
+    /// Schedule a timer on a node from outside the simulation.
+    pub fn inject_timer(&mut self, node: NodeId, delay: SimDuration, token: u64) {
+        let lp = self.lp(node);
+        let at = lp.now + delay;
+        lp.push(at, EventKind::Timer { node, token });
+    }
+
+    /// Number of node slots (installed nodes) in this simulator.
+    pub fn node_count(&self) -> usize {
+        self.lps[0].nodes.len()
+    }
+
+    /// Process the next event. Returns `false` when the queue is empty.
+    /// Panics on a partitioned simulator: single-stepping has no
+    /// well-defined global order across logical processes — use
+    /// [`Simulator::run_until`].
+    pub fn step(&mut self) -> bool {
+        assert!(
+            self.lps.len() == 1,
+            "step on a partitioned simulator: use run_until"
+        );
+        self.lps[0].step()
+    }
+
+    /// Run until the clock reaches `deadline` (events at exactly `deadline`
+    /// are processed) or the queue empties. The clock is advanced to
+    /// `deadline` on return so subsequent scheduling is relative to it.
+    /// [`FaultAction::Custom`] events encountered here are dropped —
+    /// chaos harnesses use [`Simulator::run_until_fault`] instead.
+    ///
+    /// One LP drains its queue in same-timestamp bursts via
+    /// [`EventQueue::pop_run`]: one fused cursor scan yields the whole
+    /// run, which is then dispatched in the identical `(at, seq)` FIFO
+    /// order the one-pop-per-step loop would produce (events a dispatch
+    /// schedules at the *same* instant carry higher `seq` than the rest
+    /// of the burst, so picking them up in the next `pop_run` round
+    /// preserves the order; see `tests/prop_spine.rs`). Several LPs
+    /// advance through conservative windows (`crate::par`).
+    pub fn run_until(&mut self, deadline: SimTime) {
+        match (self.lps.len(), self.workers) {
+            (1, _) => self.lps[0].run_until(deadline),
+            (_, 1) => self.run_windows_serial(deadline),
+            _ => self.run_windows_parallel(deadline),
+        }
+    }
+
+    /// Like [`Simulator::run_until`], but pauses when a
+    /// [`FaultAction::Custom`] fires, returning
+    /// [`RunOutcome::CustomFault`] so the caller can apply the
+    /// domain-specific fault and resume with another call.
+    ///
+    /// This path dispatches strictly one event at a time (fused
+    /// pop-if-due, no burst batching) so a `Custom` fault pauses with
+    /// every later same-instant event still queued, exactly as before.
+    pub fn run_until_fault(&mut self, deadline: SimTime) -> RunOutcome {
+        if self.lps.len() > 1 {
+            // A partitioned simulator rejects Custom faults, so this
+            // can only ever reach the deadline.
+            self.run_until(deadline);
+            return RunOutcome::ReachedDeadline;
+        }
+        self.lps[0].run_until_fault(deadline)
+    }
+
+    /// Run for `d` more simulated time.
+    pub fn run_for(&mut self, d: SimDuration) {
+        let deadline = self.now() + d;
+        self.run_until(deadline);
+    }
+
+    /// Drain the queue completely (only safe for workloads that quiesce).
+    pub fn run_to_quiescence(&mut self, max_events: u64) -> bool {
+        for _ in 0..max_events {
+            if !self.step() {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Number of events waiting: the sum over all LP queues plus any
+    /// cross-LP packets staged in outboxes and mailboxes.
+    pub fn pending_events(&self) -> usize {
+        let queued: usize = self
+            .lps
+            .iter()
+            .map(|lp| lp.queue.len() + lp.outboxes.iter().map(Vec::len).sum::<usize>())
+            .sum();
+        queued + self.staged.iter().map(Vec::len).sum::<usize>()
+    }
+}
+
+impl<M: Clone + Send + 'static> Lp<M> {
+    /// An empty LP 0 routing sends by `lp_of`.
+    pub(crate) fn new(topology: Topology, rng: SimRng, lp_of: Arc<[u32]>) -> Lp<M> {
+        Lp {
+            now: SimTime::ZERO,
+            seq: 0,
+            queue: EventQueue::new(),
+            nodes: Vec::new(),
+            alive: Vec::new(),
+            topology,
+            rng,
+            effects: Vec::new(),
+            stats: SimStats::default(),
+            link_states: HashMap::new(),
+            tap: None,
+            pending_custom: None,
+            links: Vec::new(),
+            links_version: u64::MAX,
+            links_n: usize::MAX,
+            burst: Vec::new(),
+            burst_pending: 0,
+            id: 0,
+            lp_of,
+            outboxes: Vec::new(),
+        }
+    }
+
+    fn add_node(&mut self, node: Box<dyn Node<M>>) -> NodeId {
         assert!(
             self.nodes.len() < MAX_NODES,
             "simulator is full: {MAX_NODES} nodes (the dense (src,dst) link table is \
@@ -433,105 +615,6 @@ impl<M: Clone + Send + 'static> Simulator<M> {
         }
         self.effects = effects;
         id
-    }
-
-    /// Mark a node as failed: pending and future packets/timers for it are
-    /// silently dropped. The node object is retained for inspection.
-    pub fn fail_node(&mut self, id: NodeId) {
-        if let Some(par) = &mut self.par {
-            let lp = par.owner_of(id);
-            par.lps[lp].alive[id.index()] = false;
-            return;
-        }
-        self.alive[id.index()] = false;
-    }
-
-    /// Revive a failed node. Events scheduled while it was down stay lost;
-    /// new traffic flows again. (The node keeps whatever state it had —
-    /// callers that model state loss must reset the node themselves.)
-    pub fn revive_node(&mut self, id: NodeId) {
-        if let Some(par) = &mut self.par {
-            let lp = par.owner_of(id);
-            par.lps[lp].alive[id.index()] = true;
-            return;
-        }
-        self.alive[id.index()] = true;
-    }
-
-    /// Whether a node is currently alive.
-    pub fn is_alive(&self, id: NodeId) -> bool {
-        if let Some(par) = &self.par {
-            let lp = par.owner_of(id);
-            return par.lps[lp].alive[id.index()];
-        }
-        self.alive[id.index()]
-    }
-
-    /// Inspect or mutate a concrete node (panics if the type is wrong).
-    pub fn with_node<T: 'static, R>(&mut self, id: NodeId, f: impl FnOnce(&mut T) -> R) -> R {
-        if let Some(par) = &mut self.par {
-            let lp = par.owner_of(id);
-            return par.lps[lp].with_node(id, f);
-        }
-        let node = self.nodes[id.index()]
-            .as_mut()
-            .expect("node is being dispatched");
-        let any = node.as_any_mut();
-        let t = any
-            .downcast_mut::<T>()
-            .expect("with_node called with wrong concrete type");
-        f(t)
-    }
-
-    /// Read-only variant of [`Simulator::with_node`].
-    pub fn read_node<T: 'static, R>(&self, id: NodeId, f: impl FnOnce(&T) -> R) -> R {
-        if let Some(par) = &self.par {
-            let lp = par.owner_of(id);
-            return par.lps[lp].read_node(id, f);
-        }
-        let node = self.nodes[id.index()]
-            .as_ref()
-            .expect("node is being dispatched");
-        let t = node
-            .as_any()
-            .downcast_ref::<T>()
-            .expect("read_node called with wrong concrete type");
-        f(t)
-    }
-
-    /// Inject a packet from outside the simulation (e.g. a harness kicking
-    /// off a run). Delivered after the link delay from `src` to `dst`.
-    /// Partitioned: scheduled directly in the destination's owner LP
-    /// (all LP clocks agree between runs, and the LP's topology clone
-    /// resolves the same link).
-    pub fn inject(&mut self, src: NodeId, dst: NodeId, payload: M) {
-        if let Some(par) = &mut self.par {
-            let lp = par.owner_of(dst);
-            par.lps[lp].inject(src, dst, payload);
-            return;
-        }
-        let link = self.link_for(src, dst);
-        let at = self.now + link.delay;
-        self.push_deliver(at, Packet { src, dst, payload });
-    }
-
-    /// Schedule a timer on a node from outside the simulation.
-    pub fn inject_timer(&mut self, node: NodeId, delay: SimDuration, token: u64) {
-        if let Some(par) = &mut self.par {
-            let lp = par.owner_of(node);
-            par.lps[lp].inject_timer(node, delay, token);
-            return;
-        }
-        let at = self.now + delay;
-        self.push(at, EventKind::Timer { node, token });
-    }
-
-    /// Number of node slots (installed nodes) in this simulator.
-    pub fn node_count(&self) -> usize {
-        if let Some(par) = &self.par {
-            return par.lps[0].nodes.len();
-        }
-        self.nodes.len()
     }
 
     /// Resolve the link config for one directed hop via the dense
@@ -573,22 +656,18 @@ impl<M: Clone + Send + 'static> Simulator<M> {
     }
 
     /// Queue one delivery, diverting it to the destination LP's mailbox
-    /// when this simulator is a logical process and the destination
-    /// lives elsewhere. The diverted entry consumes a send `seq` (the
-    /// deterministic mailbox merge key); `events_scheduled` is counted
-    /// at the receiver when the mailbox is flushed into its queue. A
-    /// standalone simulator pays one `Option` test here and nothing
-    /// else.
+    /// when another LP owns the destination. The diverted entry consumes
+    /// a send `seq` (the deterministic mailbox merge key);
+    /// `events_scheduled` is counted at the receiver when the mailbox is
+    /// flushed into its queue.
     #[inline]
     fn push_deliver(&mut self, at: SimTime, pkt: Packet<M>) {
-        if let Some(map) = &self.lp_of {
-            if let Some(&dst_lp) = map.get(pkt.dst.index()) {
-                if dst_lp != self.lp {
-                    let seq = self.seq;
-                    self.seq += 1;
-                    self.outboxes[dst_lp as usize].push((at, seq, pkt));
-                    return;
-                }
+        if let Some(&dst_lp) = self.lp_of.get(pkt.dst.index()) {
+            if dst_lp != self.id {
+                let seq = self.seq;
+                self.seq += 1;
+                self.outboxes[dst_lp as usize].push((at, seq, pkt));
+                return;
             }
         }
         self.push(at, EventKind::Deliver(pkt));
@@ -599,7 +678,7 @@ impl<M: Clone + Send + 'static> Simulator<M> {
     /// (seqs are unique per sender) independent of the order worker
     /// threads appended them — then pushed, which assigns fresh local
     /// seqs in merge order and counts them as scheduled here.
-    pub(crate) fn flush_remote(&mut self, inbox: &mut Vec<(SimTime, u64, u32, Packet<M>)>) {
+    pub(crate) fn flush_remote(&mut self, inbox: &mut Vec<Staged<M>>) {
         inbox.sort_unstable_by_key(|&(at, seq, src_lp, _)| (at, seq, src_lp));
         for (at, _seq, _src_lp, pkt) in inbox.drain(..) {
             self.push(at, EventKind::Deliver(pkt));
@@ -779,11 +858,10 @@ impl<M: Clone + Send + 'static> Simulator<M> {
             });
         }
         match action {
-            FaultAction::SetDefaultLink(cfg) => self.topology.set_default(cfg),
             FaultAction::SetLink { src, dst, cfg } => self.topology.set_link(src, dst, cfg),
             FaultAction::ClearLink { src, dst } => self.topology.clear_link(src, dst),
-            FaultAction::FailNode(id) => self.fail_node(id),
-            FaultAction::ReviveNode(id) => self.revive_node(id),
+            FaultAction::FailNode(id) => self.alive[id.index()] = false,
+            FaultAction::ReviveNode(id) => self.alive[id.index()] = true,
             FaultAction::Custom(token) => self.pending_custom = Some((self.now, token)),
         }
     }
@@ -845,15 +923,7 @@ impl<M: Clone + Send + 'static> Simulator<M> {
         self.effects = effects;
     }
 
-    /// Process the next event. Returns `false` when the queue is empty.
-    /// Panics on a partitioned simulator: single-stepping has no
-    /// well-defined global order across logical processes — use
-    /// [`Simulator::run_until`].
-    pub fn step(&mut self) -> bool {
-        assert!(
-            self.par.is_none(),
-            "step on a partitioned simulator: use run_until"
-        );
+    fn step(&mut self) -> bool {
         let Some((at, _seq, kind)) = self.queue.pop() else {
             return false;
         };
@@ -866,29 +936,8 @@ impl<M: Clone + Send + 'static> Simulator<M> {
         true
     }
 
-    /// Run until the clock reaches `deadline` (events at exactly `deadline`
-    /// are processed) or the queue empties. The clock is advanced to
-    /// `deadline` on return so subsequent scheduling is relative to it.
-    /// [`FaultAction::Custom`] events encountered here are dropped —
-    /// chaos harnesses use [`Simulator::run_until_fault`] instead.
-    ///
-    /// Internally this drains the queue in same-timestamp bursts via
-    /// [`EventQueue::pop_run`]: one fused cursor scan yields the whole
-    /// run, which is then dispatched in the identical `(at, seq)` FIFO
-    /// order the one-pop-per-step loop would produce (events a dispatch
-    /// schedules at the *same* instant carry higher `seq` than the rest
-    /// of the burst, so picking them up in the next `pop_run` round
-    /// preserves the order; see `tests/prop_spine.rs`).
-    pub fn run_until(&mut self, deadline: SimTime) {
-        if self.par.is_some() {
-            let mut par = self.par.take().expect("just checked");
-            crate::par::run_windows(&mut par, deadline);
-            self.par = Some(par);
-            if self.now < deadline {
-                self.now = deadline;
-            }
-            return;
-        }
+    /// [`Simulator::run_until`] on this LP alone: the fused burst loop.
+    pub(crate) fn run_until(&mut self, deadline: SimTime) {
         if let Some(mut t) = self.tap.take() {
             self.drain_until(deadline, &mut DynTap(&mut *t));
             self.tap = Some(t);
@@ -917,22 +966,7 @@ impl<M: Clone + Send + 'static> Simulator<M> {
         self.burst = burst;
     }
 
-    /// Like [`Simulator::run_until`], but pauses when a
-    /// [`FaultAction::Custom`] fires, returning
-    /// [`RunOutcome::CustomFault`] so the caller can apply the
-    /// domain-specific fault and resume with another call.
-    ///
-    /// This path dispatches strictly one event at a time (fused
-    /// pop-if-due, no burst batching) so a `Custom` fault pauses with
-    /// every later same-instant event still queued, exactly as before.
-    pub fn run_until_fault(&mut self, deadline: SimTime) -> RunOutcome {
-        if self.par.is_some() {
-            // Custom faults cannot be scheduled on a partitioned
-            // simulator (schedule_fault panics), so this can only ever
-            // reach the deadline.
-            self.run_until(deadline);
-            return RunOutcome::ReachedDeadline;
-        }
+    fn run_until_fault(&mut self, deadline: SimTime) -> RunOutcome {
         if let Some((at, token)) = self.pending_custom.take() {
             return RunOutcome::CustomFault { at, token };
         }
@@ -964,31 +998,6 @@ impl<M: Clone + Send + 'static> Simulator<M> {
                 return Some(RunOutcome::CustomFault { at, token });
             }
         }
-    }
-
-    /// Run for `d` more simulated time.
-    pub fn run_for(&mut self, d: SimDuration) {
-        let deadline = self.now + d;
-        self.run_until(deadline);
-    }
-
-    /// Drain the queue completely (only safe for workloads that quiesce).
-    pub fn run_to_quiescence(&mut self, max_events: u64) -> bool {
-        for _ in 0..max_events {
-            if !self.step() {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Number of events waiting in the queue. Partitioned: the sum over
-    /// all LP queues plus any cross-LP packets staged in mailboxes.
-    pub fn pending_events(&self) -> usize {
-        if let Some(par) = &self.par {
-            return par.pending_events();
-        }
-        self.queue.len()
     }
 }
 
@@ -1442,18 +1451,6 @@ mod fault_tests {
 
     #[test]
     fn fault_plan_flaps_link_and_pauses_on_custom() {
-        let plan = FaultPlan::new()
-            .with(
-                SimTime(10_000),
-                FaultAction::SetDefaultLink(
-                    LinkConfig::with_delay(SimDuration(500)).with_loss(1.0),
-                ),
-            )
-            .with(SimTime(20_000), FaultAction::Custom(42))
-            .with(
-                SimTime(30_000),
-                FaultAction::SetDefaultLink(LinkConfig::with_delay(SimDuration(500))),
-            );
         let mut s: Simulator<u32> = Simulator::with_seed(3);
         let r = s.add_node(Box::new(Rec { got: vec![] }));
         let f = s.add_node(Box::new(Flood {
@@ -1464,6 +1461,17 @@ mod fault_tests {
         }));
         s.topology_mut()
             .set_default(LinkConfig::with_delay(SimDuration(500)));
+        let plan = FaultPlan::new()
+            .with(
+                SimTime(10_000),
+                FaultAction::SetLink {
+                    src: f,
+                    dst: r,
+                    cfg: LinkConfig::with_delay(SimDuration(500)).with_loss(1.0),
+                },
+            )
+            .with(SimTime(20_000), FaultAction::Custom(42))
+            .with(SimTime(30_000), FaultAction::ClearLink { src: f, dst: r });
         s.install_plan(&plan);
         let outcome = s.run_until_fault(SimTime(100_000));
         assert_eq!(
@@ -1483,7 +1491,6 @@ mod fault_tests {
         assert_eq!(s.stats().faults_applied, 3);
         // Sends outside the flap window are unaffected.
         assert!(got.contains(&0) && got.contains(&49));
-        let _ = f;
     }
 
     #[test]
@@ -1517,16 +1524,19 @@ mod fault_tests {
             ..LinkFaults::NONE
         };
         let (mut s, _f, _r) = flood_sim(5, 10, faults);
-        s.set_tap(Box::new(move |ev| {
-            let mut c = c2.lock().unwrap();
-            match ev {
-                TapEvent::Sent { .. } => c.0 += 1,
-                TapEvent::Lost { .. } => c.1 += 1,
-                TapEvent::Duplicated { .. } => c.2 += 1,
-                TapEvent::Delivered { .. } => c.3 += 1,
-                _ => {}
-            }
-        }));
+        s.set_lp_tap(
+            0,
+            Box::new(move |ev| {
+                let mut c = c2.lock().unwrap();
+                match ev {
+                    TapEvent::Sent { .. } => c.0 += 1,
+                    TapEvent::Lost { .. } => c.1 += 1,
+                    TapEvent::Duplicated { .. } => c.2 += 1,
+                    TapEvent::Delivered { .. } => c.3 += 1,
+                    _ => {}
+                }
+            }),
+        );
         s.run_until(SimTime(1_000_000));
         let c = counts.lock().unwrap();
         assert_eq!(c.0, 10, "one Sent per logical send");

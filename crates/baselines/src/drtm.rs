@@ -18,12 +18,11 @@
 //! fairness, which is the mechanism behind the paper's up-to-653×
 //! 99th-percentile tail gap.
 
-use netlock_core::harness::RunStats;
+use netlock_core::closed_loop::{Client, Protocol, RELEASE_TOKEN};
 use netlock_core::txn::LockNeed;
-use netlock_proto::LockMode;
-use netlock_sim::{Context, SimDuration, SimRng};
+use netlock_proto::{Grantor, LockMode, Priority};
+use netlock_sim::{Context, NodeId, SimDuration, SimRng};
 
-use crate::closed_loop::{Client, ClientStats, Protocol, RELEASE_TOKEN};
 use crate::rdma::RdmaMsg;
 
 /// DrTM client configuration.
@@ -73,22 +72,21 @@ impl Protocol for DrtmClientConfig {
         self.workers
     }
 
-    fn token(msg: &RdmaMsg) -> Option<u64> {
-        msg.reply_token()
-    }
-
     fn request(c: &mut DrtmClient, w: usize, ctx: &mut Context<'_, RdmaMsg>) {
         attempt(c, w, 0, ctx);
     }
 
-    fn on_reply(c: &mut DrtmClient, w: usize, msg: RdmaMsg, ctx: &mut Context<'_, RdmaMsg>) {
+    fn on_packet(c: &mut DrtmClient, msg: RdmaMsg, ctx: &mut Context<'_, RdmaMsg>) {
+        let Some(w) = msg.reply_token().and_then(|token| c.live(token)) else {
+            return;
+        };
         let writer_free = match msg {
             RdmaMsg::CompareSwapReply { old, .. } => old == 0,
             RdmaMsg::ReadReply { value, .. } => value == 0,
             _ => return,
         };
         match c.workers[w].phase {
-            Phase::Attempting { .. } if writer_free => c.acquired(w, ctx),
+            Phase::Attempting { .. } if writer_free => c.acquired(w, Grantor::Server, 0, ctx),
             Phase::Attempting { attempts } => {
                 c.stats.waits += 1;
                 c.workers[w].phase = Phase::BackingOff {
@@ -110,7 +108,10 @@ impl Protocol for DrtmClientConfig {
         }
     }
 
-    fn on_timer(c: &mut DrtmClient, w: usize, ctx: &mut Context<'_, RdmaMsg>) {
+    fn on_timer(c: &mut DrtmClient, token: u64, ctx: &mut Context<'_, RdmaMsg>) {
+        let Some(w) = c.live(token) else {
+            return;
+        };
         match c.workers[w].phase {
             Phase::BackingOff { attempts } => {
                 c.bump(w);
@@ -125,7 +126,7 @@ impl Protocol for DrtmClientConfig {
     }
 
     /// Writes are released by a WRITE 0; reads leave nothing behind.
-    fn release(need: LockNeed, _tag: u64) -> Option<RdmaMsg> {
+    fn release(need: LockNeed, _: u64, _: Priority, _: NodeId) -> Option<RdmaMsg> {
         (need.mode == LockMode::Exclusive).then_some(RdmaMsg::Write {
             addr: need.lock.0 as u64,
             value: 0,
@@ -139,14 +140,6 @@ impl Protocol for DrtmClientConfig {
     /// it an artificial permanent monopoly.
     fn jitter(rng: &mut SimRng) -> SimDuration {
         SimDuration::from_nanos(rng.next_below(400))
-    }
-
-    fn granted_by(out: &mut RunStats) -> &mut u64 {
-        &mut out.grants_server
-    }
-
-    fn retries(stats: &ClientStats) -> u64 {
-        stats.waits + stats.aborts
     }
 }
 
@@ -173,10 +166,10 @@ fn attempt(c: &mut DrtmClient, w: usize, attempts: u32, ctx: &mut Context<'_, Rd
 /// is left, commit.
 fn validate(c: &mut DrtmClient, w: usize, from: usize, ctx: &mut Context<'_, RdmaMsg>) {
     let held = &c.workers[w].held;
-    let Some(at) = (from..held.len()).find(|&i| held[i].mode == LockMode::Shared) else {
+    let Some(at) = (from..held.len()).find(|&i| held[i].0.mode == LockMode::Shared) else {
         return c.commit(w, ctx);
     };
-    let lock = held[at].lock;
+    let lock = held[at].0.lock;
     c.workers[w].phase = Phase::Validating { at };
     c.bump(w);
     let token = c.token(w);
@@ -193,7 +186,7 @@ fn validate(c: &mut DrtmClient, w: usize, from: usize, ctx: &mut Context<'_, Rdm
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::closed_loop::Deployment;
+    use crate::deployment::Deployment;
     use crate::rdma::{RdmaNicConfig, RdmaServer};
     use netlock_core::txn::SingleLockSource;
     use netlock_proto::LockId;

@@ -21,12 +21,11 @@
 //! the NIC atomics bottleneck and poll traffic amplification under
 //! contention — both emerge from the [`crate::rdma`] model.
 
-use netlock_core::harness::RunStats;
+use netlock_core::closed_loop::{Client, Protocol, RELEASE_TOKEN};
 use netlock_core::txn::LockNeed;
-use netlock_proto::LockMode;
-use netlock_sim::{Context, SimDuration};
+use netlock_proto::{Grantor, LockMode, Priority};
+use netlock_sim::{Context, NodeId, SimDuration};
 
-use crate::closed_loop::{Client, ClientStats, Protocol, RELEASE_TOKEN};
 use crate::rdma::RdmaMsg;
 
 const LANE_MAX_X: u32 = 48;
@@ -93,10 +92,6 @@ impl Protocol for DslrClientConfig {
         self.workers
     }
 
-    fn token(msg: &RdmaMsg) -> Option<u64> {
-        msg.reply_token()
-    }
-
     fn request(c: &mut DslrClient, w: usize, ctx: &mut Context<'_, RdmaMsg>) {
         c.workers[w].phase = Phase::TakingTicket;
         let need = c.need(w);
@@ -109,14 +104,17 @@ impl Protocol for DslrClientConfig {
         c.send(need.lock, RdmaMsg::FetchAdd { addr, add, token }, ctx);
     }
 
-    fn on_reply(c: &mut DslrClient, w: usize, msg: RdmaMsg, ctx: &mut Context<'_, RdmaMsg>) {
+    fn on_packet(c: &mut DslrClient, msg: RdmaMsg, ctx: &mut Context<'_, RdmaMsg>) {
+        let Some(w) = msg.reply_token().and_then(|token| c.live(token)) else {
+            return;
+        };
         let mode = c.need(w).mode;
         match (msg, &c.workers[w].phase) {
             (RdmaMsg::FetchAddReply { old, .. }, Phase::TakingTicket) => {
                 let ticket_x = lane(old, LANE_MAX_X);
                 let ticket_s = lane(old, LANE_MAX_S);
                 if bakery_ready(old, mode, ticket_x, ticket_s) {
-                    c.acquired(w, ctx);
+                    c.acquired(w, Grantor::Server, 0, ctx);
                 } else {
                     c.workers[w].phase = Phase::Waiting { ticket_x, ticket_s };
                     c.bump(w);
@@ -125,7 +123,7 @@ impl Protocol for DslrClientConfig {
             }
             (RdmaMsg::ReadReply { value, .. }, &Phase::Waiting { ticket_x, ticket_s }) => {
                 if bakery_ready(value, mode, ticket_x, ticket_s) {
-                    c.acquired(w, ctx);
+                    c.acquired(w, Grantor::Server, 0, ctx);
                 } else {
                     c.timer(w, POLL_INTERVAL, ctx);
                 }
@@ -134,7 +132,10 @@ impl Protocol for DslrClientConfig {
         }
     }
 
-    fn on_timer(c: &mut DslrClient, w: usize, ctx: &mut Context<'_, RdmaMsg>) {
+    fn on_timer(c: &mut DslrClient, token: u64, ctx: &mut Context<'_, RdmaMsg>) {
+        let Some(w) = c.live(token) else {
+            return;
+        };
         match c.workers[w].phase {
             Phase::Waiting { .. } => {
                 let lock = c.need(w).lock;
@@ -148,7 +149,7 @@ impl Protocol for DslrClientConfig {
         }
     }
 
-    fn release(need: LockNeed, _tag: u64) -> Option<RdmaMsg> {
+    fn release(need: LockNeed, _: u64, _: Priority, _: NodeId) -> Option<RdmaMsg> {
         let add = match need.mode {
             LockMode::Exclusive => 1u64 << LANE_NOW_X,
             LockMode::Shared => 1u64 << LANE_NOW_S,
@@ -160,21 +161,12 @@ impl Protocol for DslrClientConfig {
             token: RELEASE_TOKEN,
         })
     }
-
-    fn granted_by(out: &mut RunStats) -> &mut u64 {
-        &mut out.grants_server
-    }
-
-    /// Polling waits in the bakery's FCFS order; nothing is retried.
-    fn retries(_: &ClientStats) -> u64 {
-        0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::closed_loop::Deployment;
+    use crate::deployment::Deployment;
     use crate::rdma::{RdmaNicConfig, RdmaServer};
     use netlock_core::txn::SingleLockSource;
     use netlock_proto::LockId;

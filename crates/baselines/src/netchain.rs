@@ -13,13 +13,12 @@
 //! to the client, which retries after a backoff. There are no queues,
 //! no FCFS, no policies — that is the point of the comparison.
 
-use netlock_core::harness::RunStats;
+use netlock_core::closed_loop::{Client, Protocol};
 use netlock_core::txn::LockNeed;
 use netlock_core::CLIENT_STACK_DELAY;
-use netlock_sim::{Context, Node, Packet, SimDuration};
+use netlock_proto::{Grantor, Priority};
+use netlock_sim::{Context, Node, NodeId, Packet, SimDuration};
 use netlock_switch::TRAVERSAL;
-
-use crate::closed_loop::{Client, ClientStats, Protocol};
 
 /// NetChain messages.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -171,26 +170,23 @@ impl Protocol for NcClientConfig {
         self.workers
     }
 
-    fn token(msg: &NcMsg) -> Option<u64> {
-        match *msg {
-            NcMsg::Reply { token, .. } => Some(token),
-            _ => None,
-        }
-    }
-
     fn request(c: &mut NcClient, w: usize, ctx: &mut Context<'_, NcMsg>) {
         attempt(c, w, 0, ctx);
     }
 
-    fn on_reply(c: &mut NcClient, w: usize, msg: NcMsg, ctx: &mut Context<'_, NcMsg>) {
-        let (NcMsg::Reply { granted, .. }, Phase::Attempting { attempts }) =
-            (msg, &c.workers[w].phase)
-        else {
+    fn on_packet(c: &mut NcClient, msg: NcMsg, ctx: &mut Context<'_, NcMsg>) {
+        let NcMsg::Reply { granted, token, .. } = msg else {
             return;
         };
-        let attempts = *attempts + 1;
+        let Some(w) = c.live(token) else {
+            return;
+        };
+        let Phase::Attempting { attempts } = c.workers[w].phase else {
+            return;
+        };
+        let attempts = attempts + 1;
         if granted {
-            c.acquired(w, ctx);
+            c.acquired(w, Grantor::Switch, 0, ctx);
         } else {
             c.stats.waits += 1;
             c.workers[w].phase = Phase::BackingOff { attempts };
@@ -198,7 +194,10 @@ impl Protocol for NcClientConfig {
         }
     }
 
-    fn on_timer(c: &mut NcClient, w: usize, ctx: &mut Context<'_, NcMsg>) {
+    fn on_timer(c: &mut NcClient, token: u64, ctx: &mut Context<'_, NcMsg>) {
+        let Some(w) = c.live(token) else {
+            return;
+        };
         match c.workers[w].phase {
             Phase::BackingOff { attempts } => {
                 c.bump(w);
@@ -209,19 +208,11 @@ impl Protocol for NcClientConfig {
         }
     }
 
-    fn release(need: LockNeed, tag: u64) -> Option<NcMsg> {
+    fn release(need: LockNeed, tag: u64, _: Priority, _: NodeId) -> Option<NcMsg> {
         Some(NcMsg::Release {
             lock: need.lock.0,
             txn: tag,
         })
-    }
-
-    fn granted_by(out: &mut RunStats) -> &mut u64 {
-        &mut out.grants_switch
-    }
-
-    fn retries(stats: &ClientStats) -> u64 {
-        stats.waits
     }
 }
 
@@ -240,7 +231,7 @@ fn attempt(c: &mut NcClient, w: usize, attempts: u32, ctx: &mut Context<'_, NcMs
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::closed_loop::Deployment;
+    use crate::deployment::Deployment;
     use netlock_core::txn::SingleLockSource;
     use netlock_proto::{LockId, LockMode};
 

@@ -78,7 +78,7 @@ pub fn run_system(
 }
 
 /// One baseline deployment of the spec's TPC-C clients over `service`.
-fn measure<P: Protocol, N: Node<P::Msg> + 'static>(
+fn measure<P: Protocol + Clone, N: Node<P::Msg> + 'static>(
     spec: &TpccRackSpec,
     cfg: P,
     service: impl IntoIterator<Item = N>,

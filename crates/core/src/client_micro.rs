@@ -145,12 +145,6 @@ impl MicroClient {
         self.stats = MicroClientStats::default();
     }
 
-    /// Redirect future requests to a different lock switch (backup
-    /// switch failover, §4.5).
-    pub fn set_switch(&mut self, switch: NodeId) {
-        self.switch = switch;
-    }
-
     fn interval(&self, ctx: &mut Context<'_, NetLockMsg>) -> SimDuration {
         let mean_ns = 1e9 / self.cfg.rate_rps;
         if self.cfg.poisson {

@@ -1,4 +1,6 @@
-//! Closed-loop transaction client (the TPC-C experiments' clients).
+//! Closed-loop transaction client (the TPC-C experiments' clients): the
+//! [`closed_loop`](crate::closed_loop) core running the [`NetLock`]
+//! protocol.
 //!
 //! Runs `workers` concurrent transaction contexts. Each worker loops:
 //! take a transaction from the workload source, acquire its locks one by
@@ -32,15 +34,13 @@
 //! one — so no timer chain has to survive a restart.)
 
 use netlock_proto::{
-    ClientAddr, GrantMsg, Grantor, LockId, LockRequest, NetLockMsg, ReleaseRequest, TxnId,
+    ClientAddr, GrantMsg, LockId, LockRequest, NetLockMsg, Priority, ReleaseRequest, TxnId,
 };
-use netlock_sim::{
-    Context, Histogram, Node, NodeId, Packet, SimDuration, SimRng, SimTime, TimerTicket,
-};
+use netlock_sim::{Context, NodeId, SimDuration, SimRng, SimTime, TimerTicket};
 use netlock_switch::partition::PartitionMap;
 
-use crate::harness::{ClientReport, RunStats};
-use crate::txn::{LockNeed, Transaction, TxnSource};
+use crate::closed_loop::{Client, Protocol};
+use crate::txn::{LockNeed, TxnSource};
 use crate::CLIENT_STACK_DELAY;
 
 /// Transaction client configuration.
@@ -70,95 +70,52 @@ impl Default for TxnClientConfig {
     }
 }
 
-/// Transaction client counters.
-#[derive(Clone, Debug, Default)]
-pub struct TxnClientStats {
-    /// Transactions completed.
-    pub txns: u64,
-    /// Lock grants received and consumed.
-    pub grants: u64,
-    /// Grants that came from the switch data plane.
-    pub grants_switch: u64,
-    /// Grants that came from a lock server.
-    pub grants_server: u64,
-    /// Acquire retransmissions.
-    pub retries: u64,
-    /// Surplus grants released (stale transactions or retry duplicates).
-    pub stale_grants: u64,
-    /// Network-duplicated grants ignored: a second delivery of a grant
-    /// this transaction already consumed (same lock, txn and
-    /// `issued_at_ns`). Releasing it would free our own held entry, so
-    /// it is dropped instead.
-    pub dup_grants_ignored: u64,
-    /// End-to-end transaction latency (ns).
-    pub txn_latency: Histogram,
-    /// Per-lock acquire→grant latency (ns).
-    pub wait_latency: Histogram,
-}
-
-#[derive(Debug)]
-enum Phase {
-    Acquiring {
-        next: usize,
-        acquire_sent: SimTime,
-        /// When this acquire is re-sent unless its grant arrives first,
-        /// and the firing-order place taken for that timer at the send.
-        retry_at: SimTime,
-        retry_ticket: TimerTicket,
-    },
-    Thinking,
-}
-
-#[derive(Debug)]
-struct Worker {
-    txn: Transaction,
-    txn_id: TxnId,
-    started: SimTime,
-    phase: Phase,
-    /// Held locks with the `issued_at_ns` of the consuming grant (the
-    /// issue stamp identifies which grant a duplicate delivery copies:
-    /// retries re-stamp, network duplicates don't).
-    held: Vec<(LockNeed, u64)>,
-    /// Per-worker transaction sequence (encoded into txn ids).
-    seq: u64,
-    /// Fire time of this worker's live retry timer, if one is queued.
-    /// A retry timer firing at any other instant was superseded by an
-    /// earlier one (a post-backoff acquire is due sooner than the long
-    /// timer its predecessor left behind) and is ignored.
-    retry_timer_at: Option<SimTime>,
-    /// Consecutive retransmissions of the current acquire (backoff
-    /// exponent); reset whenever the worker advances to a new lock.
-    attempts: u32,
-}
-
-/// The closed-loop transaction client node.
-pub struct TxnClient {
+/// NetLock's acquire and release protocol, with one client's state.
+pub struct NetLock {
     cfg: TxnClientConfig,
-    switch: NodeId,
     /// Multi-switch routing table; `None` = single-switch deployment
-    /// (everything goes to `switch`).
+    /// (everything goes to the client's one switch).
     route: Option<PartitionMap>,
-    source: Box<dyn TxnSource>,
-    workers: Vec<Worker>,
-    rng: SimRng,
     /// Dedicated jitter stream for retry backoff. Seeded independently
-    /// of `rng` so enabling/disabling retries never perturbs the
-    /// workload draws (byte-stable figure output), and independently
-    /// per client so blocked clients desynchronize.
+    /// of the workload stream so enabling/disabling retries never
+    /// perturbs the workload draws (byte-stable figure output), and
+    /// independently per client so blocked clients desynchronize.
     retry_rng: SimRng,
-    stats: TxnClientStats,
+    /// Per worker: the fire time of its live retry timer, if one is
+    /// queued. A retry timer firing at any other instant was superseded
+    /// by an earlier one (a post-backoff acquire is due sooner than the
+    /// long timer its predecessor left behind) and is ignored.
+    retry_timer_at: Vec<Option<SimTime>>,
     /// Test hook: when set, surplus grants are counted but not
     /// released (chaos-suite sabotage; leaks queue entries so the
     /// safety oracle's conservation check must fire).
     surplus_release_disabled: bool,
 }
 
-const SEQ_BITS: u32 = 24;
-const WORKER_BITS: u32 = 16;
+/// Where a NetLock worker is in acquiring its current lock.
+#[derive(Debug)]
+pub enum Phase {
+    /// An acquire is in flight.
+    Acquiring {
+        /// Retransmissions of this acquire so far (the backoff exponent).
+        attempts: u32,
+        /// When this acquire is re-sent unless its grant arrives first,
+        /// and the firing-order place taken for that timer at the send.
+        retry_at: SimTime,
+        /// See `retry_at`.
+        retry_ticket: TimerTicket,
+    },
+    /// Every lock held.
+    Thinking,
+}
 
-/// Timer tokens: a think timer's token is the worker index; a retry
-/// timer's is the worker index with this flag set.
-const RETRY_TIMER: u64 = 1 << WORKER_BITS;
+/// The closed-loop transaction client node.
+pub type TxnClient = Client<NetLock>;
+
+/// Timer tokens besides the core's: the delayed start, and retry timers
+/// (this flag above the worker index). Neither is ever live.
+const START_TOKEN: u64 = u64::MAX;
+const RETRY_TIMER: u64 = 1 << 63;
 
 impl TxnClient {
     /// A client with `cfg.workers` contexts fed by `source`.
@@ -168,21 +125,16 @@ impl TxnClient {
         source: Box<dyn TxnSource>,
         seed: u64,
     ) -> TxnClient {
-        assert!(cfg.workers > 0, "need at least one worker");
-        assert!(cfg.workers < (1 << WORKER_BITS), "too many workers");
-        TxnClient {
-            cfg,
-            switch,
+        let proto = NetLock {
             route: None,
-            source,
-            workers: Vec::new(),
-            rng: SimRng::new(seed),
             // Domain-separated from the workload stream: retries draw
             // jitter without shifting any transaction draw.
             retry_rng: SimRng::new(seed ^ 0x5245_5452_594a_4954),
-            stats: TxnClientStats::default(),
+            retry_timer_at: vec![None; cfg.workers],
             surplus_release_disabled: false,
-        }
+            cfg,
+        };
+        Client::with_protocol(proto, vec![switch], source, seed)
     }
 
     /// Install a lock-space routing table for a multi-switch
@@ -190,25 +142,32 @@ impl TxnClient {
     /// the lock's partition, and later `CtrlPartitionMap` broadcasts
     /// (chain repairs moving a head) update it in place.
     pub fn set_partition_route(&mut self, map: PartitionMap) {
-        self.route = Some(map);
+        self.proto.route = Some(map);
     }
 
-    /// The switch currently serving `lock`.
-    fn switch_for(&self, lock: LockId) -> NodeId {
-        match &self.route {
-            Some(map) => map.head_of(lock),
-            None => self.switch,
-        }
+    /// Disable the surplus-grant release path (chaos-suite sabotage
+    /// hook; proves the safety oracle detects the leaked holders).
+    #[doc(hidden)]
+    pub fn sabotage_disable_surplus_release(&mut self) {
+        self.proto.surplus_release_disabled = true;
     }
 
-    /// Retry wait for the current attempt: the first wait is exactly
+    /// Redirect future requests to a different lock switch (backup
+    /// switch failover, §4.5). In-flight requests to the old switch are
+    /// covered by the retry timeout.
+    pub fn set_switch(&mut self, switch: NodeId) {
+        self.servers[0] = switch;
+    }
+}
+
+impl NetLock {
+    /// Retry wait for try `attempts`: the first wait is exactly
     /// `retry_timeout` (byte-stable with the pre-backoff behavior);
     /// attempt `n` waits `min(2^n × retry_timeout, retry_backoff_cap)`
     /// with ±25% jitter from the dedicated per-client stream, so
     /// clients blocked by the same outage drift apart instead of
     /// hammering the reviving switch in lockstep waves.
-    fn retry_delay(&mut self, worker: usize) -> SimDuration {
-        let attempts = self.workers[worker].attempts;
+    fn retry_delay(&mut self, attempts: u32) -> SimDuration {
         if attempts == 0 {
             return self.cfg.retry_timeout;
         }
@@ -223,276 +182,28 @@ impl TxnClient {
         };
         SimDuration::from_nanos(backoff - span / 2 + jitter)
     }
-
-    /// Disable the surplus-grant release path (chaos-suite sabotage
-    /// hook; proves the safety oracle detects the leaked holders).
-    #[doc(hidden)]
-    pub fn sabotage_disable_surplus_release(&mut self) {
-        self.surplus_release_disabled = true;
-    }
-
-    /// Counters (harness access).
-    pub fn stats(&self) -> &TxnClientStats {
-        &self.stats
-    }
-
-    /// Clear measurement state (end of warmup).
-    pub fn reset_stats(&mut self) {
-        self.stats = TxnClientStats::default();
-    }
-
-    /// Redirect future requests to a different lock switch (backup
-    /// switch failover, §4.5). In-flight requests to the old switch are
-    /// covered by the retry timeout.
-    pub fn set_switch(&mut self, switch: NodeId) {
-        self.switch = switch;
-    }
-
-    fn make_txn_id(me: NodeId, worker: usize, seq: u64) -> TxnId {
-        TxnId(
-            ((me.0 as u64) << (WORKER_BITS + SEQ_BITS))
-                | ((worker as u64) << SEQ_BITS)
-                | (seq & ((1 << SEQ_BITS) - 1)),
-        )
-    }
-
-    fn worker_of(txn: TxnId) -> usize {
-        ((txn.0 >> SEQ_BITS) as usize) & ((1 << WORKER_BITS) - 1)
-    }
-
-    /// Queue `worker`'s retry timer to fire at `at`, in the place taken
-    /// when the acquire it guards was sent.
-    fn arm_retry_timer(
-        &mut self,
-        worker: usize,
-        at: SimTime,
-        ticket: TimerTicket,
-        ctx: &mut Context<'_, NetLockMsg>,
-    ) {
-        self.workers[worker].retry_timer_at = Some(at);
-        ctx.set_timer_with_ticket(at - ctx.now(), RETRY_TIMER | worker as u64, ticket);
-    }
-
-    fn start_next_txn(&mut self, worker: usize, ctx: &mut Context<'_, NetLockMsg>) {
-        loop {
-            let txn = self.source.next_txn(&mut self.rng);
-            let me = ctx.self_id();
-            let w = &mut self.workers[worker];
-            w.seq += 1;
-            w.held.clear();
-            w.attempts = 0;
-            w.txn_id = Self::make_txn_id(me, worker, w.seq);
-            w.started = ctx.now();
-            if txn.locks.is_empty() {
-                // Degenerate lock-free transaction: completes instantly.
-                self.stats.txns += 1;
-                self.stats.txn_latency.record(0);
-                continue;
-            }
-            w.txn = txn;
-            self.send_acquire(worker, 0, ctx);
-            return;
-        }
-    }
-
-    /// Send (or re-send) the acquire for lock `next` of the worker's
-    /// transaction and note when it is due for a retry.
-    fn send_acquire(&mut self, worker: usize, next: usize, ctx: &mut Context<'_, NetLockMsg>) {
-        let now = ctx.now();
-        let retry_at = now + self.retry_delay(worker);
-        let retry_ticket = ctx.timer_ticket();
-        let w = &mut self.workers[worker];
-        w.phase = Phase::Acquiring {
-            next,
-            acquire_sent: now,
-            retry_at,
-            retry_ticket,
-        };
-        let need = w.txn.locks[next];
-        let req = LockRequest {
-            lock: need.lock,
-            mode: need.mode,
-            txn: w.txn_id,
-            client: ClientAddr(ctx.self_id().0),
-            tenant: w.txn.tenant,
-            priority: w.txn.priority,
-            issued_at_ns: now.as_nanos(),
-        };
-        let timer_due_first = w.retry_timer_at.is_some_and(|at| at <= retry_at);
-        let dst = self.switch_for(need.lock);
-        ctx.send_after(dst, NetLockMsg::Acquire(req), CLIENT_STACK_DELAY);
-        if !timer_due_first {
-            self.arm_retry_timer(worker, retry_at, retry_ticket, ctx);
-        }
-    }
-
-    fn release_surplus(&mut self, grant: &GrantMsg, ctx: &mut Context<'_, NetLockMsg>) {
-        self.stats.stale_grants += 1;
-        if self.surplus_release_disabled {
-            return;
-        }
-        let rel = ReleaseRequest {
-            lock: grant.lock,
-            txn: grant.txn,
-            mode: grant.mode,
-            client: grant.client,
-            // The release must route to the level queue that granted it.
-            priority: grant.priority,
-        };
-        let dst = self.switch_for(grant.lock);
-        ctx.send_after(dst, NetLockMsg::Release(rel), CLIENT_STACK_DELAY);
-    }
-
-    fn on_grant(&mut self, grant: GrantMsg, ctx: &mut Context<'_, NetLockMsg>) {
-        let worker = Self::worker_of(grant.txn);
-        if worker >= self.workers.len() || self.workers[worker].txn_id != grant.txn {
-            // Grant for a transaction this worker finished or abandoned.
-            // Releasing is safe even if this delivery is a network
-            // duplicate: the switch's release guard admits at most one
-            // release per grant it issued.
-            self.release_surplus(&grant, ctx);
-            return;
-        }
-        // Network-duplicate detection for the *current* transaction: a
-        // second delivery of a grant we already consumed carries the
-        // same `issued_at_ns` (retry duplicates re-stamp it). Releasing
-        // it would dequeue our own live entry, so drop it instead.
-        if self.workers[worker]
-            .held
-            .iter()
-            .any(|&(need, issued)| need.lock == grant.lock && issued == grant.issued_at_ns)
-        {
-            self.stats.dup_grants_ignored += 1;
-            return;
-        }
-        let (next, acquire_sent) = match self.workers[worker].phase {
-            Phase::Acquiring {
-                next, acquire_sent, ..
-            } => (next, acquire_sent),
-            Phase::Thinking => {
-                // Retry duplicate for a lock of the current txn (shared
-                // grants can duplicate); shed the surplus queue entry.
-                self.release_surplus(&grant, ctx);
-                return;
-            }
-        };
-        let expected = self.workers[worker].txn.locks[next];
-        if grant.lock != expected.lock {
-            // Duplicate grant for an earlier lock of this transaction.
-            self.release_surplus(&grant, ctx);
-            return;
-        }
-        self.stats.grants += 1;
-        match grant.grantor {
-            Grantor::Switch => self.stats.grants_switch += 1,
-            Grantor::Server => self.stats.grants_server += 1,
-        }
-        let wait = ctx.now().as_nanos() - acquire_sent.as_nanos() + CLIENT_STACK_DELAY.as_nanos();
-        self.stats.wait_latency.record(wait);
-        self.workers[worker]
-            .held
-            .push((expected, grant.issued_at_ns));
-
-        let lock_count = self.workers[worker].txn.locks.len();
-        if next + 1 < lock_count {
-            self.workers[worker].attempts = 0;
-            self.send_acquire(worker, next + 1, ctx);
-        } else {
-            let think = self.workers[worker].txn.think;
-            self.workers[worker].phase = Phase::Thinking;
-            if think.is_zero() {
-                self.complete_txn(worker, ctx);
-            } else {
-                ctx.set_timer(CLIENT_STACK_DELAY + think, worker as u64);
-            }
-        }
-    }
-
-    fn complete_txn(&mut self, worker: usize, ctx: &mut Context<'_, NetLockMsg>) {
-        let me = ctx.self_id();
-        let (txn_id, priority, held) = {
-            let w = &self.workers[worker];
-            (w.txn_id, w.txn.priority, w.held.len())
-        };
-        // `start_next_txn` below empties `held`.
-        for i in 0..held {
-            let (need, _issued) = self.workers[worker].held[i];
-            let rel = ReleaseRequest {
-                lock: need.lock,
-                txn: txn_id,
-                mode: need.mode,
-                client: ClientAddr(me.0),
-                priority,
-            };
-            let dst = self.switch_for(need.lock);
-            ctx.send_after(dst, NetLockMsg::Release(rel), CLIENT_STACK_DELAY);
-        }
-        let started = self.workers[worker].started;
-        self.stats.txns += 1;
-        self.stats
-            .txn_latency
-            .record(ctx.now().as_nanos() - started.as_nanos());
-        self.start_next_txn(worker, ctx);
-    }
 }
 
-/// Timer token reserved for the delayed start (worker tokens stay below
-/// 2^17, so this cannot collide).
-const START_TOKEN: u64 = u64::MAX;
+impl Protocol for NetLock {
+    type Msg = NetLockMsg;
+    type Phase = Phase;
+    const THINKING: Phase = Phase::Thinking;
+    const NAME: &'static str = "txn-client";
+    const STACK_DELAY: SimDuration = CLIENT_STACK_DELAY;
 
-impl ClientReport for TxnClient {
-    fn reset(&mut self) {
-        self.reset_stats();
+    fn workers(&self) -> usize {
+        self.cfg.workers
     }
 
-    fn fold_into(&self, out: &mut RunStats) {
-        let s = &self.stats;
-        out.grants += s.grants;
-        out.grants_switch += s.grants_switch;
-        out.grants_server += s.grants_server;
-        out.txns += s.txns;
-        out.retries += s.retries;
-        out.surplus_released += s.stale_grants;
-        out.dup_grants_ignored += s.dup_grants_ignored;
-        out.lock_latency.merge(&s.wait_latency);
-        out.txn_latency.merge(&s.txn_latency);
+    fn request(c: &mut TxnClient, w: usize, ctx: &mut Context<'_, NetLockMsg>) {
+        send_acquire(c, w, 0, ctx);
     }
 
-    fn completed(&self) -> u64 {
-        self.stats.txns
-    }
-}
-
-impl Node<NetLockMsg> for TxnClient {
-    fn on_start(&mut self, ctx: &mut Context<'_, NetLockMsg>) {
-        let me = ctx.self_id();
-        for w in 0..self.cfg.workers {
-            self.workers.push(Worker {
-                txn: Transaction::new(vec![], SimDuration::ZERO),
-                txn_id: Self::make_txn_id(me, w, 0),
-                started: ctx.now(),
-                phase: Phase::Thinking,
-                held: Vec::new(),
-                seq: 0,
-                retry_timer_at: None,
-                attempts: 0,
-            });
-        }
-        if self.cfg.start_delay.is_zero() {
-            for w in 0..self.cfg.workers {
-                self.start_next_txn(w, ctx);
-            }
-        } else {
-            ctx.set_timer(self.cfg.start_delay, START_TOKEN);
-        }
-    }
-
-    fn on_packet(&mut self, pkt: Packet<NetLockMsg>, ctx: &mut Context<'_, NetLockMsg>) {
-        match pkt.payload {
-            NetLockMsg::Grant(g) => self.on_grant(g, ctx),
-            NetLockMsg::DbReply { grant } => self.on_grant(grant, ctx),
+    fn on_packet(c: &mut TxnClient, msg: NetLockMsg, ctx: &mut Context<'_, NetLockMsg>) {
+        match msg {
+            NetLockMsg::Grant(grant) | NetLockMsg::DbReply { grant } => on_grant(c, grant, ctx),
             NetLockMsg::CtrlPartitionMap { version, heads } => {
-                if let Some(route) = &mut self.route {
+                if let Some(route) = &mut c.proto.route {
                     route.apply_update(version, &heads);
                 }
             }
@@ -500,59 +211,163 @@ impl Node<NetLockMsg> for TxnClient {
         }
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, NetLockMsg>) {
+    fn on_timer(c: &mut TxnClient, token: u64, ctx: &mut Context<'_, NetLockMsg>) {
         if token == START_TOKEN {
-            for w in 0..self.cfg.workers {
-                self.start_next_txn(w, ctx);
-            }
-            return;
-        }
-        let worker = (token & (RETRY_TIMER - 1)) as usize;
-        if token & RETRY_TIMER == 0 {
+            c.start_workers(ctx);
+        } else if token & RETRY_TIMER != 0 {
+            on_retry_timer(c, (token & !RETRY_TIMER) as usize, ctx);
+        } else if let Some(w) = c.live(token) {
             // The one think timer armed on entering the think phase.
-            debug_assert!(matches!(self.workers[worker].phase, Phase::Thinking));
-            self.complete_txn(worker, ctx);
-            return;
+            c.commit(w, ctx);
         }
-        let now = ctx.now();
-        let w = &mut self.workers[worker];
-        if w.retry_timer_at != Some(now) {
-            return; // superseded by a timer armed for an earlier deadline
-        }
-        w.retry_timer_at = None;
-        let Phase::Acquiring {
-            next,
-            retry_at,
-            retry_ticket,
-            ..
-        } = w.phase
-        else {
-            return; // nothing in flight; the next acquire arms afresh
-        };
-        if now < retry_at {
-            // Armed for an acquire that was granted since: wait out the
-            // remainder of the one now in flight.
-            self.arm_retry_timer(worker, retry_at, retry_ticket, ctx);
-            return;
-        }
-        // Grant never arrived: retransmit the acquire with the next
-        // backoff step.
-        self.stats.retries += 1;
-        w.attempts = w.attempts.saturating_add(1);
-        self.send_acquire(worker, next, ctx);
     }
 
-    fn name(&self) -> &str {
-        "txn-client"
+    fn release(need: LockNeed, tag: u64, priority: Priority, client: NodeId) -> Option<NetLockMsg> {
+        Some(NetLockMsg::Release(ReleaseRequest {
+            lock: need.lock,
+            txn: TxnId(tag),
+            mode: need.mode,
+            client: ClientAddr(client.0),
+            priority,
+        }))
     }
+
+    /// The switch currently serving `lock`.
+    fn route(&self, lock: LockId, servers: &[NodeId]) -> NodeId {
+        self.route
+            .as_ref()
+            .map_or(servers[0], |map| map.head_of(lock))
+    }
+
+    fn start(c: &mut TxnClient, ctx: &mut Context<'_, NetLockMsg>) {
+        if c.proto.cfg.start_delay.is_zero() {
+            c.start_workers(ctx);
+        } else {
+            ctx.set_timer(c.proto.cfg.start_delay, START_TOKEN);
+        }
+    }
+}
+
+/// Send (or re-send, as try `attempts`) the acquire worker `w` is on and
+/// note when it is due for a retry.
+fn send_acquire(c: &mut TxnClient, w: usize, attempts: u32, ctx: &mut Context<'_, NetLockMsg>) {
+    let now = ctx.now();
+    let retry_at = now + c.proto.retry_delay(attempts);
+    let retry_ticket = ctx.timer_ticket();
+    let need = c.need(w);
+    let worker = &mut c.workers[w];
+    // Wait latency runs from the last resend.
+    worker.sent = now;
+    worker.phase = Phase::Acquiring {
+        attempts,
+        retry_at,
+        retry_ticket,
+    };
+    let req = LockRequest {
+        lock: need.lock,
+        mode: need.mode,
+        txn: TxnId(worker.tag),
+        client: ClientAddr(ctx.self_id().0),
+        tenant: worker.txn.tenant,
+        priority: worker.txn.priority,
+        issued_at_ns: now.as_nanos(),
+    };
+    let timer_due_first = c.proto.retry_timer_at[w].is_some_and(|at| at <= retry_at);
+    c.send(need.lock, NetLockMsg::Acquire(req), ctx);
+    if !timer_due_first {
+        arm_retry_timer(c, w, retry_at, retry_ticket, ctx);
+    }
+}
+
+/// Queue worker `w`'s retry timer to fire at `at`, in the place taken
+/// when the acquire it guards was sent.
+fn arm_retry_timer(
+    c: &mut TxnClient,
+    w: usize,
+    at: SimTime,
+    ticket: TimerTicket,
+    ctx: &mut Context<'_, NetLockMsg>,
+) {
+    c.proto.retry_timer_at[w] = Some(at);
+    ctx.set_timer_with_ticket(at - ctx.now(), RETRY_TIMER | w as u64, ticket);
+}
+
+fn on_retry_timer(c: &mut TxnClient, w: usize, ctx: &mut Context<'_, NetLockMsg>) {
+    let now = ctx.now();
+    if c.proto.retry_timer_at[w] != Some(now) {
+        return; // superseded by a timer armed for an earlier deadline
+    }
+    c.proto.retry_timer_at[w] = None;
+    let Phase::Acquiring {
+        attempts,
+        retry_at,
+        retry_ticket,
+    } = c.workers[w].phase
+    else {
+        return; // nothing in flight; the next acquire arms afresh
+    };
+    if now < retry_at {
+        // Armed for an acquire that was granted since: wait out the
+        // remainder of the one now in flight.
+        return arm_retry_timer(c, w, retry_at, retry_ticket, ctx);
+    }
+    // Grant never arrived: retransmit the acquire with the next backoff
+    // step.
+    c.stats.retries += 1;
+    send_acquire(c, w, attempts.saturating_add(1), ctx);
+}
+
+fn on_grant(c: &mut TxnClient, grant: GrantMsg, ctx: &mut Context<'_, NetLockMsg>) {
+    let Some(w) = c.worker_of(grant.txn.0) else {
+        // Grant for a transaction this worker finished or abandoned.
+        // Releasing is safe even if this delivery is a network
+        // duplicate: the switch's release guard admits at most one
+        // release per grant it issued.
+        return release_surplus(c, &grant, ctx);
+    };
+    // Network-duplicate detection for the *current* transaction: a
+    // second delivery of a grant we already consumed carries the same
+    // `issued_at_ns` (retry duplicates re-stamp it). Releasing it would
+    // dequeue our own live entry, so drop it instead.
+    if c.workers[w]
+        .held
+        .iter()
+        .any(|&(need, issued)| need.lock == grant.lock && issued == grant.issued_at_ns)
+    {
+        c.stats.dup_grants_ignored += 1;
+        return;
+    }
+    // A retry duplicate for a lock of the current transaction (shared
+    // grants can duplicate) while thinking, or for an earlier lock than
+    // the one asked for: shed the surplus queue entry.
+    if matches!(c.workers[w].phase, Phase::Thinking) || grant.lock != c.need(w).lock {
+        return release_surplus(c, &grant, ctx);
+    }
+    c.acquired(w, grant.grantor, grant.issued_at_ns, ctx);
+}
+
+fn release_surplus(c: &mut TxnClient, grant: &GrantMsg, ctx: &mut Context<'_, NetLockMsg>) {
+    c.stats.stale_grants += 1;
+    if c.proto.surplus_release_disabled {
+        return;
+    }
+    let rel = ReleaseRequest {
+        lock: grant.lock,
+        txn: grant.txn,
+        mode: grant.mode,
+        client: grant.client,
+        // The release must route to the level queue that granted it.
+        priority: grant.priority,
+    };
+    c.send(grant.lock, NetLockMsg::Release(rel), ctx);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::txn::SingleLockSource;
-    use netlock_proto::{LockId, LockMode};
-    use netlock_sim::{LinkConfig, Simulator, Topology};
+    use crate::txn::{SingleLockSource, Transaction};
+    use netlock_proto::{Grantor, LockMode};
+    use netlock_sim::{LinkConfig, Node, Packet, Simulator, Topology};
     use netlock_switch::control::{apply_allocation, knapsack_allocate, LockStats};
     use netlock_switch::shared_queue::SharedQueueLayout;
     use netlock_switch::{DataPlane, SwitchConfig, SwitchNode};

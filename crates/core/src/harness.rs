@@ -20,22 +20,28 @@ use crate::rack::{ClientKind, Rack, RackNodes};
 pub struct RunStats {
     /// Measurement window length.
     pub measured: SimDuration,
-    /// Acquire requests issued (micro clients only).
+    /// Acquire requests issued by the open-loop clients (micro clients
+    /// and population nodes).
     pub issued: u64,
     /// Lock grants received by clients.
     pub grants: u64,
-    /// Grants that came from the switch data plane.
+    /// Grants that came from a switch (NetLock's data plane, or the
+    /// NetChain baseline's switch).
     pub grants_switch: u64,
     /// Grants that came from lock servers.
     pub grants_server: u64,
-    /// Transactions completed (txn clients only).
+    /// Transactions completed by the closed-loop clients (NetLock's
+    /// transaction clients and the DSLR, DrTM and NetChain baselines').
     pub txns: u64,
-    /// Acquire retransmissions.
+    /// Asking again for a lock: NetLock's acquire retransmissions, the
+    /// baselines' waits (DSLR polls, DrTM lost CASes, NetChain denials)
+    /// and DrTM's aborts, and population nodes' window slots reclaimed
+    /// by their retry timeout.
     pub retries: u64,
-    /// Surplus grants released by txn clients (stale transactions or
-    /// retry duplicates shed back to the queue).
+    /// Surplus grants released by NetLock's transaction clients (stale
+    /// transactions or retry duplicates shed back to the queue).
     pub surplus_released: u64,
-    /// Network-duplicated grants txn clients ignored.
+    /// Network-duplicated grants NetLock's transaction clients ignored.
     pub dup_grants_ignored: u64,
     /// Packets dropped by link loss/faults (whole-simulation counter —
     /// includes warmup; see [`netlock_sim::Simulator::link_counters`]

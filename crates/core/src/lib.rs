@@ -6,8 +6,10 @@
 //!
 //! This crate is the integration layer and public API:
 //! - [`txn`] — transactions and workload sources
-//! - [`client_micro`] / [`client_txn`] — open-loop and closed-loop
-//!   clients with retry/lease-compatible behavior
+//! - [`client_micro`] — the open-loop micro-benchmark client
+//! - [`closed_loop`] — the closed-loop client core every system of the
+//!   TPC-C comparison shares; [`client_txn`] is NetLock's protocol on it,
+//!   with retries and surplus-grant release
 //! - [`population`] — aggregate nodes batching ~100K virtual clients'
 //!   traffic into single events (million-client scenarios)
 //! - [`db_server`] — the database server used by one-RTT mode (§4.1)
@@ -52,6 +54,7 @@
 pub mod chaos;
 pub mod client_micro;
 pub mod client_txn;
+pub mod closed_loop;
 pub mod cluster;
 pub mod db_server;
 pub mod failover;
@@ -75,7 +78,8 @@ pub mod prelude {
         CUSTOM_SERVER_RESTART_BASE, CUSTOM_SWITCH_REBOOT,
     };
     pub use crate::client_micro::{MicroClient, MicroClientConfig, MicroClientStats};
-    pub use crate::client_txn::{TxnClient, TxnClientConfig, TxnClientStats};
+    pub use crate::client_txn::{TxnClient, TxnClientConfig};
+    pub use crate::closed_loop::ClientStats;
     pub use crate::cluster::{
         attach_rack_oracles, cluster_plan_config, run_cluster_chaos, RackCluster,
     };

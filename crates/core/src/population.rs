@@ -353,12 +353,6 @@ impl PopulationClient {
         self.stopped = true;
     }
 
-    /// Redirect future batches to a different lock switch (backup
-    /// switch failover, §4.5).
-    pub fn set_switch(&mut self, switch: NodeId) {
-        self.switch = switch;
-    }
-
     fn tick(&mut self, ctx: &mut Context<'_, NetLockMsg>) {
         if self.stopped {
             return;

@@ -117,45 +117,96 @@ mod msg_codec {
             )
     }
 
+    fn arb_release() -> impl Strategy<Value = ReleaseRequest> {
+        arb_request().prop_map(|r| ReleaseRequest {
+            lock: r.lock,
+            txn: r.txn,
+            mode: r.mode,
+            client: r.client,
+            priority: r.priority,
+        })
+    }
+
+    fn arb_grant() -> impl Strategy<Value = GrantMsg> {
+        (arb_request(), any::<bool>()).prop_map(|(r, sw)| GrantMsg {
+            lock: r.lock,
+            txn: r.txn,
+            mode: r.mode,
+            client: r.client,
+            priority: r.priority,
+            grantor: if sw { Grantor::Switch } else { Grantor::Server },
+            issued_at_ns: r.issued_at_ns,
+        })
+    }
+
+    /// A batch or list length: 0 to 20 elements.
+    fn arb_list<S: Strategy>(element: S) -> impl Strategy<Value = Box<[S::Value]>> {
+        prop::collection::vec(element, 0..21).prop_map(Vec::into_boxed_slice)
+    }
+
+    /// Every `NetLockMsg` variant, a `ChainOp` wrapping a client acquire
+    /// or release.
     fn arb_msg() -> impl Strategy<Value = NetLockMsg> {
+        let client_op = prop_oneof![
+            arb_request().prop_map(NetLockMsg::Acquire),
+            arb_release().prop_map(NetLockMsg::Release),
+        ];
         prop_oneof![
             arb_request().prop_map(NetLockMsg::Acquire),
             (arb_request(), any::<bool>())
                 .prop_map(|(req, buffer_only)| NetLockMsg::Forwarded { req, buffer_only }),
-            arb_request().prop_map(|r| NetLockMsg::Release(ReleaseRequest {
-                lock: r.lock,
-                txn: r.txn,
-                mode: r.mode,
-                client: r.client,
-                priority: r.priority,
-            })),
-            (arb_request(), any::<bool>()).prop_map(|(r, sw)| NetLockMsg::Grant(GrantMsg {
-                lock: r.lock,
-                txn: r.txn,
-                mode: r.mode,
-                client: r.client,
-                priority: r.priority,
-                grantor: if sw { Grantor::Switch } else { Grantor::Server },
-                issued_at_ns: r.issued_at_ns,
-            })),
+            arb_release().prop_map(NetLockMsg::Release),
+            arb_grant().prop_map(NetLockMsg::Grant),
             (any::<u32>(), any::<u32>()).prop_map(|(lock, space)| NetLockMsg::QueueSpace {
                 lock: LockId(lock),
                 space,
             }),
-            (any::<u32>(), prop::collection::vec(arb_request(), 0..20)).prop_map(|(lock, reqs)| {
-                NetLockMsg::Push {
-                    lock: LockId(lock),
-                    reqs: reqs.into(),
-                }
+            (any::<u32>(), arb_list(arb_request())).prop_map(|(lock, reqs)| NetLockMsg::Push {
+                lock: LockId(lock),
+                reqs,
             }),
-            (any::<u32>(), prop::collection::vec(arb_request(), 0..20)).prop_map(|(lock, reqs)| {
-                NetLockMsg::CtrlPromoteReady {
-                    lock: LockId(lock),
-                    reqs: reqs.into(),
-                }
-            }),
+            arb_grant().prop_map(|grant| NetLockMsg::DbFetch { grant }),
+            arb_grant().prop_map(|grant| NetLockMsg::DbReply { grant }),
             any::<u32>().prop_map(|lock| NetLockMsg::CtrlDemote { lock: LockId(lock) }),
             any::<u32>().prop_map(|lock| NetLockMsg::CtrlPromote { lock: LockId(lock) }),
+            (any::<u32>(), arb_list(arb_request())).prop_map(|(lock, reqs)| {
+                NetLockMsg::CtrlPromoteReady {
+                    lock: LockId(lock),
+                    reqs,
+                }
+            }),
+            any::<u32>().prop_map(|lock| NetLockMsg::CtrlHandback { lock: LockId(lock) }),
+            (any::<u16>(), any::<u64>(), any::<u64>(), client_op).prop_map(
+                |(partition, seq, stamp_ns, op)| NetLockMsg::ChainOp {
+                    partition,
+                    seq,
+                    stamp_ns,
+                    op: Box::new(op),
+                }
+            ),
+            (any::<u16>(), any::<u64>())
+                .prop_map(|(partition, seq)| NetLockMsg::ChainAck { partition, seq }),
+            (any::<u16>(), any::<u16>(), any::<u32>()).prop_map(|(partition, member, epoch)| {
+                NetLockMsg::CtrlChainPing {
+                    partition,
+                    member,
+                    epoch,
+                }
+            }),
+            (any::<u16>(), any::<u32>(), arb_list(any::<u32>())).prop_map(
+                |(partition, epoch, members)| NetLockMsg::CtrlChainConfig {
+                    partition,
+                    epoch,
+                    members,
+                }
+            ),
+            (any::<u16>(), any::<u32>())
+                .prop_map(|(partition, epoch)| NetLockMsg::CtrlChainReset { partition, epoch }),
+            arb_list(arb_request()).prop_map(NetLockMsg::AcquireBatch),
+            arb_list(arb_release()).prop_map(NetLockMsg::ReleaseBatch),
+            arb_list(arb_grant()).prop_map(NetLockMsg::GrantBatch),
+            (any::<u32>(), arb_list(any::<u32>()))
+                .prop_map(|(version, heads)| NetLockMsg::CtrlPartitionMap { version, heads }),
         ]
     }
 
@@ -167,6 +218,27 @@ mod msg_codec {
             let out = decode_msg(&mut wire).unwrap();
             prop_assert_eq!(msg, out);
             prop_assert_eq!(wire.len(), 0);
+        }
+
+        /// Overwriting one byte of a valid encoding, or cutting it short,
+        /// yields an error or a message that re-encodes and decodes to
+        /// itself — never a panic.
+        #[test]
+        fn damaged_encodings_decode_to_err_or_a_stable_message(
+            msg in arb_msg(),
+            (pos, byte, truncate) in (any::<u64>(), any::<u8>(), any::<bool>()),
+        ) {
+            let mut raw = encode_msg(&msg).to_vec();
+            let at = (pos % raw.len() as u64) as usize;
+            if truncate {
+                raw.truncate(at);
+            } else {
+                raw[at] = byte;
+            }
+            if let Ok(out) = decode_msg(&mut Bytes::from(raw)) {
+                let mut again = encode_msg(&out);
+                prop_assert_eq!(decode_msg(&mut again), Ok(out));
+            }
         }
 
         /// The message decoder is total over arbitrary bytes.

@@ -301,10 +301,15 @@ pub fn run_chaos_seed_with(workload: ChaosWorkload, seed: u64, sabotage: Sabotag
     let plan = generate_plan(seed, &rack.roles(), &chaos_plan_config(workload));
     let plan_events = plan.len();
     rack.sim.install_plan(&plan);
-    let oracle = attach_oracle(&mut rack, oracle_config());
+    let oracles = attach_rack_oracles(
+        &mut rack.sim,
+        std::slice::from_ref(&rack.nodes),
+        &oracle_config(),
+    );
     let until = SimTime(CHAOS_TOTAL.as_nanos());
-    let custom_faults = run_chaos(&mut rack, until, &oracle, &mut |rack, at, token| {
-        standard_recovery(rack, at, token, &alloc)
+    let nodes = &rack.nodes;
+    let custom_faults = run_chaos(&mut rack.sim, until, &oracles, &mut |sim, at, token| {
+        nodes.standard_recovery(sim, at, token, &alloc)
     });
     let stats = collect(&rack, CHAOS_TOTAL);
     let stale_releases_filtered = rack
@@ -323,7 +328,7 @@ pub fn run_chaos_seed_with(workload: ChaosWorkload, seed: u64, sabotage: Sabotag
             .collect()
     });
     let micro_grants = stats.issued.min(stats.grants);
-    let oracle = oracle.lock().unwrap();
+    let oracle = oracles[0].lock().unwrap();
     ChaosRun {
         workload,
         seed,

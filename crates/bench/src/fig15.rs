@@ -72,7 +72,8 @@ pub fn run_failure(
             // "The switch retains none of its former state or register
             // values": wipe and reprogram, as the control plane would.
             let at = rack.sim.now();
-            standard_recovery(&mut rack, at, CUSTOM_SWITCH_REBOOT, &alloc);
+            rack.nodes
+                .standard_recovery(&mut rack.sim, at, CUSTOM_SWITCH_REBOOT, &alloc);
             revived = true;
         }
         rack.sim.run_until(netlock_sim::SimTime(next.as_nanos()));

@@ -1,12 +1,12 @@
 //! Chaos fault-injection for NetLock racks.
 //!
 //! Builds seeded, fully deterministic [`FaultPlan`]s over an assembled
-//! [`Rack`] — loss bursts, duplication, reordering jitter, link flaps,
-//! switch reboot, server crash-restart, client crashes — and drives the
-//! simulator through them while a [`Oracle`] watches every packet. A
-//! chaos run is a pure function of `(rack spec, chaos seed)`: replaying
-//! the same pair reproduces the same fault schedule, the same packet
-//! trace and the same byte-identical audit log.
+//! [`crate::rack::Rack`] — loss bursts, duplication, reordering jitter,
+//! link flaps, switch reboot, server crash-restart, client crashes — and
+//! drives the simulator through them while a [`Oracle`] watches every
+//! packet. A chaos run is a pure function of `(rack spec, chaos seed)`:
+//! replaying the same pair reproduces the same fault schedule, the same
+//! packet trace and the same byte-identical audit log.
 //!
 //! Fault scoping mirrors the paper's failure model (§4.5): the network
 //! between clients and the rack misbehaves, and whole machines fail and
@@ -20,7 +20,8 @@
 //! re-arming sweep timers), so the plan carries [`FaultAction::Custom`]
 //! markers and [`run_chaos`] pauses at each one, applies the matching
 //! recovery via rack-level code, declares an amnesia point to the
-//! oracle, and resumes.
+//! oracles, and resumes. The same driver runs `RackCluster` chaos and
+//! the failover scenario, whose plans never pause.
 
 use std::sync::{Arc, Mutex};
 
@@ -34,7 +35,7 @@ use netlock_switch::control::Allocation;
 use netlock_switch::SwitchNode;
 
 use crate::oracle::{oracle_tap, Oracle, OracleConfig};
-use crate::rack::{ClientKind, Rack, RackNodes};
+use crate::rack::{ClientKind, RackNodes};
 
 /// `Custom` token: the switch was revived; wipe and reprogram it.
 pub const CUSTOM_SWITCH_REBOOT: u64 = 1;
@@ -318,17 +319,37 @@ pub fn generate_plan(seed: u64, roles: &RackRoles, cfg: &ChaosPlanConfig) -> Fau
     plan
 }
 
-/// Attach a fresh oracle to the rack's packet tap. Every client already
-/// added to the rack is registered; add clients *before* calling this.
-pub fn attach_oracle(rack: &mut Rack, cfg: OracleConfig) -> Arc<Mutex<Oracle>> {
-    let (oracle, tap) = oracle_tap(cfg, rack.client_ids());
-    rack.sim.set_lp_tap(0, tap);
-    oracle
+/// Attach one fresh [`Oracle`] per rack, each to the tap of the logical
+/// process that rack owns: pass `[rack.nodes]` for a standalone
+/// [`crate::rack::Rack`], or every rack of a partitioned
+/// [`crate::cluster::RackCluster`] (an unpartitioned one-rack cluster
+/// is one LP too). Each oracle observes exactly its rack's deliveries
+/// and timers, in an order independent of the worker count. Every
+/// client already added is registered; add clients *before* calling
+/// this.
+pub fn attach_rack_oracles(
+    sim: &mut Simulator<NetLockMsg>,
+    racks: &[RackNodes],
+    cfg: &OracleConfig,
+) -> Vec<Arc<Mutex<Oracle>>> {
+    assert_eq!(
+        sim.partitions(),
+        racks.len(),
+        "attach oracles after partition(): one LP tap per rack"
+    );
+    let mut handles = Vec::with_capacity(racks.len());
+    for (lp, rack) in racks.iter().enumerate() {
+        let (oracle, tap) = oracle_tap(*cfg, rack.client_ids());
+        sim.set_lp_tap(lp, tap);
+        handles.push(oracle);
+    }
+    handles
 }
 
 /// Recovery the control plane performs when a `Custom` fault pauses the
-/// run. [`standard_recovery`] covers the tokens [`generate_plan`] emits.
-pub type CustomFaultHandler<'a> = dyn FnMut(&mut Rack, SimTime, u64) + 'a;
+/// run. [`RackNodes::standard_recovery`] covers the tokens
+/// [`generate_plan`] emits.
+pub type CustomFaultHandler<'a> = dyn FnMut(&mut Simulator<NetLockMsg>, SimTime, u64) + 'a;
 
 impl RackNodes {
     /// Apply the standard recovery for [`generate_plan`]'s custom tokens:
@@ -393,35 +414,30 @@ impl RackNodes {
     }
 }
 
-/// [`RackNodes::standard_recovery`] on a standalone rack (the form
-/// [`run_chaos`]'s handler receives).
-pub fn standard_recovery(rack: &mut Rack, at: SimTime, token: u64, alloc: &Allocation) {
-    rack.nodes
-        .standard_recovery(&mut rack.sim, at, token, alloc);
-}
-
-/// Drive the rack to `until`, pausing at every `Custom` fault to apply
-/// `recover` and declare an amnesia point to the oracle (a rebooted
-/// lock manager silently forgets queued requests). Finishes the oracle
-/// at the deadline and returns the number of custom faults handled.
+/// The one chaos driver, for every rack shape: drive `sim` to `until`,
+/// pausing at every `Custom` fault to apply `recover` and declare an
+/// amnesia point to every oracle (a rebooted lock manager silently
+/// forgets queued requests). Finishes the oracles at the deadline and
+/// returns the number of custom faults handled. Cluster and failover
+/// plans carry no `Custom` faults (a partitioned simulator rejects
+/// them), so those runs never pause.
 pub fn run_chaos(
-    rack: &mut Rack,
+    sim: &mut Simulator<NetLockMsg>,
     until: SimTime,
-    oracle: &Arc<Mutex<Oracle>>,
+    oracles: &[Arc<Mutex<Oracle>>],
     recover: &mut CustomFaultHandler<'_>,
 ) -> usize {
     let mut handled = 0;
-    loop {
-        match rack.sim.run_until_fault(until) {
-            RunOutcome::ReachedDeadline => break,
-            RunOutcome::CustomFault { at, token } => {
-                recover(rack, at, token);
-                oracle.lock().unwrap().note_amnesia(at.as_nanos());
-                handled += 1;
-            }
+    while let RunOutcome::CustomFault { at, token } = sim.run_until_fault(until) {
+        recover(sim, at, token);
+        for oracle in oracles {
+            oracle.lock().unwrap().note_amnesia(at.as_nanos());
         }
+        handled += 1;
     }
-    oracle.lock().unwrap().finish(until.as_nanos());
+    for oracle in oracles {
+        oracle.lock().unwrap().finish(until.as_nanos());
+    }
     handled
 }
 

@@ -19,20 +19,19 @@
 //! Per-rack invariant-checking works under any worker count: a
 //! partitioned simulator refuses a global tap but accepts one tap per
 //! logical process, and each LP tap observes exactly its rack's
-//! deliveries and timers in deterministic order. [`attach_rack_oracles`]
-//! uses that to give every rack its own [`Oracle`].
-
-use std::sync::{Arc, Mutex};
+//! deliveries and timers in deterministic order.
+//! [`crate::chaos::attach_rack_oracles`] uses that to give every rack
+//! its own oracle, and [`crate::chaos::run_chaos`] drives a cluster
+//! the way it drives a lone rack.
 
 use netlock_proto::{LockId, NetLockMsg};
-use netlock_sim::{FaultPlan, LinkConfig, NodeId, SimDuration, SimTime, Simulator, Topology};
+use netlock_sim::{FaultPlan, LinkConfig, NodeId, SimDuration, Simulator, Topology};
 use netlock_switch::control::Allocation;
 
 use crate::chaos::ChaosPlanConfig;
 use crate::client_micro::MicroClientConfig;
 use crate::client_txn::TxnClientConfig;
 use crate::harness::{run_window, RunStats};
-use crate::oracle::{oracle_tap, Oracle, OracleConfig};
 use crate::population::PopulationConfig;
 use crate::rack::{RackConfig, RackNodes};
 use crate::txn::TxnSource;
@@ -206,50 +205,14 @@ pub fn cluster_plan_config() -> ChaosPlanConfig {
     }
 }
 
-/// Attach one fresh [`Oracle`] per rack via per-LP taps. Call after
-/// [`RackCluster::partition`] (LP taps need the logical processes to
-/// exist; an unpartitioned single-rack cluster is one LP). Each oracle
-/// observes exactly its rack's packet deliveries and timers, in an
-/// order independent of the worker count, so audit digests are
-/// reproducible under any parallelism.
-pub fn attach_rack_oracles(
-    cluster: &mut RackCluster,
-    cfg: &OracleConfig,
-) -> Vec<Arc<Mutex<Oracle>>> {
-    assert!(
-        cluster.is_partitioned() || cluster.racks.len() == 1,
-        "attach oracles after partition(): LP taps need the partitions to exist"
-    );
-    let mut handles = Vec::with_capacity(cluster.racks.len());
-    for (r, rack) in cluster.racks.iter().enumerate() {
-        let (oracle, tap) = oracle_tap(*cfg, rack.client_ids());
-        cluster.sim.set_lp_tap(r, tap);
-        handles.push(oracle);
-    }
-    handles
-}
-
-/// Drive a cluster with installed fault plans to `until` and finish
-/// every rack oracle there. Unlike [`crate::chaos::run_chaos`] there is
-/// no `Custom`-fault pause loop: cluster plans must come from
-/// [`cluster_plan_config`], which emits none.
-pub fn run_cluster_chaos(
-    cluster: &mut RackCluster,
-    until: SimTime,
-    oracles: &[Arc<Mutex<Oracle>>],
-) {
-    cluster.sim.run_until(until);
-    for oracle in oracles {
-        oracle.lock().unwrap().finish(until.as_nanos());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::generate_plan;
+    use crate::chaos::{attach_rack_oracles, generate_plan, run_chaos};
+    use crate::oracle::OracleConfig;
     use crate::rack::EngineSpec;
     use netlock_proto::LockMode;
+    use netlock_sim::SimTime;
     use netlock_switch::control::{knapsack_allocate, LockStats};
     use netlock_switch::shared_queue::SharedQueueLayout;
 
@@ -260,6 +223,11 @@ mod tests {
             engine: EngineSpec::Fcfs(SharedQueueLayout::small(2, 64, 8)),
             ..Default::default()
         }
+    }
+
+    /// Cluster plans carry no `Custom` faults, so nothing to recover.
+    fn no_custom(_: &mut Simulator<NetLockMsg>, at: SimTime, token: u64) {
+        unreachable!("cluster plan fired Custom({token}) at {at:?}");
     }
 
     fn cross_link() -> LinkConfig {
@@ -360,9 +328,15 @@ mod tests {
         cluster.partition(4);
         assert!(!cluster.is_partitioned());
         assert_eq!(cluster.sim.partitions(), 1);
-        let oracles = attach_rack_oracles(&mut cluster, &OracleConfig::default());
+        let oracles =
+            attach_rack_oracles(&mut cluster.sim, &cluster.racks, &OracleConfig::default());
         assert_eq!(oracles.len(), 1);
-        run_cluster_chaos(&mut cluster, SimTime(5_000_000), &oracles);
+        run_chaos(
+            &mut cluster.sim,
+            SimTime(5_000_000),
+            &oracles,
+            &mut no_custom,
+        );
         let o = oracles[0].lock().unwrap();
         assert!(o.counts().delivered > 0, "oracle tap saw no traffic");
     }
@@ -383,8 +357,14 @@ mod tests {
                 .collect();
             cluster.partition(workers);
             cluster.install_plans(&plans);
-            let oracles = attach_rack_oracles(&mut cluster, &OracleConfig::default());
-            run_cluster_chaos(&mut cluster, SimTime(50_000_000), &oracles);
+            let oracles =
+                attach_rack_oracles(&mut cluster.sim, &cluster.racks, &OracleConfig::default());
+            run_chaos(
+                &mut cluster.sim,
+                SimTime(50_000_000),
+                &oracles,
+                &mut no_custom,
+            );
             let d: Vec<(u64, u64)> = oracles
                 .iter()
                 .map(|o| {

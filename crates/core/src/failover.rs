@@ -39,6 +39,7 @@ use netlock_switch::partition::{partition_locks, PartitionMap};
 use netlock_switch::shared_queue::SharedQueueLayout;
 use netlock_switch::{ChainController, ControllerConfig, DataPlane, ReplConfig, ReplSwitch};
 
+use crate::chaos::run_chaos;
 use crate::client_txn::{TxnClient, TxnClientConfig};
 use crate::harness::{fold_all, ClientOps, RunStats};
 use crate::oracle::{oracle_tap, Oracle, OracleConfig};
@@ -411,10 +412,15 @@ pub fn run_failover(
         },
         SimDuration::from_millis(1),
     );
-    cluster.sim.run_until(SimTime(total.as_nanos()));
-    oracle.lock().unwrap().finish(total.as_nanos());
+    let oracles = [oracle];
+    run_chaos(
+        &mut cluster.sim,
+        SimTime(total.as_nanos()),
+        &oracles,
+        &mut |_, at, token| unreachable!("crash plans are in-protocol: Custom({token}) at {at:?}"),
+    );
     let totals = cluster.client_totals(total);
-    let o = oracle.lock().unwrap();
+    let o = oracles[0].lock().unwrap();
     let timeline = timeline.lock().unwrap().clone();
     FailoverRun {
         replication: cfg.replication,

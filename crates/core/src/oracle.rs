@@ -513,39 +513,8 @@ impl Oracle {
     /// outstanding open requests stop counting toward liveness. Clients
     /// with retry logic will re-open theirs on the next retransmission.
     pub fn note_amnesia(&mut self, now_ns: u64) {
-        self.note_amnesia_where(now_ns, |_| true);
-    }
-
-    /// Declare a *scoped* amnesia point: only the lock manager serving
-    /// a subset of the lock space lost its queues (one partition's
-    /// chain crashed in a multi-switch deployment). Open requests for
-    /// locks where `affected` returns true are excused; requests served
-    /// by the surviving partitions still count toward liveness — a
-    /// crash in partition A is no excuse for partition B wedging.
-    pub fn note_amnesia_where(&mut self, now_ns: u64, mut affected: impl FnMut(LockId) -> bool) {
-        self.note_amnesia_scoped(now_ns, move |lock, _tenant_idx| affected(lock));
-    }
-
-    /// Like [`Self::note_amnesia_where`], additionally scoped per
-    /// tenant. The second argument is the tenant row index an aggregate
-    /// population node folded into the transaction id (bits 32–39, see
-    /// [`crate::population::tenant_index_of`]); individual clients'
-    /// sequence numbers leave those bits zero, so they always present
-    /// tenant index 0. This lets a chaos harness excuse exactly the
-    /// tenants whose leases a rebooted manager forgot while every other
-    /// tenant of the same aggregate node still counts toward liveness —
-    /// aggregates bundle ~100K virtual clients, so excusing the whole
-    /// node would blind the oracle to most of the population.
-    pub fn note_amnesia_scoped(
-        &mut self,
-        now_ns: u64,
-        mut affected: impl FnMut(LockId, usize) -> bool,
-    ) {
-        let before = self.open.len();
-        self.open.retain(|&(_, lock, txn), _| {
-            !affected(LockId(lock), crate::population::tenant_index_of(TxnId(txn)))
-        });
-        let excused = (before - self.open.len()) as u64;
+        let excused = self.open.len() as u64;
+        self.open.clear();
         self.counts.amnesia_excused += excused;
         self.fold(b"A");
         self.fold_u64(now_ns);
@@ -881,43 +850,6 @@ mod tests {
     }
 
     #[test]
-    fn scoped_amnesia_excuses_only_the_crashed_partition() {
-        // Two partitions by the modulo map: lock 0 → partition A,
-        // lock 1 → partition B. Partition A's chain crashes; only its
-        // open requests may be forgotten.
-        let mut o = oracle_with_clients(&[5]);
-        for lock in [0u32, 1] {
-            let req = LockRequest {
-                lock: LockId(lock),
-                mode: LockMode::Exclusive,
-                txn: TxnId(100 + lock as u64),
-                client: ClientAddr(5),
-                tenant: TenantId(0),
-                priority: Priority(0),
-                issued_at_ns: 1_000,
-            };
-            let payload = NetLockMsg::Acquire(req);
-            o.observe(&TapEvent::Sent {
-                at: SimTime(1_000),
-                src: NodeId(5),
-                dst: NodeId(0),
-                payload: &payload,
-            });
-        }
-        o.note_amnesia_where(2_000, |lock| lock.0 % 2 == 0);
-        assert_eq!(o.counts().amnesia_excused, 1);
-        o.finish(50_000_000);
-        // Partition B's request must still wedge: its switch never died.
-        assert_eq!(o.violations().len(), 1);
-        assert_eq!(o.violations()[0].kind, ViolationKind::WedgedRequest);
-        assert!(
-            o.violations()[0].detail.contains("lock 1"),
-            "wrong lock excused: {:?}",
-            o.violations()
-        );
-    }
-
-    #[test]
     fn dead_clients_are_exempt() {
         let mut o = oracle_with_clients(&[5]);
         deliver(&mut o, 1_000, 5, grant(1, 100, LockMode::Exclusive, 5, 500));
@@ -1023,35 +955,6 @@ mod tests {
         });
         o.finish(50_000_000);
         assert!(o.is_clean(), "{:?}", o.violations());
-    }
-
-    #[test]
-    fn tenant_scoped_amnesia_excuses_one_tenant_only() {
-        // One aggregate node (id 5) with two tenants: txn ids carry the
-        // tenant row in bits 32-39. Tenant 1's leases are declared
-        // forgotten; tenant 0's open request must still wedge.
-        let mut o = oracle_with_clients(&[5]);
-        let txn_t0 = (5u64 << 40) | 7;
-        let txn_t1 = (5u64 << 40) | (1u64 << 32) | 7;
-        let reqs: Box<[LockRequest]> =
-            vec![acquire(1, txn_t0, 5, 1_000), acquire(2, txn_t1, 5, 1_000)].into();
-        let payload = NetLockMsg::AcquireBatch(reqs);
-        o.observe(&TapEvent::Sent {
-            at: SimTime(1_000),
-            src: NodeId(5),
-            dst: NodeId(0),
-            payload: &payload,
-        });
-        o.note_amnesia_scoped(2_000, |_, tenant_idx| tenant_idx == 1);
-        assert_eq!(o.counts().amnesia_excused, 1);
-        o.finish(50_000_000);
-        assert_eq!(o.violations().len(), 1);
-        assert_eq!(o.violations()[0].kind, ViolationKind::WedgedRequest);
-        assert!(
-            o.violations()[0].detail.contains("lock 1"),
-            "wrong tenant excused: {:?}",
-            o.violations()
-        );
     }
 
     #[test]

@@ -27,8 +27,6 @@
 //! a refinement of the repo-wide `(node << 40) | seq` convention that
 //! keeps the top 24 bits as the node id while making the owning tenant
 //! recoverable from any grant (`GrantMsg` carries no tenant field).
-//! The chaos oracle uses the same encoding to scope lease-amnesia
-//! checks per tenant (`Oracle::note_amnesia_scoped`).
 
 use std::collections::VecDeque;
 

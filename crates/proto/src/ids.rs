@@ -97,12 +97,6 @@ impl LockMode {
             _ => None,
         }
     }
-
-    /// Whether a lock in this mode can be held simultaneously with
-    /// another request in `other` mode.
-    pub fn compatible_with(self, other: LockMode) -> bool {
-        matches!((self, other), (LockMode::Shared, LockMode::Shared))
-    }
 }
 
 impl fmt::Display for LockMode {
@@ -124,15 +118,6 @@ mod tests {
             assert_eq!(LockMode::from_u8(m.to_u8()), Some(m));
         }
         assert_eq!(LockMode::from_u8(7), None);
-    }
-
-    #[test]
-    fn compatibility_matrix() {
-        use LockMode::*;
-        assert!(Shared.compatible_with(Shared));
-        assert!(!Shared.compatible_with(Exclusive));
-        assert!(!Exclusive.compatible_with(Shared));
-        assert!(!Exclusive.compatible_with(Exclusive));
     }
 
     #[test]

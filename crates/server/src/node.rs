@@ -185,11 +185,6 @@ impl ServerNode {
         &self.cores
     }
 
-    /// Current q2 depth for a lock.
-    pub fn q2_depth(&self, lock: LockId) -> usize {
-        self.q2.get(&lock).map_or(0, |q| q.len())
-    }
-
     fn ownership_of(&self, lock: LockId) -> Ownership {
         self.ownership
             .get(&lock)
@@ -528,7 +523,8 @@ mod tests {
         sim.run_until(SimTime(1_000_000));
         sim.read_node::<Sink, _>(client, |s| assert!(s.0.is_empty()));
         sim.read_node::<ServerNode, _>(server, |n| {
-            assert_eq!(n.q2_depth(LockId(7)), 3);
+            assert_eq!(n.stats().q2_buffered, 3);
+            assert_eq!(n.stats().q2_peak_depth, 3);
         });
         // QueueSpace pops in FIFO order, bounded by space.
         sim.inject(
@@ -550,7 +546,8 @@ mod tests {
             assert_eq!(txns, vec![0, 1]);
         });
         sim.read_node::<ServerNode, _>(server, |n| {
-            assert_eq!(n.q2_depth(LockId(7)), 1);
+            // One of the three buffered requests is still in q2.
+            assert_eq!(n.stats().q2_pushed, 2);
         });
     }
 

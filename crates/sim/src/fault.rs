@@ -106,14 +106,18 @@ impl FaultPlan {
 }
 
 /// Why [`crate::Simulator::run_until_fault`] returned.
+/// [`crate::Simulator::run_until`] runs the same drain loop and resumes
+/// past every [`RunOutcome::CustomFault`] itself, dropping the fault.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum RunOutcome {
     /// The deadline was reached (or the queue emptied); no custom fault
     /// is pending.
     ReachedDeadline,
-    /// A [`FaultAction::Custom`] fired. The clock stands at `at`; the
-    /// harness should apply the domain fault and call
-    /// [`crate::Simulator::run_until_fault`] again to continue.
+    /// A [`FaultAction::Custom`] fired. The clock stands at `at`, and
+    /// every event that would dispatch after the fault at that same
+    /// instant is still queued; the harness should apply the domain
+    /// fault and call [`crate::Simulator::run_until_fault`] again to
+    /// continue.
     CustomFault {
         /// Time at which the fault fired.
         at: SimTime,

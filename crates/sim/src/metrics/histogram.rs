@@ -75,18 +75,6 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    /// Record `n` occurrences of a value.
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.counts[Self::bucket_of(value)] += n;
-        self.total += n;
-        self.sum += value as u128 * n as u128;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.total
@@ -252,20 +240,6 @@ mod tests {
         h.record(20);
         h.record(30);
         assert_eq!(h.mean(), 20.0);
-    }
-
-    #[test]
-    fn record_n_matches_loop() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record_n(1234, 7);
-        a.record_n(99, 0);
-        for _ in 0..7 {
-            b.record(1234);
-        }
-        assert_eq!(a.count(), b.count());
-        assert_eq!(a.quantile(0.5), b.quantile(0.5));
-        assert_eq!(a.mean(), b.mean());
     }
 
     #[test]

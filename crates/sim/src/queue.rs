@@ -208,40 +208,11 @@ impl<T> EventQueue<T> {
     /// Remove and return the earliest event as `(at, seq, item)`.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        // Inlined so the unbounded deadline constant-folds: the three
-        // `> deadline` early-outs in `pop_due` vanish and this compiles
-        // to the same code the standalone pop had before the fusion.
-        self.pop_due(SimTime(u64::MAX))
-    }
-
-    /// Fused peek-then-pop: remove and return the earliest event iff
-    /// it is due at or before `deadline`.
-    ///
-    /// This is the run-loop primitive. The split `peek_at()` + `pop()`
-    /// pair pays the cursor `seek` and the due/late head comparison
-    /// twice per dispatched event; fusing them does both exactly once
-    /// while popping in the identical ascending `(at, seq)` order.
-    pub fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, u64, T)> {
         self.seek();
         let from_late = match (self.due.last(), self.late.peek()) {
-            (Some(d), Some(Reverse(l))) => {
-                if d.at.min(l.at) > deadline {
-                    return None;
-                }
-                l < d
-            }
-            (None, Some(Reverse(l))) => {
-                if l.at > deadline {
-                    return None;
-                }
-                true
-            }
-            (Some(d), None) => {
-                if d.at > deadline {
-                    return None;
-                }
-                false
-            }
+            (Some(d), Some(Reverse(l))) => l < d,
+            (None, Some(_)) => true,
+            (Some(_), None) => false,
             (None, None) => return None,
         };
         let e = if from_late {
@@ -765,21 +736,6 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime(5), 1, 1)));
         assert_eq!(q.pop(), Some((SimTime(100 << INITIAL_SHIFT), 0, 0)));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn pop_due_respects_deadline() {
-        let mut q = EventQueue::new();
-        q.push(SimTime(10), 0, 0);
-        q.push(SimTime(20), 1, 1);
-        // Not due yet: nothing comes out, nothing is lost.
-        assert_eq!(q.pop_due(SimTime(9)), None);
-        assert_eq!(q.len(), 2);
-        // Due exactly at the deadline.
-        assert_eq!(q.pop_due(SimTime(10)), Some((SimTime(10), 0, 0)));
-        assert_eq!(q.pop_due(SimTime(10)), None);
-        assert_eq!(q.pop_due(SimTime(u64::MAX)), Some((SimTime(20), 1, 1)));
-        assert_eq!(q.pop_due(SimTime(u64::MAX)), None);
     }
 
     #[test]

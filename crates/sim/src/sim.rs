@@ -264,7 +264,7 @@ pub(crate) struct Lp<M> {
     links: Vec<LinkConfig>,
     links_version: u64,
     links_n: usize,
-    /// Reusable buffer for same-timestamp runs drained by `run_until`.
+    /// Reusable buffer for the same-timestamp runs `drain_until` pops.
     burst: Vec<(SimTime, u64, EventKind<M>)>,
     /// Events popped into the current burst but not yet dispatched;
     /// added to `queue.len()` so `max_queue_depth` accounting matches
@@ -498,8 +498,10 @@ impl<M: Clone + Send + 'static> Simulator<M> {
     /// order the one-pop-per-step loop would produce (events a dispatch
     /// schedules at the *same* instant carry higher `seq` than the rest
     /// of the burst, so picking them up in the next `pop_run` round
-    /// preserves the order; see `tests/prop_spine.rs`). Several LPs
-    /// advance through conservative windows (`crate::par`).
+    /// preserves the order; see `tests/prop_spine.rs`). This is the
+    /// same loop [`Simulator::run_until_fault`] runs; here it resumes at
+    /// once after each `Custom` pause. Several LPs advance through
+    /// conservative windows (`crate::par`).
     pub fn run_until(&mut self, deadline: SimTime) {
         match (self.lps.len(), self.workers) {
             (1, _) => self.lps[0].run_until(deadline),
@@ -513,9 +515,11 @@ impl<M: Clone + Send + 'static> Simulator<M> {
     /// [`RunOutcome::CustomFault`] so the caller can apply the
     /// domain-specific fault and resume with another call.
     ///
-    /// This path dispatches strictly one event at a time (fused
-    /// pop-if-due, no burst batching) so a `Custom` fault pauses with
-    /// every later same-instant event still queued, exactly as before.
+    /// It runs the same burst loop as [`Simulator::run_until`]. The
+    /// pause comes right after the `Custom` event's dispatch; the rest
+    /// of its same-instant burst goes back into the queue under each
+    /// event's original `(at, seq)`, so every later same-instant event
+    /// is still queued, as if events were popped one at a time.
     pub fn run_until_fault(&mut self, deadline: SimTime) -> RunOutcome {
         if self.lps.len() > 1 {
             // A partitioned simulator rejects Custom faults, so this
@@ -530,16 +534,6 @@ impl<M: Clone + Send + 'static> Simulator<M> {
     pub fn run_for(&mut self, d: SimDuration) {
         let deadline = self.now() + d;
         self.run_until(deadline);
-    }
-
-    /// Drain the queue completely (only safe for workloads that quiesce).
-    pub fn run_to_quiescence(&mut self, max_events: u64) -> bool {
-        for _ in 0..max_events {
-            if !self.step() {
-                return true;
-            }
-        }
-        false
     }
 
     /// Number of events waiting: the sum over all LP queues plus any
@@ -936,49 +930,24 @@ impl<M: Clone + Send + 'static> Lp<M> {
         true
     }
 
-    /// [`Simulator::run_until`] on this LP alone: the fused burst loop.
+    /// [`Simulator::run_until`] on this LP alone: the burst loop,
+    /// resumed at once after every `Custom` pause (the fault is dropped).
     pub(crate) fn run_until(&mut self, deadline: SimTime) {
-        if let Some(mut t) = self.tap.take() {
-            self.drain_until(deadline, &mut DynTap(&mut *t));
-            self.tap = Some(t);
-        } else {
-            self.drain_until(deadline, &mut NoTap);
-        }
-        if self.now < deadline {
-            self.now = deadline;
-        }
+        while let RunOutcome::CustomFault { .. } = self.run_until_fault(deadline) {}
     }
 
-    fn drain_until<T: TapHook<M>>(&mut self, deadline: SimTime, tap: &mut T) {
-        let mut burst = std::mem::take(&mut self.burst);
-        debug_assert!(burst.is_empty());
-        loop {
-            if self.queue.pop_run(deadline, &mut burst) == 0 {
-                break;
-            }
-            self.burst_pending = burst.len() as u64;
-            for (at, _seq, kind) in burst.drain(..) {
-                self.burst_pending -= 1;
-                self.dispatch(at, kind, tap);
-            }
-            self.pending_custom = None;
-        }
-        self.burst = burst;
-    }
-
+    /// [`Simulator::run_until_fault`] on this LP alone.
     fn run_until_fault(&mut self, deadline: SimTime) -> RunOutcome {
+        if self.pending_custom.is_none() {
+            if let Some(mut t) = self.tap.take() {
+                self.drain_until(deadline, &mut DynTap(&mut *t));
+                self.tap = Some(t);
+            } else {
+                self.drain_until(deadline, &mut NoTap);
+            }
+        }
         if let Some((at, token)) = self.pending_custom.take() {
             return RunOutcome::CustomFault { at, token };
-        }
-        let paused = if let Some(mut t) = self.tap.take() {
-            let p = self.drain_until_fault(deadline, &mut DynTap(&mut *t));
-            self.tap = Some(t);
-            p
-        } else {
-            self.drain_until_fault(deadline, &mut NoTap)
-        };
-        if let Some(outcome) = paused {
-            return outcome;
         }
         if self.now < deadline {
             self.now = deadline;
@@ -986,18 +955,32 @@ impl<M: Clone + Send + 'static> Lp<M> {
         RunOutcome::ReachedDeadline
     }
 
-    fn drain_until_fault<T: TapHook<M>>(
-        &mut self,
-        deadline: SimTime,
-        tap: &mut T,
-    ) -> Option<RunOutcome> {
-        loop {
-            let (at, _seq, kind) = self.queue.pop_due(deadline)?;
-            self.dispatch(at, kind, tap);
-            if let Some((at, token)) = self.pending_custom.take() {
-                return Some(RunOutcome::CustomFault { at, token });
+    /// The simulator's one drain loop: dispatch same-instant bursts up
+    /// to `deadline`, stopping right after a dispatch that set
+    /// `pending_custom`. The undispatched rest of that burst goes back
+    /// into the queue under its own `(at, seq)`, so the queue is left
+    /// exactly as one-pop-per-step dispatch would leave it.
+    fn drain_until<T: TapHook<M>>(&mut self, deadline: SimTime, tap: &mut T) {
+        let mut burst = std::mem::take(&mut self.burst);
+        debug_assert!(burst.is_empty());
+        'run: while self.queue.pop_run(deadline, &mut burst) > 0 {
+            self.burst_pending = burst.len() as u64;
+            let mut events = burst.drain(..);
+            while let Some((at, _seq, kind)) = events.next() {
+                self.burst_pending -= 1;
+                self.dispatch(at, kind, tap);
+                if self.pending_custom.is_some() {
+                    // Not `push_at_seq`: these were scheduled (and
+                    // counted toward the queue depth) once already.
+                    for (at, seq, kind) in events {
+                        self.queue.push(at, seq, kind);
+                    }
+                    self.burst_pending = 0;
+                    break 'run;
+                }
             }
         }
+        self.burst = burst;
     }
 }
 
@@ -1178,7 +1161,11 @@ mod tests {
         let a = s.add_node(Box::new(Echo { received: vec![] }));
         let b = s.add_node(Box::new(Echo { received: vec![] }));
         s.inject(a, b, 95); // bounces until payload hits 100
-        assert!(s.run_to_quiescence(1_000));
+        let mut steps = 0;
+        while s.step() {
+            steps += 1;
+        }
+        assert_eq!(steps, 6);
         assert!(s.pending_events() == 0);
     }
 }
@@ -1193,18 +1180,9 @@ mod more_tests {
         fn on_packet(&mut self, _pkt: Packet<u32>, _ctx: &mut Context<'_, u32>) {}
         fn on_timer(&mut self, _token: u64, ctx: &mut Context<'_, u32>) {
             self.0 += 1;
-            // Perpetual ticking: quiescence is never reached.
+            // Perpetual ticking: the queue never empties.
             ctx.set_timer(SimDuration(100), 0);
         }
-    }
-
-    #[test]
-    fn quiescence_budget_exhaustion_reports_false() {
-        let mut s: Simulator<u32> = Simulator::with_seed(1);
-        let n = s.add_node(Box::new(Counter(0)));
-        s.inject_timer(n, SimDuration(1), 0);
-        assert!(!s.run_to_quiescence(50), "perpetual timer cannot quiesce");
-        s.read_node::<Counter, _>(n, |c| assert_eq!(c.0, 50));
     }
 
     #[test]

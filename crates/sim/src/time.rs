@@ -79,16 +79,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Construct from a float number of seconds (rounding to nanoseconds).
-    ///
-    /// Negative or non-finite inputs clamp to zero.
-    pub fn from_secs_f64(s: f64) -> SimDuration {
-        if !s.is_finite() || s <= 0.0 {
-            return SimDuration::ZERO;
-        }
-        SimDuration((s * 1e9).round() as u64)
-    }
-
     /// Length in nanoseconds.
     #[inline]
     pub fn as_nanos(self) -> u64 {
@@ -201,14 +191,6 @@ mod tests {
         assert_eq!(SimDuration::from_micros(1).as_nanos(), 1_000);
         assert_eq!(SimDuration::from_millis(1).as_nanos(), 1_000_000);
         assert_eq!(SimDuration::from_secs(1).as_nanos(), 1_000_000_000);
-        assert_eq!(SimDuration::from_secs_f64(1.5).as_nanos(), 1_500_000_000);
-    }
-
-    #[test]
-    fn from_secs_f64_clamps_bad_input() {
-        assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_secs_f64(f64::INFINITY), SimDuration::ZERO);
     }
 
     #[test]

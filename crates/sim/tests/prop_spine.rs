@@ -1,15 +1,18 @@
-//! Property tests for the simulator spine overhaul: the fused
-//! `pop_due`/`pop_run` queue primitives and the burst-draining
-//! `run_until` loop must reproduce the one-pop-per-step reference
-//! behavior exactly — same `(at, seq)` pop sequence, same node
-//! observations, same final `SimStats` — on random schedules with
-//! heavy same-timestamp bursts.
+//! Property tests for the simulator spine: the fused `pop_run` queue
+//! primitive and the burst-draining loop behind `run_until` and
+//! `run_until_fault` must reproduce the one-pop-per-step reference
+//! behavior exactly — same `(at, seq)` pop sequence, same dispatch
+//! order, same node observations, same final `SimStats` — on random
+//! schedules with heavy same-timestamp bursts, including `Custom`
+//! faults that pause a burst midway.
+
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
 use netlock_sim::{
-    Context, EventQueue, LinkConfig, Node, NodeId, Packet, SimDuration, SimTime, Simulator,
-    Topology,
+    Context, EventQueue, FaultAction, FaultPlan, LinkConfig, Node, NodeId, Packet, RunOutcome,
+    SimDuration, SimTime, Simulator, TapEvent, Topology,
 };
 
 /// Push scripts with coarse timestamps so many events collide on the
@@ -92,37 +95,6 @@ proptest! {
         }
         prop_assert!(b.is_empty());
     }
-
-    /// `pop_due(deadline)` pops exactly when the reference
-    /// `peek_at() <= deadline` allows, and never loses an event.
-    #[test]
-    fn pop_due_equals_peek_then_pop(script in bursty_script()) {
-        let mut a: EventQueue<u64> = EventQueue::new();
-        let mut b: EventQueue<u64> = EventQueue::new();
-        let mut seq = 0u64;
-        let mut now = 0u64;
-        for (push, delay) in script {
-            if push {
-                let at = SimTime(now + delay);
-                a.push(at, seq, seq);
-                b.push(at, seq, seq);
-                seq += 1;
-            } else {
-                // A random-ish deadline derived from the script value.
-                let deadline = SimTime(now + (delay / 2));
-                let want = match a.peek_at() {
-                    Some(at) if at <= deadline => a.pop(),
-                    _ => None,
-                };
-                let got = b.pop_due(deadline);
-                prop_assert_eq!(got, want);
-                if let Some((at, _, _)) = want {
-                    now = at.0;
-                }
-            }
-        }
-        prop_assert_eq!(a.len(), b.len());
-    }
 }
 
 /// Fans out bursts: every receipt at payload `p > 0` sends `p % 3 + 1`
@@ -200,5 +172,122 @@ proptest! {
 
         prop_assert_eq!(logs(&mut fused), logs(&mut reference));
         prop_assert_eq!(fused.stats(), reference.stats());
+    }
+}
+
+/// One dispatch as the tap saw it: a delivery `(at, src, dst, payload)`
+/// (to a live or dead node) or a fault `(at, u32::MAX, u32::MAX, token)`.
+type Dispatch = (u64, u32, u32, u64);
+
+/// A log the tap appends to and the harness reads.
+type Shared<T> = Arc<Mutex<Vec<T>>>;
+
+/// A burst simulator with `Custom` faults installed after the
+/// injections, so each lands inside a same-instant burst, behind the
+/// events scheduled before it and ahead of those scheduled after. The
+/// tap logs every delivery and fault in dispatch order and queues each
+/// `Custom` token for the harness.
+fn paused_sim(
+    seed: u64,
+    payloads: &[u32],
+    faults: &[(u64, u64)],
+) -> (Simulator<u32>, Shared<Dispatch>, Shared<u64>) {
+    let mut s = burst_sim(seed, 0.1, payloads);
+    let mut plan = FaultPlan::new();
+    for &(at, token) in faults {
+        plan.push(SimTime(at), FaultAction::Custom(token));
+    }
+    s.install_plan(&plan);
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let customs = Arc::new(Mutex::new(Vec::new()));
+    let (l, c) = (Arc::clone(&log), Arc::clone(&customs));
+    s.set_lp_tap(
+        0,
+        Box::new(move |ev: TapEvent<'_, u32>| match ev {
+            TapEvent::Delivered { at, pkt } | TapEvent::DeliveredToDead { at, pkt } => l
+                .lock()
+                .unwrap()
+                .push((at.0, pkt.src.0, pkt.dst.0, u64::from(pkt.payload))),
+            TapEvent::Fault {
+                at,
+                action: FaultAction::Custom(token),
+            } => {
+                l.lock().unwrap().push((at.0, u32::MAX, u32::MAX, token));
+                c.lock().unwrap().push(token);
+            }
+            _ => {}
+        }),
+    );
+    (s, log, customs)
+}
+
+/// What the harness does at a `Custom` pause: toggle a node's liveness
+/// (so the rest of the paused burst is delivered or dropped depending
+/// on exactly where the pause fell) and schedule a timer at the paused
+/// instant.
+fn recover(s: &mut Simulator<u32>, token: u64) {
+    let node = NodeId((token % 2) as u32);
+    if token.is_multiple_of(3) {
+        if s.is_alive(node) {
+            s.fail_node(node);
+        } else {
+            s.revive_node(node);
+        }
+    }
+    s.inject_timer(NodeId(((token + 1) % 2) as u32), SimDuration(0), token);
+}
+
+proptest! {
+    /// `run_until_fault` driven to the deadline, recovering at every
+    /// pause, matches the `step()` reference recovering right after the
+    /// step that fired each `Custom`: same dispatch sequence, node
+    /// observations and final `SimStats` (`max_queue_depth` included).
+    /// `run_until` over the same schedule matches the reference with no
+    /// recovery.
+    #[test]
+    fn run_until_fault_equals_step_loop(
+        seed in any::<u64>(),
+        payloads in prop::collection::vec(0u32..6, 1..6),
+        faults in prop::collection::vec((0u64..12, any::<bool>(), 0u64..8), 0..8),
+    ) {
+        // Deliveries land on multiples of the 1 µs link delay and
+        // timers 5 ns past them: put every fault on such an instant.
+        let faults: Vec<(u64, u64)> = faults
+            .iter()
+            .map(|&(k, timer, token)| (k * 1_000 + if timer { 5 } else { 0 }, token))
+            .collect();
+        let deadline = SimTime(100_000_000);
+
+        let (mut fused, fused_log, fused_customs) = paused_sim(seed, &payloads, &faults);
+        let mut pauses = 0;
+        while let RunOutcome::CustomFault { at, token } = fused.run_until_fault(deadline) {
+            prop_assert_eq!(fused.now(), at);
+            prop_assert_eq!(fused_customs.lock().unwrap().pop(), Some(token));
+            recover(&mut fused, token);
+            pauses += 1;
+        }
+        prop_assert_eq!(pauses, faults.len());
+
+        let (mut reference, ref_log, ref_customs) = paused_sim(seed, &payloads, &faults);
+        while reference.step() {
+            let fired = ref_customs.lock().unwrap().pop();
+            if let Some(token) = fired {
+                recover(&mut reference, token);
+            }
+        }
+
+        prop_assert_eq!(&*fused_log.lock().unwrap(), &*ref_log.lock().unwrap());
+        prop_assert_eq!(logs(&mut fused), logs(&mut reference));
+        prop_assert_eq!(fused.stats(), reference.stats());
+
+        // `run_until` pauses in the same places and resumes at once,
+        // dropping each fault: the step loop without recovery.
+        let (mut dropped, dropped_log, _) = paused_sim(seed, &payloads, &faults);
+        dropped.run_until(deadline);
+        let (mut reference, ref_log, _) = paused_sim(seed, &payloads, &faults);
+        while reference.step() {}
+        prop_assert_eq!(&*dropped_log.lock().unwrap(), &*ref_log.lock().unwrap());
+        prop_assert_eq!(logs(&mut dropped), logs(&mut reference));
+        prop_assert_eq!(dropped.stats(), reference.stats());
     }
 }

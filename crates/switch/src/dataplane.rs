@@ -338,25 +338,6 @@ impl DataPlane {
         &self.layout
     }
 
-    /// The grant path of region `qid` as a declarative
-    /// [`crate::txn::TxnProgram`], sized to the region's current
-    /// capacity. `None` for the priority engine (its grant path is
-    /// per-level) or for an unconfigured (zero-capacity) region.
-    ///
-    /// The returned program is the *specification* of what
-    /// [`DataPlane::process`] does on an acquire: the differential test
-    /// in `tests/integration_txn.rs` holds the two to the same outcomes
-    /// and register state.
-    pub fn grant_path_txn(&self, qid: usize) -> Option<crate::txn::TxnProgram> {
-        match &self.engine {
-            Engine::Fcfs(q) => {
-                let cap = q.cp_region(qid).capacity();
-                (cap > 0).then(|| crate::txn::netlock::fcfs_enqueue_program(cap))
-            }
-            Engine::Priority(_) => None,
-        }
-    }
-
     /// Install (or remove) an access-trace sink: every pipeline pass
     /// the data plane performs afterwards records its register accesses
     /// into it (see [`crate::analysis::trace`]).

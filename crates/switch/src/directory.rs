@@ -105,11 +105,6 @@ impl LockDirectory {
         self.by_qid.insert(qid, lock);
     }
 
-    /// The lock occupying queue region `qid`, if any.
-    pub fn lock_of_qid(&self, qid: usize) -> Option<LockId> {
-        self.by_qid.get(&qid).copied()
-    }
-
     /// All switch-resident locks as `(lock, qid, home_server)`.
     pub fn switch_resident(&self) -> Vec<(LockId, usize, usize)> {
         let mut v: Vec<_> = self
@@ -206,11 +201,12 @@ mod tests {
             d.get(LockId(1)).unwrap().residence,
             Residence::Switch { qid: 7 }
         );
-        assert_eq!(d.lock_of_qid(7), Some(LockId(1)));
-        // Demote back to server; qid is freed.
+        assert_eq!(d.switch_resident(), vec![(LockId(1), 7, 0)]);
+        // Demote back to server; qid is freed for another lock.
         d.set_server_resident(LockId(1), 0);
-        assert_eq!(d.lock_of_qid(7), None);
+        assert!(d.switch_resident().is_empty());
         assert_eq!(d.len(), 1);
+        d.set_switch_resident(LockId(2), 7, 0);
     }
 
     #[test]
@@ -218,8 +214,9 @@ mod tests {
         let mut d = LockDirectory::new();
         d.set_switch_resident(LockId(1), 3, 0);
         d.set_switch_resident(LockId(1), 4, 0);
-        assert_eq!(d.lock_of_qid(3), None);
-        assert_eq!(d.lock_of_qid(4), Some(LockId(1)));
+        assert_eq!(d.switch_resident(), vec![(LockId(1), 4, 0)]);
+        // The old qid is free again.
+        d.set_switch_resident(LockId(2), 3, 0);
     }
 
     #[test]
@@ -248,7 +245,8 @@ mod tests {
         d.set_switch_resident(LockId(5), 0, 1);
         d.clear();
         assert!(d.is_empty());
-        assert_eq!(d.lock_of_qid(0), None);
+        // The qid index is cleared too.
+        d.set_switch_resident(LockId(6), 0, 1);
     }
 
     #[test]

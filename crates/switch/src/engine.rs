@@ -89,15 +89,6 @@ pub struct ReleaseOutcome {
 pub struct FcfsEngine;
 
 impl FcfsEngine {
-    /// The acquire/enqueue pass this engine performs, expressed as a
-    /// declarative [`crate::txn::TxnProgram`] over one region of
-    /// capacity `cap` — the statically verifiable specification of
-    /// [`FcfsEngine::acquire`]'s grant decision (see
-    /// [`crate::txn::netlock`]).
-    pub fn grant_txn_program(cap: u32) -> crate::txn::TxnProgram {
-        crate::txn::netlock::fcfs_enqueue_program(cap)
-    }
-
     /// Process an acquire (Algorithm 2 lines 1–5). One pipeline pass.
     #[inline]
     pub fn acquire(

@@ -20,8 +20,6 @@
 //! - [`priority`] — per-stage priority queues (§4.4)
 //! - [`meter`] — token-bucket tenant quotas (§4.4)
 //! - [`directory`] — the lock match-action table
-//! - [`pipes`] — multi-pipeline layout: NetLock's egress-pipe placement
-//!   and its zero-recirculation property (§4.2)
 //! - [`action_buf`] — the fixed-capacity per-packet action buffer
 //! - [`dataplane`] — Algorithm 1: the full packet-processing module,
 //!   including the q1/q2 overflow protocol (§4.3)
@@ -47,7 +45,6 @@ pub mod engine;
 pub mod meter;
 pub mod node;
 pub mod partition;
-pub mod pipes;
 pub mod priority;
 pub mod register;
 pub mod release_guard;

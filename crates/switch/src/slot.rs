@@ -63,20 +63,6 @@ impl Slot {
             granted_at_ns: 0,
         }
     }
-
-    /// Convert back to the request form (for pushing to a server or
-    /// re-issuing a grant).
-    pub fn to_request(&self, lock: netlock_proto::LockId) -> LockRequest {
-        LockRequest {
-            lock,
-            mode: self.mode,
-            txn: self.txn,
-            client: self.client,
-            tenant: self.tenant,
-            priority: self.priority,
-            issued_at_ns: self.issued_at_ns,
-        }
-    }
 }
 
 impl Default for Slot {
@@ -112,6 +98,10 @@ mod tests {
         let slot = Slot::from_request(&req);
         assert!(slot.valid);
         assert!(!slot.granted);
-        assert_eq!(slot.to_request(LockId(9)), req);
+        assert_eq!(
+            (slot.mode, slot.txn, slot.client, slot.tenant, slot.priority),
+            (req.mode, req.txn, req.client, req.tenant, req.priority)
+        );
+        assert_eq!(slot.issued_at_ns, req.issued_at_ns);
     }
 }

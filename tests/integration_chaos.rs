@@ -167,7 +167,12 @@ fn duplicated_grants_are_released_exactly_once() {
         cfg.faults.duplicate = 1.0;
         rack.sim.topology_mut().set_link(src, dst, cfg);
     }
-    let oracle = attach_oracle(&mut rack, OracleConfig::default());
+    let oracles = attach_rack_oracles(
+        &mut rack.sim,
+        std::slice::from_ref(&rack.nodes),
+        &OracleConfig::default(),
+    );
+    let oracle = &oracles[0];
     rack.sim.run_for(SimDuration::from_millis(50));
     oracle.lock().unwrap().finish(rack.sim.now().as_nanos());
 

@@ -77,8 +77,13 @@ fn chaos_digests(workers: usize) -> Vec<(u64, u64)> {
         .collect();
     cluster.partition(workers);
     cluster.install_plans(&plans);
-    let oracles = attach_rack_oracles(&mut cluster, &OracleConfig::default());
-    run_cluster_chaos(&mut cluster, SimTime(50_000_000), &oracles);
+    let oracles = attach_rack_oracles(&mut cluster.sim, &cluster.racks, &OracleConfig::default());
+    run_chaos(
+        &mut cluster.sim,
+        SimTime(50_000_000),
+        &oracles,
+        &mut |_, at, token| unreachable!("cluster plan fired Custom({token}) at {at:?}"),
+    );
     oracles
         .iter()
         .map(|o| {

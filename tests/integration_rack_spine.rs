@@ -73,14 +73,20 @@ fn populate(sim: &mut Simulator<NetLockMsg>, rack: &mut RackNodes) {
 fn rack_zero_of_a_cluster_is_the_standalone_rack() {
     let mut rack = Rack::build(rack_config());
     populate(&mut rack.sim, &mut rack.nodes);
-    let rack_oracle = attach_oracle(&mut rack, OracleConfig::default());
+    let rack_oracle = attach_rack_oracles(
+        &mut rack.sim,
+        std::slice::from_ref(&rack.nodes),
+        &OracleConfig::default(),
+    )
+    .remove(0);
     let alone = warmup_and_measure(&mut rack, WARMUP, MEASURE);
 
     let cross = LinkConfig::with_delay(SimDuration::from_micros(10));
     let mut cluster = RackCluster::build(&rack_config(), 1, cross);
     populate(&mut cluster.sim, &mut cluster.racks[0]);
     cluster.partition(1);
-    let cluster_oracles = attach_rack_oracles(&mut cluster, &OracleConfig::default());
+    let cluster_oracles =
+        attach_rack_oracles(&mut cluster.sim, &cluster.racks, &OracleConfig::default());
     let in_cluster = cluster.warmup_and_measure(WARMUP, MEASURE).remove(0);
 
     assert_eq!(rack.clients, cluster.racks[0].clients, "same ids and kinds");

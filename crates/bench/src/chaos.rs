@@ -372,8 +372,8 @@ pub fn seeds_per_workload(quick: bool) -> u64 {
     }
 }
 
-/// What the `chaos` binary prints and `results/chaos.tsv` holds: the
-/// scaling line, then [`render`] of `runs`.
+/// What `figs chaos` prints and `results/chaos.tsv` holds: the scaling
+/// line, then [`render`] of `runs`.
 pub fn report(seeds_per_workload: u64, runs: &[ChaosRun]) -> String {
     format!(
         "# scaling: {seeds_per_workload} seeds per workload ({} schedules total)\n{}",

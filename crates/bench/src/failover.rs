@@ -19,8 +19,7 @@
 //! audit digest) and a `# timeline` block of grants-per-millisecond
 //! columns, one per factor — the data behind the availability plot.
 //! Like every figure in this crate, a run is a pure function of its
-//! config; [`check_workers`] replays the sweep at two worker counts
-//! and byte-compares the audit digests.
+//! config, at any worker count (`tests/integration_failover.rs`).
 
 use netlock_core::prelude::*;
 use netlock_sim::LatencySummary;
@@ -144,66 +143,4 @@ pub fn render(scale: Scale, runs: &[FailoverRun]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Replay the sweep at two worker counts and insist the audit digests
-/// match byte for byte and every run is oracle-clean. Returns the
-/// human-readable failure on mismatch — the CI smoke job's teeth.
-pub fn check_workers(scale: Scale, a: usize, b: usize) -> Result<Vec<FailoverRun>, String> {
-    let left = run_sweep(scale, a);
-    let right = run_sweep(scale, b);
-    for (l, r) in left.iter().zip(&right) {
-        if l.digest != r.digest {
-            return Err(format!(
-                "factor {}: digest {:016x} with {a} workers != {:016x} with {b} workers",
-                l.replication, l.digest, r.digest
-            ));
-        }
-        if l.audit != r.audit {
-            return Err(format!(
-                "factor {}: audit logs diverge between {a} and {b} workers",
-                l.replication
-            ));
-        }
-        if l.violations != 0 {
-            return Err(format!(
-                "factor {}: {} oracle violations:\n{}",
-                l.replication, l.violations, l.audit
-            ));
-        }
-    }
-    Ok(left)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_sweep_renders_and_replication_pays() {
-        let runs = run_sweep(Scale::Quick, 2);
-        let report = render(Scale::Quick, &runs);
-        for f in FACTORS {
-            assert!(
-                report.contains(&format!("\n{f}\t2\t")),
-                "missing factor {f} row:\n{report}"
-            );
-        }
-        assert!(report.contains("# timeline"), "{report}");
-        for r in &runs {
-            assert_eq!(r.violations, 0, "factor {}: {}", r.replication, r.audit);
-        }
-        let solo = runs[0].crash_window_grants();
-        let pair = runs[1].crash_window_grants();
-        assert!(
-            pair > solo * 4,
-            "replication must sustain the crash window: factor2={pair} factor1={solo}"
-        );
-    }
-
-    #[test]
-    fn quick_check_workers_is_byte_identical() {
-        let runs = check_workers(Scale::Quick, 1, 2).unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(runs.len(), FACTORS.len());
-    }
 }

@@ -97,8 +97,8 @@ pub const FIGURES: [(&str, RenderFn); 12] = [
         let runs = failover::run_sweep(scale, args.sim_workers.unwrap_or(1));
         failover::render(scale, &runs)
     }),
-    // The `chaos` binary's report: every schedule's oracle audit digest,
-    // so a moved grant anywhere in the 32 schedules shows up here.
+    // Every chaos schedule's oracle audit digest, so a moved grant
+    // anywhere in the 32 schedules shows up here.
     ("chaos", |args, _| {
         let seeds = chaos::seeds_per_workload(args.quick);
         chaos::report(seeds, &chaos::run_suite(seeds))

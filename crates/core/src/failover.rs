@@ -397,10 +397,23 @@ pub fn run_failover(
     total: SimDuration,
     sabotage_replay: bool,
 ) -> FailoverRun {
+    run_prepared(cfg, scenario, workers, total, |cluster| {
+        if sabotage_replay {
+            cluster.sabotage_disable_replay();
+        }
+    })
+}
+
+/// [`run_failover`] with `prepare` applied to the freshly built cluster.
+fn run_prepared(
+    cfg: &FailoverConfig,
+    scenario: &CrashScenario,
+    workers: usize,
+    total: SimDuration,
+    prepare: impl FnOnce(&mut FailoverCluster),
+) -> FailoverRun {
     let mut cluster = FailoverCluster::build(cfg);
-    if sabotage_replay {
-        cluster.sabotage_disable_replay();
-    }
+    prepare(&mut cluster);
     let plan = crash_plan(&cluster, scenario);
     cluster.partition(workers);
     cluster.sim.install_plan(&plan);
@@ -475,6 +488,26 @@ mod tests {
         assert_eq!(runs[0].digest, runs[1].digest, "1 vs 2 workers");
         assert_eq!(runs[0].digest, runs[2].digest, "1 vs 8 workers");
         assert_eq!(runs[0].audit, runs[1].audit);
+    }
+
+    /// Timers the controller ignores (its one live token is 1) move
+    /// where the conservative windows start and nothing else: cross-LP
+    /// packets keep their sender's queue key, so every same-instant tie
+    /// resolves as in the plain run and the oracle sees the same events.
+    #[test]
+    fn no_op_controller_timers_leave_the_digest_unchanged() {
+        let cfg = FailoverConfig::default();
+        let scenario = CrashScenario::default();
+        let plain = run_failover(&cfg, &scenario, 1, TOTAL, false);
+        let padded = run_prepared(&cfg, &scenario, 1, TOTAL, |cluster| {
+            for i in 0..4_000 {
+                let delay = SimDuration::from_nanos(i * 9_973 + 1);
+                cluster.sim.inject_timer(cluster.controller, delay, 2);
+            }
+        });
+        assert_eq!(padded.violations, 0, "{}", padded.audit);
+        assert_eq!(plain.digest, padded.digest);
+        assert_eq!(plain.audit, padded.audit);
     }
 
     #[test]

@@ -15,12 +15,12 @@
 //! heap's `O(log n)`, with identical `(time, seq)` pop order.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::fault::{FaultAction, FaultPlan, RunOutcome};
 use crate::link::{LinkConfig, Topology};
 use crate::node::{Context, Effect, Node, NodeId, Packet};
-use crate::par::{owner, validate_fault, Staged};
+use crate::par::{owner, validate_fault, Staged, POISONED, REMOTE_BAND};
 use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -225,15 +225,15 @@ pub struct Simulator<M> {
     /// `node index -> owning LP`, shared with every LP. Empty while
     /// there is one LP, which then owns every id.
     pub(crate) map: Arc<[u32]>,
-    /// Worker threads to advance LPs with (1 = serial window loop).
+    /// Worker threads to advance LPs with (1 = the calling thread).
     pub(crate) workers: usize,
     /// Minimum cross-LP link delay in nanoseconds (`u64::MAX` when no
     /// cross-LP node pair exists, which makes every window unbounded).
     pub(crate) lookahead: u64,
     /// Per-destination-LP staging area for cross-LP packets emitted in
-    /// the previous window; flushed into the owner's queue (sorted by
-    /// `(at, seq, src_lp)`) at the start of the next window.
-    pub(crate) staged: Vec<Vec<Staged<M>>>,
+    /// the previous window; flushed into the owner's queue at the start
+    /// of the next window.
+    pub(crate) staged: Vec<Mutex<Vec<Staged<M>>>>,
     /// Faults validated since the last partition; gives rejection
     /// diagnostics a stable index ("fault #3 is Custom(7)") to point at.
     pub(crate) faults_validated: u64,
@@ -277,9 +277,10 @@ pub(crate) struct Lp<M> {
     /// fast path pays is that one length check.
     lp_of: Arc<[u32]>,
     /// Per-destination-LP mailboxes: packets bound for a remote LP are
-    /// diverted here (tagged with this LP's send `seq`) instead of the
-    /// local queue, and exchanged at conservative window boundaries.
-    pub(crate) outboxes: Vec<Vec<(SimTime, u64, Packet<M>)>>,
+    /// diverted here, already under their receiver's queue key, instead
+    /// of the local queue, and exchanged at conservative window
+    /// boundaries.
+    pub(crate) outboxes: Vec<Vec<Staged<M>>>,
 }
 
 impl<M: Clone + Send + 'static> Simulator<M> {
@@ -500,13 +501,17 @@ impl<M: Clone + Send + 'static> Simulator<M> {
     /// of the burst, so picking them up in the next `pop_run` round
     /// preserves the order; see `tests/prop_spine.rs`). This is the
     /// same loop [`Simulator::run_until_fault`] runs; here it resumes at
-    /// once after each `Custom` pause. Several LPs advance through
-    /// conservative windows (`crate::par`).
+    /// once after each `Custom` pause.
+    ///
+    /// Several LPs run that loop window by window (`crate::par`). The
+    /// result depends on the scenario and the partition map only: not
+    /// on the worker count, and not on how callers slice a run into
+    /// `run_until` calls.
     pub fn run_until(&mut self, deadline: SimTime) {
-        match (self.lps.len(), self.workers) {
-            (1, _) => self.lps[0].run_until(deadline),
-            (_, 1) => self.run_windows_serial(deadline),
-            _ => self.run_windows_parallel(deadline),
+        if let [lp] = &mut self.lps[..] {
+            lp.run_until(deadline);
+        } else {
+            self.run_windows(deadline);
         }
     }
 
@@ -544,7 +549,12 @@ impl<M: Clone + Send + 'static> Simulator<M> {
             .iter()
             .map(|lp| lp.queue.len() + lp.outboxes.iter().map(Vec::len).sum::<usize>())
             .sum();
-        queued + self.staged.iter().map(Vec::len).sum::<usize>()
+        let staged: usize = self
+            .staged
+            .iter()
+            .map(|m| m.lock().expect(POISONED).len())
+            .sum();
+        queued + staged
     }
 }
 
@@ -651,31 +661,29 @@ impl<M: Clone + Send + 'static> Lp<M> {
 
     /// Queue one delivery, diverting it to the destination LP's mailbox
     /// when another LP owns the destination. The diverted entry consumes
-    /// a send `seq` (the deterministic mailbox merge key);
-    /// `events_scheduled` is counted at the receiver when the mailbox is
-    /// flushed into its queue.
+    /// a send `seq` and carries the key `REMOTE_BAND | id << 48 | seq`
+    /// that the receiver queues it under; `events_scheduled` is counted
+    /// there, when the mailbox is flushed.
     #[inline]
     fn push_deliver(&mut self, at: SimTime, pkt: Packet<M>) {
         if let Some(&dst_lp) = self.lp_of.get(pkt.dst.index()) {
             if dst_lp != self.id {
                 let seq = self.seq;
                 self.seq += 1;
-                self.outboxes[dst_lp as usize].push((at, seq, pkt));
+                assert!(seq < 1 << 48, "LP {} ran out of send seqs", self.id);
+                let key = REMOTE_BAND | u64::from(self.id) << 48 | seq;
+                self.outboxes[dst_lp as usize].push((at, key, pkt));
                 return;
             }
         }
         self.push(at, EventKind::Deliver(pkt));
     }
 
-    /// Merge one window's worth of cross-LP arrivals into the local
-    /// queue. Entries are sorted by `(at, seq, src_lp)` — a total order
-    /// (seqs are unique per sender) independent of the order worker
-    /// threads appended them — then pushed, which assigns fresh local
-    /// seqs in merge order and counts them as scheduled here.
+    /// Queue one window's cross-LP arrivals under the keys their
+    /// senders gave them, in whatever order the mailbox holds them.
     pub(crate) fn flush_remote(&mut self, inbox: &mut Vec<Staged<M>>) {
-        inbox.sort_unstable_by_key(|&(at, seq, src_lp, _)| (at, seq, src_lp));
-        for (at, _seq, _src_lp, pkt) in inbox.drain(..) {
-            self.push(at, EventKind::Deliver(pkt));
+        for (at, key, pkt) in inbox.drain(..) {
+            self.push_at_seq(at, key, EventKind::Deliver(pkt));
         }
     }
 

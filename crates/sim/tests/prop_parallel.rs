@@ -169,3 +169,36 @@ proptest! {
         prop_assert_eq!(&runs[0], &runs[2]);
     }
 }
+
+proptest! {
+    /// Where callers cut a run into `run_until` slices moves the
+    /// conservative windows and nothing else: every node's log, order
+    /// included, equals one run straight to the deadline. Cross-LP
+    /// arrivals carry their sender's key, so a same-instant tie resolves
+    /// the same way whichever window flushed the packet.
+    #[test]
+    fn slicing_is_invisible(
+        sc in scenario(),
+        cuts in prop::collection::vec(1u64..DEADLINE.0, 1..24),
+    ) {
+        let n: usize = sc.lp_sizes.iter().sum();
+
+        let (mut whole, lp_of) = build(&sc);
+        whole.partition(lp_of.clone(), 1);
+        whole.run_until(DEADLINE);
+
+        let (mut sliced, _) = build(&sc);
+        sliced.partition(lp_of, 1);
+        let mut cuts = cuts;
+        cuts.sort_unstable();
+        for t in cuts {
+            sliced.run_until(SimTime(t));
+        }
+        sliced.run_until(DEADLINE);
+
+        prop_assert_eq!(logs(&sliced, n), logs(&whole, n));
+        let (s, w) = (sliced.stats(), whole.stats());
+        prop_assert_eq!(s.events_scheduled, w.events_scheduled);
+        prop_assert_eq!(s.events_fired, w.events_fired);
+    }
+}

@@ -10,18 +10,18 @@
 //! combining, CCSynch delegation) over threads × contention (hot-key
 //! Zipf vs uniform, shared vs exclusive) × critical-section length,
 //! all driving the actual `server::LockTable`. Also measures the
-//! sequential table's ns-per-message — the calibration input the
-//! figure binaries' `--calibrated` flag feeds into the simulation's
-//! server model in place of the paper's 222 ns constant.
+//! sequential table's ns-per-message and reports it as
+//! `seq_lock_table_ns_per_op`, beside the paper's 222 ns constant that
+//! the simulation's server model charges (`ServerConfig::service`).
 //!
 //! `--quick` shrinks op counts and the thread ladder (capped at the
 //! host's cores, so CI smoke runs finish fast and oversubscribed points
 //! don't dominate). `--threads N` caps the ladder; a positional
 //! argument overrides the JSON path.
 //!
-//! The report is a product input, not a gate: nothing compares its
-//! timings against a committed baseline. That the calibration is sane
-//! and every backend reports throughput is held by tier-1
+//! The report is a measurement, not a gate: nothing compares its
+//! timings against a committed baseline. That the sequential cost is
+//! sane and every backend reports throughput is held by tier-1
 //! (`bench::dlock::tests`); timings of the same table under load are
 //! the repo benchmark's `server.lock_table.*` metrics.
 
@@ -145,7 +145,6 @@ fn main() {
         ("quick", Json::Bool(quick)),
         ("threads_available", Json::Int(threads_available as u64)),
         ("seq_lock_table_ns_per_op", Json::Num(seq_ns)),
-        ("calibrated_service_ns", Json::Num(seq_ns)),
         ("backends", Json::Arr(backends)),
         (
             "contended",

@@ -20,23 +20,8 @@ pub struct TimeScale {
 }
 
 impl TimeScale {
-    /// Full-figure scale used by the `figXX` binaries.
-    pub fn full() -> TimeScale {
-        TimeScale {
-            warmup: SimDuration::from_millis(10),
-            measure: SimDuration::from_millis(50),
-        }
-    }
-
-    /// Reduced scale for `--quick` runs and integration tests.
-    pub fn quick() -> TimeScale {
-        TimeScale {
-            warmup: SimDuration::from_millis(2),
-            measure: SimDuration::from_millis(10),
-        }
-    }
-
-    fn of_millis(warmup: u64, measure: u64) -> TimeScale {
+    /// `warmup` then `measure` simulated milliseconds.
+    pub fn of_millis(warmup: u64, measure: u64) -> TimeScale {
         TimeScale {
             warmup: SimDuration::from_millis(warmup),
             measure: SimDuration::from_millis(measure),
@@ -44,51 +29,10 @@ impl TimeScale {
     }
 }
 
-/// The paper figures regenerated by the harness binaries.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Fig {
-    /// Switch microbenchmark.
-    F08,
-    /// Switch vs server cores.
-    F09,
-    /// TPC-C comparison, 10 clients + 2 servers.
-    F10,
-    /// TPC-C comparison, 6 clients + 6 servers.
-    F11,
-    /// Policy support (scales are internal to the module).
-    F12,
-    /// Memory-allocation mechanisms.
-    F13,
-    /// Impact of switch memory size.
-    F14,
-    /// Failure handling (scales are internal to the module).
-    F15,
-}
-
-/// The per-figure measurement scale — the single source of truth
-/// behind the figure table ([`crate::figures::FIGURES`]).
-///
-/// `quick` is the reduced smoke-test scale (`--quick`): every figure
-/// produces the same TSV shape (headers, row counts, labels) as the
-/// full run, only the measured values differ. Figures 12 and 15 build
-/// their timelines internally and take a `quick` flag instead.
-pub fn scale_for(fig: Fig, quick: bool) -> TimeScale {
-    match (fig, quick) {
-        (Fig::F08, false) => TimeScale::of_millis(1, 5),
-        (Fig::F08, true) => TimeScale::of_millis(1, 2),
-        (Fig::F09, false) => TimeScale::of_millis(1, 3),
-        (Fig::F09, true) => TimeScale::of_millis(1, 2),
-        (Fig::F10 | Fig::F11 | Fig::F12 | Fig::F13 | Fig::F15, false) => TimeScale::full(),
-        (Fig::F10 | Fig::F11 | Fig::F12 | Fig::F13 | Fig::F15, true) => TimeScale::quick(),
-        (Fig::F14, false) => TimeScale::of_millis(5, 25),
-        (Fig::F14, true) => TimeScale::of_millis(1, 5),
-    }
-}
-
 /// Command-line flags shared by every harness binary.
 ///
 /// ```text
-/// [--quick | --full] [--threads N] [--sim-workers N] [--calibrated]
+/// [--quick | --full] [--threads N] [--sim-workers N]
 /// ```
 ///
 /// Valued flags accept both `--flag N` and `--flag=N`. `--full` (the
@@ -98,10 +42,7 @@ pub fn scale_for(fig: Fig, quick: bool) -> TimeScale {
 /// available parallelism). `--sim-workers N` asks for conservative
 /// in-simulation parallelism (one logical process per rack or chain)
 /// where a scenario supports it; the TSV is byte-identical for any
-/// `N`. `--calibrated` replaces the paper's 222 ns/message server cost
-/// with the per-op cost `dlock_bench` measured on this machine (read
-/// from `BENCH_dlock.json`, and a usage error if no such measurement
-/// can be read); without it, committed TSVs stay byte-identical.
+/// `N`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BinArgs {
     /// Smoke-test scale instead of the full figure scale.
@@ -110,8 +51,6 @@ pub struct BinArgs {
     pub threads: Option<usize>,
     /// In-simulation worker threads for partitioned scenarios, if given.
     pub sim_workers: Option<usize>,
-    /// Use the measured (calibrated) server service cost.
-    pub calibrated: bool,
 }
 
 impl BinArgs {
@@ -132,7 +71,6 @@ impl BinArgs {
             match flag {
                 "--quick" if inline.is_none() => out.quick = true,
                 "--full" if inline.is_none() => out.quick = false,
-                "--calibrated" if inline.is_none() => out.calibrated = true,
                 "--threads" | "--sim-workers" => {
                     let value = inline.or_else(|| args.next()).unwrap_or_default();
                     let n = match value.parse::<usize>() {
@@ -153,34 +91,16 @@ impl BinArgs {
 
     /// Parse `std::env::args` for a binary whose own arguments read
     /// `own` in the usage line; returns them unparsed beside the shared
-    /// flags. Exits with usage on a malformed shared flag, or on
-    /// `--calibrated` with no measurement to calibrate from.
+    /// flags. Exits with usage on a malformed shared flag.
     pub fn parse_env(own: &str) -> (BinArgs, Vec<String>) {
-        let (out, rest) = BinArgs::parse_known(std::env::args().skip(1))
-            .unwrap_or_else(|err| BinArgs::usage(own, &err));
-        // `ServerConfig::default()` resolves its service cost through
-        // the environment (cached on first use) and falls back to the
-        // paper's constant when it finds nothing usable there, so the
-        // measurement is resolved here, loudly, and pinned before any
-        // rack is built — argument parsing is the first thing every
-        // binary does. The flag reads the default report unless the
-        // environment names another, or switches calibration off.
-        if out.calibrated {
-            let env = |name| std::env::var(name).ok();
-            let direct = env("NETLOCK_CALIBRATED_NS");
-            let report = env("NETLOCK_CALIBRATED").unwrap_or_else(|| "1".into());
-            match netlock_server::calibrated_ns(direct.as_deref(), Some(&report)) {
-                Ok(ns) => std::env::set_var("NETLOCK_CALIBRATED_NS", ns.to_string()),
-                Err(err) => BinArgs::usage(own, &format!("--calibrated: {err}")),
-            }
-        }
-        (out, rest)
+        BinArgs::parse_known(std::env::args().skip(1))
+            .unwrap_or_else(|err| BinArgs::usage(own, &err))
     }
 
     /// Print `err` and the usage line (shared flags, then `own`); exit 2.
     pub fn usage(own: &str, err: &str) -> ! {
         eprintln!("error: {err}");
-        eprintln!("usage: [--quick | --full] [--threads N] [--sim-workers N] [--calibrated] {own}");
+        eprintln!("usage: [--quick | --full] [--threads N] [--sim-workers N] {own}");
         std::process::exit(2);
     }
 
@@ -190,11 +110,6 @@ impl BinArgs {
             Some(n) => Runner::with_threads(n),
             None => Runner::from_env(),
         }
-    }
-
-    /// The measurement scale for one figure.
-    pub fn scale(&self, fig: Fig) -> TimeScale {
-        scale_for(fig, self.quick)
     }
 }
 
@@ -415,7 +330,6 @@ mod tests {
             quick: true,
             threads: Some(3),
             sim_workers: Some(2),
-            calibrated: false,
         };
         assert_eq!(spaced, Ok((want, vec!["fig09".to_string()])));
         assert_eq!(inline, spaced);

@@ -18,9 +18,8 @@
 //! (mean/p50/p99 of the `run()` round-trip, i.e. delegation cost — not
 //! lock-wait time; queued verdicts return immediately). The
 //! single-thread sequential table cost is reported separately as
-//! `seq_lock_table_ns_per_op` / `calibrated_service_ns`, the number the
-//! `--calibrated` flag of the figure binaries feeds back into
-//! [`netlock_server::ServiceModel`].
+//! `seq_lock_table_ns_per_op`, to set beside the 222 ns/message the
+//! simulation charges by default (`netlock_server::ServerConfig::service`).
 
 use std::time::Instant;
 
@@ -310,8 +309,8 @@ fn drive<T: ConcurrentLockTable>(backend: &T, spec: PointSpec) -> PointResult {
 /// Sequential `LockTable` cost in ns per *message* (an acquire or a
 /// release), cycling acquire+release pairs over the same 64 locks: the
 /// entry is re-created in a warm map slot from a warm spare state every
-/// round. This is the number `--calibrated` feeds into the simulation's
-/// server model in place of the paper's 222 ns.
+/// round. The report writes it as `seq_lock_table_ns_per_op`; a
+/// simulation that should charge it sets `ServerConfig::service`.
 pub fn seq_lock_table_ns_per_message(rounds: usize) -> f64 {
     let mut table = LockTable::new();
     let mut grants: Vec<LockRequest> = Vec::new();

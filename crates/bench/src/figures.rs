@@ -5,7 +5,7 @@
 //! checks them (`figs all --check`): at the default flags a figure's
 //! render is its committed file, byte for byte.
 
-use crate::common::{BinArgs, Fig, TimeScale};
+use crate::common::{BinArgs, TimeScale};
 use crate::failover::Scale;
 use crate::flash_crowd::FlashCrowdSpec;
 use crate::runner::Runner;
@@ -17,6 +17,14 @@ use crate::{
 /// Renders one result file from the shared flags.
 pub type RenderFn = fn(&BinArgs, &Runner) -> String;
 
+/// The figure's windows at these flags: `quick` under `--quick`, else
+/// `full`, each `(warmup, measure)` in simulated milliseconds. Only the
+/// measured values change with the scale, never the TSV's shape.
+fn scale(args: &BinArgs, quick: (u64, u64), full: (u64, u64)) -> TimeScale {
+    let (warmup, measure) = if args.quick { quick } else { full };
+    TimeScale::of_millis(warmup, measure)
+}
+
 fn scaled(scale: TimeScale, unit: &str, body: String) -> String {
     format!(
         "# scaling: {} warmup, {} measure{unit} (simulated time)\n{body}",
@@ -27,13 +35,13 @@ fn scaled(scale: TimeScale, unit: &str, body: String) -> String {
 /// `(name, render)` for every result file, in `figs all` order.
 pub const FIGURES: [(&str, RenderFn); 12] = [
     ("fig08", |args, runner| {
-        let scale = args.scale(Fig::F08);
+        let scale = scale(args, (1, 2), (1, 5));
         scaled(scale, " per point", fig08::render(runner, scale))
     }),
     // With `--sim-workers N`: the cluster variant, two fig09 lock-switch
     // racks in one partitioned simulator advanced by `N` threads.
     ("fig09", |args, runner| {
-        let scale = args.scale(Fig::F09);
+        let scale = scale(args, (1, 2), (1, 3));
         let body = match args.sim_workers {
             Some(workers) => fig09::render_cluster(scale, 2, workers),
             None => fig09::render(runner, scale),
@@ -41,11 +49,11 @@ pub const FIGURES: [(&str, RenderFn); 12] = [
         scaled(scale, " per point", body)
     }),
     ("fig10", |args, runner| {
-        let scale = args.scale(Fig::F10);
+        let scale = scale(args, (2, 10), (10, 50));
         scaled(scale, "", fig10::render(runner, 10, 2, scale))
     }),
     ("fig11", |args, runner| {
-        let scale = args.scale(Fig::F11);
+        let scale = scale(args, (2, 10), (10, 50));
         scaled(scale, "", fig10::render(runner, 6, 6, scale))
     }),
     ("fig12", |args, runner| {
@@ -57,11 +65,11 @@ pub const FIGURES: [(&str, RenderFn); 12] = [
         scaling.to_string() + &fig12::render(runner, args.quick)
     }),
     ("fig13", |args, runner| {
-        let scale = args.scale(Fig::F13);
+        let scale = scale(args, (2, 10), (10, 50));
         scaled(scale, "", fig13::render(runner, scale))
     }),
     ("fig14", |args, runner| {
-        let scale = args.scale(Fig::F14);
+        let scale = scale(args, (1, 5), (5, 25));
         scaled(scale, " per point", fig14::render(runner, scale))
     }),
     ("fig15", |args, _| {

@@ -29,8 +29,8 @@ pub mod runner;
 pub mod tenant_churn;
 
 pub use common::{
-    build_netlock_tpcc, scale_for, tpcc_alloc_stats, tpcc_allocation, tpcc_sources, BinArgs, Fig,
-    SystemResult, TimeScale, TpccRackSpec,
+    build_netlock_tpcc, tpcc_alloc_stats, tpcc_allocation, tpcc_sources, BinArgs, SystemResult,
+    TimeScale, TpccRackSpec,
 };
 pub use count_alloc::{allocation_count, CountingAlloc};
 pub use runner::{Job, Runner};

@@ -7,7 +7,7 @@
 //! proportional to event count, not to the simulated rates.
 
 use netlock_proto::NetLockMsg;
-use netlock_sim::{Histogram, LatencySummary, NodeId, SimDuration, Simulator, TimeSeries};
+use netlock_sim::{Histogram, LatencySummary, NodeId, SimDuration, Simulator};
 use netlock_switch::SwitchNode;
 
 use crate::client_micro::MicroClient;
@@ -232,29 +232,6 @@ impl RackNodes {
             .collect()
     }
 
-    /// Sample transaction throughput over time: run `intervals` windows
-    /// of `interval` each, recording completed-transactions-per-second
-    /// per window. Used by the policy (Fig. 12) and failure (Fig. 15)
-    /// plots.
-    pub fn tps_series(
-        &self,
-        sim: &mut Simulator<NetLockMsg>,
-        interval: SimDuration,
-        intervals: usize,
-    ) -> TimeSeries {
-        let total = |sim: &Simulator<NetLockMsg>| self.txns_by_client(sim).iter().sum::<u64>();
-        let mut series = TimeSeries::new();
-        let mut last = total(sim);
-        for _ in 0..intervals {
-            sim.run_for(interval);
-            let now_total = total(sim);
-            let rate = (now_total - last) as f64 / interval.as_secs_f64();
-            series.push(sim.now(), rate);
-            last = now_total;
-        }
-        series
-    }
-
     /// Grants processed by the switch vs forwarded to servers, from the
     /// switch's own counters (Fig. 13a's breakdown).
     pub fn switch_breakdown(&self, sim: &Simulator<NetLockMsg>) -> (u64, u64) {
@@ -281,11 +258,6 @@ pub fn collect(rack: &Rack, measured: SimDuration) -> RunStats {
 /// Run `warmup`, zero the counters, run `measure`, and aggregate.
 pub fn warmup_and_measure(rack: &mut Rack, warmup: SimDuration, measure: SimDuration) -> RunStats {
     measure_clients(&mut rack.sim, rack.nodes.client_ops(), warmup, measure)
-}
-
-/// [`RackNodes::tps_series`] on a standalone rack.
-pub fn tps_series(rack: &mut Rack, interval: SimDuration, intervals: usize) -> TimeSeries {
-    rack.nodes.tps_series(&mut rack.sim, interval, intervals)
 }
 
 /// Per-client completed-work totals (for per-tenant series).
@@ -347,15 +319,6 @@ mod tests {
         assert!((300_000.0..500_000.0).contains(&rps), "rps = {rps}");
         assert!(stats.lock_latency_summary().count > 0);
         assert_eq!(stats.switch_share(), 1.0);
-    }
-
-    #[test]
-    fn tps_series_has_one_point_per_interval() {
-        let mut rack = micro_rack(1);
-        let series = tps_series(&mut rack, SimDuration::from_millis(1), 5);
-        assert_eq!(series.len(), 5);
-        // Steady state: roughly constant rate.
-        assert!(series.mean() > 100_000.0, "mean = {}", series.mean());
     }
 }
 

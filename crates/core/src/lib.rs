@@ -87,8 +87,8 @@ pub mod prelude {
         FailoverConfig, FailoverRun, GrantTimeline, VictimPick, PARTITIONS,
     };
     pub use crate::harness::{
-        collect, reset_clients, switch_breakdown, tps_series, txns_by_client, warmup_and_measure,
-        ClientReport, RunStats,
+        collect, reset_clients, switch_breakdown, txns_by_client, warmup_and_measure, ClientReport,
+        RunStats,
     };
     pub use crate::oracle::{
         oracle_tap, Oracle, OracleConfig, OracleCounts, Violation, ViolationKind,

@@ -12,8 +12,6 @@
 //! pins a lock to one core and arrivals are FIFO), while *outputs* carry
 //! the queueing + service delay.
 
-use std::sync::OnceLock;
-
 use netlock_proto::LockId;
 
 /// The paper's per-message CPU cost: 222 ns ≈ 18 M lock requests/s per
@@ -21,104 +19,6 @@ use netlock_proto::LockId;
 /// the literature constant every committed figure TSV and chaos digest
 /// is pinned to.
 pub const PAPER_SERVICE_NS: u64 = 222;
-
-/// Where the per-message service cost comes from.
-///
-/// The simulation's server model charges a constant per message. By
-/// default that constant is the paper's ([`PAPER_SERVICE_NS`]); the
-/// `dlock_bench` harness *measures* the sequential lock-table cost on
-/// this machine's cores and writes it to `BENCH_dlock.json` as
-/// `calibrated_service_ns`, and an opt-in flag feeds that measurement
-/// back in so capacity studies reflect local hardware instead of the
-/// paper's testbed.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ServiceModel {
-    /// The paper's constant ([`PAPER_SERVICE_NS`]). The default:
-    /// committed artifacts stay byte-identical.
-    Paper,
-    /// A measured per-message cost in nanoseconds.
-    CalibratedNs(u64),
-}
-
-impl ServiceModel {
-    /// The per-message cost this model charges.
-    pub fn service_ns(&self) -> u64 {
-        match *self {
-            ServiceModel::Paper => PAPER_SERVICE_NS,
-            ServiceModel::CalibratedNs(ns) => ns.max(1),
-        }
-    }
-
-    /// The model selected by the environment (cached after first call):
-    /// [`calibrated_ns`] of `NETLOCK_CALIBRATED_NS` and
-    /// `NETLOCK_CALIBRATED`, or [`Paper`] where that finds nothing
-    /// usable.
-    ///
-    /// The `--calibrated` flag of the figure binaries sets the
-    /// environment before any server is built.
-    ///
-    /// [`Paper`]: ServiceModel::Paper
-    pub fn from_env() -> ServiceModel {
-        static CACHE: OnceLock<ServiceModel> = OnceLock::new();
-        *CACHE.get_or_init(|| {
-            let env = |name| std::env::var(name).ok();
-            let direct = env("NETLOCK_CALIBRATED_NS");
-            let report = env("NETLOCK_CALIBRATED");
-            calibrated_ns(direct.as_deref(), report.as_deref())
-                .map_or(ServiceModel::Paper, ServiceModel::CalibratedNs)
-        })
-    }
-}
-
-/// The measured per-message cost two environment values select:
-///
-/// - `direct` (`NETLOCK_CALIBRATED_NS`), if it is a positive integer;
-/// - else the `calibrated_service_ns` of the report `report`
-///   (`NETLOCK_CALIBRATED`) names — `1` / `true` name
-///   `BENCH_dlock.json` in the current directory, while unset, empty,
-///   `0` and `false` select no calibration.
-///
-/// `Err` says why there is no cost: nothing selected, or the report
-/// that could not be used.
-pub fn calibrated_ns(direct: Option<&str>, report: Option<&str>) -> Result<u64, String> {
-    if let Some(ns) = direct.and_then(|v| v.trim().parse::<u64>().ok()) {
-        if ns > 0 {
-            return Ok(ns);
-        }
-    }
-    let path = match report.map(str::trim) {
-        None | Some("" | "0" | "false") => {
-            let value = report.unwrap_or_default();
-            return Err(format!("NETLOCK_CALIBRATED={value:?} selects no report"));
-        }
-        Some("1" | "true") => "BENCH_dlock.json",
-        Some(path) => path,
-    };
-    std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| parse_calibrated_ns(&text))
-        .ok_or_else(|| {
-            format!("no usable calibrated_service_ns in {path:?} (run dlock_bench to write one)")
-        })
-}
-
-/// Extract `"calibrated_service_ns": <number>` from a `BENCH_dlock.json`
-/// report without a JSON parser (the workspace builds offline, no
-/// serde). Returns `None` when the field is missing or malformed.
-pub fn parse_calibrated_ns(text: &str) -> Option<u64> {
-    let key = "\"calibrated_service_ns\"";
-    let rest = &text[text.find(key)? + key.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.'))
-        .unwrap_or(rest.len());
-    let ns = rest[..end].parse::<f64>().ok()?;
-    if ns.is_finite() && ns >= 1.0 {
-        Some(ns.round() as u64)
-    } else {
-        None
-    }
-}
 
 /// The per-core service model.
 #[derive(Clone, Debug)]
@@ -249,59 +149,6 @@ mod tests {
         assert_eq!(m.processed(), 2);
         assert!((m.utilization(1_000) - 0.1).abs() < 1e-9);
         assert_eq!(m.utilization(0), 0.0);
-    }
-
-    #[test]
-    fn service_model_costs() {
-        assert_eq!(ServiceModel::Paper.service_ns(), PAPER_SERVICE_NS);
-        assert_eq!(ServiceModel::CalibratedNs(950).service_ns(), 950);
-        // A degenerate calibration can never stall the core model.
-        assert_eq!(ServiceModel::CalibratedNs(0).service_ns(), 1);
-    }
-
-    #[test]
-    fn parse_calibrated_ns_from_report() {
-        let report = r#"{
-  "schema": "netlock-bench-dlock/1",
-  "seq_lock_table_ns_per_op": 81.25,
-  "calibrated_service_ns": 81.25,
-  "backends": []
-}"#;
-        assert_eq!(parse_calibrated_ns(report), Some(81));
-        assert_eq!(parse_calibrated_ns("{}"), None);
-        assert_eq!(parse_calibrated_ns("\"calibrated_service_ns\": x"), None);
-        assert_eq!(parse_calibrated_ns("\"calibrated_service_ns\": 0.2"), None);
-        assert_eq!(
-            parse_calibrated_ns("{\"calibrated_service_ns\":  1500}"),
-            Some(1500)
-        );
-    }
-
-    #[test]
-    fn calibrated_without_a_usable_report_is_an_error_naming_the_path() {
-        let dir = std::env::temp_dir().join(format!("netlock-calibrated-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let at = |name: &str| dir.join(name).to_str().unwrap().to_string();
-        let (missing, fieldless, good) =
-            (at("missing.json"), at("fieldless.json"), at("good.json"));
-        std::fs::write(&fieldless, "{\"seq_lock_table_ns_per_op\": 14.5}").unwrap();
-        std::fs::write(&good, "{\"calibrated_service_ns\": 81.3}").unwrap();
-        for bad in [&missing, &fieldless] {
-            let err = calibrated_ns(None, Some(bad)).unwrap_err();
-            assert!(err.contains(bad.as_str()), "{err}");
-            // A malformed direct value does not rescue it either.
-            assert!(calibrated_ns(Some("0"), Some(bad)).is_err());
-        }
-        assert_eq!(calibrated_ns(None, Some(&good)), Ok(81));
-        assert_eq!(calibrated_ns(Some("x"), Some(&good)), Ok(81));
-        assert_eq!(calibrated_ns(Some(" 40 "), Some(&missing)), Ok(40));
-        // Unset, empty, `0` and `false` switch calibration off rather
-        // than name a report file.
-        for off in [None, Some(""), Some("0"), Some(" false ")] {
-            let err = calibrated_ns(None, off).unwrap_err();
-            assert!(err.contains("selects no report"), "{off:?}: {err}");
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -17,6 +17,6 @@ pub mod cores;
 pub mod lock_table;
 pub mod node;
 
-pub use cores::{calibrated_ns, parse_calibrated_ns, CoreModel, ServiceModel, PAPER_SERVICE_NS};
+pub use cores::{CoreModel, PAPER_SERVICE_NS};
 pub use lock_table::{Holder, LockState, LockTable, TableAcquire};
 pub use node::{ServerConfig, ServerNode, ServerStats};

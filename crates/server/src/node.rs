@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 use netlock_proto::{GrantMsg, Grantor, LockId, LockRequest, NetLockMsg, ReleaseRequest};
 use netlock_sim::{Context, FastHashMap, Node, NodeId, Packet, SimDuration};
 
-use crate::cores::CoreModel;
+use crate::cores::{CoreModel, PAPER_SERVICE_NS};
 use crate::lock_table::{LockTable, TableAcquire};
 
 /// Timer token for the lease sweep.
@@ -37,11 +37,8 @@ pub struct ServerConfig {
     /// CPU time per lock *message* (acquires and releases both cost
     /// CPU). 222 ns/message ≈ the paper's measured 18 M lock requests/s
     /// per 8-core server, since each granted request also brings a
-    /// release to process. The default resolves through
-    /// [`crate::cores::ServiceModel::from_env`], so an opt-in
-    /// calibration (`--calibrated` / `NETLOCK_CALIBRATED*`) substitutes
-    /// the cost `dlock_bench` measured on this machine; with the
-    /// environment unset it is exactly the paper constant.
+    /// release to process. The default is [`PAPER_SERVICE_NS`]; a
+    /// caller that models another server sets this field.
     pub service: SimDuration,
     /// Lease duration for owned locks (zero disables sweeping).
     pub lease: SimDuration,
@@ -53,7 +50,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             cores: 8,
-            service: SimDuration::from_nanos(crate::cores::ServiceModel::from_env().service_ns()),
+            service: SimDuration::from_nanos(PAPER_SERVICE_NS),
             lease: SimDuration::from_millis(10),
             sweep_tick: SimDuration::from_millis(1),
         }

@@ -6,7 +6,8 @@
 //! these six keep the identity check inside `cargo test`, and between
 //! them run the DSLR, DrTM and NetChain clients against NetLock under
 //! TPC-C, the knapsack rack, the partitioned failover chains, the
-//! eight-rack population cluster and tenant churn.
+//! eight-rack population cluster and tenant churn. One more runs the
+//! `figs` binary itself, to pin that its output ignores the environment.
 
 use netlock_bench::figures::{first_difference, FIGURES};
 use netlock_bench::BinArgs;
@@ -56,4 +57,33 @@ fn flash_crowd_is_its_committed_file() {
 #[test]
 fn tenant_churn_is_its_committed_file() {
     assert_committed("tenant_churn");
+}
+
+/// A figure depends only on its command line: `figs fig09 --quick`
+/// prints the same bytes with the `NETLOCK_CALIBRATED*` variables set
+/// as without them, because the server's per-message cost is a field of
+/// `ServerConfig`, not a value read from the environment.
+#[test]
+fn fig09_ignores_the_environment() {
+    let run = |set: bool| {
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_figs"));
+        cmd.args(["fig09", "--quick"]);
+        if set {
+            cmd.env("NETLOCK_CALIBRATED_NS", "15")
+                .env("NETLOCK_CALIBRATED", "1");
+        } else {
+            cmd.env_remove("NETLOCK_CALIBRATED_NS")
+                .env_remove("NETLOCK_CALIBRATED");
+        }
+        let out = cmd.output().expect("figs runs");
+        assert!(out.status.success(), "figs fig09 --quick failed: {out:?}");
+        String::from_utf8(out.stdout).expect("TSV is UTF-8")
+    };
+    let (set, unset) = (run(true), run(false));
+    assert!(!unset.is_empty());
+    assert!(
+        set == unset,
+        "fig09 with the variables unset (committed) and set (regenerated) differ at {}",
+        first_difference(&unset, &set)
+    );
 }

@@ -337,7 +337,7 @@ fn auto_reallocation_follows_the_workload() {
 fn steady_state_memory_is_flat() {
     use netlock_bench::{common::build_netlock_tpcc, fig13, TimeScale};
 
-    let quick = TimeScale::quick();
+    let quick = TimeScale::of_millis(2, 10);
     let t = quick.warmup + quick.measure;
     let mut rack = build_netlock_tpcc(&fig13::spec(false));
     let mut footprint_after = |span: SimDuration| {

@@ -139,11 +139,16 @@ fn fault_plans_never_crash_aggregate_nodes() {
 /// noise cannot flake it: the aggregate build of the 100K-client
 /// shared-queue scenario must beat the equivalent 400-node individual
 ///-client build by at least 3x wall clock. The measured ratio on an
-/// unloaded core is ~9-11x (see EXPERIMENTS.md).
+/// unloaded core is ~9-11x (see EXPERIMENTS.md); run with
+/// `-- --nocapture` to print it.
 #[test]
 fn aggregate_population_beats_individual_clients_by_3x() {
     let (agg, ind, requests) =
         flash_crowd::speedup_point(100_000, 20.0, 400, SimDuration::from_millis(100), 90);
+    eprintln!(
+        "aggregate {agg:.3}s, individual {ind:.3}s, speedup {:.1}x, {requests} requests",
+        ind / agg.max(1e-12)
+    );
     assert!(
         requests > 100_000,
         "scenario too small: {requests} requests"

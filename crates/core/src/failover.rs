@@ -126,10 +126,7 @@ impl FailoverCluster {
         let mut lp_of = vec![0u32; 1 + CLIENTS];
 
         let id = sim.add_node(Box::new(ChainController::new(
-            ControllerConfig {
-                tick: CONTROL_TICK,
-                dead_after: SimDuration::from_nanos(CONTROL_TICK.as_nanos() * 3),
-            },
+            ControllerConfig { tick: CONTROL_TICK },
             chains.clone(),
             clients.clone(),
         )));

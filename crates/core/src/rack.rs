@@ -42,8 +42,8 @@ pub struct RackConfig {
     pub switch: SwitchConfig,
     /// Data-plane engine and memory layout.
     pub engine: EngineSpec,
-    /// Database servers (0 disables one-RTT mode regardless of the
-    /// switch setting).
+    /// Database servers the switch forwards every grant through
+    /// (§4.1 one-RTT mode); 0 turns it off.
     pub db_servers: usize,
     /// Intra-rack link parameters.
     pub link: LinkConfig,

@@ -8,8 +8,8 @@
 //! (acquire/release), lock ID, lock mode, transaction ID, client IP — and
 //! notes that "additional metadata such as timestamp and tenant ID can
 //! also be stored together"; §4.4's policies add the priority class. The
-//! [`LockHeader`] codec carries all of them in a fixed 32-byte header
-//! behind a reserved UDP port ([`NETLOCK_UDP_PORT`]).
+//! [`LockHeader`] codec carries all of them in a fixed 36-byte header
+//! ([`HEADER_LEN`]) behind a reserved UDP port ([`NETLOCK_UDP_PORT`]).
 
 #![warn(missing_docs)]
 

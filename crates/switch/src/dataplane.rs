@@ -907,6 +907,15 @@ impl DataPlane {
         }
     }
 
+    /// Whether `lock` is switch-resident and its queue is empty: the
+    /// backup's handback condition (§4.5).
+    pub(crate) fn is_drained(&self, lock: LockId) -> bool {
+        match self.directory.get(lock).map(|e| e.residence) {
+            Some(Residence::Switch { qid }) => self.is_region_empty(qid),
+            _ => false,
+        }
+    }
+
     /// Whether grants for `lock` are currently suppressed (tests/CP).
     pub fn handback_suppressed(&self, lock: LockId) -> bool {
         match self.directory.get(lock).map(|e| e.residence) {

@@ -53,13 +53,6 @@ pub struct SwitchConfig {
     pub lease: SimDuration,
     /// Control-plane polling interval.
     pub control_tick: SimDuration,
-    /// One-RTT transaction mode (§4.1): grants are forwarded to the
-    /// database server to combine locking and data fetch.
-    pub one_rtt: bool,
-    /// This switch is acting as the backup for a restarted original:
-    /// whenever one of its lock queues drains, it hands the lock back
-    /// (CtrlHandback) to the given node (§4.5).
-    pub backup_handback_to: Option<NodeId>,
     /// Periodic measure-and-reallocate loop (None = static allocation,
     /// as the figure harnesses use).
     pub auto_realloc: Option<AutoRealloc>,
@@ -70,8 +63,6 @@ impl Default for SwitchConfig {
         SwitchConfig {
             lease: SimDuration::from_millis(10),
             control_tick: SimDuration::from_millis(1),
-            one_rtt: false,
-            backup_handback_to: None,
             auto_realloc: None,
         }
     }
@@ -103,8 +94,13 @@ pub struct SwitchNode {
     cfg: SwitchConfig,
     /// Lock server node ids, indexed by the directory's server index.
     servers: Vec<NodeId>,
-    /// Database server node ids for one-RTT mode (may be empty).
+    /// Database servers grants are forwarded through (§4.1 one-RTT
+    /// mode); empty sends grants straight to clients.
     db_servers: Vec<NodeId>,
+    /// This switch is acting as the backup for a restarted original:
+    /// whenever one of its lock queues drains, it hands the lock back
+    /// (CtrlHandback) to the given node (§4.5).
+    backup_handback_to: Option<NodeId>,
     /// Locks draining toward demotion.
     pending_demotes: HashSet<LockId>,
     /// Promotions waiting for demotions to free their regions.
@@ -139,6 +135,7 @@ impl SwitchNode {
             cfg,
             servers,
             db_servers: Vec::new(),
+            backup_handback_to: None,
             pending_demotes: HashSet::new(),
             pending_promotes: Vec::new(),
             promote_reservations: HashMap::new(),
@@ -156,7 +153,9 @@ impl SwitchNode {
         self.dp.set_release_guard(false);
     }
 
-    /// Enable one-RTT mode with the given database servers.
+    /// Enable one-RTT mode (§4.1): every grant is forwarded to the
+    /// database server that owns the item, so the client gets data and
+    /// grant in one message. An empty list leaves it off.
     pub fn with_db_servers(mut self, db_servers: Vec<NodeId>) -> SwitchNode {
         self.db_servers = db_servers;
         self
@@ -168,7 +167,7 @@ impl SwitchNode {
     /// [`DataPlane::begin_handback_suppression`] applied to the locks
     /// the backup still owns.
     pub fn set_backup_handback(&mut self, original: Option<NodeId>) {
-        self.cfg.backup_handback_to = original;
+        self.backup_handback_to = original;
     }
 
     /// Data-plane handle (control plane / harness).
@@ -276,7 +275,7 @@ impl SwitchNode {
     /// individual path.
     fn emit(&mut self, extra_passes: u64, ctx: &mut Context<'_, NetLockMsg>, batched: bool) {
         let delay = egress_delay(extra_passes);
-        let coalesce = batched && (!self.cfg.one_rtt || self.db_servers.is_empty());
+        let coalesce = batched && self.db_servers.is_empty();
         for i in 0..self.actions.len() {
             let act = self.actions[i];
             match act {
@@ -327,7 +326,7 @@ impl SwitchNode {
         delay: SimDuration,
         ctx: &mut Context<'_, NetLockMsg>,
     ) {
-        if self.cfg.one_rtt && !self.db_servers.is_empty() {
+        if !self.db_servers.is_empty() {
             // One-RTT transactions: forward the granted request to the
             // database server that owns the item; the client gets data
             // and grant in a single message (§4.1).
@@ -362,8 +361,8 @@ impl SwitchNode {
         Some(self.after_release(rel.lock, before, ctx, batched))
     }
 
-    /// Emit what a processed release left in `self.actions`; returns
-    /// its extra passes.
+    /// Emit what a processed release (client or lease sweep) left in
+    /// `self.actions`; returns its extra passes.
     fn after_release(
         &mut self,
         lock: LockId,
@@ -376,6 +375,13 @@ impl SwitchNode {
         // The release may have completed a drain for a demoting lock.
         if self.pending_demotes.contains(&lock) {
             self.try_complete_demote(lock, ctx);
+        }
+        // Backup-handback mode: report a drained queue to the restarted
+        // original switch.
+        if let Some(original) = self.backup_handback_to {
+            if self.dp.is_drained(lock) {
+                ctx.send_after(original, NetLockMsg::CtrlHandback { lock }, TRAVERSAL);
+            }
         }
         extra
     }
@@ -586,24 +592,7 @@ impl Node<NetLockMsg> for SwitchNode {
             payload => Packet { payload, ..pkt },
         };
         if let NetLockMsg::Release(rel) = pkt.payload {
-            if self.release(rel, ctx, false).is_none() {
-                return;
-            }
-            // Backup-handback mode: report drained queues to the
-            // restarted original switch.
-            if let Some(original) = self.cfg.backup_handback_to {
-                let lock = rel.lock;
-                let drained = match self.dp.directory().get(lock).map(|e| e.residence) {
-                    Some(crate::directory::Residence::Switch { qid }) => match self.dp.engine() {
-                        crate::dataplane::Engine::Fcfs(q) => q.cp_region(qid).count == 0,
-                        crate::dataplane::Engine::Priority(e) => e.cp_total_count(qid) == 0,
-                    },
-                    _ => false,
-                };
-                if drained {
-                    ctx.send_after(original, NetLockMsg::CtrlHandback { lock }, TRAVERSAL);
-                }
-            }
+            self.release(rel, ctx, false);
             return;
         }
         // Complete a reserved promotion: install the region + directory
@@ -692,15 +681,7 @@ mod tests {
         let client = sim.add_node(Box::new(Sink(Vec::new())));
         let db = sim.add_node(Box::new(Sink(Vec::new())));
         let switch = sim.add_node(Box::new(
-            SwitchNode::new(
-                dp(4),
-                SwitchConfig {
-                    one_rtt: true,
-                    ..Default::default()
-                },
-                vec![],
-            )
-            .with_db_servers(vec![db]),
+            SwitchNode::new(dp(4), SwitchConfig::default(), vec![]).with_db_servers(vec![db]),
         ));
         sim.inject(client, switch, acquire(1, 5, client.0, 0));
         sim.run_until(SimTime(1_000_000));

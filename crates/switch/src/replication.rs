@@ -17,7 +17,7 @@
 //!
 //! Failure handling is pure control plane, driven by missed control
 //! ticks: every member pings the [`ChainController`] from its tick;
-//! the controller declares a member dead after `dead_after` of
+//! the controller declares a member dead after three of its ticks of
 //! silence, splices it out of the chain (`CtrlChainConfig`), and lets
 //! the predecessor *replay its unacknowledged log suffix* to its new
 //! successor — that replay is what makes a mid-chain crash lossless. A
@@ -633,22 +633,22 @@ pub struct ControllerStats {
 /// Configuration of the [`ChainController`].
 #[derive(Clone, Debug)]
 pub struct ControllerConfig {
-    /// Failure-detector polling interval.
+    /// Failure-detector polling interval. A member silent for three
+    /// of these is declared dead.
     pub tick: SimDuration,
-    /// Silence after which a member is declared dead. Must comfortably
-    /// exceed the member tick plus network latency; three member ticks
-    /// is the deployed default.
-    pub dead_after: SimDuration,
 }
 
 impl Default for ControllerConfig {
     fn default() -> Self {
         ControllerConfig {
             tick: SimDuration::from_millis(1),
-            dead_after: SimDuration::from_millis(3),
         }
     }
 }
+
+/// Controller ticks of silence after which a member is declared dead:
+/// comfortably more than the member tick plus network latency.
+const DEAD_AFTER_TICKS: u64 = 3;
 
 /// The chain-repair control plane (one per cluster, like the paper's
 /// lock-management controller): collects liveness pings, splices
@@ -745,7 +745,7 @@ impl ChainController {
 
     fn detector_tick(&mut self, ctx: &mut Context<'_, NetLockMsg>) {
         let now = ctx.now().as_nanos();
-        let dead_after = self.cfg.dead_after.as_nanos();
+        let dead_after = self.cfg.tick.as_nanos() * DEAD_AFTER_TICKS;
         let mut heads_changed = false;
         for pi in 0..self.partitions.len() {
             let p = &mut self.partitions[pi];

@@ -1,5 +1,5 @@
 //! Seeded random [`TxnProgram`] and packet generation for the
-//! differential fuzzer and the regression corpus.
+//! differential fuzzer.
 //!
 //! Programs are *mostly* well-formed: array/field/meta references are
 //! always in range (so [`TxnProgram::validate`] passes), but a small
@@ -9,8 +9,9 @@
 //! the verifier accepts and asserts rejections are deterministic.
 //!
 //! Everything here is seeded [`SmallRng`]: the same seed always yields
-//! the same program and packets, which is what lets the corpus replay
-//! findings byte-for-byte.
+//! the same program and packets, so a seed is the whole reproducer of a
+//! finding. `fuzz_txn_differential.rs` pins the found seeds with their
+//! expected verdicts.
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -19,18 +20,14 @@ use super::ir::{AluOp, ArrayDecl, BinOp, CmpOp, Export, Operand, Pred, Step, Ste
 
 /// Canonical static names for generated arrays (index `i` → `"g<i>"`).
 /// [`RegisterArray`](crate::register::RegisterArray) names are
-/// `&'static str`, so generated and corpus-parsed programs draw from
-/// this fixed table.
-pub fn array_name(i: usize) -> &'static str {
+/// `&'static str`, so generated programs draw from this fixed table.
+fn array_name(i: usize) -> &'static str {
     const NAMES: [&str; 16] = [
         "g0", "g1", "g2", "g3", "g4", "g5", "g6", "g7", "g8", "g9", "g10", "g11", "g12", "g13",
         "g14", "g15",
     ];
     NAMES[i]
 }
-
-/// Largest array index [`array_name`] can label.
-pub const MAX_ARRAYS: usize = 16;
 
 const MAX_RECIRCS: u32 = 3;
 

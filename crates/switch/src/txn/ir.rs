@@ -86,7 +86,8 @@ impl CmpOp {
         }
     }
 
-    /// The corpus-format mnemonic.
+    /// The name [`Pred`]'s and [`Step`]'s `Display` print for this
+    /// comparison.
     pub fn mnemonic(self) -> &'static str {
         match self {
             CmpOp::Eq => "eq",
@@ -157,7 +158,7 @@ impl AluOp {
         }
     }
 
-    /// The corpus-format mnemonic.
+    /// The name [`Step`]'s `Display` prints for this register update.
     pub fn mnemonic(self) -> &'static str {
         match self {
             AluOp::Write => "write",
@@ -221,7 +222,7 @@ impl BinOp {
         }
     }
 
-    /// The corpus-format mnemonic.
+    /// The name [`Step`]'s `Display` prints for this computation.
     pub fn mnemonic(self) -> &'static str {
         match self {
             BinOp::Add => "add",

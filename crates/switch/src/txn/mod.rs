@@ -18,20 +18,19 @@
 //! * [`exec`] — the lowered stage-by-stage executor, running verified
 //!   programs over real [`crate::register::RegisterArray`]s
 //! * [`netlock`] — the real FCFS grant path expressed as a transaction
-//! * [`gen`] — seeded random program/packet generation for fuzzing
-//! * [`corpus`] — plain-text (de)serialization for the regression
-//!   corpus in `crates/switch/tests/corpus/`
+//! * [`gen`] — seeded random program/packet generation for fuzzing;
+//!   a seed is the whole reproducer of a fuzzer finding
 //!
 //! Trust comes from differential testing ("Testing Compilers for
 //! Programmable Switches", PAPERS.md): the fuzzer in
 //! `switch/tests/fuzz_txn_differential.rs` runs random programs through
 //! both executors and asserts identical register state and emitted
-//! actions, and the [`netlock`] program is differential-tested against
+//! actions (the found seeds are pinned there with their verdicts), and
+//! the [`netlock`] program is differential-tested against
 //! the hand-written [`crate::shared_queue::SharedQueue`] path.
 
 #![deny(missing_docs)]
 
-pub mod corpus;
 pub mod exec;
 pub mod gen;
 pub mod interp;

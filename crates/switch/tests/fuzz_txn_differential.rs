@@ -10,15 +10,17 @@
 //! replays it through `check_discipline`, so the verifier's *static*
 //! stage assignment is checked against the *runtime* ground truth on
 //! every accepted program. Rejected programs must be rejected
-//! deterministically with a stable classification.
+//! deterministically, with the same error.
 //!
-//! Case count defaults to 256 (CI's fuzz-smoke budget); set
-//! `TXN_FUZZ_CASES` to run more (the acceptance sweep uses 10000).
+//! The generator is the reproducer: a fuzzer finding is a seed plus its
+//! expected verdict, pinned in `fixed_seed_sweep_covers_accept_and_reject`.
+//!
+//! Case count defaults to 256; set `TXN_FUZZ_CASES` to run more (the
+//! acceptance sweep uses 10000).
 
 use netlock_switch::analysis::layout::TofinoBudget;
 use netlock_switch::analysis::trace::{check_discipline, new_sink};
-use netlock_switch::txn::corpus::RejectKind;
-use netlock_switch::txn::{gen, verify, LoweredTxn, TxnError, TxnInterpreter};
+use netlock_switch::txn::{gen, verify, LoweredTxn, TxnError, TxnInterpreter, VerifyError};
 use proptest::prelude::*;
 
 fn cases() -> u32 {
@@ -28,8 +30,8 @@ fn cases() -> u32 {
         .unwrap_or(256)
 }
 
-/// Run one differential case. Returns whether the program verified.
-fn differential(seed: u64) -> bool {
+/// Run one differential case. Returns the verifier's rejection, if any.
+fn differential(seed: u64) -> Result<(), TxnError> {
     let program = gen::program(seed);
     let budget = TofinoBudget::tofino_single_direction();
     let mut lowered = match LoweredTxn::compile(program.clone(), &budget) {
@@ -39,14 +41,9 @@ fn differential(seed: u64) -> bool {
                 "seed {seed}: verifier accepted a stage assignment its own \
                  ground-truth check rejects: {err}"
             );
-            // Rejection must be deterministic and stably classified.
             let again = verify(program, &budget).expect_err("rejection must be deterministic");
-            assert_eq!(
-                RejectKind::of(&err),
-                RejectKind::of(&again),
-                "seed {seed}: unstable rejection class"
-            );
-            return false;
+            assert_eq!(err, again, "seed {seed}: unstable rejection");
+            return Err(err);
         }
         Ok(lowered) => lowered,
     };
@@ -77,7 +74,7 @@ fn differential(seed: u64) -> bool {
     let records = sink.lock().unwrap().take();
     check_discipline(&records, program.max_recirculations)
         .unwrap_or_else(|v| panic!("seed {seed}: runtime trace violates discipline: {v}"));
-    true
+    Ok(())
 }
 
 proptest! {
@@ -87,24 +84,33 @@ proptest! {
     /// every accepted random program.
     #[test]
     fn lowered_executor_matches_interpreter(seed in any::<u64>()) {
-        differential(seed);
+        let _ = differential(seed);
     }
 }
 
 /// A fixed-seed sweep pinning the generator's accept/reject mix: most
 /// programs must verify (the differential check actually exercises the
-/// executor) while rejection paths stay represented.
+/// executor) while rejection paths stay represented. It also pins the
+/// fuzzer's findings by seed: each keeps its verdict and rejection class.
 #[test]
 fn fixed_seed_sweep_covers_accept_and_reject() {
-    let mut verified = 0u32;
-    let mut rejected = 0u32;
-    for seed in 0..512 {
-        if differential(seed) {
-            verified += 1;
-        } else {
-            rejected += 1;
-        }
+    let verdicts: Vec<Result<(), TxnError>> = (0..512).map(differential).collect();
+    for seed in [5, 6, 7] {
+        assert_eq!(verdicts[seed], Ok(()), "seed {seed} no longer verifies");
     }
+    let rejection = |seed: usize| match &verdicts[seed] {
+        Err(TxnError::Verify(err)) => *err,
+        other => panic!("seed {seed}: expected a verifier rejection, got {other:?}"),
+    };
+    assert!(matches!(rejection(1), VerifyError::ReadAfterWrite { .. }));
+    assert!(matches!(
+        rejection(4),
+        VerifyError::RecirculationBound { .. }
+    ));
+    assert!(matches!(rejection(32), VerifyError::StageConflict { .. }));
+
+    let verified = verdicts.iter().filter(|v| v.is_ok()).count();
+    let rejected = verdicts.len() - verified;
     assert!(
         verified >= 300,
         "only {verified}/512 generated programs verified; the differential \

@@ -2,13 +2,18 @@
 //! failures via leases, switch failure with state loss, and lock-server
 //! failover to a backup.
 
+use std::ops::RangeInclusive;
+
 use netlock_core::prelude::*;
 use netlock_proto::{
-    ClientAddr, LockId, LockMode, LockRequest, NetLockMsg, Priority, TenantId, TxnId,
+    ClientAddr, GrantMsg, LockId, LockMode, LockRequest, NetLockMsg, Priority, ReleaseRequest,
+    TenantId, TxnId,
 };
 use netlock_server::ServerNode;
+use netlock_sim::{Context, Node, NodeId, Packet, Simulator};
 use netlock_switch::control::apply_allocation;
-use netlock_switch::SwitchNode;
+use netlock_switch::shared_queue::SharedQueueLayout;
+use netlock_switch::{DataPlane, SwitchConfig, SwitchNode};
 
 fn one_lock_rack() -> (Rack, Allocation) {
     let mut rack = Rack::build(RackConfig {
@@ -372,6 +377,130 @@ fn deadlock_broken_by_leases() {
     assert!(expirations > 0, "the sweeper must have fired");
 }
 
+/// Records grants; releases are injected explicitly by the test.
+struct Recorder(Vec<GrantMsg>);
+
+impl Node<NetLockMsg> for Recorder {
+    fn on_packet(&mut self, pkt: Packet<NetLockMsg>, _ctx: &mut Context<'_, NetLockMsg>) {
+        if let NetLockMsg::Grant(g) = pkt.payload {
+            self.0.push(g);
+        }
+    }
+    fn on_timer(&mut self, _t: u64, _c: &mut Context<'_, NetLockMsg>) {}
+}
+
+/// A restarted original switch and the backup that served its locks
+/// while it was down (§4.5), both holding exclusive lock 0.
+struct Handback {
+    sim: Simulator<NetLockMsg>,
+    client: NodeId,
+    original: NodeId,
+    backup: NodeId,
+}
+
+impl Handback {
+    const LOCK: LockId = LockId(0);
+
+    /// `at_backup` queue at a backup built with `backup_cfg` (the first
+    /// is granted); then the original restarts with grants for the lock
+    /// suppressed, the backup enters handback mode, and `at_original`
+    /// queue at the original.
+    fn new(
+        backup_cfg: SwitchConfig,
+        at_backup: RangeInclusive<u64>,
+        at_original: RangeInclusive<u64>,
+    ) -> Handback {
+        let mk_dp = || {
+            let mut dp = DataPlane::new_fcfs(&SharedQueueLayout::small(2, 32, 4));
+            let stats = LockStats {
+                lock: Self::LOCK,
+                rate: 1.0,
+                contention: 16,
+                home_server: 0,
+            };
+            apply_allocation(&mut dp, &knapsack_allocate(&[stats], 16));
+            dp
+        };
+        let mut sim: Simulator<NetLockMsg> = Simulator::with_seed(9);
+        let client = sim.add_node(Box::new(Recorder(Vec::new())));
+        let original = sim.add_node(Box::new(SwitchNode::new(
+            mk_dp(),
+            SwitchConfig::default(),
+            vec![],
+        )));
+        let backup = sim.add_node(Box::new(SwitchNode::new(mk_dp(), backup_cfg, vec![])));
+        let mut rig = Handback {
+            sim,
+            client,
+            original,
+            backup,
+        };
+        for t in at_backup {
+            rig.sim.inject(client, backup, rig.acquire(t));
+        }
+        rig.sim.run_for(SimDuration::from_millis(1));
+        assert_eq!(rig.grants(), vec![1], "the backup grants its head");
+
+        rig.sim.with_node::<SwitchNode, _>(original, |s| {
+            s.dataplane_mut().begin_handback_suppression(Self::LOCK);
+        });
+        rig.sim.with_node::<SwitchNode, _>(backup, |s| {
+            s.set_backup_handback(Some(original));
+        });
+        for t in at_original {
+            rig.sim.inject(client, original, rig.acquire(t));
+        }
+        rig.sim.run_for(SimDuration::from_millis(1));
+        assert_eq!(
+            rig.grants(),
+            vec![1],
+            "original must not grant while suppressed"
+        );
+        assert!(rig.suppressed());
+        rig
+    }
+
+    fn acquire(&self, txn: u64) -> NetLockMsg {
+        NetLockMsg::Acquire(LockRequest {
+            lock: Self::LOCK,
+            mode: LockMode::Exclusive,
+            txn: TxnId(txn),
+            client: ClientAddr(self.client.0),
+            tenant: TenantId(0),
+            priority: Priority(0),
+            issued_at_ns: 0,
+        })
+    }
+
+    fn release(&self, txn: u64) -> ReleaseRequest {
+        ReleaseRequest {
+            lock: Self::LOCK,
+            txn: TxnId(txn),
+            mode: LockMode::Exclusive,
+            client: ClientAddr(self.client.0),
+            priority: Priority(0),
+        }
+    }
+
+    /// Deliver `msg` to `to` and run the simulation for 1 ms.
+    fn send(&mut self, to: NodeId, msg: NetLockMsg) {
+        self.sim.inject(self.client, to, msg);
+        self.sim.run_for(SimDuration::from_millis(1));
+    }
+
+    /// Granted txns, in order.
+    fn grants(&self) -> Vec<u64> {
+        self.sim
+            .read_node::<Recorder, _>(self.client, |r| r.0.iter().map(|g| g.txn.0).collect())
+    }
+
+    fn suppressed(&self) -> bool {
+        self.sim.read_node::<SwitchNode, _>(self.original, |s| {
+            s.dataplane().handback_suppressed(Self::LOCK)
+        })
+    }
+}
+
 /// The restart-handback protocol (§4.5): after the original switch
 /// restarts, new acquires queue at the original (grants suppressed)
 /// while releases drain the backup; when the backup's queue for a lock
@@ -379,127 +508,54 @@ fn deadlock_broken_by_leases() {
 /// run — no lock is ever granted by both switches at once.
 #[test]
 fn restart_handback_drains_backup_first() {
-    use netlock_proto::{GrantMsg, LockRequest, NetLockMsg};
-    use netlock_sim::{Context, Node, Packet, Simulator};
-    use netlock_switch::control::{apply_allocation, knapsack_allocate, LockStats};
-    use netlock_switch::shared_queue::SharedQueueLayout;
-    use netlock_switch::{DataPlane, SwitchConfig, SwitchNode};
-
-    /// Records grants; releases are injected explicitly by the test.
-    struct Recorder(Vec<(u64, GrantMsg)>);
-    impl Node<NetLockMsg> for Recorder {
-        fn on_packet(&mut self, pkt: Packet<NetLockMsg>, ctx: &mut Context<'_, NetLockMsg>) {
-            if let NetLockMsg::Grant(g) = pkt.payload {
-                self.0.push((ctx.now().as_nanos(), g));
-            }
-        }
-        fn on_timer(&mut self, _t: u64, _c: &mut Context<'_, NetLockMsg>) {}
-    }
-
-    let lock = LockId(0);
-    let mk_dp = || {
-        let mut dp = DataPlane::new_fcfs(&SharedQueueLayout::small(2, 32, 4));
-        apply_allocation(
-            &mut dp,
-            &knapsack_allocate(
-                &[LockStats {
-                    lock,
-                    rate: 1.0,
-                    contention: 16,
-                    home_server: 0,
-                }],
-                16,
-            ),
-        );
-        dp
-    };
-    let mut sim: Simulator<NetLockMsg> = Simulator::with_seed(9);
-    let client = sim.add_node(Box::new(Recorder(Vec::new())));
-    let original = sim.add_node(Box::new(SwitchNode::new(
-        mk_dp(),
-        SwitchConfig::default(),
-        vec![],
-    )));
-    let backup = sim.add_node(Box::new(SwitchNode::new(
-        mk_dp(),
-        SwitchConfig::default(),
-        vec![],
-    )));
-
-    let acq = |txn: u64| {
-        NetLockMsg::Acquire(LockRequest {
-            lock,
-            mode: LockMode::Exclusive,
-            txn: TxnId(txn),
-            client: ClientAddr(client.0),
-            tenant: TenantId(0),
-            priority: Priority(0),
-            issued_at_ns: 0,
-        })
-    };
-    let rel = |txn: u64| {
-        NetLockMsg::Release(netlock_proto::ReleaseRequest {
-            lock,
-            txn: TxnId(txn),
-            mode: LockMode::Exclusive,
-            client: ClientAddr(client.0),
-            priority: Priority(0),
-        })
-    };
-
-    // Failover phase: txns 1–3 queue at the backup; txn 1 is granted.
-    for t in 1..=3 {
-        sim.inject(client, backup, acq(t));
-    }
-    sim.run_for(SimDuration::from_millis(1));
-    sim.read_node::<Recorder, _>(client, |r| assert_eq!(r.0.len(), 1));
-
-    // The original restarts. Per §4.5: new requests queue at the
-    // original with grants suppressed; the backup keeps granting its
-    // queue until empty.
-    sim.with_node::<SwitchNode, _>(original, |s| {
-        s.dataplane_mut().begin_handback_suppression(lock);
-    });
-    sim.with_node::<SwitchNode, _>(backup, |s| {
-        s.set_backup_handback(Some(original));
-    });
-    for t in 4..=5 {
-        sim.inject(client, original, acq(t));
-    }
-    sim.run_for(SimDuration::from_millis(1));
-    // Suppressed: still only the backup's grant.
-    sim.read_node::<Recorder, _>(client, |r| {
-        assert_eq!(r.0.len(), 1, "original must not grant while suppressed")
-    });
-    assert!(
-        sim.read_node::<SwitchNode, _>(original, |s| { s.dataplane().handback_suppressed(lock) })
-    );
+    // Txns 1–3 queue at the backup; 4 and 5 at the restarted original.
+    let mut rig = Handback::new(SwitchConfig::default(), 1..=3, 4..=5);
 
     // Drain the backup: releases go to the backup; it grants 2, then 3,
     // then — once empty — hands the lock back to the original, which
     // grants txn 4 from its own queue.
-    sim.inject(client, backup, rel(1));
-    sim.run_for(SimDuration::from_millis(1));
-    sim.inject(client, backup, rel(2));
-    sim.run_for(SimDuration::from_millis(1));
-    sim.inject(client, backup, rel(3));
-    sim.run_for(SimDuration::from_millis(1));
-
-    let grants: Vec<u64> =
-        sim.read_node::<Recorder, _>(client, |r| r.0.iter().map(|(_, g)| g.txn.0).collect());
+    for t in 1..=3 {
+        rig.send(rig.backup, NetLockMsg::Release(rig.release(t)));
+    }
     assert_eq!(
-        grants,
+        rig.grants(),
         vec![1, 2, 3, 4],
         "backup drains fully before the original grants"
     );
-    assert!(
-        !sim.read_node::<SwitchNode, _>(original, |s| { s.dataplane().handback_suppressed(lock) })
-    );
+    assert!(!rig.suppressed());
 
     // The original is now the sole grantor: release 4 → grant 5 there.
-    sim.inject(client, original, rel(4));
-    sim.run_for(SimDuration::from_millis(1));
-    let grants: Vec<u64> =
-        sim.read_node::<Recorder, _>(client, |r| r.0.iter().map(|(_, g)| g.txn.0).collect());
-    assert_eq!(grants, vec![1, 2, 3, 4, 5]);
+    rig.send(rig.original, NetLockMsg::Release(rig.release(4)));
+    assert_eq!(rig.grants(), vec![1, 2, 3, 4, 5]);
+}
+
+/// The backup hands a lock back however its queue drains: a release
+/// batch and a lease-sweep force-release empty it as surely as a single
+/// release does.
+#[test]
+fn handback_follows_batch_and_lease_drains() {
+    let mut rig = Handback::new(SwitchConfig::default(), 1..=1, 4..=4);
+    let batch = NetLockMsg::ReleaseBatch(vec![rig.release(1)].into());
+    rig.send(rig.backup, batch);
+    assert_eq!(
+        rig.grants(),
+        vec![1, 4],
+        "a release batch drained the backup"
+    );
+    assert!(!rig.suppressed());
+
+    // Txn 1 never releases; the backup's 5 ms lease sweeper frees it,
+    // well before the original's 10 ms lease could touch txn 4.
+    let backup_cfg = SwitchConfig {
+        lease: SimDuration::from_millis(5),
+        ..Default::default()
+    };
+    let mut rig = Handback::new(backup_cfg, 1..=1, 4..=4);
+    rig.sim.run_for(SimDuration::from_millis(30));
+    let lease_expirations = rig
+        .sim
+        .read_node::<SwitchNode, _>(rig.backup, |s| s.stats().lease_expirations);
+    assert_eq!(lease_expirations, 1);
+    assert_eq!(rig.grants(), vec![1, 4], "a lease sweep drained the backup");
+    assert!(!rig.suppressed());
 }

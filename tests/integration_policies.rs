@@ -303,11 +303,7 @@ fn run_one_rtt(one_rtt: bool) -> f64 {
     let mut rack = Rack::build(RackConfig {
         seed: 77,
         lock_servers: 1,
-        db_servers: 2,
-        switch: netlock_switch::SwitchConfig {
-            one_rtt,
-            ..Default::default()
-        },
+        db_servers: if one_rtt { 2 } else { 0 },
         ..Default::default()
     });
     let locks: Vec<LockId> = (0..256).map(LockId).collect();

@@ -23,7 +23,7 @@
 use netlock_core::prelude::*;
 use netlock_proto::{LockId, LockMode, TenantId};
 use netlock_server::ServerConfig;
-use netlock_sim::SimTime;
+use netlock_sim::{FaultAction, SimTime};
 use netlock_switch::shared_queue::SharedQueueLayout;
 use netlock_switch::{SwitchConfig, SwitchNode};
 
@@ -67,8 +67,8 @@ pub struct ChaosRun {
     pub seed: u64,
     /// Fault-plan events installed.
     pub plan_events: usize,
-    /// Custom (switch-reboot / server-restart) faults handled.
-    pub custom_faults: usize,
+    /// Switch reboots and server restarts (the plan's revivals).
+    pub restarts: usize,
     /// The oracle's event counters.
     pub counts: OracleCounts,
     /// Violations found (empty = clean).
@@ -111,10 +111,8 @@ fn chaos_plan_config(workload: ChaosWorkload) -> ChaosPlanConfig {
         settle_by: SimDuration::from_millis(20),
         episodes: 8,
         max_episode: SimDuration::from_millis(3),
-        switch_reboot: true,
         // One lease plus slack: §4.5's failover grace as outage length.
         switch_outage_min: SimDuration::from_micros(2_500),
-        server_restart: true,
         // Open-loop micro clients never retry, so a permanently crashed
         // client strands its whole in-flight window in the queues; each
         // stranded exclusive entry stalls the lock for a full lease when
@@ -129,9 +127,8 @@ fn chaos_plan_config(workload: ChaosWorkload) -> ChaosPlanConfig {
 /// 2 lock servers with compressed lease and sweep timescales, 8 locks
 /// homed round-robin, and half the demanded queue slots — so some locks
 /// stay server-resident and the run crosses the forwarding path too.
-/// Returns the programmed, client-less rack with its allocation and
-/// lock set.
-fn small_chaos_rack(seed: u64) -> (Rack, Allocation, Vec<LockId>) {
+/// Returns the programmed, client-less rack and its lock set.
+fn small_chaos_rack(seed: u64) -> (Rack, Vec<LockId>) {
     let mut rack = Rack::build(RackConfig {
         seed,
         lock_servers: 2,
@@ -151,7 +148,7 @@ fn small_chaos_rack(seed: u64) -> (Rack, Allocation, Vec<LockId>) {
     let locks: Vec<LockId> = (0..8).map(LockId).collect();
     let alloc = knapsack_allocate(&LockStats::uniform(locks.iter().copied(), 16, 2), 64);
     rack.program(&alloc);
-    (rack, alloc, locks)
+    (rack, locks)
 }
 
 /// The population chaos rack: the micro rack's switch/server shape, but
@@ -160,8 +157,8 @@ fn small_chaos_rack(seed: u64) -> (Rack, Allocation, Vec<LockId>) {
 /// The window-reclaim timeout stands in for retries: batches the
 /// network eats must not pin the tenant windows past the oracle's
 /// wedge horizon.
-pub fn build_population_chaos_rack(seed: u64) -> (Rack, Allocation) {
-    let (mut rack, alloc, locks) = small_chaos_rack(seed);
+pub fn build_population_chaos_rack(seed: u64) -> Rack {
+    let (mut rack, locks) = small_chaos_rack(seed);
     let tenant = |t: u16, mode, locks: Vec<LockId>| TenantSpec {
         tenant: TenantId(t),
         virtual_clients: if mode == LockMode::Exclusive {
@@ -188,7 +185,7 @@ pub fn build_population_chaos_rack(seed: u64) -> (Rack, Allocation) {
         retry_timeout: SimDuration::from_millis(3),
         ..Default::default()
     });
-    (rack, alloc)
+    rack
 }
 
 fn oracle_config() -> OracleConfig {
@@ -203,8 +200,8 @@ fn oracle_config() -> OracleConfig {
 /// switch-resident by capacity), 4 open-loop clients — two exclusive,
 /// two shared — with a generous in-flight window since lost requests
 /// are never retried.
-pub fn build_micro_chaos_rack(seed: u64) -> (Rack, Allocation) {
-    let (mut rack, alloc, locks) = small_chaos_rack(seed);
+pub fn build_micro_chaos_rack(seed: u64) -> Rack {
+    let (mut rack, locks) = small_chaos_rack(seed);
     for i in 0..4 {
         rack.add_micro_client(MicroClientConfig {
             rate_rps: 50_000.0,
@@ -220,12 +217,12 @@ pub fn build_micro_chaos_rack(seed: u64) -> (Rack, Allocation) {
             ..Default::default()
         });
     }
-    (rack, alloc)
+    rack
 }
 
 /// The TPC-C chaos rack: 4 clients × 4 workers, compressed think and
 /// retry timescales, same lease as the micro rack.
-pub fn build_tpcc_chaos_rack(seed: u64) -> (Rack, Allocation) {
+pub fn build_tpcc_chaos_rack(seed: u64) -> Rack {
     let spec = crate::common::TpccRackSpec {
         seed,
         clients: 4,
@@ -280,7 +277,7 @@ pub fn run_chaos_seed(workload: ChaosWorkload, seed: u64) -> ChaosRun {
 
 /// [`run_chaos_seed`] with sabotage switches (oracle-is-live testing).
 pub fn run_chaos_seed_with(workload: ChaosWorkload, seed: u64, sabotage: Sabotage) -> ChaosRun {
-    let (mut rack, alloc) = match workload {
+    let mut rack = match workload {
         ChaosWorkload::Micro => build_micro_chaos_rack(seed),
         ChaosWorkload::Tpcc => build_tpcc_chaos_rack(seed),
         ChaosWorkload::Population => build_population_chaos_rack(seed),
@@ -300,17 +297,16 @@ pub fn run_chaos_seed_with(workload: ChaosWorkload, seed: u64, sabotage: Sabotag
     }
     let plan = generate_plan(seed, &rack.roles(), &chaos_plan_config(workload));
     let plan_events = plan.len();
+    let restarts = (plan.events().iter())
+        .filter(|ev| matches!(ev.action, FaultAction::ReviveNode(_)))
+        .count();
     rack.sim.install_plan(&plan);
     let oracles = attach_rack_oracles(
         &mut rack.sim,
         std::slice::from_ref(&rack.nodes),
         &oracle_config(),
     );
-    let until = SimTime(CHAOS_TOTAL.as_nanos());
-    let nodes = &rack.nodes;
-    let custom_faults = run_chaos(&mut rack.sim, until, &oracles, &mut |sim, at, token| {
-        nodes.standard_recovery(sim, at, token, &alloc)
-    });
+    run_chaos(&mut rack.sim, SimTime(CHAOS_TOTAL.as_nanos()), &oracles);
     let stats = collect(&rack, CHAOS_TOTAL);
     let stale_releases_filtered = rack
         .sim
@@ -333,7 +329,7 @@ pub fn run_chaos_seed_with(workload: ChaosWorkload, seed: u64, sabotage: Sabotag
         workload,
         seed,
         plan_events,
-        custom_faults,
+        restarts,
         counts: oracle.counts(),
         violations: oracle.violations().to_vec(),
         audit: oracle.audit_log(),
@@ -395,7 +391,7 @@ pub fn render(runs: &[ChaosRun]) -> String {
     );
     let _ = writeln!(
         out,
-        "workload\tseed\tplan_events\tcustom_faults\tnet_lost\tnet_dup\tnet_reorder\t\
+        "workload\tseed\tplan_events\trestarts\tnet_lost\tnet_dup\tnet_reorder\t\
          grants\ttxns\tsurplus_rel\tdup_ignored\tstale_filtered\tamnesia\tdigest\tverdict"
     );
     for r in runs {
@@ -405,7 +401,7 @@ pub fn render(runs: &[ChaosRun]) -> String {
             r.workload.label(),
             r.seed,
             r.plan_events,
-            r.custom_faults,
+            r.restarts,
             r.net_lost,
             r.net_duplicated,
             r.net_reordered,

@@ -218,7 +218,7 @@ pub fn tpcc_allocation(spec: &TpccRackSpec) -> Allocation {
 
 /// Build and program a NetLock rack per spec, with TPC-C clients.
 pub fn build_netlock_tpcc(spec: &TpccRackSpec) -> Rack {
-    build_netlock_tpcc_on(spec, RackConfig::default(), TxnClientConfig::default()).0
+    build_netlock_tpcc_on(spec, RackConfig::default(), TxnClientConfig::default())
 }
 
 /// [`build_netlock_tpcc`] over caller-chosen base configurations: the
@@ -226,12 +226,11 @@ pub fn build_netlock_tpcc(spec: &TpccRackSpec) -> Rack {
 /// [`TPCC_SERVER_SERVICE`]) and the workers and retry timeout of
 /// `client`; every other field (lease and tick timescales, backoff
 /// caps, …) is taken from the bases as given.
-/// Also returns the allocation the rack was programmed with.
 pub(crate) fn build_netlock_tpcc_on(
     spec: &TpccRackSpec,
     rack: RackConfig,
     client: TxnClientConfig,
-) -> (Rack, Allocation) {
+) -> Rack {
     let mut rack = Rack::build(RackConfig {
         seed: spec.seed,
         lock_servers: spec.lock_servers,
@@ -241,8 +240,7 @@ pub(crate) fn build_netlock_tpcc_on(
         },
         ..rack
     });
-    let alloc = tpcc_allocation(spec);
-    rack.program(&alloc);
+    rack.program(&tpcc_allocation(spec));
     let cfg = spec.tpcc_config();
     for _ in 0..spec.clients {
         rack.add_txn_client(
@@ -254,7 +252,7 @@ pub(crate) fn build_netlock_tpcc_on(
             Box::new(TpccSource::new(cfg.clone())),
         );
     }
-    (rack, alloc)
+    rack
 }
 
 /// TPC-C sources for the baseline builders (one per client).

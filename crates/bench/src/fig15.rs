@@ -10,7 +10,7 @@
 use netlock_core::prelude::*;
 use netlock_sim::{SimDuration, TimeSeries};
 
-use crate::common::{build_netlock_tpcc, tpcc_allocation, TpccRackSpec};
+use crate::common::{build_netlock_tpcc, TpccRackSpec};
 
 /// The failure experiment's timeline and result.
 #[derive(Clone, Debug)]
@@ -50,7 +50,6 @@ pub fn run_failure(
     };
     let mut rack = build_netlock_tpcc(&spec);
     let switch = rack.switch;
-    let alloc = tpcc_allocation(&spec);
 
     let mut series = TimeSeries::new();
     let mut last: u64 = 0;
@@ -68,12 +67,9 @@ pub fn run_failure(
         if !revived && revive_at >= t && revive_at < next {
             rack.sim
                 .run_until(netlock_sim::SimTime(revive_at.as_nanos()));
-            rack.sim.revive_node(switch);
             // "The switch retains none of its former state or register
-            // values": wipe and reprogram, as the control plane would.
-            let at = rack.sim.now();
-            rack.nodes
-                .standard_recovery(&mut rack.sim, at, CUSTOM_SWITCH_REBOOT, &alloc);
+            // values": it reboots and reloads its program.
+            rack.sim.revive_node(switch);
             revived = true;
         }
         rack.sim.run_until(netlock_sim::SimTime(next.as_nanos()));

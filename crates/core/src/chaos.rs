@@ -15,33 +15,24 @@
 //! the way the Tofino's internal paths do, so only client↔switch links
 //! receive loss/duplication/jitter.
 //!
-//! Switch reboot and server restart need control-plane help that lives
-//! above the simulator (reprogramming the directory, re-owning locks,
-//! re-arming sweep timers), so the plan carries [`FaultAction::Custom`]
-//! markers and [`run_chaos`] pauses at each one, applies the matching
-//! recovery via rack-level code, declares an amnesia point to the
-//! oracles, and resumes. The same driver runs `RackCluster` chaos and
-//! the failover scenario, whose plans never pause.
+//! A switch reboot and a server restart are a plain `FailNode` and
+//! `ReviveNode`: the revived node wipes and rebuilds itself in
+//! `on_revive` (the switch reloads its allocation, the server tells the
+//! switch its q2 buffers are gone), and each oracle declares an amnesia
+//! point when it sees the revival. So [`run_chaos`] just runs the plan,
+//! for a lone rack, a partitioned `RackCluster` and the failover
+//! scenario alike.
 
 use std::sync::{Arc, Mutex};
 
 use netlock_proto::NetLockMsg;
-use netlock_server::ServerNode;
 use netlock_sim::{
-    FaultAction, FaultPlan, GeParams, LinkConfig, LinkFaults, NodeId, RunOutcome, SimDuration,
-    SimRng, SimTime, Simulator,
+    FaultAction, FaultPlan, GeParams, LinkConfig, LinkFaults, NodeId, SimDuration, SimRng, SimTime,
+    Simulator,
 };
-use netlock_switch::control::Allocation;
-use netlock_switch::SwitchNode;
 
 use crate::oracle::{oracle_tap, Oracle, OracleConfig};
 use crate::rack::{ClientKind, RackNodes};
-
-/// `Custom` token: the switch was revived; wipe and reprogram it.
-pub const CUSTOM_SWITCH_REBOOT: u64 = 1;
-/// `Custom` token base: lock server `token - CUSTOM_SERVER_RESTART_BASE`
-/// was revived; restart it with total state loss and reprovision.
-pub const CUSTOM_SERVER_RESTART_BASE: u64 = 0x1000;
 
 /// Tuning for the random plan generator.
 #[derive(Clone, Copy, Debug)]
@@ -56,15 +47,12 @@ pub struct ChaosPlanConfig {
     pub episodes: usize,
     /// Longest single episode.
     pub max_episode: SimDuration,
-    /// Allow one switch fail → reboot → reprogram cycle.
-    pub switch_reboot: bool,
-    /// Minimum switch outage. Must exceed the rack's lease: the paper's
-    /// §4.5 failover serves no requests for one lease so every stranded
-    /// pre-failure holder expires before the replacement switch grants
-    /// anew; the simulator models that grace as outage length.
+    /// Minimum outage of the one switch fail → reboot cycle a plan may
+    /// hold. Must exceed the rack's lease: the paper's §4.5 failover
+    /// serves no requests for one lease so every stranded pre-failure
+    /// holder expires before the replacement switch grants anew; the
+    /// simulator models that grace as outage length.
     pub switch_outage_min: SimDuration,
-    /// Allow server crash-restart cycles.
-    pub server_restart: bool,
     /// Allow (permanent) client crashes.
     pub client_crash: bool,
 }
@@ -76,9 +64,7 @@ impl Default for ChaosPlanConfig {
             settle_by: SimDuration::from_millis(40),
             episodes: 6,
             max_episode: SimDuration::from_millis(4),
-            switch_reboot: true,
             switch_outage_min: SimDuration::from_millis(12),
-            server_restart: true,
             client_crash: true,
         }
     }
@@ -279,7 +265,7 @@ pub fn generate_plan(seed: u64, roles: &RackRoles, cfg: &ChaosPlanConfig) -> Fau
                 );
             }
             // Switch fail → reboot → reprogram (at most once).
-            5 if cfg.switch_reboot && !switch_rebooted => {
+            5 if !switch_rebooted => {
                 let min_outage = cfg.switch_outage_min.as_nanos().max(500_000);
                 let Some((at, fin)) = episode_window(&mut rng, cfg, min_outage) else {
                     continue;
@@ -287,20 +273,15 @@ pub fn generate_plan(seed: u64, roles: &RackRoles, cfg: &ChaosPlanConfig) -> Fau
                 switch_rebooted = true;
                 plan.push(at, FaultAction::FailNode(roles.switch));
                 plan.push(fin, FaultAction::ReviveNode(roles.switch));
-                plan.push(fin, FaultAction::Custom(CUSTOM_SWITCH_REBOOT));
             }
             // Server crash → restart with state loss.
-            6 if cfg.server_restart && !roles.servers.is_empty() => {
+            6 if !roles.servers.is_empty() => {
                 let Some((at, fin)) = episode_window(&mut rng, cfg, 200_000) else {
                     continue;
                 };
                 let idx = rng.index(roles.servers.len());
                 plan.push(at, FaultAction::FailNode(roles.servers[idx]));
                 plan.push(fin, FaultAction::ReviveNode(roles.servers[idx]));
-                plan.push(
-                    fin,
-                    FaultAction::Custom(CUSTOM_SERVER_RESTART_BASE + idx as u64),
-                );
             }
             // Client crash, permanent.
             7 if cfg.client_crash && !client_crashed && roles.clients.len() > 1 => {
@@ -346,99 +327,13 @@ pub fn attach_rack_oracles(
     handles
 }
 
-/// Recovery the control plane performs when a `Custom` fault pauses the
-/// run. [`RackNodes::standard_recovery`] covers the tokens
-/// [`generate_plan`] emits.
-pub type CustomFaultHandler<'a> = dyn FnMut(&mut Simulator<NetLockMsg>, SimTime, u64) + 'a;
-
-impl RackNodes {
-    /// Apply the standard recovery for [`generate_plan`]'s custom tokens:
-    ///
-    /// - [`CUSTOM_SWITCH_REBOOT`]: wipe the (already revived) switch and
-    ///   reprogram directory + allocation, exactly like Fig. 15's §6.5
-    ///   timeline. Clients re-drive their in-flight state via retries.
-    /// - [`CUSTOM_SERVER_RESTART_BASE`]` + i`: restart server `i` with total
-    ///   state loss, re-declare its owned locks, re-arm its lease sweeper
-    ///   and hold a grace window of one lease so stranded pre-crash holders
-    ///   expire before the server hands out fresh conflicting grants.
-    pub fn standard_recovery(
-        &self,
-        sim: &mut Simulator<NetLockMsg>,
-        at: SimTime,
-        token: u64,
-        alloc: &Allocation,
-    ) {
-        if token == CUSTOM_SWITCH_REBOOT {
-            let tick = sim.with_node::<SwitchNode, _>(self.switch, |s| {
-                s.reboot();
-                self.program_switch(s, alloc);
-                s.config().control_tick
-            });
-            // The control tick re-arms itself, so the chain died with the
-            // node; without a restart the lease sweeper never runs again
-            // and any holder whose grant the network ate wedges its queue
-            // forever.
-            if !tick.is_zero() {
-                sim.inject_timer(self.switch, tick, SwitchNode::CONTROL_TIMER_TOKEN);
-            }
-        } else if token >= CUSTOM_SERVER_RESTART_BASE {
-            let idx = (token - CUSTOM_SERVER_RESTART_BASE) as usize;
-            let server = self.lock_servers[idx];
-            let owned: Vec<_> = alloc
-                .in_server
-                .iter()
-                .filter(|&&(_, home)| home == idx)
-                .map(|&(lock, _)| lock)
-                .collect();
-            let (grace, sweep) = sim
-                .read_node::<ServerNode, _>(server, |s| (s.config().lease, s.config().sweep_tick));
-            sim.with_node::<ServerNode, _>(server, |s| {
-                s.restart();
-                for lock in owned {
-                    s.own_lock(lock);
-                }
-                s.set_grace_until(at.as_nanos() + grace.as_nanos());
-            });
-            // The restart wiped the server's q2 buffers, so any of its
-            // switch-resident locks caught mid-overflow would wait forever
-            // for pushes that can no longer come: reset their overflow
-            // bookkeeping (part of the same runbook step as re-declaring
-            // lock ownership above).
-            sim.with_node::<SwitchNode, _>(self.switch, |s| {
-                s.dataplane_mut().cp_reset_overflow_for_server(idx);
-            });
-            if !sweep.is_zero() {
-                sim.inject_timer(server, sweep, ServerNode::SWEEP_TIMER_TOKEN);
-            }
-        }
-    }
-}
-
-/// The one chaos driver, for every rack shape: drive `sim` to `until`,
-/// pausing at every `Custom` fault to apply `recover` and declare an
-/// amnesia point to every oracle (a rebooted lock manager silently
-/// forgets queued requests). Finishes the oracles at the deadline and
-/// returns the number of custom faults handled. Cluster and failover
-/// plans carry no `Custom` faults (a partitioned simulator rejects
-/// them), so those runs never pause.
-pub fn run_chaos(
-    sim: &mut Simulator<NetLockMsg>,
-    until: SimTime,
-    oracles: &[Arc<Mutex<Oracle>>],
-    recover: &mut CustomFaultHandler<'_>,
-) -> usize {
-    let mut handled = 0;
-    while let RunOutcome::CustomFault { at, token } = sim.run_until_fault(until) {
-        recover(sim, at, token);
-        for oracle in oracles {
-            oracle.lock().unwrap().note_amnesia(at.as_nanos());
-        }
-        handled += 1;
-    }
+/// The one chaos driver, for every rack shape: drive `sim` to `until`
+/// and finish every oracle there.
+pub fn run_chaos(sim: &mut Simulator<NetLockMsg>, until: SimTime, oracles: &[Arc<Mutex<Oracle>>]) {
+    sim.run_until(until);
     for oracle in oracles {
         oracle.lock().unwrap().finish(until.as_nanos());
     }
-    handled
 }
 
 #[cfg(test)]

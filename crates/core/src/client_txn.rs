@@ -382,14 +382,11 @@ mod tests {
             Topology::new(LinkConfig::with_delay(SimDuration::from_nanos(1_200))),
             11,
         );
-        let mut dp = DataPlane::new_fcfs(&SharedQueueLayout::small(4, 256, 64));
+        let dp = DataPlane::new_fcfs(&SharedQueueLayout::small(4, 256, 64));
         let stats = LockStats::uniform(locks.iter().copied(), 16, 1);
-        apply_allocation(&mut dp, &knapsack_allocate(&stats, 1024));
-        let switch = sim.add_node(Box::new(SwitchNode::new(
-            dp,
-            SwitchConfig::default(),
-            vec![],
-        )));
+        let mut switch = SwitchNode::new(dp, SwitchConfig::default(), vec![]);
+        switch.program(&knapsack_allocate(&stats, 1024));
+        let switch = sim.add_node(Box::new(switch));
         let client = sim.add_node(Box::new(TxnClient::new(
             TxnClientConfig {
                 workers,
@@ -736,18 +733,8 @@ mod tests {
         sim.run_until(SimTime(SimDuration::from_millis(2).as_nanos()));
         sim.fail_node(switch);
         sim.run_until(SimTime(SimDuration::from_millis(30).as_nanos()));
-        // Revive with wiped state and reprogram the directory.
+        // The revived switch comes back wiped and reloads its program.
         sim.revive_node(switch);
-        sim.with_node::<SwitchNode, _>(switch, |s| {
-            s.reboot();
-            let stats = vec![LockStats {
-                lock: LockId(0),
-                rate: 1.0,
-                contention: 16,
-                home_server: 0,
-            }];
-            apply_allocation(s.dataplane_mut(), &knapsack_allocate(&stats, 64));
-        });
         let before = sim.read_node::<TxnClient, _>(client, |c| c.stats().txns);
         sim.run_until(SimTime(SimDuration::from_millis(90).as_nanos()));
         let (after, retries) =

@@ -28,7 +28,6 @@ use netlock_proto::{LockId, NetLockMsg};
 use netlock_sim::{FaultPlan, LinkConfig, NodeId, SimDuration, Simulator, Topology};
 use netlock_switch::control::Allocation;
 
-use crate::chaos::ChaosPlanConfig;
 use crate::client_micro::MicroClientConfig;
 use crate::client_txn::TxnClientConfig;
 use crate::harness::{run_window, RunStats};
@@ -151,9 +150,6 @@ impl RackCluster {
     }
 
     /// Install one fault plan per rack (index-aligned with `racks`).
-    /// Plans for a partitioned cluster must not contain
-    /// [`netlock_sim::FaultAction::Custom`] actions — use
-    /// [`cluster_plan_config`] when generating them.
     pub fn install_plans(&mut self, plans: &[FaultPlan]) {
         assert_eq!(plans.len(), self.racks.len(), "one plan per rack");
         for plan in plans {
@@ -190,29 +186,14 @@ impl RackCluster {
     }
 }
 
-/// Chaos-plan tuning for partitioned clusters: switch reboot and server
-/// restart are disabled because their recovery rides on
-/// `FaultAction::Custom` markers, which pause the whole simulator for
-/// rack-level control-plane surgery — a partitioned run rejects them
-/// (see `netlock-sim`'s fault validation). Link faults and permanent
-/// client crashes target intra-rack pairs only, which the lookahead
-/// check exempts.
-pub fn cluster_plan_config() -> ChaosPlanConfig {
-    ChaosPlanConfig {
-        switch_reboot: false,
-        server_restart: false,
-        ..Default::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::{attach_rack_oracles, generate_plan, run_chaos};
+    use crate::chaos::{attach_rack_oracles, generate_plan, run_chaos, ChaosPlanConfig};
     use crate::oracle::OracleConfig;
     use crate::rack::EngineSpec;
     use netlock_proto::LockMode;
-    use netlock_sim::SimTime;
+    use netlock_sim::{FaultAction, SimTime};
     use netlock_switch::control::{knapsack_allocate, LockStats};
     use netlock_switch::shared_queue::SharedQueueLayout;
 
@@ -223,11 +204,6 @@ mod tests {
             engine: EngineSpec::Fcfs(SharedQueueLayout::small(2, 64, 8)),
             ..Default::default()
         }
-    }
-
-    /// Cluster plans carry no `Custom` faults, so nothing to recover.
-    fn no_custom(_: &mut Simulator<NetLockMsg>, at: SimTime, token: u64) {
-        unreachable!("cluster plan fired Custom({token}) at {at:?}");
     }
 
     fn cross_link() -> LinkConfig {
@@ -331,40 +307,43 @@ mod tests {
         let oracles =
             attach_rack_oracles(&mut cluster.sim, &cluster.racks, &OracleConfig::default());
         assert_eq!(oracles.len(), 1);
-        run_chaos(
-            &mut cluster.sim,
-            SimTime(5_000_000),
-            &oracles,
-            &mut no_custom,
-        );
+        run_chaos(&mut cluster.sim, SimTime(5_000_000), &oracles);
         let o = oracles[0].lock().unwrap();
         assert!(o.counts().delivered > 0, "oracle tap saw no traffic");
     }
 
+    /// Partitioned racks are chaos-tested like a lone one: the plans
+    /// reboot a switch and restart a server, and every rack oracle's
+    /// digest is the same at 1, 2 and 8 workers. (Six episodes, the
+    /// default, draw no switch reboot from these seeds; eight do.)
     #[test]
     fn chaos_digests_identical_across_worker_counts() {
+        let cfg = ChaosPlanConfig {
+            episodes: 8,
+            ..Default::default()
+        };
         let mut digests = Vec::new();
         for workers in [1, 2, 8] {
             let mut cluster = programmed_cluster(11, 2, 3);
             let plans: Vec<FaultPlan> = (0..2)
-                .map(|r| {
-                    generate_plan(
-                        40 + r as u64,
-                        &cluster.racks[r].roles(),
-                        &cluster_plan_config(),
-                    )
+                .map(|r| generate_plan(40 + r as u64, &cluster.racks[r].roles(), &cfg))
+                .collect();
+            let revived: Vec<NodeId> = (plans.iter().flat_map(FaultPlan::events))
+                .filter_map(|ev| match ev.action {
+                    FaultAction::ReviveNode(n) => Some(n),
+                    _ => None,
                 })
                 .collect();
+            let racks = &cluster.racks;
+            assert!(revived.iter().any(|n| racks.iter().any(|r| r.switch == *n)));
+            assert!(revived
+                .iter()
+                .any(|n| racks.iter().any(|r| r.lock_servers.contains(n))));
             cluster.partition(workers);
             cluster.install_plans(&plans);
             let oracles =
                 attach_rack_oracles(&mut cluster.sim, &cluster.racks, &OracleConfig::default());
-            run_chaos(
-                &mut cluster.sim,
-                SimTime(50_000_000),
-                &oracles,
-                &mut no_custom,
-            );
+            run_chaos(&mut cluster.sim, SimTime(50_000_000), &oracles);
             let d: Vec<(u64, u64)> = oracles
                 .iter()
                 .map(|o| {

@@ -16,8 +16,7 @@
 //! under the conservative-window parallel spine with byte-identical
 //! results at any worker count. Crash recovery is **entirely
 //! in-protocol** — `FailNode`/`ReviveNode` plus the chain-repair
-//! control messages — because a partitioned simulator rejects
-//! `Custom` faults; there is no harness surgery to pause for.
+//! control messages; there is no harness surgery to pause for.
 //!
 //! [`crash_plan`] builds the canonical chaos schedule: one chain
 //! member per partition crashes mid-traffic (victims drawn from the
@@ -423,12 +422,7 @@ fn run_prepared(
         SimDuration::from_millis(1),
     );
     let oracles = [oracle];
-    run_chaos(
-        &mut cluster.sim,
-        SimTime(total.as_nanos()),
-        &oracles,
-        &mut |_, at, token| unreachable!("crash plans are in-protocol: Custom({token}) at {at:?}"),
-    );
+    run_chaos(&mut cluster.sim, SimTime(total.as_nanos()), &oracles);
     let totals = cluster.client_totals(total);
     let o = oracles[0].lock().unwrap();
     let timeline = timeline.lock().unwrap().clone();

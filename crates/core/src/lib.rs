@@ -75,12 +75,11 @@ pub const CLIENT_STACK_DELAY: SimDuration = SimDuration::from_nanos(2_500);
 pub mod prelude {
     pub use crate::chaos::{
         attach_rack_oracles, generate_plan, run_chaos, ChaosPlanConfig, RackRoles,
-        CUSTOM_SERVER_RESTART_BASE, CUSTOM_SWITCH_REBOOT,
     };
     pub use crate::client_micro::{MicroClient, MicroClientConfig, MicroClientStats};
     pub use crate::client_txn::{TxnClient, TxnClientConfig};
     pub use crate::closed_loop::ClientStats;
-    pub use crate::cluster::{cluster_plan_config, RackCluster};
+    pub use crate::cluster::RackCluster;
     pub use crate::db_server::DbServer;
     pub use crate::failover::{
         attach_failover_probe, crash_plan, run_failover, CrashScenario, FailoverCluster,

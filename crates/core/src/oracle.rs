@@ -498,8 +498,14 @@ impl Oracle {
                     FaultAction::FailNode(n) => {
                         self.dead.insert(n);
                     }
+                    // A switch or server that comes back from the dead
+                    // comes back with nothing (`on_revive`): whatever it
+                    // had queued is forgotten.
                     FaultAction::ReviveNode(n) => {
-                        self.dead.remove(&n);
+                        let was_dead = self.dead.remove(&n);
+                        if was_dead && !self.clients.contains(&n) {
+                            self.note_amnesia(at.as_nanos());
+                        }
                     }
                     _ => {}
                 }
@@ -512,7 +518,7 @@ impl Oracle {
     /// currently on the wire or queued may be silently forgotten, so
     /// outstanding open requests stop counting toward liveness. Clients
     /// with retry logic will re-open theirs on the next retransmission.
-    pub fn note_amnesia(&mut self, now_ns: u64) {
+    fn note_amnesia(&mut self, now_ns: u64) {
         let excused = self.open.len() as u64;
         self.open.clear();
         self.counts.amnesia_excused += excused;

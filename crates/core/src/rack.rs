@@ -9,7 +9,7 @@
 use netlock_proto::{LockId, NetLockMsg};
 use netlock_server::{ServerConfig, ServerNode};
 use netlock_sim::{LinkConfig, Node, NodeId, SimRng, Simulator, Topology};
-use netlock_switch::control::{apply_allocation, Allocation};
+use netlock_switch::control::Allocation;
 use netlock_switch::priority::PriorityLayout;
 use netlock_switch::shared_queue::SharedQueueLayout;
 use netlock_switch::{DataPlane, SwitchConfig, SwitchNode};
@@ -192,23 +192,15 @@ impl RackNodes {
         self.add_client(sim, ClientKind::Txn, node)
     }
 
-    /// Program an FCFS allocation: switch regions + directory, and mark
-    /// server-resident locks as owned on their home servers. Locks with
-    /// no directory entry default-route to `hash(lock) % servers`.
+    /// Program an FCFS allocation: switch regions + directory (see
+    /// [`SwitchNode::program`]), and mark server-resident locks as owned
+    /// on their home servers. Locks with no directory entry default-route
+    /// to `hash(lock) % servers`.
     pub fn program(&self, sim: &mut Simulator<NetLockMsg>, alloc: &Allocation) {
-        sim.with_node::<SwitchNode, _>(self.switch, |s| self.program_switch(s, alloc));
+        sim.with_node::<SwitchNode, _>(self.switch, |s| s.program(alloc));
         for &(lock, home) in &alloc.in_server {
             sim.with_node::<ServerNode, _>(self.lock_servers[home], |s| s.own_lock(lock));
         }
-    }
-
-    /// Load `alloc` into this rack's switch `s`, default-routing unlisted
-    /// locks over the rack's lock servers (programming and reboot
-    /// recovery alike).
-    pub(crate) fn program_switch(&self, s: &mut SwitchNode, alloc: &Allocation) {
-        s.dataplane_mut()
-            .set_default_servers(self.lock_servers.len());
-        apply_allocation(s.dataplane_mut(), alloc);
     }
 
     /// Program the priority engine's directory: lock → sequential qid.

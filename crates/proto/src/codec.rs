@@ -44,6 +44,7 @@ enum Tag {
     AcquireBatch = 19,
     ReleaseBatch = 20,
     GrantBatch = 21,
+    CtrlServerRestart = 22,
 }
 
 impl Tag {
@@ -70,6 +71,7 @@ impl Tag {
             19 => Tag::AcquireBatch,
             20 => Tag::ReleaseBatch,
             21 => Tag::GrantBatch,
+            22 => Tag::CtrlServerRestart,
             _ => return None,
         })
     }
@@ -209,6 +211,10 @@ fn encode_into(msg: &NetLockMsg, buf: &mut BytesMut) {
             for r in reqs {
                 put_request(buf, r, 0);
             }
+        }
+        NetLockMsg::CtrlServerRestart { epoch } => {
+            buf.put_u8(Tag::CtrlServerRestart as u8);
+            buf.put_u32(*epoch);
         }
         NetLockMsg::CtrlHandback { lock } => {
             buf.put_u8(Tag::CtrlHandback as u8);
@@ -369,6 +375,12 @@ pub fn decode_msg(buf: &mut impl Buf) -> Result<NetLockMsg, DecodeError> {
             NetLockMsg::CtrlPromoteReady {
                 lock,
                 reqs: reqs.into(),
+            }
+        }
+        Tag::CtrlServerRestart => {
+            need(buf, 4)?;
+            NetLockMsg::CtrlServerRestart {
+                epoch: buf.get_u32(),
             }
         }
         Tag::CtrlHandback => {
@@ -557,6 +569,7 @@ mod tests {
             reqs: (0..3).map(req).collect(),
         });
         roundtrip(NetLockMsg::CtrlHandback { lock: LockId(17) });
+        roundtrip(NetLockMsg::CtrlServerRestart { epoch: 3 });
         roundtrip(NetLockMsg::ChainOp {
             partition: 3,
             seq: 0xDEAD_BEEF,

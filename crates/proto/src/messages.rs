@@ -194,6 +194,17 @@ pub enum NetLockMsg {
         /// Lock handed back to the original switch.
         lock: LockId,
     },
+    /// Restarted lock server ↔ its switch (§4.5): the server lost every
+    /// q2 buffer, so the switch resets the overflow ledgers of the
+    /// server's switch-resident locks and echoes the message back. A
+    /// buffer-only forward that reaches the server before the echo was
+    /// sent before the reset; the server returns it as a plain
+    /// [`NetLockMsg::Acquire`] with a fresh `epoch`, and only the echo
+    /// of its latest `epoch` ends that.
+    CtrlServerRestart {
+        /// Which of the server's messages this is (or echoes).
+        epoch: u32,
+    },
     /// Chain member → its successor: one replicated lock operation.
     ///
     /// The head of a partition's replication chain assigns each admitted
@@ -326,6 +337,7 @@ impl NetLockMsg {
             | NetLockMsg::ReleaseBatch(_)
             | NetLockMsg::GrantBatch(_) => None,
             NetLockMsg::ChainAck { .. }
+            | NetLockMsg::CtrlServerRestart { .. }
             | NetLockMsg::CtrlChainPing { .. }
             | NetLockMsg::CtrlChainConfig { .. }
             | NetLockMsg::CtrlChainReset { .. }

@@ -176,6 +176,7 @@ mod msg_codec {
                 }
             }),
             any::<u32>().prop_map(|lock| NetLockMsg::CtrlHandback { lock: LockId(lock) }),
+            any::<u32>().prop_map(|epoch| NetLockMsg::CtrlServerRestart { epoch }),
             (any::<u16>(), any::<u64>(), any::<u64>(), client_op).prop_map(
                 |(partition, seq, stamp_ns, op)| NetLockMsg::ChainOp {
                     partition,

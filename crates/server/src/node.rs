@@ -92,6 +92,12 @@ pub struct ServerNode {
     /// leases to expire before granting the locks").
     grace_until_ns: u64,
     grace_buf: Vec<LockRequest>,
+    /// Epoch of the latest [`NetLockMsg::CtrlServerRestart`] sent to the
+    /// switch; counts across restarts, so a stale echo never matches.
+    restart_epoch: u32,
+    /// The switch has not yet echoed `restart_epoch`: buffer-only
+    /// forwards arriving now predate its overflow reset.
+    awaiting_echo: bool,
     /// Reusable grant out-buffer for `LockTable::release` /
     /// `expire_leases`: one allocation per node, not per release.
     grant_buf: Vec<LockRequest>,
@@ -114,6 +120,8 @@ impl ServerNode {
             switch,
             grace_until_ns: 0,
             grace_buf: Vec::new(),
+            restart_epoch: 0,
+            awaiting_echo: false,
             grant_buf: Vec::new(),
             sweep_buf: Vec::new(),
             stats: ServerStats::default(),
@@ -130,41 +138,20 @@ impl ServerNode {
         &self.cfg
     }
 
-    /// Timer token of the lease sweep. After a crash-restart the sweep
-    /// chain is broken (timers to a dead node are dropped); the harness
-    /// re-arms it with `Simulator::inject_timer` using this token.
-    pub const SWEEP_TIMER_TOKEN: u64 = TIMER_LEASE_SWEEP;
-
-    /// Model a crash-restart with total state loss (§4.5 failure
-    /// handling): lock table, q2 buffers, ownership, migration and
-    /// grace buffers, and the CPU model are all wiped, as if the
-    /// process was restarted on a fresh machine. Counters are kept —
-    /// they belong to the harness, not the process. The harness must
-    /// re-declare owned locks ([`ServerNode::own_lock`]), re-arm the
-    /// sweep timer ([`ServerNode::SWEEP_TIMER_TOKEN`]) and usually
-    /// apply a failover grace period ([`ServerNode::set_grace_until`])
-    /// so stranded leases expire before new grants.
-    pub fn restart(&mut self) {
-        self.table = LockTable::new();
-        self.q2.clear();
-        self.ownership.clear();
-        self.promote_buf.clear();
-        self.grace_buf.clear();
-        self.grace_until_ns = 0;
-        self.cores = CoreModel::new(self.cfg.cores, self.cfg.service.as_nanos());
-    }
-
     /// Repoint the server at a different ToR switch (backup switch
     /// failover, §4.5).
     pub fn set_switch(&mut self, switch: NodeId) {
         self.switch = switch;
     }
 
-    /// Enter the failover grace period: acquires arriving before
-    /// `until_ns` are buffered and only processed once it passes, giving
-    /// the failed predecessor's leases time to expire.
-    pub fn set_grace_until(&mut self, until_ns: u64) {
-        self.grace_until_ns = until_ns;
+    /// Ask the switch to reset the overflow ledgers of this server's
+    /// locks, under a fresh epoch; until it echoes that epoch, every
+    /// buffer-only forward predates the reset.
+    fn announce_restart(&mut self, ctx: &mut Context<'_, NetLockMsg>) {
+        self.restart_epoch += 1;
+        self.awaiting_echo = true;
+        let epoch = self.restart_epoch;
+        ctx.send(self.switch, NetLockMsg::CtrlServerRestart { epoch });
     }
 
     /// Counters.
@@ -402,8 +389,45 @@ impl Node<NetLockMsg> for ServerNode {
         }
     }
 
+    /// A crash-restart with total state loss (§4.5): lock table, q2
+    /// buffers, ownership, migration and grace buffers, and the CPU
+    /// model are wiped, as if the process restarted on a fresh machine
+    /// (counters are kept: they belong to the harness). Every lock
+    /// reads as owned again, which is what a server-resident lock is.
+    /// The server then waits one lease, so holders granted before the
+    /// crash expire before it grants anything new, restarts its sweep
+    /// chain (it died with the node), and tells the switch that every
+    /// q2 buffer is gone.
+    fn on_revive(&mut self, ctx: &mut Context<'_, NetLockMsg>) {
+        self.table = LockTable::new();
+        self.q2.clear();
+        self.ownership.clear();
+        self.promote_buf.clear();
+        self.grace_buf.clear();
+        self.cores = CoreModel::new(self.cfg.cores, self.cfg.service.as_nanos());
+        self.grace_until_ns = ctx.now().as_nanos() + self.cfg.lease.as_nanos();
+        self.on_start(ctx);
+        self.announce_restart(ctx);
+    }
+
     fn on_packet(&mut self, pkt: Packet<NetLockMsg>, ctx: &mut Context<'_, NetLockMsg>) {
         match pkt.payload {
+            NetLockMsg::Forwarded {
+                req,
+                buffer_only: true,
+            } if self.awaiting_echo => {
+                // The switch counted this toward a ledger it is resetting
+                // (or already reset): hand it back as a fresh acquire,
+                // behind a fresh restart message so that reset covers it.
+                // (A forward also proves the switch is up, should the
+                // last restart message have died with it.)
+                self.announce_restart(ctx);
+                ctx.send(self.switch, NetLockMsg::Acquire(req));
+            }
+            // A stale echo (an earlier epoch) changes nothing.
+            NetLockMsg::CtrlServerRestart { epoch } if epoch == self.restart_epoch => {
+                self.awaiting_echo = false;
+            }
             NetLockMsg::Acquire(req) => self.on_acquire(req, false, ctx),
             NetLockMsg::Forwarded { req, buffer_only } => self.on_acquire(req, buffer_only, ctx),
             NetLockMsg::Release(rel) => self.on_release(rel, ctx),
@@ -487,7 +511,7 @@ mod tests {
         let client = sim.add_node(Box::new(Sink(Vec::new())));
         let switch = sim.add_node(Box::new(Sink(Vec::new())));
         let server = sim.add_node(Box::new(ServerNode::new(ServerConfig::default(), switch)));
-        sim.with_node::<ServerNode, _>(server, |n| n.set_grace_until(5_000_000));
+        sim.with_node::<ServerNode, _>(server, |n| n.grace_until_ns = 5_000_000);
         sim.inject(client, server, NetLockMsg::Acquire(req(1, 10, client.0)));
         sim.run_until(SimTime(4_000_000));
         sim.read_node::<Sink, _>(client, |s| {

@@ -2,12 +2,10 @@
 //!
 //! A [`FaultPlan`] is an ordered schedule of [`FaultEvent`]s that the
 //! simulator executes as first-class events, interleaved with packet and
-//! timer delivery at the exact nanosecond they are due. Generic actions
-//! (link reconfiguration, node kill/revive) are applied by the simulator
-//! itself; [`FaultAction::Custom`] hands control back to the harness via
-//! [`crate::Simulator::run_until_fault`] so domain-specific faults
-//! (switch reboot + reprogram, server restart with state loss) can be
-//! applied with full knowledge of the protocol stack.
+//! timer delivery at the exact nanosecond they are due: link
+//! reconfiguration and node kill/revive. What a revived node remembers
+//! is the node's business ([`crate::Node::on_revive`]): a rebooted lock
+//! switch or restarted lock server wipes and rebuilds itself there.
 //!
 //! Because the plan is data — `(SimTime, FaultAction)` pairs — any run is
 //! reproducible from `(seed, plan)` alone.
@@ -37,13 +35,8 @@ pub enum FaultAction {
     },
     /// Kill a node: all packets/timers to it are dropped until revived.
     FailNode(NodeId),
-    /// Revive a failed node (its state is whatever it had; callers that
-    /// model state loss reset the node via a `Custom` action instead).
+    /// Revive a failed node; it runs [`crate::Node::on_revive`].
     ReviveNode(NodeId),
-    /// Domain-specific fault: the simulator pauses and returns
-    /// [`crate::RunOutcome::CustomFault`] with this token so the harness
-    /// can mutate nodes (reboot a switch, wipe a server, ...).
-    Custom(u64),
 }
 
 /// A fault action bound to its firing time.
@@ -105,27 +98,6 @@ impl FaultPlan {
     }
 }
 
-/// Why [`crate::Simulator::run_until_fault`] returned.
-/// [`crate::Simulator::run_until`] runs the same drain loop and resumes
-/// past every [`RunOutcome::CustomFault`] itself, dropping the fault.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum RunOutcome {
-    /// The deadline was reached (or the queue emptied); no custom fault
-    /// is pending.
-    ReachedDeadline,
-    /// A [`FaultAction::Custom`] fired. The clock stands at `at`, and
-    /// every event that would dispatch after the fault at that same
-    /// instant is still queued; the harness should apply the domain
-    /// fault and call [`crate::Simulator::run_until_fault`] again to
-    /// continue.
-    CustomFault {
-        /// Time at which the fault fired.
-        at: SimTime,
-        /// The token passed to [`FaultAction::Custom`].
-        token: u64,
-    },
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,13 +105,13 @@ mod tests {
     #[test]
     fn plan_sorts_stably() {
         let plan = FaultPlan::new()
-            .with(SimTime(200), FaultAction::Custom(1))
-            .with(SimTime(100), FaultAction::Custom(2))
-            .with(SimTime(200), FaultAction::Custom(3));
+            .with(SimTime(200), FaultAction::FailNode(NodeId(1)))
+            .with(SimTime(100), FaultAction::FailNode(NodeId(2)))
+            .with(SimTime(200), FaultAction::FailNode(NodeId(3)));
         let sorted = plan.sorted_events();
-        assert_eq!(sorted[0].action, FaultAction::Custom(2));
-        assert_eq!(sorted[1].action, FaultAction::Custom(1));
-        assert_eq!(sorted[2].action, FaultAction::Custom(3));
+        assert_eq!(sorted[0].action, FaultAction::FailNode(NodeId(2)));
+        assert_eq!(sorted[1].action, FaultAction::FailNode(NodeId(1)));
+        assert_eq!(sorted[2].action, FaultAction::FailNode(NodeId(3)));
         assert_eq!(plan.len(), 3);
         assert!(!plan.is_empty());
     }

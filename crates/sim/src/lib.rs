@@ -52,7 +52,7 @@ mod sim;
 mod time;
 
 pub use fasthash::{FastBuildHasher, FastHashMap, FastHashSet, FastHasher};
-pub use fault::{FaultAction, FaultEvent, FaultPlan, RunOutcome};
+pub use fault::{FaultAction, FaultEvent, FaultPlan};
 pub use link::{GeParams, LinkConfig, LinkFaults, Topology};
 pub use metrics::{Histogram, LatencySummary, TimeSeries};
 pub use node::{AsAny, Context, Node, NodeId, Packet, TimerTicket};

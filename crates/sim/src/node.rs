@@ -81,6 +81,13 @@ pub trait Node<M>: AsAny + Send {
     /// Called once when the node is installed, with its assigned id.
     fn on_start(&mut self, _ctx: &mut Context<'_, M>) {}
 
+    /// Called when the node comes back from the dead (a plan's
+    /// `ReviveNode` or `Simulator::revive_node` on a failed node).
+    /// Timers that fell due while it was down are gone, so a node that
+    /// models a restart re-arms them here. By default the node keeps
+    /// whatever state it had.
+    fn on_revive(&mut self, _ctx: &mut Context<'_, M>) {}
+
     /// Human-readable name for traces.
     fn name(&self) -> &str {
         "node"

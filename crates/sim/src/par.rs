@@ -66,30 +66,16 @@ pub(crate) fn owner(map: &[u32], id: NodeId) -> usize {
 
 /// Validate a fault action against the partition: link reconfigurations
 /// must never shrink a cross-LP delay below the lookahead (the safety
-/// argument of the window loop depends on it), and `Custom` faults —
-/// which pause the run for harness intervention — are not supported on
-/// a partitioned simulator. Under the empty map of an unpartitioned
-/// simulator every action is valid.
+/// argument of the window loop depends on it). Under the empty map of
+/// an unpartitioned simulator every action is valid.
 pub(crate) fn validate_fault(lookahead: u64, map: &[u32], action: &FaultAction, idx: u64) {
-    match action {
-        FaultAction::SetLink { src, dst, cfg } => {
-            assert!(
-                owner(map, *src) == owner(map, *dst) || cfg.delay.as_nanos() >= lookahead,
-                "fault #{idx}: SetLink {src}->{dst} delay {} ns below partition lookahead {} ns",
-                cfg.delay.as_nanos(),
-                lookahead
-            );
-        }
-        FaultAction::Custom(token) => {
-            assert!(
-                map.is_empty(),
-                "partitioned simulator does not support Custom faults: \
-                 fault #{idx} is Custom({token}); Custom faults pause the run \
-                 for single-LP harness recovery — use in-protocol recovery \
-                 (FailNode/ReviveNode plus control-plane messages) instead"
-            )
-        }
-        FaultAction::ClearLink { .. } | FaultAction::FailNode(_) | FaultAction::ReviveNode(_) => {}
+    if let FaultAction::SetLink { src, dst, cfg } = action {
+        assert!(
+            owner(map, *src) == owner(map, *dst) || cfg.delay.as_nanos() >= lookahead,
+            "fault #{idx}: SetLink {src}->{dst} delay {} ns below partition lookahead {} ns",
+            cfg.delay.as_nanos(),
+            lookahead
+        );
     }
 }
 
@@ -111,7 +97,7 @@ impl<M: Clone + Send + 'static> Simulator<M> {
     /// cross-LP consequence, which is what makes windowed parallel
     /// execution exact rather than approximate. Fault plans may
     /// reconfigure links mid-run, but never below that lookahead
-    /// (asserted), and `Custom` faults are rejected.
+    /// (asserted).
     ///
     /// Call after the simulation is fully built: `add_node`,
     /// `topology_mut` and `step` panic once partitioned (use
@@ -122,8 +108,8 @@ impl<M: Clone + Send + 'static> Simulator<M> {
     /// the pre-partition draw position of other LPs' nodes.
     ///
     /// # Panics
-    /// If already partitioned, a tap is installed, a `Custom` fault is
-    /// pending or queued, `lp_of` does not cover every node, it names
+    /// If already partitioned, a tap is installed, a queued link fault
+    /// undercuts the lookahead, `lp_of` does not cover every node, it names
     /// 2^15 LPs or more (the cross-LP key's LP field), or a cross-LP
     /// link has zero delay.
     pub fn partition(&mut self, lp_of: Vec<u32>, workers: usize) {
@@ -132,10 +118,6 @@ impl<M: Clone + Send + 'static> Simulator<M> {
         assert!(
             one.tap.is_none(),
             "partition with a global tap installed: partition first, then set_lp_tap"
-        );
-        assert!(
-            one.pending_custom.is_none(),
-            "partition with a pending Custom fault"
         );
         assert_eq!(
             lp_of.len(),
@@ -335,7 +317,7 @@ impl<M: Clone + Send + 'static> Simulator<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultPlan, RunOutcome};
+    use crate::fault::FaultPlan;
     use crate::link::{LinkConfig, LinkFaults, Topology};
     use crate::node::{Context, Node};
     use crate::time::SimDuration;
@@ -508,10 +490,7 @@ mod tests {
             for i in 0..n {
                 s.inject(NodeId(i as u32), NodeId(((i + 1) % n) as u32), 200);
             }
-            assert_eq!(
-                s.run_until_fault(SimTime(400_000)),
-                RunOutcome::ReachedDeadline
-            );
+            s.run_until(SimTime(400_000));
             (ring_trace(&s, n), s.stats(), s.link_counters())
         };
         let one = run(1);
@@ -569,37 +548,6 @@ mod tests {
         s.inject(NodeId(0), NodeId(2), 0); // cross-LP, scheduled in LP 1
         s.inject_timer(NodeId(1), SimDuration(10), 0);
         assert_eq!(s.pending_events(), 2 + 4 /* on_start timers */);
-    }
-
-    #[test]
-    #[should_panic(expected = "fault #0 is Custom(7)")]
-    fn custom_fault_rejected_when_partitioned() {
-        let mut s = ring_sim(2, 1);
-        s.partition(vec![0, 1], 1);
-        s.schedule_fault(SimTime(1_000), FaultAction::Custom(7));
-    }
-
-    #[test]
-    #[should_panic(expected = "fault #2 is Custom(9)")]
-    fn custom_fault_rejection_names_index_and_kind() {
-        // The diagnostic must point at *which* plan entry is offending,
-        // counting every fault validated since partitioning.
-        let mut s = ring_sim(2, 1);
-        s.partition(vec![0, 1], 1);
-        s.schedule_fault(SimTime(500), FaultAction::FailNode(NodeId(0)));
-        s.schedule_fault(SimTime(900), FaultAction::ReviveNode(NodeId(0)));
-        s.schedule_fault(SimTime(1_000), FaultAction::Custom(9));
-    }
-
-    #[test]
-    #[should_panic(expected = "fault #1 is Custom(3)")]
-    fn queued_custom_fault_rejected_at_partition_time() {
-        // A Custom fault scheduled *before* partition() is caught while
-        // migrating the queue, with the same indexed diagnostic.
-        let mut s = ring_sim(2, 1);
-        s.schedule_fault(SimTime(400), FaultAction::FailNode(NodeId(0)));
-        s.schedule_fault(SimTime(800), FaultAction::Custom(3));
-        s.partition(vec![0, 1], 1);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use crate::fault::{FaultAction, FaultPlan, RunOutcome};
+use crate::fault::{FaultAction, FaultPlan};
 use crate::link::{LinkConfig, Topology};
 use crate::node::{Context, Effect, Node, NodeId, Packet};
 use crate::par::{owner, validate_fault, Staged, POISONED, REMOTE_BAND};
@@ -212,7 +212,7 @@ pub enum TapEvent<'a, M> {
     Fault {
         /// Firing time.
         at: SimTime,
-        /// The action applied (for `Custom`, applied by the harness).
+        /// The action applied.
         action: FaultAction,
     },
 }
@@ -235,7 +235,7 @@ pub struct Simulator<M> {
     /// of the next window.
     pub(crate) staged: Vec<Mutex<Vec<Staged<M>>>>,
     /// Faults validated since the last partition; gives rejection
-    /// diagnostics a stable index ("fault #3 is Custom(7)") to point at.
+    /// diagnostics a stable index ("fault #3: SetLink ...") to point at.
     pub(crate) faults_validated: u64,
     /// What the one LP had counted when `partition` split it.
     pub(crate) base_stats: SimStats,
@@ -257,7 +257,6 @@ pub(crate) struct Lp<M> {
     pub(crate) stats: SimStats,
     pub(crate) link_states: HashMap<(NodeId, NodeId), LinkState>,
     pub(crate) tap: Option<Tap<M>>,
-    pub(crate) pending_custom: Option<(SimTime, u64)>,
     /// Dense resolved `(src, dst)` link table (row-major, `links_n`
     /// wide), rebuilt lazily when `topology.version()` or the node
     /// count diverges from the values it was built at.
@@ -354,9 +353,8 @@ impl<M: Clone + Send + 'static> Simulator<M> {
     /// Routing: link-config actions go to every LP (each applies the
     /// change to its own topology copy at the same instant, keeping all
     /// sender-side link views identical), node actions go to the node's
-    /// owner LP. A partitioned simulator rejects `Custom` faults — chaos
-    /// recovery drives a single-LP simulation — and link delays below
-    /// its lookahead.
+    /// owner LP. A partitioned simulator rejects link delays below its
+    /// lookahead.
     pub fn schedule_fault(&mut self, at: SimTime, action: FaultAction) {
         assert!(at >= self.now(), "fault scheduled in the past");
         validate_fault(self.lookahead, &self.map, &action, self.faults_validated);
@@ -416,11 +414,17 @@ impl<M: Clone + Send + 'static> Simulator<M> {
         self.lp(id).alive[id.index()] = false;
     }
 
-    /// Revive a failed node. Events scheduled while it was down stay lost;
-    /// new traffic flows again. (The node keeps whatever state it had —
-    /// callers that model state loss must reset the node themselves.)
+    /// Revive a failed node: it runs [`Node::on_revive`] at the current
+    /// time (a node that was alive is left alone). Events scheduled
+    /// while it was down stay lost; new traffic flows again.
     pub fn revive_node(&mut self, id: NodeId) {
-        self.lp(id).alive[id.index()] = true;
+        let lp = self.lp(id);
+        if let Some(mut t) = lp.tap.take() {
+            lp.revive(id, &mut DynTap(&mut *t));
+            lp.tap = Some(t);
+        } else {
+            lp.revive(id, &mut NoTap);
+        }
     }
 
     /// Whether a node is currently alive.
@@ -490,8 +494,6 @@ impl<M: Clone + Send + 'static> Simulator<M> {
     /// Run until the clock reaches `deadline` (events at exactly `deadline`
     /// are processed) or the queue empties. The clock is advanced to
     /// `deadline` on return so subsequent scheduling is relative to it.
-    /// [`FaultAction::Custom`] events encountered here are dropped —
-    /// chaos harnesses use [`Simulator::run_until_fault`] instead.
     ///
     /// One LP drains its queue in same-timestamp bursts via
     /// [`EventQueue::pop_run`]: one fused cursor scan yields the whole
@@ -499,9 +501,7 @@ impl<M: Clone + Send + 'static> Simulator<M> {
     /// order the one-pop-per-step loop would produce (events a dispatch
     /// schedules at the *same* instant carry higher `seq` than the rest
     /// of the burst, so picking them up in the next `pop_run` round
-    /// preserves the order; see `tests/prop_spine.rs`). This is the
-    /// same loop [`Simulator::run_until_fault`] runs; here it resumes at
-    /// once after each `Custom` pause.
+    /// preserves the order; see `tests/prop_spine.rs`).
     ///
     /// Several LPs run that loop window by window (`crate::par`). The
     /// result depends on the scenario and the partition map only: not
@@ -513,26 +513,6 @@ impl<M: Clone + Send + 'static> Simulator<M> {
         } else {
             self.run_windows(deadline);
         }
-    }
-
-    /// Like [`Simulator::run_until`], but pauses when a
-    /// [`FaultAction::Custom`] fires, returning
-    /// [`RunOutcome::CustomFault`] so the caller can apply the
-    /// domain-specific fault and resume with another call.
-    ///
-    /// It runs the same burst loop as [`Simulator::run_until`]. The
-    /// pause comes right after the `Custom` event's dispatch; the rest
-    /// of its same-instant burst goes back into the queue under each
-    /// event's original `(at, seq)`, so every later same-instant event
-    /// is still queued, as if events were popped one at a time.
-    pub fn run_until_fault(&mut self, deadline: SimTime) -> RunOutcome {
-        if self.lps.len() > 1 {
-            // A partitioned simulator rejects Custom faults, so this
-            // can only ever reach the deadline.
-            self.run_until(deadline);
-            return RunOutcome::ReachedDeadline;
-        }
-        self.lps[0].run_until_fault(deadline)
     }
 
     /// Run for `d` more simulated time.
@@ -573,7 +553,6 @@ impl<M: Clone + Send + 'static> Lp<M> {
             stats: SimStats::default(),
             link_states: HashMap::new(),
             tap: None,
-            pending_custom: None,
             links: Vec::new(),
             links_version: u64::MAX,
             links_n: usize::MAX,
@@ -597,28 +576,46 @@ impl<M: Clone + Send + 'static> Lp<M> {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Some(node));
         self.alive.push(true);
-        // Run on_start with effect collection.
-        let mut node = self.nodes[id.index()].take().expect("just inserted");
+        if let Some(mut t) = self.tap.take() {
+            self.call(id, &mut DynTap(&mut *t), |node, ctx| node.on_start(ctx));
+            self.tap = Some(t);
+        } else {
+            self.call(id, &mut NoTap, |node, ctx| node.on_start(ctx));
+        }
+        id
+    }
+
+    /// Run one callback of node `id`, then turn the effects it emitted
+    /// into events.
+    #[inline]
+    fn call<T: TapHook<M>>(
+        &mut self,
+        id: NodeId,
+        tap: &mut T,
+        f: impl FnOnce(&mut dyn Node<M>, &mut Context<'_, M>),
+    ) {
+        let mut node = self.nodes[id.index()].take().expect("re-entrant dispatch");
         let mut effects = std::mem::take(&mut self.effects);
-        {
-            let mut ctx = Context {
+        f(
+            &mut *node,
+            &mut Context {
                 now: self.now,
                 self_id: id,
                 effects: &mut effects,
                 rng: &mut self.rng,
                 seq: &mut self.seq,
-            };
-            node.on_start(&mut ctx);
-        }
+            },
+        );
         self.nodes[id.index()] = Some(node);
-        if let Some(mut t) = self.tap.take() {
-            self.apply_effects(id, &mut effects, &mut DynTap(&mut *t));
-            self.tap = Some(t);
-        } else {
-            self.apply_effects(id, &mut effects, &mut NoTap);
-        }
+        self.apply_effects(id, &mut effects, tap);
         self.effects = effects;
-        id
+    }
+
+    /// Mark `id` alive; a node that was dead runs [`Node::on_revive`].
+    fn revive<T: TapHook<M>>(&mut self, id: NodeId, tap: &mut T) {
+        if !std::mem::replace(&mut self.alive[id.index()], true) {
+            self.call(id, tap, |node, ctx| node.on_revive(ctx));
+        }
     }
 
     /// Resolve the link config for one directed hop via the dense
@@ -863,8 +860,7 @@ impl<M: Clone + Send + 'static> Lp<M> {
             FaultAction::SetLink { src, dst, cfg } => self.topology.set_link(src, dst, cfg),
             FaultAction::ClearLink { src, dst } => self.topology.clear_link(src, dst),
             FaultAction::FailNode(id) => self.alive[id.index()] = false,
-            FaultAction::ReviveNode(id) => self.alive[id.index()] = true,
-            FaultAction::Custom(token) => self.pending_custom = Some((self.now, token)),
+            FaultAction::ReviveNode(id) => self.revive(id, tap),
         }
     }
 
@@ -896,33 +892,17 @@ impl<M: Clone + Send + 'static> Lp<M> {
                 tap.emit(TapEvent::Delivered { at: self.now, pkt });
             }
         }
-        let mut node = self.nodes[node_id.index()]
-            .take()
-            .expect("re-entrant dispatch");
-        let mut effects = std::mem::take(&mut self.effects);
-        {
-            let mut ctx = Context {
-                now: self.now,
-                self_id: node_id,
-                effects: &mut effects,
-                rng: &mut self.rng,
-                seq: &mut self.seq,
-            };
-            match kind {
-                EventKind::Deliver(pkt) => {
-                    self.stats.packets_delivered += 1;
-                    node.on_packet(pkt, &mut ctx)
-                }
-                EventKind::Timer { token, .. } => {
-                    self.stats.timers_fired += 1;
-                    node.on_timer(token, &mut ctx)
-                }
-                EventKind::Fault(_) => unreachable!("fault handled above"),
+        match kind {
+            EventKind::Deliver(pkt) => {
+                self.stats.packets_delivered += 1;
+                self.call(node_id, tap, |node, ctx| node.on_packet(pkt, ctx));
             }
+            EventKind::Timer { token, .. } => {
+                self.stats.timers_fired += 1;
+                self.call(node_id, tap, |node, ctx| node.on_timer(token, ctx));
+            }
+            EventKind::Fault(_) => unreachable!("fault handled above"),
         }
-        self.nodes[node_id.index()] = Some(node);
-        self.apply_effects(node_id, &mut effects, tap);
-        self.effects = effects;
     }
 
     fn step(&mut self) -> bool {
@@ -938,54 +918,29 @@ impl<M: Clone + Send + 'static> Lp<M> {
         true
     }
 
-    /// [`Simulator::run_until`] on this LP alone: the burst loop,
-    /// resumed at once after every `Custom` pause (the fault is dropped).
+    /// [`Simulator::run_until`] on this LP alone.
     pub(crate) fn run_until(&mut self, deadline: SimTime) {
-        while let RunOutcome::CustomFault { .. } = self.run_until_fault(deadline) {}
-    }
-
-    /// [`Simulator::run_until_fault`] on this LP alone.
-    fn run_until_fault(&mut self, deadline: SimTime) -> RunOutcome {
-        if self.pending_custom.is_none() {
-            if let Some(mut t) = self.tap.take() {
-                self.drain_until(deadline, &mut DynTap(&mut *t));
-                self.tap = Some(t);
-            } else {
-                self.drain_until(deadline, &mut NoTap);
-            }
-        }
-        if let Some((at, token)) = self.pending_custom.take() {
-            return RunOutcome::CustomFault { at, token };
+        if let Some(mut t) = self.tap.take() {
+            self.drain_until(deadline, &mut DynTap(&mut *t));
+            self.tap = Some(t);
+        } else {
+            self.drain_until(deadline, &mut NoTap);
         }
         if self.now < deadline {
             self.now = deadline;
         }
-        RunOutcome::ReachedDeadline
     }
 
     /// The simulator's one drain loop: dispatch same-instant bursts up
-    /// to `deadline`, stopping right after a dispatch that set
-    /// `pending_custom`. The undispatched rest of that burst goes back
-    /// into the queue under its own `(at, seq)`, so the queue is left
-    /// exactly as one-pop-per-step dispatch would leave it.
+    /// to `deadline`.
     fn drain_until<T: TapHook<M>>(&mut self, deadline: SimTime, tap: &mut T) {
         let mut burst = std::mem::take(&mut self.burst);
         debug_assert!(burst.is_empty());
-        'run: while self.queue.pop_run(deadline, &mut burst) > 0 {
+        while self.queue.pop_run(deadline, &mut burst) > 0 {
             self.burst_pending = burst.len() as u64;
-            let mut events = burst.drain(..);
-            while let Some((at, _seq, kind)) = events.next() {
+            for (at, _seq, kind) in burst.drain(..) {
                 self.burst_pending -= 1;
                 self.dispatch(at, kind, tap);
-                if self.pending_custom.is_some() {
-                    // Not `push_at_seq`: these were scheduled (and
-                    // counted toward the queue depth) once already.
-                    for (at, seq, kind) in events {
-                        self.queue.push(at, seq, kind);
-                    }
-                    self.burst_pending = 0;
-                    break 'run;
-                }
             }
         }
         self.burst = burst;
@@ -1314,7 +1269,7 @@ mod more_tests {
 #[cfg(test)]
 mod fault_tests {
     use super::*;
-    use crate::fault::{FaultAction, FaultPlan, RunOutcome};
+    use crate::fault::{FaultAction, FaultPlan};
     use crate::link::{GeParams, LinkFaults};
 
     /// Sends `total` sequence-numbered packets to `dst`, one per `gap`.
@@ -1334,6 +1289,10 @@ mod fault_tests {
             }
         }
         fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+            ctx.set_timer(self.gap, 0);
+        }
+        /// The send chain died with the node: restart it.
+        fn on_revive(&mut self, ctx: &mut Context<'_, u32>) {
             ctx.set_timer(self.gap, 0);
         }
     }
@@ -1436,7 +1395,7 @@ mod fault_tests {
     }
 
     #[test]
-    fn fault_plan_flaps_link_and_pauses_on_custom() {
+    fn fault_plan_flaps_link_and_revives_node() {
         let mut s: Simulator<u32> = Simulator::with_seed(3);
         let r = s.add_node(Box::new(Rec { got: vec![] }));
         let f = s.add_node(Box::new(Flood {
@@ -1456,26 +1415,20 @@ mod fault_tests {
                     cfg: LinkConfig::with_delay(SimDuration(500)).with_loss(1.0),
                 },
             )
-            .with(SimTime(20_000), FaultAction::Custom(42))
+            .with(SimTime(20_000), FaultAction::FailNode(f))
+            .with(SimTime(25_000), FaultAction::ReviveNode(f))
             .with(SimTime(30_000), FaultAction::ClearLink { src: f, dst: r });
         s.install_plan(&plan);
-        let outcome = s.run_until_fault(SimTime(100_000));
-        assert_eq!(
-            outcome,
-            RunOutcome::CustomFault {
-                at: SimTime(20_000),
-                token: 42
-            }
-        );
-        assert_eq!(s.now(), SimTime(20_000));
-        let outcome = s.run_until_fault(SimTime(100_000));
-        assert_eq!(outcome, RunOutcome::ReachedDeadline);
+        s.run_until(SimTime(100_000));
         let got = s.read_node::<Rec, _>(r, |n| n.got.clone());
         // Packets sent in [10us, 30us) are all lost; the rest arrive.
         assert!(got.len() < 50 && !got.is_empty());
         assert_eq!(s.stats().packets_lost, 50 - got.len() as u64);
-        assert_eq!(s.stats().faults_applied, 3);
-        // Sends outside the flap window are unaffected.
+        assert_eq!(s.stats().faults_applied, 4);
+        // The sender's timer died at 21us; its `on_revive` restarted
+        // the chain, so every packet was still sent, and the ones
+        // outside the flap window arrived.
+        assert_eq!(s.read_node::<Flood, _>(f, |n| n.sent), 50);
         assert!(got.contains(&0) && got.contains(&49));
     }
 

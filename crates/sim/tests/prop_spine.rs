@@ -1,18 +1,18 @@
 //! Property tests for the simulator spine: the fused `pop_run` queue
-//! primitive and the burst-draining loop behind `run_until` and
-//! `run_until_fault` must reproduce the one-pop-per-step reference
-//! behavior exactly — same `(at, seq)` pop sequence, same dispatch
-//! order, same node observations, same final `SimStats` — on random
-//! schedules with heavy same-timestamp bursts, including `Custom`
-//! faults that pause a burst midway.
+//! primitive and the burst-draining loop behind `run_until` must
+//! reproduce the one-pop-per-step reference behavior exactly — same
+//! `(at, seq)` pop sequence, same dispatch order, same node
+//! observations, same final `SimStats` — on random schedules with heavy
+//! same-timestamp bursts, including node failures and revivals whose
+//! `on_revive` schedules more work at the instant being drained.
 
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
 use netlock_sim::{
-    Context, EventQueue, FaultAction, FaultPlan, LinkConfig, Node, NodeId, Packet, RunOutcome,
-    SimDuration, SimTime, Simulator, TapEvent, Topology,
+    Context, EventQueue, FaultAction, FaultPlan, LinkConfig, Node, NodeId, Packet, SimDuration,
+    SimTime, Simulator, TapEvent, Topology,
 };
 
 /// Push scripts with coarse timestamps so many events collide on the
@@ -100,7 +100,7 @@ proptest! {
 /// Fans out bursts: every receipt at payload `p > 0` sends `p % 3 + 1`
 /// copies of `p - 1` to the peer over equal-delay links, so whole
 /// generations land on the same instant; occasional zero-delay timers
-/// schedule more work *at the instant being drained*.
+/// schedule more work *at the instant being drained*, as does a revival.
 struct BurstNode {
     peer: NodeId,
     log: Vec<(u64, u32)>,
@@ -123,6 +123,11 @@ impl Node<u32> for BurstNode {
         if token > 2 {
             ctx.set_timer(SimDuration(5), token / 2);
         }
+    }
+    fn on_revive(&mut self, ctx: &mut Context<'_, u32>) {
+        self.log.push((ctx.now().0, 2_000_000));
+        ctx.set_timer(SimDuration(0), 6);
+        ctx.send(self.peer, 3);
     }
 }
 
@@ -176,118 +181,82 @@ proptest! {
 }
 
 /// One dispatch as the tap saw it: a delivery `(at, src, dst, payload)`
-/// (to a live or dead node) or a fault `(at, u32::MAX, u32::MAX, token)`.
+/// (to a live or dead node), or a node fault `(at, node, u32::MAX, 0)`
+/// for a failure and `(at, node, u32::MAX, 1)` for a revival.
 type Dispatch = (u64, u32, u32, u64);
 
-/// A log the tap appends to and the harness reads.
-type Shared<T> = Arc<Mutex<Vec<T>>>;
-
-/// A burst simulator with `Custom` faults installed after the
-/// injections, so each lands inside a same-instant burst, behind the
-/// events scheduled before it and ahead of those scheduled after. The
-/// tap logs every delivery and fault in dispatch order and queues each
-/// `Custom` token for the harness.
-fn paused_sim(
+/// A burst simulator with node failures and revivals installed after
+/// the injections, so each lands inside a same-instant burst, behind
+/// the events scheduled before it and ahead of those scheduled after.
+/// The tap logs every delivery and node fault in dispatch order.
+fn faulted_sim(
     seed: u64,
     payloads: &[u32],
-    faults: &[(u64, u64)],
-) -> (Simulator<u32>, Shared<Dispatch>, Shared<u64>) {
+    faults: &[(u64, u32, bool)],
+) -> (Simulator<u32>, Arc<Mutex<Vec<Dispatch>>>) {
     let mut s = burst_sim(seed, 0.1, payloads);
     let mut plan = FaultPlan::new();
-    for &(at, token) in faults {
-        plan.push(SimTime(at), FaultAction::Custom(token));
+    for &(at, node, revive) in faults {
+        let action = if revive {
+            FaultAction::ReviveNode(NodeId(node))
+        } else {
+            FaultAction::FailNode(NodeId(node))
+        };
+        plan.push(SimTime(at), action);
     }
     s.install_plan(&plan);
     let log = Arc::new(Mutex::new(Vec::new()));
-    let customs = Arc::new(Mutex::new(Vec::new()));
-    let (l, c) = (Arc::clone(&log), Arc::clone(&customs));
+    let l = Arc::clone(&log);
     s.set_lp_tap(
         0,
-        Box::new(move |ev: TapEvent<'_, u32>| match ev {
-            TapEvent::Delivered { at, pkt } | TapEvent::DeliveredToDead { at, pkt } => l
-                .lock()
-                .unwrap()
-                .push((at.0, pkt.src.0, pkt.dst.0, u64::from(pkt.payload))),
-            TapEvent::Fault {
-                at,
-                action: FaultAction::Custom(token),
-            } => {
-                l.lock().unwrap().push((at.0, u32::MAX, u32::MAX, token));
-                c.lock().unwrap().push(token);
-            }
-            _ => {}
+        Box::new(move |ev: TapEvent<'_, u32>| {
+            let entry = match ev {
+                TapEvent::Delivered { at, pkt } | TapEvent::DeliveredToDead { at, pkt } => {
+                    (at.0, pkt.src.0, pkt.dst.0, u64::from(pkt.payload))
+                }
+                TapEvent::Fault {
+                    at,
+                    action: FaultAction::FailNode(n),
+                } => (at.0, n.0, u32::MAX, 0),
+                TapEvent::Fault {
+                    at,
+                    action: FaultAction::ReviveNode(n),
+                } => (at.0, n.0, u32::MAX, 1),
+                _ => return,
+            };
+            l.lock().unwrap().push(entry);
         }),
     );
-    (s, log, customs)
-}
-
-/// What the harness does at a `Custom` pause: toggle a node's liveness
-/// (so the rest of the paused burst is delivered or dropped depending
-/// on exactly where the pause fell) and schedule a timer at the paused
-/// instant.
-fn recover(s: &mut Simulator<u32>, token: u64) {
-    let node = NodeId((token % 2) as u32);
-    if token.is_multiple_of(3) {
-        if s.is_alive(node) {
-            s.fail_node(node);
-        } else {
-            s.revive_node(node);
-        }
-    }
-    s.inject_timer(NodeId(((token + 1) % 2) as u32), SimDuration(0), token);
+    (s, log)
 }
 
 proptest! {
-    /// `run_until_fault` driven to the deadline, recovering at every
-    /// pause, matches the `step()` reference recovering right after the
-    /// step that fired each `Custom`: same dispatch sequence, node
-    /// observations and final `SimStats` (`max_queue_depth` included).
-    /// `run_until` over the same schedule matches the reference with no
-    /// recovery.
+    /// `run_until` matches the `step()` reference when nodes fail and
+    /// revive inside same-instant bursts and each revival's
+    /// `on_revive` sets a zero-delay timer and sends a packet at that
+    /// instant: same dispatch sequence, node observations and final
+    /// `SimStats` (`max_queue_depth` included).
     #[test]
-    fn run_until_fault_equals_step_loop(
+    fn revivals_inside_bursts_run_until_equals_step_loop(
         seed in any::<u64>(),
         payloads in prop::collection::vec(0u32..6, 1..6),
-        faults in prop::collection::vec((0u64..12, any::<bool>(), 0u64..8), 0..8),
+        faults in prop::collection::vec((0u64..12, any::<bool>(), 0u32..2, any::<bool>()), 0..8),
     ) {
         // Deliveries land on multiples of the 1 µs link delay and
         // timers 5 ns past them: put every fault on such an instant.
-        let faults: Vec<(u64, u64)> = faults
+        let faults: Vec<(u64, u32, bool)> = faults
             .iter()
-            .map(|&(k, timer, token)| (k * 1_000 + if timer { 5 } else { 0 }, token))
+            .map(|&(k, timer, node, revive)| (k * 1_000 + if timer { 5 } else { 0 }, node, revive))
             .collect();
-        let deadline = SimTime(100_000_000);
 
-        let (mut fused, fused_log, fused_customs) = paused_sim(seed, &payloads, &faults);
-        let mut pauses = 0;
-        while let RunOutcome::CustomFault { at, token } = fused.run_until_fault(deadline) {
-            prop_assert_eq!(fused.now(), at);
-            prop_assert_eq!(fused_customs.lock().unwrap().pop(), Some(token));
-            recover(&mut fused, token);
-            pauses += 1;
-        }
-        prop_assert_eq!(pauses, faults.len());
+        let (mut fused, fused_log) = faulted_sim(seed, &payloads, &faults);
+        fused.run_until(SimTime(100_000_000));
 
-        let (mut reference, ref_log, ref_customs) = paused_sim(seed, &payloads, &faults);
-        while reference.step() {
-            let fired = ref_customs.lock().unwrap().pop();
-            if let Some(token) = fired {
-                recover(&mut reference, token);
-            }
-        }
+        let (mut reference, ref_log) = faulted_sim(seed, &payloads, &faults);
+        while reference.step() {}
 
         prop_assert_eq!(&*fused_log.lock().unwrap(), &*ref_log.lock().unwrap());
         prop_assert_eq!(logs(&mut fused), logs(&mut reference));
         prop_assert_eq!(fused.stats(), reference.stats());
-
-        // `run_until` pauses in the same places and resumes at once,
-        // dropping each fault: the step loop without recovery.
-        let (mut dropped, dropped_log, _) = paused_sim(seed, &payloads, &faults);
-        dropped.run_until(deadline);
-        let (mut reference, ref_log, _) = paused_sim(seed, &payloads, &faults);
-        while reference.step() {}
-        prop_assert_eq!(&*dropped_log.lock().unwrap(), &*ref_log.lock().unwrap());
-        prop_assert_eq!(logs(&mut dropped), logs(&mut reference));
-        prop_assert_eq!(dropped.stats(), reference.stats());
     }
 }

@@ -296,6 +296,12 @@ pub fn expired_leases(dp: &DataPlane, now_ns: u64, lease_ns: u64) -> Vec<Release
     match dp.engine() {
         Engine::Fcfs(q) => {
             for (lock, qid, _home) in dp.directory().switch_resident() {
+                // Under handback suppression (§4.5) the backup still
+                // grants: this queue's head was never granted, so it
+                // holds no lease to expire.
+                if dp.region_suppressed(qid) {
+                    continue;
+                }
                 let entries = q.cp_entries(qid);
                 let Some(head) = entries.first() else {
                     continue;

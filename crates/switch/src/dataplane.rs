@@ -919,9 +919,14 @@ impl DataPlane {
     /// Whether grants for `lock` are currently suppressed (tests/CP).
     pub fn handback_suppressed(&self, lock: LockId) -> bool {
         match self.directory.get(lock).map(|e| e.residence) {
-            Some(Residence::Switch { qid }) => self.overflow[qid].suppressed,
+            Some(Residence::Switch { qid }) => self.region_suppressed(qid),
             _ => false,
         }
+    }
+
+    /// Whether grants from queue region `qid` are suppressed.
+    pub(crate) fn region_suppressed(&self, qid: usize) -> bool {
+        self.overflow[qid].suppressed
     }
 
     fn region_capacity(&self, qid: usize) -> u32 {

@@ -12,7 +12,7 @@ use netlock_proto::{GrantMsg, LockId, NetLockMsg, ReleaseRequest};
 use netlock_sim::{Context, Node, NodeId, Packet, SimDuration};
 
 use crate::action_buf::ActionBuf;
-use crate::control::{self, MigrationOp};
+use crate::control::{self, apply_allocation, Allocation, MigrationOp};
 use crate::dataplane::{DataPlane, DpAction};
 
 /// Timer token for the control-plane tick.
@@ -101,6 +101,9 @@ pub struct SwitchNode {
     /// whenever one of its lock queues drains, it hands the lock back
     /// (CtrlHandback) to the given node (§4.5).
     backup_handback_to: Option<NodeId>,
+    /// The allocation [`SwitchNode::program`] loaded; the control plane
+    /// reloads it after a reboot.
+    programmed: Option<Allocation>,
     /// Locks draining toward demotion.
     pending_demotes: HashSet<LockId>,
     /// Promotions waiting for demotions to free their regions.
@@ -136,6 +139,7 @@ impl SwitchNode {
             servers,
             db_servers: Vec::new(),
             backup_handback_to: None,
+            programmed: None,
             pending_demotes: HashSet::new(),
             pending_promotes: Vec::new(),
             promote_reservations: HashMap::new(),
@@ -190,20 +194,34 @@ impl SwitchNode {
         &self.cfg
     }
 
-    /// Timer token of the control-plane tick (lease sweeping, demote
-    /// drains). The tick re-arms itself, so the chain breaks while the
-    /// node is dead; after a revive the harness must restart it with
-    /// `Simulator::inject_timer` using this token.
-    pub const CONTROL_TIMER_TOKEN: u64 = TIMER_CONTROL_TICK;
+    /// Load `alloc` into the data plane — queue regions and directory,
+    /// with unlisted locks default-routed over this switch's lock
+    /// servers — and keep it: a revived switch reboots and reloads it,
+    /// as the control plane would.
+    pub fn program(&mut self, alloc: &Allocation) {
+        self.programmed = Some(alloc.clone());
+        self.load_program();
+    }
 
-    /// Model a reboot: all data-plane registers and tables are wiped
-    /// (§6.5) and migration state is forgotten. The harness reprograms
-    /// the directory afterwards, as the real control plane would.
-    pub fn reboot(&mut self) {
-        self.dp.reset();
-        self.pending_demotes.clear();
-        self.pending_promotes.clear();
-        self.promote_reservations.clear();
+    fn load_program(&mut self) {
+        if let Some(alloc) = &self.programmed {
+            self.dp.set_default_servers(self.servers.len());
+            apply_allocation(&mut self.dp, alloc);
+        }
+    }
+
+    /// A lock server restarted and lost its q2 buffers: reset the
+    /// overflow ledgers of its locks and echo `epoch` back. A
+    /// buffer-only forward takes one pass, so it leaves after one
+    /// `TRAVERSAL`, as the echo does: the FIFO in-rack link delivers
+    /// every forward sent before the reset ahead of the echo, and the
+    /// server can tell those apart from the ones sent after it.
+    fn on_server_restart(&mut self, server: NodeId, epoch: u32, ctx: &mut Context<'_, NetLockMsg>) {
+        let Some(idx) = self.servers.iter().position(|&s| s == server) else {
+            return;
+        };
+        self.dp.cp_reset_overflow_for_server(idx);
+        ctx.send_after(server, NetLockMsg::CtrlServerRestart { epoch }, TRAVERSAL);
     }
 
     /// Start executing a migration plan (control-plane operation).
@@ -577,6 +595,19 @@ impl Node<NetLockMsg> for SwitchNode {
         }
     }
 
+    /// "The switch retains none of its former state or register values"
+    /// (§6.5): wipe every data-plane register and table and forget
+    /// migrations, reload the programmed allocation, and restart the
+    /// timer chains, which died with the node.
+    fn on_revive(&mut self, ctx: &mut Context<'_, NetLockMsg>) {
+        self.dp.reset();
+        self.pending_demotes.clear();
+        self.pending_promotes.clear();
+        self.promote_reservations.clear();
+        self.load_program();
+        self.on_start(ctx);
+    }
+
     fn on_packet(&mut self, pkt: Packet<NetLockMsg>, ctx: &mut Context<'_, NetLockMsg>) {
         // Aggregate-population bursts take the batched path: unpack,
         // admit per element, coalesce grant fan-back.
@@ -591,9 +622,16 @@ impl Node<NetLockMsg> for SwitchNode {
             }
             payload => Packet { payload, ..pkt },
         };
-        if let NetLockMsg::Release(rel) = pkt.payload {
-            self.release(rel, ctx, false);
-            return;
+        match pkt.payload {
+            NetLockMsg::Release(rel) => {
+                self.release(rel, ctx, false);
+                return;
+            }
+            NetLockMsg::CtrlServerRestart { epoch } => {
+                self.on_server_restart(pkt.src, epoch, ctx);
+                return;
+            }
+            _ => {}
         }
         // Complete a reserved promotion: install the region + directory
         // entry just before the buffered requests are enqueued.
@@ -851,11 +889,13 @@ mod tests {
         )));
         sim.inject(client, switch, acquire(1, 1, client.0, 0));
         sim.run_until(SimTime(100_000));
-        sim.with_node::<SwitchNode, _>(switch, |s| s.reboot());
+        sim.fail_node(switch);
+        sim.revive_node(switch);
         sim.inject(client, switch, acquire(1, 2, client.0, 0));
         sim.run_until(SimTime(1_000_000));
-        // Post-reboot the directory is empty and there are no servers:
-        // the request is dropped, not granted.
+        // Nothing was loaded through `program`, so the rebooted switch
+        // has an empty directory and no servers: the request is
+        // dropped, not granted.
         sim.read_node::<Sink, _>(client, |s| {
             assert_eq!(s.0.len(), 1, "only the pre-reboot grant");
         });

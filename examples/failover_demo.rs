@@ -1,6 +1,6 @@
 //! Failover demo (§4.5 / §6.5): a switch failure loses every register,
-//! clients ride it out with retries and leases, and the control plane
-//! reprograms the reactivated switch.
+//! clients ride it out with retries and leases, and the reactivated
+//! switch reboots and reloads its program.
 //!
 //! ```text
 //! cargo run --release --example failover_demo
@@ -8,8 +8,6 @@
 
 use netlock_core::prelude::*;
 use netlock_proto::{LockId, LockMode};
-use netlock_switch::control::apply_allocation;
-use netlock_switch::SwitchNode;
 
 fn main() {
     let mut rack = Rack::build(RackConfig {
@@ -62,13 +60,8 @@ fn main() {
         sample(&mut rack, "<- outage: packets to the switch are dropped");
     }
 
-    println!("\n!! switch reactivated; control plane reprograms the directory");
+    println!("\n!! switch reactivated; it reboots and reloads its program");
     rack.sim.revive_node(switch);
-    rack.sim.with_node::<SwitchNode, _>(switch, |s| {
-        s.reboot();
-        s.dataplane_mut().set_default_servers(2);
-        apply_allocation(s.dataplane_mut(), &allocation);
-    });
     for _ in 0..4 {
         sample(
             &mut rack,

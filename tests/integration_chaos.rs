@@ -46,10 +46,13 @@ fn thirty_two_seeded_schedules_stay_clean() {
     // machinery, not dodged it.
     let lost: u64 = runs.iter().map(|r| r.net_lost).sum();
     let dup: u64 = runs.iter().map(|r| r.net_duplicated).sum();
-    let custom: usize = runs.iter().map(|r| r.custom_faults).sum();
+    let restarts: usize = runs.iter().map(|r| r.restarts).sum();
     assert!(lost > 100, "schedules must drop packets: {lost}");
     assert!(dup > 100, "schedules must duplicate packets: {dup}");
-    assert!(custom > 0, "schedules must reboot/restart nodes: {custom}");
+    assert!(
+        restarts > 0,
+        "schedules must reboot/restart nodes: {restarts}"
+    );
 }
 
 /// Identical `(workload, seed)` must produce a byte-identical oracle

@@ -10,8 +10,7 @@ use netlock_proto::{
     TenantId, TxnId,
 };
 use netlock_server::ServerNode;
-use netlock_sim::{Context, Node, NodeId, Packet, Simulator};
-use netlock_switch::control::apply_allocation;
+use netlock_sim::{Context, LinkConfig, Node, NodeId, Packet, Simulator};
 use netlock_switch::shared_queue::SharedQueueLayout;
 use netlock_switch::{DataPlane, SwitchConfig, SwitchNode};
 
@@ -88,11 +87,11 @@ fn NodeId_client() -> netlock_sim::NodeId {
     netlock_sim::NodeId(100)
 }
 
-/// Switch failure wipes all state; after reactivation + reprogramming,
-/// throughput returns and stranded holders expire.
+/// Switch failure wipes all state; the revived switch reloads its
+/// program, throughput returns and stranded holders expire.
 #[test]
 fn switch_failure_and_reactivation() {
-    let (mut rack, alloc) = one_lock_rack();
+    let (mut rack, _alloc) = one_lock_rack();
     let switch = rack.switch;
     for _ in 0..3 {
         rack.add_txn_client(
@@ -121,11 +120,6 @@ fn switch_failure_and_reactivation() {
     );
 
     rack.sim.revive_node(switch);
-    rack.sim.with_node::<SwitchNode, _>(switch, |s| {
-        s.reboot();
-        s.dataplane_mut().set_default_servers(2);
-        apply_allocation(s.dataplane_mut(), &alloc);
-    });
     let before_recovery = txns_by_client(&rack).iter().sum::<u64>();
     rack.sim.run_for(SimDuration::from_millis(20));
     let recovered = txns_by_client(&rack).iter().sum::<u64>() - before_recovery;
@@ -133,6 +127,47 @@ fn switch_failure_and_reactivation() {
         recovered > healthy / 2,
         "throughput must return after reactivation: {recovered} vs {healthy}"
     );
+}
+
+/// A bare `revive_node` is the whole recovery: the rebooted switch
+/// reloads its program and restarts its control tick, so the lease
+/// sweeper frees a holder that never releases and grants the waiter
+/// behind it, within one lease of the revival.
+#[test]
+fn revived_switch_sweeps_leases_by_itself() {
+    let (mut rack, _alloc) = one_lock_rack();
+    let switch = rack.switch;
+    let waiter = rack.sim.add_node(Box::new(Recorder(Vec::new())));
+    rack.sim.run_for(SimDuration::from_millis(1));
+    rack.sim.fail_node(switch);
+    rack.sim.run_for(SimDuration::from_millis(5));
+    rack.sim.revive_node(switch);
+    let acquire = |client: NodeId, txn: u64, issued_at_ns: u64| {
+        NetLockMsg::Acquire(LockRequest {
+            lock: LockId(0),
+            mode: LockMode::Exclusive,
+            txn: TxnId(txn),
+            client: ClientAddr(client.0),
+            tenant: TenantId(0),
+            priority: Priority(0),
+            issued_at_ns,
+        })
+    };
+    // The holder is a client that vanished after stamping its request
+    // before the crash; the waiter queues behind it.
+    let holder = acquire(NodeId_client(), 999, 0);
+    rack.sim.inject(NodeId_client(), switch, holder);
+    let now = rack.sim.now().as_nanos();
+    rack.sim.inject(waiter, switch, acquire(waiter, 1, now));
+    rack.sim.run_for(SimDuration::from_millis(10));
+    let granted = rack
+        .sim
+        .read_node::<Recorder, _>(waiter, |r| r.0.iter().map(|g| g.txn.0).collect::<Vec<_>>());
+    assert_eq!(granted, vec![1], "the waiter is granted after the sweep");
+    let expirations = rack
+        .sim
+        .read_node::<SwitchNode, _>(switch, |s| s.stats().lease_expirations);
+    assert_eq!(expirations, 1);
 }
 
 /// Lock-server failover: the failed server's locks move to the backup,
@@ -155,6 +190,8 @@ fn server_failover_moves_locks_to_backup() {
     let s1 = rack.lock_servers[1];
     rack.sim
         .with_node::<ServerNode, _>(s0, |n| server_locks.iter().for_each(|&l| n.own_lock(l)));
+    // Server 1 is a standby, down until the control plane needs it.
+    rack.sim.fail_node(s1);
 
     rack.add_txn_client(
         TxnClientConfig {
@@ -176,8 +213,9 @@ fn server_failover_moves_locks_to_backup() {
         .read_node::<ServerNode, _>(s0, |n| n.stats().grants);
     assert!(s0_grants > 0, "server 0 was serving");
 
-    // Server 0 dies; the control plane reassigns its locks to server 1,
-    // which waits out the predecessor's leases before granting (§4.5).
+    // Server 0 dies; the control plane reassigns its locks to server 1
+    // and starts it. It comes up empty and waits out one lease — the
+    // predecessor's — before granting (§4.5).
     rack.sim.fail_node(s0);
     rack.sim.with_node::<SwitchNode, _>(switch, |s| {
         for &lock in &server_locks {
@@ -186,11 +224,7 @@ fn server_failover_moves_locks_to_backup() {
                 .set_server_resident(lock, 1);
         }
     });
-    let grace_until = rack.sim.now().as_nanos() + SimDuration::from_millis(10).as_nanos();
-    rack.sim.with_node::<ServerNode, _>(s1, |n| {
-        server_locks.iter().for_each(|&l| n.own_lock(l));
-        n.set_grace_until(grace_until);
-    });
+    rack.sim.revive_node(s1);
     // During the grace period nothing is granted by the backup.
     let at_failover = txns_by_client(&rack)[0];
     rack.sim.run_for(SimDuration::from_millis(8));
@@ -277,14 +311,13 @@ fn backup_switch_takes_over() {
     // A standby switch, pre-programmed with the same allocation (its
     // queues start empty — leases cover any state lost on the primary).
     let backup = {
-        let mut dp = DataPlane::new_fcfs(&SharedQueueLayout::paper_default());
-        dp.set_default_servers(rack.lock_servers.len());
-        apply_allocation(&mut dp, &alloc);
-        rack.sim.add_node(Box::new(netlock_switch::SwitchNode::new(
-            dp,
+        let mut backup = SwitchNode::new(
+            DataPlane::new_fcfs(&SharedQueueLayout::paper_default()),
             SwitchConfig::default(),
             rack.lock_servers.clone(),
-        )))
+        );
+        backup.program(&alloc);
+        rack.sim.add_node(Box::new(backup))
     };
     let client = rack.add_txn_client(
         TxnClientConfig {
@@ -410,25 +443,23 @@ impl Handback {
         at_backup: RangeInclusive<u64>,
         at_original: RangeInclusive<u64>,
     ) -> Handback {
-        let mk_dp = || {
-            let mut dp = DataPlane::new_fcfs(&SharedQueueLayout::small(2, 32, 4));
-            let stats = LockStats {
-                lock: Self::LOCK,
-                rate: 1.0,
-                contention: 16,
-                home_server: 0,
-            };
-            apply_allocation(&mut dp, &knapsack_allocate(&[stats], 16));
-            dp
+        let stats = LockStats {
+            lock: Self::LOCK,
+            rate: 1.0,
+            contention: 16,
+            home_server: 0,
+        };
+        let alloc = knapsack_allocate(&[stats], 16);
+        let switch = |cfg| {
+            let dp = DataPlane::new_fcfs(&SharedQueueLayout::small(2, 32, 4));
+            let mut switch = SwitchNode::new(dp, cfg, vec![]);
+            switch.program(&alloc);
+            Box::new(switch)
         };
         let mut sim: Simulator<NetLockMsg> = Simulator::with_seed(9);
         let client = sim.add_node(Box::new(Recorder(Vec::new())));
-        let original = sim.add_node(Box::new(SwitchNode::new(
-            mk_dp(),
-            SwitchConfig::default(),
-            vec![],
-        )));
-        let backup = sim.add_node(Box::new(SwitchNode::new(mk_dp(), backup_cfg, vec![])));
+        let original = sim.add_node(switch(SwitchConfig::default()));
+        let backup = sim.add_node(switch(backup_cfg));
         let mut rig = Handback {
             sim,
             client,
@@ -558,4 +589,164 @@ fn handback_follows_batch_and_lease_drains() {
     assert_eq!(lease_expirations, 1);
     assert_eq!(rig.grants(), vec![1, 4], "a lease sweep drained the backup");
     assert!(!rig.suppressed());
+}
+
+/// A restarted original's lease sweeper leaves its suppressed queue
+/// alone: the head there was never granted. With both switches at the
+/// default 10 ms lease, the backup's sweep hands the lock back, and
+/// only then does the original grant txn 4 and, once 4's lease runs
+/// out, txn 5 — each once.
+#[test]
+fn suppressed_head_is_not_swept() {
+    let mut rig = Handback::new(SwitchConfig::default(), 1..=1, 4..=5);
+    rig.sim.run_for(SimDuration::from_millis(30));
+    assert_eq!(rig.grants(), vec![1, 4, 5]);
+    assert!(!rig.suppressed());
+}
+
+/// A client that sends the acquires its timers name (token = txn) and
+/// holds every grant for `hold` before releasing it.
+struct Holder {
+    switch: NodeId,
+    hold: SimDuration,
+    grants: Vec<u64>,
+}
+
+impl Holder {
+    const LOCK: LockId = LockId(0);
+    /// Timer tokens at and above this release `token - RELEASE`.
+    const RELEASE: u64 = 1 << 32;
+}
+
+impl Node<NetLockMsg> for Holder {
+    fn on_packet(&mut self, pkt: Packet<NetLockMsg>, ctx: &mut Context<'_, NetLockMsg>) {
+        if let NetLockMsg::Grant(g) = pkt.payload {
+            self.grants.push(g.txn.0);
+            ctx.set_timer(self.hold, Self::RELEASE + g.txn.0);
+        }
+    }
+    fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, NetLockMsg>) {
+        let client = ClientAddr(ctx.self_id().0);
+        let msg = match token.checked_sub(Self::RELEASE) {
+            Some(txn) => NetLockMsg::Release(ReleaseRequest {
+                lock: Self::LOCK,
+                txn: TxnId(txn),
+                mode: LockMode::Exclusive,
+                client,
+                priority: Priority(0),
+            }),
+            None => NetLockMsg::Acquire(LockRequest {
+                lock: Self::LOCK,
+                mode: LockMode::Exclusive,
+                txn: TxnId(token),
+                client,
+                tenant: TenantId(0),
+                priority: Priority(0),
+                issued_at_ns: ctx.now().as_nanos(),
+            }),
+        };
+        ctx.send(self.switch, msg);
+    }
+}
+
+/// A lock server restarts while a switch-resident lock it backs is in
+/// overflow mode (§4.3), and a buffer-only forward is on the wire
+/// across its restart message. The forward predates the switch's
+/// reset, so the server hands it back as a plain acquire; the overflow
+/// protocol then runs from clean ledgers, and overflow mode ends.
+#[test]
+fn server_restart_during_overflow() {
+    let mut rack = Rack::build(RackConfig {
+        seed: 3,
+        lock_servers: 1,
+        engine: EngineSpec::Fcfs(SharedQueueLayout::small(2, 32, 4)),
+        ..Default::default()
+    });
+    // Two queue slots at the switch, homed on server 0.
+    let stats = LockStats {
+        lock: Holder::LOCK,
+        rate: 1.0,
+        contention: 2,
+        home_server: 0,
+    };
+    rack.program(&knapsack_allocate(&[stats], 2));
+    let (switch, server) = (rack.switch, rack.lock_servers[0]);
+    let client = rack.sim.add_node(Box::new(Holder {
+        switch,
+        hold: SimDuration::from_millis(1),
+        grants: Vec::new(),
+    }));
+    let mut oracle = Oracle::new(OracleConfig::default());
+    oracle.register_client(client);
+    let oracle = std::sync::Arc::new(std::sync::Mutex::new(oracle));
+    let restart_msgs = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let (o, r) = (oracle.clone(), restart_msgs.clone());
+    rack.sim.set_lp_tap(
+        0,
+        Box::new(move |ev| {
+            if let netlock_sim::TapEvent::Sent {
+                src,
+                payload: NetLockMsg::CtrlServerRestart { epoch },
+                ..
+            } = ev
+            {
+                r.lock().unwrap().push((src, *epoch));
+            }
+            o.lock().unwrap().observe(&ev);
+        }),
+    );
+    let us = SimDuration::from_micros;
+    let at = |t: SimDuration| netlock_sim::SimTime(t.as_nanos());
+    // Txn 1 holds, 2 fills the queue, 3 overflows into server 0's q2.
+    for (txn, t) in [(1, 0), (2, 10), (3, 20)] {
+        rack.sim.inject_timer(client, us(t), txn);
+    }
+    rack.sim.run_until(at(us(100)));
+    let qid = rack.sim.read_node::<SwitchNode, _>(switch, |s| {
+        let (_, qid, _) = s.dataplane().directory().switch_resident()[0];
+        assert!(s.dataplane().overflow_active(qid));
+        qid
+    });
+    // Server 0 crashes with txn 3 in its q2; txn 4 overflows into the
+    // dead server.
+    rack.sim.fail_node(server);
+    rack.sim.inject_timer(client, us(100), 4);
+    // Txn 5 reaches the switch at the revival instant, so its forward
+    // crosses the server's restart message on the wire.
+    let link = LinkConfig::default().delay;
+    rack.sim.run_until(at(us(500) - link));
+    rack.sim.inject_timer(client, SimDuration::ZERO, 5);
+    rack.sim.run_until(at(us(500)));
+    assert!(rack
+        .sim
+        .read_node::<SwitchNode, _>(switch, |s| s.dataplane().overflow_active(qid)));
+    rack.sim.revive_node(server);
+    // The client retries the two acquires the crash lost.
+    rack.sim.inject_timer(client, us(500), 3);
+    rack.sim.inject_timer(client, us(500), 4);
+    run_chaos(
+        &mut rack.sim,
+        at(SimDuration::from_millis(20)),
+        std::slice::from_ref(&oracle),
+    );
+
+    // One restart message at the revival; the switch echoes it, but the
+    // forward it sent before the reset reaches the server first, so the
+    // server sends another with the bounced acquire, echoed in turn.
+    let msgs = restart_msgs.lock().unwrap().clone();
+    assert_eq!(
+        msgs,
+        vec![(server, 1), (switch, 1), (server, 2), (switch, 2)],
+        "restart messages in send order"
+    );
+    let mut grants = rack
+        .sim
+        .read_node::<Holder, _>(client, |h| h.grants.clone());
+    grants.sort_unstable();
+    assert_eq!(grants, vec![1, 2, 3, 4, 5], "every acquire granted once");
+    rack.sim.read_node::<SwitchNode, _>(switch, |s| {
+        assert!(!s.dataplane().overflow_active(qid), "overflow mode ended");
+    });
+    let oracle = oracle.lock().unwrap();
+    assert!(oracle.is_clean(), "{}", oracle.audit_log());
 }

@@ -10,7 +10,7 @@
 use netlock_bench::{fig09, TimeScale};
 use netlock_core::prelude::*;
 use netlock_proto::{LockId, LockMode};
-use netlock_sim::{LinkConfig, SimDuration, SimTime};
+use netlock_sim::{FaultAction, FaultPlan, LinkConfig, NodeId, SimDuration, SimTime};
 
 fn tiny() -> TimeScale {
     TimeScale {
@@ -38,9 +38,10 @@ fn fig09_cluster_tsv_identical_across_sim_worker_counts() {
 }
 
 /// Builds a 2-rack cluster with micro clients, installs a per-rack
-/// chaos plan (link faults + client crashes; no `Custom` actions), runs
-/// it partitioned with `workers` threads, and returns each rack
-/// oracle's audit digest plus its observed-fault count.
+/// chaos plan (link faults, client crashes, a switch reboot and a
+/// server restart), runs it partitioned with `workers` threads, and
+/// returns each rack oracle's audit digest plus its observed-fault
+/// count.
 fn chaos_digests(workers: usize) -> Vec<(u64, u64)> {
     let cfg = RackConfig {
         seed: 21,
@@ -68,22 +69,29 @@ fn chaos_digests(workers: usize) -> Vec<(u64, u64)> {
     }
     let plans: Vec<_> = (0..2)
         .map(|r| {
-            generate_plan(
-                90 + r as u64,
-                &cluster.racks[r].roles(),
-                &cluster_plan_config(),
-            )
+            let roles = cluster.racks[r].roles();
+            generate_plan(90 + r as u64, &roles, &ChaosPlanConfig::default())
         })
         .collect();
+    let revived: Vec<NodeId> = (plans.iter().flat_map(FaultPlan::events))
+        .filter_map(|ev| match ev.action {
+            FaultAction::ReviveNode(n) => Some(n),
+            _ => None,
+        })
+        .collect();
+    let racks = &cluster.racks;
+    assert!(
+        revived.iter().any(|n| racks.iter().any(|r| r.switch == *n)),
+        "the plans must reboot a switch"
+    );
+    assert!(
+        (revived.iter()).any(|n| racks.iter().any(|r| r.lock_servers.contains(n))),
+        "the plans must restart a lock server"
+    );
     cluster.partition(workers);
     cluster.install_plans(&plans);
     let oracles = attach_rack_oracles(&mut cluster.sim, &cluster.racks, &OracleConfig::default());
-    run_chaos(
-        &mut cluster.sim,
-        SimTime(50_000_000),
-        &oracles,
-        &mut |_, at, token| unreachable!("cluster plan fired Custom({token}) at {at:?}"),
-    );
+    run_chaos(&mut cluster.sim, SimTime(50_000_000), &oracles);
     oracles
         .iter()
         .map(|o| {

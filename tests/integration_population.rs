@@ -109,7 +109,7 @@ fn release_guard_sabotage_is_caught_under_population_traffic() {
 /// config allows client crashes. Its links may still fail.
 #[test]
 fn fault_plans_never_crash_aggregate_nodes() {
-    let (rack, _alloc) = build_population_chaos_rack(1);
+    let rack = build_population_chaos_rack(1);
     let roles = rack.roles();
     assert!(!roles.aggregates.is_empty(), "rack has no aggregate node");
     let cfg = ChaosPlanConfig {
@@ -117,9 +117,7 @@ fn fault_plans_never_crash_aggregate_nodes() {
         settle_by: SimDuration::from_millis(20),
         episodes: 12,
         max_episode: SimDuration::from_millis(3),
-        switch_reboot: true,
         switch_outage_min: SimDuration::from_micros(2_500),
-        server_restart: true,
         client_crash: true,
     };
     for seed in 0..16 {

@@ -362,6 +362,9 @@ mod tests {
         fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
             ctx.set_timer(SimDuration(700), 0);
         }
+        fn on_revive(&mut self, ctx: &mut Context<'_, u32>) {
+            ctx.send(self.next, 3);
+        }
     }
 
     fn ring_sim(n: usize, seed: u64) -> Simulator<u32> {
@@ -409,6 +412,27 @@ mod tests {
             )
         };
         assert_eq!(run(false), run(true));
+    }
+
+    /// A node revived between runs of an idle partitioned simulator
+    /// sends to another LP from `on_revive`; the packet arrives on time,
+    /// as in the unpartitioned run.
+    #[test]
+    fn revive_between_runs_sends_across_lps_on_time() {
+        let run = |part: bool| {
+            let mut s = ring_sim(2, 3);
+            if part {
+                s.partition(vec![0, 1], 1);
+            }
+            s.fail_node(NodeId(0));
+            s.run_until(SimTime(10_000));
+            s.revive_node(NodeId(0));
+            s.run_until(SimTime(100_000));
+            (ring_trace(&s, 2), s.stats().packets_delivered)
+        };
+        let one = run(false);
+        assert_eq!(one.0[1][0], (SimTime(11_000), 3));
+        assert_eq!(one, run(true));
     }
 
     #[test]

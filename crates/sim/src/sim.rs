@@ -418,12 +418,19 @@ impl<M: Clone + Send + 'static> Simulator<M> {
     /// time (a node that was alive is left alone). Events scheduled
     /// while it was down stay lost; new traffic flows again.
     pub fn revive_node(&mut self, id: NodeId) {
-        let lp = self.lp(id);
+        let lp = &mut self.lps[owner(&self.map, id)];
         if let Some(mut t) = lp.tap.take() {
             lp.revive(id, &mut DynTap(&mut *t));
             lp.tap = Some(t);
         } else {
             lp.revive(id, &mut NoTap);
+        }
+        // Stage its cross-LP sends now, as a window's end would: the
+        // next window bounds itself by them.
+        for (dst, outbox) in lp.outboxes.iter_mut().enumerate() {
+            if !outbox.is_empty() {
+                self.staged[dst].lock().expect(POISONED).append(outbox);
+            }
         }
     }
 

@@ -85,11 +85,12 @@ pub struct ChaosRun {
     pub dup_grants_ignored: u64,
     /// Releases the switch's release guard filtered as stale.
     pub stale_releases_filtered: u64,
-    /// Queue regions whose release-guard FIFO ended the run longer than
-    /// the region has slots, as `(lock, outstanding, capacity)`. An
-    /// outstanding grant holds a slot, so this is empty unless forced
-    /// lease expiries orphaned more grants than the region has room.
-    pub guard_over_capacity: Vec<(LockId, usize, u32)>,
+    /// Queue regions whose release-guard FIFO ended the run holding
+    /// more grants than the region has granted slots (its shared head
+    /// run, or its one exclusive head), as `(lock, outstanding,
+    /// granted)`. Every outstanding grant is a granted slot, so this is
+    /// empty.
+    pub guard_over_granted: Vec<(LockId, usize, usize)>,
     /// Packets the links dropped.
     pub net_lost: u64,
     /// Extra packet copies the links created.
@@ -311,16 +312,18 @@ pub fn run_chaos_seed_with(workload: ChaosWorkload, seed: u64, sabotage: Sabotag
     let stale_releases_filtered = rack
         .sim
         .read_node::<SwitchNode, _>(rack.switch, |s| s.stats().stale_releases_filtered);
-    let guard_over_capacity = rack.sim.read_node::<SwitchNode, _>(rack.switch, |s| {
+    let guard_over_granted = rack.sim.read_node::<SwitchNode, _>(rack.switch, |s| {
         let dp = s.dataplane();
-        let netlock_switch::Engine::Fcfs(q) = dp.engine() else {
-            return Vec::new();
-        };
+        // Every holder: at the end of time, a zero lease has run out.
+        let holders = netlock_switch::control::expired_leases(dp, u64::MAX, 0);
         dp.directory()
             .switch_resident()
             .into_iter()
-            .map(|(lock, qid, _)| (lock, dp.guard_outstanding(qid), q.cp_region(qid).capacity()))
-            .filter(|&(_, outstanding, capacity)| outstanding > capacity as usize)
+            .map(|(lock, qid, _)| {
+                let granted = holders.iter().filter(|h| h.lock == lock).count();
+                (lock, dp.guard_outstanding(qid), granted)
+            })
+            .filter(|&(_, outstanding, granted)| outstanding > granted)
             .collect()
     });
     let micro_grants = stats.issued.min(stats.grants);
@@ -342,7 +345,7 @@ pub fn run_chaos_seed_with(workload: ChaosWorkload, seed: u64, sabotage: Sabotag
         surplus_released: stats.surplus_released,
         dup_grants_ignored: stats.dup_grants_ignored,
         stale_releases_filtered,
-        guard_over_capacity,
+        guard_over_granted,
         net_lost: stats.net_lost,
         net_duplicated: stats.net_duplicated,
         net_reordered: stats.net_reordered,

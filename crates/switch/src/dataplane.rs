@@ -271,8 +271,7 @@ impl DataPlane {
 
     /// Outstanding grants the guard holds for region `qid` (0 with the
     /// guard off). Each holds a queue slot, so this stays within the
-    /// region's capacity — but for grants orphaned by
-    /// [`DataPlane::force_release`] until their owners release.
+    /// region's capacity.
     pub fn guard_outstanding(&self, qid: usize) -> usize {
         self.guard.as_ref().map_or(0, |g| g.outstanding(qid))
     }
@@ -600,6 +599,10 @@ impl DataPlane {
     /// dequeues either way, because the slot is there. (Releases out of
     /// grant order leave slots whose own grant a blind dequeue already
     /// spent; refusing to expire those would wedge the lock for good.)
+    /// A slot whose own grant is spent costs the region its oldest
+    /// outstanding grant instead: the dequeue removes a granted slot,
+    /// so it must remove a credit too, and the oldest belongs to the
+    /// stalest holder, whose lease is the one that ran out.
     pub fn force_release(&mut self, rel: ReleaseRequest, now_ns: u64, out: &mut ActionBuf) {
         self.release(rel, now_ns, out, true);
     }
@@ -614,8 +617,11 @@ impl DataPlane {
         out.clear();
         if let Some(entry) = self.directory.get(rel.lock) {
             if let (Some(g), Residence::Switch { qid }) = (&mut self.guard, entry.residence) {
-                if !g.consume(qid, rel.txn) && !forced {
-                    return false;
+                if !g.consume(qid, rel.txn) {
+                    if !forced {
+                        return false;
+                    }
+                    g.consume_oldest(qid);
                 }
             }
             self.stats.passes += 1;

@@ -106,26 +106,57 @@ impl Pass {
 /// logical array; a `T` wider than a machine word models multiple
 /// same-indexed physical arrays that are always accessed together, which
 /// is the *stricter* reading of the hardware constraint.
+///
+/// The array has two sizes. [`RegisterArray::len`] is the modelled cell
+/// count — what the chip holds, and what every resource model charges.
+/// Host storage holds only the *resident* cells
+/// ([`RegisterArray::resident`]): a prefix that grows when a cell past
+/// it is assigned by the control plane or written. A cell that is not
+/// resident reads as the array's reset value.
 #[derive(Debug)]
 pub struct RegisterArray<T> {
     id: ArrayId,
     name: &'static str,
     stage: usize,
+    /// Modelled cell count.
+    len: usize,
+    /// What a cell past `data` holds.
+    reset: T,
+    /// The resident cells `[0, data.len())`.
     data: Vec<T>,
     last_access: Option<PassId>,
 }
 
 impl<T: Copy> RegisterArray<T> {
-    /// Allocate an array of `size` cells in `stage`, all set to `init`.
+    /// Allocate an array of `size` cells in `stage`, all set to `init`
+    /// and all resident from construction.
     ///
-    /// Size is fixed afterwards — register memory is pre-allocated when
-    /// the data plane program is compiled and loaded (§4.2).
+    /// `size` is the modelled size, fixed afterwards: the chip's
+    /// register memory is pre-allocated when the data plane program is
+    /// compiled and loaded (§4.2). Host storage holds the resident
+    /// cells ([`RegisterArray::resident`]), here all of them.
     pub fn new(name: &'static str, stage: usize, size: usize, init: T) -> RegisterArray<T> {
+        let mut arr = RegisterArray::unassigned(name, stage, size, init);
+        arr.data = vec![init; size];
+        arr
+    }
+
+    /// An array of `size` modelled cells, all reading `init`, none of
+    /// them resident: for arrays the control plane hands out in
+    /// regions ([`RegisterArray::make_resident`]).
+    pub(crate) fn unassigned(
+        name: &'static str,
+        stage: usize,
+        size: usize,
+        init: T,
+    ) -> RegisterArray<T> {
         RegisterArray {
             id: ArrayId(NEXT_ARRAY_ID.fetch_add(1, Ordering::Relaxed)),
             name,
             stage,
-            data: vec![init; size],
+            len: size,
+            reset: init,
+            data: Vec::new(),
             last_access: None,
         }
     }
@@ -145,14 +176,45 @@ impl<T: Copy> RegisterArray<T> {
         self.stage
     }
 
-    /// Number of cells.
+    /// Number of cells: the modelled size, resident or not.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.len
     }
 
     /// True if the array has no cells.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len == 0
+    }
+
+    /// Number of resident cells: the ones host storage holds.
+    pub fn resident(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Make cells `[0, end)` resident, leaving the values of those
+    /// already resident as they are.
+    ///
+    /// The first growth reserves storage for the whole modelled size,
+    /// so no later growth moves a cell or allocates: the data plane
+    /// stays allocation-free, and growing never holds two copies of
+    /// the array. Only the cells made resident are written, so only
+    /// they take host memory.
+    ///
+    /// # Panics
+    /// If `end` exceeds the modelled size.
+    pub(crate) fn make_resident(&mut self, end: usize) {
+        if end <= self.data.len() {
+            return;
+        }
+        assert!(
+            end <= self.len,
+            "register array index out of bounds: {}",
+            end - 1
+        );
+        if self.data.capacity() < self.len {
+            self.data.reserve_exact(self.len - self.data.len());
+        }
+        self.data.resize(end, self.reset);
     }
 
     /// Data-plane read-modify-write of cell `idx` during `pass`.
@@ -180,11 +242,18 @@ impl<T: Copy> RegisterArray<T> {
         if pass.tracing {
             pass.record(self.id, self.name, self.stage, idx);
         }
-        let cell = self
-            .data
-            .get_mut(idx)
-            .unwrap_or_else(|| panic!("register array index out of bounds: {idx}"));
-        f(cell)
+        if idx >= self.data.len() {
+            self.first_write(idx);
+        }
+        f(&mut self.data[idx])
+    }
+
+    /// An access reaches a cell that is not resident: the access may
+    /// write it, so it becomes resident.
+    #[cold]
+    #[inline(never)]
+    fn first_write(&mut self, idx: usize) {
+        self.make_resident(idx + 1);
     }
 
     #[cold]
@@ -209,7 +278,13 @@ impl<T: Copy> RegisterArray<T> {
 
     /// Control-plane read (PCIe path; not pass-constrained).
     pub fn cp_read(&self, idx: usize) -> T {
-        self.data[idx]
+        match self.data.get(idx) {
+            Some(&cell) => cell,
+            None => {
+                assert!(idx < self.len, "register array index out of bounds: {idx}");
+                self.reset
+            }
+        }
     }
 
     /// Control-plane write (PCIe path; not pass-constrained).
@@ -219,14 +294,17 @@ impl<T: Copy> RegisterArray<T> {
     /// pass allocator that restarted from id 1 must not be blocked by a
     /// stale `last_access` from the previous incarnation.
     pub fn cp_write(&mut self, idx: usize, value: T) {
+        self.make_resident(idx + 1);
         self.data[idx] = value;
         self.last_access = None;
     }
 
     /// Control-plane bulk reset (e.g. after a switch reboot, the register
-    /// file comes back zeroed/initialized).
+    /// file comes back zeroed/initialized): every cell reads `value`,
+    /// and none is resident any more. The storage stays reserved.
     pub fn cp_fill(&mut self, value: T) {
-        self.data.iter_mut().for_each(|c| *c = value);
+        self.reset = value;
+        self.data.clear();
         self.last_access = None;
     }
 }
@@ -302,6 +380,58 @@ mod tests {
         let mut arr = RegisterArray::new("a", 0, 4, 0u64);
         let mut pass = Pass::new(PassId(1), 0);
         arr.access(&mut pass, 4, |_| ());
+    }
+
+    #[test]
+    fn unwritten_cells_read_as_the_reset_value() {
+        let mut arr = RegisterArray::unassigned("a", 0, 8, 7u64);
+        assert_eq!((arr.len(), arr.resident()), (8, 0));
+        assert_eq!(arr.cp_read(5), 7);
+        assert_eq!(arr.resident(), 0, "a control-plane read stores nothing");
+        let mut pass = Pass::new(PassId(1), 0);
+        assert_eq!(arr.access(&mut pass, 2, |c| *c), 7);
+        arr.cp_write(4, 1);
+        assert_eq!(arr.resident(), 5, "residency is a prefix");
+        assert_eq!(arr.cp_read(3), 7);
+        assert_eq!(arr.cp_read(4), 1);
+        assert_eq!(arr.cp_read(7), 7);
+        let mut pass = Pass::new(PassId(2), 0);
+        assert_eq!(arr.access(&mut pass, 6, |c| *c), 7);
+    }
+
+    #[test]
+    fn cp_fill_drops_the_resident_cells() {
+        for mut arr in [
+            RegisterArray::new("eager", 0, 6, 0u64),
+            RegisterArray::unassigned("lazy", 0, 6, 0u64),
+        ] {
+            arr.make_resident(6);
+            arr.cp_write(2, 3);
+            arr.cp_fill(9);
+            assert_eq!(arr.resident(), 0, "{}", arr.name());
+            assert_eq!(arr.len(), 6);
+            assert!((0..6).all(|i| arr.cp_read(i) == 9));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn access_past_the_modelled_size_panics() {
+        let mut arr = RegisterArray::unassigned("a", 0, 4, 0u64);
+        let mut pass = Pass::new(PassId(1), 0);
+        arr.access(&mut pass, 4, |_| ());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn cp_read_past_the_modelled_size_panics() {
+        RegisterArray::unassigned("a", 0, 4, 0u64).cp_read(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn cp_write_past_the_modelled_size_panics() {
+        RegisterArray::unassigned("a", 0, 4, 0u64).cp_write(4, 1);
     }
 
     #[test]

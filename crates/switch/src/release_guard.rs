@@ -13,14 +13,12 @@
 //! the oldest matching entry, duplicates are simply two entries. A
 //! holder keeps its queue slot until an admitted release dequeues one,
 //! and every admitted release removes exactly one entry here, so a
-//! region's FIFO is no longer than the region's capacity (the lease
-//! sweeper's forced release of a slot whose own grant is already spent
-//! is the one dequeue that removes nothing here; the grant it orphans
-//! stays until its owner releases). Releases arrive in grant order on
-//! every fault-free path, so the hit is at the front and both
-//! operations are O(1); the worst case (holders releasing in reverse)
-//! is O(holders of that lock). A region is only handed to another lock
-//! once it has drained, so keying by region is keying by lock.
+//! region's FIFO is no longer than the region's capacity. Releases
+//! arrive in grant order on every fault-free path, so the hit is at the
+//! front and both operations are O(1); the worst case (holders
+//! releasing in reverse) is O(holders of that lock). A region is only
+//! handed to another lock once it has drained, so keying by region is
+//! keying by lock.
 
 use std::collections::VecDeque;
 
@@ -66,6 +64,14 @@ impl GrantLedger {
         match q.iter().position(|&t| t == txn) {
             Some(i) => q.remove(i).is_some(),
             None => false,
+        }
+    }
+
+    /// Spend the oldest outstanding grant of region `qid`, whoever
+    /// holds it (none if there is none).
+    pub fn consume_oldest(&mut self, qid: usize) {
+        if let Some(q) = self.regions.get_mut(qid) {
+            q.pop_front();
         }
     }
 
@@ -116,5 +122,19 @@ mod tests {
             assert!(l.consume(0, TxnId(t)));
         }
         assert_eq!(l.outstanding(0), 0);
+    }
+
+    #[test]
+    fn consume_oldest_spends_the_front_whoever_holds_it() {
+        let mut l = GrantLedger::default();
+        l.consume_oldest(0);
+        for t in [5, 6] {
+            l.credit(0, TxnId(t));
+        }
+        l.consume_oldest(0);
+        assert!(!l.authorizes(0, TxnId(5)));
+        assert!(l.authorizes(0, TxnId(6)));
+        l.consume_oldest(1);
+        assert_eq!(l.outstanding(0), 1, "regions are separate");
     }
 }

@@ -175,7 +175,10 @@ pub struct SharedQueue {
 
 impl SharedQueue {
     /// Build the queue from a layout. All regions start empty with zero
-    /// capacity; the control plane assigns `[left, right)` windows.
+    /// capacity; the control plane assigns `[left, right)` windows. A
+    /// slot takes host memory once a region covering it is assigned
+    /// ([`RegisterArray::resident`]); the metadata arrays are resident
+    /// from the start.
     pub fn new(layout: &SharedQueueLayout) -> SharedQueue {
         assert!(!layout.slot_arrays.is_empty(), "need at least one array");
         assert!(layout.max_regions > 0, "need at least one region");
@@ -186,7 +189,7 @@ impl SharedQueue {
         for (i, &size) in layout.slot_arrays.iter().enumerate() {
             assert!(size > 0, "slot arrays must be non-empty");
             prefix.push(acc);
-            slots.push(RegisterArray::new(
+            slots.push(RegisterArray::unassigned(
                 "slots",
                 STAGE_SLOTS_BASE + off + i,
                 size,
@@ -447,6 +450,16 @@ impl SharedQueue {
         self.head.cp_write(qid, 0);
         self.tail.cp_write(qid, 0);
         self.excl.cp_write(qid, 0);
+        // The region's slots become resident here, so the data plane
+        // never grows a slot array.
+        if left < right {
+            let (first, _) = self.locate(left);
+            let (last, end) = self.locate(right - 1);
+            for arr in &mut self.slots[first..last] {
+                arr.make_resident(arr.len());
+            }
+            self.slots[last].make_resident(end + 1);
+        }
     }
 
     /// Snapshot the entries of region `qid` in queue order (head first).
@@ -793,6 +806,75 @@ mod tests {
             let v = q.cp_region(0);
             assert!(v.count > 0 || v.head == 0, "empty ⇒ head == 0");
         }
+    }
+
+    fn resident_slots(q: &SharedQueue) -> usize {
+        q.slots.iter().map(RegisterArray::resident).sum()
+    }
+
+    /// The memory-limited TPC-C rack's shape: the paper-default pool
+    /// and 10 000 regions, of which the knapsack hands out 4 000 slots
+    /// to the hottest of 3 000 locks of mixed contention and leaves the
+    /// rest (and the rest of the pool) to the servers.
+    #[test]
+    fn a_plane_holds_host_memory_for_the_slots_it_assigns() {
+        use crate::control::{apply_allocation, knapsack_allocate_bounded, Allocation, LockStats};
+        use crate::dataplane::{DataPlane, Engine};
+        use netlock_proto::LockId;
+
+        let layout = SharedQueueLayout::paper_default();
+        let stats: Vec<LockStats> = (0..3_000u32)
+            .map(|l| LockStats {
+                lock: LockId(l),
+                rate: 1e3 / (1 + l) as f64,
+                contention: 1 + l % 16,
+                home_server: l as usize % 2,
+            })
+            .collect();
+        let alloc = knapsack_allocate_bounded(&stats, 4_000, layout.max_regions);
+        assert_eq!(alloc.slots_used(), 4_000);
+        let queue = |dp: &DataPlane| match dp.engine() {
+            Engine::Fcfs(q) => resident_slots(q),
+            Engine::Priority(_) => unreachable!(),
+        };
+
+        let mut dp = DataPlane::new_fcfs(&layout);
+        assert_eq!(queue(&dp), 0, "nothing assigned, nothing resident");
+        apply_allocation(&mut dp, &alloc);
+        assert_eq!(queue(&dp), 4_000);
+
+        // A plane whose every slot is resident: the modelled program
+        // and its memory charge must not tell the two apart.
+        let mut eager = DataPlane::new_fcfs(&layout);
+        let Engine::Fcfs(q) = eager.engine_mut() else {
+            unreachable!()
+        };
+        q.cp_set_region(0, 0, q.total_slots());
+        q.cp_set_region(0, 0, 0);
+        assert_eq!(resident_slots(q), 100_000);
+        let (Engine::Fcfs(lazy_q), Engine::Fcfs(eager_q)) = (dp.engine(), eager.engine()) else {
+            unreachable!()
+        };
+        assert_eq!(lazy_q.cp_memory_bytes(), eager_q.cp_memory_bytes());
+        let described = |q: &SharedQueue| {
+            let mut out = crate::analysis::layout::ProgramLayout::new();
+            q.describe(&mut out);
+            out.stage_usage()
+        };
+        assert_eq!(described(lazy_q), described(eager_q));
+        assert_eq!(dp.layout().stage_usage(), eager.layout().stage_usage());
+
+        // A reboot drops every slot; a reload makes only its own
+        // regions resident again.
+        dp.reset();
+        assert_eq!(queue(&dp), 0);
+        let reload = Allocation {
+            in_switch: alloc.in_switch[..100].to_vec(),
+            in_server: Vec::new(),
+        };
+        apply_allocation(&mut dp, &reload);
+        assert_eq!(queue(&dp), reload.slots_used() as usize);
+        assert!(reload.slots_used() < 4_000);
     }
 
     #[test]

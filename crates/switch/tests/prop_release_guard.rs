@@ -1,16 +1,19 @@
-//! Property tests: the per-region release guard decides exactly what a
-//! multiset of outstanding `(lock, txn)` grants decides.
+//! Property tests: the per-region release guard decides exactly what an
+//! ordered list of outstanding `(lock, txn)` grants decides, and holds
+//! no more credits than its region has holders.
 //!
 //! The guard keeps one FIFO of transaction ids per queue region; the
-//! reference kept here is the structure it replaced, a
-//! `HashMap<(LockId, TxnId), u32>`. Over random schedules — duplicate
-//! grants of one transaction, releases out of grant order, releases
-//! nobody was granted, lease-sweeper releases, reboots — both must admit
-//! and filter the same releases at every step, and a region's FIFO must
-//! hold exactly the reference's grants of the lock that owns the region
-//! (so never more than the region has slots).
-
-use std::collections::HashMap;
+//! reference kept here is one list of every outstanding grant in grant
+//! order. A release spends the oldest matching grant; a lease sweeper's
+//! forced release whose own grant is already spent spends the oldest
+//! grant of the lock instead. Over random schedules — duplicate grants
+//! of one transaction, releases out of grant order, releases nobody was
+//! granted, full and partial lease sweeps, reboots — both must admit
+//! and filter the same releases at every step, a region's FIFO must
+//! hold exactly the reference's grants of the lock that owns the
+//! region, and — when every release carries the mode of its grant, as
+//! clients send them — no region may hold more credits than granted
+//! slots: its shared head run, or its one exclusive head.
 
 use proptest::prelude::*;
 
@@ -23,33 +26,39 @@ use netlock_switch::dataplane::{DataPlane, DpAction, Engine};
 use netlock_switch::shared_queue::SharedQueueLayout;
 use netlock_switch::{ActionBuf, GrantLedger};
 
-/// The structure the guard replaced: outstanding grants per key.
+/// Outstanding grants in grant order.
 #[derive(Default)]
-struct Reference(HashMap<(LockId, TxnId), u32>);
+struct Reference(Vec<ReleaseRequest>);
 
 impl Reference {
-    fn credit(&mut self, lock: LockId, txn: TxnId) {
-        *self.0.entry((lock, txn)).or_insert(0) += 1;
+    fn credit(&mut self, grant: ReleaseRequest) {
+        self.0.push(grant);
     }
     fn authorizes(&self, lock: LockId, txn: TxnId) -> bool {
-        self.0.contains_key(&(lock, txn))
+        self.0.iter().any(|g| (g.lock, g.txn) == (lock, txn))
     }
     fn consume(&mut self, lock: LockId, txn: TxnId) -> bool {
-        match self.0.get_mut(&(lock, txn)) {
-            Some(n) if *n > 1 => *n -= 1,
-            Some(_) => {
-                self.0.remove(&(lock, txn));
-            }
-            None => return false,
+        let at = self.0.iter().position(|g| (g.lock, g.txn) == (lock, txn));
+        at.map(|i| self.0.remove(i)).is_some()
+    }
+    fn consume_oldest(&mut self, lock: LockId) {
+        if let Some(i) = self.0.iter().position(|g| g.lock == lock) {
+            self.0.remove(i);
         }
-        true
     }
     fn outstanding(&self, lock: LockId) -> usize {
-        self.0
-            .iter()
-            .filter(|((l, _), _)| *l == lock)
-            .map(|(_, &n)| n as usize)
-            .sum()
+        self.0.iter().filter(|g| g.lock == lock).count()
+    }
+}
+
+/// A grant of `(lock, txn)` with nothing else to tell it apart.
+fn grant(lock: u32, txn: u64) -> ReleaseRequest {
+    ReleaseRequest {
+        lock: LockId(lock),
+        txn: TxnId(txn),
+        mode: LockMode::Shared,
+        client: ClientAddr(1),
+        priority: Priority(0),
     }
 }
 
@@ -61,6 +70,7 @@ const TXNS: u64 = 6;
 enum LedgerOp {
     Credit(u32, u64),
     Consume(u32, u64),
+    ConsumeOldest(u32),
     Authorizes(u32, u64),
     Clear,
 }
@@ -75,6 +85,7 @@ fn ledger_ops() -> impl Strategy<Value = Vec<LedgerOp>> {
             key().prop_map(|(l, t)| LedgerOp::Credit(l, t)),
             key().prop_map(|(l, t)| LedgerOp::Consume(l, t)),
             key().prop_map(|(l, t)| LedgerOp::Consume(l, t)),
+            (0..LOCKS).prop_map(LedgerOp::ConsumeOldest),
             key().prop_map(|(l, t)| LedgerOp::Authorizes(l, t)),
             (0..8u8).prop_map(|c| if c == 0 {
                 LedgerOp::Clear
@@ -102,6 +113,9 @@ enum Step {
     ReleaseAny { lock: u32, txn: u64, shared: bool },
     /// Let every lease run out and sweep.
     Sweep,
+    /// Sweep with a lease of `lease` steps: only the older holders
+    /// expire.
+    SweepOlder { lease: u64 },
     /// Wipe the registers.
     Reboot,
 }
@@ -127,6 +141,7 @@ fn steps() -> impl Strategy<Value = Vec<Step>> {
                 txn,
                 shared
             }),
+            (0..32u64).prop_map(|lease| Step::SweepOlder { lease }),
             // Rare events share one arm.
             (0..6u8, 0..64usize).prop_map(|(c, nth)| match c {
                 0 => Step::Sweep,
@@ -171,12 +186,16 @@ proptest! {
             match op {
                 LedgerOp::Credit(l, t) => {
                     ledger.credit(qid_of(l), TxnId(t));
-                    reference.credit(LockId(l), TxnId(t));
+                    reference.credit(grant(l, t));
                 }
                 LedgerOp::Consume(l, t) => prop_assert_eq!(
                     ledger.consume(qid_of(l), TxnId(t)),
                     reference.consume(LockId(l), TxnId(t))
                 ),
+                LedgerOp::ConsumeOldest(l) => {
+                    ledger.consume_oldest(qid_of(l));
+                    reference.consume_oldest(LockId(l));
+                }
                 LedgerOp::Authorizes(l, t) => prop_assert_eq!(
                     ledger.authorizes(qid_of(l), TxnId(t)),
                     reference.authorizes(LockId(l), TxnId(t))
@@ -197,97 +216,153 @@ proptest! {
 
     /// The guard where it runs: a guarded data plane admits a release
     /// exactly when the reference, fed the grants the data plane
-    /// emitted, holds one for it.
+    /// emitted, holds one for it, and forced releases spend what the
+    /// reference says. Modes are drawn at random, so a release may
+    /// carry another mode than the grant it spends.
     #[test]
     fn guarded_dataplane_admits_like_the_multiset(ops in steps()) {
-        let mut dp = DataPlane::new_fcfs(&SharedQueueLayout::small(
-            1,
-            (LOCKS * REGION_CAP) as usize,
-            LOCKS as usize,
-        ));
-        dp.set_release_guard(true);
-        program(&mut dp);
-        let mut reference = Reference::default();
-        // Outstanding grants in grant order, to release from.
-        let mut held: Vec<ReleaseRequest> = Vec::new();
-        let mut out = ActionBuf::new();
-        let mut now = 0u64;
-        for op in ops {
-            now += 1;
-            let releases: Vec<ReleaseRequest> = match op {
-                Step::Acquire { lock, txn, shared } => {
-                    dp.process(
-                        NetLockMsg::Acquire(LockRequest {
-                            lock: LockId(lock),
-                            mode: mode(shared),
-                            txn: TxnId(txn),
-                            client: ClientAddr(1),
-                            tenant: TenantId(0),
-                            priority: Priority(0),
-                            issued_at_ns: now,
-                        }),
-                        now,
-                        &mut out,
-                    );
-                    Vec::new()
-                }
-                Step::ReleaseHeld { nth } if !held.is_empty() => {
-                    vec![held[nth % held.len()]]
-                }
-                Step::ReleaseHeld { .. } => Vec::new(),
-                Step::ReleaseAny { lock, txn, shared } => vec![ReleaseRequest {
+        drive(ops, false);
+    }
+
+    /// The same schedules with every transaction holding a lock in one
+    /// mode, as clients do: no region ever holds more credits than
+    /// holders.
+    #[test]
+    fn credits_never_outnumber_holders(ops in steps()) {
+        drive(ops, true);
+    }
+}
+
+/// The mode transaction `txn` uses on `lock` when modes conform: two
+/// thirds shared, so shared head runs form and release out of order.
+fn conforming_mode(lock: u32, txn: u64) -> LockMode {
+    mode(!(lock as u64 + txn).is_multiple_of(3))
+}
+
+/// Run `ops` against a guarded data plane and the reference. With
+/// `conforming`, every acquire and release of `(lock, txn)` carries
+/// [`conforming_mode`], and each step must leave every region with at
+/// most as many credits as holders; otherwise with at most as many as
+/// slots.
+fn drive(ops: Vec<Step>, conforming: bool) {
+    let pick = |lock: u32, txn: u64, shared: bool| {
+        if conforming {
+            conforming_mode(lock, txn)
+        } else {
+            mode(shared)
+        }
+    };
+    let mut dp = DataPlane::new_fcfs(&SharedQueueLayout::small(
+        1,
+        (LOCKS * REGION_CAP) as usize,
+        LOCKS as usize,
+    ));
+    dp.set_release_guard(true);
+    program(&mut dp);
+    let mut reference = Reference::default();
+    let mut out = ActionBuf::new();
+    let mut now = 0u64;
+    for op in ops {
+        now += 1;
+        let (releases, forced): (Vec<ReleaseRequest>, bool) = match op {
+            Step::Acquire { lock, txn, shared } => {
+                dp.process(
+                    NetLockMsg::Acquire(LockRequest {
+                        lock: LockId(lock),
+                        mode: pick(lock, txn, shared),
+                        txn: TxnId(txn),
+                        client: ClientAddr(1),
+                        tenant: TenantId(0),
+                        priority: Priority(0),
+                        issued_at_ns: now,
+                    }),
+                    now,
+                    &mut out,
+                );
+                (Vec::new(), false)
+            }
+            Step::ReleaseHeld { nth } if !reference.0.is_empty() => {
+                (vec![reference.0[nth % reference.0.len()]], false)
+            }
+            Step::ReleaseHeld { .. } => (Vec::new(), false),
+            Step::ReleaseAny { lock, txn, shared } => (
+                vec![ReleaseRequest {
                     lock: LockId(lock),
                     txn: TxnId(txn),
-                    mode: mode(shared),
+                    mode: pick(lock, txn, shared),
                     client: ClientAddr(1),
                     priority: Priority(0),
                 }],
-                Step::Sweep => {
-                    now += 1_000_000;
-                    expired_leases(&dp, now, 1_000)
+                false,
+            ),
+            Step::Sweep => {
+                now += 1_000_000;
+                (expired_leases(&dp, now, 1_000), true)
+            }
+            Step::SweepOlder { lease } => (expired_leases(&dp, now, lease), true),
+            Step::Reboot => {
+                dp.reset();
+                program(&mut dp);
+                reference.0.clear();
+                out.clear();
+                (Vec::new(), false)
+            }
+        };
+        for rel in releases {
+            if forced {
+                if !reference.consume(rel.lock, rel.txn) {
+                    reference.consume_oldest(rel.lock);
                 }
-                Step::Reboot => {
-                    dp.reset();
-                    program(&mut dp);
-                    reference.0.clear();
-                    held.clear();
-                    out.clear();
-                    Vec::new()
-                }
-            };
-            for rel in releases {
+                dp.force_release(rel, now, &mut out);
+            } else {
                 let expect = reference.consume(rel.lock, rel.txn);
                 let admitted = dp.process_release(rel, now, &mut out);
                 prop_assert_eq!(admitted, expect, "release {:?}", rel);
-                if admitted {
-                    let at = held
-                        .iter()
-                        .position(|h| (h.lock, h.txn) == (rel.lock, rel.txn))
-                        .expect("admitted release was held");
-                    held.remove(at);
-                } else {
+                if !admitted {
                     prop_assert!(out.is_empty(), "a filtered release acts");
                 }
-                // Grants the release handed on.
-                note_grants(&out, &mut reference, &mut held);
-                out.clear();
             }
-            note_grants(&out, &mut reference, &mut held);
+            // Grants the release handed on.
+            note_grants(&out, &mut reference);
             out.clear();
-            for l in 0..LOCKS {
-                let outstanding = dp.guard_outstanding(l as usize);
-                prop_assert_eq!(outstanding, reference.outstanding(LockId(l)));
+        }
+        note_grants(&out, &mut reference);
+        out.clear();
+        let Engine::Fcfs(q) = dp.engine() else {
+            unreachable!()
+        };
+        for l in 0..LOCKS {
+            let outstanding = dp.guard_outstanding(l as usize);
+            prop_assert_eq!(outstanding, reference.outstanding(LockId(l)));
+            if !conforming {
                 prop_assert!(outstanding <= REGION_CAP as usize);
+                continue;
             }
+            // Holders as the lease sweeper derives them.
+            let entries = q.cp_entries(l as usize);
+            let holders = match entries.first().map(|h| h.mode) {
+                None => 0,
+                Some(LockMode::Exclusive) => 1,
+                Some(LockMode::Shared) => entries
+                    .iter()
+                    .take_while(|e| e.mode == LockMode::Shared)
+                    .count(),
+            };
+            prop_assert!(
+                outstanding <= holders,
+                "lock {}: {} credits, {} holders",
+                l,
+                outstanding,
+                holders
+            );
         }
     }
 }
 
-fn note_grants(out: &ActionBuf, reference: &mut Reference, held: &mut Vec<ReleaseRequest>) {
+fn note_grants(out: &ActionBuf, reference: &mut Reference) {
     for act in out.iter() {
         if let DpAction::SendGrant(g) = act {
-            reference.credit(g.lock, g.txn);
-            held.push(ReleaseRequest {
+            reference.credit(ReleaseRequest {
                 lock: g.lock,
                 txn: g.txn,
                 mode: g.mode,

@@ -44,9 +44,9 @@ fn population_chaos_seeds_stay_clean() {
         assert!(r.plan_events > 0, "population/{seed} had no faults");
         assert!(r.grants > 0, "population/{seed} made no progress");
         assert!(
-            r.guard_over_capacity.is_empty(),
-            "population/{seed} guard outgrew its regions: {:?}",
-            r.guard_over_capacity
+            r.guard_over_granted.is_empty(),
+            "population/{seed} guard outgrew its holders: {:?}",
+            r.guard_over_granted
         );
         lost += r.net_lost;
         duplicated += r.net_duplicated;

@@ -85,11 +85,12 @@ pub struct ChaosRun {
     pub dup_grants_ignored: u64,
     /// Releases the switch's release guard filtered as stale.
     pub stale_releases_filtered: u64,
-    /// Queue regions whose release-guard FIFO ended the run holding
-    /// more grants than the region has granted slots (its shared head
-    /// run, or its one exclusive head), as `(lock, outstanding,
-    /// granted)`. Every outstanding grant is a granted slot, so this is
-    /// empty.
+    /// Queue regions whose release-guard FIFO held more grants than the
+    /// region has granted slots (its shared head run, or its one
+    /// exclusive head), as `(lock, outstanding, granted)`: the first
+    /// non-empty reading of the bound, taken after every simulated
+    /// millisecond of the run. Every outstanding grant is a granted
+    /// slot, so this is empty.
     pub guard_over_granted: Vec<(LockId, usize, usize)>,
     /// Packets the links dropped.
     pub net_lost: u64,
@@ -307,25 +308,35 @@ pub fn run_chaos_seed_with(workload: ChaosWorkload, seed: u64, sabotage: Sabotag
         std::slice::from_ref(&rack.nodes),
         &oracle_config(),
     );
-    run_chaos(&mut rack.sim, SimTime(CHAOS_TOTAL.as_nanos()), &oracles);
+    // A stray credit may be spent again before the run ends, so the
+    // bound is read after every millisecond, not only at the end.
+    let total = CHAOS_TOTAL.as_nanos();
+    let slice = SimDuration::from_millis(1).as_nanos();
+    let mut guard_over_granted = Vec::new();
+    for t in (slice..=total).step_by(slice as usize) {
+        rack.sim.run_until(SimTime(t));
+        if guard_over_granted.is_empty() {
+            guard_over_granted = rack.sim.read_node::<SwitchNode, _>(rack.switch, |s| {
+                let dp = s.dataplane();
+                // Every holder: at the end of time, a zero lease has run out.
+                let holders = netlock_switch::control::expired_leases(dp, u64::MAX, 0);
+                dp.directory()
+                    .switch_resident()
+                    .into_iter()
+                    .map(|(lock, qid, _)| {
+                        let granted = holders.iter().filter(|h| h.lock == lock).count();
+                        (lock, dp.guard_outstanding(qid), granted)
+                    })
+                    .filter(|&(_, outstanding, granted)| outstanding > granted)
+                    .collect()
+            });
+        }
+    }
+    run_chaos(&mut rack.sim, SimTime(total), &oracles);
     let stats = collect(&rack, CHAOS_TOTAL);
     let stale_releases_filtered = rack
         .sim
         .read_node::<SwitchNode, _>(rack.switch, |s| s.stats().stale_releases_filtered);
-    let guard_over_granted = rack.sim.read_node::<SwitchNode, _>(rack.switch, |s| {
-        let dp = s.dataplane();
-        // Every holder: at the end of time, a zero lease has run out.
-        let holders = netlock_switch::control::expired_leases(dp, u64::MAX, 0);
-        dp.directory()
-            .switch_resident()
-            .into_iter()
-            .map(|(lock, qid, _)| {
-                let granted = holders.iter().filter(|h| h.lock == lock).count();
-                (lock, dp.guard_outstanding(qid), granted)
-            })
-            .filter(|&(_, outstanding, granted)| outstanding > granted)
-            .collect()
-    });
     let micro_grants = stats.issued.min(stats.grants);
     let oracle = oracles[0].lock().unwrap();
     ChaosRun {

@@ -13,7 +13,6 @@
 pub mod chaos;
 pub mod common;
 pub mod count_alloc;
-pub mod dlock;
 pub mod failover;
 pub mod fig08;
 pub mod fig09;
@@ -24,7 +23,6 @@ pub mod fig14;
 pub mod fig15;
 pub mod figures;
 pub mod flash_crowd;
-pub mod report;
 pub mod runner;
 pub mod tenant_churn;
 

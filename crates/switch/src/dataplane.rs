@@ -22,7 +22,7 @@
 //! plane harvests them ([`DataPlane::set_forward_counting`]).
 
 use netlock_proto::{
-    GrantMsg, Grantor, LockId, LockRequest, NetLockMsg, ReleaseRequest, TenantId, TxnId,
+    GrantMsg, Grantor, LockId, LockMode, LockRequest, NetLockMsg, ReleaseRequest, TenantId, TxnId,
 };
 
 use crate::action_buf::ActionBuf;
@@ -260,11 +260,12 @@ impl DataPlane {
     }
 
     /// Whether the guard holds an outstanding switch grant that
-    /// authorizes releasing `(lock, txn)`. Read-only: the chain head
-    /// asks before sequencing a release, the apply spends the grant.
-    pub fn guard_authorizes(&self, lock: LockId, txn: TxnId) -> bool {
+    /// authorizes releasing `txn`'s `mode` hold of `lock`. Read-only:
+    /// the chain head asks before sequencing a release, the apply
+    /// spends the grant.
+    pub fn guard_authorizes(&self, lock: LockId, txn: TxnId, mode: LockMode) -> bool {
         match (&self.guard, self.directory.get(lock).map(|e| e.residence)) {
-            (Some(g), Some(Residence::Switch { qid })) => g.authorizes(qid, txn),
+            (Some(g), Some(Residence::Switch { qid })) => g.authorizes(qid, txn, mode),
             _ => false,
         }
     }
@@ -439,7 +440,7 @@ impl DataPlane {
         slot: &Slot,
     ) {
         if let Some(g) = guard {
-            g.credit(qid, slot.txn);
+            g.credit(qid, slot.txn, slot.mode);
         }
         out.push(DpAction::SendGrant(GrantMsg {
             lock,
@@ -575,8 +576,9 @@ impl DataPlane {
     /// [`process`] a release without the message-enum round trip, and
     /// report what the release guard decided. With the guard on
     /// ([`DataPlane::set_release_guard`]) a release of a switch-resident
-    /// lock must spend an outstanding grant of its queue region — the
-    /// guard rides on the directory lookup the release pays anyway.
+    /// lock must spend an outstanding grant of its queue region to the
+    /// same transaction in the same mode — the guard rides on the
+    /// directory lookup the release pays anyway.
     /// Returns `false` — with no counters touched and no actions
     /// emitted — when the guard filters the release; server-resident
     /// and unknown locks are forwarded untouched (the server's lock
@@ -617,7 +619,7 @@ impl DataPlane {
         out.clear();
         if let Some(entry) = self.directory.get(rel.lock) {
             if let (Some(g), Residence::Switch { qid }) = (&mut self.guard, entry.residence) {
-                if !g.consume(qid, rel.txn) {
+                if !g.consume(qid, rel.txn, rel.mode) {
                     if !forced {
                         return false;
                     }

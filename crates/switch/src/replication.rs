@@ -273,7 +273,7 @@ impl ReplSwitch {
         if let NetLockMsg::Release(rel) = &op {
             // Read-only: the credit is consumed when the release op is
             // *applied*, so every member's ledger stays identical.
-            if !self.dp.guard_authorizes(rel.lock, rel.txn) {
+            if !self.dp.guard_authorizes(rel.lock, rel.txn, rel.mode) {
                 self.stats.stale_releases_filtered += 1;
                 return;
             }
@@ -514,7 +514,7 @@ impl ReplSwitch {
                     self.cfg.lease.as_nanos(),
                 );
                 for rel in expired {
-                    if !self.dp.guard_authorizes(rel.lock, rel.txn) {
+                    if !self.dp.guard_authorizes(rel.lock, rel.txn, rel.mode) {
                         continue;
                     }
                     self.stats.lease_expirations += 1;

@@ -1,19 +1,19 @@
 //! Property tests: the per-region release guard decides exactly what an
-//! ordered list of outstanding `(lock, txn)` grants decides, and holds
-//! no more credits than its region has holders.
+//! ordered list of outstanding `(lock, txn, mode)` grants decides, and
+//! holds no more credits than its region has holders.
 //!
-//! The guard keeps one FIFO of transaction ids per queue region; the
-//! reference kept here is one list of every outstanding grant in grant
-//! order. A release spends the oldest matching grant; a lease sweeper's
-//! forced release whose own grant is already spent spends the oldest
-//! grant of the lock instead. Over random schedules — duplicate grants
-//! of one transaction, releases out of grant order, releases nobody was
-//! granted, full and partial lease sweeps, reboots — both must admit
-//! and filter the same releases at every step, a region's FIFO must
-//! hold exactly the reference's grants of the lock that owns the
-//! region, and — when every release carries the mode of its grant, as
-//! clients send them — no region may hold more credits than granted
-//! slots: its shared head run, or its one exclusive head.
+//! The guard keeps one FIFO of `(transaction, mode)` pairs per queue
+//! region; the reference kept here is one list of every outstanding
+//! grant in grant order. A release spends the oldest grant of its
+//! transaction in its mode; a lease sweeper's forced release whose own
+//! grant is already spent spends the oldest grant of the lock instead.
+//! Over random schedules — duplicate grants of one transaction,
+//! releases out of grant order, releases nobody was granted, releases
+//! in another mode than their grant, full and partial lease sweeps,
+//! reboots — both must admit and filter the same releases at every
+//! step, a region's FIFO must hold exactly the reference's grants of
+//! the lock that owns the region, and no region may hold more credits
+//! than granted slots: its shared head run, or its one exclusive head.
 
 use proptest::prelude::*;
 
@@ -34,11 +34,16 @@ impl Reference {
     fn credit(&mut self, grant: ReleaseRequest) {
         self.0.push(grant);
     }
-    fn authorizes(&self, lock: LockId, txn: TxnId) -> bool {
-        self.0.iter().any(|g| (g.lock, g.txn) == (lock, txn))
+    fn find(&self, lock: LockId, txn: TxnId, mode: LockMode) -> Option<usize> {
+        self.0
+            .iter()
+            .position(|g| (g.lock, g.txn, g.mode) == (lock, txn, mode))
     }
-    fn consume(&mut self, lock: LockId, txn: TxnId) -> bool {
-        let at = self.0.iter().position(|g| (g.lock, g.txn) == (lock, txn));
+    fn authorizes(&self, lock: LockId, txn: TxnId, mode: LockMode) -> bool {
+        self.find(lock, txn, mode).is_some()
+    }
+    fn consume(&mut self, lock: LockId, txn: TxnId, mode: LockMode) -> bool {
+        let at = self.find(lock, txn, mode);
         at.map(|i| self.0.remove(i)).is_some()
     }
     fn consume_oldest(&mut self, lock: LockId) {
@@ -51,12 +56,12 @@ impl Reference {
     }
 }
 
-/// A grant of `(lock, txn)` with nothing else to tell it apart.
-fn grant(lock: u32, txn: u64) -> ReleaseRequest {
+/// A grant of `(lock, txn, mode)` with nothing else to tell it apart.
+fn grant(lock: u32, txn: u64, mode: LockMode) -> ReleaseRequest {
     ReleaseRequest {
         lock: LockId(lock),
         txn: TxnId(txn),
-        mode: LockMode::Shared,
+        mode,
         client: ClientAddr(1),
         priority: Priority(0),
     }
@@ -68,29 +73,29 @@ const TXNS: u64 = 6;
 
 #[derive(Clone, Debug)]
 enum LedgerOp {
-    Credit(u32, u64),
-    Consume(u32, u64),
+    Credit(u32, u64, bool),
+    Consume(u32, u64, bool),
     ConsumeOldest(u32),
-    Authorizes(u32, u64),
+    Authorizes(u32, u64, bool),
     Clear,
 }
 
 fn ledger_ops() -> impl Strategy<Value = Vec<LedgerOp>> {
-    let key = || (0..LOCKS, 0..TXNS);
+    let key = || (0..LOCKS, 0..TXNS, any::<bool>());
     prop::collection::vec(
         // The shim's `prop_oneof!` is unweighted: repeat to weight, and
         // keep `Clear` rare (its own coin) so ledgers grow between them.
         prop_oneof![
-            key().prop_map(|(l, t)| LedgerOp::Credit(l, t)),
-            key().prop_map(|(l, t)| LedgerOp::Credit(l, t)),
-            key().prop_map(|(l, t)| LedgerOp::Consume(l, t)),
-            key().prop_map(|(l, t)| LedgerOp::Consume(l, t)),
+            key().prop_map(|(l, t, s)| LedgerOp::Credit(l, t, s)),
+            key().prop_map(|(l, t, s)| LedgerOp::Credit(l, t, s)),
+            key().prop_map(|(l, t, s)| LedgerOp::Consume(l, t, s)),
+            key().prop_map(|(l, t, s)| LedgerOp::Consume(l, t, s)),
             (0..LOCKS).prop_map(LedgerOp::ConsumeOldest),
-            key().prop_map(|(l, t)| LedgerOp::Authorizes(l, t)),
+            key().prop_map(|(l, t, s)| LedgerOp::Authorizes(l, t, s)),
             (0..8u8).prop_map(|c| if c == 0 {
                 LedgerOp::Clear
             } else {
-                LedgerOp::Authorizes(0, 0)
+                LedgerOp::Authorizes(0, 0, true)
             }),
         ],
         1..300,
@@ -184,21 +189,21 @@ proptest! {
         let mut reference = Reference::default();
         for op in ops {
             match op {
-                LedgerOp::Credit(l, t) => {
-                    ledger.credit(qid_of(l), TxnId(t));
-                    reference.credit(grant(l, t));
+                LedgerOp::Credit(l, t, s) => {
+                    ledger.credit(qid_of(l), TxnId(t), mode(s));
+                    reference.credit(grant(l, t, mode(s)));
                 }
-                LedgerOp::Consume(l, t) => prop_assert_eq!(
-                    ledger.consume(qid_of(l), TxnId(t)),
-                    reference.consume(LockId(l), TxnId(t))
+                LedgerOp::Consume(l, t, s) => prop_assert_eq!(
+                    ledger.consume(qid_of(l), TxnId(t), mode(s)),
+                    reference.consume(LockId(l), TxnId(t), mode(s))
                 ),
                 LedgerOp::ConsumeOldest(l) => {
                     ledger.consume_oldest(qid_of(l));
                     reference.consume_oldest(LockId(l));
                 }
-                LedgerOp::Authorizes(l, t) => prop_assert_eq!(
-                    ledger.authorizes(qid_of(l), TxnId(t)),
-                    reference.authorizes(LockId(l), TxnId(t))
+                LedgerOp::Authorizes(l, t, s) => prop_assert_eq!(
+                    ledger.authorizes(qid_of(l), TxnId(t), mode(s)),
+                    reference.authorizes(LockId(l), TxnId(t), mode(s))
                 ),
                 LedgerOp::Clear => {
                     ledger.clear();
@@ -218,7 +223,8 @@ proptest! {
     /// exactly when the reference, fed the grants the data plane
     /// emitted, holds one for it, and forced releases spend what the
     /// reference says. Modes are drawn at random, so a release may
-    /// carry another mode than the grant it spends.
+    /// carry another mode than its transaction was granted; the guard
+    /// filters it, and credits stay within holders.
     #[test]
     fn guarded_dataplane_admits_like_the_multiset(ops in steps()) {
         drive(ops, false);
@@ -241,9 +247,9 @@ fn conforming_mode(lock: u32, txn: u64) -> LockMode {
 
 /// Run `ops` against a guarded data plane and the reference. With
 /// `conforming`, every acquire and release of `(lock, txn)` carries
-/// [`conforming_mode`], and each step must leave every region with at
-/// most as many credits as holders; otherwise with at most as many as
-/// slots.
+/// [`conforming_mode`]; otherwise modes are the schedule's. Either way
+/// each step must leave every region with at most as many credits as
+/// holders.
 fn drive(ops: Vec<Step>, conforming: bool) {
     let pick = |lock: u32, txn: u64, shared: bool| {
         if conforming {
@@ -310,12 +316,12 @@ fn drive(ops: Vec<Step>, conforming: bool) {
         };
         for rel in releases {
             if forced {
-                if !reference.consume(rel.lock, rel.txn) {
+                if !reference.consume(rel.lock, rel.txn, rel.mode) {
                     reference.consume_oldest(rel.lock);
                 }
                 dp.force_release(rel, now, &mut out);
             } else {
-                let expect = reference.consume(rel.lock, rel.txn);
+                let expect = reference.consume(rel.lock, rel.txn, rel.mode);
                 let admitted = dp.process_release(rel, now, &mut out);
                 prop_assert_eq!(admitted, expect, "release {:?}", rel);
                 if !admitted {
@@ -334,10 +340,6 @@ fn drive(ops: Vec<Step>, conforming: bool) {
         for l in 0..LOCKS {
             let outstanding = dp.guard_outstanding(l as usize);
             prop_assert_eq!(outstanding, reference.outstanding(LockId(l)));
-            if !conforming {
-                prop_assert!(outstanding <= REGION_CAP as usize);
-                continue;
-            }
             // Holders as the lease sweeper derives them.
             let entries = q.cp_entries(l as usize);
             let holders = match entries.first().map(|h| h.mode) {

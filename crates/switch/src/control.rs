@@ -332,11 +332,13 @@ pub fn expired_leases(dp: &DataPlane, now_ns: u64, lease_ns: u64) -> Vec<Release
             }
         }
         Engine::Priority(e) => {
-            // The priority engine marks holders explicitly.
+            // The priority engine marks holders explicitly, and a holder
+            // granted on a release had its grant time written into
+            // `issued_at_ns`, so the lease test is the FCFS one.
             for (lock, qid, _home) in dp.directory().switch_resident() {
                 for level in 0..e.levels() {
                     for h in e.cp_level_entries(level, qid) {
-                        if h.granted && now_ns.saturating_sub(h.granted_at_ns) > lease_ns {
+                        if h.granted && now_ns.saturating_sub(h.issued_at_ns) > lease_ns {
                             out.push(ReleaseRequest {
                                 lock,
                                 txn: h.txn,
@@ -356,6 +358,8 @@ pub fn expired_leases(dp: &DataPlane, now_ns: u64, lease_ns: u64) -> Vec<Release
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataplane::DpAction;
+    use crate::priority::PriorityLayout;
     use crate::shared_queue::SharedQueueLayout;
     use netlock_proto::{LockRequest, NetLockMsg, TenantId, TxnId};
 
@@ -556,6 +560,52 @@ mod tests {
         assert_eq!(expired.len(), 1);
         assert_eq!(expired[0].txn, TxnId(7));
         assert_eq!(expired[0].mode, LockMode::Exclusive);
+    }
+
+    /// A priority waiter granted on a release holds its lease from the
+    /// grant, not from the issue time it carries back to its client.
+    #[test]
+    fn priority_lease_runs_from_grant_on_release() {
+        let mut dp = DataPlane::new_priority(&PriorityLayout::new(2, 8, 2));
+        dp.directory_mut().set_switch_resident(LockId(1), 0, 0);
+        let lease = 1_000_000;
+        dp.process_collect(acquire(1, 7, 1_000), 1_000); // immediate grant
+        dp.process_collect(acquire(1, 8, 2_000), 2_000); // queued
+
+        // An immediate grant's lease runs from its issue time.
+        let expired = expired_leases(&dp, 1_000 + lease + 1, lease);
+        assert_eq!(
+            expired.iter().map(|r| r.txn).collect::<Vec<_>>(),
+            [TxnId(7)]
+        );
+
+        // Txn 8 waits fifty leases before txn 7 releases.
+        let granted_at = 50 * lease;
+        let release = NetLockMsg::Release(ReleaseRequest {
+            lock: LockId(1),
+            txn: TxnId(7),
+            mode: LockMode::Exclusive,
+            client: ClientAddr(7),
+            priority: Priority(0),
+        });
+        let acts = dp.process_collect(release, granted_at);
+        let grants: Vec<_> = acts
+            .iter()
+            .filter_map(|a| match a {
+                DpAction::SendGrant(g) => Some((g.txn, g.issued_at_ns)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(grants, [(TxnId(8), 2_000)], "grant carries the issue time");
+
+        assert!(expired_leases(&dp, granted_at + lease / 2, lease).is_empty());
+        assert!(expired_leases(&dp, granted_at + lease, lease).is_empty());
+        let expired = expired_leases(&dp, granted_at + lease + 1, lease);
+        assert_eq!(expired.len(), 1);
+        assert_eq!(
+            (expired[0].txn, expired[0].mode),
+            (TxnId(8), LockMode::Exclusive)
+        );
     }
 
     #[test]

@@ -221,7 +221,7 @@ impl FcfsEngine {
 mod tests {
     use super::*;
     use crate::shared_queue::SharedQueueLayout;
-    use netlock_proto::{ClientAddr, Priority, TenantId, TxnId};
+    use netlock_proto::{ClientAddr, Priority, TxnId};
 
     fn slot(mode: LockMode, txn: u64) -> Slot {
         Slot {
@@ -229,11 +229,9 @@ mod tests {
             mode,
             txn: TxnId(txn),
             client: ClientAddr(txn as u32),
-            tenant: TenantId(0),
             priority: Priority(0),
             issued_at_ns: 0,
             granted: false,
-            granted_at_ns: 0,
         }
     }
 

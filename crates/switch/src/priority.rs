@@ -118,8 +118,8 @@ impl PriorityEngine {
         qid: usize,
         slot: Slot,
     ) -> (AcquireOutcome, u32) {
-        // Grant time for immediate grants is the arrival time (the
-        // enqueue stamps it from `issued_at_ns`).
+        // An immediate grant's lease runs from `issued_at_ns`, its
+        // arrival time; only grants on release rewrite the stamp.
         let p = self.clamp_level(slot.priority.0);
         let mut used = 0u32;
 
@@ -181,8 +181,10 @@ impl PriorityEngine {
     }
 
     /// Process a release issued at priority level `priority`; `now_ns`
-    /// stamps newly granted holders for lease expiry. Granted slots are
-    /// appended to the caller-owned `grants` buffer in grant order.
+    /// is written into each newly granted holder's stored `issued_at_ns`,
+    /// where its lease starts. Granted slots are appended to the
+    /// caller-owned `grants` buffer in grant order, with the issue time
+    /// their request carried.
     pub fn release(
         &mut self,
         passes: &mut PassAllocator,
@@ -334,7 +336,7 @@ impl PriorityEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netlock_proto::{ClientAddr, Priority, TenantId, TxnId};
+    use netlock_proto::{ClientAddr, Priority, TxnId};
 
     fn slot(mode: LockMode, txn: u64, prio: u8) -> Slot {
         Slot {
@@ -342,11 +344,9 @@ mod tests {
             mode,
             txn: TxnId(txn),
             client: ClientAddr(txn as u32),
-            tenant: TenantId(0),
             priority: Priority(prio),
             issued_at_ns: 0,
             granted: false,
-            granted_at_ns: 0,
         }
     }
 

@@ -255,7 +255,9 @@ impl SharedQueue {
     /// before the slot write — on hardware this is a predicate computed
     /// in packet metadata mid-pipeline. When `mark` is set, the written
     /// slot's `granted` bit records the decision (the priority engine
-    /// tracks holders explicitly; the FCFS engine does not need to).
+    /// tracks holders explicitly; the FCFS engine does not need to). An
+    /// immediate grant's lease runs from `issued_at_ns`, which is already
+    /// its grant time, so nothing else is written.
     #[inline]
     pub fn enqueue_deciding(
         &mut self,
@@ -265,7 +267,6 @@ impl SharedQueue {
         mark: bool,
         decide: impl FnOnce(u32, u32) -> bool,
     ) -> EnqueueDetail {
-        let now_ns = slot.issued_at_ns; // arrival ≈ grant time for immediate grants
         let (left, right) = self.bounds.access(pass, qid, |b| *b);
         let cap = right - left;
         // Rate counter r_i counts every acquire arrival, even overflowed.
@@ -305,9 +306,6 @@ impl SharedQueue {
         let granted = decide(count_old, excl_old);
         if mark {
             slot.granted = granted;
-            if granted {
-                slot.granted_at_ns = now_ns;
-            }
         }
         let global = left + tail_old;
         let (arr, off) = self.locate(global);
@@ -387,7 +385,11 @@ impl SharedQueue {
 
     /// Data-plane pass: read *and mark granted* the slot at `offset`
     /// (used by the priority engine, which tracks holders explicitly).
-    /// `now_ns` stamps the grant time for lease expiry.
+    ///
+    /// The stored cell's `issued_at_ns` becomes `now_ns`, the grant time
+    /// its lease runs from. The returned copy is marked granted but keeps
+    /// the timestamp as read, before the write, so the grant message
+    /// still carries the request's issue time.
     pub fn read_and_mark_granted(
         &mut self,
         pass: &mut Pass,
@@ -400,8 +402,9 @@ impl SharedQueue {
         let (arr, off) = self.locate(global);
         self.slots[arr].access(pass, off, |s| {
             s.granted = true;
-            s.granted_at_ns = now_ns;
-            *s
+            let read = *s;
+            s.issued_at_ns = now_ns;
+            read
         })
     }
 
@@ -539,7 +542,7 @@ impl SharedQueue {
 mod tests {
     use super::*;
     use crate::register::PassId;
-    use netlock_proto::{ClientAddr, Priority, TenantId, TxnId};
+    use netlock_proto::{ClientAddr, Priority, TxnId};
 
     fn slot(mode: LockMode, txn: u64) -> Slot {
         Slot {
@@ -547,11 +550,9 @@ mod tests {
             mode,
             txn: TxnId(txn),
             client: ClientAddr(txn as u32),
-            tenant: TenantId(0),
             priority: Priority(0),
             issued_at_ns: 0,
             granted: false,
-            granted_at_ns: 0,
         }
     }
 
@@ -881,11 +882,17 @@ mod tests {
     fn read_and_mark_granted_sets_bit() {
         let mut q = queue_with_region(4);
         let mut pg = PassGen(0);
-        q.enqueue(&mut pg.next(), 0, slot(LockMode::Exclusive, 1));
+        let mut req = slot(LockMode::Exclusive, 1);
+        req.issued_at_ns = 7;
+        q.enqueue(&mut pg.next(), 0, req);
         let v = q.cp_region(0);
         let s = q.read_and_mark_granted(&mut pg.next(), 0, v.head, 42);
-        assert!(s.granted, "RMW returns the post-update slot");
+        assert!(s.granted, "the returned copy is marked granted");
+        // The grant message is built from the returned copy: it keeps
+        // the issue time, while the stored cell's lease runs from 42.
+        assert_eq!(s.issued_at_ns, 7);
         let entries = q.cp_entries(0);
         assert!(entries[0].granted);
+        assert_eq!(entries[0].issued_at_ns, 42);
     }
 }

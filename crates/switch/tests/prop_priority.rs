@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use netlock_proto::{ClientAddr, LockMode, Priority, TenantId, TxnId};
+use netlock_proto::{ClientAddr, LockMode, Priority, TxnId};
 use netlock_switch::engine::{AcquireOutcome, PassAllocator};
 use netlock_switch::priority::{PriorityEngine, PriorityLayout};
 use netlock_switch::slot::Slot;
@@ -59,11 +59,9 @@ impl Harness {
             mode,
             txn: TxnId(txn),
             client: ClientAddr(txn as u32),
-            tenant: TenantId(0),
             priority: Priority(prio),
             issued_at_ns: 0,
             granted: false,
-            granted_at_ns: 0,
         }
     }
 

@@ -11,7 +11,7 @@
 //! arrival counter, tail position, and the per-slot modes.
 
 use netlock_bench::{allocation_count, CountingAlloc};
-use netlock_proto::{ClientAddr, LockMode, Priority, TenantId, TxnId};
+use netlock_proto::{ClientAddr, LockMode, Priority, TxnId};
 use netlock_switch::analysis::layout::TofinoBudget;
 use netlock_switch::control::{apply_allocation, knapsack_allocate, LockStats};
 use netlock_switch::engine::PassAllocator;
@@ -34,11 +34,9 @@ fn slot_for(mode: LockMode, txn: u64) -> Slot {
         mode,
         txn: TxnId(txn),
         client: ClientAddr(1),
-        tenant: TenantId(0),
         priority: Priority(0),
         issued_at_ns: 0,
         granted: false,
-        granted_at_ns: 0,
     }
 }
 

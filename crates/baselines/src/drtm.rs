@@ -187,7 +187,7 @@ fn validate(c: &mut DrtmClient, w: usize, from: usize, ctx: &mut Context<'_, Rdm
 mod tests {
     use super::*;
     use crate::deployment::Deployment;
-    use crate::rdma::{RdmaNicConfig, RdmaServer};
+    use crate::rdma::RdmaServer;
     use netlock_core::txn::SingleLockSource;
     use netlock_proto::LockId;
 
@@ -211,7 +211,7 @@ mod tests {
         let mut rack = Deployment::build(
             1,
             DrtmClientConfig { workers: 2 },
-            vec![RdmaServer::new(RdmaNicConfig::default()); 1],
+            vec![RdmaServer::new(); 1],
             sources(
                 1,
                 (0..64).map(LockId).collect(),
@@ -234,7 +234,7 @@ mod tests {
         let mut rack = Deployment::build(
             2,
             DrtmClientConfig { workers: 16 },
-            vec![RdmaServer::new(RdmaNicConfig::default()); 1],
+            vec![RdmaServer::new(); 1],
             sources(
                 4,
                 vec![LockId(0)],
@@ -278,7 +278,7 @@ mod tests {
         let mut rack = Deployment::build(
             3,
             DrtmClientConfig { workers: 8 },
-            vec![RdmaServer::new(RdmaNicConfig::default()); 1],
+            vec![RdmaServer::new(); 1],
             all,
         );
         rack.sim.run_for(SimDuration::from_millis(20));
@@ -295,7 +295,7 @@ mod tests {
         let mut rack = Deployment::build(
             4,
             DrtmClientConfig { workers: 8 },
-            vec![RdmaServer::new(RdmaNicConfig::default()); 1],
+            vec![RdmaServer::new(); 1],
             sources(2, vec![LockId(0)], LockMode::Shared, SimDuration::ZERO),
         );
         let stats = rack.measure(SimDuration::from_millis(2), SimDuration::from_millis(10));
@@ -311,7 +311,7 @@ mod tests {
         let mut rack = Deployment::build(
             5,
             DrtmClientConfig { workers: 8 },
-            vec![RdmaServer::new(RdmaNicConfig::default()); 1],
+            vec![RdmaServer::new(); 1],
             sources(2, vec![LockId(0)], LockMode::Exclusive, think),
         );
         let stats = rack.measure(SimDuration::from_millis(5), SimDuration::from_millis(50));

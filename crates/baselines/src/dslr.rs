@@ -167,7 +167,7 @@ impl Protocol for DslrClientConfig {
 mod tests {
     use super::*;
     use crate::deployment::Deployment;
-    use crate::rdma::{RdmaNicConfig, RdmaServer};
+    use crate::rdma::{RdmaServer, ATOMIC_SERVICE};
     use netlock_core::txn::SingleLockSource;
     use netlock_proto::LockId;
 
@@ -191,7 +191,7 @@ mod tests {
         let mut rack = Deployment::build(
             1,
             DslrClientConfig { workers: 4 },
-            vec![RdmaServer::new(RdmaNicConfig::default()); 1],
+            vec![RdmaServer::new(); 1],
             sources(
                 2,
                 (0..64).map(LockId).collect(),
@@ -209,7 +209,7 @@ mod tests {
         let mut rack = Deployment::build(
             2,
             DslrClientConfig { workers: 8 },
-            vec![RdmaServer::new(RdmaNicConfig::default()); 1],
+            vec![RdmaServer::new(); 1],
             sources(2, vec![LockId(0)], LockMode::Exclusive, SimDuration::ZERO),
         );
         let stats = rack.measure(SimDuration::from_millis(5), SimDuration::from_millis(20));
@@ -228,7 +228,7 @@ mod tests {
         let mut rack = Deployment::build(
             3,
             DslrClientConfig { workers: 8 },
-            vec![RdmaServer::new(RdmaNicConfig::default()); 1],
+            vec![RdmaServer::new(); 1],
             sources(2, vec![LockId(0)], LockMode::Shared, SimDuration::ZERO),
         );
         let stats = rack.measure(SimDuration::from_millis(2), SimDuration::from_millis(10));
@@ -244,16 +244,13 @@ mod tests {
 
     #[test]
     fn nic_bound_caps_throughput() {
-        // One lock server, very slow NIC: throughput must be ≈ NIC rate
+        // One lock server, 64 workers: throughput must be ≈ NIC rate
         // divided by verbs per txn (2: acquire FA + release FA).
-        let nic = RdmaNicConfig {
-            atomic_service: SimDuration::from_micros(10), // 100 Kops
-            rw_service: SimDuration::from_micros(10),
-        };
+        let cap = 1e9 / ATOMIC_SERVICE.as_nanos() as f64 / 2.0;
         let mut rack = Deployment::build(
             4,
             DslrClientConfig { workers: 16 },
-            vec![RdmaServer::new(nic); 1],
+            vec![RdmaServer::new(); 1],
             sources(
                 4,
                 (0..1024).map(LockId).collect(),
@@ -264,9 +261,9 @@ mod tests {
         let stats = rack.measure(SimDuration::from_millis(5), SimDuration::from_millis(20));
         let tps = stats.tps();
         assert!(
-            tps < 60_000.0,
-            "NIC at 100 Kops with 2 verbs/txn caps ~50 KTPS, got {tps}"
+            tps < 1.2 * cap,
+            "NIC at 2.5 Mops with 2 verbs/txn caps ~{cap} TPS, got {tps}"
         );
-        assert!(tps > 20_000.0, "but it should approach the cap: {tps}");
+        assert!(tps > 0.4 * cap, "but it should approach the cap: {tps}");
     }
 }

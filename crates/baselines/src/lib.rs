@@ -35,5 +35,5 @@ pub use drtm::{DrtmClient, DrtmClientConfig};
 pub use dslr::{DslrClient, DslrClientConfig};
 pub use netchain::{NcClient, NcClientConfig, NcSwitch};
 pub use netlock_core::closed_loop::{ClientStats, Protocol};
-pub use rdma::{RdmaMsg, RdmaNicConfig, RdmaServer};
+pub use rdma::{RdmaMsg, RdmaServer};
 pub use server_only::build_server_only;

@@ -104,24 +104,11 @@ impl RdmaMsg {
     }
 }
 
-/// RDMA NIC configuration.
-#[derive(Clone, Debug)]
-pub struct RdmaNicConfig {
-    /// NIC service time per one-sided atomic (FA/CAS). ConnectX-3's
-    /// atomics bottleneck ≈ 2.5 Mops → 400 ns.
-    pub atomic_service: SimDuration,
-    /// NIC service time per READ/WRITE (cheaper than atomics).
-    pub rw_service: SimDuration,
-}
-
-impl Default for RdmaNicConfig {
-    fn default() -> Self {
-        RdmaNicConfig {
-            atomic_service: SimDuration::from_nanos(400),
-            rw_service: SimDuration::from_nanos(110),
-        }
-    }
-}
+/// NIC service time per one-sided atomic (FA/CAS). ConnectX-3's
+/// atomics bottleneck ≈ 2.5 Mops → 400 ns.
+pub const ATOMIC_SERVICE: SimDuration = SimDuration::from_nanos(400);
+/// NIC service time per READ/WRITE (cheaper than atomics).
+pub const RW_SERVICE: SimDuration = SimDuration::from_nanos(110);
 
 /// NIC counters.
 #[derive(Clone, Copy, Debug, Default)]
@@ -135,9 +122,8 @@ pub struct RdmaNicStats {
 }
 
 /// The lock server's NIC + memory: executes verbs against lock words.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct RdmaServer {
-    cfg: RdmaNicConfig,
     memory: HashMap<u64, u64>,
     busy_until: u64,
     stats: RdmaNicStats,
@@ -145,13 +131,8 @@ pub struct RdmaServer {
 
 impl RdmaServer {
     /// A server with empty (zeroed) memory.
-    pub fn new(cfg: RdmaNicConfig) -> RdmaServer {
-        RdmaServer {
-            cfg,
-            memory: HashMap::new(),
-            busy_until: 0,
-            stats: RdmaNicStats::default(),
-        }
+    pub fn new() -> RdmaServer {
+        RdmaServer::default()
     }
 
     /// Counters.
@@ -178,7 +159,7 @@ impl Node<RdmaMsg> for RdmaServer {
         let now = ctx.now().as_nanos();
         match pkt.payload {
             RdmaMsg::FetchAdd { addr, add, token } => {
-                let delay = self.serve(now, self.cfg.atomic_service);
+                let delay = self.serve(now, ATOMIC_SERVICE);
                 self.stats.atomics += 1;
                 let word = self.memory.entry(addr).or_insert(0);
                 let old = *word;
@@ -191,7 +172,7 @@ impl Node<RdmaMsg> for RdmaServer {
                 new,
                 token,
             } => {
-                let delay = self.serve(now, self.cfg.atomic_service);
+                let delay = self.serve(now, ATOMIC_SERVICE);
                 self.stats.atomics += 1;
                 let word = self.memory.entry(addr).or_insert(0);
                 let old = *word;
@@ -205,13 +186,13 @@ impl Node<RdmaMsg> for RdmaServer {
                 );
             }
             RdmaMsg::Read { addr, token } => {
-                let delay = self.serve(now, self.cfg.rw_service);
+                let delay = self.serve(now, RW_SERVICE);
                 self.stats.reads_writes += 1;
                 let value = self.peek(addr);
                 ctx.send_after(pkt.src, RdmaMsg::ReadReply { addr, value, token }, delay);
             }
             RdmaMsg::Write { addr, value, token } => {
-                let delay = self.serve(now, self.cfg.rw_service);
+                let delay = self.serve(now, RW_SERVICE);
                 self.stats.reads_writes += 1;
                 self.memory.insert(addr, value);
                 ctx.send_after(pkt.src, RdmaMsg::WriteReply { token }, delay);
@@ -244,7 +225,7 @@ mod tests {
     fn setup() -> (Simulator<RdmaMsg>, NodeId, NodeId) {
         let mut sim: Simulator<RdmaMsg> = Simulator::with_seed(3);
         let client = sim.add_node(Box::new(Collector(Vec::new())));
-        let server = sim.add_node(Box::new(RdmaServer::new(RdmaNicConfig::default())));
+        let server = sim.add_node(Box::new(RdmaServer::new()));
         (sim, client, server)
     }
 

@@ -3,10 +3,10 @@
 //! `figs <name>` prints one figure's TSV, `figs all` every figure in
 //! sequence; `--check` instead compares each with `results/<name>.tsv`
 //! byte for byte and exits nonzero on any difference. Each figure's
-//! sweep fans out over the shared worker pool (`--threads N` /
-//! `NETLOCK_THREADS`, default: available parallelism); stdout is
-//! byte-identical for any thread count. Per-figure wall-clock goes to
-//! stderr so a regression is attributable to a figure.
+//! sweep fans out over the shared worker pool (`--threads N`, default:
+//! available parallelism); stdout is byte-identical for any thread
+//! count. Per-figure wall-clock goes to stderr so a regression is
+//! attributable to a figure.
 use std::path::Path;
 use std::time::Instant;
 

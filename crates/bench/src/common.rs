@@ -38,11 +38,10 @@ impl TimeScale {
 /// Valued flags accept both `--flag N` and `--flag=N`. `--full` (the
 /// default) reproduces the committed `results/*.tsv` scale; `--quick`
 /// runs the same sweep at smoke-test scale. `--threads N` sizes the
-/// sweep worker pool (overriding `NETLOCK_THREADS` and the host's
-/// available parallelism). `--sim-workers N` asks for conservative
-/// in-simulation parallelism (one logical process per rack or chain)
-/// where a scenario supports it; the TSV is byte-identical for any
-/// `N`.
+/// sweep worker pool (default: the host's available parallelism).
+/// `--sim-workers N` asks for conservative in-simulation parallelism
+/// (one logical process per rack or chain) where a scenario supports
+/// it; the TSV is byte-identical for any `N`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BinArgs {
     /// Smoke-test scale instead of the full figure scale.
@@ -106,10 +105,8 @@ impl BinArgs {
 
     /// The sweep runner these arguments imply.
     pub fn runner(&self) -> Runner {
-        match self.threads {
-            Some(n) => Runner::with_threads(n),
-            None => Runner::from_env(),
-        }
+        self.threads
+            .map_or_else(Runner::default, Runner::with_threads)
     }
 }
 

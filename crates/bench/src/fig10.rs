@@ -11,8 +11,7 @@
 use std::fmt::Write;
 
 use netlock_baselines::{
-    Deployment, DrtmClientConfig, DslrClientConfig, NcClientConfig, NcSwitch, Protocol,
-    RdmaNicConfig, RdmaServer,
+    Deployment, DrtmClientConfig, DslrClientConfig, NcClientConfig, NcSwitch, Protocol, RdmaServer,
 };
 use netlock_core::prelude::*;
 use netlock_sim::Node;
@@ -41,20 +40,19 @@ pub fn run_system(
         ..Default::default()
     };
     let workers = spec.workers_per_client;
-    let nic = RdmaNicConfig::default();
     let stats = match system {
         // DSLR: RDMA bakery on `lock_servers` RDMA nodes.
         "DSLR" => measure(
             &spec,
             DslrClientConfig { workers },
-            vec![RdmaServer::new(nic); lock_servers],
+            vec![RdmaServer::new(); lock_servers],
             scale,
         ),
         // DrTM: CAS fail-and-retry on the same RDMA substrate.
         "DrTM" => measure(
             &spec,
             DrtmClientConfig { workers },
-            vec![RdmaServer::new(nic); lock_servers],
+            vec![RdmaServer::new(); lock_servers],
             scale,
         ),
         // NetChain: switch-only exclusive locks, no lock servers.

@@ -8,7 +8,7 @@
 //! pre-failure level right after reactivation.
 
 use netlock_core::prelude::*;
-use netlock_sim::{SimDuration, TimeSeries};
+use netlock_sim::{FaultAction, SimDuration, SimTime, TimeSeries};
 
 use crate::common::{build_netlock_tpcc, TpccRackSpec};
 
@@ -50,29 +50,21 @@ pub fn run_failure(
     };
     let mut rack = build_netlock_tpcc(&spec);
     let switch = rack.switch;
+    rack.sim
+        .schedule_fault(SimTime(fail_at.as_nanos()), FaultAction::FailNode(switch));
+    // "The switch retains none of its former state or register values":
+    // it reboots and reloads its program.
+    rack.sim.schedule_fault(
+        SimTime(revive_at.as_nanos()),
+        FaultAction::ReviveNode(switch),
+    );
 
     let mut series = TimeSeries::new();
     let mut last: u64 = 0;
-    let mut failed = false;
-    let mut revived = false;
     let mut t = SimDuration::ZERO;
     while t < total {
         let next = t + interval;
-        // Apply failure events inside this window at the right instant.
-        if !failed && fail_at >= t && fail_at < next {
-            rack.sim.run_until(netlock_sim::SimTime(fail_at.as_nanos()));
-            rack.sim.fail_node(switch);
-            failed = true;
-        }
-        if !revived && revive_at >= t && revive_at < next {
-            rack.sim
-                .run_until(netlock_sim::SimTime(revive_at.as_nanos()));
-            // "The switch retains none of its former state or register
-            // values": it reboots and reloads its program.
-            rack.sim.revive_node(switch);
-            revived = true;
-        }
-        rack.sim.run_until(netlock_sim::SimTime(next.as_nanos()));
+        rack.sim.run_until(SimTime(next.as_nanos()));
         let now_total: u64 = txns_by_client(&rack).iter().sum();
         series.push(
             rack.sim.now(),

@@ -29,6 +29,9 @@ pub const LOCKS_PER_RACK: u32 = 64;
 /// The hot key the crowd converges on.
 pub const HOT_LOCK: LockId = LockId(LOCKS_PER_RACK - 1);
 
+/// Tenants per rack; tenant 0 hosts the flash crowd.
+pub const TENANTS_PER_RACK: usize = 4;
+
 /// Scenario shape: population size, arrival model, and time windows.
 #[derive(Clone, Debug)]
 pub struct FlashCrowdSpec {
@@ -40,8 +43,6 @@ pub struct FlashCrowdSpec {
     pub virtual_clients: u64,
     /// Base offered load per virtual client, requests/second.
     pub rate_rps_per_client: f64,
-    /// Tenants per rack; tenant 0 hosts the flash crowd.
-    pub tenants_per_rack: usize,
     /// Warmup window (excluded from the series).
     pub warmup: SimDuration,
     /// Series bucket width.
@@ -59,7 +60,6 @@ impl FlashCrowdSpec {
             racks: 8,
             virtual_clients: 1_000_000,
             rate_rps_per_client: 2.0,
-            tenants_per_rack: 4,
             warmup: SimDuration::from_millis(20),
             interval: SimDuration::from_millis(20),
             intervals: 10,
@@ -106,7 +106,7 @@ impl FlashCrowdSpec {
 
     fn tenant(&self, t: usize) -> TenantSpec {
         let per_rack = self.virtual_clients / self.racks as u64;
-        let per_tenant = per_rack / self.tenants_per_rack as u64;
+        let per_tenant = per_rack / TENANTS_PER_RACK as u64;
         TenantSpec {
             tenant: TenantId(t as u16),
             virtual_clients: per_tenant,
@@ -150,7 +150,7 @@ pub fn build_cluster(spec: &FlashCrowdSpec) -> RackCluster {
             r,
             PopulationConfig {
                 poisson: true,
-                tenants: (0..spec.tenants_per_rack).map(|t| spec.tenant(t)).collect(),
+                tenants: (0..TENANTS_PER_RACK).map(|t| spec.tenant(t)).collect(),
                 ..Default::default()
             },
         );
@@ -229,11 +229,7 @@ pub fn render(spec: &FlashCrowdSpec, workers: usize) -> String {
         "# Flash crowd: {} virtual clients on {} racks ({} tenants/rack), \
          {:.0} rps/client base, diurnal amplitude 0.5, burst 6x on lock {} \
          (tenant 0, half its requests)",
-        spec.virtual_clients,
-        spec.racks,
-        spec.tenants_per_rack,
-        spec.rate_rps_per_client,
-        HOT_LOCK.0,
+        spec.virtual_clients, spec.racks, TENANTS_PER_RACK, spec.rate_rps_per_client, HOT_LOCK.0,
     );
     let _ = writeln!(
         out,

@@ -9,10 +9,8 @@
 //! output is byte-identical regardless of thread count — `--threads 1`
 //! and `--threads 64` produce the same file.
 //!
-//! Thread-count resolution (first match wins):
-//! 1. an explicit `Runner::with_threads` (the bins' `--threads N`);
-//! 2. the `NETLOCK_THREADS` environment variable;
-//! 3. [`std::thread::available_parallelism`].
+//! The worker count is an explicit `Runner::with_threads` (the bins'
+//! `--threads N`) or, by default, [`std::thread::available_parallelism`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -20,37 +18,20 @@ use std::sync::Mutex;
 /// A boxed sweep job producing one result row.
 pub type Job<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
 
-/// Environment variable overriding the default worker count.
-pub const THREADS_ENV: &str = "NETLOCK_THREADS";
-
 /// A fixed-size worker pool for independent simulation jobs.
 #[derive(Clone, Copy, Debug)]
 pub struct Runner {
     threads: usize,
 }
 
+/// A runner sized from the host's available parallelism.
 impl Default for Runner {
     fn default() -> Self {
-        Runner::from_env()
+        Runner::with_threads(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 }
 
 impl Runner {
-    /// A runner sized from `NETLOCK_THREADS` or, failing that, the
-    /// host's available parallelism.
-    pub fn from_env() -> Runner {
-        let threads = std::env::var(THREADS_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
-        Runner::with_threads(threads)
-    }
-
     /// A runner with an explicit worker count (min 1).
     pub fn with_threads(threads: usize) -> Runner {
         Runner {

@@ -22,6 +22,9 @@ pub const LOCKS: u32 = 64;
 /// The shared hot key.
 pub const HOT_LOCK: LockId = LockId(LOCKS - 1);
 
+/// Series buckets per tenant burst turn.
+pub const BUCKETS_PER_TURN: usize = 2;
+
 /// Scenario shape.
 #[derive(Clone, Debug)]
 pub struct TenantChurnSpec {
@@ -42,10 +45,8 @@ pub struct TenantChurnSpec {
     /// Warmup window (excluded from the series).
     pub warmup: SimDuration,
     /// Series bucket width; each tenant's burst turn spans
-    /// `buckets_per_turn` buckets.
+    /// [`BUCKETS_PER_TURN`] buckets.
     pub interval: SimDuration,
-    /// Buckets per tenant burst turn.
-    pub buckets_per_turn: usize,
 }
 
 impl TenantChurnSpec {
@@ -61,7 +62,6 @@ impl TenantChurnSpec {
             max_outstanding: 2_000,
             warmup: SimDuration::from_millis(10),
             interval: SimDuration::from_millis(10),
-            buckets_per_turn: 2,
         }
     }
 
@@ -76,7 +76,7 @@ impl TenantChurnSpec {
 
     /// Buckets in the series (one burst turn per tenant).
     pub fn intervals(&self) -> usize {
-        self.tenants * self.buckets_per_turn
+        self.tenants * BUCKETS_PER_TURN
     }
 
     /// Total measurement window.
@@ -85,7 +85,7 @@ impl TenantChurnSpec {
     }
 
     fn tenant(&self, t: usize) -> TenantSpec {
-        let turn = SimDuration(self.interval.as_nanos() * self.buckets_per_turn as u64);
+        let turn = SimDuration(self.interval.as_nanos() * BUCKETS_PER_TURN as u64);
         TenantSpec {
             tenant: TenantId(t as u16),
             virtual_clients: self.virtual_clients / self.tenants as u64,
@@ -162,7 +162,7 @@ pub fn run_series(spec: &TenantChurnSpec) -> Vec<TenantBucket> {
             out.push(TenantBucket {
                 t_ms,
                 tenant: stats.tenant.0,
-                bursting: i / spec.buckets_per_turn == t,
+                bursting: i / BUCKETS_PER_TURN == t,
                 issued: stats.issued,
                 grants: stats.grants,
                 throttled: stats.throttled,
@@ -227,7 +227,7 @@ mod tests {
                 .iter()
                 .filter(|b| b.tenant == t && b.bursting)
                 .count();
-            assert_eq!(turns, spec.buckets_per_turn, "tenant {t}");
+            assert_eq!(turns, BUCKETS_PER_TURN, "tenant {t}");
         }
         // While bursting, a tenant issues well above its calm rate.
         let bursting: u64 = series.iter().filter(|b| b.bursting).map(|b| b.issued).sum();

@@ -36,7 +36,7 @@ use netlock_sim::{
 use netlock_switch::control::{apply_allocation, knapsack_allocate, Allocation, LockStats};
 use netlock_switch::partition::{partition_locks, PartitionMap};
 use netlock_switch::shared_queue::SharedQueueLayout;
-use netlock_switch::{ChainController, ControllerConfig, DataPlane, ReplConfig, ReplSwitch};
+use netlock_switch::{ChainController, DataPlane, ReplConfig, ReplSwitch};
 
 use crate::chaos::run_chaos;
 use crate::client_txn::{TxnClient, TxnClientConfig};
@@ -60,9 +60,6 @@ const QUEUE_CAPACITY: u32 = 128;
 /// compressed timescale, so a 40 ms run crosses crash, repair, and many
 /// healthy lease generations.
 const LEASE: SimDuration = SimDuration::from_millis(2);
-/// Member ping cadence and lease-sweep granularity; sub-millisecond
-/// failure detection.
-const CONTROL_TICK: SimDuration = SimDuration::from_micros(200);
 
 /// What a failover cluster varies: the chain length and the clients'
 /// retransmission timescale. Everything else — [`PARTITIONS`] chains,
@@ -125,7 +122,6 @@ impl FailoverCluster {
         let mut lp_of = vec![0u32; 1 + CLIENTS];
 
         let id = sim.add_node(Box::new(ChainController::new(
-            ControllerConfig { tick: CONTROL_TICK },
             chains.clone(),
             clients.clone(),
         )));
@@ -168,7 +164,6 @@ impl FailoverCluster {
                         chain: chain.clone(),
                         controller,
                         lease: LEASE,
-                        control_tick: CONTROL_TICK,
                     },
                 )));
                 assert_eq!(id, want);
@@ -225,8 +220,6 @@ pub fn partition_allocation(p: u16) -> Allocation {
 pub enum VictimPick {
     /// Drawn per partition from the plan seed.
     Seeded,
-    /// Always the chain head (forces a client re-route).
-    Head,
     /// Always the tail (forces replay + tail promotion; leaves the
     /// client→head path untouched, so even retry-free clients see
     /// every in-flight grant).
@@ -267,7 +260,6 @@ pub fn crash_plan(cluster: &FailoverCluster, scenario: &CrashScenario) -> FaultP
     for (p, chain) in cluster.chains.iter().enumerate() {
         let victim = match scenario.victim {
             VictimPick::Seeded => chain[rng.index(chain.len())],
-            VictimPick::Head => chain[0],
             VictimPick::Tail => *chain.last().unwrap(),
         };
         let at = SimTime(scenario.crash_at.as_nanos() + STAGGER.as_nanos() * p as u64);

@@ -40,6 +40,13 @@ use crate::client_micro::take_due;
 use crate::harness::{ClientReport, RunStats};
 use crate::CLIENT_STACK_DELAY;
 
+/// Generation quantum: arrivals within one quantum are batched into a
+/// single `AcquireBatch` event. Larger quanta mean fewer events and
+/// coarser arrival timing; 100 µs keeps sub-millisecond dynamics
+/// visible while batching thousands of requests at million-client
+/// rates.
+pub const QUANTUM: SimDuration = SimDuration::from_micros(100);
+
 const TIMER_TICK: u64 = 0;
 /// Release timers carry `RELEASE_BASE + key`.
 const RELEASE_BASE: u64 = 1 << 32;
@@ -149,12 +156,6 @@ impl TenantSpec {
 pub struct PopulationConfig {
     /// Tenants sharing this node (at most [`MAX_TENANTS`]).
     pub tenants: Vec<TenantSpec>,
-    /// Generation quantum: arrivals within one quantum are batched into
-    /// a single `AcquireBatch` event. Larger quanta mean fewer events
-    /// and coarser arrival timing; 100 µs keeps sub-millisecond
-    /// dynamics visible while batching thousands of requests at
-    /// million-client rates.
-    pub quantum: SimDuration,
     /// Poisson arrival counts (true) or deterministic fluid
     /// accumulation at the exact mean rate (false).
     pub poisson: bool,
@@ -171,7 +172,6 @@ impl Default for PopulationConfig {
     fn default() -> Self {
         PopulationConfig {
             tenants: vec![TenantSpec::default()],
-            quantum: SimDuration::from_micros(100),
             poisson: false,
             hold: SimDuration::ZERO,
             retry_timeout: SimDuration::from_millis(30),
@@ -276,7 +276,6 @@ impl PopulationClient {
             cfg.tenants.len() <= MAX_TENANTS,
             "at most {MAX_TENANTS} tenants per population node (8 txn-id bits)"
         );
-        assert!(!cfg.quantum.is_zero(), "quantum must be positive");
         for t in &cfg.tenants {
             assert!(!t.locks.is_empty(), "tenant needs at least one lock");
             assert!(t.rate_rps_per_client >= 0.0, "rate must be non-negative");
@@ -356,7 +355,7 @@ impl PopulationClient {
             return;
         }
         let now_ns = ctx.now().as_nanos();
-        let quantum_secs = self.cfg.quantum.as_nanos() as f64 / 1e9;
+        let quantum_secs = QUANTUM.as_secs_f64();
         let retry_ns = self.cfg.retry_timeout.as_nanos();
         let me = ctx.self_id();
         let mut batch = std::mem::take(&mut self.scratch);
@@ -432,7 +431,7 @@ impl PopulationClient {
             ctx.send_after(self.switch, msg, CLIENT_STACK_DELAY);
         }
         self.scratch = batch;
-        ctx.set_timer(self.cfg.quantum, TIMER_TICK);
+        ctx.set_timer(QUANTUM, TIMER_TICK);
     }
 
     fn on_grants(&mut self, grants: &[GrantMsg], ctx: &mut Context<'_, NetLockMsg>) {

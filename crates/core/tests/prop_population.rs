@@ -2,8 +2,8 @@
 //! against the build it replaces — N individual [`MicroClient`]s.
 //!
 //! The trick that makes exact equality testable: in fluid (uniform)
-//! mode with the population quantum set to the per-client interval
-//! `1e9 / rate`, every quantum accrues exactly `virtual_clients`
+//! mode with the per-client interval `1e9 / rate` equal to the
+//! population quantum, every quantum accrues exactly `virtual_clients`
 //! arrivals per tenant, and an individual uniform client issues
 //! exactly one request per interval. Freeze both builds after K
 //! intervals with `stop_generating()`, drain the in-flight tail, and
@@ -15,17 +15,18 @@
 
 use proptest::prelude::*;
 
+use netlock_core::population::QUANTUM;
 use netlock_core::prelude::*;
 use netlock_proto::{LockId, LockMode, TenantId};
 use netlock_sim::SimDuration;
 use netlock_switch::control::{knapsack_allocate, LockStats};
 use netlock_switch::shared_queue::SharedQueueLayout;
 
-/// Per-client rate (requests/second). Divides 1e9 exactly, so the
-/// uniform inter-arrival interval is an integer nanosecond count and
-/// `rate x quantum == 1.0` holds exactly in f64.
-const RATE_RPS: f64 = 100_000.0;
-const INTERVAL_NS: u64 = 10_000;
+/// Per-client rate (requests/second): one request per quantum. Divides
+/// 1e9 exactly, so the uniform inter-arrival interval is an integer
+/// nanosecond count and `rate x quantum == 1.0` holds exactly in f64.
+const RATE_RPS: f64 = 10_000.0;
+const INTERVAL_NS: u64 = QUANTUM.0;
 
 #[derive(Clone, Debug)]
 struct Scenario {
@@ -76,7 +77,6 @@ fn counts_tsv(rows: &[(TenantId, u64, u64)]) -> String {
 fn run_aggregate(sc: &Scenario) -> Vec<(TenantId, u64, u64)> {
     let mut rack = build_rack(sc);
     let pop = rack.add_population_client(PopulationConfig {
-        quantum: SimDuration::from_nanos(INTERVAL_NS),
         tenants: sc
             .tenants
             .iter()

@@ -58,6 +58,4 @@ pub use dataplane::{DataPlane, DpAction, DpStats, DropReason, Engine};
 pub use node::{AutoRealloc, SwitchConfig, SwitchNode, SwitchNodeStats, PASS_LATENCY, TRAVERSAL};
 pub use partition::PartitionMap;
 pub use release_guard::GrantLedger;
-pub use replication::{
-    ChainController, ControllerConfig, ControllerStats, ReplConfig, ReplStats, ReplSwitch,
-};
+pub use replication::{ChainController, ControllerStats, ReplConfig, ReplStats, ReplSwitch};

@@ -42,6 +42,11 @@ use crate::dataplane::{DataPlane, DpAction};
 use crate::node::{egress_delay, TRAVERSAL};
 use crate::partition::{replicated_layout, PartitionMap};
 
+/// A chain member's ping cadence and lease-sweep granularity, and the
+/// controller's failure-detector polling interval: sub-millisecond
+/// failure detection.
+pub const CHAIN_TICK: SimDuration = SimDuration::from_micros(200);
+
 /// Timer token of a chain member's control tick (ping + lease sweep).
 const TIMER_CHAIN_TICK: u64 = 1;
 /// Timer token of the controller's failure-detector tick.
@@ -75,21 +80,6 @@ pub struct ReplConfig {
     /// Lease duration (head force-releases expired holders). Zero
     /// disables sweeping.
     pub lease: SimDuration,
-    /// Control tick: ping cadence and lease-sweep granularity.
-    pub control_tick: SimDuration,
-}
-
-impl Default for ReplConfig {
-    fn default() -> Self {
-        ReplConfig {
-            partition: 0,
-            member: 0,
-            chain: Vec::new(),
-            controller: NodeId(0),
-            lease: SimDuration::from_millis(10),
-            control_tick: SimDuration::from_millis(1),
-        }
-    }
 }
 
 /// Counters of one chain member.
@@ -225,10 +215,6 @@ impl ReplSwitch {
         replicated_layout(&self.dp, log_window)
     }
 
-    /// Timer token of the chain tick; a revived member gets its timer
-    /// chain back via `CtrlChainReset`, not via harness injection.
-    pub const CHAIN_TIMER_TOKEN: u64 = TIMER_CHAIN_TICK;
-
     fn position(&self) -> Option<usize> {
         self.chain.iter().position(|&n| n == self.me)
     }
@@ -360,10 +346,17 @@ impl ReplSwitch {
     }
 
     /// Run one op through the (guarded) data plane into `self.actions`;
-    /// returns the extra pipeline passes it cost.
+    /// returns the extra pipeline passes it cost. Every release is
+    /// applied by [`DataPlane::force_release`]: a client release was
+    /// authorized at the head against this same ledger, so it spends
+    /// its own credit as an unforced release would, and a sweep release
+    /// of a holder whose grant is already spent still frees its slot.
     fn process(&mut self, op: NetLockMsg, stamp_ns: u64) -> u64 {
         let before = self.dp.passes();
-        self.dp.process(op, stamp_ns, &mut self.actions);
+        match op {
+            NetLockMsg::Release(rel) => self.dp.force_release(rel, stamp_ns, &mut self.actions),
+            op => self.dp.process(op, stamp_ns, &mut self.actions),
+        }
         (self.dp.passes() - before).saturating_sub(1)
     }
 
@@ -488,10 +481,10 @@ impl ReplSwitch {
         // One lease of grace (plus a tick of slack): pre-crash holders
         // may still be inside their leases.
         self.grace_until_ns =
-            ctx.now().as_nanos() + self.cfg.lease.as_nanos() + self.cfg.control_tick.as_nanos();
+            ctx.now().as_nanos() + self.cfg.lease.as_nanos() + CHAIN_TICK.as_nanos();
         self.stats.resets += 1;
         // The crash killed the timer chain; restart it.
-        ctx.set_timer(self.cfg.control_tick, TIMER_CHAIN_TICK);
+        ctx.set_timer(CHAIN_TICK, TIMER_CHAIN_TICK);
     }
 
     fn chain_tick(&mut self, ctx: &mut Context<'_, NetLockMsg>) {
@@ -506,29 +499,26 @@ impl ReplSwitch {
                 TRAVERSAL,
             );
             // Lease sweep is a head duty: expiries become ordinary
-            // replicated ops, so every member's queues agree.
+            // replicated ops, so every member's queues agree. Every
+            // expired holder goes, whether or not its grant is still
+            // spendable: a slot whose grant an out-of-order release
+            // already spent would otherwise hold the lock for good.
             if self.is_head() && !self.cfg.lease.is_zero() {
-                let expired = control::expired_leases(
-                    &self.dp,
-                    ctx.now().as_nanos(),
-                    self.cfg.lease.as_nanos(),
-                );
-                for rel in expired {
-                    if !self.dp.guard_authorizes(rel.lock, rel.txn, rel.mode) {
-                        continue;
-                    }
+                let now = ctx.now().as_nanos();
+                for rel in control::expired_leases(&self.dp, now, self.cfg.lease.as_nanos()) {
                     self.stats.lease_expirations += 1;
-                    self.admit(NetLockMsg::Release(rel), ctx);
+                    let seq = self.last_applied + 1;
+                    self.ingest(seq, now, NetLockMsg::Release(rel), ctx);
                 }
             }
         }
-        ctx.set_timer(self.cfg.control_tick, TIMER_CHAIN_TICK);
+        ctx.set_timer(CHAIN_TICK, TIMER_CHAIN_TICK);
     }
 }
 
 impl Node<NetLockMsg> for ReplSwitch {
     fn on_start(&mut self, ctx: &mut Context<'_, NetLockMsg>) {
-        ctx.set_timer(self.cfg.control_tick, TIMER_CHAIN_TICK);
+        ctx.set_timer(CHAIN_TICK, TIMER_CHAIN_TICK);
     }
 
     fn on_packet(&mut self, pkt: Packet<NetLockMsg>, ctx: &mut Context<'_, NetLockMsg>) {
@@ -630,24 +620,9 @@ pub struct ControllerStats {
     pub map_broadcasts: u64,
 }
 
-/// Configuration of the [`ChainController`].
-#[derive(Clone, Debug)]
-pub struct ControllerConfig {
-    /// Failure-detector polling interval. A member silent for three
-    /// of these is declared dead.
-    pub tick: SimDuration,
-}
-
-impl Default for ControllerConfig {
-    fn default() -> Self {
-        ControllerConfig {
-            tick: SimDuration::from_millis(1),
-        }
-    }
-}
-
-/// Controller ticks of silence after which a member is declared dead:
-/// comfortably more than the member tick plus network latency.
+/// Controller ticks ([`CHAIN_TICK`]) of silence after which a member is
+/// declared dead: comfortably more than the member tick plus network
+/// latency.
 const DEAD_AFTER_TICKS: u64 = 3;
 
 /// The chain-repair control plane (one per cluster, like the paper's
@@ -657,7 +632,6 @@ const DEAD_AFTER_TICKS: u64 = 3;
 /// repair decisions are made purely from membership, which keeps the
 /// decision auditable (the *Paxos made switch-y* argument).
 pub struct ChainController {
-    cfg: ControllerConfig,
     partitions: Vec<PartitionState>,
     /// Every client that routes by partition map.
     clients: Vec<NodeId>,
@@ -669,7 +643,7 @@ pub struct ChainController {
 impl ChainController {
     /// Build a controller over `chains[p]` = partition `p`'s original
     /// chain (head first). `clients` receive partition-map updates.
-    pub fn new(cfg: ControllerConfig, chains: Vec<Vec<NodeId>>, clients: Vec<NodeId>) -> Self {
+    pub fn new(chains: Vec<Vec<NodeId>>, clients: Vec<NodeId>) -> Self {
         assert!(!chains.is_empty(), "controller needs at least one chain");
         let map = PartitionMap::new(chains.iter().map(|c| c[0]).collect());
         let partitions = chains
@@ -685,7 +659,6 @@ impl ChainController {
             })
             .collect();
         ChainController {
-            cfg,
             partitions,
             clients,
             map,
@@ -745,7 +718,7 @@ impl ChainController {
 
     fn detector_tick(&mut self, ctx: &mut Context<'_, NetLockMsg>) {
         let now = ctx.now().as_nanos();
-        let dead_after = self.cfg.tick.as_nanos() * DEAD_AFTER_TICKS;
+        let dead_after = CHAIN_TICK.as_nanos() * DEAD_AFTER_TICKS;
         let mut heads_changed = false;
         for pi in 0..self.partitions.len() {
             let p = &mut self.partitions[pi];
@@ -800,7 +773,7 @@ impl ChainController {
         if heads_changed {
             self.broadcast_map(ctx);
         }
-        ctx.set_timer(self.cfg.tick, TIMER_CONTROLLER_TICK);
+        ctx.set_timer(CHAIN_TICK, TIMER_CONTROLLER_TICK);
     }
 }
 
@@ -808,7 +781,7 @@ impl Node<NetLockMsg> for ChainController {
     fn on_start(&mut self, ctx: &mut Context<'_, NetLockMsg>) {
         // Treat deployment time as one fresh ping everywhere: the
         // detector starts counting silence from t=0.
-        ctx.set_timer(self.cfg.tick, TIMER_CONTROLLER_TICK);
+        ctx.set_timer(CHAIN_TICK, TIMER_CONTROLLER_TICK);
     }
 
     fn on_packet(&mut self, pkt: Packet<NetLockMsg>, ctx: &mut Context<'_, NetLockMsg>) {
@@ -850,9 +823,13 @@ mod tests {
     }
 
     fn acquire(lock: u32, txn: u64, client: u32, at: u64) -> NetLockMsg {
+        acquire_in(LockMode::Exclusive, lock, txn, client, at)
+    }
+
+    fn acquire_in(mode: LockMode, lock: u32, txn: u64, client: u32, at: u64) -> NetLockMsg {
         NetLockMsg::Acquire(LockRequest {
             lock: LockId(lock),
-            mode: LockMode::Exclusive,
+            mode,
             txn: TxnId(txn),
             client: ClientAddr(client),
             tenant: TenantId(0),
@@ -862,10 +839,14 @@ mod tests {
     }
 
     fn release(lock: u32, txn: u64, client: u32) -> NetLockMsg {
+        release_in(LockMode::Exclusive, lock, txn, client)
+    }
+
+    fn release_in(mode: LockMode, lock: u32, txn: u64, client: u32) -> NetLockMsg {
         NetLockMsg::Release(ReleaseRequest {
             lock: LockId(lock),
             txn: TxnId(txn),
-            mode: LockMode::Exclusive,
+            mode,
             client: ClientAddr(client),
             priority: Priority(0),
         })
@@ -888,7 +869,6 @@ mod tests {
         let client = sim.add_node(Box::new(Sink(Vec::new())));
         let members: Vec<NodeId> = (0..factor as u32).map(|i| NodeId(2 + i)).collect();
         let controller = sim.add_node(Box::new(ChainController::new(
-            ControllerConfig::default(),
             vec![members.clone()],
             vec![client],
         )));
@@ -904,7 +884,6 @@ mod tests {
                     chain: members.clone(),
                     controller,
                     lease,
-                    ..ReplConfig::default()
                 },
             )));
             assert_eq!(got, expect);
@@ -1028,23 +1007,65 @@ mod tests {
         sim.fail_node(members[0]);
         sim.run_until(SimTime(6_000_000));
         sim.revive_node(members[0]);
-        // The controller's probes find it; reset + grace follow.
-        sim.run_until(SimTime(9_000_000));
+        // The controller's probes find it; reset + grace follow. Step
+        // until the reset is seen: it happened at most one step ago.
+        let resets = |sim: &Simulator<NetLockMsg>| {
+            sim.read_node::<ReplSwitch, _>(members[0], |r| r.stats().resets)
+        };
+        while resets(&sim) == 0 {
+            assert!(
+                sim.now() < SimTime(9_000_000),
+                "no reset 3 ms after revival"
+            );
+            sim.run_for(SimDuration::from_micros(10));
+        }
+        let reset_at = sim.now().as_nanos();
         sim.read_node::<ReplSwitch, _>(members[0], |r| {
             assert_eq!(r.stats().resets, 1);
             assert_eq!(r.last_applied(), 0, "registers wiped");
         });
         // Mid-grace acquires are refused (a pre-crash lease may run).
+        sim.run_until(SimTime(reset_at + lease.as_nanos() / 2));
         sim.inject(client, members[0], acquire(1, 11, client.0, 0));
-        sim.run_until(SimTime(9_500_000));
+        sim.run_until(SimTime(reset_at + lease.as_nanos() * 3 / 4));
         sim.read_node::<ReplSwitch, _>(members[0], |r| {
             assert!(r.stats().grace_drops >= 1);
         });
-        // After the grace window service resumes from empty state.
+        // After the grace window (one lease and one tick from the reset)
+        // service resumes from empty state.
+        sim.run_until(SimTime(reset_at + lease.as_nanos() + CHAIN_TICK.as_nanos()));
         sim.inject(client, members[0], acquire(1, 12, client.0, 0));
         sim.run_until(SimTime(30_000_000));
         sim.read_node::<Sink, _>(client, |s| {
             assert_eq!(grants_of(s), vec![10, 12]);
+        });
+    }
+
+    /// Shared holders 10 and 11 are granted, exclusive 12 waits; 11
+    /// releases first. The blind dequeue frees 10's slot and spends
+    /// 11's credit, so 11's slot holds a grant whose credit is gone and
+    /// 10's credit has no slot. When 11's lease runs out the head must
+    /// still sweep that slot, or 12 waits forever.
+    #[test]
+    fn sweep_frees_a_holder_whose_grant_is_already_spent() {
+        let (mut sim, client, _ctl, members) = chain_setup(1, SimDuration::from_millis(2));
+        for (txn, mode) in [
+            (10, LockMode::Shared),
+            (11, LockMode::Shared),
+            (12, LockMode::Exclusive),
+        ] {
+            sim.inject(client, members[0], acquire_in(mode, 1, txn, client.0, 0));
+        }
+        sim.run_until(SimTime(100_000));
+        sim.read_node::<Sink, _>(client, |s| assert_eq!(grants_of(s), vec![10, 11]));
+        sim.inject(
+            client,
+            members[0],
+            release_in(LockMode::Shared, 1, 11, client.0),
+        );
+        sim.run_until(SimTime(30_000_000));
+        sim.read_node::<Sink, _>(client, |s| {
+            assert_eq!(grants_of(s), vec![10, 11, 12], "the lock must not wedge");
         });
     }
 

@@ -17,10 +17,8 @@ fn main() {
         lock_servers: 2,
         switch: netlock_switch::SwitchConfig {
             auto_realloc: Some(AutoRealloc {
-                epoch: SimDuration::from_millis(5),
                 switch_slots: 512,
                 max_regions: 128,
-                server_contention: 16,
             }),
             ..Default::default()
         },

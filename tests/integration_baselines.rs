@@ -4,7 +4,7 @@
 
 use netlock_baselines::{
     build_server_only, Deployment, DrtmClientConfig, DslrClientConfig, NcClientConfig, NcSwitch,
-    RdmaNicConfig, RdmaServer,
+    RdmaServer,
 };
 use netlock_core::prelude::*;
 use netlock_core::txn::SingleLockSource;
@@ -34,7 +34,7 @@ fn dslr_respects_fcfs_and_nic_bound() {
     let mut rack = Deployment::build(
         1,
         DslrClientConfig { workers: 16 },
-        vec![RdmaServer::new(RdmaNicConfig::default()); 2],
+        vec![RdmaServer::new(); 2],
         micro_sources(4, 512, LockMode::Exclusive),
     );
     let stats = rack.measure(WARM, MEAS);
@@ -54,7 +54,7 @@ fn drtm_throughput_collapses_under_contention_vs_dslr() {
         let mut rack = Deployment::build(
             2,
             DslrClientConfig { workers: 16 },
-            vec![RdmaServer::new(RdmaNicConfig::default()); 1],
+            vec![RdmaServer::new(); 1],
             micro_sources(4, 1, LockMode::Exclusive),
         );
         rack.measure(WARM, MEAS)
@@ -63,7 +63,7 @@ fn drtm_throughput_collapses_under_contention_vs_dslr() {
         let mut rack = Deployment::build(
             2,
             DrtmClientConfig { workers: 16 },
-            vec![RdmaServer::new(RdmaNicConfig::default()); 1],
+            vec![RdmaServer::new(); 1],
             micro_sources(4, 1, LockMode::Exclusive),
         );
         rack.measure(WARM, MEAS)
@@ -142,7 +142,7 @@ fn tpcc_system_ordering_matches_paper() {
         let mut rack = Deployment::build(
             4,
             DslrClientConfig { workers },
-            vec![RdmaServer::new(RdmaNicConfig::default()); 2],
+            vec![RdmaServer::new(); 2],
             tpcc_sources(clients),
         );
         rack.measure(WARM, MEAS)
@@ -151,7 +151,7 @@ fn tpcc_system_ordering_matches_paper() {
         let mut rack = Deployment::build(
             4,
             DrtmClientConfig { workers },
-            vec![RdmaServer::new(RdmaNicConfig::default()); 2],
+            vec![RdmaServer::new(); 2],
             tpcc_sources(clients),
         );
         rack.measure(WARM, MEAS)
@@ -204,7 +204,7 @@ fn high_contention_crushes_drtm() {
         let mut rack = Deployment::build(
             4,
             DrtmClientConfig { workers },
-            vec![RdmaServer::new(RdmaNicConfig::default()); 2],
+            vec![RdmaServer::new(); 2],
             sources,
         );
         rack.measure(WARM, MEAS)

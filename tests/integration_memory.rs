@@ -270,10 +270,8 @@ fn auto_reallocation_follows_the_workload() {
         lock_servers: 2,
         switch: netlock_switch::SwitchConfig {
             auto_realloc: Some(AutoRealloc {
-                epoch: SimDuration::from_millis(5),
                 switch_slots: 256,
                 max_regions: 64,
-                server_contention: 16,
             }),
             ..Default::default()
         },

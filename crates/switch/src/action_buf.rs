@@ -18,6 +18,10 @@
 //! overflowing the buffer panics exactly like a register-discipline
 //! violation in [`crate::register`], because a model that emits more
 //! packets per pass than the ASIC could is no longer feasible.
+//!
+//! The buffer also carries the pipeline passes the packet took, which
+//! the data plane charges as it processes it: the switch node delays
+//! the packet's output by one `PASS_LATENCY` per resubmit.
 
 use std::ops::Deref;
 
@@ -32,6 +36,8 @@ pub const ACTION_BUF_CAP: usize = 1024;
 /// panics on overflow — an infeasible actions-per-packet burst.
 pub struct ActionBuf {
     len: usize,
+    /// Pipeline passes the packet took (1 + resubmits).
+    passes: u32,
     slots: Box<[DpAction; ACTION_BUF_CAP]>,
 }
 
@@ -45,14 +51,30 @@ impl ActionBuf {
         };
         ActionBuf {
             len: 0,
+            passes: 0,
             slots: Box::new([fill; ACTION_BUF_CAP]),
         }
     }
 
-    /// Discard all actions (the buffer's capacity is retained).
+    /// Discard all actions and the pass count (the buffer's capacity is
+    /// retained).
     #[inline]
     pub fn clear(&mut self) {
         self.len = 0;
+        self.passes = 0;
+    }
+
+    /// Charge the packet `n` more pipeline passes.
+    #[inline]
+    pub(crate) fn charge_passes(&mut self, n: u32) {
+        self.passes += n;
+    }
+
+    /// Resubmits the packet took: its passes beyond the first (0 for a
+    /// packet the data plane filtered without a pass).
+    #[inline]
+    pub(crate) fn resubmits(&self) -> u64 {
+        u64::from(self.passes.saturating_sub(1))
     }
 
     /// Append one action.

@@ -30,7 +30,8 @@ use super::trace::{check_discipline, new_sink, DisciplineViolation, TraceSink, T
 /// Which engine variant a data plane is explored with.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum EngineKind {
-    /// The FCFS engine ([`crate::engine::FcfsEngine`]).
+    /// The FCFS engine ([`crate::shared_queue::SharedQueue::acquire`] /
+    /// [`crate::shared_queue::SharedQueue::release`]).
     Fcfs,
     /// The priority engine ([`crate::priority::PriorityEngine`]).
     Priority,

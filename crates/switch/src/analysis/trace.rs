@@ -1,6 +1,6 @@
 //! Access-trace recording and the pass-discipline checker.
 //!
-//! A [`TraceSink`] can be attached to a [`crate::engine::PassAllocator`]
+//! A [`TraceSink`] can be attached to a [`crate::register::PassAllocator`]
 //! (or to an individual [`crate::register::Pass`]); every data-plane
 //! read-modify-write then appends an [`AccessRecord`] describing which
 //! array was touched, in which stage, at which index, during which pass,

@@ -29,11 +29,11 @@ use crate::action_buf::ActionBuf;
 use crate::analysis::layout::ProgramLayout;
 use crate::analysis::trace::TraceSink;
 use crate::directory::{DirEntry, LockDirectory, Residence};
-use crate::engine::{AcquireOutcome, FcfsEngine, PassAllocator};
 use crate::meter::TokenBucket;
 use crate::priority::{PriorityEngine, PriorityLayout};
+use crate::register::PassAllocator;
 use crate::release_guard::GrantLedger;
-use crate::shared_queue::{SharedQueue, SharedQueueLayout};
+use crate::shared_queue::{AcquireOutcome, SharedQueue, SharedQueueLayout};
 use crate::slot::Slot;
 
 /// Which lock engine the data plane is compiled with.
@@ -314,15 +314,6 @@ impl DataPlane {
         self.stats
     }
 
-    /// Total pipeline passes so far — the hot-path subset of
-    /// [`stats`], read twice per request to charge resubmit latency.
-    ///
-    /// [`stats`]: DataPlane::stats
-    #[inline]
-    pub fn passes(&self) -> u64 {
-        self.stats.passes
-    }
-
     /// [`process`] an acquire without the message-enum round trip —
     /// the batch path calls this once per unpacked element.
     ///
@@ -383,9 +374,10 @@ impl DataPlane {
 
     /// Process one NetLock message; `now_ns` is the switch clock.
     ///
-    /// Actions are written into `out` (cleared first). The caller owns
-    /// the buffer and reuses it across packets, so the per-packet path
-    /// performs zero heap allocation in steady state.
+    /// Actions, and the pipeline passes the packet took, are written
+    /// into `out` (cleared first). The caller owns the buffer and reuses
+    /// it across packets, so the per-packet path performs zero heap
+    /// allocation in steady state.
     pub fn process(&mut self, msg: NetLockMsg, now_ns: u64, out: &mut ActionBuf) {
         out.clear();
         match msg {
@@ -428,6 +420,14 @@ impl DataPlane {
         self.forward_counts[idx] += 1;
     }
 
+    /// Charge the packet being processed `passes` pipeline passes, in
+    /// the running count and in its action buffer.
+    #[inline]
+    fn charge(&mut self, out: &mut ActionBuf, passes: u32) {
+        self.stats.passes += u64::from(passes);
+        out.charge_passes(passes);
+    }
+
     /// The one place a switch grant leaves the data plane: record it
     /// with the release guard (if on), then mirror it out. Takes the
     /// fields apart so callers can hold `grant_scratch` borrowed.
@@ -454,7 +454,7 @@ impl DataPlane {
     }
 
     fn on_acquire(&mut self, req: LockRequest, now_ns: u64, out: &mut ActionBuf) {
-        self.stats.passes += 1;
+        self.charge(out, 1);
         // Tenant meter at ingress.
         if let Some(Some(meter)) = self.meters.get_mut(req.tenant.0 as usize) {
             if !meter.try_consume(now_ns) {
@@ -538,13 +538,13 @@ impl DataPlane {
                 }
                 let slot = Slot::from_request(&req);
                 let (outcome, extra_passes) = match &mut self.engine {
-                    Engine::Fcfs(q) => (FcfsEngine::acquire(q, &mut self.passes, qid, slot), 0),
+                    Engine::Fcfs(q) => (q.acquire(&mut self.passes, qid, slot), 0),
                     Engine::Priority(e) => {
                         let (o, p) = e.acquire(&mut self.passes, qid, slot);
                         (o, p.saturating_sub(1))
                     }
                 };
-                self.stats.passes += extra_passes as u64;
+                self.charge(out, extra_passes);
                 match outcome {
                     AcquireOutcome::Granted => {
                         self.stats.grants_immediate += 1;
@@ -626,11 +626,11 @@ impl DataPlane {
                     g.consume_oldest(qid);
                 }
             }
-            self.stats.passes += 1;
+            self.charge(out, 1);
             self.stats.releases += 1;
             self.on_release_at(rel, entry, now_ns, out);
         } else {
-            self.stats.passes += 1;
+            self.charge(out, 1);
             self.stats.releases += 1;
             match self.default_server_of(rel.lock) {
                 Some(server) => out.push(DpAction::ForwardRelease { server, rel }),
@@ -660,13 +660,9 @@ impl DataPlane {
                 // caller's `ActionBuf`. No per-packet allocation.
                 self.grant_scratch.clear();
                 let out_r = match &mut self.engine {
-                    Engine::Fcfs(q) => FcfsEngine::release(
-                        q,
-                        &mut self.passes,
-                        qid,
-                        rel.mode,
-                        &mut self.grant_scratch,
-                    ),
+                    Engine::Fcfs(q) => {
+                        q.release(&mut self.passes, qid, rel.mode, &mut self.grant_scratch)
+                    }
                     Engine::Priority(e) => e.release(
                         &mut self.passes,
                         qid,
@@ -676,7 +672,7 @@ impl DataPlane {
                         &mut self.grant_scratch,
                     ),
                 };
-                self.stats.passes += (out_r.passes as u64).saturating_sub(1);
+                self.charge(out, out_r.passes.saturating_sub(1));
                 if out_r.spurious {
                     self.stats.releases_spurious += 1;
                     return;
@@ -729,7 +725,7 @@ impl DataPlane {
     /// space` means q2 is (momentarily) empty; overflow mode ends when
     /// the forwarded/pushed counters agree, i.e. nothing is in flight.
     fn on_push(&mut self, lock: LockId, reqs: Box<[LockRequest]>, out: &mut ActionBuf) {
-        self.stats.passes += 1;
+        self.charge(out, 1);
         self.stats.pushes += 1;
         let Some(entry) = self.directory.get(lock) else {
             out.push(DpAction::Drop {
@@ -753,10 +749,10 @@ impl DataPlane {
         for req in reqs {
             let slot = Slot::from_request(&req);
             let outcome = match &mut self.engine {
-                Engine::Fcfs(q) => FcfsEngine::acquire(q, &mut self.passes, qid, slot),
+                Engine::Fcfs(q) => q.acquire(&mut self.passes, qid, slot),
                 Engine::Priority(e) => e.acquire(&mut self.passes, qid, slot).0,
             };
-            self.stats.passes += 1;
+            self.charge(out, 1);
             match outcome {
                 AcquireOutcome::Granted => {
                     self.stats.grants_immediate += 1;
@@ -799,7 +795,7 @@ impl DataPlane {
     /// The requests a promoted lock accumulated at its server arrive via
     /// CtrlPromoteReady and enter the fresh queue region in order.
     fn on_promote_ready(&mut self, lock: LockId, reqs: Box<[LockRequest]>, out: &mut ActionBuf) {
-        self.stats.passes += 1;
+        self.charge(out, 1);
         let Some(entry) = self.directory.get(lock) else {
             out.push(DpAction::Drop {
                 reason: DropReason::UnknownLock,
@@ -892,7 +888,7 @@ impl DataPlane {
     /// The backup reports `lock` drained: stop suppressing and grant
     /// the head run that accumulated.
     fn on_handback(&mut self, lock: LockId, out: &mut ActionBuf) {
-        self.stats.passes += 1;
+        self.charge(out, 1);
         let Some(entry) = self.directory.get(lock) else {
             return;
         };
@@ -907,8 +903,8 @@ impl DataPlane {
             return;
         };
         self.grant_scratch.clear();
-        let out_k = FcfsEngine::kickstart(q, &mut self.passes, qid, &mut self.grant_scratch);
-        self.stats.passes += (out_k.passes as u64).saturating_sub(1);
+        let out_k = q.kickstart(&mut self.passes, qid, &mut self.grant_scratch);
+        self.charge(out, out_k.passes.saturating_sub(1));
         self.stats.grants_on_release += self.grant_scratch.len() as u64;
         for s in &self.grant_scratch {
             Self::push_grant(&mut self.guard, out, qid, lock, s);

@@ -7,7 +7,7 @@
 //! stateful memory *with its constraints enforced* — one
 //! read-modify-write per register array per pipeline pass, ascending
 //! stage order — so the lock logic built on top
-//! ([`shared_queue`], [`engine`], [`priority`]) is structurally faithful
+//! ([`shared_queue`], [`priority`]) is structurally faithful
 //! to what compiles on the ASIC: circular queues over register arrays, a
 //! pooled shared queue spanning stages with runtime-adjustable per-lock
 //! regions, and Algorithm 2's resubmit-based grant/release cascade.
@@ -15,8 +15,8 @@
 //! Layers, bottom-up:
 //! - [`register`] — register arrays, passes, the access discipline
 //! - [`slot`] — the 20-byte queue slot (mode, txn, client IP, metadata)
-//! - [`shared_queue`] — pooled circular queues (Figure 5)
-//! - [`engine`] — the FCFS engine: Algorithm 2 (Figure 6 cases)
+//! - [`shared_queue`] — pooled circular queues (Figure 5) and the FCFS
+//!   engine over them: Algorithm 2 (Figure 6 cases)
 //! - [`priority`] — per-stage priority queues (§4.4)
 //! - [`meter`] — token-bucket tenant quotas (§4.4)
 //! - [`directory`] — the lock match-action table
@@ -41,7 +41,6 @@ pub mod analysis;
 pub mod control;
 pub mod dataplane;
 pub mod directory;
-pub mod engine;
 pub mod meter;
 pub mod node;
 pub mod partition;

@@ -25,9 +25,10 @@
 
 use netlock_proto::LockMode;
 
-use crate::engine::{AcquireOutcome, PassAllocator, ReleaseOutcome};
-use crate::register::RegisterArray;
-use crate::shared_queue::{DequeueOutcome, SharedQueue, SharedQueueLayout};
+use crate::register::{PassAllocator, RegisterArray};
+use crate::shared_queue::{
+    AcquireOutcome, DequeueOutcome, ReleaseOutcome, SharedQueue, SharedQueueLayout,
+};
 use crate::slot::Slot;
 
 /// Stage for the holders-shared register (after the level queues).

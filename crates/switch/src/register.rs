@@ -100,6 +100,37 @@ impl Pass {
     }
 }
 
+/// Hands out unique pipeline pass ids.
+#[derive(Debug, Default)]
+pub struct PassAllocator {
+    next: u64,
+    sink: Option<TraceSink>,
+}
+
+impl PassAllocator {
+    /// A fresh allocator.
+    pub fn new() -> PassAllocator {
+        PassAllocator::default()
+    }
+
+    /// Install (or remove) a trace sink; every pass handed out
+    /// afterwards records its register accesses into it.
+    pub fn set_trace_sink(&mut self, sink: Option<TraceSink>) {
+        self.sink = sink;
+    }
+
+    /// Begin a new pass at the given resubmit depth.
+    #[inline]
+    pub fn begin(&mut self, resubmit_depth: u32) -> Pass {
+        self.next += 1;
+        let mut pass = Pass::new(PassId(self.next), resubmit_depth);
+        if let Some(sink) = &self.sink {
+            pass.set_sink(sink.clone());
+        }
+        pass
+    }
+}
+
 /// A fixed-size array of registers in one pipeline stage.
 ///
 /// `T` stands in for the (possibly field-parallel) register cells of one

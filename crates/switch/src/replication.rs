@@ -352,12 +352,11 @@ impl ReplSwitch {
     /// its own credit as an unforced release would, and a sweep release
     /// of a holder whose grant is already spent still frees its slot.
     fn process(&mut self, op: NetLockMsg, stamp_ns: u64) -> u64 {
-        let before = self.dp.passes();
         match op {
             NetLockMsg::Release(rel) => self.dp.force_release(rel, stamp_ns, &mut self.actions),
             op => self.dp.process(op, stamp_ns, &mut self.actions),
         }
-        (self.dp.passes() - before).saturating_sub(1)
+        self.actions.resubmits()
     }
 
     /// Tail: cumulative apply-ack to every upstream member.

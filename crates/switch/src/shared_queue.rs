@@ -34,10 +34,28 @@
 //! the slot arrays follows the live requests, not the pool size.
 //! Invariant: **empty ⇒ head == 0**; a tail value means something only
 //! while `count > 0`.
+//!
+//! On top of the queue, [`SharedQueue::acquire`] and
+//! [`SharedQueue::release`] are the FCFS engine, Algorithm 2 of the
+//! paper, executed as the P4 program does with `resubmit`:
+//!
+//! - **acquire** — one pass: enqueue + grant check (lines 1–5).
+//! - **release** — one pass to dequeue the head (lines 7–12), then one
+//!   resubmitted pass to inspect the new head (lines 13–21), then — for
+//!   the exclusive→shared case — one further pass per additional shared
+//!   grant (lines 22–27, Figure 6).
+//!
+//! The FCFS engine never stores a "granted" bit; Algorithm 2's queue
+//! invariant (the queue is a granted prefix followed by ungranted
+//! requests, where a granted prefix of shared entries is only followed
+//! by an exclusive request) makes grant state derivable, and the
+//! property tests in this crate check the invariant against a reference
+//! model. The priority engine ([`crate::priority`]) builds on the same
+//! queue and outcomes but marks its holders.
 
 use netlock_proto::LockMode;
 
-use crate::register::{Pass, RegisterArray};
+use crate::register::{Pass, PassAllocator, RegisterArray};
 use crate::slot::Slot;
 
 /// On-chip bytes per queue slot (paper §5: "100K slots with 20B slot
@@ -91,16 +109,31 @@ impl SharedQueueLayout {
     }
 }
 
-/// Outcome of an acquire enqueue pass.
+/// Result of processing an acquire.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum EnqueueOutcome {
-    /// Request enqueued and immediately granted (queue was empty, or all
-    /// entries are shared and the request is shared).
+pub enum AcquireOutcome {
+    /// Lock granted immediately; notify the client.
     Granted,
-    /// Request enqueued behind incompatible entries; it waits.
+    /// Request queued; the grant will come on a later release.
     Queued,
-    /// Region full — the request must overflow to the lock server.
-    Full,
+    /// Queue region full; the request must overflow to the lock server.
+    Overflow,
+}
+
+/// Result of processing a release.
+///
+/// Granted slots are appended to a caller-owned buffer (in grant order)
+/// rather than returned here: the data plane reuses one buffer across
+/// packets so the hot path never allocates.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ReleaseOutcome {
+    /// True if the queue is now empty (triggers the q2 push protocol when
+    /// the lock is in overflow mode).
+    pub now_empty: bool,
+    /// True if the release found an empty queue (duplicate/stale).
+    pub spurious: bool,
+    /// Pipeline passes consumed (1 + resubmits).
+    pub passes: u32,
 }
 
 /// Detailed result of [`SharedQueue::enqueue_deciding`].
@@ -229,24 +262,128 @@ impl SharedQueue {
         (i, (global - self.prefix[i]) as usize)
     }
 
-    /// Data-plane pass: enqueue an acquire request into region `qid`.
-    ///
-    /// Performs Algorithm 2 lines 1–5 in one pipeline pass: conditional
-    /// enqueue + the grant check (`queue.is_empty()` via the count RMW,
-    /// `queue.is_shared()` via the excl RMW).
+    /// Process an acquire into region `qid` (Algorithm 2 lines 1–5):
+    /// one pipeline pass of conditional enqueue + the grant check
+    /// (`queue.is_empty()` via the count RMW, `queue.is_shared()` via the
+    /// excl RMW).
     #[inline]
-    pub fn enqueue(&mut self, pass: &mut Pass, qid: usize, slot: Slot) -> EnqueueOutcome {
+    pub fn acquire(
+        &mut self,
+        passes: &mut PassAllocator,
+        qid: usize,
+        slot: Slot,
+    ) -> AcquireOutcome {
+        let mut pass = passes.begin(0);
         let mode = slot.mode;
-        let d = self.enqueue_deciding(pass, qid, slot, false, |count_old, excl_old| {
+        let d = self.enqueue_deciding(&mut pass, qid, slot, false, |count_old, excl_old| {
             count_old == 0 || (excl_old == 0 && mode == LockMode::Shared)
         });
         if d.full {
-            EnqueueOutcome::Full
+            AcquireOutcome::Overflow
         } else if d.granted {
-            EnqueueOutcome::Granted
+            AcquireOutcome::Granted
         } else {
-            EnqueueOutcome::Queued
+            AcquireOutcome::Queued
         }
+    }
+
+    /// Process a release of region `qid` (Algorithm 2 lines 7–27).
+    ///
+    /// `released_mode` comes from the release packet header. Granted
+    /// slots are appended to `grants` in grant order; the caller owns
+    /// (and reuses) the buffer.
+    #[inline]
+    pub fn release(
+        &mut self,
+        passes: &mut PassAllocator,
+        qid: usize,
+        released_mode: LockMode,
+        grants: &mut Vec<Slot>,
+    ) -> ReleaseOutcome {
+        let mut out = ReleaseOutcome {
+            passes: 1,
+            ..ReleaseOutcome::default()
+        };
+        // Pass 0 (meta.flag == 0): dequeue the head.
+        let mut pass = passes.begin(0);
+        match self.release_dequeue(&mut pass, qid, released_mode) {
+            DequeueOutcome::Spurious => out.spurious = true,
+            DequeueOutcome::Dequeued { remaining: 0, .. } => out.now_empty = true,
+            // Pass 1 (meta.flag == 1) reads the new head via resubmit. A
+            // shared head behind a shared release was granted when it
+            // entered the queue; any other head is granted, with its
+            // shared run (meta.flag == 2 passes).
+            DequeueOutcome::Dequeued {
+                remaining,
+                new_head,
+            } => {
+                let held = released_mode == LockMode::Shared;
+                out.passes +=
+                    self.grant_head_run(passes, qid, new_head, remaining, 1, held, grants);
+            }
+        }
+        out
+    }
+
+    /// Grant the head run of a queue whose grants were suppressed
+    /// (handback from a backup switch, §4.5): the release's head-run
+    /// passes from resubmit depth 0, without dequeuing anything.
+    pub fn kickstart(
+        &mut self,
+        passes: &mut PassAllocator,
+        qid: usize,
+        grants: &mut Vec<Slot>,
+    ) -> ReleaseOutcome {
+        let view = self.cp_region(qid);
+        let read = self.grant_head_run(passes, qid, view.head, view.count, 0, false, grants);
+        ReleaseOutcome {
+            now_empty: view.count == 0,
+            spurious: false,
+            // The handback packet takes its one pass on an empty queue too.
+            passes: read.max(1),
+        }
+    }
+
+    /// Read the `count` entries from offset `head` on, one pass each
+    /// from resubmit depth `depth`, and grant the head run: nothing if
+    /// the head is shared and `shared_head_held`, else the head and,
+    /// behind a shared head, every shared entry up to the first
+    /// exclusive one, whose read ends the run. Returns the passes taken.
+    #[allow(clippy::too_many_arguments)]
+    fn grant_head_run(
+        &mut self,
+        passes: &mut PassAllocator,
+        qid: usize,
+        head: u32,
+        count: u32,
+        depth: u32,
+        shared_head_held: bool,
+        grants: &mut Vec<Slot>,
+    ) -> u32 {
+        let mut ptr = head;
+        for read in 0..count {
+            if read > 0 {
+                ptr = self.next_offset(qid, ptr);
+            }
+            let mut pass = passes.begin(depth + read);
+            let s = self.read_at(&mut pass, qid, ptr);
+            debug_assert!(s.valid, "queue count and slot contents disagree");
+            // An exclusive head is a run of one; behind a shared head,
+            // only shared entries extend the run.
+            let shared = s.mode == LockMode::Shared;
+            let granted = if read == 0 {
+                !(shared && shared_head_held)
+            } else {
+                shared
+            };
+            if granted {
+                grants.push(s);
+            }
+            if !granted || !shared {
+                return read + 1;
+            }
+        }
+        count
     }
 
     /// Data-plane pass: enqueue with a caller-supplied grant decision.
@@ -493,19 +630,9 @@ impl SharedQueue {
         v
     }
 
-    /// On-chip memory consumed by this queue, in bytes, using the
-    /// paper's accounting (20 B per slot — §5's "100K slots with 20B
-    /// slot size only consume 2 MB" — plus the per-region metadata
-    /// registers).
-    pub fn cp_memory_bytes(&self) -> usize {
-        // bounds (8) + count/max/req (4+4+8) + head/tail/excl (4+4+4).
-        const META_BYTES_PER_REGION: usize = 36;
-        self.total_slots as usize * SLOT_BYTES + self.max_regions() * META_BYTES_PER_REGION
-    }
-
     /// Register every array of this queue into a static resource model
-    /// (cell widths use the paper's on-chip accounting, which is what
-    /// [`SharedQueue::cp_memory_bytes`] charges too).
+    /// (cell widths use the paper's on-chip accounting: §5's 20 B slot,
+    /// plus the per-region metadata registers).
     pub fn describe(&self, out: &mut crate::analysis::layout::ProgramLayout) {
         out.register_array(&self.bounds, 8);
         out.register_array(&self.count, 4);
@@ -541,7 +668,6 @@ impl SharedQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::register::PassId;
     use netlock_proto::{ClientAddr, Priority, TxnId};
 
     fn slot(mode: LockMode, txn: u64) -> Slot {
@@ -562,20 +688,12 @@ mod tests {
         q
     }
 
-    struct PassGen(u64);
-    impl PassGen {
-        fn next(&mut self) -> Pass {
-            self.0 += 1;
-            Pass::new(PassId(self.0), 0)
-        }
-    }
-
     #[test]
     fn empty_enqueue_grants() {
         let mut q = queue_with_region(4);
-        let mut pg = PassGen(0);
-        let out = q.enqueue(&mut pg.next(), 0, slot(LockMode::Exclusive, 1));
-        assert_eq!(out, EnqueueOutcome::Granted);
+        let mut pa = PassAllocator::new();
+        let out = q.acquire(&mut pa, 0, slot(LockMode::Exclusive, 1));
+        assert_eq!(out, AcquireOutcome::Granted);
         assert_eq!(q.cp_region(0).count, 1);
         assert_eq!(q.cp_region(0).excl, 1);
     }
@@ -583,10 +701,10 @@ mod tests {
     #[test]
     fn shared_run_grants_all() {
         let mut q = queue_with_region(4);
-        let mut pg = PassGen(0);
+        let mut pa = PassAllocator::new();
         for i in 0..3 {
-            let out = q.enqueue(&mut pg.next(), 0, slot(LockMode::Shared, i));
-            assert_eq!(out, EnqueueOutcome::Granted, "shared req {i}");
+            let out = q.acquire(&mut pa, 0, slot(LockMode::Shared, i));
+            assert_eq!(out, AcquireOutcome::Granted, "shared req {i}");
         }
         assert_eq!(q.cp_region(0).count, 3);
         assert_eq!(q.cp_region(0).excl, 0);
@@ -595,32 +713,32 @@ mod tests {
     #[test]
     fn exclusive_behind_shared_queues() {
         let mut q = queue_with_region(4);
-        let mut pg = PassGen(0);
+        let mut pa = PassAllocator::new();
         assert_eq!(
-            q.enqueue(&mut pg.next(), 0, slot(LockMode::Shared, 1)),
-            EnqueueOutcome::Granted
+            q.acquire(&mut pa, 0, slot(LockMode::Shared, 1)),
+            AcquireOutcome::Granted
         );
         assert_eq!(
-            q.enqueue(&mut pg.next(), 0, slot(LockMode::Exclusive, 2)),
-            EnqueueOutcome::Queued
+            q.acquire(&mut pa, 0, slot(LockMode::Exclusive, 2)),
+            AcquireOutcome::Queued
         );
         // Shared after a queued exclusive must wait (FCFS, no starvation).
         assert_eq!(
-            q.enqueue(&mut pg.next(), 0, slot(LockMode::Shared, 3)),
-            EnqueueOutcome::Queued
+            q.acquire(&mut pa, 0, slot(LockMode::Shared, 3)),
+            AcquireOutcome::Queued
         );
     }
 
     #[test]
     fn full_region_overflows_without_corruption() {
         let mut q = queue_with_region(2);
-        let mut pg = PassGen(0);
-        q.enqueue(&mut pg.next(), 0, slot(LockMode::Exclusive, 1));
-        q.enqueue(&mut pg.next(), 0, slot(LockMode::Exclusive, 2));
+        let mut pa = PassAllocator::new();
+        q.acquire(&mut pa, 0, slot(LockMode::Exclusive, 1));
+        q.acquire(&mut pa, 0, slot(LockMode::Exclusive, 2));
         let before = q.cp_region(0);
         assert_eq!(
-            q.enqueue(&mut pg.next(), 0, slot(LockMode::Exclusive, 3)),
-            EnqueueOutcome::Full
+            q.acquire(&mut pa, 0, slot(LockMode::Exclusive, 3)),
+            AcquireOutcome::Overflow
         );
         let after = q.cp_region(0);
         assert_eq!(before, after, "overflow must not mutate the region");
@@ -631,12 +749,12 @@ mod tests {
     #[test]
     fn release_dequeues_fifo_and_wraps() {
         let mut q = queue_with_region(3);
-        let mut pg = PassGen(0);
+        let mut pa = PassAllocator::new();
         for i in 0..3 {
-            q.enqueue(&mut pg.next(), 0, slot(LockMode::Exclusive, i));
+            q.acquire(&mut pa, 0, slot(LockMode::Exclusive, i));
         }
         // Release #0 → new head is entry #1.
-        let out = q.release_dequeue(&mut pg.next(), 0, LockMode::Exclusive);
+        let out = q.release_dequeue(&mut pa.begin(0), 0, LockMode::Exclusive);
         let DequeueOutcome::Dequeued {
             remaining,
             new_head,
@@ -645,12 +763,12 @@ mod tests {
             panic!("expected dequeue");
         };
         assert_eq!(remaining, 2);
-        let head = q.read_at(&mut pg.next(), 0, new_head);
+        let head = q.read_at(&mut pa.begin(0), 0, new_head);
         assert_eq!(head.txn, TxnId(1));
         // Enqueue another: tail wraps to offset 0.
         assert_eq!(
-            q.enqueue(&mut pg.next(), 0, slot(LockMode::Exclusive, 3)),
-            EnqueueOutcome::Queued
+            q.acquire(&mut pa, 0, slot(LockMode::Exclusive, 3)),
+            AcquireOutcome::Queued
         );
         let entries = q.cp_entries(0);
         let txns: Vec<u64> = entries.iter().map(|s| s.txn.0).collect();
@@ -660,15 +778,15 @@ mod tests {
     #[test]
     fn spurious_release_on_empty() {
         let mut q = queue_with_region(3);
-        let mut pg = PassGen(0);
+        let mut pa = PassAllocator::new();
         assert_eq!(
-            q.release_dequeue(&mut pg.next(), 0, LockMode::Shared),
+            q.release_dequeue(&mut pa.begin(0), 0, LockMode::Shared),
             DequeueOutcome::Spurious
         );
         // Zero-capacity region is also spurious, not a panic.
         let mut q2 = SharedQueue::new(&SharedQueueLayout::small(1, 4, 2));
         assert_eq!(
-            q2.release_dequeue(&mut pg.next(), 1, LockMode::Shared),
+            q2.release_dequeue(&mut pa.begin(0), 1, LockMode::Shared),
             DequeueOutcome::Spurious
         );
     }
@@ -676,19 +794,19 @@ mod tests {
     #[test]
     fn excl_counter_tracks_queue_content() {
         let mut q = queue_with_region(4);
-        let mut pg = PassGen(0);
-        q.enqueue(&mut pg.next(), 0, slot(LockMode::Exclusive, 1));
-        q.enqueue(&mut pg.next(), 0, slot(LockMode::Exclusive, 2));
-        q.enqueue(&mut pg.next(), 0, slot(LockMode::Shared, 3));
+        let mut pa = PassAllocator::new();
+        q.acquire(&mut pa, 0, slot(LockMode::Exclusive, 1));
+        q.acquire(&mut pa, 0, slot(LockMode::Exclusive, 2));
+        q.acquire(&mut pa, 0, slot(LockMode::Shared, 3));
         assert_eq!(q.cp_region(0).excl, 2);
-        q.release_dequeue(&mut pg.next(), 0, LockMode::Exclusive);
+        q.release_dequeue(&mut pa.begin(0), 0, LockMode::Exclusive);
         assert_eq!(q.cp_region(0).excl, 1);
-        q.release_dequeue(&mut pg.next(), 0, LockMode::Exclusive);
+        q.release_dequeue(&mut pa.begin(0), 0, LockMode::Exclusive);
         assert_eq!(q.cp_region(0).excl, 0);
         // Now only the shared entry remains; a shared enqueue grants.
         assert_eq!(
-            q.enqueue(&mut pg.next(), 0, slot(LockMode::Shared, 4)),
-            EnqueueOutcome::Granted
+            q.acquire(&mut pa, 0, slot(LockMode::Shared, 4)),
+            AcquireOutcome::Granted
         );
     }
 
@@ -697,26 +815,26 @@ mod tests {
         // 2 arrays of 8: a region [6, 12) crosses the array boundary.
         let mut q = SharedQueue::new(&SharedQueueLayout::small(2, 8, 4));
         q.cp_set_region(1, 6, 12);
-        let mut pg = PassGen(0);
+        let mut pa = PassAllocator::new();
         for i in 0..6 {
-            q.enqueue(&mut pg.next(), 1, slot(LockMode::Exclusive, i));
+            q.acquire(&mut pa, 1, slot(LockMode::Exclusive, i));
         }
         let txns: Vec<u64> = q.cp_entries(1).iter().map(|s| s.txn.0).collect();
         assert_eq!(txns, vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(
-            q.enqueue(&mut pg.next(), 1, slot(LockMode::Exclusive, 9)),
-            EnqueueOutcome::Full
+            q.acquire(&mut pa, 1, slot(LockMode::Exclusive, 9)),
+            AcquireOutcome::Overflow
         );
     }
 
     #[test]
     fn max_count_high_water_mark() {
         let mut q = queue_with_region(4);
-        let mut pg = PassGen(0);
+        let mut pa = PassAllocator::new();
         for i in 0..3 {
-            q.enqueue(&mut pg.next(), 0, slot(LockMode::Exclusive, i));
+            q.acquire(&mut pa, 0, slot(LockMode::Exclusive, i));
         }
-        q.release_dequeue(&mut pg.next(), 0, LockMode::Exclusive);
+        q.release_dequeue(&mut pa.begin(0), 0, LockMode::Exclusive);
         assert_eq!(q.cp_take_max_count(0), 3);
         // Taking resets the mark.
         assert_eq!(q.cp_take_max_count(0), 0);
@@ -726,16 +844,16 @@ mod tests {
     #[should_panic(expected = "non-empty queue region")]
     fn resize_of_nonempty_region_panics() {
         let mut q = queue_with_region(4);
-        let mut pg = PassGen(0);
-        q.enqueue(&mut pg.next(), 0, slot(LockMode::Shared, 1));
+        let mut pa = PassAllocator::new();
+        q.acquire(&mut pa, 0, slot(LockMode::Shared, 1));
         q.cp_set_region(0, 0, 8);
     }
 
     #[test]
     fn reset_all_clears_state() {
         let mut q = queue_with_region(4);
-        let mut pg = PassGen(0);
-        q.enqueue(&mut pg.next(), 0, slot(LockMode::Exclusive, 1));
+        let mut pa = PassAllocator::new();
+        q.acquire(&mut pa, 0, slot(LockMode::Exclusive, 1));
         q.cp_reset_all();
         let v = q.cp_region(0);
         assert_eq!(v.count, 0);
@@ -745,11 +863,11 @@ mod tests {
 
     #[test]
     fn drained_region_restarts_at_its_first_slot() {
-        let mut pg = PassGen(0);
+        let mut pa = PassAllocator::new();
         // Offsets of a 16-slot region that a slot read finds non-empty.
-        let written = |q: &mut SharedQueue, pg: &mut PassGen| -> Vec<u32> {
+        let written = |q: &mut SharedQueue, pa: &mut PassAllocator| -> Vec<u32> {
             (0..16)
-                .filter(|&off| q.read_at(&mut pg.next(), 0, off) != Slot::EMPTY)
+                .filter(|&off| q.read_at(&mut pa.begin(0), 0, off) != Slot::EMPTY)
                 .collect()
         };
         for occupancy in [1u32, 2] {
@@ -758,13 +876,13 @@ mod tests {
             for cycle in 0..100u64 {
                 let first = cycle * 10;
                 for i in 0..occupancy {
-                    q.enqueue(&mut pg.next(), 0, slot(LockMode::Shared, first + i as u64));
+                    q.acquire(&mut pa, 0, slot(LockMode::Shared, first + i as u64));
                 }
                 let txns: Vec<u64> = q.cp_entries(0).iter().map(|s| s.txn.0).collect();
                 let want: Vec<u64> = (0..occupancy as u64).map(|i| first + i).collect();
                 assert_eq!(txns, want, "occupancy {occupancy}, cycle {cycle}");
                 for left in (0..occupancy).rev() {
-                    let out = q.release_dequeue(&mut pg.next(), 0, LockMode::Shared);
+                    let out = q.release_dequeue(&mut pa.begin(0), 0, LockMode::Shared);
                     let DequeueOutcome::Dequeued {
                         remaining,
                         new_head,
@@ -780,7 +898,7 @@ mod tests {
                 assert_eq!(q.cp_region(0).head, 0, "empty ⇒ head == 0");
             }
             let want: Vec<u32> = (0..occupancy).collect();
-            assert_eq!(written(&mut q, &mut pg), want, "occupancy {occupancy}");
+            assert_eq!(written(&mut q, &mut pa), want, "occupancy {occupancy}");
         }
     }
 
@@ -788,18 +906,18 @@ mod tests {
     fn order_across_wrap_and_drain_matches_a_fifo() {
         use std::collections::VecDeque;
         let mut q = queue_with_region(3);
-        let mut pg = PassGen(0);
+        let mut pa = PassAllocator::new();
         let mut model = VecDeque::new();
         // A fixed walk that fills, wraps, drains to empty mid-ring and
         // refills: enqueue on 'e', release on 'r'.
         let script = "eer eer rr eee r e rrr e r ee rr eee rrr";
         for (txn, op) in script.chars().filter(|c| *c != ' ').enumerate() {
             if op == 'e' {
-                let out = q.enqueue(&mut pg.next(), 0, slot(LockMode::Exclusive, txn as u64));
-                assert_ne!(out, EnqueueOutcome::Full, "script never overfills");
+                let out = q.acquire(&mut pa, 0, slot(LockMode::Exclusive, txn as u64));
+                assert_ne!(out, AcquireOutcome::Overflow, "script never overfills");
                 model.push_back(txn as u64);
             } else {
-                q.release_dequeue(&mut pg.next(), 0, LockMode::Exclusive);
+                q.release_dequeue(&mut pa.begin(0), 0, LockMode::Exclusive);
                 model.pop_front();
             }
             let txns: Vec<u64> = q.cp_entries(0).iter().map(|s| s.txn.0).collect();
@@ -856,11 +974,10 @@ mod tests {
         let (Engine::Fcfs(lazy_q), Engine::Fcfs(eager_q)) = (dp.engine(), eager.engine()) else {
             unreachable!()
         };
-        assert_eq!(lazy_q.cp_memory_bytes(), eager_q.cp_memory_bytes());
         let described = |q: &SharedQueue| {
             let mut out = crate::analysis::layout::ProgramLayout::new();
             q.describe(&mut out);
-            out.stage_usage()
+            (out.total_bytes(), out.stage_usage())
         };
         assert_eq!(described(lazy_q), described(eager_q));
         assert_eq!(dp.layout().stage_usage(), eager.layout().stage_usage());
@@ -881,12 +998,12 @@ mod tests {
     #[test]
     fn read_and_mark_granted_sets_bit() {
         let mut q = queue_with_region(4);
-        let mut pg = PassGen(0);
+        let mut pa = PassAllocator::new();
         let mut req = slot(LockMode::Exclusive, 1);
         req.issued_at_ns = 7;
-        q.enqueue(&mut pg.next(), 0, req);
+        q.acquire(&mut pa, 0, req);
         let v = q.cp_region(0);
-        let s = q.read_and_mark_granted(&mut pg.next(), 0, v.head, 42);
+        let s = q.read_and_mark_granted(&mut pa.begin(0), 0, v.head, 42);
         assert!(s.granted, "the returned copy is marked granted");
         // The grant message is built from the returned copy: it keeps
         // the issue time, while the stored cell's lease runs from 42.
@@ -894,5 +1011,167 @@ mod tests {
         let entries = q.cp_entries(0);
         assert!(entries[0].granted);
         assert_eq!(entries[0].issued_at_ns, 42);
+    }
+
+    fn txns(grants: &[Slot]) -> Vec<u64> {
+        grants.iter().map(|s| s.txn.0).collect()
+    }
+
+    /// Test shim: collect grants into a fresh buffer per call.
+    fn release(
+        q: &mut SharedQueue,
+        pa: &mut PassAllocator,
+        mode: LockMode,
+    ) -> (ReleaseOutcome, Vec<Slot>) {
+        let mut grants = Vec::new();
+        let out = q.release(pa, 0, mode, &mut grants);
+        (out, grants)
+    }
+
+    fn kickstart(q: &mut SharedQueue, pa: &mut PassAllocator) -> (ReleaseOutcome, Vec<Slot>) {
+        let mut grants = Vec::new();
+        let out = q.kickstart(pa, 0, &mut grants);
+        (out, grants)
+    }
+
+    #[test]
+    fn shared_to_shared_no_grant() {
+        let (mut q, mut pa) = (queue_with_region(8), PassAllocator::new());
+        assert_eq!(
+            q.acquire(&mut pa, 0, slot(LockMode::Shared, 1)),
+            AcquireOutcome::Granted
+        );
+        assert_eq!(
+            q.acquire(&mut pa, 0, slot(LockMode::Shared, 2)),
+            AcquireOutcome::Granted
+        );
+        let (out, grants) = release(&mut q, &mut pa, LockMode::Shared);
+        assert!(grants.is_empty(), "S→S must not re-grant");
+        assert!(!out.now_empty);
+        assert_eq!(out.passes, 2);
+    }
+
+    #[test]
+    fn shared_to_exclusive_grants_head() {
+        let (mut q, mut pa) = (queue_with_region(8), PassAllocator::new());
+        q.acquire(&mut pa, 0, slot(LockMode::Shared, 1));
+        assert_eq!(
+            q.acquire(&mut pa, 0, slot(LockMode::Exclusive, 2)),
+            AcquireOutcome::Queued
+        );
+        let (_out, grants) = release(&mut q, &mut pa, LockMode::Shared);
+        assert_eq!(txns(&grants), vec![2]);
+    }
+
+    #[test]
+    fn exclusive_to_exclusive_grants_one() {
+        let (mut q, mut pa) = (queue_with_region(8), PassAllocator::new());
+        q.acquire(&mut pa, 0, slot(LockMode::Exclusive, 1));
+        q.acquire(&mut pa, 0, slot(LockMode::Exclusive, 2));
+        q.acquire(&mut pa, 0, slot(LockMode::Exclusive, 3));
+        let (out, grants) = release(&mut q, &mut pa, LockMode::Exclusive);
+        assert_eq!(txns(&grants), vec![2]);
+        assert_eq!(out.passes, 2, "E→E needs exactly one resubmit");
+    }
+
+    #[test]
+    fn exclusive_to_shared_cascades() {
+        let (mut q, mut pa) = (queue_with_region(8), PassAllocator::new());
+        q.acquire(&mut pa, 0, slot(LockMode::Exclusive, 1));
+        for i in 2..=4 {
+            assert_eq!(
+                q.acquire(&mut pa, 0, slot(LockMode::Shared, i)),
+                AcquireOutcome::Queued
+            );
+        }
+        q.acquire(&mut pa, 0, slot(LockMode::Exclusive, 5));
+        let (out, grants) = release(&mut q, &mut pa, LockMode::Exclusive);
+        assert_eq!(txns(&grants), vec![2, 3, 4], "cascade stops at X");
+        // passes: dequeue + head read + 2 extra shared reads + stop-read at X
+        assert_eq!(out.passes, 5);
+    }
+
+    #[test]
+    fn cascade_stops_at_queue_end() {
+        let (mut q, mut pa) = (queue_with_region(8), PassAllocator::new());
+        q.acquire(&mut pa, 0, slot(LockMode::Exclusive, 1));
+        q.acquire(&mut pa, 0, slot(LockMode::Shared, 2));
+        q.acquire(&mut pa, 0, slot(LockMode::Shared, 3));
+        let (out, grants) = release(&mut q, &mut pa, LockMode::Exclusive);
+        assert_eq!(txns(&grants), vec![2, 3]);
+        // passes: dequeue + head read + one shared read; no stop-read
+        // past the last entry.
+        assert_eq!(out.passes, 3);
+    }
+
+    #[test]
+    fn release_to_empty_sets_flag() {
+        let (mut q, mut pa) = (queue_with_region(8), PassAllocator::new());
+        q.acquire(&mut pa, 0, slot(LockMode::Exclusive, 1));
+        let (out, grants) = release(&mut q, &mut pa, LockMode::Exclusive);
+        assert!(out.now_empty);
+        assert!(grants.is_empty());
+        assert_eq!(out.passes, 1, "empty queue needs no resubmit");
+    }
+
+    #[test]
+    fn spurious_release_flagged() {
+        let (mut q, mut pa) = (queue_with_region(8), PassAllocator::new());
+        let (out, _grants) = release(&mut q, &mut pa, LockMode::Shared);
+        assert!(out.spurious);
+    }
+
+    #[test]
+    fn kickstart_grants_suppressed_head_run() {
+        let (mut q, mut pa) = (queue_with_region(8), PassAllocator::new());
+        // Enqueue ungranted entries (suppressed mode: decide = false).
+        for (i, mode) in [LockMode::Shared, LockMode::Shared, LockMode::Exclusive]
+            .iter()
+            .enumerate()
+        {
+            let mut pass = pa.begin(0);
+            q.enqueue_deciding(&mut pass, 0, slot(*mode, i as u64 + 1), false, |_, _| false);
+        }
+        let (out, grants) = kickstart(&mut q, &mut pa);
+        assert_eq!(txns(&grants), vec![1, 2], "shared head run granted");
+        // passes: head read + one shared read + stop-read at X.
+        assert_eq!(out.passes, 3);
+        // An exclusive head grants exactly one.
+        let (mut q2, mut pa2) = (queue_with_region(8), PassAllocator::new());
+        let mut pass = pa2.begin(0);
+        q2.enqueue_deciding(&mut pass, 0, slot(LockMode::Exclusive, 9), false, |_, _| {
+            false
+        });
+        let (out, grants) = kickstart(&mut q2, &mut pa2);
+        assert_eq!(txns(&grants), vec![9]);
+        assert_eq!(out.passes, 1, "an exclusive head needs no resubmit");
+        // An empty queue reports empty.
+        let (mut q3, mut pa3) = (queue_with_region(8), PassAllocator::new());
+        let (out, grants) = kickstart(&mut q3, &mut pa3);
+        assert!(out.now_empty && grants.is_empty());
+        assert_eq!(out.passes, 1);
+    }
+
+    #[test]
+    fn interleaved_modes_serialize_correctly() {
+        // [S1 S2] granted; X3 queued; S4 queued (behind X3).
+        let (mut q, mut pa) = (queue_with_region(8), PassAllocator::new());
+        q.acquire(&mut pa, 0, slot(LockMode::Shared, 1));
+        q.acquire(&mut pa, 0, slot(LockMode::Shared, 2));
+        q.acquire(&mut pa, 0, slot(LockMode::Exclusive, 3));
+        q.acquire(&mut pa, 0, slot(LockMode::Shared, 4));
+
+        // S1 releases: head S2 already granted → no grants.
+        let (_out, grants) = release(&mut q, &mut pa, LockMode::Shared);
+        assert!(grants.is_empty());
+        // S2 releases: head X3 → grant X3.
+        let (_out, grants) = release(&mut q, &mut pa, LockMode::Shared);
+        assert_eq!(txns(&grants), vec![3]);
+        // X3 releases: cascade grants S4.
+        let (_out, grants) = release(&mut q, &mut pa, LockMode::Exclusive);
+        assert_eq!(txns(&grants), vec![4]);
+        // S4 releases: empty.
+        let (out, _grants) = release(&mut q, &mut pa, LockMode::Shared);
+        assert!(out.now_empty);
     }
 }

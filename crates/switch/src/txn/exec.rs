@@ -19,7 +19,7 @@
 
 use crate::analysis::layout::TofinoBudget;
 use crate::analysis::trace::TraceSink;
-use crate::engine::PassAllocator;
+use crate::register::PassAllocator;
 use crate::register::RegisterArray;
 
 use super::ir::{rmw_apply, Export, StepOp, TxnAction, TxnProgram};

@@ -2,7 +2,7 @@
 //!
 //! [`fcfs_enqueue_program`] is Algorithm 2 lines 1–5 — the same
 //! conditional enqueue + grant decision that
-//! [`crate::shared_queue::SharedQueue::enqueue`] hand-writes against
+//! [`crate::shared_queue::SharedQueue::acquire`] hand-writes against
 //! `RegisterArray` — written declaratively, one region with capacity
 //! `cap`. The verifier assigns it 4 pipeline stages in a single pass,
 //! matching the hand-written layout's structure (metadata counters

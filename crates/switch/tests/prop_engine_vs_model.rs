@@ -12,8 +12,8 @@ use proptest::prelude::*;
 
 use netlock_proto::{ClientAddr, LockId, LockMode, LockRequest, Priority, TenantId, TxnId};
 use netlock_server::{LockTable, TableAcquire};
-use netlock_switch::engine::{AcquireOutcome, FcfsEngine, PassAllocator};
-use netlock_switch::shared_queue::{SharedQueue, SharedQueueLayout};
+use netlock_switch::register::PassAllocator;
+use netlock_switch::shared_queue::{AcquireOutcome, SharedQueue, SharedQueueLayout};
 use netlock_switch::slot::Slot;
 
 /// A step of the generated workload.
@@ -140,12 +140,9 @@ impl Harness {
         let txn = self.next_txn;
         self.next_txn += 1;
         let r = req(lock, mode, txn);
-        let engine_out = FcfsEngine::acquire(
-            &mut self.queue,
-            &mut self.passes,
-            lock as usize,
-            Slot::from_request(&r),
-        );
+        let engine_out =
+            self.queue
+                .acquire(&mut self.passes, lock as usize, Slot::from_request(&r));
         let model_out = self.model.acquire(r);
         match (engine_out, model_out) {
             (AcquireOutcome::Granted, TableAcquire::Granted) => {
@@ -185,13 +182,9 @@ impl Harness {
             })
             .expect("model must agree the txn holds the lock");
         let mut grants = Vec::new();
-        let engine_out = FcfsEngine::release(
-            &mut self.queue,
-            &mut self.passes,
-            lock as usize,
-            mode,
-            &mut grants,
-        );
+        let engine_out = self
+            .queue
+            .release(&mut self.passes, lock as usize, mode, &mut grants);
         assert!(!engine_out.spurious, "engine lost a holder");
         let mut model_granted = Vec::new();
         self.model

@@ -6,8 +6,9 @@
 use proptest::prelude::*;
 
 use netlock_proto::{ClientAddr, LockMode, Priority, TxnId};
-use netlock_switch::engine::{AcquireOutcome, PassAllocator};
 use netlock_switch::priority::{PriorityEngine, PriorityLayout};
+use netlock_switch::register::PassAllocator;
+use netlock_switch::shared_queue::AcquireOutcome;
 use netlock_switch::slot::Slot;
 
 #[derive(Clone, Debug)]

@@ -367,9 +367,11 @@ fn steady_state_memory_is_flat() {
 /// small portion of the tens of MB on-chip memory".
 #[test]
 fn memory_footprint_matches_paper() {
-    use netlock_switch::shared_queue::{SharedQueue, SharedQueueLayout};
-    let q = SharedQueue::new(&SharedQueueLayout::paper_default());
-    let bytes = q.cp_memory_bytes();
+    use netlock_switch::shared_queue::SharedQueueLayout;
+    use netlock_switch::DataPlane;
+    let bytes = DataPlane::new_fcfs(&SharedQueueLayout::paper_default())
+        .layout()
+        .total_bytes();
     // 100K × 20 B = 2 MB of slots (+ region metadata).
     assert!(
         (2_000_000..2_500_000).contains(&bytes),

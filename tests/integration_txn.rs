@@ -5,7 +5,7 @@
 //! hand-written data plane (`integration_alloc.rs`).
 //!
 //! The queue differential drives identical shared/exclusive request
-//! sequences through `SharedQueue::enqueue` and the lowered
+//! sequences through `SharedQueue::acquire` and the lowered
 //! `TxnProgram`, then compares per-request outcomes (grant / queue /
 //! full) and the final register state: occupancy, exclusive count,
 //! arrival counter, tail position, and the per-slot modes.
@@ -14,8 +14,8 @@ use netlock_bench::{allocation_count, CountingAlloc};
 use netlock_proto::{ClientAddr, LockMode, Priority, TxnId};
 use netlock_switch::analysis::layout::TofinoBudget;
 use netlock_switch::control::{apply_allocation, knapsack_allocate, LockStats};
-use netlock_switch::engine::PassAllocator;
-use netlock_switch::shared_queue::{EnqueueOutcome, SharedQueue, SharedQueueLayout};
+use netlock_switch::register::PassAllocator;
+use netlock_switch::shared_queue::{AcquireOutcome, SharedQueue, SharedQueueLayout};
 use netlock_switch::slot::Slot;
 use netlock_switch::txn::netlock::{
     fcfs_enqueue_program, ARR_COUNT, ARR_EXCL, ARR_REQ_COUNT, ARR_SLOTS, ARR_TAIL, EMIT_FULL,
@@ -40,12 +40,12 @@ fn slot_for(mode: LockMode, txn: u64) -> Slot {
     }
 }
 
-fn outcome_of(actions: &[TxnAction]) -> EnqueueOutcome {
+fn outcome_of(actions: &[TxnAction]) -> AcquireOutcome {
     assert_eq!(actions.len(), 1, "program must emit exactly one verdict");
     match actions[0].kind {
-        EMIT_GRANTED => EnqueueOutcome::Granted,
-        EMIT_QUEUED => EnqueueOutcome::Queued,
-        EMIT_FULL => EnqueueOutcome::Full,
+        EMIT_GRANTED => AcquireOutcome::Granted,
+        EMIT_QUEUED => AcquireOutcome::Queued,
+        EMIT_FULL => AcquireOutcome::Overflow,
         other => panic!("unexpected emit kind {other}"),
     }
 }
@@ -72,8 +72,7 @@ fn txn_program_matches_shared_queue_admission() {
                 } else {
                     LockMode::Shared
                 };
-                let mut pass = passes.begin(0);
-                let real = queue.enqueue(&mut pass, 0, slot_for(mode, txn));
+                let real = queue.acquire(&mut passes, 0, slot_for(mode, txn));
                 actions.clear();
                 let is_excl = u64::from(mode == LockMode::Exclusive);
                 lowered.run(&[is_excl], &mut actions);

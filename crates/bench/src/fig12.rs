@@ -69,13 +69,8 @@ pub fn run_differentiation(
         engine: EngineSpec::Priority(PriorityLayout::new(2, 64, 128)),
         ..Default::default()
     });
+    // Hot locks in the switch; cold ones default-route to the servers.
     rack.program_priority(&hot_locks());
-    // Default-route cold locks to the servers.
-    let n_servers = rack.lock_servers.len();
-    let switch = rack.switch;
-    rack.sim.with_node::<SwitchNode, _>(switch, |s| {
-        s.dataplane_mut().set_default_servers(n_servers);
-    });
     // Tenant 1: low priority (level 1 when differentiating).
     let low_prio = if differentiate {
         Priority(1)

@@ -33,7 +33,7 @@ use netlock_proto::{LockId, LockMode, NetLockMsg};
 use netlock_sim::{
     FaultAction, FaultPlan, NodeId, SimDuration, SimRng, SimTime, Simulator, TapEvent,
 };
-use netlock_switch::control::{apply_allocation, knapsack_allocate, Allocation, LockStats};
+use netlock_switch::control::{knapsack_allocate, Allocation, LockStats};
 use netlock_switch::partition::{partition_locks, PartitionMap};
 use netlock_switch::shared_queue::SharedQueueLayout;
 use netlock_switch::{ChainController, DataPlane, ReplConfig, ReplSwitch};
@@ -153,11 +153,10 @@ impl FailoverCluster {
         for (p, chain) in chains.iter().enumerate() {
             let alloc = partition_allocation(p as u16);
             for (m, &want) in chain.iter().enumerate() {
-                let mut dp = DataPlane::new_fcfs(&SharedQueueLayout::small(2, 64, 16));
-                apply_allocation(&mut dp, &alloc);
+                let dp = DataPlane::new_fcfs(&SharedQueueLayout::small(2, 64, 16));
                 let id = sim.add_node(Box::new(ReplSwitch::new(
                     dp,
-                    alloc.clone(),
+                    &alloc,
                     ReplConfig {
                         partition: p as u16,
                         member: m as u16,

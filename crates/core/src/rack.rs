@@ -203,15 +203,14 @@ impl RackNodes {
         }
     }
 
-    /// Program the priority engine's directory: lock → sequential qid.
+    /// Program the priority engine's directory: lock → sequential qid,
+    /// home server 0 (see [`RackNodes::program`]).
     pub fn program_priority(&self, sim: &mut Simulator<NetLockMsg>, locks: &[LockId]) {
-        sim.with_node::<SwitchNode, _>(self.switch, |s| {
-            for (qid, &lock) in locks.iter().enumerate() {
-                s.dataplane_mut()
-                    .directory_mut()
-                    .set_switch_resident(lock, qid, 0);
-            }
-        });
+        let alloc = Allocation {
+            in_switch: locks.iter().map(|&lock| (lock, 0, 0)).collect(),
+            in_server: Vec::new(),
+        };
+        self.program(sim, &alloc);
     }
 }
 

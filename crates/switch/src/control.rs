@@ -62,6 +62,19 @@ pub struct Allocation {
 }
 
 impl Allocation {
+    /// Record a completed migration of `lock`: into a `slots`-slot
+    /// switch queue (`Some`, an installed promotion) or back to its home
+    /// server (`None`, a completed demotion). The lock leaves whichever
+    /// list held it and joins the end of the other.
+    pub fn migrate(&mut self, lock: LockId, slots: Option<u32>, home: usize) {
+        self.in_switch.retain(|&(l, ..)| l != lock);
+        self.in_server.retain(|&(l, _)| l != lock);
+        match slots {
+            Some(slots) => self.in_switch.push((lock, slots, home)),
+            None => self.in_server.push((lock, home)),
+        }
+    }
+
     /// Total switch slots consumed.
     pub fn slots_used(&self) -> u32 {
         self.in_switch.iter().map(|&(_, s, _)| s).sum()
@@ -152,24 +165,22 @@ pub fn random_allocate(stats: &[LockStats], capacity: u32, seed: u64) -> Allocat
     alloc
 }
 
-/// Program an allocation into an **empty** FCFS data plane: regions are
-/// laid out contiguously from slot 0 (no fragmentation — this is the
-/// "periodic reorganization" §4.3 describes, applied at install time).
+/// Program an allocation into an **empty** data plane. Switch lock `i`
+/// gets queue `i`. The FCFS engine's regions are laid out contiguously
+/// from slot 0 (no fragmentation — this is the "periodic
+/// reorganization" §4.3 describes, applied at install time); the
+/// priority engine's are fixed, equal partitions, so `slots` is ignored.
 ///
 /// # Panics
-/// If the data plane is not FCFS, a region is non-empty, or the
-/// allocation exceeds pooled memory.
+/// If an FCFS region is non-empty or the allocation exceeds pooled
+/// memory.
 pub fn apply_allocation(dp: &mut DataPlane, alloc: &Allocation) {
-    let Engine::Fcfs(_) = dp.engine() else {
-        panic!("apply_allocation requires the FCFS engine");
-    };
     let mut cursor = 0u32;
     for (qid, &(lock, slots, home)) in alloc.in_switch.iter().enumerate() {
-        let Engine::Fcfs(q) = dp.engine_mut() else {
-            unreachable!()
-        };
-        q.cp_set_region(qid, cursor, cursor + slots);
-        cursor += slots;
+        if let Engine::Fcfs(q) = dp.engine_mut() {
+            q.cp_set_region(qid, cursor, cursor + slots);
+            cursor += slots;
+        }
         dp.directory_mut().set_switch_resident(lock, qid, home);
     }
     for &(lock, home) in &alloc.in_server {

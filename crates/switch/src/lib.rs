@@ -27,7 +27,14 @@
 //!   harvesting, migration planning, lease expiry (§4.3, §4.5)
 //! - [`release_guard`] — the per-region ledger of outstanding grants
 //!   that makes releases idempotent (not in the paper; see DESIGN.md)
-//! - [`node`] — the simulation node gluing it to `netlock-sim`
+//! - [`node`] — the switch driver (`SwitchCore`: data plane, program
+//!   copy reloaded on reboot, emitter, lease sweep, counters) gluing it
+//!   to `netlock-sim`, and the rack switch [`SwitchNode`] on top of it
+//! - [`partition`] — the lock-space split across chains and the
+//!   clients' head map
+//! - [`replication`] — a chain member [`ReplSwitch`] on the same
+//!   driver, and the [`ChainController`] that repairs chains (§4.5,
+//!   NetChain-style)
 //! - [`analysis`] — static feasibility checking: access-trace recording,
 //!   the Tofino resource model, and the exhaustive path explorer
 //! - [`txn`] — the packet-transaction IR: declarative per-packet
@@ -54,7 +61,7 @@ pub mod txn;
 
 pub use action_buf::{ActionBuf, ACTION_BUF_CAP};
 pub use dataplane::{DataPlane, DpAction, DpStats, DropReason, Engine};
-pub use node::{AutoRealloc, SwitchConfig, SwitchNode, SwitchNodeStats, PASS_LATENCY, TRAVERSAL};
+pub use node::{AutoRealloc, SwitchConfig, SwitchNode, SwitchStats, PASS_LATENCY, TRAVERSAL};
 pub use partition::PartitionMap;
 pub use release_guard::GrantLedger;
-pub use replication::{ChainController, ControllerStats, ReplConfig, ReplStats, ReplSwitch};
+pub use replication::{ChainController, ControllerStats, ReplConfig, ReplSwitch};

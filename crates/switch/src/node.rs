@@ -1,10 +1,12 @@
-//! The lock-switch simulation node.
+//! The lock-switch simulation nodes.
 //!
-//! Wraps the [`DataPlane`] state machine as a `netlock-sim` node: packets
-//! in, packets out, with the switch's traversal latency and per-resubmit
-//! cost charged on every emission. Also hosts the control-plane loop
-//! (lease sweeping, lock migration) that on hardware runs on the switch
-//! CPU and talks to the ASIC over PCIe.
+//! One driver, `SwitchCore`, runs the [`DataPlane`] state machine inside
+//! a `netlock-sim` node: packets in, packets out, with the switch's
+//! traversal latency and per-resubmit cost charged on every emission.
+//! It also keeps what on hardware the switch CPU keeps: the program,
+//! reloaded after a reboot, and the lease sweep. [`SwitchNode`] (the
+//! rack switch) adds lock migration, restart handback and batching;
+//! [`crate::replication::ReplSwitch`] adds chain replication.
 
 use std::collections::{HashMap, HashSet};
 
@@ -71,42 +73,214 @@ impl Default for SwitchConfig {
     }
 }
 
-/// Node-level counters (message plane; the data plane keeps its own).
+/// Counters of a switch node (message plane; the data plane keeps its
+/// own). The first five count the same things on both nodes; the rest
+/// belong to one of them and stay zero on the other.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct SwitchNodeStats {
-    /// Grant notifications sent to clients.
+pub struct SwitchStats {
+    /// Grant notifications sent to clients (a chain's tail only).
     pub grants_sent: u64,
     /// Grants forwarded to database servers (one-RTT mode).
     pub grants_to_db: u64,
-    /// Packets dropped by policy or unknown-lock.
+    /// Packets dropped by policy or unknown lock, and forwards with no
+    /// lock server to go to (every forward of a chain member).
     pub drops: u64,
     /// Force-releases issued by the lease sweeper.
     pub lease_expirations: u64,
-    /// Migration operations completed.
-    pub migrations_done: u64,
-    /// Releases dropped by the grant/release conservation guard: the
-    /// `(lock, txn)` had no outstanding grant (already released, already
-    /// force-released by the lease sweeper, or a network duplicate), so
-    /// processing it would blindly dequeue some other holder's entry.
+    /// Releases the release guard dropped: no outstanding grant to the
+    /// `(lock, txn)` (already released or swept, or a network duplicate)
+    /// authorized them, so they would dequeue another holder's entry.
     pub stale_releases_filtered: u64,
+    /// Migration operations completed (rack switch).
+    pub migrations_done: u64,
+    /// Client ops that reached a chain member other than the head.
+    pub misrouted: u64,
+    /// Acquires a chain head refused in its post-reset grace window.
+    pub grace_drops: u64,
+    /// Ops a chain member applied to its data plane.
+    pub ops_applied: u64,
+    /// Ops forwarded to a chain successor.
+    pub ops_forwarded: u64,
+    /// Duplicate chain ops ignored (replay overlap).
+    pub dup_ops_ignored: u64,
+    /// Log entries retransmitted to a spliced-in chain successor.
+    pub replayed: u64,
+    /// Logged outputs re-emitted after a promotion to chain tail.
+    pub reemitted: u64,
+    /// Chain reconfigurations accepted.
+    pub splices: u64,
+    /// Full resets performed (sole-survivor rejoin of a chain).
+    pub resets: u64,
 }
 
-/// The ToR lock switch.
-pub struct SwitchNode {
-    dp: DataPlane,
-    cfg: SwitchConfig,
+/// The driver under both switch nodes: the data plane with its release
+/// guard on, the control plane's copy of the program, the reusable
+/// action buffer, the one emitter that turns data-plane actions into
+/// packets, and the counters.
+pub(crate) struct SwitchCore {
+    pub(crate) dp: DataPlane,
     /// Lock server node ids, indexed by the directory's server index.
+    /// Empty for a chain member, whose partition is switch-resident.
     servers: Vec<NodeId>,
     /// Database servers grants are forwarded through (§4.1 one-RTT
     /// mode); empty sends grants straight to clients.
     db_servers: Vec<NodeId>,
+    /// What the control plane last installed: the allocation
+    /// [`SwitchCore::program`] loaded, as migrations since moved it. A
+    /// reboot wipes the data plane, not this copy.
+    program: Option<Allocation>,
+    /// Reusable per-packet action buffer: allocated once here, filled
+    /// by the data plane, drained by [`SwitchCore::emit`]. Zero
+    /// steady-state heap traffic on the packet path.
+    pub(crate) actions: ActionBuf,
+    pub(crate) stats: SwitchStats,
+}
+
+impl SwitchCore {
+    /// Drive `dp` with its release guard on: a release of a
+    /// switch-resident lock is admitted only if an outstanding grant
+    /// authorizes it (a chain's ledger is a function of the applied ops,
+    /// so every member's is identical).
+    pub(crate) fn new(mut dp: DataPlane, servers: Vec<NodeId>) -> SwitchCore {
+        dp.set_release_guard(true);
+        SwitchCore {
+            dp,
+            servers,
+            db_servers: Vec::new(),
+            program: None,
+            actions: ActionBuf::new(),
+            stats: SwitchStats::default(),
+        }
+    }
+
+    /// Load `alloc` into the data plane and keep it as the program.
+    pub(crate) fn program(&mut self, alloc: &Allocation) {
+        self.program = Some(alloc.clone());
+        self.load();
+    }
+
+    /// Count a completed migration and record it in the program.
+    fn migrated(&mut self, lock: LockId, slots: Option<u32>, home: usize) {
+        self.stats.migrations_done += 1;
+        if let Some(program) = &mut self.program {
+            program.migrate(lock, slots, home);
+        }
+    }
+
+    /// Reboot: wipe the data plane, then load the program again.
+    pub(crate) fn reload(&mut self) {
+        self.dp.reset();
+        self.load();
+    }
+
+    /// Program queue regions and directory, with unlisted locks
+    /// default-routed over the lock servers.
+    fn load(&mut self) {
+        if let Some(alloc) = &self.program {
+            self.dp.set_default_servers(self.servers.len());
+            apply_allocation(&mut self.dp, alloc);
+        }
+    }
+
+    /// The expired holders the lease sweep force-releases now, counted.
+    /// A zero lease sweeps nothing.
+    pub(crate) fn expired_leases(
+        &mut self,
+        now_ns: u64,
+        lease: SimDuration,
+    ) -> Vec<ReleaseRequest> {
+        if lease.is_zero() {
+            return Vec::new();
+        }
+        let expired = control::expired_leases(&self.dp, now_ns, lease.as_nanos());
+        self.stats.lease_expirations += expired.len() as u64;
+        expired
+    }
+
+    /// Send what the last processed packet left in `actions`, delayed by
+    /// its resubmits, and return those. With `batch`, grants straight
+    /// to clients are collected there instead, for the caller to
+    /// coalesce.
+    pub(crate) fn emit(
+        &mut self,
+        ctx: &mut Context<'_, NetLockMsg>,
+        mut batch: Option<&mut Vec<GrantMsg>>,
+    ) -> u64 {
+        let extra_passes = self.actions.resubmits();
+        let delay = egress_delay(extra_passes);
+        // Actions are `Copy`: reading them out by index keeps the buffer
+        // borrow disjoint from the sends.
+        for i in 0..self.actions.len() {
+            let act = self.actions[i];
+            self.route(act, delay, ctx, batch.as_deref_mut());
+        }
+        extra_passes
+    }
+
+    /// Send one data-plane action after `delay`: a grant to its client,
+    /// or through a database server in one-RTT mode; a forward to its
+    /// lock server.
+    pub(crate) fn route(
+        &mut self,
+        act: DpAction,
+        delay: SimDuration,
+        ctx: &mut Context<'_, NetLockMsg>,
+        batch: Option<&mut Vec<GrantMsg>>,
+    ) {
+        let (server, msg) = match act {
+            DpAction::SendGrant(grant) => {
+                if !self.db_servers.is_empty() {
+                    // One-RTT transactions: forward the granted request
+                    // to the database server that owns the item; the
+                    // client gets data and grant in a single message
+                    // (§4.1).
+                    let db = self.db_servers[grant.lock.0 as usize % self.db_servers.len()];
+                    self.stats.grants_to_db += 1;
+                    ctx.send_after(db, NetLockMsg::DbFetch { grant }, delay);
+                } else if let Some(batch) = batch {
+                    batch.push(grant);
+                } else {
+                    self.stats.grants_sent += 1;
+                    // Convention: ClientAddr(n) is node n (assigned by
+                    // the rack builder).
+                    ctx.send_after(NodeId(grant.client.0), NetLockMsg::Grant(grant), delay);
+                }
+                return;
+            }
+            DpAction::ForwardAcquire {
+                server,
+                req,
+                buffer_only,
+            } => (server, NetLockMsg::Forwarded { req, buffer_only }),
+            DpAction::ForwardRelease { server, rel } => (server, NetLockMsg::Release(rel)),
+            DpAction::SendQueueSpace {
+                server,
+                lock,
+                space,
+            } => (server, NetLockMsg::QueueSpace { lock, space }),
+            DpAction::Drop { .. } => {
+                self.stats.drops += 1;
+                return;
+            }
+        };
+        match self.servers.get(server) {
+            Some(&dst) => ctx.send_after(dst, msg, delay),
+            // No lock server (a switch-only rack or a chain member): the
+            // packet is lost like any other drop; the client's retry
+            // covers it.
+            None => self.stats.drops += 1,
+        }
+    }
+}
+
+/// The ToR lock switch.
+pub struct SwitchNode {
+    core: SwitchCore,
+    cfg: SwitchConfig,
     /// This switch is acting as the backup for a restarted original:
     /// whenever one of its lock queues drains, it hands the lock back
     /// (CtrlHandback) to the given node (§4.5).
     backup_handback_to: Option<NodeId>,
-    /// The allocation [`SwitchNode::program`] loaded; the control plane
-    /// reloads it after a reboot.
-    programmed: Option<Allocation>,
     /// Locks draining toward demotion. Only a dequeue drains a queue,
     /// and every dequeue goes through `after_release`, which completes
     /// the demotion on the spot.
@@ -117,41 +291,29 @@ pub struct SwitchNode {
     /// only when the server's CtrlPromoteReady arrives (§4.3: the
     /// queue must drain before the move).
     promote_reservations: HashMap<LockId, (usize, u32, u32, usize)>,
-    /// Reusable per-packet action buffer: allocated once here, filled
-    /// by `DataPlane::process`, drained by `emit`. Zero steady-state
-    /// heap traffic on the packet path.
-    actions: ActionBuf,
     /// Batch-path scratch, reused across batches: the grants a batch
-    /// produced, and the ones of them bound for one client.
+    /// produced, coalesced into one [`NetLockMsg::GrantBatch`] per
+    /// destination client (one simulator event instead of one per
+    /// virtual request), and the ones of them bound for one client.
     batch_grants: Vec<GrantMsg>,
     batch_group: Vec<GrantMsg>,
-    stats: SwitchNodeStats,
 }
 
 impl SwitchNode {
-    /// Build a switch around a programmed data plane.
+    /// Build a switch around a data plane. Program it with
+    /// [`SwitchNode::program`] so that a reboot reloads the program.
     pub fn new(mut dp: DataPlane, cfg: SwitchConfig, servers: Vec<NodeId>) -> SwitchNode {
         // Forward rates feed `realloc_tick` and nothing else.
         dp.set_forward_counting(cfg.auto_realloc.is_some());
-        // Release guard: a release of a switch-resident lock is admitted
-        // only if an outstanding grant authorizes it. Server-resident
-        // releases are forwarded (the server's lock table matches
-        // holders by txn and is naturally idempotent).
-        dp.set_release_guard(true);
         SwitchNode {
-            dp,
+            core: SwitchCore::new(dp, servers),
             cfg,
-            servers,
-            db_servers: Vec::new(),
             backup_handback_to: None,
-            programmed: None,
             pending_demotes: HashSet::new(),
             pending_promotes: Vec::new(),
             promote_reservations: HashMap::new(),
-            actions: ActionBuf::new(),
             batch_grants: Vec::new(),
             batch_group: Vec::new(),
-            stats: SwitchNodeStats::default(),
         }
     }
 
@@ -159,14 +321,14 @@ impl SwitchNode {
     /// safety oracle detects the resulting double-dequeues).
     #[doc(hidden)]
     pub fn sabotage_disable_release_guard(&mut self) {
-        self.dp.set_release_guard(false);
+        self.core.dp.set_release_guard(false);
     }
 
     /// Enable one-RTT mode (§4.1): every grant is forwarded to the
     /// database server that owns the item, so the client gets data and
     /// grant in one message. An empty list leaves it off.
     pub fn with_db_servers(mut self, db_servers: Vec<NodeId>) -> SwitchNode {
-        self.db_servers = db_servers;
+        self.core.db_servers = db_servers;
         self
     }
 
@@ -181,38 +343,26 @@ impl SwitchNode {
 
     /// Data-plane handle (control plane / harness).
     pub fn dataplane(&self) -> &DataPlane {
-        &self.dp
+        &self.core.dp
     }
 
     /// Mutable data-plane handle (control plane / harness).
     pub fn dataplane_mut(&mut self) -> &mut DataPlane {
-        &mut self.dp
+        &mut self.core.dp
     }
 
     /// Node counters.
-    pub fn stats(&self) -> SwitchNodeStats {
-        self.stats
+    pub fn stats(&self) -> SwitchStats {
+        self.core.stats
     }
 
-    /// The configuration this switch runs with.
-    pub fn config(&self) -> &SwitchConfig {
-        &self.cfg
-    }
-
-    /// Load `alloc` into the data plane — queue regions and directory,
-    /// with unlisted locks default-routed over this switch's lock
-    /// servers — and keep it: a revived switch reboots and reloads it,
-    /// as the control plane would.
+    /// Load `alloc` into the data plane — queue regions and directory
+    /// for either engine (see [`apply_allocation`]), with unlisted locks
+    /// default-routed over this switch's lock servers — and keep it: a
+    /// revived switch reboots and reloads it, as the control plane
+    /// would, with every migration completed since.
     pub fn program(&mut self, alloc: &Allocation) {
-        self.programmed = Some(alloc.clone());
-        self.load_program();
-    }
-
-    fn load_program(&mut self) {
-        if let Some(alloc) = &self.programmed {
-            self.dp.set_default_servers(self.servers.len());
-            apply_allocation(&mut self.dp, alloc);
-        }
+        self.core.program(alloc);
     }
 
     /// A lock server restarted and lost its q2 buffers: reset the
@@ -222,10 +372,10 @@ impl SwitchNode {
     /// every forward sent before the reset ahead of the echo, and the
     /// server can tell those apart from the ones sent after it.
     fn on_server_restart(&mut self, server: NodeId, epoch: u32, ctx: &mut Context<'_, NetLockMsg>) {
-        let Some(idx) = self.servers.iter().position(|&s| s == server) else {
+        let Some(idx) = self.core.servers.iter().position(|&s| s == server) else {
             return;
         };
-        self.dp.cp_reset_overflow_for_server(idx);
+        self.core.dp.cp_reset_overflow_for_server(idx);
         ctx.send_after(server, NetLockMsg::CtrlServerRestart { epoch }, TRAVERSAL);
     }
 
@@ -238,7 +388,7 @@ impl SwitchNode {
                     // drained queue completes inside the call, and the
                     // bookkeeping must see the removal.
                     self.pending_demotes.insert(lock);
-                    if self.dp.begin_demote(lock) {
+                    if self.core.dp.begin_demote(lock) {
                         self.try_complete_demote(lock, ctx);
                     }
                 }
@@ -251,10 +401,10 @@ impl SwitchNode {
     }
 
     fn try_complete_demote(&mut self, lock: LockId, ctx: &mut Context<'_, NetLockMsg>) {
-        if let Some(server_idx) = self.dp.complete_demote(lock) {
+        if let Some(server_idx) = self.core.dp.complete_demote(lock) {
             self.pending_demotes.remove(&lock);
-            self.stats.migrations_done += 1;
-            let dst = self.servers[server_idx];
+            self.core.migrated(lock, None, server_idx);
+            let dst = self.core.servers[server_idx];
             ctx.send_after(dst, NetLockMsg::CtrlDemote { lock }, TRAVERSAL);
             self.flush_promotes(ctx);
         }
@@ -279,91 +429,8 @@ impl SwitchNode {
             // server confirms its queue drained (CtrlPromoteReady).
             self.promote_reservations
                 .insert(lock, (qid, left, right, home_server));
-            let dst = self.servers[home_server];
+            let dst = self.core.servers[home_server];
             ctx.send_after(dst, NetLockMsg::CtrlPromote { lock }, TRAVERSAL);
-        }
-    }
-
-    /// Drain `self.actions` (filled by the preceding `process` call)
-    /// into the network, delayed by the packet's resubmits, and return
-    /// those. Actions are `Copy`, so reading them out by index keeps the
-    /// buffer borrow disjoint from the sends below.
-    ///
-    /// `batched` is set while unpacking a batch: the per-element
-    /// `SendGrant` actions are collected in `batch_grants` instead of
-    /// sent, so the whole burst's grants can be coalesced into one
-    /// [`NetLockMsg::GrantBatch`] per destination client (one simulator
-    /// event instead of one per virtual request). One-RTT grants still
-    /// go through the database server individually — the fetch is
-    /// per-item. Non-grant actions are sent exactly as on the
-    /// individual path.
-    fn emit(&mut self, ctx: &mut Context<'_, NetLockMsg>, batched: bool) -> u64 {
-        let extra_passes = self.actions.resubmits();
-        let delay = egress_delay(extra_passes);
-        let coalesce = batched && self.db_servers.is_empty();
-        for i in 0..self.actions.len() {
-            let act = self.actions[i];
-            match act {
-                DpAction::SendGrant(grant) if coalesce => self.batch_grants.push(grant),
-                DpAction::SendGrant(grant) => self.send_grant(grant, delay, ctx),
-                DpAction::ForwardAcquire {
-                    server,
-                    req,
-                    buffer_only,
-                } => {
-                    let Some(&dst) = self.servers.get(server) else {
-                        // Rack has no lock server (switch-only deploy):
-                        // the request is lost; the client's retry covers
-                        // it, like any other drop.
-                        self.stats.drops += 1;
-                        continue;
-                    };
-                    ctx.send_after(dst, NetLockMsg::Forwarded { req, buffer_only }, delay);
-                }
-                DpAction::ForwardRelease { server, rel } => {
-                    let Some(&dst) = self.servers.get(server) else {
-                        self.stats.drops += 1;
-                        continue;
-                    };
-                    ctx.send_after(dst, NetLockMsg::Release(rel), delay);
-                }
-                DpAction::SendQueueSpace {
-                    server,
-                    lock,
-                    space,
-                } => {
-                    let Some(&dst) = self.servers.get(server) else {
-                        self.stats.drops += 1;
-                        continue;
-                    };
-                    ctx.send_after(dst, NetLockMsg::QueueSpace { lock, space }, delay);
-                }
-                DpAction::Drop { .. } => {
-                    self.stats.drops += 1;
-                }
-            }
-        }
-        extra_passes
-    }
-
-    fn send_grant(
-        &mut self,
-        grant: GrantMsg,
-        delay: SimDuration,
-        ctx: &mut Context<'_, NetLockMsg>,
-    ) {
-        if !self.db_servers.is_empty() {
-            // One-RTT transactions: forward the granted request to the
-            // database server that owns the item; the client gets data
-            // and grant in a single message (§4.1).
-            let db = self.db_servers[grant.lock.0 as usize % self.db_servers.len()];
-            self.stats.grants_to_db += 1;
-            ctx.send_after(db, NetLockMsg::DbFetch { grant }, delay);
-        } else {
-            self.stats.grants_sent += 1;
-            // Convention: ClientAddr(n) is node n (assigned by the rack
-            // builder).
-            ctx.send_after(NodeId(grant.client.0), NetLockMsg::Grant(grant), delay);
         }
     }
 
@@ -377,24 +444,27 @@ impl SwitchNode {
         batched: bool,
     ) -> Option<u64> {
         if !self
+            .core
             .dp
-            .process_release(rel, ctx.now().as_nanos(), &mut self.actions)
+            .process_release(rel, ctx.now().as_nanos(), &mut self.core.actions)
         {
-            self.stats.stale_releases_filtered += 1;
+            self.core.stats.stale_releases_filtered += 1;
             return None;
         }
         Some(self.after_release(rel.lock, ctx, batched))
     }
 
     /// Emit what a processed release (client or lease sweep) left in
-    /// `self.actions`; returns its extra passes.
+    /// the action buffer; returns its extra passes.
     fn after_release(
         &mut self,
         lock: LockId,
         ctx: &mut Context<'_, NetLockMsg>,
         batched: bool,
     ) -> u64 {
-        let extra = self.emit(ctx, batched);
+        let extra = self
+            .core
+            .emit(ctx, batched.then_some(&mut self.batch_grants));
         // The release may have completed a drain for a demoting lock.
         if self.pending_demotes.contains(&lock) {
             self.try_complete_demote(lock, ctx);
@@ -402,7 +472,7 @@ impl SwitchNode {
         // Backup-handback mode: report a drained queue to the restarted
         // original switch.
         if let Some(original) = self.backup_handback_to {
-            if self.dp.is_drained(lock) {
+            if self.core.dp.is_drained(lock) {
                 ctx.send_after(original, NetLockMsg::CtrlHandback { lock }, TRAVERSAL);
             }
         }
@@ -421,8 +491,11 @@ impl SwitchNode {
         let now = ctx.now().as_nanos();
         let mut max_extra = 0u64;
         for req in reqs.iter() {
-            self.dp.process_acquire(*req, now, &mut self.actions);
-            max_extra = max_extra.max(self.emit(ctx, true));
+            self.core
+                .dp
+                .process_acquire(*req, now, &mut self.core.actions);
+            let extra = self.core.emit(ctx, Some(&mut self.batch_grants));
+            max_extra = max_extra.max(extra);
         }
         self.flush_grant_batches(max_extra, ctx);
     }
@@ -453,7 +526,7 @@ impl SwitchNode {
     /// charged the batch's worst-case resubmit count.
     fn flush_grant_batches(&mut self, max_extra: u64, ctx: &mut Context<'_, NetLockMsg>) {
         let delay = egress_delay(max_extra);
-        self.stats.grants_sent += self.batch_grants.len() as u64;
+        self.core.stats.grants_sent += self.batch_grants.len() as u64;
         // Peel off one destination at a time, in order of first
         // appearance, preserving grant order within each client.
         while let Some(first) = self.batch_grants.first() {
@@ -496,7 +569,7 @@ impl SwitchNode {
             && self.promote_reservations.is_empty()
         {
             let epoch_secs = REALLOC_EPOCH.as_secs_f64();
-            let mut stats = control::harvest_stats(&mut self.dp, epoch_secs);
+            let mut stats = control::harvest_stats(&mut self.core.dp, epoch_secs);
             // Stabilize c_i: round the high-water mark up to the next
             // power of two and floor it at the server estimate, so small
             // fluctuations between epochs don't resize regions (every
@@ -504,7 +577,7 @@ impl SwitchNode {
             for s in &mut stats {
                 s.contention = s.contention.next_power_of_two().max(SERVER_CONTENTION);
             }
-            for (lock, count) in self.dp.cp_take_forward_counts() {
+            for (lock, count) in self.core.dp.cp_take_forward_counts() {
                 let rate = count as f64 / epoch_secs.max(1e-9);
                 // A lock promoted mid-epoch shows up both in the switch
                 // harvest and the forward counts: merge, don't duplicate.
@@ -513,11 +586,12 @@ impl SwitchNode {
                     continue;
                 }
                 let home = self
+                    .core
                     .dp
                     .directory()
                     .get(lock)
                     .map(|e| e.home_server)
-                    .or_else(|| self.dp.default_server_of(lock))
+                    .or_else(|| self.core.dp.default_server_of(lock))
                     .unwrap_or(0);
                 stats.push(control::LockStats {
                     lock,
@@ -532,7 +606,7 @@ impl SwitchNode {
             // change; identical sets in a different order are not worth
             // a drain-and-move of every queue.
             if !self.allocation_matches(&target) {
-                let ops = control::plan_migration(&self.dp, &target);
+                let ops = control::plan_migration(&self.core.dp, &target);
                 if !ops.is_empty() {
                     self.start_migration(ops, ctx);
                 }
@@ -541,41 +615,25 @@ impl SwitchNode {
         ctx.set_timer(REALLOC_EPOCH, TIMER_REALLOC);
     }
 
-    /// Whether the current residency equals `target` as a lock→slots
-    /// map (ignoring region positions).
-    fn allocation_matches(&self, target: &control::Allocation) -> bool {
-        let current = self.dp.directory().switch_resident();
-        if current.len() != target.in_switch.len() {
-            return false;
-        }
-        let crate::dataplane::Engine::Fcfs(q) = self.dp.engine() else {
-            return false;
+    /// Whether the program (which follows every completed migration)
+    /// equals `target` as a lock→slots map, ignoring region positions.
+    fn allocation_matches(&self, target: &Allocation) -> bool {
+        let sizes = |alloc: &Allocation| {
+            let mut sizes: Vec<(LockId, u32)> =
+                alloc.in_switch.iter().map(|&(l, s, _)| (l, s)).collect();
+            sizes.sort_unstable();
+            sizes
         };
-        let mut cur: Vec<(LockId, u32)> = current
-            .iter()
-            .map(|&(lock, qid, _)| (lock, q.cp_region(qid).capacity()))
-            .collect();
-        let mut tgt: Vec<(LockId, u32)> = target
-            .in_switch
-            .iter()
-            .map(|&(lock, slots, _)| (lock, slots))
-            .collect();
-        cur.sort_unstable();
-        tgt.sort_unstable();
-        cur == tgt
+        let program = self.core.program.as_ref();
+        program.is_some_and(|p| sizes(p) == sizes(target))
     }
 
     fn control_tick(&mut self, ctx: &mut Context<'_, NetLockMsg>) {
         // Lease sweep: force-release expired holders.
-        if !self.cfg.lease.is_zero() {
-            let expired =
-                control::expired_leases(&self.dp, ctx.now().as_nanos(), self.cfg.lease.as_nanos());
-            for rel in expired {
-                self.stats.lease_expirations += 1;
-                self.dp
-                    .force_release(rel, ctx.now().as_nanos(), &mut self.actions);
-                self.after_release(rel.lock, ctx, false);
-            }
+        let now = ctx.now().as_nanos();
+        for rel in self.core.expired_leases(now, self.cfg.lease) {
+            self.core.dp.force_release(rel, now, &mut self.core.actions);
+            self.after_release(rel.lock, ctx, false);
         }
         ctx.set_timer(self.cfg.control_tick, TIMER_CONTROL_TICK);
     }
@@ -593,14 +651,14 @@ impl Node<NetLockMsg> for SwitchNode {
 
     /// "The switch retains none of its former state or register values"
     /// (§6.5): wipe every data-plane register and table and forget
-    /// migrations, reload the programmed allocation, and restart the
-    /// timer chains, which died with the node.
+    /// migrations in flight, reload the program (the control plane's
+    /// copy, which is not switch state), and restart the timer chains,
+    /// which died with the node.
     fn on_revive(&mut self, ctx: &mut Context<'_, NetLockMsg>) {
-        self.dp.reset();
+        self.core.reload();
         self.pending_demotes.clear();
         self.pending_promotes.clear();
         self.promote_reservations.clear();
-        self.load_program();
         self.on_start(ctx);
     }
 
@@ -633,13 +691,14 @@ impl Node<NetLockMsg> for SwitchNode {
         // entry just before the buffered requests are enqueued.
         if let NetLockMsg::CtrlPromoteReady { lock, .. } = &pkt.payload {
             if let Some((qid, left, right, home)) = self.promote_reservations.remove(lock) {
-                self.dp.prepare_promote(*lock, qid, left, right, home);
-                self.stats.migrations_done += 1;
+                self.core.dp.prepare_promote(*lock, qid, left, right, home);
+                self.core.migrated(*lock, Some(right - left), home);
             }
         }
-        self.dp
-            .process(pkt.payload, ctx.now().as_nanos(), &mut self.actions);
-        self.emit(ctx, false);
+        self.core
+            .dp
+            .process(pkt.payload, ctx.now().as_nanos(), &mut self.core.actions);
+        self.core.emit(ctx, None);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, NetLockMsg>) {

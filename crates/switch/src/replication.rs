@@ -35,11 +35,10 @@ use std::collections::{BTreeMap, VecDeque};
 use netlock_proto::NetLockMsg;
 use netlock_sim::{Context, Node, NodeId, Packet, SimDuration};
 
-use crate::action_buf::ActionBuf;
 use crate::analysis::layout::ProgramLayout;
-use crate::control::{self, Allocation};
+use crate::control::Allocation;
 use crate::dataplane::{DataPlane, DpAction};
-use crate::node::{egress_delay, TRAVERSAL};
+use crate::node::{egress_delay, SwitchCore, SwitchStats, TRAVERSAL};
 use crate::partition::{replicated_layout, PartitionMap};
 
 /// A chain member's ping cadence and lease-sweep granularity, and the
@@ -82,45 +81,15 @@ pub struct ReplConfig {
     pub lease: SimDuration,
 }
 
-/// Counters of one chain member.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ReplStats {
-    /// Grants emitted to clients (tail role only).
-    pub grants_sent: u64,
-    /// Packets dropped (policy, unknown lock, grace window).
-    pub drops: u64,
-    /// Client ops that arrived at a non-head member (stale routing).
-    pub misrouted: u64,
-    /// Acquires refused during the post-reset grace window.
-    pub grace_drops: u64,
-    /// Releases filtered by the replicated credit ledger.
-    pub stale_releases_filtered: u64,
-    /// Force-releases issued by the head's lease sweeper.
-    pub lease_expirations: u64,
-    /// Ops applied to the local data plane.
-    pub ops_applied: u64,
-    /// Ops forwarded to a successor.
-    pub ops_forwarded: u64,
-    /// Duplicate chain ops ignored (replay overlap).
-    pub dup_ops_ignored: u64,
-    /// Log entries retransmitted to a spliced-in successor.
-    pub replayed: u64,
-    /// Outputs re-emitted after a promotion to tail.
-    pub reemitted: u64,
-    /// Chain reconfigurations accepted.
-    pub splices: u64,
-    /// Full resets performed (sole-survivor rejoin).
-    pub resets: u64,
-}
-
 /// One switch in a partition's replication chain.
 pub struct ReplSwitch {
-    dp: DataPlane,
+    /// The data plane, its program (reloaded on reset), the emitter
+    /// and the counters; a chain member has no lock servers, so every
+    /// forward is a drop.
+    core: SwitchCore,
     cfg: ReplConfig,
     /// This member's own node id (`cfg.chain[cfg.member]`).
     me: NodeId,
-    /// What the data plane is programmed with; reapplied on reset.
-    program: Allocation,
     /// Current chain epoch (bumped by every controller config).
     epoch: u32,
     /// The live chain, head first.
@@ -140,34 +109,25 @@ pub struct ReplSwitch {
     grace_until_ns: u64,
     /// Sabotage hook: drop the log-replay / re-emit duty on splice.
     replay_disabled: bool,
-    actions: ActionBuf,
-    stats: ReplStats,
 }
 
 impl ReplSwitch {
-    /// Build a chain member around a programmed data plane.
-    ///
-    /// `program` is the allocation the data plane was programmed with;
-    /// the member keeps it to reprogram itself after a
-    /// `CtrlChainReset` (the control plane's copy of the directory).
-    pub fn new(mut dp: DataPlane, program: Allocation, cfg: ReplConfig) -> ReplSwitch {
-        // Replicated release guard: the data plane's ledger of
-        // outstanding grants is a function of the applied ops (a grant
-        // opens a credit, an applied release spends it), so it is
-        // identical on every member and a freshly promoted head filters
-        // stale releases correctly.
-        dp.set_release_guard(true);
+    /// Build a chain member around an empty data plane and program it
+    /// with `program`, which the member keeps to reprogram itself after
+    /// a `CtrlChainReset` (the control plane's copy of the directory).
+    pub fn new(dp: DataPlane, program: &Allocation, cfg: ReplConfig) -> ReplSwitch {
         assert!(
             (cfg.member as usize) < cfg.chain.len(),
             "member index outside chain"
         );
         let me = cfg.chain[cfg.member as usize];
         let chain = cfg.chain.clone();
+        let mut core = SwitchCore::new(dp, Vec::new());
+        core.program(program);
         ReplSwitch {
-            dp,
+            core,
             cfg,
             me,
-            program,
             epoch: 0,
             chain,
             last_applied: 0,
@@ -176,8 +136,6 @@ impl ReplSwitch {
             log: VecDeque::new(),
             grace_until_ns: 0,
             replay_disabled: false,
-            actions: ActionBuf::new(),
-            stats: ReplStats::default(),
         }
     }
 
@@ -190,13 +148,13 @@ impl ReplSwitch {
     }
 
     /// Node counters.
-    pub fn stats(&self) -> ReplStats {
-        self.stats
+    pub fn stats(&self) -> SwitchStats {
+        self.core.stats
     }
 
     /// Data-plane handle (tests / harness).
     pub fn dataplane(&self) -> &DataPlane {
-        &self.dp
+        &self.core.dp
     }
 
     /// Current chain epoch.
@@ -212,7 +170,7 @@ impl ReplSwitch {
     /// The feasibility layout of this member: the queue program plus
     /// the replication metadata (see [`replicated_layout`]).
     pub fn layout(&self, log_window: usize) -> ProgramLayout {
-        replicated_layout(&self.dp, log_window)
+        replicated_layout(&self.core.dp, log_window)
     }
 
     fn position(&self) -> Option<usize> {
@@ -224,23 +182,12 @@ impl ReplSwitch {
     }
 
     fn is_tail(&self) -> bool {
-        match self.position() {
-            Some(p) => p + 1 == self.chain.len(),
-            None => false,
-        }
+        self.position().is_some_and(|p| p + 1 == self.chain.len())
     }
 
     fn successor(&self) -> Option<NodeId> {
         let p = self.position()?;
         self.chain.get(p + 1).copied()
-    }
-
-    /// Members upstream of this one (receive tail acks).
-    fn upstream(&self) -> Vec<NodeId> {
-        match self.position() {
-            Some(p) => self.chain[..p].to_vec(),
-            None => Vec::new(),
-        }
     }
 
     /// Head only: admit one client operation into the chain.
@@ -252,15 +199,15 @@ impl ReplSwitch {
                 // holder's lease may still be running; granting now
                 // could double-grant. Drop; the client's retry lands
                 // after the window.
-                self.stats.grace_drops += 1;
+                self.core.stats.grace_drops += 1;
                 return;
             }
         }
         if let NetLockMsg::Release(rel) = &op {
             // Read-only: the credit is consumed when the release op is
             // *applied*, so every member's ledger stays identical.
-            if !self.dp.guard_authorizes(rel.lock, rel.txn, rel.mode) {
-                self.stats.stale_releases_filtered += 1;
+            if !self.core.dp.guard_authorizes(rel.lock, rel.txn, rel.mode) {
+                self.core.stats.stale_releases_filtered += 1;
                 return;
             }
         }
@@ -278,7 +225,7 @@ impl ReplSwitch {
         ctx: &mut Context<'_, NetLockMsg>,
     ) {
         if seq <= self.last_applied {
-            self.stats.dup_ops_ignored += 1;
+            self.core.stats.dup_ops_ignored += 1;
             return;
         }
         if seq > self.last_applied + 1 {
@@ -293,7 +240,7 @@ impl ReplSwitch {
                 // Drop already-applied stragglers, keep future ones.
                 if next <= self.last_applied {
                     self.pending.pop_first();
-                    self.stats.dup_ops_ignored += 1;
+                    self.core.stats.dup_ops_ignored += 1;
                     continue;
                 }
                 break;
@@ -311,20 +258,16 @@ impl ReplSwitch {
         ctx: &mut Context<'_, NetLockMsg>,
     ) {
         self.last_applied = seq;
-        self.stats.ops_applied += 1;
+        self.core.stats.ops_applied += 1;
         // The successor and the log each keep the op; the tail has
         // neither, and hands its only copy to the data plane.
         let Some(succ) = self.successor() else {
-            let extra_passes = self.process(op, stamp_ns);
-            let delay = egress_delay(extra_passes);
-            for i in 0..self.actions.len() {
-                let act = self.actions[i];
-                self.emit(act, delay, ctx);
-            }
+            self.process(op, stamp_ns);
+            self.core.emit(ctx, None);
             self.send_acks(ctx);
             return;
         };
-        self.stats.ops_forwarded += 1;
+        self.core.stats.ops_forwarded += 1;
         ctx.send_after(
             succ,
             NetLockMsg::ChainOp {
@@ -340,23 +283,24 @@ impl ReplSwitch {
             seq,
             stamp_ns,
             op,
-            outputs: self.actions.to_vec(),
+            outputs: self.core.actions.to_vec(),
             extra_passes,
         });
     }
 
-    /// Run one op through the (guarded) data plane into `self.actions`;
+    /// Run one op through the (guarded) data plane into the action buffer;
     /// returns the extra pipeline passes it cost. Every release is
     /// applied by [`DataPlane::force_release`]: a client release was
     /// authorized at the head against this same ledger, so it spends
     /// its own credit as an unforced release would, and a sweep release
     /// of a holder whose grant is already spent still frees its slot.
     fn process(&mut self, op: NetLockMsg, stamp_ns: u64) -> u64 {
+        let core = &mut self.core;
         match op {
-            NetLockMsg::Release(rel) => self.dp.force_release(rel, stamp_ns, &mut self.actions),
-            op => self.dp.process(op, stamp_ns, &mut self.actions),
+            NetLockMsg::Release(rel) => core.dp.force_release(rel, stamp_ns, &mut core.actions),
+            op => core.dp.process(op, stamp_ns, &mut core.actions),
         }
-        self.actions.resubmits()
+        core.actions.resubmits()
     }
 
     /// Tail: cumulative apply-ack to every upstream member.
@@ -365,29 +309,9 @@ impl ReplSwitch {
             partition: self.cfg.partition,
             seq: self.last_applied,
         };
-        for up in self.upstream() {
+        let upstream = self.position().unwrap_or(0);
+        for &up in &self.chain[..upstream] {
             ctx.send_after(up, ack.clone(), TRAVERSAL);
-        }
-    }
-
-    /// Emit one output of an applied op into the network (tail duty).
-    fn emit(&mut self, act: DpAction, delay: SimDuration, ctx: &mut Context<'_, NetLockMsg>) {
-        match act {
-            DpAction::SendGrant(grant) => {
-                self.stats.grants_sent += 1;
-                // Convention: ClientAddr(n) is node n.
-                ctx.send_after(NodeId(grant.client.0), NetLockMsg::Grant(grant), delay);
-            }
-            // A partitioned chain deploy has no lock servers: the
-            // whole partition is switch-resident. Anything the
-            // data plane wanted to forward is dropped, like any
-            // unknown-lock traffic; client retries cover it.
-            DpAction::ForwardAcquire { .. }
-            | DpAction::ForwardRelease { .. }
-            | DpAction::SendQueueSpace { .. }
-            | DpAction::Drop { .. } => {
-                self.stats.drops += 1;
-            }
         }
     }
 
@@ -414,7 +338,7 @@ impl ReplSwitch {
         let old_succ = self.successor();
         self.epoch = epoch;
         self.chain = members.iter().map(|&m| NodeId(m)).collect();
-        self.stats.splices += 1;
+        self.core.stats.splices += 1;
         if self.position().is_none() {
             // Spliced out while alive (declared dead by the detector):
             // go passive. State is kept but never consulted again.
@@ -441,7 +365,7 @@ impl ReplSwitch {
                         },
                         TRAVERSAL,
                     );
-                    self.stats.replayed += 1;
+                    self.core.stats.replayed += 1;
                 }
             }
         }
@@ -451,15 +375,13 @@ impl ReplSwitch {
             // unacknowledged — exact duplicates are deduped by the
             // client (issue-stamp match), lost ones become visible for
             // the first time. This is the tail-ack guarantee.
-            let log = std::mem::take(&mut self.log);
-            for entry in &log {
+            for entry in &self.log {
                 let delay = egress_delay(entry.extra_passes);
                 for &act in &entry.outputs {
-                    self.emit(act, delay, ctx);
+                    self.core.route(act, delay, ctx, None);
                 }
-                self.stats.reemitted += 1;
+                self.core.stats.reemitted += 1;
             }
-            self.log = log;
             self.send_acks(ctx);
         }
     }
@@ -470,8 +392,7 @@ impl ReplSwitch {
             return;
         }
         self.epoch = epoch;
-        self.dp.reset();
-        control::apply_allocation(&mut self.dp, &self.program);
+        self.core.reload();
         self.chain = vec![self.me];
         self.last_applied = 0;
         self.acked = 0;
@@ -481,31 +402,33 @@ impl ReplSwitch {
         // may still be inside their leases.
         self.grace_until_ns =
             ctx.now().as_nanos() + self.cfg.lease.as_nanos() + CHAIN_TICK.as_nanos();
-        self.stats.resets += 1;
+        self.core.stats.resets += 1;
         // The crash killed the timer chain; restart it.
         ctx.set_timer(CHAIN_TICK, TIMER_CHAIN_TICK);
     }
 
+    /// Tell the controller this member is alive.
+    fn ping(&self, ctx: &mut Context<'_, NetLockMsg>) {
+        let (partition, member, epoch) = (self.cfg.partition, self.cfg.member, self.epoch);
+        let ping = NetLockMsg::CtrlChainPing {
+            partition,
+            member,
+            epoch,
+        };
+        ctx.send_after(self.cfg.controller, ping, TRAVERSAL);
+    }
+
     fn chain_tick(&mut self, ctx: &mut Context<'_, NetLockMsg>) {
         if self.position().is_some() {
-            ctx.send_after(
-                self.cfg.controller,
-                NetLockMsg::CtrlChainPing {
-                    partition: self.cfg.partition,
-                    member: self.cfg.member,
-                    epoch: self.epoch,
-                },
-                TRAVERSAL,
-            );
+            self.ping(ctx);
             // Lease sweep is a head duty: expiries become ordinary
             // replicated ops, so every member's queues agree. Every
             // expired holder goes, whether or not its grant is still
             // spendable: a slot whose grant an out-of-order release
             // already spent would otherwise hold the lock for good.
-            if self.is_head() && !self.cfg.lease.is_zero() {
+            if self.is_head() {
                 let now = ctx.now().as_nanos();
-                for rel in control::expired_leases(&self.dp, now, self.cfg.lease.as_nanos()) {
-                    self.stats.lease_expirations += 1;
+                for rel in self.core.expired_leases(now, self.cfg.lease) {
                     let seq = self.last_applied + 1;
                     self.ingest(seq, now, NetLockMsg::Release(rel), ctx);
                 }
@@ -526,7 +449,7 @@ impl Node<NetLockMsg> for ReplSwitch {
                 if !self.is_head() {
                     // Stale partition map (head moved) or passive
                     // member: drop, the retry re-resolves the route.
-                    self.stats.misrouted += 1;
+                    self.core.stats.misrouted += 1;
                     return;
                 }
                 self.admit(op, ctx);
@@ -545,15 +468,7 @@ impl Node<NetLockMsg> for ReplSwitch {
             // Controller probe (it thinks we may be back from the
             // dead): answer with a liveness ping.
             NetLockMsg::CtrlChainPing { partition, .. } if partition == self.cfg.partition => {
-                ctx.send_after(
-                    self.cfg.controller,
-                    NetLockMsg::CtrlChainPing {
-                        partition: self.cfg.partition,
-                        member: self.cfg.member,
-                        epoch: self.epoch,
-                    },
-                    TRAVERSAL,
-                );
+                self.ping(ctx);
             }
             NetLockMsg::CtrlChainConfig {
                 partition,
@@ -806,7 +721,7 @@ impl Node<NetLockMsg> for ChainController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::control::{apply_allocation, knapsack_allocate, LockStats};
+    use crate::control::{knapsack_allocate, LockStats};
     use crate::shared_queue::SharedQueueLayout;
     use netlock_proto::{
         ClientAddr, LockId, LockMode, LockRequest, Priority, ReleaseRequest, TenantId, TxnId,
@@ -852,11 +767,9 @@ mod tests {
     }
 
     fn program() -> (DataPlane, Allocation) {
-        let mut dp = DataPlane::new_fcfs(&SharedQueueLayout::small(2, 64, 16));
+        let dp = DataPlane::new_fcfs(&SharedQueueLayout::small(2, 64, 16));
         let stats = LockStats::uniform((0..4).map(LockId), 8, 1);
-        let alloc = knapsack_allocate(&stats, 64);
-        apply_allocation(&mut dp, &alloc);
-        (dp, alloc)
+        (dp, knapsack_allocate(&stats, 64))
     }
 
     /// client = node 0, controller = node 1, chain = nodes 2..2+factor.
@@ -876,7 +789,7 @@ mod tests {
             let (dp, alloc) = program();
             let got = sim.add_node(Box::new(ReplSwitch::new(
                 dp,
-                alloc,
+                &alloc,
                 ReplConfig {
                     partition: 0,
                     member: i as u16,
@@ -1066,6 +979,106 @@ mod tests {
         sim.read_node::<Sink, _>(client, |s| {
             assert_eq!(grants_of(s), vec![10, 11, 12], "the lock must not wedge");
         });
+    }
+
+    /// Records each grant's txn with its arrival time.
+    struct StampedGrants(Vec<(SimTime, u64)>);
+    impl Node<NetLockMsg> for StampedGrants {
+        fn on_packet(&mut self, pkt: Packet<NetLockMsg>, ctx: &mut Context<'_, NetLockMsg>) {
+            if let NetLockMsg::Grant(g) = pkt.payload {
+                self.0.push((ctx.now(), g.txn.0));
+            }
+        }
+        fn on_timer(&mut self, _t: u64, _c: &mut Context<'_, NetLockMsg>) {}
+    }
+
+    /// Both switch nodes drive their data plane through one driver: a
+    /// sole-member chain and a rack switch with no lock servers, given
+    /// one program and one sequence of acquires and releases, deliver
+    /// the same grants at the same times and count the same grants,
+    /// drops, stale releases and lease expirations.
+    #[test]
+    fn sole_chain_member_matches_a_serverless_rack_switch() {
+        use crate::node::{SwitchConfig, SwitchNode};
+        let layout = SharedQueueLayout::small(2, 64, 16);
+        // Three locks fit; lock 3 stays with a server neither has.
+        let alloc = knapsack_allocate(&LockStats::uniform((0..4).map(LockId), 8, 1), 24);
+        assert_eq!(alloc.in_server.len(), 1);
+        let lease = SimDuration::from_millis(50);
+        let shared = LockMode::Shared;
+        let ops = [
+            acquire(0, 1, 0, 0),
+            acquire_in(shared, 0, 2, 0, 0),
+            acquire_in(shared, 0, 3, 0, 0),
+            acquire(1, 4, 0, 0),
+            release(0, 1, 0),
+            release(0, 1, 0),    // stale: already released
+            acquire(3, 5, 0, 0), // forwarded to no server: dropped
+            acquire(9, 6, 0, 0), // unknown lock: dropped
+            acquire(1, 7, 0, 0),
+            release_in(shared, 0, 3, 0),
+            release(1, 4, 0),
+        ];
+        let drive = |sim: &mut Simulator<NetLockMsg>, switch: NodeId| {
+            let client = NodeId(0);
+            for (i, op) in ops.iter().enumerate() {
+                sim.inject(client, switch, op.clone());
+                sim.run_until(SimTime(10_000 * (i as u64 + 1)));
+            }
+            sim.run_until(SimTime(1_000_000));
+            sim.read_node::<StampedGrants, _>(client, |s| s.0.clone())
+        };
+        let counters = |s: SwitchStats| {
+            (
+                s.grants_sent,
+                s.grants_to_db,
+                s.drops,
+                s.stale_releases_filtered,
+                s.lease_expirations,
+            )
+        };
+
+        let mut chain: Simulator<NetLockMsg> = Simulator::with_seed(7);
+        chain.add_node(Box::new(StampedGrants(Vec::new())));
+        let member = NodeId(2);
+        let controller = chain.add_node(Box::new(ChainController::new(
+            vec![vec![member]],
+            vec![NodeId(0)],
+        )));
+        let cfg = ReplConfig {
+            partition: 0,
+            member: 0,
+            chain: vec![member],
+            controller,
+            lease,
+        };
+        let dp = DataPlane::new_fcfs(&layout);
+        assert_eq!(
+            chain.add_node(Box::new(ReplSwitch::new(dp, &alloc, cfg))),
+            member
+        );
+        let chain_grants = drive(&mut chain, member);
+        let chain_stats = chain.read_node::<ReplSwitch, _>(member, |r| counters(r.stats()));
+
+        let mut rack: Simulator<NetLockMsg> = Simulator::with_seed(7);
+        rack.add_node(Box::new(StampedGrants(Vec::new())));
+        let cfg = SwitchConfig {
+            lease,
+            ..Default::default()
+        };
+        let mut switch = SwitchNode::new(DataPlane::new_fcfs(&layout), cfg, vec![]);
+        switch.program(&alloc);
+        let switch = rack.add_node(Box::new(switch));
+        let rack_grants = drive(&mut rack, switch);
+        let rack_stats = rack.read_node::<SwitchNode, _>(switch, |s| counters(s.stats()));
+
+        assert_eq!(
+            chain_grants.iter().map(|&(_, txn)| txn).collect::<Vec<_>>(),
+            vec![1, 4, 2, 3, 7]
+        );
+        assert_eq!(chain_grants, rack_grants);
+        assert_eq!(chain_stats, (5, 0, 2, 1, 0));
+        assert_eq!(chain_stats, rack_stats);
     }
 
     #[test]

@@ -167,8 +167,8 @@ pub fn run_isolation(isolate: bool, scale: crate::common::TimeScale) -> Isolatio
         if let Some(rate) = with_meters {
             let switch = rack.switch;
             rack.sim.with_node::<SwitchNode, _>(switch, |s| {
-                s.dataplane_mut().set_tenant_meter(TenantId(1), rate, 64, 0);
-                s.dataplane_mut().set_tenant_meter(TenantId(2), rate, 64, 0);
+                s.set_tenant_meter(TenantId(1), rate, 64, 0);
+                s.set_tenant_meter(TenantId(2), rate, 64, 0);
             });
         }
         for _ in 0..7 {

@@ -22,8 +22,15 @@
 //! The buffer also carries the pipeline passes the packet took, which
 //! the data plane charges as it processes it: the switch node delays
 //! the packet's output by one `PASS_LATENCY` per resubmit.
+//!
+//! In batch mode (`ActionBuf::set_batch_mode`) a grant takes no slot:
+//! it is appended to the buffer's grant list, which outlives `clear`, so
+//! a switch node answering an aggregate batch writes each grant once and
+//! coalesces the whole batch's grants at its end.
 
 use std::ops::Deref;
+
+use netlock_proto::GrantMsg;
 
 use crate::dataplane::{DpAction, DropReason};
 
@@ -38,6 +45,10 @@ pub struct ActionBuf {
     len: usize,
     /// Pipeline passes the packet took (1 + resubmits).
     passes: u32,
+    /// Batch mode: grants go to `grants` instead of taking a slot.
+    batching: bool,
+    /// The grants of the batch in progress, in grant order.
+    grants: Vec<GrantMsg>,
     slots: Box<[DpAction; ACTION_BUF_CAP]>,
 }
 
@@ -52,12 +63,29 @@ impl ActionBuf {
         ActionBuf {
             len: 0,
             passes: 0,
+            batching: false,
+            grants: Vec::new(),
             slots: Box::new([fill; ACTION_BUF_CAP]),
         }
     }
 
+    /// Turn batch mode on or off. On, every grant is appended to the
+    /// batch's grant list ([`ActionBuf::batch_grants`]) instead of taking
+    /// a slot, and `clear` keeps the list: it holds every grant of the
+    /// batch, in grant order, until the caller drains it.
+    #[inline]
+    pub(crate) fn set_batch_mode(&mut self, on: bool) {
+        self.batching = on;
+    }
+
+    /// The grants batch mode collected (see [`ActionBuf::set_batch_mode`]).
+    #[inline]
+    pub(crate) fn batch_grants(&mut self) -> &mut Vec<GrantMsg> {
+        &mut self.grants
+    }
+
     /// Discard all actions and the pass count (the buffer's capacity is
-    /// retained).
+    /// retained; so is the batch's grant list).
     #[inline]
     pub fn clear(&mut self) {
         self.len = 0;
@@ -90,6 +118,17 @@ impl ActionBuf {
         }
         self.slots[self.len] = action;
         self.len += 1;
+    }
+
+    /// Append one grant: to the batch's grant list in batch mode, else
+    /// as a [`DpAction::SendGrant`].
+    #[inline]
+    pub(crate) fn push_grant(&mut self, grant: GrantMsg) {
+        if self.batching {
+            self.grants.push(grant);
+        } else {
+            self.push(DpAction::SendGrant(grant));
+        }
     }
 
     #[cold]
@@ -157,6 +196,29 @@ mod tests {
         buf.clear();
         assert!(buf.is_empty());
         assert_eq!(buf.as_slice(), &[]);
+    }
+
+    #[test]
+    fn batch_mode_collects_grants_across_packets() {
+        let grant = |txn| GrantMsg {
+            lock: netlock_proto::LockId(1),
+            txn: netlock_proto::TxnId(txn),
+            mode: netlock_proto::LockMode::Shared,
+            client: netlock_proto::ClientAddr(2),
+            priority: netlock_proto::Priority(0),
+            grantor: netlock_proto::Grantor::Switch,
+            issued_at_ns: 0,
+        };
+        let mut buf = ActionBuf::new();
+        buf.set_batch_mode(true);
+        buf.push_grant(grant(1));
+        buf.clear();
+        buf.push_grant(grant(2));
+        assert!(buf.is_empty(), "a batched grant takes no slot");
+        buf.set_batch_mode(false);
+        buf.push_grant(grant(3));
+        assert_eq!(buf, vec![DpAction::SendGrant(grant(3))]);
+        assert_eq!(buf.batch_grants(), &vec![grant(1), grant(2)]);
     }
 
     #[test]

@@ -429,7 +429,8 @@ impl DataPlane {
     }
 
     /// The one place a switch grant leaves the data plane: record it
-    /// with the release guard (if on), then mirror it out. Takes the
+    /// with the release guard (if on), then mirror it out (into the
+    /// batch's grant list in batch mode, see [`ActionBuf`]). Takes the
     /// fields apart so callers can hold `grant_scratch` borrowed.
     #[inline]
     fn push_grant(
@@ -442,7 +443,7 @@ impl DataPlane {
         if let Some(g) = guard {
             g.credit(qid, slot.txn, slot.mode);
         }
-        out.push(DpAction::SendGrant(GrantMsg {
+        out.push_grant(GrantMsg {
             lock,
             txn: slot.txn,
             mode: slot.mode,
@@ -450,7 +451,7 @@ impl DataPlane {
             priority: slot.priority,
             grantor: Grantor::Switch,
             issued_at_ns: slot.issued_at_ns,
-        }));
+        });
     }
 
     fn on_acquire(&mut self, req: LockRequest, now_ns: u64, out: &mut ActionBuf) {

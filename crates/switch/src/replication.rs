@@ -263,7 +263,7 @@ impl ReplSwitch {
         // neither, and hands its only copy to the data plane.
         let Some(succ) = self.successor() else {
             self.process(op, stamp_ns);
-            self.core.emit(ctx, None);
+            self.core.emit(ctx);
             self.send_acks(ctx);
             return;
         };
@@ -378,7 +378,7 @@ impl ReplSwitch {
             for entry in &self.log {
                 let delay = egress_delay(entry.extra_passes);
                 for &act in &entry.outputs {
-                    self.core.route(act, delay, ctx, None);
+                    self.core.route(act, delay, ctx);
                 }
                 self.core.stats.reemitted += 1;
             }
@@ -392,7 +392,7 @@ impl ReplSwitch {
             return;
         }
         self.epoch = epoch;
-        self.core.reload();
+        self.core.reload(ctx.now().as_nanos());
         self.chain = vec![self.me];
         self.last_applied = 0;
         self.acked = 0;

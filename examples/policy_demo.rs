@@ -96,10 +96,8 @@ fn isolation(isolate: bool) -> (f64, f64) {
         // Each tenant gets half of roughly the unisolated lock rate.
         let switch = rack.switch;
         rack.sim.with_node::<SwitchNode, _>(switch, |s| {
-            s.dataplane_mut()
-                .set_tenant_meter(TenantId(1), 150_000, 32, 0);
-            s.dataplane_mut()
-                .set_tenant_meter(TenantId(2), 150_000, 32, 0);
+            s.set_tenant_meter(TenantId(1), 150_000, 32, 0);
+            s.set_tenant_meter(TenantId(2), 150_000, 32, 0);
         });
     }
     for tenant in [1u16, 1, 1, 1, 2] {

@@ -286,6 +286,84 @@ fn rebooted_realloc_switch_reloads_its_migrations() {
     );
 }
 
+/// A rebooted switch installs its tenant meters again (§4.4: the quota
+/// is policy the control plane set, not register state). `examples/
+/// policy_demo`'s isolation rack with tenant 1's four clients metered,
+/// the switch down from 20 to 25 ms: every 5 ms window from 30 ms on
+/// throttles the tenant and commits no more than 1.5× the last
+/// pre-fault window (an unmetered tenant commits about 3×).
+#[test]
+fn rebooted_switch_keeps_its_tenant_quota() {
+    let mut rack = Rack::build(RackConfig {
+        seed: 32,
+        lock_servers: 1,
+        ..Default::default()
+    });
+    let locks: Vec<LockId> = (0..16).map(LockId).collect();
+    let stats = LockStats::uniform(locks.iter().copied(), 48, 1);
+    rack.program(&knapsack_allocate(&stats, 100_000));
+    let switch = rack.switch;
+    rack.sim.with_node::<SwitchNode, _>(switch, |s| {
+        s.set_tenant_meter(TenantId(1), 150_000, 32, 0);
+    });
+    let clients: Vec<NodeId> = (0..4)
+        .map(|_| {
+            let mut src = SingleLockSource {
+                locks: locks.clone(),
+                mode: LockMode::Exclusive,
+                think: SimDuration::from_micros(20),
+            };
+            rack.add_txn_client(
+                TxnClientConfig {
+                    workers: 8,
+                    retry_timeout: SimDuration::from_millis(2),
+                    ..Default::default()
+                },
+                Box::new(move |rng: &mut netlock_sim::SimRng| {
+                    use netlock_core::txn::TxnSource;
+                    src.next_txn(rng).with_tenant(TenantId(1))
+                }),
+            )
+        })
+        .collect();
+    let txns = |rack: &Rack| -> u64 {
+        clients
+            .iter()
+            .map(|&c| rack.sim.read_node::<TxnClient, _>(c, |c| c.stats().txns))
+            .sum()
+    };
+    let quota_drops = |rack: &Rack| {
+        rack.sim
+            .read_node::<SwitchNode, _>(switch, |s| s.dataplane().stats().quota_drops)
+    };
+    // (window end in ms, txns, quota drops); the data plane's counters
+    // restart at the revive, which falls between two windows.
+    let mut windows = Vec::new();
+    for end_ms in (5..=50).step_by(5) {
+        let (txns_before, drops_before) = (txns(&rack), quota_drops(&rack));
+        rack.sim.run_for(SimDuration::from_millis(5));
+        windows.push((
+            end_ms,
+            txns(&rack) - txns_before,
+            quota_drops(&rack) - drops_before,
+        ));
+        match end_ms {
+            20 => rack.sim.fail_node(switch),
+            25 => rack.sim.revive_node(switch),
+            _ => {}
+        }
+    }
+    let (_, pre_fault, pre_fault_drops) = windows[3];
+    assert!(pre_fault > 500 && pre_fault_drops > 0, "{windows:?}");
+    for &(end_ms, n, drops) in &windows[5..] {
+        assert!(
+            drops > 0 && 2 * n <= 3 * pre_fault,
+            "window ending at {end_ms} ms: {n} txns and {drops} quota drops \
+             against {pre_fault} txns before the fault: {windows:?}"
+        );
+    }
+}
+
 /// Lock-server failover: the failed server's locks move to the backup,
 /// clients resubmit, and processing continues there.
 #[test]

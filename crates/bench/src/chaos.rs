@@ -142,7 +142,6 @@ fn small_chaos_rack(seed: u64) -> (Rack, Vec<LockId>) {
         switch: SwitchConfig {
             lease: CHAOS_LEASE,
             control_tick: CHAOS_TICK,
-            ..Default::default()
         },
         engine: EngineSpec::Fcfs(SharedQueueLayout::small(2, 256, 16)),
         ..Default::default()
@@ -245,7 +244,6 @@ pub fn build_tpcc_chaos_rack(seed: u64) -> Rack {
             switch: SwitchConfig {
                 lease: CHAOS_LEASE,
                 control_tick: CHAOS_TICK,
-                ..Default::default()
             },
             ..Default::default()
         },

@@ -11,7 +11,7 @@
 //! Fault scoping mirrors the paper's failure model (§4.5): the network
 //! between clients and the rack misbehaves, and whole machines fail and
 //! recover, but the in-rack switch↔server fabric is reliable — NetLock's
-//! migration and forwarding protocols assume lossless in-rack delivery
+//! overflow and forwarding protocols assume lossless in-rack delivery
 //! the way the Tofino's internal paths do, so only client↔switch links
 //! receive loss/duplication/jitter.
 //!

@@ -193,14 +193,12 @@ impl RackNodes {
     }
 
     /// Program an FCFS allocation: switch regions + directory (see
-    /// [`SwitchNode::program`]), and mark server-resident locks as owned
-    /// on their home servers. Locks with no directory entry default-route
-    /// to `hash(lock) % servers`.
+    /// [`SwitchNode::program`]). A lock server owns every lock it has
+    /// not seen overflow from the switch, so it needs no programming.
+    /// Locks with no directory entry default-route to `hash(lock) %
+    /// servers`.
     pub fn program(&self, sim: &mut Simulator<NetLockMsg>, alloc: &Allocation) {
         sim.with_node::<SwitchNode, _>(self.switch, |s| s.program(alloc));
-        for &(lock, home) in &alloc.in_server {
-            sim.with_node::<ServerNode, _>(self.lock_servers[home], |s| s.own_lock(lock));
-        }
     }
 
     /// Program the priority engine's directory: lock → sequential qid,

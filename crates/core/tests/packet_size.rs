@@ -2,10 +2,10 @@
 //!
 //! Every pending event in the calendar queue embeds a
 //! `Packet<NetLockMsg>`, so its size bounds the footprint and memmove
-//! cost of the entire pending set. The bulk `Push` /
-//! `CtrlPromoteReady` variants carry boxed slices precisely to keep
-//! these bounds; if either assertion fires, a variant grew and the hot
-//! loop just got slower everywhere.
+//! cost of the entire pending set. The bulk `Push` and batch variants
+//! carry boxed slices precisely to keep these bounds; if either
+//! assertion fires, a variant grew and the hot loop just got slower
+//! everywhere.
 
 use netlock_proto::NetLockMsg;
 use netlock_sim::{EventQueue, FaultAction, NodeId, Packet};

@@ -2,7 +2,7 @@
 //!
 //! [`crate::LockHeader`] covers the per-request header the switch
 //! parses; deployments also exchange compound messages (push batches,
-//! migration transfers) between switch and servers. This module frames
+//! chain ops) between switch and servers. This module frames
 //! the complete [`NetLockMsg`] set so any message can cross a real
 //! wire: a 1-byte message tag, a 2-byte element count where a message
 //! carries a request list, then fixed-size encoded records.
@@ -31,9 +31,8 @@ enum Tag {
     Push = 6,
     DbFetch = 7,
     DbReply = 8,
-    CtrlDemote = 9,
-    CtrlPromote = 10,
-    CtrlPromoteReady = 11,
+    // 9–11 are unassigned: every other tag keeps its number, so its
+    // encoding does not change.
     CtrlHandback = 12,
     ChainOp = 13,
     ChainAck = 14,
@@ -58,9 +57,6 @@ impl Tag {
             6 => Tag::Push,
             7 => Tag::DbFetch,
             8 => Tag::DbReply,
-            9 => Tag::CtrlDemote,
-            10 => Tag::CtrlPromote,
-            11 => Tag::CtrlPromoteReady,
             12 => Tag::CtrlHandback,
             13 => Tag::ChainOp,
             14 => Tag::ChainAck,
@@ -195,22 +191,6 @@ fn encode_into(msg: &NetLockMsg, buf: &mut BytesMut) {
         NetLockMsg::DbReply { grant } => {
             buf.put_u8(Tag::DbReply as u8);
             put_grant(buf, grant);
-        }
-        NetLockMsg::CtrlDemote { lock } => {
-            buf.put_u8(Tag::CtrlDemote as u8);
-            buf.put_u32(lock.0);
-        }
-        NetLockMsg::CtrlPromote { lock } => {
-            buf.put_u8(Tag::CtrlPromote as u8);
-            buf.put_u32(lock.0);
-        }
-        NetLockMsg::CtrlPromoteReady { lock, reqs } => {
-            buf.put_u8(Tag::CtrlPromoteReady as u8);
-            buf.put_u32(lock.0);
-            buf.put_u16(reqs.len() as u16);
-            for r in reqs {
-                put_request(buf, r, 0);
-            }
         }
         NetLockMsg::CtrlServerRestart { epoch } => {
             buf.put_u8(Tag::CtrlServerRestart as u8);
@@ -352,31 +332,6 @@ pub fn decode_msg(buf: &mut impl Buf) -> Result<NetLockMsg, DecodeError> {
         Tag::DbReply => NetLockMsg::DbReply {
             grant: get_grant(buf)?,
         },
-        Tag::CtrlDemote => {
-            need(buf, 4)?;
-            NetLockMsg::CtrlDemote {
-                lock: LockId(buf.get_u32()),
-            }
-        }
-        Tag::CtrlPromote => {
-            need(buf, 4)?;
-            NetLockMsg::CtrlPromote {
-                lock: LockId(buf.get_u32()),
-            }
-        }
-        Tag::CtrlPromoteReady => {
-            need(buf, 6)?;
-            let lock = LockId(buf.get_u32());
-            let n = buf.get_u16() as usize;
-            let mut reqs = Vec::with_capacity(n);
-            for _ in 0..n {
-                reqs.push(get_request(buf)?.0);
-            }
-            NetLockMsg::CtrlPromoteReady {
-                lock,
-                reqs: reqs.into(),
-            }
-        }
         Tag::CtrlServerRestart => {
             need(buf, 4)?;
             NetLockMsg::CtrlServerRestart {
@@ -562,12 +517,6 @@ mod tests {
                 issued_at_ns: 1,
             },
         });
-        roundtrip(NetLockMsg::CtrlDemote { lock: LockId(14) });
-        roundtrip(NetLockMsg::CtrlPromote { lock: LockId(15) });
-        roundtrip(NetLockMsg::CtrlPromoteReady {
-            lock: LockId(16),
-            reqs: (0..3).map(req).collect(),
-        });
         roundtrip(NetLockMsg::CtrlHandback { lock: LockId(17) });
         roundtrip(NetLockMsg::CtrlServerRestart { epoch: 3 });
         roundtrip(NetLockMsg::ChainOp {
@@ -667,16 +616,32 @@ mod tests {
             Err(DecodeError::BadOp(Tag::ChainOp as u8))
         );
         // Any inner op other than Acquire / Release is refused too.
-        let demote = NetLockMsg::ChainOp {
+        let handback = NetLockMsg::ChainOp {
             partition: 0,
             seq: 1,
             stamp_ns: 2,
-            op: Box::new(NetLockMsg::CtrlDemote { lock: LockId(3) }),
+            op: Box::new(NetLockMsg::CtrlHandback { lock: LockId(3) }),
         };
         assert_eq!(
-            decode_msg(&mut encode_msg(&demote)),
-            Err(DecodeError::BadOp(Tag::CtrlDemote as u8))
+            decode_msg(&mut encode_msg(&handback)),
+            Err(DecodeError::BadOp(Tag::CtrlHandback as u8))
         );
+    }
+
+    /// A frame with an unassigned tag (9–11), with or without a body
+    /// behind it, is an error.
+    #[test]
+    fn retired_tags_are_rejected() {
+        for tag in 9u8..=11 {
+            for body in [&[][..], &[0, 0, 0, 3][..], &[0, 0, 0, 3, 0, 1][..]] {
+                let mut wire = vec![tag];
+                wire.extend_from_slice(body);
+                assert_eq!(
+                    decode_msg(&mut Bytes::from(wire)),
+                    Err(DecodeError::BadOp(tag))
+                );
+            }
+        }
     }
 
     #[test]

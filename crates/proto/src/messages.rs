@@ -163,29 +163,6 @@ pub enum NetLockMsg {
         /// The grant the data corresponds to.
         grant: GrantMsg,
     },
-    /// Switch control plane → server: the switch has drained `lock`'s q1
-    /// and demoted it; the server now owns the lock (its q2 contents
-    /// become the live queue).
-    CtrlDemote {
-        /// Demoted lock.
-        lock: LockId,
-    },
-    /// Switch control plane → server: prepare `lock` for promotion into
-    /// the switch — pause new grants, drain, and reply with
-    /// [`NetLockMsg::CtrlPromoteReady`].
-    CtrlPromote {
-        /// Lock being promoted.
-        lock: LockId,
-    },
-    /// Server → switch: `lock` is drained; `reqs` are the requests that
-    /// arrived during the pause, in order, to be enqueued in the switch.
-    /// Boxed slice for the same slot-size reason as [`NetLockMsg::Push`].
-    CtrlPromoteReady {
-        /// Lock being promoted.
-        lock: LockId,
-        /// Requests buffered during the move.
-        reqs: Box<[LockRequest]>,
-    },
     /// Backup switch → restarted original switch: the backup's queue
     /// for `lock` has drained; the original may start granting from its
     /// own queue (§4.5: "we only grant locks from the backup switch
@@ -326,9 +303,6 @@ impl NetLockMsg {
             NetLockMsg::Push { lock, .. } => Some(*lock),
             NetLockMsg::DbFetch { grant } => Some(grant.lock),
             NetLockMsg::DbReply { grant } => Some(grant.lock),
-            NetLockMsg::CtrlDemote { lock } => Some(*lock),
-            NetLockMsg::CtrlPromote { lock } => Some(*lock),
-            NetLockMsg::CtrlPromoteReady { lock, .. } => Some(*lock),
             NetLockMsg::CtrlHandback { lock } => Some(*lock),
             NetLockMsg::ChainOp { op, .. } => op.lock(),
             // Batches span many locks; per-element handling extracts

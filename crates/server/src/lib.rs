@@ -8,8 +8,8 @@
 //!   model for property-testing the switch engine.
 //! - [`cores`] — the multi-core RSS service model (8 cores × 444 ns ≈
 //!   the paper's measured 18 MRPS per server).
-//! - [`node`] — the sim node: owned locks, q2 overflow buffering for
-//!   switch-resident locks, and the migration handshake.
+//! - [`node`] — the sim node: owned locks and q2 overflow buffering
+//!   for switch-resident locks.
 
 #![warn(missing_docs)]
 

@@ -1,33 +1,20 @@
 //! The lock-server simulation node.
 //!
-//! Handles (1) locks it owns, with the full [`LockTable`] semantics,
-//! (2) q2 overflow buffering for switch-resident locks (§4.3), and
-//! (3) the migration handshake (CtrlDemote / CtrlPromote /
-//! CtrlPromoteReady). All request processing is charged to the RSS
-//! multi-core model.
+//! Handles (1) locks it owns, with the full [`LockTable`] semantics, and
+//! (2) q2 overflow buffering for switch-resident locks (§4.3). All
+//! request processing is charged to the RSS multi-core model.
 
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 use netlock_proto::{GrantMsg, Grantor, LockId, LockRequest, NetLockMsg, ReleaseRequest};
-use netlock_sim::{Context, FastHashMap, Node, NodeId, Packet, SimDuration};
+use netlock_sim::{Context, FastHashMap, FastHashSet, Node, NodeId, Packet, SimDuration};
 
 use crate::cores::{CoreModel, PAPER_SERVICE_NS};
 use crate::lock_table::{LockTable, TableAcquire};
 
 /// Timer token for the lease sweep.
 const TIMER_LEASE_SWEEP: u64 = 1;
-
-/// Who currently decides grants for a lock, from this server's view.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Ownership {
-    /// This server grants (server-resident lock).
-    Owned,
-    /// The switch grants; this server only buffers overflow in q2.
-    SwitchOwned,
-    /// Mid-promotion: grants paused, new arrivals buffered for transfer.
-    Promoting,
-}
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -80,11 +67,13 @@ pub struct ServerStats {
 pub struct ServerNode {
     table: LockTable,
     q2: FastHashMap<LockId, VecDeque<LockRequest>>,
-    ownership: FastHashMap<LockId, Ownership>,
-    promote_buf: FastHashMap<LockId, Vec<LockRequest>>,
+    /// Locks the switch grants, learned from their first buffer-only
+    /// forward: this server only buffers their overflow in q2. Every
+    /// other lock is this server's own.
+    switch_owned: FastHashSet<LockId>,
     cores: CoreModel,
     cfg: ServerConfig,
-    /// The ToR switch (destination for Push / CtrlPromoteReady).
+    /// The ToR switch (destination for Push).
     switch: NodeId,
     /// Failover grace deadline (ns): until then, acquires are buffered
     /// rather than granted, so leases on locks granted by a failed
@@ -113,8 +102,7 @@ impl ServerNode {
         ServerNode {
             table: LockTable::new(),
             q2: FastHashMap::default(),
-            ownership: FastHashMap::default(),
-            promote_buf: FastHashMap::default(),
+            switch_owned: FastHashSet::default(),
             cores: CoreModel::new(cfg.cores, cfg.service.as_nanos()),
             cfg,
             switch,
@@ -126,11 +114,6 @@ impl ServerNode {
             sweep_buf: Vec::new(),
             stats: ServerStats::default(),
         }
-    }
-
-    /// Pre-declare a lock as owned by this server (rack setup).
-    pub fn own_lock(&mut self, lock: LockId) {
-        self.ownership.insert(lock, Ownership::Owned);
     }
 
     /// The configuration this server runs with.
@@ -167,13 +150,6 @@ impl ServerNode {
     /// The core model (utilization reporting).
     pub fn cores(&self) -> &CoreModel {
         &self.cores
-    }
-
-    fn ownership_of(&self, lock: LockId) -> Ownership {
-        self.ownership
-            .get(&lock)
-            .copied()
-            .unwrap_or(Ownership::Owned)
     }
 
     /// Charge CPU and return the output delay for a request on `lock`.
@@ -213,67 +189,46 @@ impl ServerNode {
             return;
         }
         let delay = self.charge(req.lock, ctx.now().as_nanos());
-        match self.ownership_of(req.lock) {
-            Ownership::Promoting => {
-                // Paused for migration; hold for the transfer.
-                self.promote_buf.entry(req.lock).or_default().push(req);
-            }
-            Ownership::SwitchOwned => {
-                if buffer_only {
-                    let q = self.q2.entry(req.lock).or_default();
-                    q.push_back(req);
-                    self.stats.q2_buffered += 1;
-                    self.stats.q2_peak_depth = self.stats.q2_peak_depth.max(q.len());
-                } else {
-                    // A request routed here before the directory flipped
-                    // to switch-resident (migration race): bounce it to
-                    // the switch, which now owns the lock.
-                    ctx.send_after(
-                        self.switch,
-                        NetLockMsg::Push {
-                            lock: req.lock,
-                            reqs: Box::new([req]),
-                        },
-                        delay,
-                    );
-                }
-            }
-            Ownership::Owned => {
-                if buffer_only {
-                    // First overflow for a lock we were not tracking:
-                    // the switch owns it; start a q2.
-                    self.ownership.insert(req.lock, Ownership::SwitchOwned);
-                    let q = self.q2.entry(req.lock).or_default();
-                    q.push_back(req);
-                    self.stats.q2_buffered += 1;
-                    self.stats.q2_peak_depth = self.stats.q2_peak_depth.max(q.len());
-                    return;
-                }
-                match self.table.acquire(req) {
-                    TableAcquire::Granted => self.send_grant(&req, delay, ctx),
-                    TableAcquire::Queued => self.stats.queued += 1,
-                }
+        if buffer_only {
+            // An overflow of a switch-resident lock: the switch owns it
+            // and this server buffers the request in the lock's q2.
+            self.switch_owned.insert(req.lock);
+            let q = self.q2.entry(req.lock).or_default();
+            q.push_back(req);
+            self.stats.q2_buffered += 1;
+            self.stats.q2_peak_depth = self.stats.q2_peak_depth.max(q.len());
+        } else if self.switch_owned.contains(&req.lock) {
+            // A plain acquire for a lock the switch owns: bounce it to
+            // the switch.
+            ctx.send_after(
+                self.switch,
+                NetLockMsg::Push {
+                    lock: req.lock,
+                    reqs: Box::new([req]),
+                },
+                delay,
+            );
+        } else {
+            match self.table.acquire(req) {
+                TableAcquire::Granted => self.send_grant(&req, delay, ctx),
+                TableAcquire::Queued => self.stats.queued += 1,
             }
         }
     }
 
     fn on_release(&mut self, rel: ReleaseRequest, ctx: &mut Context<'_, NetLockMsg>) {
         let delay = self.charge(rel.lock, ctx.now().as_nanos());
-        match self.ownership_of(rel.lock) {
-            Ownership::SwitchOwned => {
-                self.stats.spurious_releases += 1;
-            }
-            Ownership::Owned | Ownership::Promoting => {
-                let mut granted = std::mem::take(&mut self.grant_buf);
-                granted.clear();
-                self.table.release(rel.lock, rel.txn, &mut granted);
-                for req in &granted {
-                    self.send_grant(req, delay, ctx);
-                }
-                self.grant_buf = granted;
-                self.maybe_finish_promote(rel.lock, delay, ctx);
-            }
+        if self.switch_owned.contains(&rel.lock) {
+            self.stats.spurious_releases += 1;
+            return;
         }
+        let mut granted = std::mem::take(&mut self.grant_buf);
+        granted.clear();
+        self.table.release(rel.lock, rel.txn, &mut granted);
+        for req in &granted {
+            self.send_grant(req, delay, ctx);
+        }
+        self.grant_buf = granted;
     }
 
     fn on_queue_space(&mut self, lock: LockId, space: u32, ctx: &mut Context<'_, NetLockMsg>) {
@@ -294,47 +249,6 @@ impl ServerNode {
         };
         self.stats.q2_pushed += reqs.len() as u64;
         ctx.send_after(self.switch, NetLockMsg::Push { lock, reqs }, delay);
-    }
-
-    fn on_demote(&mut self, lock: LockId, ctx: &mut Context<'_, NetLockMsg>) {
-        // This server now owns the lock; its q2 becomes the live queue.
-        self.ownership.insert(lock, Ownership::Owned);
-        let buffered: Vec<LockRequest> = self.q2.remove(&lock).unwrap_or_default().into();
-        for req in buffered {
-            let delay = self.charge(lock, ctx.now().as_nanos());
-            match self.table.acquire(req) {
-                TableAcquire::Granted => self.send_grant(&req, delay, ctx),
-                TableAcquire::Queued => self.stats.queued += 1,
-            }
-        }
-    }
-
-    fn on_promote(&mut self, lock: LockId, ctx: &mut Context<'_, NetLockMsg>) {
-        self.ownership.insert(lock, Ownership::Promoting);
-        let delay = self.charge(lock, ctx.now().as_nanos());
-        self.maybe_finish_promote(lock, delay, ctx);
-    }
-
-    fn maybe_finish_promote(
-        &mut self,
-        lock: LockId,
-        delay: SimDuration,
-        ctx: &mut Context<'_, NetLockMsg>,
-    ) {
-        if self.ownership_of(lock) != Ownership::Promoting {
-            return;
-        }
-        // Still held: the table drops a lock's entry when it goes idle.
-        if self.table.get(lock).is_some() {
-            return;
-        }
-        self.ownership.insert(lock, Ownership::SwitchOwned);
-        let reqs: Box<[LockRequest]> = self.promote_buf.remove(&lock).unwrap_or_default().into();
-        ctx.send_after(
-            self.switch,
-            NetLockMsg::CtrlPromoteReady { lock, reqs },
-            delay,
-        );
     }
 
     /// Replay acquires buffered during a failover grace period.
@@ -370,12 +284,7 @@ impl ServerNode {
                 let delay = self.charge(lock, now);
                 self.send_grant(req, delay, ctx);
             }
-            let any = !granted.is_empty();
             self.grant_buf = granted;
-            if any {
-                let delay = self.charge(lock, now);
-                self.maybe_finish_promote(lock, delay, ctx);
-            }
         }
         self.sweep_buf = sweep;
         ctx.set_timer(self.cfg.sweep_tick, TIMER_LEASE_SWEEP);
@@ -390,8 +299,8 @@ impl Node<NetLockMsg> for ServerNode {
     }
 
     /// A crash-restart with total state loss (§4.5): lock table, q2
-    /// buffers, ownership, migration and grace buffers, and the CPU
-    /// model are wiped, as if the process restarted on a fresh machine
+    /// buffers, the switch-owned set, grace buffer, and the CPU model
+    /// are wiped, as if the process restarted on a fresh machine
     /// (counters are kept: they belong to the harness). Every lock
     /// reads as owned again, which is what a server-resident lock is.
     /// The server then waits one lease, so holders granted before the
@@ -401,8 +310,7 @@ impl Node<NetLockMsg> for ServerNode {
     fn on_revive(&mut self, ctx: &mut Context<'_, NetLockMsg>) {
         self.table = LockTable::new();
         self.q2.clear();
-        self.ownership.clear();
-        self.promote_buf.clear();
+        self.switch_owned.clear();
         self.grace_buf.clear();
         self.cores = CoreModel::new(self.cfg.cores, self.cfg.service.as_nanos());
         self.grace_until_ns = ctx.now().as_nanos() + self.cfg.lease.as_nanos();
@@ -432,8 +340,6 @@ impl Node<NetLockMsg> for ServerNode {
             NetLockMsg::Forwarded { req, buffer_only } => self.on_acquire(req, buffer_only, ctx),
             NetLockMsg::Release(rel) => self.on_release(rel, ctx),
             NetLockMsg::QueueSpace { lock, space } => self.on_queue_space(lock, space, ctx),
-            NetLockMsg::CtrlDemote { lock } => self.on_demote(lock, ctx),
-            NetLockMsg::CtrlPromote { lock } => self.on_promote(lock, ctx),
             _ => {}
         }
     }
@@ -569,48 +475,6 @@ mod tests {
         sim.read_node::<ServerNode, _>(server, |n| {
             // One of the three buffered requests is still in q2.
             assert_eq!(n.stats().q2_pushed, 2);
-        });
-    }
-
-    #[test]
-    fn promote_handshake_transfers_buffered_requests() {
-        let mut sim: Simulator<NetLockMsg> = Simulator::with_seed(4);
-        let client = sim.add_node(Box::new(Sink(Vec::new())));
-        let switch = sim.add_node(Box::new(Sink(Vec::new())));
-        let server = sim.add_node(Box::new(ServerNode::new(ServerConfig::default(), switch)));
-        // Take the lock so the promote cannot finish immediately.
-        sim.inject(client, server, NetLockMsg::Acquire(req(3, 1, client.0)));
-        sim.run_until(SimTime(100_000));
-        sim.inject(switch, server, NetLockMsg::CtrlPromote { lock: LockId(3) });
-        sim.run_until(SimTime(200_000));
-        // New arrival during the pause is buffered for transfer.
-        sim.inject(client, server, NetLockMsg::Acquire(req(3, 2, client.0)));
-        sim.run_until(SimTime(300_000));
-        sim.read_node::<Sink, _>(switch, |s| {
-            assert!(s.0.is_empty(), "not ready while the holder remains");
-        });
-        // Holder releases → server drains → CtrlPromoteReady with the
-        // buffered request.
-        sim.inject(
-            client,
-            server,
-            NetLockMsg::Release(ReleaseRequest {
-                lock: LockId(3),
-                txn: TxnId(1),
-                mode: LockMode::Exclusive,
-                client: ClientAddr(client.0),
-                priority: Priority(0),
-            }),
-        );
-        sim.run_until(SimTime(400_000));
-        sim.read_node::<Sink, _>(switch, |s| {
-            assert_eq!(s.0.len(), 1);
-            let NetLockMsg::CtrlPromoteReady { lock, reqs } = &s.0[0] else {
-                panic!("expected promote-ready");
-            };
-            assert_eq!(*lock, LockId(3));
-            assert_eq!(reqs.len(), 1);
-            assert_eq!(reqs[0].txn, TxnId(2));
         });
     }
 }

@@ -63,7 +63,6 @@ enum Fullness {
 enum Protocol {
     Normal,
     Overflow,
-    Draining,
     Suppressed,
 }
 
@@ -207,12 +206,6 @@ fn build_state(kind: EngineKind, state: ResidenceKind, sink: &TraceSink) -> Data
                         dp.process_collect(m, 0);
                     }
                 }
-                Protocol::Draining => {
-                    for m in fill_msgs(kind, fullness) {
-                        dp.process_collect(m, 0);
-                    }
-                    dp.begin_demote(SWITCH_LOCK);
-                }
                 Protocol::Suppressed => {
                     // §4.5: the restarted switch comes back with an empty
                     // queue and buffers arrivals without granting.
@@ -296,22 +289,6 @@ fn probes_for(state: ResidenceKind) -> Vec<(&'static str, NetLockMsg)> {
                 grant: grant_msg(lock),
             },
         ),
-        ("CtrlDemote", NetLockMsg::CtrlDemote { lock }),
-        ("CtrlPromote", NetLockMsg::CtrlPromote { lock }),
-        (
-            "CtrlPromoteReady",
-            NetLockMsg::CtrlPromoteReady {
-                lock,
-                reqs: Box::new([]),
-            },
-        ),
-        (
-            "CtrlPromoteReady",
-            NetLockMsg::CtrlPromoteReady {
-                lock,
-                reqs: Box::new([lock_req(lock, LockMode::Exclusive, 1, 504)]),
-            },
-        ),
         ("CtrlHandback", NetLockMsg::CtrlHandback { lock }),
     ];
     if !full_region {
@@ -331,7 +308,6 @@ fn states_for(kind: EngineKind) -> Vec<ResidenceKind> {
     let mut states = Vec::new();
     for &f in &fullnesses {
         states.push(ResidenceKind::Switch(f, Protocol::Normal));
-        states.push(ResidenceKind::Switch(f, Protocol::Draining));
         match kind {
             EngineKind::Fcfs => {
                 // Overflow and queue-while-suppressed both require the
@@ -405,15 +381,15 @@ mod tests {
     #[test]
     fn fcfs_state_space_has_expected_shape() {
         let states = states_for(EngineKind::Fcfs);
-        // 3 fullness × 4 protocols + server + 2 unknown.
-        assert_eq!(states.len(), 15);
+        // 3 fullness × 3 protocols + server + 2 unknown.
+        assert_eq!(states.len(), 12);
     }
 
     #[test]
     fn priority_state_space_has_expected_shape() {
         let states = states_for(EngineKind::Priority);
-        // 3 fullness × {normal, draining} + 1 suppressed + server + 2 unknown.
-        assert_eq!(states.len(), 10);
+        // 3 fullness × normal + 1 suppressed + server + 2 unknown.
+        assert_eq!(states.len(), 7);
     }
 
     #[test]

@@ -5,15 +5,12 @@
 //!   using the optimal fractional-knapsack allocation (Algorithm 3);
 //! - measure per-lock request rate `r_i` and contention `c_i` from the
 //!   data-plane counters;
-//! - move locks between switch and servers when popularity changes,
-//!   draining queues before any move;
 //! - periodically poll the data plane to clear expired leases (failure
 //!   and deadlock handling).
 
 use netlock_proto::{ClientAddr, LockId, LockMode, Priority, ReleaseRequest};
 
 use crate::dataplane::{DataPlane, Engine};
-use crate::directory::Residence;
 
 /// Measured workload statistics for one lock.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -62,19 +59,6 @@ pub struct Allocation {
 }
 
 impl Allocation {
-    /// Record a completed migration of `lock`: into a `slots`-slot
-    /// switch queue (`Some`, an installed promotion) or back to its home
-    /// server (`None`, a completed demotion). The lock leaves whichever
-    /// list held it and joins the end of the other.
-    pub fn migrate(&mut self, lock: LockId, slots: Option<u32>, home: usize) {
-        self.in_switch.retain(|&(l, ..)| l != lock);
-        self.in_server.retain(|&(l, _)| l != lock);
-        match slots {
-            Some(slots) => self.in_switch.push((lock, slots, home)),
-            None => self.in_server.push((lock, home)),
-        }
-    }
-
     /// Total switch slots consumed.
     pub fn slots_used(&self) -> u32 {
         self.in_switch.iter().map(|&(_, s, _)| s).sum()
@@ -208,91 +192,6 @@ pub fn harvest_stats(dp: &mut DataPlane, epoch_secs: f64) -> Vec<LockStats> {
         });
     }
     out
-}
-
-/// One step of the lock-migration plan between two allocations.
-#[derive(Clone, PartialEq, Debug)]
-pub enum MigrationOp {
-    /// Move a lock out of the switch to its home server: start draining
-    /// (new requests buffer in q2), hand ownership over once q1 empties.
-    Demote {
-        /// Lock to demote.
-        lock: LockId,
-    },
-    /// Move a server lock into the switch at region `qid`, `[left,right)`.
-    Promote {
-        /// Lock to promote.
-        lock: LockId,
-        /// Destination queue region.
-        qid: usize,
-        /// Region start (global slot index).
-        left: u32,
-        /// Region end (exclusive).
-        right: u32,
-        /// The lock's home server (q2 owner after promotion).
-        home_server: usize,
-    },
-}
-
-/// Diff the current directory against a target allocation and produce
-/// the migration steps. Locks whose region size changes are demoted and
-/// re-promoted (drain-then-move, as the paper requires).
-///
-/// The returned ops list demotions first — they free the memory the
-/// promotions assume.
-pub fn plan_migration(dp: &DataPlane, target: &Allocation) -> Vec<MigrationOp> {
-    let mut ops = Vec::new();
-    let current = dp.directory().switch_resident();
-    // Target layout: lock → (qid, left, right, home).
-    let mut cursor = 0u32;
-    let mut target_regions = Vec::new();
-    for (qid, &(lock, slots, home)) in target.in_switch.iter().enumerate() {
-        target_regions.push((lock, qid, cursor, cursor + slots, home));
-        cursor += slots;
-    }
-    // Demote anything not in the target set or whose region changed.
-    for &(lock, qid, _home) in &current {
-        let keep = target_regions.iter().any(|&(l, tq, tl, tr, _)| {
-            if l != lock {
-                return false;
-            }
-            let Engine::Fcfs(q) = dp.engine() else {
-                return false;
-            };
-            let v = q.cp_region(qid);
-            tq == qid && tl == v.left && tr == v.right
-        });
-        if !keep {
-            ops.push(MigrationOp::Demote { lock });
-        }
-    }
-    // Promote anything not currently resident with the right region.
-    for &(lock, qid, left, right, home) in &target_regions {
-        let already = dp
-            .directory()
-            .get(lock)
-            .map(|e| {
-                if e.residence != (Residence::Switch { qid }) {
-                    return false;
-                }
-                let Engine::Fcfs(q) = dp.engine() else {
-                    return false;
-                };
-                let v = q.cp_region(qid);
-                v.left == left && v.right == right
-            })
-            .unwrap_or(false);
-        if !already {
-            ops.push(MigrationOp::Promote {
-                lock,
-                qid,
-                left,
-                right,
-                home_server: home,
-            });
-        }
-    }
-    ops
 }
 
 /// Find switch-resident lock holders whose lease has expired and emit
@@ -533,29 +432,6 @@ mod tests {
         let stats = harvest_stats(&mut dp, 1.0);
         assert_eq!(stats[0].rate, 0.0);
         assert_eq!(stats[0].contention, 1);
-    }
-
-    #[test]
-    fn plan_migration_demotes_and_promotes() {
-        let mut dp = dp_small();
-        let alloc1 = knapsack_allocate(&[st(1, 100.0, 4), st(2, 1.0, 4)], 4);
-        apply_allocation(&mut dp, &alloc1);
-        // New workload: lock 2 hot, lock 1 cold.
-        let alloc2 = knapsack_allocate(&[st(1, 1.0, 4), st(2, 100.0, 4)], 4);
-        let ops = plan_migration(&dp, &alloc2);
-        assert!(ops.contains(&MigrationOp::Demote { lock: LockId(1) }));
-        assert!(ops.iter().any(|op| matches!(
-            op,
-            MigrationOp::Promote { lock, .. } if *lock == LockId(2)
-        )));
-    }
-
-    #[test]
-    fn plan_migration_noop_when_unchanged() {
-        let mut dp = dp_small();
-        let alloc = knapsack_allocate(&[st(1, 100.0, 4)], 4);
-        apply_allocation(&mut dp, &alloc);
-        assert!(plan_migration(&dp, &alloc).is_empty());
     }
 
     #[test]

@@ -14,12 +14,9 @@
 //!
 //! Hot-path memory discipline: `process` performs no steady-state heap
 //! allocation. Actions land in the reusable `ActionBuf`, release-grant
-//! cascades collect into a reusable scratch buffer, tenant meters live
-//! in a dense array indexed by `TenantId`, and per-lock forward counts
-//! live in a dense array indexed by the directory's interned lock
-//! index — mirroring the ASIC, whose tables and counters are all fixed
-//! at compile time. The forward counts are kept only while a control
-//! plane harvests them ([`DataPlane::set_forward_counting`]).
+//! cascades collect into a reusable scratch buffer and tenant meters
+//! live in a dense array indexed by `TenantId` — mirroring the ASIC,
+//! whose tables and counters are all fixed at compile time.
 
 use netlock_proto::{
     GrantMsg, Grantor, LockId, LockMode, LockRequest, NetLockMsg, ReleaseRequest, TenantId, TxnId,
@@ -62,9 +59,6 @@ struct OverflowState {
     pushed: u64,
     /// A QueueSpace notification is outstanding.
     space_pending: bool,
-    /// The lock is draining toward demotion: q1 is not refilled from q2
-    /// and ownership moves to the server once q1 empties.
-    draining: bool,
     /// Grants suppressed: a backup switch still owns grant order for
     /// this lock (restart handback, §4.5). Requests queue; nothing is
     /// granted until CtrlHandback arrives.
@@ -171,17 +165,6 @@ pub struct DataPlane {
     /// switch-resident locks, everything else routes onward. Zero means
     /// unknown locks are dropped.
     default_servers: usize,
-    /// Per-lock acquire counts for server-resident locks (control-plane
-    /// rate measurement for promotion decisions), dense by the
-    /// directory's interned lock index. On hardware this is a
-    /// count-min sketch or sampled mirror; exact counting is harmless
-    /// in the model because only the heavy hitters matter. Filled only
-    /// while `count_forwards` is set.
-    forward_counts: Vec<u64>,
-    /// Whether a control plane harvests `forward_counts`
-    /// ([`DataPlane::set_forward_counting`]); off, a forward keeps no
-    /// per-lock state, here or in the directory's interning.
-    count_forwards: bool,
     /// The release guard ([`DataPlane::set_release_guard`]): outstanding
     /// switch grants per queue region. `None` (the default) is the
     /// paper's unguarded blind dequeue.
@@ -205,8 +188,6 @@ impl DataPlane {
             stats: DpStats::default(),
             grant_scratch: Vec::new(),
             default_servers: 0,
-            forward_counts: Vec::new(),
-            count_forwards: false,
             guard: None,
         }
     }
@@ -227,8 +208,6 @@ impl DataPlane {
             stats: DpStats::default(),
             grant_scratch: Vec::new(),
             default_servers: 0,
-            forward_counts: Vec::new(),
-            count_forwards: false,
             guard: None,
         }
     }
@@ -238,15 +217,6 @@ impl DataPlane {
     /// have addressed).
     pub fn set_default_servers(&mut self, n: usize) {
         self.default_servers = n;
-    }
-
-    /// Turn the per-lock forward-rate measurement on or off. It is the
-    /// input of [`DataPlane::cp_take_forward_counts`] and nothing else,
-    /// so it runs only for a control plane that harvests it: the switch
-    /// node enables it exactly when dynamic reallocation is configured.
-    /// Off (the default), forwarding a lock remembers nothing about it.
-    pub fn set_forward_counting(&mut self, on: bool) {
-        self.count_forwards = on;
     }
 
     /// Turn the release guard on or off. On, every grant the data plane
@@ -364,7 +334,6 @@ impl DataPlane {
             .for_each(|o| *o = OverflowState::default());
         self.meters.clear();
         self.stats = DpStats::default();
-        self.forward_counts.clear();
         // The ledger dies with the registers: releases for pre-reboot
         // grants must not dequeue entries of the rebuilt queues.
         if let Some(g) = &mut self.guard {
@@ -386,7 +355,6 @@ impl DataPlane {
                 self.process_release(rel, now_ns, out);
             }
             NetLockMsg::Push { lock, reqs } => self.on_push(lock, reqs, out),
-            NetLockMsg::CtrlPromoteReady { lock, reqs } => self.on_promote_ready(lock, reqs, out),
             NetLockMsg::CtrlHandback { lock } => self.on_handback(lock, out),
             // Grants / forwards / fetches pass through the switch as
             // ordinary routed traffic; the data plane does not act on
@@ -403,21 +371,6 @@ impl DataPlane {
         let mut out = ActionBuf::new();
         self.process(msg, now_ns, &mut out);
         out
-    }
-
-    /// Bump the forward counter of a server-resident (or default-routed)
-    /// lock, growing the dense array if the lock is new to the intern.
-    /// A no-op unless the measurement is on.
-    #[inline]
-    fn bump_forward_count(&mut self, lock: LockId) {
-        if !self.count_forwards {
-            return;
-        }
-        let idx = self.directory.lock_index(lock);
-        if idx >= self.forward_counts.len() {
-            self.forward_counts.resize(idx + 1, 0);
-        }
-        self.forward_counts[idx] += 1;
     }
 
     /// Charge the packet being processed `passes` pipeline passes, in
@@ -471,7 +424,6 @@ impl DataPlane {
             None => match self.default_server_of(req.lock) {
                 Some(server) => {
                     self.stats.forwarded_server_locks += 1;
-                    self.bump_forward_count(req.lock);
                     out.push(DpAction::ForwardAcquire {
                         server,
                         req,
@@ -490,7 +442,6 @@ impl DataPlane {
         match entry.residence {
             Residence::Server => {
                 self.stats.forwarded_server_locks += 1;
-                self.bump_forward_count(req.lock);
                 out.push(DpAction::ForwardAcquire {
                     server: entry.home_server,
                     req,
@@ -683,10 +634,10 @@ impl DataPlane {
                     Self::push_grant(&mut self.guard, out, qid, rel.lock, s);
                 }
                 // q1 drained while in overflow mode → ask the server to
-                // push from q2 (suppressed while draining for demotion).
+                // push from q2.
                 if out_r.now_empty {
                     let of = &mut self.overflow[qid];
-                    if of.active && !of.space_pending && !of.draining {
+                    if of.active && !of.space_pending {
                         of.space_pending = true;
                         let space = self.region_capacity(qid);
                         out.push(DpAction::SendQueueSpace {
@@ -716,8 +667,8 @@ impl DataPlane {
                 of.forwarded = 0;
                 of.pushed = 0;
                 of.space_pending = false;
-                // `draining`/`suppressed` belong to migration/handback
-                // control flows; a server restart does not touch them.
+                // `suppressed` belongs to restart handback; a server
+                // restart does not touch it.
             }
         }
     }
@@ -735,8 +686,8 @@ impl DataPlane {
             return;
         };
         let Residence::Switch { qid } = entry.residence else {
-            // Lock was demoted while the push was in flight; bounce the
-            // requests to the server as owner.
+            // The lock is server-resident here: bounce the requests to
+            // the server as owner.
             for req in reqs {
                 out.push(DpAction::ForwardAcquire {
                     server: entry.home_server,
@@ -770,8 +721,8 @@ impl DataPlane {
             }
         }
         // Overflow bookkeeping only applies in overflow mode; a Push can
-        // also carry a request bounced by a server during a migration
-        // race, which is a plain enqueue.
+        // also carry a plain acquire a server bounced back to the switch
+        // that owns its lock, which is a plain enqueue.
         if self.overflow[qid].active {
             self.overflow[qid].pushed += n;
             self.overflow[qid].space_pending = false;
@@ -791,89 +742,6 @@ impl DataPlane {
                 });
             }
         }
-    }
-
-    /// The requests a promoted lock accumulated at its server arrive via
-    /// CtrlPromoteReady and enter the fresh queue region in order.
-    fn on_promote_ready(&mut self, lock: LockId, reqs: Box<[LockRequest]>, out: &mut ActionBuf) {
-        self.charge(out, 1);
-        let Some(entry) = self.directory.get(lock) else {
-            out.push(DpAction::Drop {
-                reason: DropReason::UnknownLock,
-            });
-            return;
-        };
-        let Residence::Switch { .. } = entry.residence else {
-            // Promotion was cancelled; hand the requests back to the
-            // server as owner.
-            for req in reqs {
-                out.push(DpAction::ForwardAcquire {
-                    server: entry.home_server,
-                    req,
-                    buffer_only: false,
-                });
-            }
-            return;
-        };
-        for req in reqs {
-            let now = req.issued_at_ns;
-            self.on_acquire(req, now, out);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Control-plane migration hooks (§4.3: drain before moving)
-    // ------------------------------------------------------------------
-
-    /// Begin demoting `lock`: new requests are diverted to the server's
-    /// q2 (buffer-only) while q1 drains. Returns true if q1 is already
-    /// empty (the demotion can complete immediately).
-    pub fn begin_demote(&mut self, lock: LockId) -> bool {
-        let Some(entry) = self.directory.get(lock) else {
-            return false;
-        };
-        let Residence::Switch { qid } = entry.residence else {
-            return false;
-        };
-        self.overflow[qid].active = true;
-        self.overflow[qid].draining = true;
-        self.is_region_empty(qid)
-    }
-
-    /// Complete a demotion if its queue has drained. Returns the home
-    /// server (now the owner) on success.
-    pub fn complete_demote(&mut self, lock: LockId) -> Option<usize> {
-        let entry = self.directory.get(lock)?;
-        let Residence::Switch { qid } = entry.residence else {
-            return None;
-        };
-        if !self.overflow[qid].draining || !self.is_region_empty(qid) {
-            return None;
-        }
-        if let Engine::Fcfs(q) = &mut self.engine {
-            q.cp_set_region(qid, 0, 0);
-        }
-        self.overflow[qid] = OverflowState::default();
-        self.directory.set_server_resident(lock, entry.home_server);
-        Some(entry.home_server)
-    }
-
-    /// Install the region for a lock being promoted from a server. The
-    /// switch owns the lock from this moment; the server replies with
-    /// the requests it buffered during the pause.
-    pub fn prepare_promote(
-        &mut self,
-        lock: LockId,
-        qid: usize,
-        left: u32,
-        right: u32,
-        home_server: usize,
-    ) {
-        if let Engine::Fcfs(q) = &mut self.engine {
-            q.cp_set_region(qid, left, right);
-        }
-        self.overflow[qid] = OverflowState::default();
-        self.directory.set_switch_resident(lock, qid, home_server);
     }
 
     /// Begin restart handback for `lock`: queue arrivals without
@@ -954,22 +822,6 @@ impl DataPlane {
     /// True if lock `qid` is in overflow mode (tests/CP).
     pub fn overflow_active(&self, qid: usize) -> bool {
         self.overflow[qid].active
-    }
-
-    /// Take and reset the per-lock forward counts (one measurement
-    /// epoch of server-resident lock rates; empty unless
-    /// [`DataPlane::set_forward_counting`] turned the measurement on).
-    /// Output is sorted by lock id — the control-plane sweep must never
-    /// depend on table order.
-    pub fn cp_take_forward_counts(&mut self) -> Vec<(LockId, u64)> {
-        let mut v: Vec<(LockId, u64)> = Vec::new();
-        for (idx, count) in self.forward_counts.iter_mut().enumerate() {
-            if *count != 0 {
-                v.push((self.directory.lock_of_index(idx), std::mem::take(count)));
-            }
-        }
-        v.sort_by_key(|&(l, _)| l);
-        v
     }
 }
 
@@ -1226,36 +1078,5 @@ mod tests {
         release.priority = Priority(1);
         let acts = dp.process_collect(NetLockMsg::Release(release), 0);
         assert!(matches!(acts[0], DpAction::SendGrant(g) if g.txn == TxnId(3)));
-    }
-
-    /// The control-plane sweep consumes forward counts in sorted lock
-    /// order — pinned here so the output can never depend on the order
-    /// locks were first seen (or, historically, on hash iteration).
-    #[test]
-    fn forward_counts_drain_sorted_and_reset() {
-        let mut dp = DataPlane::new_fcfs(&SharedQueueLayout::small(2, 16, 4));
-        for lock in [9u32, 3, 7] {
-            dp.directory_mut().set_server_resident(LockId(lock), 0);
-        }
-        // Nobody harvesting: a forward leaves nothing behind.
-        dp.process_collect(NetLockMsg::Acquire(req(9, LockMode::Shared, 99)), 0);
-        assert!(dp.cp_take_forward_counts().is_empty());
-        assert_eq!(dp.directory().interned_len(), 0);
-        dp.set_forward_counting(true);
-        // Touch locks in decidedly unsorted order, with distinct counts.
-        for (lock, hits) in [(9u32, 3u64), (3, 1), (7, 2)] {
-            for i in 0..hits {
-                dp.process_collect(NetLockMsg::Acquire(req(lock, LockMode::Shared, 100 + i)), 0);
-            }
-        }
-        assert_eq!(
-            dp.cp_take_forward_counts(),
-            vec![(LockId(3), 1), (LockId(7), 2), (LockId(9), 3)]
-        );
-        // The take resets every counter: a second epoch starts empty.
-        assert!(dp.cp_take_forward_counts().is_empty());
-        // New traffic after the reset is a fresh epoch, still sorted.
-        dp.process_collect(NetLockMsg::Acquire(req(7, LockMode::Shared, 200)), 0);
-        assert_eq!(dp.cp_take_forward_counts(), vec![(LockId(7), 1)]);
     }
 }

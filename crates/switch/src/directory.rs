@@ -39,15 +39,6 @@ pub struct LockDirectory {
     entries: FastHashMap<LockId, DirEntry>,
     /// qid → lock reverse map, for control-plane sweeps.
     by_qid: FastHashMap<usize, LockId>,
-    /// Dense interning of every lock the data plane has ever counted
-    /// (directory entries and default-routed locks alike; none unless
-    /// its forward-rate measurement is on): stable
-    /// index per lock, survives residence flips. Backs the data
-    /// plane's dense per-lock counter arrays the way a compiled
-    /// Tofino table backs its counters — the slot is assigned once.
-    index_of: FastHashMap<LockId, u32>,
-    /// index → lock reverse map for `index_of`.
-    interned: Vec<LockId>,
 }
 
 impl LockDirectory {
@@ -129,47 +120,10 @@ impl LockDirectory {
         self.entries.is_empty()
     }
 
-    /// Dense index of `lock`, interning it on first sight. The index
-    /// is stable for the directory's lifetime (until [`clear`]); the
-    /// data plane uses it to address per-lock counter arrays without a
-    /// per-epoch hash-map drain.
-    ///
-    /// [`clear`]: LockDirectory::clear
-    pub fn lock_index(&mut self, lock: LockId) -> usize {
-        match self.index_of.entry(lock) {
-            std::collections::hash_map::Entry::Occupied(e) => *e.get() as usize,
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let idx = self.interned.len() as u32;
-                e.insert(idx);
-                self.interned.push(lock);
-                idx as usize
-            }
-        }
-    }
-
-    /// The lock interned at `idx` (inverse of [`lock_index`]).
-    ///
-    /// [`lock_index`]: LockDirectory::lock_index
-    ///
-    /// # Panics
-    /// If `idx` was never returned by `lock_index`.
-    pub fn lock_of_index(&self, idx: usize) -> LockId {
-        self.interned[idx]
-    }
-
-    /// Number of interned locks (the size dense counter arrays must
-    /// cover).
-    pub fn interned_len(&self) -> usize {
-        self.interned.len()
-    }
-
-    /// Drop every entry (switch reboot). Also forgets the interned
-    /// lock indices: a rebooted switch reassigns its table slots.
+    /// Drop every entry (switch reboot).
     pub fn clear(&mut self) {
         self.entries.clear();
         self.by_qid.clear();
-        self.index_of.clear();
-        self.interned.clear();
     }
 }
 
@@ -195,14 +149,14 @@ mod tests {
                 home_server: 0
             })
         );
-        // Promote to switch.
+        // Move into the switch.
         d.set_switch_resident(LockId(1), 7, 0);
         assert_eq!(
             d.get(LockId(1)).unwrap().residence,
             Residence::Switch { qid: 7 }
         );
         assert_eq!(d.switch_resident(), vec![(LockId(1), 7, 0)]);
-        // Demote back to server; qid is freed for another lock.
+        // Back to the server; qid is freed for another lock.
         d.set_server_resident(LockId(1), 0);
         assert!(d.switch_resident().is_empty());
         assert_eq!(d.len(), 1);
@@ -247,26 +201,5 @@ mod tests {
         assert!(d.is_empty());
         // The qid index is cleared too.
         d.set_switch_resident(LockId(6), 0, 1);
-    }
-
-    #[test]
-    fn intern_is_stable_and_survives_residence_flips() {
-        let mut d = LockDirectory::new();
-        let a = d.lock_index(LockId(7));
-        let b = d.lock_index(LockId(3));
-        assert_ne!(a, b);
-        // Re-interning returns the same slot.
-        assert_eq!(d.lock_index(LockId(7)), a);
-        // Residence changes never move the slot.
-        d.set_switch_resident(LockId(7), 0, 1);
-        d.set_server_resident(LockId(7), 1);
-        assert_eq!(d.lock_index(LockId(7)), a);
-        assert_eq!(d.lock_of_index(a), LockId(7));
-        assert_eq!(d.lock_of_index(b), LockId(3));
-        assert_eq!(d.interned_len(), 2);
-        // Reboot forgets the interning.
-        d.clear();
-        assert_eq!(d.interned_len(), 0);
-        assert_eq!(d.lock_index(LockId(3)), 0);
     }
 }

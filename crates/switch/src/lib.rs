@@ -24,7 +24,7 @@
 //! - [`dataplane`] — Algorithm 1: the full packet-processing module,
 //!   including the q1/q2 overflow protocol (§4.3)
 //! - [`control`] — Algorithm 3 knapsack allocation, measurement
-//!   harvesting, migration planning, lease expiry (§4.3, §4.5)
+//!   harvesting, lease expiry (§4.3, §4.5)
 //! - [`release_guard`] — the per-region ledger of outstanding grants
 //!   that makes releases idempotent (not in the paper; see DESIGN.md)
 //! - [`node`] — the switch driver (`SwitchCore`: data plane, program
@@ -61,7 +61,7 @@ pub mod txn;
 
 pub use action_buf::{ActionBuf, ACTION_BUF_CAP};
 pub use dataplane::{DataPlane, DpAction, DpStats, DropReason, Engine};
-pub use node::{AutoRealloc, SwitchConfig, SwitchNode, SwitchStats, PASS_LATENCY, TRAVERSAL};
+pub use node::{SwitchConfig, SwitchNode, SwitchStats, PASS_LATENCY, TRAVERSAL};
 pub use partition::PartitionMap;
 pub use release_guard::GrantLedger;
 pub use replication::{ChainController, ControllerStats, ReplConfig, ReplSwitch};

@@ -5,41 +5,18 @@
 //! traversal latency and per-resubmit cost charged on every emission.
 //! It also keeps what on hardware the switch CPU keeps: the program,
 //! reloaded after a reboot, and the lease sweep. [`SwitchNode`] (the
-//! rack switch) adds lock migration, restart handback and batching;
+//! rack switch) adds restart handback and batching;
 //! [`crate::replication::ReplSwitch`] adds chain replication.
-
-use std::collections::{HashMap, HashSet};
 
 use netlock_proto::{GrantMsg, LockId, NetLockMsg, ReleaseRequest, TenantId};
 use netlock_sim::{Context, Node, NodeId, Packet, SimDuration};
 
 use crate::action_buf::ActionBuf;
-use crate::control::{self, apply_allocation, Allocation, MigrationOp};
+use crate::control::{self, apply_allocation, Allocation};
 use crate::dataplane::{DataPlane, DpAction};
 
 /// Timer token for the control-plane tick.
 const TIMER_CONTROL_TICK: u64 = 1;
-/// Timer token for the reallocation epoch.
-const TIMER_REALLOC: u64 = 2;
-
-/// Measurement epoch between dynamic reallocations.
-pub const REALLOC_EPOCH: SimDuration = SimDuration::from_millis(5);
-/// Contention estimate `c_i` the reallocation assumes for a lock
-/// measured only at the servers (the switch sees its rate, not its
-/// queue depth).
-pub const SERVER_CONTENTION: u32 = 16;
-
-/// Dynamic memory-reallocation policy (§4.3: "updates the memory
-/// allocation based on Algorithm 3 when the workload changes"), run
-/// every [`REALLOC_EPOCH`].
-#[derive(Clone, Copy, Debug)]
-pub struct AutoRealloc {
-    /// Switch memory budget given to the allocator (queue slots).
-    pub switch_slots: u32,
-    /// Maximum queue regions (the FCFS layout's region-table size).
-    pub max_regions: usize,
-}
-
 /// Ingress-to-egress traversal latency (the paper: well under 1 µs).
 pub const TRAVERSAL: SimDuration = SimDuration::from_nanos(500);
 /// Added latency per extra pipeline pass (resubmit).
@@ -58,9 +35,6 @@ pub struct SwitchConfig {
     pub lease: SimDuration,
     /// Control-plane polling interval.
     pub control_tick: SimDuration,
-    /// Periodic measure-and-reallocate loop (None = static allocation,
-    /// as the figure harnesses use).
-    pub auto_realloc: Option<AutoRealloc>,
 }
 
 impl Default for SwitchConfig {
@@ -68,14 +42,13 @@ impl Default for SwitchConfig {
         SwitchConfig {
             lease: SimDuration::from_millis(10),
             control_tick: SimDuration::from_millis(1),
-            auto_realloc: None,
         }
     }
 }
 
 /// Counters of a switch node (message plane; the data plane keeps its
 /// own). The first five count the same things on both nodes; the rest
-/// belong to one of them and stay zero on the other.
+/// belong to a chain member and stay zero on the rack switch.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SwitchStats {
     /// Grant notifications sent to clients (a chain's tail only).
@@ -91,8 +64,6 @@ pub struct SwitchStats {
     /// `(lock, txn)` (already released or swept, or a network duplicate)
     /// authorized them, so they would dequeue another holder's entry.
     pub stale_releases_filtered: u64,
-    /// Migration operations completed (rack switch).
-    pub migrations_done: u64,
     /// Client ops that reached a chain member other than the head.
     pub misrouted: u64,
     /// Acquires a chain head refused in its post-reset grace window.
@@ -126,8 +97,8 @@ pub(crate) struct SwitchCore {
     /// mode); empty sends grants straight to clients.
     db_servers: Vec<NodeId>,
     /// What the control plane last installed: the allocation
-    /// [`SwitchCore::program`] loaded, as migrations since moved it. A
-    /// reboot wipes the data plane, not this copy.
+    /// [`SwitchCore::program`] loaded. A reboot wipes the data plane,
+    /// not this copy.
     program: Option<Allocation>,
     /// The tenant meters the control plane installed, as `(tenant,
     /// rate per second, burst)`: quota policy (§4.4), kept like the
@@ -163,14 +134,6 @@ impl SwitchCore {
     pub(crate) fn program(&mut self, alloc: &Allocation) {
         self.program = Some(alloc.clone());
         self.load();
-    }
-
-    /// Count a completed migration and record it in the program.
-    fn migrated(&mut self, lock: LockId, slots: Option<u32>, home: usize) {
-        self.stats.migrations_done += 1;
-        if let Some(program) = &mut self.program {
-            program.migrate(lock, slots, home);
-        }
     }
 
     /// Meter `tenant` at `rate_per_sec` with bucket `burst` from
@@ -306,16 +269,6 @@ pub struct SwitchNode {
     /// whenever one of its lock queues drains, it hands the lock back
     /// (CtrlHandback) to the given node (§4.5).
     backup_handback_to: Option<NodeId>,
-    /// Locks draining toward demotion. Only a dequeue drains a queue,
-    /// and every dequeue goes through `after_release`, which completes
-    /// the demotion on the spot.
-    pending_demotes: HashSet<LockId>,
-    /// Promotions waiting for demotions to free their regions.
-    pending_promotes: Vec<MigrationOp>,
-    /// Regions reserved for in-flight promotions; the directory flips
-    /// only when the server's CtrlPromoteReady arrives (§4.3: the
-    /// queue must drain before the move).
-    promote_reservations: HashMap<LockId, (usize, u32, u32, usize)>,
     /// Batch-path scratch, reused across batches: the grants of a
     /// batch bound for one client, peeled off the action buffer's grant
     /// list by [`SwitchNode::flush_grant_batches`].
@@ -325,16 +278,11 @@ pub struct SwitchNode {
 impl SwitchNode {
     /// Build a switch around a data plane. Program it with
     /// [`SwitchNode::program`] so that a reboot reloads the program.
-    pub fn new(mut dp: DataPlane, cfg: SwitchConfig, servers: Vec<NodeId>) -> SwitchNode {
-        // Forward rates feed `realloc_tick` and nothing else.
-        dp.set_forward_counting(cfg.auto_realloc.is_some());
+    pub fn new(dp: DataPlane, cfg: SwitchConfig, servers: Vec<NodeId>) -> SwitchNode {
         SwitchNode {
             core: SwitchCore::new(dp, servers),
             cfg,
             backup_handback_to: None,
-            pending_demotes: HashSet::new(),
-            pending_promotes: Vec::new(),
-            promote_reservations: HashMap::new(),
             batch_group: Vec::new(),
         }
     }
@@ -382,7 +330,7 @@ impl SwitchNode {
     /// for either engine (see [`apply_allocation`]), with unlisted locks
     /// default-routed over this switch's lock servers — and keep it: a
     /// revived switch reboots and reloads it, as the control plane
-    /// would, with every migration completed since.
+    /// would.
     pub fn program(&mut self, alloc: &Allocation) {
         self.core.program(alloc);
     }
@@ -416,66 +364,11 @@ impl SwitchNode {
         ctx.send_after(server, NetLockMsg::CtrlServerRestart { epoch }, TRAVERSAL);
     }
 
-    /// Start executing a migration plan (control-plane operation).
-    pub fn start_migration(&mut self, ops: Vec<MigrationOp>, ctx: &mut Context<'_, NetLockMsg>) {
-        for op in ops {
-            match op {
-                MigrationOp::Demote { lock } => {
-                    // Track before attempting completion: an instantly
-                    // drained queue completes inside the call, and the
-                    // bookkeeping must see the removal.
-                    self.pending_demotes.insert(lock);
-                    if self.core.dp.begin_demote(lock) {
-                        self.try_complete_demote(lock, ctx);
-                    }
-                }
-                promote @ MigrationOp::Promote { .. } => {
-                    self.pending_promotes.push(promote);
-                }
-            }
-        }
-        self.flush_promotes(ctx);
-    }
-
-    fn try_complete_demote(&mut self, lock: LockId, ctx: &mut Context<'_, NetLockMsg>) {
-        if let Some(server_idx) = self.core.dp.complete_demote(lock) {
-            self.pending_demotes.remove(&lock);
-            self.core.migrated(lock, None, server_idx);
-            let dst = self.core.servers[server_idx];
-            ctx.send_after(dst, NetLockMsg::CtrlDemote { lock }, TRAVERSAL);
-            self.flush_promotes(ctx);
-        }
-    }
-
-    fn flush_promotes(&mut self, ctx: &mut Context<'_, NetLockMsg>) {
-        if !self.pending_demotes.is_empty() || self.pending_promotes.is_empty() {
-            return;
-        }
-        for op in std::mem::take(&mut self.pending_promotes) {
-            let MigrationOp::Promote {
-                lock,
-                qid,
-                left,
-                right,
-                home_server,
-            } = op
-            else {
-                continue;
-            };
-            // Reserve the region; the directory flips only when the
-            // server confirms its queue drained (CtrlPromoteReady).
-            self.promote_reservations
-                .insert(lock, (qid, left, right, home_server));
-            let dst = self.core.servers[home_server];
-            ctx.send_after(dst, NetLockMsg::CtrlPromote { lock }, TRAVERSAL);
-        }
-    }
-
     /// One client release (alone or out of a batch) through the guarded
     /// data plane. A release the guard filters is counted and goes no
     /// further; returns the extra passes an admitted one cost. With no
-    /// demotion or handback pending, one that left nothing to send (in
-    /// batch mode its grants are the batch's) is done there.
+    /// handback pending, one that left nothing to send (in batch mode
+    /// its grants are the batch's) is done there.
     fn release(&mut self, rel: ReleaseRequest, ctx: &mut Context<'_, NetLockMsg>) -> Option<u64> {
         if !self
             .core
@@ -485,10 +378,7 @@ impl SwitchNode {
             self.core.stats.stale_releases_filtered += 1;
             return None;
         }
-        if self.core.actions.is_empty()
-            && self.pending_demotes.is_empty()
-            && self.backup_handback_to.is_none()
-        {
+        if self.core.actions.is_empty() && self.backup_handback_to.is_none() {
             return Some(self.core.actions.resubmits());
         }
         Some(self.after_release(rel.lock, ctx))
@@ -498,10 +388,6 @@ impl SwitchNode {
     /// the action buffer; returns its extra passes.
     fn after_release(&mut self, lock: LockId, ctx: &mut Context<'_, NetLockMsg>) -> u64 {
         let extra = self.core.emit(ctx);
-        // The release may have completed a drain for a demoting lock.
-        if self.pending_demotes.contains(&lock) {
-            self.try_complete_demote(lock, ctx);
-        }
         // Backup-handback mode: report a drained queue to the restarted
         // original switch.
         if let Some(original) = self.backup_handback_to {
@@ -596,80 +482,6 @@ impl SwitchNode {
         }
     }
 
-    /// One reallocation epoch: measure `(r_i, c_i)` from the data-plane
-    /// counters (switch-resident locks) and the forward counters
-    /// (server-resident locks), run Algorithm 3, and execute the
-    /// resulting migration plan.
-    fn realloc_tick(&mut self, ctx: &mut Context<'_, NetLockMsg>) {
-        let Some(auto) = self.cfg.auto_realloc else {
-            return;
-        };
-        // Don't start a new plan while the previous one is in flight
-        // (including promotions whose server handshake hasn't finished).
-        if self.pending_demotes.is_empty()
-            && self.pending_promotes.is_empty()
-            && self.promote_reservations.is_empty()
-        {
-            let epoch_secs = REALLOC_EPOCH.as_secs_f64();
-            let mut stats = control::harvest_stats(&mut self.core.dp, epoch_secs);
-            // Stabilize c_i: round the high-water mark up to the next
-            // power of two and floor it at the server estimate, so small
-            // fluctuations between epochs don't resize regions (every
-            // resize requires a drain-and-move).
-            for s in &mut stats {
-                s.contention = s.contention.next_power_of_two().max(SERVER_CONTENTION);
-            }
-            for (lock, count) in self.core.dp.cp_take_forward_counts() {
-                let rate = count as f64 / epoch_secs.max(1e-9);
-                // A lock promoted mid-epoch shows up both in the switch
-                // harvest and the forward counts: merge, don't duplicate.
-                if let Some(existing) = stats.iter_mut().find(|s| s.lock == lock) {
-                    existing.rate += rate;
-                    continue;
-                }
-                let home = self
-                    .core
-                    .dp
-                    .directory()
-                    .get(lock)
-                    .map(|e| e.home_server)
-                    .or_else(|| self.core.dp.default_server_of(lock))
-                    .unwrap_or(0);
-                stats.push(control::LockStats {
-                    lock,
-                    rate,
-                    contention: SERVER_CONTENTION,
-                    home_server: home,
-                });
-            }
-            let target =
-                control::knapsack_allocate_bounded(&stats, auto.switch_slots, auto.max_regions);
-            // Reorganize only when membership or region sizes actually
-            // change; identical sets in a different order are not worth
-            // a drain-and-move of every queue.
-            if !self.allocation_matches(&target) {
-                let ops = control::plan_migration(&self.core.dp, &target);
-                if !ops.is_empty() {
-                    self.start_migration(ops, ctx);
-                }
-            }
-        }
-        ctx.set_timer(REALLOC_EPOCH, TIMER_REALLOC);
-    }
-
-    /// Whether the program (which follows every completed migration)
-    /// equals `target` as a lock→slots map, ignoring region positions.
-    fn allocation_matches(&self, target: &Allocation) -> bool {
-        let sizes = |alloc: &Allocation| {
-            let mut sizes: Vec<(LockId, u32)> =
-                alloc.in_switch.iter().map(|&(l, s, _)| (l, s)).collect();
-            sizes.sort_unstable();
-            sizes
-        };
-        let program = self.core.program.as_ref();
-        program.is_some_and(|p| sizes(p) == sizes(target))
-    }
-
     fn control_tick(&mut self, ctx: &mut Context<'_, NetLockMsg>) {
         // Lease sweep: force-release expired holders.
         let now = ctx.now().as_nanos();
@@ -686,21 +498,15 @@ impl Node<NetLockMsg> for SwitchNode {
         if !self.cfg.control_tick.is_zero() {
             ctx.set_timer(self.cfg.control_tick, TIMER_CONTROL_TICK);
         }
-        if self.cfg.auto_realloc.is_some() {
-            ctx.set_timer(REALLOC_EPOCH, TIMER_REALLOC);
-        }
     }
 
     /// "The switch retains none of its former state or register values"
-    /// (§6.5): wipe every data-plane register and table and forget
-    /// migrations in flight, reload the program and the tenant meters
-    /// (the control plane's copies, which are not switch state), and
-    /// restart the timer chains, which died with the node.
+    /// (§6.5): wipe every data-plane register and table, reload the
+    /// program and the tenant meters (the control plane's copies, which
+    /// are not switch state), and restart the timer chain, which died
+    /// with the node.
     fn on_revive(&mut self, ctx: &mut Context<'_, NetLockMsg>) {
         self.core.reload(ctx.now().as_nanos());
-        self.pending_demotes.clear();
-        self.pending_promotes.clear();
-        self.promote_reservations.clear();
         self.on_start(ctx);
     }
 
@@ -729,14 +535,6 @@ impl Node<NetLockMsg> for SwitchNode {
             }
             _ => {}
         }
-        // Complete a reserved promotion: install the region + directory
-        // entry just before the buffered requests are enqueued.
-        if let NetLockMsg::CtrlPromoteReady { lock, .. } = &pkt.payload {
-            if let Some((qid, left, right, home)) = self.promote_reservations.remove(lock) {
-                self.core.dp.prepare_promote(*lock, qid, left, right, home);
-                self.core.migrated(*lock, Some(right - left), home);
-            }
-        }
         self.core
             .dp
             .process(pkt.payload, ctx.now().as_nanos(), &mut self.core.actions);
@@ -746,8 +544,6 @@ impl Node<NetLockMsg> for SwitchNode {
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, NetLockMsg>) {
         if token == TIMER_CONTROL_TICK {
             self.control_tick(ctx);
-        } else if token == TIMER_REALLOC {
-            self.realloc_tick(ctx);
         }
     }
 
@@ -838,7 +634,6 @@ mod tests {
             SwitchConfig {
                 lease: SimDuration::from_millis(2),
                 control_tick: SimDuration::from_millis(1),
-                ..Default::default()
             },
             vec![],
         )));
@@ -874,7 +669,6 @@ mod tests {
             SwitchConfig {
                 lease: SimDuration::from_millis(2),
                 control_tick: SimDuration::from_millis(3),
-                ..Default::default()
             },
             vec![],
         )));

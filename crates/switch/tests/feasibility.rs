@@ -16,7 +16,7 @@ use netlock_switch::dataplane::DataPlane;
 use netlock_switch::priority::PriorityLayout;
 use netlock_switch::shared_queue::SharedQueueLayout;
 
-const ALL_MSG_KINDS: [&str; 12] = [
+const ALL_MSG_KINDS: [&str; 9] = [
     "Acquire",
     "Release",
     "Grant",
@@ -25,9 +25,6 @@ const ALL_MSG_KINDS: [&str; 12] = [
     "Push",
     "DbFetch",
     "DbReply",
-    "CtrlDemote",
-    "CtrlPromote",
-    "CtrlPromoteReady",
     "CtrlHandback",
 ];
 
@@ -35,7 +32,7 @@ const ALL_MSG_KINDS: [&str; 12] = [
 fn fcfs_exploration_is_discipline_clean() {
     let summary = explore(EngineKind::Fcfs).unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(summary.engine, EngineKind::Fcfs);
-    assert_eq!(summary.states, 15);
+    assert_eq!(summary.states, 12);
     for kind in ALL_MSG_KINDS {
         assert!(
             summary.probes_by_kind.contains_key(kind),
@@ -50,7 +47,7 @@ fn fcfs_exploration_is_discipline_clean() {
 fn priority_exploration_is_discipline_clean() {
     let summary = explore(EngineKind::Priority).unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(summary.engine, EngineKind::Priority);
-    assert_eq!(summary.states, 10);
+    assert_eq!(summary.states, 7);
     for kind in ALL_MSG_KINDS {
         assert!(
             summary.probes_by_kind.contains_key(kind),

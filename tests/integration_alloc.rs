@@ -102,8 +102,8 @@ fn dataplane_steady_state_is_allocation_free() {
     let mut dp = contended_dp();
     let mut out = ActionBuf::new();
     let mut txn = 0u64;
-    // Warm-up: reach steady shape (intern tables, scratch buffers,
-    // queue regions) across every case the loop below exercises.
+    // Warm-up: reach steady shape (scratch buffers, queue regions)
+    // across every case the loop below exercises.
     for _ in 0..2 {
         for lock in 0..16u32 {
             // Uncontended X, X→X handoff, X→S cascade, S→S release.

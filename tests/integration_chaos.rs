@@ -357,7 +357,6 @@ fn release_racing_lease_sweep_cannot_free_live_holder() {
         SwitchConfig {
             lease: SimDuration::from_millis(1),
             control_tick: SimDuration::from_micros(100),
-            ..Default::default()
         },
         vec![],
     )));

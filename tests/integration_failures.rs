@@ -13,7 +13,7 @@ use netlock_server::ServerNode;
 use netlock_sim::{Context, LinkConfig, Node, NodeId, Packet, Simulator};
 use netlock_switch::priority::PriorityLayout;
 use netlock_switch::shared_queue::SharedQueueLayout;
-use netlock_switch::{AutoRealloc, DataPlane, SwitchConfig, SwitchNode};
+use netlock_switch::{DataPlane, SwitchConfig, SwitchNode};
 
 fn one_lock_rack() -> (Rack, Allocation) {
     let mut rack = Rack::build(RackConfig {
@@ -213,79 +213,6 @@ fn rebooted_priority_switch_keeps_its_directory() {
     assert_eq!(drops, 0);
 }
 
-/// A rebooted auto-realloc switch reloads the allocation its migrations
-/// reached, not the empty one it was built with. The lock servers still
-/// hold the migrated locks as switch-owned; a switch that forgot them
-/// would default-route their acquires to a server, get them pushed
-/// back, and drop every push as an unknown lock. `examples/
-/// dynamic_realloc`'s rack, its phase-1 client, the switch down from
-/// 20 to 35 ms: every 5 ms window from 45 ms on commits at least half
-/// of the last pre-fault window's transactions.
-#[test]
-fn rebooted_realloc_switch_reloads_its_migrations() {
-    let mut rack = Rack::build(RackConfig {
-        seed: 77,
-        lock_servers: 2,
-        switch: SwitchConfig {
-            auto_realloc: Some(AutoRealloc {
-                switch_slots: 512,
-                max_regions: 128,
-            }),
-            ..Default::default()
-        },
-        ..Default::default()
-    });
-    rack.program(&knapsack_allocate(&[], 0));
-    let client = rack.add_txn_client(
-        TxnClientConfig {
-            workers: 8,
-            ..Default::default()
-        },
-        Box::new(SingleLockSource {
-            locks: (0..16).map(LockId).collect(),
-            mode: LockMode::Exclusive,
-            think: SimDuration::from_micros(10),
-        }),
-    );
-    let switch = rack.switch;
-    let txns = |rack: &Rack| {
-        rack.sim
-            .read_node::<TxnClient, _>(client, |c| c.stats().txns)
-    };
-    let drops = |rack: &Rack| {
-        rack.sim
-            .read_node::<SwitchNode, _>(switch, |s| s.stats().drops)
-    };
-    let mut windows = Vec::new();
-    let mut drops_at_revive = 0;
-    for end_ms in (5..=100).step_by(5) {
-        let before = txns(&rack);
-        rack.sim.run_for(SimDuration::from_millis(5));
-        windows.push((end_ms, txns(&rack) - before));
-        match end_ms {
-            20 => rack.sim.fail_node(switch),
-            35 => {
-                rack.sim.revive_node(switch);
-                drops_at_revive = drops(&rack);
-            }
-            _ => {}
-        }
-    }
-    let (_, pre_fault) = windows[3];
-    assert!(pre_fault > 1_000, "{windows:?}");
-    for &(end_ms, n) in &windows[9..] {
-        assert!(
-            2 * n >= pre_fault,
-            "window ending at {end_ms} ms: {n} txns against {pre_fault} before the fault: {windows:?}"
-        );
-    }
-    assert_eq!(
-        drops(&rack),
-        drops_at_revive,
-        "no push dropped after the reboot"
-    );
-}
-
 /// A rebooted switch installs its tenant meters again (§4.4: the quota
 /// is policy the control plane set, not register state). `examples/
 /// policy_demo`'s isolation rack with tenant 1's four clients metered,
@@ -382,8 +309,6 @@ fn server_failover_moves_locks_to_backup() {
     });
     let s0 = rack.lock_servers[0];
     let s1 = rack.lock_servers[1];
-    rack.sim
-        .with_node::<ServerNode, _>(s0, |n| server_locks.iter().for_each(|&l| n.own_lock(l)));
     // Server 1 is a standby, down until the control plane needs it.
     rack.sim.fail_node(s1);
 

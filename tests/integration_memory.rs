@@ -1,13 +1,11 @@
 //! Integration tests for switch–server memory management: the q1/q2
-//! overflow protocol under live traffic, and lock migration (demote /
-//! promote) between the switch and its servers.
+//! overflow protocol under live traffic, the measure → allocate loop,
+//! and host memory under a long run.
 
 use netlock_core::prelude::*;
 use netlock_proto::{LockId, LockMode};
 use netlock_server::ServerNode;
 use netlock_sim::SimTime;
-use netlock_switch::control::{plan_migration, MigrationOp};
-use netlock_switch::directory::Residence;
 use netlock_switch::SwitchNode;
 
 fn rack_with(locks: u32, per_lock_slots: u32, capacity: u32) -> Rack {
@@ -101,91 +99,6 @@ fn overflow_preserves_conservation() {
     );
 }
 
-/// Demoting a live lock moves it to its home server without losing
-/// requests; promoting it back restores switch processing.
-#[test]
-fn migration_demote_then_promote() {
-    let mut rack = rack_with(4, 16, 64);
-    rack.add_txn_client(
-        TxnClientConfig {
-            workers: 6,
-            ..Default::default()
-        },
-        Box::new(SingleLockSource {
-            locks: (0..4).map(LockId).collect(),
-            mode: LockMode::Exclusive,
-            think: SimDuration::from_micros(5),
-        }),
-    );
-    rack.sim.run_for(SimDuration::from_millis(5));
-
-    // Target allocation: only locks 2 and 3 stay in the switch.
-    let target_stats: Vec<LockStats> = (2..4)
-        .map(|l| LockStats {
-            lock: LockId(l),
-            rate: 10.0,
-            contention: 16,
-            home_server: (l as usize) % 2,
-        })
-        .collect();
-    let target = knapsack_allocate(&target_stats, 64);
-    let switch = rack.switch;
-    let ops = rack
-        .sim
-        .read_node::<SwitchNode, _>(switch, |s| plan_migration(s.dataplane(), &target));
-    assert!(ops.iter().any(|o| matches!(o, MigrationOp::Demote { .. })));
-    // Drive the demotions the way the switch control plane would: mark
-    // the lock draining, let traffic empty q1, then flip ownership and
-    // inform the home server.
-    for op in &ops {
-        match *op {
-            MigrationOp::Demote { lock } => {
-                let (ready, home) = rack.sim.with_node::<SwitchNode, _>(switch, |s| {
-                    let ready = s.dataplane_mut().begin_demote(lock);
-                    let home = s
-                        .dataplane()
-                        .directory()
-                        .get(lock)
-                        .map(|e| e.home_server)
-                        .unwrap_or(0);
-                    (ready, home)
-                });
-                // Drain, then complete.
-                rack.sim.run_for(SimDuration::from_millis(2));
-                let done = rack.sim.with_node::<SwitchNode, _>(switch, |s| {
-                    s.dataplane_mut().complete_demote(lock)
-                });
-                let _ = ready;
-                if done.is_some() {
-                    let server = rack.lock_servers[home];
-                    rack.sim
-                        .with_node::<ServerNode, _>(server, |n| n.own_lock(lock));
-                }
-            }
-            MigrationOp::Promote { .. } => {}
-        }
-    }
-    rack.sim.run_for(SimDuration::from_millis(5));
-
-    // Locks 0 and 1 are now server-resident and traffic still flows.
-    let res = rack.sim.read_node::<SwitchNode, _>(switch, |s| {
-        (0..2)
-            .map(|l| s.dataplane().directory().get(LockId(l)).unwrap().residence)
-            .collect::<Vec<_>>()
-    });
-    for r in res {
-        assert_eq!(r, Residence::Server, "hot locks demoted to servers");
-    }
-    let before = rack
-        .sim
-        .read_node::<TxnClient, _>(rack.clients[0].0, |c| c.stats().txns);
-    rack.sim.run_for(SimDuration::from_millis(10));
-    let after = rack
-        .sim
-        .read_node::<TxnClient, _>(rack.clients[0].0, |c| c.stats().txns);
-    assert!(after > before + 100, "throughput continues after demotion");
-}
-
 /// The harvested data-plane statistics reflect live traffic and feed
 /// back into an allocation that matches the real hot set.
 #[test]
@@ -258,79 +171,10 @@ fn switch_and_server_paths_agree_on_totals() {
     );
 }
 
-/// The dynamic control loop (§4.3): with `auto_realloc` enabled, a
-/// shifted hot set is measured and promoted into the switch without
-/// any manual reprogramming.
-#[test]
-fn auto_reallocation_follows_the_workload() {
-    use netlock_switch::AutoRealloc;
-
-    let mut rack = Rack::build(RackConfig {
-        seed: 23,
-        lock_servers: 2,
-        switch: netlock_switch::SwitchConfig {
-            auto_realloc: Some(AutoRealloc {
-                switch_slots: 256,
-                max_regions: 64,
-            }),
-            ..Default::default()
-        },
-        ..Default::default()
-    });
-    // Start with NOTHING in the switch: all locks default-route.
-    rack.program(&knapsack_allocate(&[], 0));
-
-    // Hot set: locks 100..108.
-    rack.add_txn_client(
-        TxnClientConfig {
-            workers: 8,
-            ..Default::default()
-        },
-        Box::new(SingleLockSource {
-            locks: (100..108).map(LockId).collect(),
-            mode: LockMode::Exclusive,
-            think: SimDuration::from_micros(10),
-        }),
-    );
-    rack.sim.run_for(SimDuration::from_millis(25));
-
-    // The control loop must have promoted the measured-hot locks.
-    let switch = rack.switch;
-    let resident: Vec<LockId> = rack.sim.read_node::<SwitchNode, _>(switch, |s| {
-        s.dataplane()
-            .directory()
-            .switch_resident()
-            .into_iter()
-            .map(|(l, _, _)| l)
-            .collect()
-    });
-    let hot_in_switch = (100..108)
-        .filter(|&l| resident.contains(&LockId(l)))
-        .count();
-    assert!(
-        hot_in_switch >= 6,
-        "auto-realloc must promote the hot set; resident = {resident:?}"
-    );
-    // And the switch now serves most grants.
-    reset_clients(&mut rack);
-    rack.sim.run_for(SimDuration::from_millis(10));
-    let stats = collect(&rack, SimDuration::from_millis(10));
-    assert!(
-        stats.switch_share() > 0.8,
-        "switch share after promotion: {}",
-        stats.switch_share()
-    );
-    let migrations = rack
-        .sim
-        .read_node::<SwitchNode, _>(switch, |s| s.stats().migrations_done);
-    let _ = migrations; // demotions may be zero here; promotions suffice
-}
-
 /// Host memory follows the locks in flight, not the locks ever seen:
 /// on the Fig. 13 knapsack rack (TPC-C, where most server-side locks are
-/// touched once and never again) the servers' lock tables and the
-/// switch's per-forward state are no larger after 3T of simulated time
-/// than after T.
+/// touched once and never again) the servers' lock tables are no larger
+/// after 3T of simulated time than after T.
 #[test]
 fn steady_state_memory_is_flat() {
     use netlock_bench::{common::build_netlock_tpcc, fig13, TimeScale};
@@ -338,28 +182,19 @@ fn steady_state_memory_is_flat() {
     let quick = TimeScale::of_millis(2, 10);
     let t = quick.warmup + quick.measure;
     let mut rack = build_netlock_tpcc(&fig13::spec(false));
-    let mut footprint_after = |span: SimDuration| {
+    let mut table_entries_after = |span: SimDuration| -> usize {
         rack.sim.run_for(span);
-        let table_entries: usize = rack
-            .lock_servers
+        rack.lock_servers
             .iter()
             .map(|&s| rack.sim.read_node::<ServerNode, _>(s, |n| n.table().len()))
-            .sum();
-        let interned = rack
-            .sim
-            .read_node::<SwitchNode, _>(rack.switch, |s| s.dataplane().directory().interned_len());
-        (table_entries, interned)
+            .sum()
     };
-    let (table_t, interned_t) = footprint_after(t);
-    let (table_3t, interned_3t) = footprint_after(t + t);
+    let table_t = table_entries_after(t);
+    let table_3t = table_entries_after(t + t);
     assert!(table_t > 0, "the servers hold locks at T");
     assert!(
         table_3t <= 2 * table_t,
         "lock-table entries grew from {table_t} at T to {table_3t} at 3T"
-    );
-    assert!(
-        interned_3t <= 2 * interned_t,
-        "switch interned locks grew from {interned_t} at T to {interned_3t} at 3T"
     );
 }
 

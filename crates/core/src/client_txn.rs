@@ -151,13 +151,6 @@ impl TxnClient {
     pub fn sabotage_disable_surplus_release(&mut self) {
         self.proto.surplus_release_disabled = true;
     }
-
-    /// Redirect future requests to a different lock switch (backup
-    /// switch failover, §4.5). In-flight requests to the old switch are
-    /// covered by the retry timeout.
-    pub fn set_switch(&mut self, switch: NodeId) {
-        self.servers[0] = switch;
-    }
 }
 
 impl NetLock {

@@ -31,9 +31,8 @@ enum Tag {
     Push = 6,
     DbFetch = 7,
     DbReply = 8,
-    // 9–11 are unassigned: every other tag keeps its number, so its
+    // 9–12 are unassigned: every other tag keeps its number, so its
     // encoding does not change.
-    CtrlHandback = 12,
     ChainOp = 13,
     ChainAck = 14,
     CtrlChainPing = 15,
@@ -57,7 +56,6 @@ impl Tag {
             6 => Tag::Push,
             7 => Tag::DbFetch,
             8 => Tag::DbReply,
-            12 => Tag::CtrlHandback,
             13 => Tag::ChainOp,
             14 => Tag::ChainAck,
             15 => Tag::CtrlChainPing,
@@ -196,10 +194,6 @@ fn encode_into(msg: &NetLockMsg, buf: &mut BytesMut) {
             buf.put_u8(Tag::CtrlServerRestart as u8);
             buf.put_u32(*epoch);
         }
-        NetLockMsg::CtrlHandback { lock } => {
-            buf.put_u8(Tag::CtrlHandback as u8);
-            buf.put_u32(lock.0);
-        }
         NetLockMsg::ChainOp {
             partition,
             seq,
@@ -336,12 +330,6 @@ pub fn decode_msg(buf: &mut impl Buf) -> Result<NetLockMsg, DecodeError> {
             need(buf, 4)?;
             NetLockMsg::CtrlServerRestart {
                 epoch: buf.get_u32(),
-            }
-        }
-        Tag::CtrlHandback => {
-            need(buf, 4)?;
-            NetLockMsg::CtrlHandback {
-                lock: LockId(buf.get_u32()),
             }
         }
         Tag::ChainOp => {
@@ -517,7 +505,6 @@ mod tests {
                 issued_at_ns: 1,
             },
         });
-        roundtrip(NetLockMsg::CtrlHandback { lock: LockId(17) });
         roundtrip(NetLockMsg::CtrlServerRestart { epoch: 3 });
         roundtrip(NetLockMsg::ChainOp {
             partition: 3,
@@ -616,23 +603,23 @@ mod tests {
             Err(DecodeError::BadOp(Tag::ChainOp as u8))
         );
         // Any inner op other than Acquire / Release is refused too.
-        let handback = NetLockMsg::ChainOp {
+        let restart = NetLockMsg::ChainOp {
             partition: 0,
             seq: 1,
             stamp_ns: 2,
-            op: Box::new(NetLockMsg::CtrlHandback { lock: LockId(3) }),
+            op: Box::new(NetLockMsg::CtrlServerRestart { epoch: 3 }),
         };
         assert_eq!(
-            decode_msg(&mut encode_msg(&handback)),
-            Err(DecodeError::BadOp(Tag::CtrlHandback as u8))
+            decode_msg(&mut encode_msg(&restart)),
+            Err(DecodeError::BadOp(Tag::CtrlServerRestart as u8))
         );
     }
 
-    /// A frame with an unassigned tag (9–11), with or without a body
+    /// A frame with an unassigned tag (9–12), with or without a body
     /// behind it, is an error.
     #[test]
     fn retired_tags_are_rejected() {
-        for tag in 9u8..=11 {
+        for tag in 9u8..=12 {
             for body in [&[][..], &[0, 0, 0, 3][..], &[0, 0, 0, 3, 0, 1][..]] {
                 let mut wire = vec![tag];
                 wire.extend_from_slice(body);

@@ -163,14 +163,6 @@ pub enum NetLockMsg {
         /// The grant the data corresponds to.
         grant: GrantMsg,
     },
-    /// Backup switch → restarted original switch: the backup's queue
-    /// for `lock` has drained; the original may start granting from its
-    /// own queue (§4.5: "we only grant locks from the backup switch
-    /// until the queue in the backup switch gets empty").
-    CtrlHandback {
-        /// Lock handed back to the original switch.
-        lock: LockId,
-    },
     /// Restarted lock server ↔ its switch (§4.5): the server lost every
     /// q2 buffer, so the switch resets the overflow ledgers of the
     /// server's switch-resident locks and echoes the message back. A
@@ -303,7 +295,6 @@ impl NetLockMsg {
             NetLockMsg::Push { lock, .. } => Some(*lock),
             NetLockMsg::DbFetch { grant } => Some(grant.lock),
             NetLockMsg::DbReply { grant } => Some(grant.lock),
-            NetLockMsg::CtrlHandback { lock } => Some(*lock),
             NetLockMsg::ChainOp { op, .. } => op.lock(),
             // Batches span many locks; per-element handling extracts
             // each one, so the aggregate has no single lock.

@@ -167,7 +167,6 @@ mod msg_codec {
             }),
             arb_grant().prop_map(|grant| NetLockMsg::DbFetch { grant }),
             arb_grant().prop_map(|grant| NetLockMsg::DbReply { grant }),
-            any::<u32>().prop_map(|lock| NetLockMsg::CtrlHandback { lock: LockId(lock) }),
             any::<u32>().prop_map(|epoch| NetLockMsg::CtrlServerRestart { epoch }),
             (any::<u16>(), any::<u64>(), any::<u64>(), client_op).prop_map(
                 |(partition, seq, stamp_ns, op)| NetLockMsg::ChainOp {

@@ -219,12 +219,6 @@ impl LockTable {
             granted.push(req);
         }
     }
-
-    /// Remove a held lock's state entirely, returning its holders and
-    /// waiters; `None` if nobody holds the lock.
-    pub fn evict(&mut self, lock: LockId) -> Option<LockState> {
-        self.locks.remove(&lock)
-    }
 }
 
 #[cfg(test)]
@@ -343,17 +337,6 @@ mod tests {
         let g = expire(&mut t, LockId(1), 5_000, 1_000);
         assert_eq!(g.len(), 1);
         assert_eq!(g[0].txn, TxnId(1000));
-    }
-
-    #[test]
-    fn evict_returns_state() {
-        let mut t = LockTable::new();
-        t.acquire(req(1, LockMode::Exclusive, 1));
-        t.acquire(req(1, LockMode::Exclusive, 2));
-        let st = t.evict(LockId(1)).unwrap();
-        assert_eq!(st.holders().len(), 1);
-        assert_eq!(st.outstanding(), 2);
-        assert!(t.get(LockId(1)).is_none());
     }
 
     #[test]

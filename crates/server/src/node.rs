@@ -121,12 +121,6 @@ impl ServerNode {
         &self.cfg
     }
 
-    /// Repoint the server at a different ToR switch (backup switch
-    /// failover, §4.5).
-    pub fn set_switch(&mut self, switch: NodeId) {
-        self.switch = switch;
-    }
-
     /// Ask the switch to reset the overflow ledgers of this server's
     /// locks, under a fresh epoch; until it echoes that epoch, every
     /// buffer-only forward predates the reset.

@@ -1,8 +1,8 @@
 //! `LockTable` keeps a lock's entry only while the lock has a holder.
-//! This property drives random acquire / release / evict /
-//! clock-advance / sweep schedules through the table and through a
-//! reference model kept in this file that never forgets a lock it has
-//! seen, and requires after every step: the same grants in the same
+//! This property drives random acquire / release / clock-advance /
+//! sweep schedules through the table and through a reference model
+//! kept in this file that never forgets a lock it has seen, and
+//! requires after every step: the same grants in the same
 //! order, the same holders and waiters on every lock the model still
 //! has a holder for, and `len()` equal to the number of such locks —
 //! reclaiming an idle entry must be invisible except in memory.
@@ -22,13 +22,9 @@ enum Step {
         exclusive: bool,
     },
     /// Release the `back`-th most recent acquire (stale if it is still
-    /// queued, already released, expired or evicted — the table ignores
-    /// those).
+    /// queued, already released or expired — the table ignores those).
     Release {
         back: usize,
-    },
-    Evict {
-        lock: u32,
     },
     Advance {
         ns: u64,
@@ -42,7 +38,6 @@ fn steps() -> impl Strategy<Value = Vec<Step>> {
         (0u32..6, any::<bool>()).prop_map(|(lock, exclusive)| Step::Acquire { lock, exclusive }),
         (1usize..10).prop_map(|back| Step::Release { back }),
         (1usize..10).prop_map(|back| Step::Release { back }),
-        (0u32..6).prop_map(|lock| Step::Evict { lock }),
         (0u64..700).prop_map(|ns| Step::Advance { ns }),
         Just(Step::Sweep),
     ];
@@ -79,7 +74,7 @@ impl ModelLock {
 }
 
 /// The never-forgetting reference: a lock, once seen, keeps its (maybe
-/// empty) state until evicted.
+/// empty) state.
 #[derive(Default)]
 struct Model {
     locks: BTreeMap<LockId, ModelLock>,
@@ -118,13 +113,6 @@ impl Model {
                 st.promote(granted);
             }
         }
-    }
-
-    /// Holders + waiters dropped with the lock's state.
-    fn evict(&mut self, lock: LockId) -> usize {
-        self.locks
-            .remove(&lock)
-            .map_or(0, |st| st.holders.len() + st.waiters.len())
     }
 
     fn live(&self) -> impl Iterator<Item = (LockId, &ModelLock)> {
@@ -208,10 +196,6 @@ proptest! {
                         table.release(req.lock, req.txn, &mut got);
                         model.release(req.lock, req.txn, &mut want);
                     }
-                }
-                Step::Evict { lock } => {
-                    let dropped = table.evict(LockId(lock)).map_or(0, |st| st.outstanding());
-                    assert_eq!(dropped, model.evict(LockId(lock)), "step {i}: {step:?}");
                 }
                 Step::Advance { ns } => now_ns += ns,
                 Step::Sweep => {

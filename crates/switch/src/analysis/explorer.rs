@@ -58,12 +58,11 @@ enum Fullness {
     Full,
 }
 
-/// Overflow-protocol phase of the probed lock (§4.3, §4.5).
+/// Overflow-protocol phase of the probed lock (§4.3).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Protocol {
     Normal,
     Overflow,
-    Suppressed,
 }
 
 /// A discipline violation found during exploration, with the state and
@@ -206,14 +205,6 @@ fn build_state(kind: EngineKind, state: ResidenceKind, sink: &TraceSink) -> Data
                         dp.process_collect(m, 0);
                     }
                 }
-                Protocol::Suppressed => {
-                    // §4.5: the restarted switch comes back with an empty
-                    // queue and buffers arrivals without granting.
-                    dp.begin_handback_suppression(SWITCH_LOCK);
-                    for m in fill_msgs(kind, fullness) {
-                        dp.process_collect(m, 0);
-                    }
-                }
                 Protocol::Overflow => {
                     // Reachable only through a full region (FCFS): fill,
                     // overflow once, then drain back to the target level.
@@ -289,7 +280,6 @@ fn probes_for(state: ResidenceKind) -> Vec<(&'static str, NetLockMsg)> {
                 grant: grant_msg(lock),
             },
         ),
-        ("CtrlHandback", NetLockMsg::CtrlHandback { lock }),
     ];
     if !full_region {
         probes.push((
@@ -308,21 +298,10 @@ fn states_for(kind: EngineKind) -> Vec<ResidenceKind> {
     let mut states = Vec::new();
     for &f in &fullnesses {
         states.push(ResidenceKind::Switch(f, Protocol::Normal));
-        match kind {
-            EngineKind::Fcfs => {
-                // Overflow and queue-while-suppressed both require the
-                // q1/q2 machinery, which only the FCFS engine implements.
-                states.push(ResidenceKind::Switch(f, Protocol::Overflow));
-                states.push(ResidenceKind::Switch(f, Protocol::Suppressed));
-            }
-            EngineKind::Priority => {
-                // Suppressed acquires are dropped from the queue path on
-                // the priority engine, so fullness is only realizable as
-                // Empty; enumerate that single state.
-                if f == Fullness::Empty {
-                    states.push(ResidenceKind::Switch(f, Protocol::Suppressed));
-                }
-            }
+        // Overflow requires the q1/q2 machinery, which only the FCFS
+        // engine implements.
+        if kind == EngineKind::Fcfs {
+            states.push(ResidenceKind::Switch(f, Protocol::Overflow));
         }
     }
     states.push(ResidenceKind::Server);
@@ -381,15 +360,15 @@ mod tests {
     #[test]
     fn fcfs_state_space_has_expected_shape() {
         let states = states_for(EngineKind::Fcfs);
-        // 3 fullness × 3 protocols + server + 2 unknown.
-        assert_eq!(states.len(), 12);
+        // 3 fullness × 2 protocols + server + 2 unknown.
+        assert_eq!(states.len(), 9);
     }
 
     #[test]
     fn priority_state_space_has_expected_shape() {
         let states = states_for(EngineKind::Priority);
-        // 3 fullness × normal + 1 suppressed + server + 2 unknown.
-        assert_eq!(states.len(), 7);
+        // 3 fullness × normal + server + 2 unknown.
+        assert_eq!(states.len(), 6);
     }
 
     #[test]
@@ -412,17 +391,5 @@ mod tests {
             &sink,
         );
         assert!(dp.overflow_active(0));
-    }
-
-    #[test]
-    fn suppressed_state_is_actually_suppressed() {
-        let sink = new_sink();
-        let dp = build_state(
-            EngineKind::Fcfs,
-            ResidenceKind::Switch(Fullness::Full, Protocol::Suppressed),
-            &sink,
-        );
-        assert!(dp.handback_suppressed(SWITCH_LOCK));
-        assert_eq!(dp.stats().grants_immediate, 0, "no grants while suppressed");
     }
 }

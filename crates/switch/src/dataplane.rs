@@ -59,10 +59,6 @@ struct OverflowState {
     pushed: u64,
     /// A QueueSpace notification is outstanding.
     space_pending: bool,
-    /// Grants suppressed: a backup switch still owns grant order for
-    /// this lock (restart handback, §4.5). Requests queue; nothing is
-    /// granted until CtrlHandback arrives.
-    suppressed: bool,
 }
 
 /// An action the switch must take after processing a message.
@@ -154,9 +150,9 @@ pub struct DataPlane {
     meters: Vec<Option<TokenBucket>>,
     passes: PassAllocator,
     stats: DpStats,
-    /// Reusable buffer for release/kickstart grant cascades; cleared
-    /// per packet, so the retained capacity makes the engines'
-    /// out-params allocation-free in steady state.
+    /// Reusable buffer for release grant cascades; cleared per packet,
+    /// so the retained capacity makes the engines' out-params
+    /// allocation-free in steady state.
     grant_scratch: Vec<Slot>,
     /// Number of lock servers for default routing. Locks without a
     /// directory entry are forwarded to `hash(lock) % default_servers`
@@ -355,7 +351,6 @@ impl DataPlane {
                 self.process_release(rel, now_ns, out);
             }
             NetLockMsg::Push { lock, reqs } => self.on_push(lock, reqs, out),
-            NetLockMsg::CtrlHandback { lock } => self.on_handback(lock, out),
             // Grants / forwards / fetches pass through the switch as
             // ordinary routed traffic; the data plane does not act on
             // them (the sim node routes them by destination).
@@ -449,33 +444,6 @@ impl DataPlane {
                 });
             }
             Residence::Switch { qid } => {
-                // Handback suppression: the backup switch still grants;
-                // queue here without granting (§4.5).
-                if self.overflow[qid].suppressed {
-                    if let Engine::Fcfs(q) = &mut self.engine {
-                        let mut pass = self.passes.begin(0);
-                        let d = q.enqueue_deciding(
-                            &mut pass,
-                            qid,
-                            Slot::from_request(&req),
-                            false,
-                            |_, _| false,
-                        );
-                        if d.full {
-                            self.overflow[qid].active = true;
-                            self.overflow[qid].forwarded += 1;
-                            self.stats.forwarded_overflow += 1;
-                            out.push(DpAction::ForwardAcquire {
-                                server: entry.home_server,
-                                req,
-                                buffer_only: true,
-                            });
-                            return;
-                        }
-                        self.stats.queued += 1;
-                    }
-                    return;
-                }
                 // Overflow mode: preserve single-queue order by sending
                 // every new request to q2 until it fully drains (§4.3).
                 if self.overflow[qid].active {
@@ -667,8 +635,6 @@ impl DataPlane {
                 of.forwarded = 0;
                 of.pushed = 0;
                 of.space_pending = false;
-                // `suppressed` belongs to restart handback; a server
-                // restart does not touch it.
             }
         }
     }
@@ -742,64 +708,6 @@ impl DataPlane {
                 });
             }
         }
-    }
-
-    /// Begin restart handback for `lock`: queue arrivals without
-    /// granting until the backup switch's queue drains (§4.5).
-    pub fn begin_handback_suppression(&mut self, lock: LockId) {
-        if let Some(entry) = self.directory.get(lock) {
-            if let Residence::Switch { qid } = entry.residence {
-                self.overflow[qid].suppressed = true;
-            }
-        }
-    }
-
-    /// The backup reports `lock` drained: stop suppressing and grant
-    /// the head run that accumulated.
-    fn on_handback(&mut self, lock: LockId, out: &mut ActionBuf) {
-        self.charge(out, 1);
-        let Some(entry) = self.directory.get(lock) else {
-            return;
-        };
-        let Residence::Switch { qid } = entry.residence else {
-            return;
-        };
-        if !self.overflow[qid].suppressed {
-            return;
-        }
-        self.overflow[qid].suppressed = false;
-        let Engine::Fcfs(q) = &mut self.engine else {
-            return;
-        };
-        self.grant_scratch.clear();
-        let out_k = q.kickstart(&mut self.passes, qid, &mut self.grant_scratch);
-        self.charge(out, out_k.passes.saturating_sub(1));
-        self.stats.grants_on_release += self.grant_scratch.len() as u64;
-        for s in &self.grant_scratch {
-            Self::push_grant(&mut self.guard, out, qid, lock, s);
-        }
-    }
-
-    /// Whether `lock` is switch-resident and its queue is empty: the
-    /// backup's handback condition (§4.5).
-    pub(crate) fn is_drained(&self, lock: LockId) -> bool {
-        match self.directory.get(lock).map(|e| e.residence) {
-            Some(Residence::Switch { qid }) => self.is_region_empty(qid),
-            _ => false,
-        }
-    }
-
-    /// Whether grants for `lock` are currently suppressed (tests/CP).
-    pub fn handback_suppressed(&self, lock: LockId) -> bool {
-        match self.directory.get(lock).map(|e| e.residence) {
-            Some(Residence::Switch { qid }) => self.region_suppressed(qid),
-            _ => false,
-        }
-    }
-
-    /// Whether grants from queue region `qid` are suppressed.
-    pub(crate) fn region_suppressed(&self, qid: usize) -> bool {
-        self.overflow[qid].suppressed
     }
 
     fn region_capacity(&self, qid: usize) -> u32 {

@@ -5,10 +5,10 @@
 //! traversal latency and per-resubmit cost charged on every emission.
 //! It also keeps what on hardware the switch CPU keeps: the program,
 //! reloaded after a reboot, and the lease sweep. [`SwitchNode`] (the
-//! rack switch) adds restart handback and batching;
-//! [`crate::replication::ReplSwitch`] adds chain replication.
+//! rack switch) adds batching; [`crate::replication::ReplSwitch`] adds
+//! chain replication.
 
-use netlock_proto::{GrantMsg, LockId, NetLockMsg, ReleaseRequest, TenantId};
+use netlock_proto::{GrantMsg, NetLockMsg, ReleaseRequest, TenantId};
 use netlock_sim::{Context, Node, NodeId, Packet, SimDuration};
 
 use crate::action_buf::ActionBuf;
@@ -265,10 +265,6 @@ impl SwitchCore {
 pub struct SwitchNode {
     core: SwitchCore,
     cfg: SwitchConfig,
-    /// This switch is acting as the backup for a restarted original:
-    /// whenever one of its lock queues drains, it hands the lock back
-    /// (CtrlHandback) to the given node (§4.5).
-    backup_handback_to: Option<NodeId>,
     /// Batch-path scratch, reused across batches: the grants of a
     /// batch bound for one client, peeled off the action buffer's grant
     /// list by [`SwitchNode::flush_grant_batches`].
@@ -282,7 +278,6 @@ impl SwitchNode {
         SwitchNode {
             core: SwitchCore::new(dp, servers),
             cfg,
-            backup_handback_to: None,
             batch_group: Vec::new(),
         }
     }
@@ -300,15 +295,6 @@ impl SwitchNode {
     pub fn with_db_servers(mut self, db_servers: Vec<NodeId>) -> SwitchNode {
         self.core.db_servers = db_servers;
         self
-    }
-
-    /// Put this switch into backup-handback mode: queue drains are
-    /// reported to `original` so it can resume granting (§4.5). The
-    /// restarted original must have had
-    /// [`DataPlane::begin_handback_suppression`] applied to the locks
-    /// the backup still owns.
-    pub fn set_backup_handback(&mut self, original: Option<NodeId>) {
-        self.backup_handback_to = original;
     }
 
     /// Data-plane handle (control plane / harness).
@@ -366,9 +352,9 @@ impl SwitchNode {
 
     /// One client release (alone or out of a batch) through the guarded
     /// data plane. A release the guard filters is counted and goes no
-    /// further; returns the extra passes an admitted one cost. With no
-    /// handback pending, one that left nothing to send (in batch mode
-    /// its grants are the batch's) is done there.
+    /// further; returns the extra passes an admitted one cost. One that
+    /// left nothing to send (in batch mode its grants are the batch's)
+    /// is done there.
     fn release(&mut self, rel: ReleaseRequest, ctx: &mut Context<'_, NetLockMsg>) -> Option<u64> {
         if !self
             .core
@@ -378,24 +364,10 @@ impl SwitchNode {
             self.core.stats.stale_releases_filtered += 1;
             return None;
         }
-        if self.core.actions.is_empty() && self.backup_handback_to.is_none() {
+        if self.core.actions.is_empty() {
             return Some(self.core.actions.resubmits());
         }
-        Some(self.after_release(rel.lock, ctx))
-    }
-
-    /// Emit what a processed release (client or lease sweep) left in
-    /// the action buffer; returns its extra passes.
-    fn after_release(&mut self, lock: LockId, ctx: &mut Context<'_, NetLockMsg>) -> u64 {
-        let extra = self.core.emit(ctx);
-        // Backup-handback mode: report a drained queue to the restarted
-        // original switch.
-        if let Some(original) = self.backup_handback_to {
-            if self.core.dp.is_drained(lock) {
-                ctx.send_after(original, NetLockMsg::CtrlHandback { lock }, TRAVERSAL);
-            }
-        }
-        extra
+        Some(self.core.emit(ctx))
     }
 
     /// Unpack an [`NetLockMsg::AcquireBatch`]: admit every element
@@ -487,7 +459,7 @@ impl SwitchNode {
         let now = ctx.now().as_nanos();
         for rel in self.core.expired_leases(now, self.cfg.lease) {
             self.core.dp.force_release(rel, now, &mut self.core.actions);
-            self.after_release(rel.lock, ctx);
+            self.core.emit(ctx);
         }
         ctx.set_timer(self.cfg.control_tick, TIMER_CONTROL_TICK);
     }
@@ -557,7 +529,7 @@ mod tests {
     use super::*;
     use crate::control::{apply_allocation, knapsack_allocate, LockStats};
     use crate::shared_queue::SharedQueueLayout;
-    use netlock_proto::{ClientAddr, LockMode, LockRequest, Priority, TenantId, TxnId};
+    use netlock_proto::{ClientAddr, LockId, LockMode, LockRequest, Priority, TenantId, TxnId};
     use netlock_sim::{Packet as SimPacket, SimTime, Simulator};
 
     struct Sink(Vec<NetLockMsg>);

@@ -318,45 +318,23 @@ impl SharedQueue {
                 new_head,
             } => {
                 let held = released_mode == LockMode::Shared;
-                out.passes +=
-                    self.grant_head_run(passes, qid, new_head, remaining, 1, held, grants);
+                out.passes += self.grant_head_run(passes, qid, new_head, remaining, held, grants);
             }
         }
         out
     }
 
-    /// Grant the head run of a queue whose grants were suppressed
-    /// (handback from a backup switch, §4.5): the release's head-run
-    /// passes from resubmit depth 0, without dequeuing anything.
-    pub fn kickstart(
-        &mut self,
-        passes: &mut PassAllocator,
-        qid: usize,
-        grants: &mut Vec<Slot>,
-    ) -> ReleaseOutcome {
-        let view = self.cp_region(qid);
-        let read = self.grant_head_run(passes, qid, view.head, view.count, 0, false, grants);
-        ReleaseOutcome {
-            now_empty: view.count == 0,
-            spurious: false,
-            // The handback packet takes its one pass on an empty queue too.
-            passes: read.max(1),
-        }
-    }
-
-    /// Read the `count` entries from offset `head` on, one pass each
-    /// from resubmit depth `depth`, and grant the head run: nothing if
-    /// the head is shared and `shared_head_held`, else the head and,
-    /// behind a shared head, every shared entry up to the first
-    /// exclusive one, whose read ends the run. Returns the passes taken.
-    #[allow(clippy::too_many_arguments)]
+    /// Read the `count` entries from offset `head` on, one resubmit pass
+    /// each, and grant the head run: nothing if the head is shared and
+    /// `shared_head_held`, else the head and, behind a shared head,
+    /// every shared entry up to the first exclusive one, whose read ends
+    /// the run. Returns the passes taken.
     fn grant_head_run(
         &mut self,
         passes: &mut PassAllocator,
         qid: usize,
         head: u32,
         count: u32,
-        depth: u32,
         shared_head_held: bool,
         grants: &mut Vec<Slot>,
     ) -> u32 {
@@ -365,7 +343,7 @@ impl SharedQueue {
             if read > 0 {
                 ptr = self.next_offset(qid, ptr);
             }
-            let mut pass = passes.begin(depth + read);
+            let mut pass = passes.begin(1 + read);
             let s = self.read_at(&mut pass, qid, ptr);
             debug_assert!(s.valid, "queue count and slot contents disagree");
             // An exclusive head is a run of one; behind a shared head,
@@ -1028,12 +1006,6 @@ mod tests {
         (out, grants)
     }
 
-    fn kickstart(q: &mut SharedQueue, pa: &mut PassAllocator) -> (ReleaseOutcome, Vec<Slot>) {
-        let mut grants = Vec::new();
-        let out = q.kickstart(pa, 0, &mut grants);
-        (out, grants)
-    }
-
     #[test]
     fn shared_to_shared_no_grant() {
         let (mut q, mut pa) = (queue_with_region(8), PassAllocator::new());
@@ -1119,37 +1091,6 @@ mod tests {
         let (mut q, mut pa) = (queue_with_region(8), PassAllocator::new());
         let (out, _grants) = release(&mut q, &mut pa, LockMode::Shared);
         assert!(out.spurious);
-    }
-
-    #[test]
-    fn kickstart_grants_suppressed_head_run() {
-        let (mut q, mut pa) = (queue_with_region(8), PassAllocator::new());
-        // Enqueue ungranted entries (suppressed mode: decide = false).
-        for (i, mode) in [LockMode::Shared, LockMode::Shared, LockMode::Exclusive]
-            .iter()
-            .enumerate()
-        {
-            let mut pass = pa.begin(0);
-            q.enqueue_deciding(&mut pass, 0, slot(*mode, i as u64 + 1), false, |_, _| false);
-        }
-        let (out, grants) = kickstart(&mut q, &mut pa);
-        assert_eq!(txns(&grants), vec![1, 2], "shared head run granted");
-        // passes: head read + one shared read + stop-read at X.
-        assert_eq!(out.passes, 3);
-        // An exclusive head grants exactly one.
-        let (mut q2, mut pa2) = (queue_with_region(8), PassAllocator::new());
-        let mut pass = pa2.begin(0);
-        q2.enqueue_deciding(&mut pass, 0, slot(LockMode::Exclusive, 9), false, |_, _| {
-            false
-        });
-        let (out, grants) = kickstart(&mut q2, &mut pa2);
-        assert_eq!(txns(&grants), vec![9]);
-        assert_eq!(out.passes, 1, "an exclusive head needs no resubmit");
-        // An empty queue reports empty.
-        let (mut q3, mut pa3) = (queue_with_region(8), PassAllocator::new());
-        let (out, grants) = kickstart(&mut q3, &mut pa3);
-        assert!(out.now_empty && grants.is_empty());
-        assert_eq!(out.passes, 1);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use netlock_switch::dataplane::DataPlane;
 use netlock_switch::priority::PriorityLayout;
 use netlock_switch::shared_queue::SharedQueueLayout;
 
-const ALL_MSG_KINDS: [&str; 9] = [
+const ALL_MSG_KINDS: [&str; 8] = [
     "Acquire",
     "Release",
     "Grant",
@@ -25,14 +25,13 @@ const ALL_MSG_KINDS: [&str; 9] = [
     "Push",
     "DbFetch",
     "DbReply",
-    "CtrlHandback",
 ];
 
 #[test]
 fn fcfs_exploration_is_discipline_clean() {
     let summary = explore(EngineKind::Fcfs).unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(summary.engine, EngineKind::Fcfs);
-    assert_eq!(summary.states, 12);
+    assert_eq!(summary.states, 9);
     for kind in ALL_MSG_KINDS {
         assert!(
             summary.probes_by_kind.contains_key(kind),
@@ -47,7 +46,7 @@ fn fcfs_exploration_is_discipline_clean() {
 fn priority_exploration_is_discipline_clean() {
     let summary = explore(EngineKind::Priority).unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(summary.engine, EngineKind::Priority);
-    assert_eq!(summary.states, 7);
+    assert_eq!(summary.states, 6);
     for kind in ALL_MSG_KINDS {
         assert!(
             summary.probes_by_kind.contains_key(kind),

@@ -2,18 +2,16 @@
 //! failures via leases, switch failure with state loss, and lock-server
 //! failover to a backup.
 
-use std::ops::RangeInclusive;
-
 use netlock_core::prelude::*;
 use netlock_proto::{
     ClientAddr, GrantMsg, Grantor, LockId, LockMode, LockRequest, NetLockMsg, Priority,
     ReleaseRequest, TenantId, TxnId,
 };
 use netlock_server::ServerNode;
-use netlock_sim::{Context, LinkConfig, Node, NodeId, Packet, Simulator};
+use netlock_sim::{Context, LinkConfig, Node, NodeId, Packet};
 use netlock_switch::priority::PriorityLayout;
 use netlock_switch::shared_queue::SharedQueueLayout;
-use netlock_switch::{DataPlane, SwitchConfig, SwitchNode};
+use netlock_switch::SwitchNode;
 
 fn one_lock_rack() -> (Rack, Allocation) {
     let mut rack = Rack::build(RackConfig {
@@ -416,66 +414,6 @@ impl LossHelper for netlock_sim::Simulator<NetLockMsg> {
     }
 }
 
-/// Backup-switch failover (§4.5): when the primary switch fails, the
-/// control plane programs a backup switch with the same allocation and
-/// repoints clients and servers at it — downtime is one retry timeout,
-/// not a full reboot cycle.
-#[test]
-fn backup_switch_takes_over() {
-    use netlock_switch::shared_queue::SharedQueueLayout;
-    use netlock_switch::{DataPlane, SwitchConfig};
-
-    let (mut rack, alloc) = one_lock_rack();
-    let primary = rack.switch;
-    // A standby switch, pre-programmed with the same allocation (its
-    // queues start empty — leases cover any state lost on the primary).
-    let backup = {
-        let mut backup = SwitchNode::new(
-            DataPlane::new_fcfs(&SharedQueueLayout::paper_default()),
-            SwitchConfig::default(),
-            rack.lock_servers.clone(),
-        );
-        backup.program(&alloc);
-        rack.sim.add_node(Box::new(backup))
-    };
-    let client = rack.add_txn_client(
-        TxnClientConfig {
-            workers: 8,
-            retry_timeout: SimDuration::from_millis(5),
-            ..Default::default()
-        },
-        Box::new(SingleLockSource {
-            locks: (0..64).map(LockId).collect(),
-            mode: LockMode::Exclusive,
-            think: SimDuration::from_micros(20),
-        }),
-    );
-    rack.sim.run_for(SimDuration::from_millis(10));
-    let healthy = txns_by_client(&rack)[0];
-    assert!(healthy > 500);
-
-    // Primary dies; the control plane fails over.
-    rack.sim.fail_node(primary);
-    rack.sim
-        .with_node::<TxnClient, _>(client, |c| c.set_switch(backup));
-    for &s in &rack.lock_servers.clone() {
-        rack.sim
-            .with_node::<ServerNode, _>(s, |n| n.set_switch(backup));
-    }
-    rack.sim.run_for(SimDuration::from_millis(20));
-    let after = txns_by_client(&rack)[0];
-    // Unlike the reboot experiment (Fig. 15), throughput continues at
-    // nearly the healthy rate: only the in-flight window is lost.
-    assert!(
-        after - healthy > 700,
-        "backup must take over quickly: {healthy} → {after}"
-    );
-    let backup_grants = rack
-        .sim
-        .read_node::<netlock_switch::SwitchNode, _>(backup, |s| s.stats().grants_sent);
-    assert!(backup_grants > 500, "grants now come from the backup");
-}
-
 /// Deadlock resolution (§4.5): two workers acquiring {A, B} in opposite
 /// orders deadlock; leases expire the stuck holders, clients retry, and
 /// both eventually commit. "Deadlocks ... resolved in the same way as
@@ -539,188 +477,6 @@ impl Node<NetLockMsg> for Recorder {
         }
     }
     fn on_timer(&mut self, _t: u64, _c: &mut Context<'_, NetLockMsg>) {}
-}
-
-/// A restarted original switch and the backup that served its locks
-/// while it was down (§4.5), both holding exclusive lock 0.
-struct Handback {
-    sim: Simulator<NetLockMsg>,
-    client: NodeId,
-    original: NodeId,
-    backup: NodeId,
-}
-
-impl Handback {
-    const LOCK: LockId = LockId(0);
-
-    /// `at_backup` queue at a backup built with `backup_cfg` (the first
-    /// is granted); then the original restarts with grants for the lock
-    /// suppressed, the backup enters handback mode, and `at_original`
-    /// queue at the original.
-    fn new(
-        backup_cfg: SwitchConfig,
-        at_backup: RangeInclusive<u64>,
-        at_original: RangeInclusive<u64>,
-    ) -> Handback {
-        let stats = LockStats {
-            lock: Self::LOCK,
-            rate: 1.0,
-            contention: 16,
-            home_server: 0,
-        };
-        let alloc = knapsack_allocate(&[stats], 16);
-        let switch = |cfg| {
-            let dp = DataPlane::new_fcfs(&SharedQueueLayout::small(2, 32, 4));
-            let mut switch = SwitchNode::new(dp, cfg, vec![]);
-            switch.program(&alloc);
-            Box::new(switch)
-        };
-        let mut sim: Simulator<NetLockMsg> = Simulator::with_seed(9);
-        let client = sim.add_node(Box::new(Recorder(Vec::new())));
-        let original = sim.add_node(switch(SwitchConfig::default()));
-        let backup = sim.add_node(switch(backup_cfg));
-        let mut rig = Handback {
-            sim,
-            client,
-            original,
-            backup,
-        };
-        for t in at_backup {
-            rig.sim.inject(client, backup, rig.acquire(t));
-        }
-        rig.sim.run_for(SimDuration::from_millis(1));
-        assert_eq!(rig.grants(), vec![1], "the backup grants its head");
-
-        rig.sim.with_node::<SwitchNode, _>(original, |s| {
-            s.dataplane_mut().begin_handback_suppression(Self::LOCK);
-        });
-        rig.sim.with_node::<SwitchNode, _>(backup, |s| {
-            s.set_backup_handback(Some(original));
-        });
-        for t in at_original {
-            rig.sim.inject(client, original, rig.acquire(t));
-        }
-        rig.sim.run_for(SimDuration::from_millis(1));
-        assert_eq!(
-            rig.grants(),
-            vec![1],
-            "original must not grant while suppressed"
-        );
-        assert!(rig.suppressed());
-        rig
-    }
-
-    fn acquire(&self, txn: u64) -> NetLockMsg {
-        NetLockMsg::Acquire(LockRequest {
-            lock: Self::LOCK,
-            mode: LockMode::Exclusive,
-            txn: TxnId(txn),
-            client: ClientAddr(self.client.0),
-            tenant: TenantId(0),
-            priority: Priority(0),
-            issued_at_ns: 0,
-        })
-    }
-
-    fn release(&self, txn: u64) -> ReleaseRequest {
-        ReleaseRequest {
-            lock: Self::LOCK,
-            txn: TxnId(txn),
-            mode: LockMode::Exclusive,
-            client: ClientAddr(self.client.0),
-            priority: Priority(0),
-        }
-    }
-
-    /// Deliver `msg` to `to` and run the simulation for 1 ms.
-    fn send(&mut self, to: NodeId, msg: NetLockMsg) {
-        self.sim.inject(self.client, to, msg);
-        self.sim.run_for(SimDuration::from_millis(1));
-    }
-
-    /// Granted txns, in order.
-    fn grants(&self) -> Vec<u64> {
-        self.sim
-            .read_node::<Recorder, _>(self.client, |r| r.0.iter().map(|g| g.txn.0).collect())
-    }
-
-    fn suppressed(&self) -> bool {
-        self.sim.read_node::<SwitchNode, _>(self.original, |s| {
-            s.dataplane().handback_suppressed(Self::LOCK)
-        })
-    }
-}
-
-/// The restart-handback protocol (§4.5): after the original switch
-/// restarts, new acquires queue at the original (grants suppressed)
-/// while releases drain the backup; when the backup's queue for a lock
-/// empties it hands the lock back, and the original grants its queued
-/// run — no lock is ever granted by both switches at once.
-#[test]
-fn restart_handback_drains_backup_first() {
-    // Txns 1–3 queue at the backup; 4 and 5 at the restarted original.
-    let mut rig = Handback::new(SwitchConfig::default(), 1..=3, 4..=5);
-
-    // Drain the backup: releases go to the backup; it grants 2, then 3,
-    // then — once empty — hands the lock back to the original, which
-    // grants txn 4 from its own queue.
-    for t in 1..=3 {
-        rig.send(rig.backup, NetLockMsg::Release(rig.release(t)));
-    }
-    assert_eq!(
-        rig.grants(),
-        vec![1, 2, 3, 4],
-        "backup drains fully before the original grants"
-    );
-    assert!(!rig.suppressed());
-
-    // The original is now the sole grantor: release 4 → grant 5 there.
-    rig.send(rig.original, NetLockMsg::Release(rig.release(4)));
-    assert_eq!(rig.grants(), vec![1, 2, 3, 4, 5]);
-}
-
-/// The backup hands a lock back however its queue drains: a release
-/// batch and a lease-sweep force-release empty it as surely as a single
-/// release does.
-#[test]
-fn handback_follows_batch_and_lease_drains() {
-    let mut rig = Handback::new(SwitchConfig::default(), 1..=1, 4..=4);
-    let batch = NetLockMsg::ReleaseBatch(vec![rig.release(1)].into());
-    rig.send(rig.backup, batch);
-    assert_eq!(
-        rig.grants(),
-        vec![1, 4],
-        "a release batch drained the backup"
-    );
-    assert!(!rig.suppressed());
-
-    // Txn 1 never releases; the backup's 5 ms lease sweeper frees it,
-    // well before the original's 10 ms lease could touch txn 4.
-    let backup_cfg = SwitchConfig {
-        lease: SimDuration::from_millis(5),
-        ..Default::default()
-    };
-    let mut rig = Handback::new(backup_cfg, 1..=1, 4..=4);
-    rig.sim.run_for(SimDuration::from_millis(30));
-    let lease_expirations = rig
-        .sim
-        .read_node::<SwitchNode, _>(rig.backup, |s| s.stats().lease_expirations);
-    assert_eq!(lease_expirations, 1);
-    assert_eq!(rig.grants(), vec![1, 4], "a lease sweep drained the backup");
-    assert!(!rig.suppressed());
-}
-
-/// A restarted original's lease sweeper leaves its suppressed queue
-/// alone: the head there was never granted. With both switches at the
-/// default 10 ms lease, the backup's sweep hands the lock back, and
-/// only then does the original grant txn 4 and, once 4's lease runs
-/// out, txn 5 — each once.
-#[test]
-fn suppressed_head_is_not_swept() {
-    let mut rig = Handback::new(SwitchConfig::default(), 1..=1, 4..=5);
-    rig.sim.run_for(SimDuration::from_millis(30));
-    assert_eq!(rig.grants(), vec![1, 4, 5]);
-    assert!(!rig.suppressed());
 }
 
 /// A client that sends the acquires its timers name (token = txn) and

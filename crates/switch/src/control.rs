@@ -410,6 +410,49 @@ mod tests {
         assert_eq!((v3.left, v3.right), (5, 6));
     }
 
+    /// The lease sweep reports holders in lock order, and a server
+    /// restart resets the overflow of that server's locks only, when
+    /// the allocation's queue order (descending `r/c`) is not lock
+    /// order.
+    #[test]
+    fn control_sweeps_follow_locks_not_queue_regions() {
+        let mut dp = dp_small();
+        let home = |lock: u32, rate: f64, home_server: usize| LockStats {
+            home_server,
+            ..st(lock, rate, 2)
+        };
+        let stats = [home(1, 10.0, 0), home(2, 1.0, 1), home(3, 100.0, 1)];
+        let alloc = knapsack_allocate(&stats, 6);
+        let queue_order: Vec<LockId> = alloc.in_switch.iter().map(|r| r.0).collect();
+        assert_eq!(queue_order, [LockId(3), LockId(1), LockId(2)]);
+        apply_allocation(&mut dp, &alloc);
+        // Per lock, in queue order: a holder, a waiter, and a third
+        // acquire that overflows the two-slot region.
+        for &lock in &queue_order {
+            for k in 0..3 {
+                let txn = u64::from(lock.0) * 10 + k;
+                dp.process_collect(acquire(lock.0, txn, 1_000), 1_000);
+            }
+        }
+        assert!((0..3).all(|qid| dp.overflow_active(qid)));
+
+        let expired = expired_leases(&dp, 10_000_000, 1_000);
+        let holders: Vec<(LockId, TxnId)> = expired.iter().map(|r| (r.lock, r.txn)).collect();
+        assert_eq!(
+            holders,
+            [
+                (LockId(1), TxnId(10)),
+                (LockId(2), TxnId(20)),
+                (LockId(3), TxnId(30)),
+            ]
+        );
+
+        // Server 1 is home to locks 3 and 2, in regions 0 and 2.
+        dp.cp_reset_overflow_for_server(1);
+        let active: Vec<bool> = (0..3).map(|qid| dp.overflow_active(qid)).collect();
+        assert_eq!(active, [false, true, false]);
+    }
+
     #[test]
     fn harvest_measures_and_resets() {
         let mut dp = dp_small();

@@ -320,8 +320,8 @@ pub fn run_chaos_seed_with(workload: ChaosWorkload, seed: u64, sabotage: Sabotag
                 let holders = netlock_switch::control::expired_leases(dp, u64::MAX, 0);
                 dp.directory()
                     .switch_resident()
-                    .into_iter()
-                    .map(|(lock, qid, _)| {
+                    .iter()
+                    .map(|&(lock, qid, _)| {
                         let granted = holders.iter().filter(|h| h.lock == lock).count();
                         (lock, dp.guard_outstanding(qid), granted)
                     })

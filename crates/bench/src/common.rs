@@ -202,12 +202,7 @@ pub fn tpcc_alloc_stats(spec: &TpccRackSpec) -> Vec<LockStats> {
 pub fn tpcc_allocation(spec: &TpccRackSpec) -> Allocation {
     let stats = tpcc_alloc_stats(spec);
     if spec.random_alloc {
-        let mut a = random_allocate(&stats, spec.switch_slots, spec.seed ^ 0xA110C);
-        while a.in_switch.len() > 10_000 {
-            let (lock, _slots, home) = a.in_switch.pop().expect("non-empty");
-            a.in_server.push((lock, home));
-        }
-        a
+        random_allocate(&stats, spec.switch_slots, 10_000, spec.seed ^ 0xA110C)
     } else {
         netlock_switch::control::knapsack_allocate_bounded(&stats, spec.switch_slots, 10_000)
     }

@@ -116,7 +116,7 @@ impl RackCluster {
         self.racks[rack].add_txn_client(&mut self.sim, cfg, source)
     }
 
-    /// Program `rack`'s FCFS allocation (see [`RackNodes::program`]).
+    /// Make `alloc` `rack`'s switch program (see [`RackNodes::program`]).
     pub fn program(&mut self, rack: usize, alloc: &Allocation) {
         self.racks[rack].program(&mut self.sim, alloc);
     }

@@ -192,11 +192,11 @@ impl RackNodes {
         self.add_client(sim, ClientKind::Txn, node)
     }
 
-    /// Program an FCFS allocation: switch regions + directory (see
-    /// [`SwitchNode::program`]). A lock server owns every lock it has
-    /// not seen overflow from the switch, so it needs no programming.
-    /// Locks with no directory entry default-route to `hash(lock) %
-    /// servers`.
+    /// Make `alloc` the switch's program, for either engine: queue
+    /// regions and directory (see [`SwitchNode::program`]). A lock
+    /// server owns every lock it has not seen overflow from the switch,
+    /// so it needs no programming. Locks with no directory entry
+    /// default-route to `hash(lock) % servers`.
     pub fn program(&self, sim: &mut Simulator<NetLockMsg>, alloc: &Allocation) {
         sim.with_node::<SwitchNode, _>(self.switch, |s| s.program(alloc));
     }
@@ -252,7 +252,7 @@ impl Rack {
         self.nodes.add_txn_client(&mut self.sim, cfg, source)
     }
 
-    /// Program an FCFS allocation (see [`RackNodes::program`]).
+    /// Make `alloc` the switch's program (see [`RackNodes::program`]).
     pub fn program(&mut self, alloc: &Allocation) {
         self.nodes.program(&mut self.sim, alloc);
     }
@@ -305,7 +305,7 @@ mod tests {
         let alloc = knapsack_allocate(&stats, 8);
         rack.program(&alloc);
         let resident = rack.sim.read_node::<SwitchNode, _>(rack.switch, |s| {
-            s.dataplane().directory().switch_resident()
+            s.dataplane().directory().switch_resident().to_vec()
         });
         assert_eq!(resident.len(), 1);
         assert_eq!(resident[0].0, LockId(1));

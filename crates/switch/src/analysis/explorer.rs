@@ -21,7 +21,8 @@ use netlock_proto::{
     ReleaseRequest, TenantId, TxnId,
 };
 
-use crate::dataplane::{DataPlane, Engine};
+use crate::control::{apply_allocation, Allocation};
+use crate::dataplane::DataPlane;
 use crate::priority::PriorityLayout;
 use crate::shared_queue::SharedQueueLayout;
 
@@ -156,17 +157,14 @@ fn grant_msg(lock: LockId) -> GrantMsg {
 
 fn fresh_dp(kind: EngineKind) -> DataPlane {
     let mut dp = match kind {
-        EngineKind::Fcfs => {
-            let mut dp = DataPlane::new_fcfs(&SharedQueueLayout::small(2, 4, 4));
-            if let Engine::Fcfs(q) = dp.engine_mut() {
-                q.cp_set_region(0, 0, FCFS_CAP);
-            }
-            dp
-        }
+        EngineKind::Fcfs => DataPlane::new_fcfs(&SharedQueueLayout::small(2, 4, 4)),
         EngineKind::Priority => DataPlane::new_priority(&PriorityLayout::new(3, 3, 2)),
     };
-    dp.directory_mut().set_switch_resident(SWITCH_LOCK, 0, 0);
-    dp.directory_mut().set_server_resident(SERVER_LOCK, 1);
+    let alloc = Allocation {
+        in_switch: vec![(SWITCH_LOCK, FCFS_CAP, 0)],
+        in_server: vec![(SERVER_LOCK, 1)],
+    };
+    apply_allocation(&mut dp, &alloc);
     dp
 }
 

@@ -11,6 +11,7 @@
 use netlock_proto::{ClientAddr, LockId, LockMode, Priority, ReleaseRequest};
 
 use crate::dataplane::{DataPlane, Engine};
+use crate::slot::Slot;
 
 /// Measured workload statistics for one lock.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -106,6 +107,39 @@ pub fn knapsack_allocate_bounded(
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| a.lock.cmp(&b.lock))
     });
+    place(order, capacity, max_regions)
+}
+
+/// A strawman allocator for the paper's Figure 13/14 comparison: gives
+/// regions to a *random* subset of locks (seeded, deterministic),
+/// ignoring popularity, with the same `max_regions` bound as
+/// [`knapsack_allocate_bounded`].
+pub fn random_allocate(
+    stats: &[LockStats],
+    capacity: u32,
+    max_regions: usize,
+    seed: u64,
+) -> Allocation {
+    // xorshift permutation, deterministic and dependency-free.
+    let mut order: Vec<usize> = (0..stats.len()).collect();
+    let mut state = seed | 1;
+    for i in (1..order.len()).rev() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        order.swap(i, (state as usize) % (i + 1));
+    }
+    place(order.iter().map(|&i| &stats[i]), capacity, max_regions)
+}
+
+/// Walk `order`, giving each lock up to `c_i` of the slots left while
+/// slots and queue regions last; every other lock stays with its home
+/// server.
+fn place<'a>(
+    order: impl IntoIterator<Item = &'a LockStats>,
+    capacity: u32,
+    max_regions: usize,
+) -> Allocation {
     let mut alloc = Allocation::default();
     let mut available = capacity;
     for st in order {
@@ -121,54 +155,35 @@ pub fn knapsack_allocate_bounded(
     alloc
 }
 
-/// A strawman allocator for the paper's Figure 13/14 comparison: gives
-/// regions to a *random* subset of locks (seeded, deterministic),
-/// ignoring popularity.
-pub fn random_allocate(stats: &[LockStats], capacity: u32, seed: u64) -> Allocation {
-    // xorshift permutation, deterministic and dependency-free.
-    let mut order: Vec<usize> = (0..stats.len()).collect();
-    let mut state = seed | 1;
-    for i in (1..order.len()).rev() {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        order.swap(i, (state as usize) % (i + 1));
-    }
-    let mut alloc = Allocation::default();
-    let mut available = capacity;
-    for &i in &order {
-        let st = &stats[i];
-        let s = available.min(st.contention.max(1));
-        if s > 0 {
-            alloc.in_switch.push((st.lock, s, st.home_server));
-            available -= s;
-        } else {
-            alloc.in_server.push((st.lock, st.home_server));
-        }
-    }
-    alloc
-}
-
 /// Program an allocation into an **empty** data plane. Switch lock `i`
 /// gets queue `i`. The FCFS engine's regions are laid out contiguously
 /// from slot 0 (no fragmentation — this is the "periodic
 /// reorganization" §4.3 describes, applied at install time); the
 /// priority engine's are fixed, equal partitions, so `slots` is ignored.
+/// Switch locks are installed in lock order, so the directory's
+/// resident list is built by appends. A lock the allocation names more
+/// than once takes its last place, `in_server` after `in_switch`.
 ///
 /// # Panics
 /// If an FCFS region is non-empty or the allocation exceeds pooled
 /// memory.
 pub fn apply_allocation(dp: &mut DataPlane, alloc: &Allocation) {
-    let mut cursor = 0u32;
-    for (qid, &(lock, slots, home)) in alloc.in_switch.iter().enumerate() {
-        if let Engine::Fcfs(q) = dp.engine_mut() {
+    if let Engine::Fcfs(q) = dp.engine_mut() {
+        let mut cursor = 0u32;
+        for (qid, &(_, slots, _)) in alloc.in_switch.iter().enumerate() {
             q.cp_set_region(qid, cursor, cursor + slots);
             cursor += slots;
         }
-        dp.directory_mut().set_switch_resident(lock, qid, home);
+    }
+    let mut by_lock: Vec<usize> = (0..alloc.in_switch.len()).collect();
+    by_lock.sort_unstable_by_key(|&qid| (alloc.in_switch[qid].0, qid));
+    let directory = dp.directory_mut();
+    for qid in by_lock {
+        let (lock, _, home) = alloc.in_switch[qid];
+        directory.set_switch_resident(lock, qid, home);
     }
     for &(lock, home) in &alloc.in_server {
-        dp.directory_mut().set_server_resident(lock, home);
+        directory.set_server_resident(lock, home);
     }
 }
 
@@ -176,7 +191,7 @@ pub fn apply_allocation(dp: &mut DataPlane, alloc: &Allocation) {
 /// every switch-resident lock, resetting the counters (one measurement
 /// epoch). `epoch_secs` converts counts to rates.
 pub fn harvest_stats(dp: &mut DataPlane, epoch_secs: f64) -> Vec<LockStats> {
-    let resident = dp.directory().switch_resident();
+    let resident = dp.directory().switch_resident().to_vec();
     let mut out = Vec::with_capacity(resident.len());
     for (lock, qid, home) in resident {
         let Engine::Fcfs(q) = dp.engine_mut() else {
@@ -197,63 +212,43 @@ pub fn harvest_stats(dp: &mut DataPlane, epoch_secs: f64) -> Vec<LockStats> {
 /// Find switch-resident lock holders whose lease has expired and emit
 /// the force-release the control plane would issue for each (§4.5:
 /// "the switch control plane periodically polls the data plane to clear
-/// expired transactions").
-///
-/// Holders in the FCFS engine are derived from Algorithm 2's invariant:
-/// the head run of shared entries, or the single exclusive head.
+/// expired transactions"), in lock order. Allocates only for a holder
+/// it reports.
 pub fn expired_leases(dp: &DataPlane, now_ns: u64, lease_ns: u64) -> Vec<ReleaseRequest> {
     let mut out = Vec::new();
-    match dp.engine() {
-        Engine::Fcfs(q) => {
-            for (lock, qid, _home) in dp.directory().switch_resident() {
-                let entries = q.cp_entries(qid);
-                let Some(head) = entries.first() else {
+    for &(lock, qid, _home) in dp.directory().switch_resident() {
+        let mut sweep = |h: Slot, priority| {
+            if now_ns.saturating_sub(h.issued_at_ns) > lease_ns {
+                out.push(ReleaseRequest {
+                    lock,
+                    txn: h.txn,
+                    mode: h.mode,
+                    client: ClientAddr(0), // control-plane origin
+                    priority,
+                });
+            }
+        };
+        match dp.engine() {
+            Engine::Fcfs(q) => {
+                let mut queue = q.cp_entries(qid);
+                let Some(head) = queue.next() else {
                     continue;
                 };
                 // Holders derived from Algorithm 2's invariant: the head
                 // run of shared entries, or the single exclusive head.
-                let holders: &[crate::slot::Slot] = match head.mode {
-                    LockMode::Exclusive => &entries[..1],
-                    LockMode::Shared => {
-                        let n = entries
-                            .iter()
-                            .take_while(|s| s.mode == LockMode::Shared)
-                            .count();
-                        &entries[..n]
-                    }
-                };
-                for h in holders {
-                    if now_ns.saturating_sub(h.issued_at_ns) > lease_ns {
-                        out.push(ReleaseRequest {
-                            lock,
-                            txn: h.txn,
-                            mode: h.mode,
-                            client: ClientAddr(0), // control-plane origin
-                            priority: Priority(0),
-                        });
-                    }
-                }
+                let shared = head.mode == LockMode::Shared;
+                let run = queue.take_while(|s| shared && s.mode == LockMode::Shared);
+                std::iter::once(head)
+                    .chain(run)
+                    .for_each(|h| sweep(h, Priority(0)));
             }
-        }
-        Engine::Priority(e) => {
             // The priority engine marks holders explicitly, and a holder
             // granted on a release had its grant time written into
             // `issued_at_ns`, so the lease test is the FCFS one.
-            for (lock, qid, _home) in dp.directory().switch_resident() {
-                for level in 0..e.levels() {
-                    for h in e.cp_level_entries(level, qid) {
-                        if h.granted && now_ns.saturating_sub(h.issued_at_ns) > lease_ns {
-                            out.push(ReleaseRequest {
-                                lock,
-                                txn: h.txn,
-                                mode: h.mode,
-                                client: ClientAddr(0),
-                                priority: h.priority,
-                            });
-                        }
-                    }
-                }
-            }
+            Engine::Priority(e) => (0..e.levels())
+                .flat_map(|level| e.cp_level_entries(level, qid))
+                .filter(|h| h.granted)
+                .for_each(|h| sweep(h, h.priority)),
         }
     }
     out
@@ -316,7 +311,7 @@ mod tests {
         }
         let cap = 20;
         let good = knapsack_allocate(&stats, cap).objective(&stats);
-        let rand = random_allocate(&stats, cap, 7).objective(&stats);
+        let rand = random_allocate(&stats, cap, usize::MAX, 7).objective(&stats);
         assert!(
             good > rand * 2.0,
             "knapsack {good} should beat random {rand} on skew"
@@ -368,8 +363,8 @@ mod tests {
     fn random_allocate_is_deterministic() {
         let stats: Vec<LockStats> = (0..50).map(|i| st(i, i as f64, 2)).collect();
         assert_eq!(
-            random_allocate(&stats, 10, 3),
-            random_allocate(&stats, 10, 3)
+            random_allocate(&stats, 10, usize::MAX, 3),
+            random_allocate(&stats, 10, usize::MAX, 3)
         );
     }
 
@@ -491,7 +486,7 @@ mod tests {
     #[test]
     fn priority_lease_runs_from_grant_on_release() {
         let mut dp = DataPlane::new_priority(&PriorityLayout::new(2, 8, 2));
-        dp.directory_mut().set_switch_resident(LockId(1), 0, 0);
+        apply_allocation(&mut dp, &knapsack_allocate(&[st(1, 1.0, 1)], 1));
         let lease = 1_000_000;
         dp.process_collect(acquire(1, 7, 1_000), 1_000); // immediate grant
         dp.process_collect(acquire(1, 8, 2_000), 2_000); // queued

@@ -260,7 +260,8 @@ impl DataPlane {
         &self.directory
     }
 
-    /// Mutable directory access (control-plane handle).
+    /// Mutable directory access for [`crate::control::apply_allocation`];
+    /// public until the repo benchmark installs through it (ROADMAP item 5).
     pub fn directory_mut(&mut self) -> &mut LockDirectory {
         &mut self.directory
     }
@@ -628,7 +629,7 @@ impl DataPlane {
     /// are re-driven by client retries; the next q1 overflow restarts
     /// the protocol from clean counters.
     pub fn cp_reset_overflow_for_server(&mut self, server_idx: usize) {
-        for (_, qid, home) in self.directory.switch_resident() {
+        for &(_, qid, home) in self.directory.switch_resident() {
             if home == server_idx {
                 let of = &mut self.overflow[qid];
                 of.active = false;
@@ -736,6 +737,7 @@ impl DataPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::{apply_allocation, Allocation};
     use netlock_proto::{ClientAddr, LockMode, Priority, TxnId};
 
     fn req(lock: u32, mode: LockMode, txn: u64) -> LockRequest {
@@ -760,14 +762,14 @@ mod tests {
         }
     }
 
+    /// Lock 1 in queue region 0 with `cap` slots; lock 2 at server 1.
     fn dp_with_lock(cap: u32) -> DataPlane {
         let mut dp = DataPlane::new_fcfs(&SharedQueueLayout::small(2, 16, 4));
-        match dp.engine_mut() {
-            Engine::Fcfs(q) => q.cp_set_region(0, 0, cap),
-            _ => unreachable!(),
-        }
-        dp.directory_mut().set_switch_resident(LockId(1), 0, 0);
-        dp.directory_mut().set_server_resident(LockId(2), 1);
+        let alloc = Allocation {
+            in_switch: vec![(LockId(1), cap, 0)],
+            in_server: vec![(LockId(2), 1)],
+        };
+        apply_allocation(&mut dp, &alloc);
         dp
     }
 
@@ -971,7 +973,11 @@ mod tests {
     #[test]
     fn priority_dataplane_routes_by_priority() {
         let mut dp = DataPlane::new_priority(&PriorityLayout::new(2, 8, 2));
-        dp.directory_mut().set_switch_resident(LockId(1), 0, 0);
+        let alloc = Allocation {
+            in_switch: vec![(LockId(1), 0, 0)],
+            in_server: Vec::new(),
+        };
+        apply_allocation(&mut dp, &alloc);
         let mut r1 = req(1, LockMode::Exclusive, 1);
         r1.priority = Priority(1);
         let mut r2 = req(1, LockMode::Exclusive, 2);

@@ -2,11 +2,18 @@
 //! lock's home server is.
 //!
 //! On hardware this is the match-action table that maps `pkt.lid` to a
-//! queue region (Figure 4); entries are installed and removed by the
-//! switch control plane. Locks without a switch entry are forwarded to
-//! their home lock server (the paper: clients learn the partitioning from
-//! a directory service and set the destination IP; the ToR switch is on
-//! path and intercepts the locks it owns).
+//! queue region (Figure 4). The switch control plane installs its
+//! entries from the switch's program into an empty table
+//! ([`crate::control::apply_allocation`]) and never edits them live; a
+//! reboot drops them all and the program is installed again. Locks
+//! without a switch entry are forwarded to their home lock server (the
+//! paper: clients learn the partitioning from a directory service and
+//! set the destination IP; the ToR switch is on path and intercepts the
+//! locks it owns).
+//!
+//! Beside the table, the directory keeps the switch-resident locks as
+//! one lock-sorted list, built as the entries are installed: the
+//! control plane's lease sweep and overflow reset borrow it.
 
 use netlock_proto::LockId;
 use netlock_sim::FastHashMap;
@@ -33,12 +40,17 @@ pub struct DirEntry {
     pub home_server: usize,
 }
 
-/// The switch's view of lock placement.
+/// The switch's view of lock placement: the program's table entries,
+/// installed once into an empty directory (see
+/// [`crate::control::apply_allocation`]) and dropped whole at a reboot.
 #[derive(Clone, Debug, Default)]
 pub struct LockDirectory {
     entries: FastHashMap<LockId, DirEntry>,
-    /// qid → lock reverse map, for control-plane sweeps.
-    by_qid: FastHashMap<usize, LockId>,
+    /// The switch-resident locks as `(lock, qid, home_server)`, sorted
+    /// by lock: what the control-plane sweeps walk.
+    resident: Vec<(LockId, usize, usize)>,
+    /// Which queue regions hold a lock, indexed by qid.
+    taken: Vec<bool>,
 }
 
 impl LockDirectory {
@@ -53,61 +65,52 @@ impl LockDirectory {
         self.entries.get(&lock).copied()
     }
 
-    /// Install or update a server-resident lock.
+    /// Install a server-resident lock. Stays public until the repo
+    /// benchmark installs through `apply_allocation` (ROADMAP item 5).
     pub fn set_server_resident(&mut self, lock: LockId, home_server: usize) {
-        if let Some(prev) = self.entries.insert(
-            lock,
-            DirEntry {
-                residence: Residence::Server,
-                home_server,
-            },
-        ) {
-            if let Residence::Switch { qid } = prev.residence {
-                self.by_qid.remove(&qid);
-            }
-        }
+        self.install(lock, Residence::Server, home_server);
     }
 
-    /// Install a switch-resident lock with queue region `qid`.
+    /// Install a switch-resident lock with queue region `qid`. Stays
+    /// public until the repo benchmark installs through
+    /// `apply_allocation` (ROADMAP item 5).
     ///
     /// # Panics
-    /// If `qid` is already mapped to a different lock.
+    /// If `qid` already holds a different lock.
     pub fn set_switch_resident(&mut self, lock: LockId, qid: usize, home_server: usize) {
-        if let Some(&existing) = self.by_qid.get(&qid) {
-            assert_eq!(
-                existing, lock,
-                "queue region {qid} already assigned to {existing}"
-            );
-        }
-        if let Some(prev) = self.entries.get(&lock) {
-            if let Residence::Switch { qid: old_qid } = prev.residence {
-                if old_qid != qid {
-                    self.by_qid.remove(&old_qid);
-                }
-            }
-        }
-        self.entries.insert(
+        self.install(lock, Residence::Switch { qid }, home_server);
+    }
+
+    /// Point `lock` at `residence`. A lock installed again takes its new
+    /// place; an install in lock order appends to the resident list.
+    fn install(&mut self, lock: LockId, residence: Residence, home_server: usize) {
+        let old = self.entries.insert(
             lock,
             DirEntry {
-                residence: Residence::Switch { qid },
+                residence,
                 home_server,
             },
         );
-        self.by_qid.insert(qid, lock);
+        if let Some(Residence::Switch { qid }) = old.map(|e| e.residence) {
+            self.taken[qid] = false;
+            self.resident
+                .remove(self.resident.partition_point(|r| r.0 < lock));
+        }
+        if let Residence::Switch { qid } = residence {
+            if self.taken.len() <= qid {
+                self.taken.resize(qid + 1, false);
+            }
+            let taken = std::mem::replace(&mut self.taken[qid], true);
+            assert!(!taken, "queue region {qid} already assigned");
+            let at = self.resident.partition_point(|r| r.0 < lock);
+            self.resident.insert(at, (lock, qid, home_server));
+        }
     }
 
-    /// All switch-resident locks as `(lock, qid, home_server)`.
-    pub fn switch_resident(&self) -> Vec<(LockId, usize, usize)> {
-        let mut v: Vec<_> = self
-            .entries
-            .iter()
-            .filter_map(|(&lock, e)| match e.residence {
-                Residence::Switch { qid } => Some((lock, qid, e.home_server)),
-                Residence::Server => None,
-            })
-            .collect();
-        v.sort_by_key(|&(lock, _, _)| lock);
-        v
+    /// All switch-resident locks as `(lock, qid, home_server)`, in lock
+    /// order.
+    pub fn switch_resident(&self) -> &[(LockId, usize, usize)] {
+        &self.resident
     }
 
     /// Number of directory entries.
@@ -123,7 +126,8 @@ impl LockDirectory {
     /// Drop every entry (switch reboot).
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.by_qid.clear();
+        self.resident.clear();
+        self.taken.clear();
     }
 }
 
@@ -155,7 +159,7 @@ mod tests {
             d.get(LockId(1)).unwrap().residence,
             Residence::Switch { qid: 7 }
         );
-        assert_eq!(d.switch_resident(), vec![(LockId(1), 7, 0)]);
+        assert_eq!(d.switch_resident(), [(LockId(1), 7, 0)]);
         // Back to the server; qid is freed for another lock.
         d.set_server_resident(LockId(1), 0);
         assert!(d.switch_resident().is_empty());
@@ -168,7 +172,7 @@ mod tests {
         let mut d = LockDirectory::new();
         d.set_switch_resident(LockId(1), 3, 0);
         d.set_switch_resident(LockId(1), 4, 0);
-        assert_eq!(d.switch_resident(), vec![(LockId(1), 4, 0)]);
+        assert_eq!(d.switch_resident(), [(LockId(1), 4, 0)]);
         // The old qid is free again.
         d.set_switch_resident(LockId(2), 3, 0);
     }
@@ -187,10 +191,7 @@ mod tests {
         d.set_switch_resident(LockId(5), 0, 1);
         d.set_switch_resident(LockId(2), 1, 0);
         d.set_server_resident(LockId(9), 1);
-        assert_eq!(
-            d.switch_resident(),
-            vec![(LockId(2), 1, 0), (LockId(5), 0, 1)]
-        );
+        assert_eq!(d.switch_resident(), [(LockId(2), 1, 0), (LockId(5), 0, 1)]);
     }
 
     #[test]
@@ -199,7 +200,8 @@ mod tests {
         d.set_switch_resident(LockId(5), 0, 1);
         d.clear();
         assert!(d.is_empty());
-        // The qid index is cleared too.
+        assert!(d.switch_resident().is_empty());
+        // The region is free again.
         d.set_switch_resident(LockId(6), 0, 1);
     }
 }

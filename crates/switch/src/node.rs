@@ -3,10 +3,11 @@
 //! One driver, `SwitchCore`, runs the [`DataPlane`] state machine inside
 //! a `netlock-sim` node: packets in, packets out, with the switch's
 //! traversal latency and per-resubmit cost charged on every emission.
-//! It also keeps what on hardware the switch CPU keeps: the program,
-//! reloaded after a reboot, and the lease sweep. [`SwitchNode`] (the
-//! rack switch) adds batching; [`crate::replication::ReplSwitch`] adds
-//! chain replication.
+//! It also keeps what on hardware the switch CPU keeps: the lease sweep
+//! and the program (allocation and tenant meters), which one path
+//! installs on a wiped data plane, when programmed and after every
+//! reboot. [`SwitchNode`] (the rack switch) adds batching;
+//! [`crate::replication::ReplSwitch`] adds chain replication.
 
 use netlock_proto::{GrantMsg, NetLockMsg, ReleaseRequest, TenantId};
 use netlock_sim::{Context, Node, NodeId, Packet, SimDuration};
@@ -84,10 +85,18 @@ pub struct SwitchStats {
     pub resets: u64,
 }
 
+/// What the control plane installs on a switch, and again after a reboot.
+#[derive(Default)]
+pub(crate) struct SwitchProgram {
+    alloc: Allocation,
+    /// Tenant meters as `(tenant, rate per second, burst)` (§4.4).
+    meters: Vec<(TenantId, u64, u64)>,
+}
+
 /// The driver under both switch nodes: the data plane with its release
-/// guard on, the control plane's copy of the program and tenant meters,
-/// the reusable action buffer, the one emitter that turns data-plane
-/// actions into packets, and the counters.
+/// guard on, the switch's program, the reusable action buffer, the one
+/// emitter that turns data-plane actions into packets, and the
+/// counters.
 pub(crate) struct SwitchCore {
     pub(crate) dp: DataPlane,
     /// Lock server node ids, indexed by the directory's server index.
@@ -96,14 +105,8 @@ pub(crate) struct SwitchCore {
     /// Database servers grants are forwarded through (§4.1 one-RTT
     /// mode); empty sends grants straight to clients.
     db_servers: Vec<NodeId>,
-    /// What the control plane last installed: the allocation
-    /// [`SwitchCore::program`] loaded. A reboot wipes the data plane,
-    /// not this copy.
-    program: Option<Allocation>,
-    /// The tenant meters the control plane installed, as `(tenant,
-    /// rate per second, burst)`: quota policy (§4.4), kept like the
-    /// program and installed again after a reboot.
-    meters: Vec<(TenantId, u64, u64)>,
+    /// Installed by [`SwitchCore::reload`]; not switch state.
+    program: SwitchProgram,
     /// Reusable per-packet action buffer: allocated once here, filled
     /// by the data plane, drained by [`SwitchCore::emit`] (and, in
     /// batch mode, by the batch's coalescing). Zero steady-state heap
@@ -123,21 +126,21 @@ impl SwitchCore {
             dp,
             servers,
             db_servers: Vec::new(),
-            program: None,
-            meters: Vec::new(),
+            program: SwitchProgram::default(),
             actions: ActionBuf::new(),
             stats: SwitchStats::default(),
         }
     }
 
-    /// Load `alloc` into the data plane and keep it as the program.
+    /// Make `alloc` the program's allocation and install the program (a
+    /// meter bucket full at 0 is full at any later instant).
     pub(crate) fn program(&mut self, alloc: &Allocation) {
-        self.program = Some(alloc.clone());
-        self.load();
+        self.program.alloc = alloc.clone();
+        self.reload(0);
     }
 
     /// Meter `tenant` at `rate_per_sec` with bucket `burst` from
-    /// `now_ns` on, and keep the meter with the program.
+    /// `now_ns` on, and keep the meter in the program.
     pub(crate) fn set_tenant_meter(
         &mut self,
         tenant: TenantId,
@@ -145,18 +148,20 @@ impl SwitchCore {
         burst: u64,
         now_ns: u64,
     ) {
-        self.meters.retain(|&(t, ..)| t != tenant);
-        self.meters.push((tenant, rate_per_sec, burst));
+        self.program.meters.retain(|&(t, ..)| t != tenant);
+        self.program.meters.push((tenant, rate_per_sec, burst));
         self.dp
             .set_tenant_meter(tenant, rate_per_sec, burst, now_ns);
     }
 
-    /// Reboot at `now_ns`: wipe the data plane, then load the program
-    /// again and install the tenant meters, their buckets full.
+    /// Reboot at `now_ns`: wipe the data plane, then install the program,
+    /// with unlisted locks default-routed over the lock servers and the
+    /// meters' buckets full.
     pub(crate) fn reload(&mut self, now_ns: u64) {
         self.dp.reset();
-        self.load();
-        for &(tenant, rate, burst) in &self.meters {
+        self.dp.set_default_servers(self.servers.len());
+        apply_allocation(&mut self.dp, &self.program.alloc);
+        for &(tenant, rate, burst) in &self.program.meters {
             self.dp.set_tenant_meter(tenant, rate, burst, now_ns);
         }
     }
@@ -168,15 +173,6 @@ impl SwitchCore {
     fn set_batch_mode(&mut self, on: bool) {
         self.actions
             .set_batch_mode(on && self.db_servers.is_empty());
-    }
-
-    /// Program queue regions and directory, with unlisted locks
-    /// default-routed over the lock servers.
-    fn load(&mut self) {
-        if let Some(alloc) = &self.program {
-            self.dp.set_default_servers(self.servers.len());
-            apply_allocation(&mut self.dp, alloc);
-        }
     }
 
     /// The expired holders the lease sweep force-releases now, counted.
@@ -302,21 +298,15 @@ impl SwitchNode {
         &self.core.dp
     }
 
-    /// Mutable data-plane handle (control plane / harness).
-    pub fn dataplane_mut(&mut self) -> &mut DataPlane {
-        &mut self.core.dp
-    }
-
     /// Node counters.
     pub fn stats(&self) -> SwitchStats {
         self.core.stats
     }
 
-    /// Load `alloc` into the data plane — queue regions and directory
-    /// for either engine (see [`apply_allocation`]), with unlisted locks
-    /// default-routed over this switch's lock servers — and keep it: a
-    /// revived switch reboots and reloads it, as the control plane
-    /// would.
+    /// Make `alloc` this switch's program and install it on a wiped data
+    /// plane — queue regions and directory for either engine (see
+    /// [`apply_allocation`]) beside the tenant meters. A revived switch
+    /// reboots and installs it again, as the control plane would.
     pub fn program(&mut self, alloc: &Allocation) {
         self.core.program(alloc);
     }
@@ -334,6 +324,11 @@ impl SwitchNode {
     ) {
         self.core
             .set_tenant_meter(tenant, rate_per_sec, burst, now_ns);
+    }
+
+    /// One measurement epoch; see [`control::harvest_stats`].
+    pub fn harvest_stats(&mut self, epoch_secs: f64) -> Vec<control::LockStats> {
+        control::harvest_stats(&mut self.core.dp, epoch_secs)
     }
 
     /// A lock server restarted and lost its q2 buffers: reset the
@@ -528,6 +523,7 @@ impl Node<NetLockMsg> for SwitchNode {
 mod tests {
     use super::*;
     use crate::control::{apply_allocation, knapsack_allocate, LockStats};
+    use crate::directory::Residence;
     use crate::shared_queue::SharedQueueLayout;
     use netlock_proto::{ClientAddr, LockId, LockMode, LockRequest, Priority, TenantId, TxnId};
     use netlock_sim::{Packet as SimPacket, SimTime, Simulator};
@@ -994,6 +990,27 @@ mod tests {
             .map(|i| after_release[i] - after_acquire[i])
             .collect();
         assert_eq!(delta, [0, 0, 1, 0, 0, 6, 0, 0, 9, 0, 1, 0, 1, 1, 0]);
+    }
+
+    /// Programming a switch again installs the new program alone.
+    #[test]
+    fn program_again_replaces_the_directory() {
+        let plane = DataPlane::new_fcfs(&SharedQueueLayout::small(2, 64, 16));
+        let mut s = SwitchNode::new(plane, SwitchConfig::default(), vec![NodeId(9)]);
+        let stats = LockStats::uniform((0..4).map(LockId), 8, 1);
+        s.program(&knapsack_allocate(&stats, 128));
+        assert_eq!(s.dataplane().directory().switch_resident().len(), 4);
+        s.program(&Allocation {
+            in_switch: vec![(LockId(7), 8, 0)],
+            in_server: (0..4).map(|lock| (LockId(lock), 0)).collect(),
+        });
+        let directory = s.dataplane().directory();
+        assert_eq!(directory.switch_resident(), [(LockId(7), 0, 0)]);
+        assert_eq!(directory.len(), 5);
+        let old: Vec<_> = (0..4)
+            .map(|lock| directory.get(LockId(lock)).map(|e| e.residence))
+            .collect();
+        assert_eq!(old, [Some(Residence::Server); 4]);
     }
 
     #[test]

@@ -306,7 +306,7 @@ impl PriorityEngine {
     }
 
     /// Control-plane: entries of one level queue, head first.
-    pub fn cp_level_entries(&self, level: usize, qid: usize) -> Vec<crate::slot::Slot> {
+    pub fn cp_level_entries(&self, level: usize, qid: usize) -> impl Iterator<Item = Slot> + '_ {
         self.levels[level].cp_entries(qid)
     }
 

@@ -580,18 +580,16 @@ impl SharedQueue {
         }
     }
 
-    /// Snapshot the entries of region `qid` in queue order (head first).
-    pub fn cp_entries(&self, qid: usize) -> Vec<Slot> {
+    /// The entries of region `qid` in queue order (head first), read in
+    /// place.
+    pub fn cp_entries(&self, qid: usize) -> impl Iterator<Item = Slot> + '_ {
         let v = self.cp_region(qid);
         let cap = v.capacity();
-        let mut out = Vec::with_capacity(v.count as usize);
-        let mut off = v.head;
-        for _ in 0..v.count {
+        (0..v.count).map(move |k| {
+            let off = (v.head + k) % cap;
             let (arr, idx) = self.locate(v.left + off);
-            out.push(self.slots[arr].cp_read(idx));
-            off = if off + 1 == cap { 0 } else { off + 1 };
-        }
-        out
+            self.slots[arr].cp_read(idx)
+        })
     }
 
     /// Read and reset the `r_i` counter for `qid`.
@@ -748,8 +746,7 @@ mod tests {
             q.acquire(&mut pa, 0, slot(LockMode::Exclusive, 3)),
             AcquireOutcome::Queued
         );
-        let entries = q.cp_entries(0);
-        let txns: Vec<u64> = entries.iter().map(|s| s.txn.0).collect();
+        let txns: Vec<u64> = q.cp_entries(0).map(|s| s.txn.0).collect();
         assert_eq!(txns, vec![1, 2, 3], "queue order preserved across wrap");
     }
 
@@ -797,7 +794,7 @@ mod tests {
         for i in 0..6 {
             q.acquire(&mut pa, 1, slot(LockMode::Exclusive, i));
         }
-        let txns: Vec<u64> = q.cp_entries(1).iter().map(|s| s.txn.0).collect();
+        let txns: Vec<u64> = q.cp_entries(1).map(|s| s.txn.0).collect();
         assert_eq!(txns, vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(
             q.acquire(&mut pa, 1, slot(LockMode::Exclusive, 9)),
@@ -856,7 +853,7 @@ mod tests {
                 for i in 0..occupancy {
                     q.acquire(&mut pa, 0, slot(LockMode::Shared, first + i as u64));
                 }
-                let txns: Vec<u64> = q.cp_entries(0).iter().map(|s| s.txn.0).collect();
+                let txns: Vec<u64> = q.cp_entries(0).map(|s| s.txn.0).collect();
                 let want: Vec<u64> = (0..occupancy as u64).map(|i| first + i).collect();
                 assert_eq!(txns, want, "occupancy {occupancy}, cycle {cycle}");
                 for left in (0..occupancy).rev() {
@@ -898,7 +895,7 @@ mod tests {
                 q.release_dequeue(&mut pa.begin(0), 0, LockMode::Exclusive);
                 model.pop_front();
             }
-            let txns: Vec<u64> = q.cp_entries(0).iter().map(|s| s.txn.0).collect();
+            let txns: Vec<u64> = q.cp_entries(0).map(|s| s.txn.0).collect();
             assert_eq!(txns, Vec::from(model.clone()), "after step {txn}");
             let v = q.cp_region(0);
             assert!(v.count > 0 || v.head == 0, "empty ⇒ head == 0");
@@ -986,9 +983,9 @@ mod tests {
         // The grant message is built from the returned copy: it keeps
         // the issue time, while the stored cell's lease runs from 42.
         assert_eq!(s.issued_at_ns, 7);
-        let entries = q.cp_entries(0);
-        assert!(entries[0].granted);
-        assert_eq!(entries[0].issued_at_ns, 42);
+        let head = q.cp_entries(0).next().unwrap();
+        assert!(head.granted);
+        assert_eq!(head.issued_at_ns, 42);
     }
 
     fn txns(grants: &[Slot]) -> Vec<u64> {

@@ -16,7 +16,8 @@ use netlock_proto::{
     ClientAddr, LockId, LockMode, LockRequest, NetLockMsg, Priority, ReleaseRequest, TenantId,
     TxnId,
 };
-use netlock_switch::dataplane::{DataPlane, DpAction, Engine};
+use netlock_switch::control::{apply_allocation, Allocation};
+use netlock_switch::dataplane::{DataPlane, DpAction};
 use netlock_switch::shared_queue::SharedQueueLayout;
 use netlock_switch::{ActionBuf, ACTION_BUF_CAP};
 
@@ -71,12 +72,11 @@ proptest! {
     #[test]
     fn valid_sequences_never_exceed_inline_capacity(ops in steps()) {
         let mut dp = DataPlane::new_fcfs(&SharedQueueLayout::small(1, REGION_CAP as usize, 2));
-        match dp.engine_mut() {
-            Engine::Fcfs(q) => q.cp_set_region(0, 0, REGION_CAP),
-            _ => unreachable!(),
-        }
-        dp.directory_mut().set_switch_resident(LockId(1), 0, 0);
-        dp.directory_mut().set_server_resident(LockId(2), 0);
+        let alloc = Allocation {
+            in_switch: vec![(LockId(1), REGION_CAP, 0)],
+            in_server: vec![(LockId(2), 0)],
+        };
+        apply_allocation(&mut dp, &alloc);
 
         let mut out = ActionBuf::new();
         let mut txn = 0u64;

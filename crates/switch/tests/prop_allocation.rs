@@ -92,11 +92,23 @@ proptest! {
         prop_assert!(bounded.objective(&stats) <= unbounded.objective(&stats) + 1e-9);
     }
 
+    /// A region bound keeps the first `max_regions` switch locks of the
+    /// unbounded random allocation, slots included, and hands every
+    /// other lock to its server.
+    #[test]
+    fn bounded_random_is_a_prefix(stats in arb_stats(40, 16), capacity in 0u32..500, max_regions in 0usize..20, seed in any::<u64>()) {
+        let bounded = random_allocate(&stats, capacity, max_regions, seed);
+        let unbounded = random_allocate(&stats, capacity, usize::MAX, seed);
+        let kept = unbounded.in_switch.len().min(max_regions);
+        prop_assert_eq!(&bounded.in_switch[..], &unbounded.in_switch[..kept]);
+        prop_assert_eq!(bounded.in_switch.len() + bounded.in_server.len(), stats.len());
+    }
+
     /// Greedy never loses to random (optimality implies dominance).
     #[test]
     fn greedy_dominates_random(stats in arb_stats(30, 16), capacity in 0u32..200, seed in any::<u64>()) {
         let greedy = knapsack_allocate(&stats, capacity).objective(&stats);
-        let random = random_allocate(&stats, capacity, seed).objective(&stats);
+        let random = random_allocate(&stats, capacity, usize::MAX, seed).objective(&stats);
         prop_assert!(greedy >= random - 1e-9, "greedy {} vs random {}", greedy, random);
     }
 }

@@ -121,9 +121,9 @@ impl Harness {
                 v.count > 0 || v.head == 0,
                 "lock {lock}: empty ⇒ head == 0, {v:?}"
             );
-            let entries = self.queue.cp_entries(lock as usize);
-            let excl = entries
-                .iter()
+            let excl = self
+                .queue
+                .cp_entries(lock as usize)
                 .filter(|s| s.mode == LockMode::Exclusive)
                 .count();
             assert_eq!(v.excl as usize, excl, "lock {lock}: excl register drifted");
@@ -261,8 +261,7 @@ proptest! {
             for qid in 0..4 {
                 let v = h.queue.cp_region(qid);
                 prop_assert!(v.count <= v.capacity());
-                let entries = h.queue.cp_entries(qid);
-                let excl = entries.iter().filter(|s| s.mode == LockMode::Exclusive).count();
+                let excl = h.queue.cp_entries(qid).filter(|s| s.mode == LockMode::Exclusive).count();
                 prop_assert_eq!(v.excl as usize, excl, "excl register drifted");
             }
         }

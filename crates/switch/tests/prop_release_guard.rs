@@ -21,7 +21,7 @@ use netlock_proto::{
     ClientAddr, LockId, LockMode, LockRequest, NetLockMsg, Priority, ReleaseRequest, TenantId,
     TxnId,
 };
-use netlock_switch::control::expired_leases;
+use netlock_switch::control::{apply_allocation, expired_leases, Allocation};
 use netlock_switch::dataplane::{DataPlane, DpAction, Engine};
 use netlock_switch::shared_queue::SharedQueueLayout;
 use netlock_switch::{ActionBuf, GrantLedger};
@@ -160,15 +160,13 @@ fn steps() -> impl Strategy<Value = Vec<Step>> {
 
 const REGION_CAP: u32 = 8;
 
+/// Lock `l` in queue region `l`, `REGION_CAP` slots each.
 fn program(dp: &mut DataPlane) {
-    for l in 0..LOCKS {
-        match dp.engine_mut() {
-            Engine::Fcfs(q) => q.cp_set_region(l as usize, l * REGION_CAP, (l + 1) * REGION_CAP),
-            _ => unreachable!(),
-        }
-        dp.directory_mut()
-            .set_switch_resident(LockId(l), l as usize, 0);
-    }
+    let alloc = Allocation {
+        in_switch: (0..LOCKS).map(|l| (LockId(l), REGION_CAP, 0)).collect(),
+        in_server: Vec::new(),
+    };
+    apply_allocation(dp, &alloc);
 }
 
 fn mode(shared: bool) -> LockMode {
@@ -341,7 +339,7 @@ fn drive(ops: Vec<Step>, conforming: bool) {
             let outstanding = dp.guard_outstanding(l as usize);
             prop_assert_eq!(outstanding, reference.outstanding(LockId(l)));
             // Holders as the lease sweeper derives them.
-            let entries = q.cp_entries(l as usize);
+            let entries: Vec<_> = q.cp_entries(l as usize).collect();
             let holders = match entries.first().map(|h| h.mode) {
                 None => 0,
                 Some(LockMode::Exclusive) => 1,

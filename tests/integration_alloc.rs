@@ -15,7 +15,7 @@ use netlock_proto::{
 };
 use netlock_server::LockTable;
 use netlock_sim::{Context, Node, NodeId, Packet, SimDuration, Simulator};
-use netlock_switch::control::{apply_allocation, knapsack_allocate, LockStats};
+use netlock_switch::control::{apply_allocation, knapsack_allocate, Allocation, LockStats};
 use netlock_switch::priority::PriorityLayout;
 use netlock_switch::shared_queue::SharedQueueLayout;
 use netlock_switch::{ActionBuf, DataPlane, SwitchConfig, SwitchNode};
@@ -152,10 +152,11 @@ fn dataplane_steady_state_is_allocation_free() {
 #[test]
 fn priority_dataplane_steady_state_is_allocation_free() {
     let mut dp = DataPlane::new_priority(&PriorityLayout::new(3, 8, 16));
-    for lock in 0..16u32 {
-        dp.directory_mut()
-            .set_switch_resident(LockId(lock), lock as usize, 0);
-    }
+    let alloc = Allocation {
+        in_switch: (0..16).map(|lock| (LockId(lock), 0, 0)).collect(),
+        in_server: Vec::new(),
+    };
+    apply_allocation(&mut dp, &alloc);
     let mut out = ActionBuf::new();
     let mut txn = 0u64;
     let mut now = 0u64;
@@ -204,23 +205,34 @@ fn priority_dataplane_steady_state_is_allocation_free() {
 /// simulator (grant, guard credit, guard spend, dequeue, handoff grant)
 /// allocates nothing once each region's guard FIFO has grown to the
 /// lock's holders — the guard is a push and a pop on retained buffers.
-/// Counted inside `on_packet` only; the event spine around it is held
-/// to the same zero by `simulator_spine_steady_state_is_allocation_free`.
+/// Nor does `on_timer`: the 103 rounds of 100 us cross ten control
+/// ticks, and a lease sweep that finds nothing expired borrows the
+/// directory's resident list and reads each region in place. Counted
+/// inside the node's handlers only; the event spine around them is
+/// held to the same zero by
+/// `simulator_spine_steady_state_is_allocation_free`.
 #[test]
 fn switch_node_steady_state_is_allocation_free() {
-    /// The switch, with the allocations of its packet handler counted.
+    /// The switch, with the allocations of its handlers counted.
     struct Metered {
         switch: SwitchNode,
         allocs: u64,
+        ticks: u64,
     }
     impl Node<NetLockMsg> for Metered {
+        fn on_start(&mut self, ctx: &mut Context<'_, NetLockMsg>) {
+            self.switch.on_start(ctx);
+        }
         fn on_packet(&mut self, pkt: Packet<NetLockMsg>, ctx: &mut Context<'_, NetLockMsg>) {
             let before = allocation_count();
             self.switch.on_packet(pkt, ctx);
             self.allocs += allocation_count() - before;
         }
         fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, NetLockMsg>) {
+            let before = allocation_count();
             self.switch.on_timer(token, ctx);
+            self.allocs += allocation_count() - before;
+            self.ticks += 1;
         }
     }
 
@@ -228,6 +240,7 @@ fn switch_node_steady_state_is_allocation_free() {
     let switch = sim.add_node(Box::new(Metered {
         switch: SwitchNode::new(contended_dp(), SwitchConfig::default(), vec![]),
         allocs: 0,
+        ticks: 0,
     }));
     let client = sim.add_node(Box::new(Discard));
     assert_eq!(client.0, 1, "requests name ClientAddr(1) as their client");
@@ -240,13 +253,15 @@ fn switch_node_steady_state_is_allocation_free() {
     for _ in 0..100 {
         sixteen_lock_round(&mut sim, client, switch, &mut txn);
     }
-    let (allocs, stats) = sim.read_node::<Metered, _>(switch, |m| (m.allocs, m.switch.stats()));
+    let (allocs, ticks, stats) =
+        sim.read_node::<Metered, _>(switch, |m| (m.allocs, m.ticks, m.switch.stats()));
     assert_eq!(stats.grants_sent, 103 * 16 * 6, "every acquire was granted");
     assert_eq!(stats.stale_releases_filtered, 0, "every release counted");
+    assert_eq!(ticks, 10, "the rounds crossed ten control ticks");
     assert_eq!(
         allocs - warm,
         0,
-        "steady-state switch node allocated over 19200 packets"
+        "steady-state switch node allocated over 19200 packets and {ticks} control ticks"
     );
 }
 
@@ -260,8 +275,8 @@ fn switch_node_steady_state_is_allocation_free() {
 #[test]
 fn simulator_spine_steady_state_is_allocation_free() {
     let mut sim: Simulator<NetLockMsg> = Simulator::with_seed(9);
-    // No control tick: the 1 ms lease sweep is control-plane code that
-    // collects into fresh `Vec`s, not part of the per-event path.
+    // No control tick: `switch_node_steady_state_is_allocation_free`
+    // counts the lease sweep; this test counts the per-event path.
     let cfg = SwitchConfig {
         control_tick: SimDuration::ZERO,
         ..Default::default()

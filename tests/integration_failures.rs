@@ -293,18 +293,19 @@ fn rebooted_switch_keeps_its_tenant_quota() {
 /// clients resubmit, and processing continues there.
 #[test]
 fn server_failover_moves_locks_to_backup() {
-    let (mut rack, _alloc) = one_lock_rack();
-    let switch = rack.switch;
-    // Repoint every lock at server 1 *and* keep them out of the switch,
-    // so the lock server is on the critical path.
-    let server_locks: Vec<LockId> = (0..64).map(LockId).collect();
-    rack.sim.with_node::<SwitchNode, _>(switch, |s| {
-        for &lock in &server_locks {
-            s.dataplane_mut()
-                .directory_mut()
-                .set_server_resident(lock, 0);
-        }
+    let mut rack = Rack::build(RackConfig {
+        seed: 51,
+        lock_servers: 2,
+        ..Default::default()
     });
+    // Every lock stays out of the switch, so the lock server is on the
+    // critical path; the program names each lock's home server.
+    let server_locks: Vec<LockId> = (0..64).map(LockId).collect();
+    let homed_at = |server: usize| Allocation {
+        in_switch: Vec::new(),
+        in_server: server_locks.iter().map(|&lock| (lock, server)).collect(),
+    };
+    rack.program(&homed_at(0));
     let s0 = rack.lock_servers[0];
     let s1 = rack.lock_servers[1];
     // Server 1 is a standby, down until the control plane needs it.
@@ -334,13 +335,7 @@ fn server_failover_moves_locks_to_backup() {
     // and starts it. It comes up empty and waits out one lease — the
     // predecessor's — before granting (§4.5).
     rack.sim.fail_node(s0);
-    rack.sim.with_node::<SwitchNode, _>(switch, |s| {
-        for &lock in &server_locks {
-            s.dataplane_mut()
-                .directory_mut()
-                .set_server_resident(lock, 1);
-        }
-    });
+    rack.program(&homed_at(1));
     rack.sim.revive_node(s1);
     // During the grace period nothing is granted by the backup.
     let at_failover = txns_by_client(&rack)[0];

@@ -118,9 +118,9 @@ fn measured_stats_drive_reallocation() {
     );
     rack.sim.run_for(SimDuration::from_millis(10));
     let switch = rack.switch;
-    let measured = rack.sim.with_node::<SwitchNode, _>(switch, |s| {
-        netlock_switch::control::harvest_stats(s.dataplane_mut(), 0.01)
-    });
+    let measured = rack
+        .sim
+        .with_node::<SwitchNode, _>(switch, |s| s.harvest_stats(0.01));
     let hot: Vec<_> = measured.iter().filter(|m| m.rate > 0.0).collect();
     let hot_ids: Vec<LockId> = hot.iter().map(|m| m.lock).collect();
     assert!(hot_ids.contains(&LockId(0)) && hot_ids.contains(&LockId(1)));

@@ -126,10 +126,8 @@ fn quotas_enforce_isolation() {
         if isolate {
             let switch = rack.switch;
             rack.sim.with_node::<SwitchNode, _>(switch, |s| {
-                s.dataplane_mut()
-                    .set_tenant_meter(TenantId(1), 120_000, 32, 0);
-                s.dataplane_mut()
-                    .set_tenant_meter(TenantId(2), 120_000, 32, 0);
+                s.set_tenant_meter(TenantId(1), 120_000, 32, 0);
+                s.set_tenant_meter(TenantId(2), 120_000, 32, 0);
             });
         }
         // Tenant 1: 6 clients; tenant 2: 2 clients.
@@ -191,8 +189,7 @@ fn quota_drops_are_counted() {
     ));
     let switch = rack.switch;
     rack.sim.with_node::<SwitchNode, _>(switch, |s| {
-        s.dataplane_mut()
-            .set_tenant_meter(TenantId(7), 10_000, 4, 0);
+        s.set_tenant_meter(TenantId(7), 10_000, 4, 0);
     });
     rack.add_micro_client(MicroClientConfig {
         rate_rps: 1_000_000.0,

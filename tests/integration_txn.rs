@@ -99,7 +99,7 @@ fn txn_program_matches_shared_queue_admission() {
             );
             assert_eq!(state[ARR_REQ_COUNT][0], u64::from(requests));
             assert_eq!(queue.cp_take_req_count(0), u64::from(requests));
-            for (offset, entry) in queue.cp_entries(0).into_iter().enumerate() {
+            for (offset, entry) in queue.cp_entries(0).enumerate() {
                 let want = if entry.valid {
                     // Slot encoding in the transaction: mode + 1.
                     1 + u64::from(entry.mode == LockMode::Exclusive)
